@@ -75,10 +75,10 @@ let per_op_kernel (arch : Arch.t) g id =
    node.  Always compiles and always validates - it is both the ladder's
    last resort and the bench's "no stitching" baseline. *)
 let per_op_plan (arch : Arch.t) g =
-  let live = Graph.live_ids g in
   let ids = ref [] in
   for id = Graph.num_nodes g - 1 downto 0 do
-    if live.(id) && Clustering.is_clusterable g id then ids := id :: !ids
+    if Graph.is_live g id && Clustering.is_clusterable g id then
+      ids := id :: !ids
   done;
   let kernels =
     Kernel_plan.toposort_kernels g
@@ -388,7 +388,6 @@ let compile_armed (config : Config.t) (arch : Arch.t) g :
     batch = None;
           })
     in
-    let live = Graph.live_ids g in
     let rec repair round ks =
       match assemble ks with
       | Error e ->
@@ -420,7 +419,7 @@ let compile_armed (config : Config.t) (arch : Arch.t) g :
               let missing = Hashtbl.create 16 in
               let rec need id =
                 if
-                  live.(id)
+                  Graph.is_live g id
                   && (not (Kernel_plan.is_leaf g id))
                   && (not (Hashtbl.mem produced id))
                   && not (Hashtbl.mem missing id)
@@ -524,10 +523,9 @@ let compile_armed (config : Config.t) (arch : Arch.t) g :
           (* clustering itself failed: every clusterable node becomes its
              own scope and degrades from there *)
           record "graph" Degradation.Stitched Degradation.Kernel_per_op e;
-          let live = Graph.live_ids g in
           let singles = ref [] in
           for id = Graph.num_nodes g - 1 downto 0 do
-            if live.(id) && Clustering.is_clusterable g id then
+            if Graph.is_live g id && Clustering.is_clusterable g id then
               singles := id :: !singles
           done;
           List.mapi

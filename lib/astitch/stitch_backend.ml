@@ -28,11 +28,10 @@ let compile_cluster_body ?demoted_out (config : Config.t) (arch : Arch.t) g
     (nodes : Op.node_id list) : Kernel_plan.kernel =
   let in_cluster = Hashtbl.create 16 in
   List.iter (fun id -> Hashtbl.replace in_cluster id ()) nodes;
-  let live = Graph.live_ids g in
   let escaping id =
     Graph.is_output g id
     || List.exists
-         (fun c -> live.(c) && not (Hashtbl.mem in_cluster c))
+         (fun c -> Graph.is_live g c && not (Hashtbl.mem in_cluster c))
          (Graph.consumers g id)
   in
   (* Step 1: dominants and groups *)

@@ -15,10 +15,10 @@ let cost_config =
   }
 
 let compile (arch : Arch.t) g =
-  let live = Graph.live_ids g in
   let mem_kernels =
     Graph.memory_intensive_ids g
-    |> List.filter (fun id -> live.(id) && not (Kernel_plan.is_leaf g id))
+    |> List.filter (fun id ->
+           Graph.is_live g id && not (Kernel_plan.is_leaf g id))
     |> List.map (fun id ->
            if Fusion_common.is_layout_only g id then
              Fusion_common.copy_kernel g id

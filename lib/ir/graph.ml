@@ -11,6 +11,7 @@ type t = {
   outputs : Op.node_id list;
   consumers : Op.node_id list array; (* users of each node, ascending *)
   output_set : bool array; (* is_output without the per-call list scan *)
+  live : bool array; (* reachable backwards from the outputs *)
   mutable fingerprint_memo : string option;
       (* canonical fingerprint, filled on first request; sound because
          the graph is otherwise immutable *)
@@ -39,6 +40,7 @@ let iter_nodes f g = Array.iter f g.nodes
 let fold_nodes f acc g = Array.fold_left f acc g.nodes
 
 let is_output g id = id >= 0 && id < num_nodes g && g.output_set.(id)
+let is_live g id = g.live.(id)
 
 (* Fingerprint memo slot, owned by [Fingerprint] (which computes the
    canonical digest); serving looks graphs up by fingerprint per request,
@@ -114,7 +116,21 @@ let of_nodes nodes ~outputs =
   Array.iteri (fun i l -> consumers.(i) <- List.sort_uniq compare l) consumers;
   let output_set = Array.make n false in
   List.iter (fun o -> output_set.(o) <- true) outputs;
-  { nodes; outputs; consumers; output_set; fingerprint_memo = None }
+  (* Liveness: nodes reachable backwards from the outputs.  Compilers
+     never emit code for dead nodes (XLA and TF both eliminate them), so
+     every backend filters on this; computing it here, once, keeps the
+     per-cluster and per-kernel passes linear in their own size.  A node
+     is live if it is an output or feeds a live node, and consumers have
+     larger ids, so one descending pass settles every node. *)
+  let live = Array.copy output_set in
+  let rec any_live = function
+    | [] -> false
+    | c :: cs -> live.(c) || any_live cs
+  in
+  for id = n - 1 downto 0 do
+    if not live.(id) then live.(id) <- any_live consumers.(id)
+  done;
+  { nodes; outputs; consumers; output_set; live; fingerprint_memo = None }
 
 (* Re-check all shapes/dtypes against the inference rules. *)
 let validate g =
@@ -155,18 +171,6 @@ let pp fmt g =
   iter_nodes (fun nd -> Format.fprintf fmt "  %a@." (pp_node g) nd.id) g;
   Format.fprintf fmt "  outputs: %s@.}"
     (String.concat ", " (List.map (Printf.sprintf "%%%d") g.outputs))
-
-(* Liveness: nodes reachable backwards from the outputs.  Compilers never
-   emit code for dead nodes (XLA and TF both eliminate them), so every
-   backend filters on this. *)
-let live_ids g =
-  let live = Array.make (num_nodes g) false in
-  List.iter (fun o -> live.(o) <- true) g.outputs;
-  for id = num_nodes g - 1 downto 0 do
-    if live.(id) then
-      List.iter (fun operand -> live.(operand) <- true) (operands g id)
-  done;
-  live
 
 (* --- Statistics used by Figure 1 style reporting ---------------------- *)
 

@@ -28,6 +28,11 @@ val dtype : t -> Op.node_id -> Dtype.t
 val outputs : t -> Op.node_id list
 val is_output : t -> Op.node_id -> bool
 
+val is_live : t -> Op.node_id -> bool
+(** Reachable backwards from the outputs, computed once when the graph is
+    built; backends never lower dead nodes (matching XLA/TF dead-code
+    elimination). *)
+
 val fingerprint_memo : t -> string option
 (** Memoized canonical fingerprint.  Owned by [Fingerprint]; use
     [Fingerprint.of_graph], which fills it on first computation (sound
@@ -45,9 +50,6 @@ val parameters : t -> Op.node_id list
 val find_parameter : t -> string -> Op.node_id option
 val memory_intensive_ids : t -> Op.node_id list
 val compute_intensive_ids : t -> Op.node_id list
-val live_ids : t -> bool array
-(** Nodes reachable backwards from the outputs; backends never lower dead
-    nodes (matching XLA/TF dead-code elimination). *)
 
 val pp_node : t -> Format.formatter -> Op.node_id -> unit
 val pp : Format.formatter -> t -> unit

@@ -67,12 +67,11 @@ let cse_key op shape = (op, Shape.to_list shape)
 
 (* Rebuild keeping only nodes reachable from the outputs. *)
 let dce g =
-  let live = Graph.live_ids g in
   let b = Builder.create () in
   let mapping = Hashtbl.create 64 in
   Graph.iter_nodes
     (fun nd ->
-      if live.(nd.id) then begin
+      if Graph.is_live g nd.id then begin
         let op = Op.map_operands (Hashtbl.find mapping) nd.op in
         let v =
           match op with
@@ -123,7 +122,6 @@ let run g =
   let table : (Op.t * int list, Builder.v) Hashtbl.t = Hashtbl.create 64 in
   let folded = ref 0 and identities = ref 0 and cse = ref 0 in
   let new_id id = Hashtbl.find mapping id in
-  let live = Graph.live_ids g in
   let uniform_fill shape v =
     let c = Builder.constant b v in
     if Shape.rank shape = 0 then c
@@ -177,7 +175,7 @@ let run g =
   in
   Graph.iter_nodes
     (fun nd ->
-      if live.(nd.id) then begin
+      if Graph.is_live g nd.id then begin
         let shape = nd.shape in
         let remapped = Op.map_operands new_id nd.op in
         let uniform_of v =

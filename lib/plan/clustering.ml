@@ -80,8 +80,7 @@ let corrupt_clusters seed cs =
 let clusters g =
   let n = Graph.num_nodes g in
   let depth = compute_depths g in
-  let live = Graph.live_ids g in
-  let is_clusterable g id = live.(id) && is_clusterable g id in
+  let is_clusterable g id = Graph.is_live g id && is_clusterable g id in
   let parent = Array.init n Fun.id in
   for id = 0 to n - 1 do
     if is_clusterable g id then
@@ -110,44 +109,6 @@ let clusters g =
 
 (* --- Remote stitching --------------------------------------------------- *)
 
-(* Bitset over cluster ids. *)
-module Bits = struct
-  type t = Bytes.t
-
-  let _ = (fun (x : t) -> x)
-
-  let create n = Bytes.make ((n + 7) / 8) '\000'
-
-  let set b i =
-    let c = Char.code (Bytes.get b (i / 8)) in
-    Bytes.set b (i / 8) (Char.chr (c lor (1 lsl (i mod 8))))
-
-  let mem b i = Char.code (Bytes.get b (i / 8)) land (1 lsl (i mod 8)) <> 0
-
-  let union_into ~into src =
-    for i = 0 to Bytes.length into - 1 do
-      Bytes.set into i
-        (Char.chr
-           (Char.code (Bytes.get into i) lor Char.code (Bytes.get src i)))
-    done
-
-end
-
-(* For each node, the set of clusters reachable strictly downstream. *)
-let downstream_clusters g ~num_clusters ~cluster_of =
-  let n = Graph.num_nodes g in
-  let reach = Array.init n (fun _ -> Bits.create num_clusters) in
-  for id = n - 1 downto 0 do
-    List.iter
-      (fun consumer ->
-        Bits.union_into ~into:reach.(id) reach.(consumer);
-        match cluster_of.(consumer) with
-        | Some c -> Bits.set reach.(id) c
-        | None -> ())
-      (Graph.consumers g id)
-  done;
-  reach
-
 (* Merge mutually-unreachable clusters, bounded by [max_merge_width]
    members per stitch op.
 
@@ -157,49 +118,79 @@ let downstream_clusters g ~num_clusters ~cluster_of =
    within a level never builds a cyclic kernel; and because every
    cross-group dependency goes from a strictly lower level to a higher
    one, the *grouped* kernel graph stays acyclic as well — pairwise
-   checks alone do not give that second property. *)
+   checks alone do not give that second property.
+
+   Levels are read off the contracted graph, where each cluster collapses
+   to one vertex and every other node stays its own.  It is acyclic by
+   the compute-depth argument above: a path leaving a cluster and
+   re-entering it would cross a compute-intensive op and land at a
+   strictly larger depth.  A chain of clusters, each reaching the next,
+   is a path through their vertices there, and the cluster vertices on a
+   path form such a chain; so a cluster's level is the number of cluster
+   vertices on the longest path into its own, minus one.  One Kahn pass
+   finds it in O(N + E). *)
 let remote_stitch_groups ?(max_merge_width = 4) g (cs : cluster list) =
   let num_clusters = List.length cs in
   if num_clusters <= 1 then List.map (fun c -> [ c ]) cs
   else begin
     let n = Graph.num_nodes g in
-    let cluster_of = Array.make n None in
-    List.iter
-      (fun c -> List.iter (fun id -> cluster_of.(id) <- Some c.id) c.nodes)
-      cs;
-    let node_reach = downstream_clusters g ~num_clusters ~cluster_of in
-    (* cluster-level reachability (downstream), as bitsets *)
-    let creach = Array.init num_clusters (fun _ -> Bits.create num_clusters) in
+    (* vertex of each node: its cluster's id, or [num_clusters + id] *)
+    let vertex = Array.init n (fun id -> num_clusters + id) in
+    let cluster_nodes = Array.make num_clusters [] in
     List.iter
       (fun c ->
-        List.iter
-          (fun id -> Bits.union_into ~into:creach.(c.id) node_reach.(id))
-          c.nodes)
+        cluster_nodes.(c.id) <- c.nodes;
+        List.iter (fun id -> vertex.(id) <- c.id) c.nodes)
       cs;
-    (* longest-path levels over the reachability DAG (Kahn) *)
-    let level = Array.make num_clusters 0 in
-    let indegree = Array.make num_clusters 0 in
-    let reaches a b = a <> b && Bits.mem creach.(a) b in
-    for a = 0 to num_clusters - 1 do
-      for b = 0 to num_clusters - 1 do
-        if reaches a b then indegree.(b) <- indegree.(b) + 1
-      done
+    let num_vertices = num_clusters + n in
+    let indegree = Array.make num_vertices 0 in
+    let rec count_in v = function
+      | [] -> ()
+      | c :: rest ->
+          let w = vertex.(c) in
+          if w <> v then indegree.(w) <- indegree.(w) + 1;
+          count_in v rest
+    in
+    for id = 0 to n - 1 do
+      count_in vertex.(id) (Graph.consumers g id)
     done;
-    let queue = Queue.create () in
-    Array.iteri (fun c d -> if d = 0 then Queue.add c queue) indegree;
-    let processed = ref 0 in
-    while not (Queue.is_empty queue) do
-      let a = Queue.pop queue in
-      incr processed;
-      for b = 0 to num_clusters - 1 do
-        if reaches a b then begin
-          if level.(b) < level.(a) + 1 then level.(b) <- level.(a) + 1;
-          indegree.(b) <- indegree.(b) - 1;
-          if indegree.(b) = 0 then Queue.add b queue
-        end
-      done
+    (* Kahn over an array queue; [chain.(v)] counts the cluster vertices on
+       the longest path into v, v included once it is popped *)
+    let chain = Array.make num_vertices 0 in
+    let queue = Array.make num_vertices 0 in
+    let tail = ref 0 in
+    let push v =
+      queue.(!tail) <- v;
+      incr tail
+    in
+    for v = 0 to num_vertices - 1 do
+      if indegree.(v) = 0 then push v
     done;
-    assert (!processed = num_clusters);
+    let rec relax v = function
+      | [] -> ()
+      | c :: rest ->
+          let w = vertex.(c) in
+          if w <> v then begin
+            if chain.(w) < chain.(v) then chain.(w) <- chain.(v);
+            indegree.(w) <- indegree.(w) - 1;
+            if indegree.(w) = 0 then push w
+          end;
+          relax v rest
+    in
+    let head = ref 0 in
+    while !head < !tail do
+      let v = queue.(!head) in
+      incr head;
+      if v < num_clusters then begin
+        chain.(v) <- chain.(v) + 1;
+        List.iter (fun id -> relax v (Graph.consumers g id)) cluster_nodes.(v)
+      end
+      else if vertex.(v - num_clusters) = v then
+        relax v (Graph.consumers g (v - num_clusters))
+      (* otherwise the node sits in a cluster and this vertex is unused *)
+    done;
+    assert (!head = num_vertices);
+    let level = Array.init num_clusters (fun c -> chain.(c) - 1) in
     (* group clusters by level, chunking at the width cap *)
     let by_level = Hashtbl.create 16 in
     List.iter

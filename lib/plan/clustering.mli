@@ -21,7 +21,9 @@ val remote_stitch_groups :
 (** Group mutually-unreachable clusters (up to [max_merge_width] per
     stitch op, default 4).  Clusters are levelled by longest path in the
     reachability DAG and grouped within a level, so neither the merged
-    kernels nor the grouped kernel graph can become cyclic. *)
+    kernels nor the grouped kernel graph can become cyclic.  Levels come
+    from one pass over the graph with each cluster contracted to a
+    vertex: O(nodes + edges). *)
 
 val remote_stitch :
   ?max_merge_width:int -> Graph.t -> cluster list -> cluster list

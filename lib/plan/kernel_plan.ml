@@ -103,23 +103,6 @@ let index_ops k : op_index =
 let find_op_in (idx : op_index) id = Hashtbl.find_opt idx id
 let find_op k id = find_op_in (index_ops k) id
 
-(* Node id -> kernel that materializes it to device memory (first in
-   execution order, as with the per-kernel index). *)
-let materializer_index t : (Op.node_id, kernel) Hashtbl.t =
-  let idx = Hashtbl.create 64 in
-  List.iter
-    (fun k ->
-      List.iter
-        (fun (o : compiled_op) ->
-          if o.placement = Device_mem && not (Hashtbl.mem idx o.id) then
-            Hashtbl.add idx o.id k)
-        k.ops)
-    t.kernels;
-  idx
-
-(* The kernel that materializes a node to device memory, if any. *)
-let producer_kernel t id = Hashtbl.find_opt (materializer_index t) id
-
 (* --- Per-op instruction counting --------------------------------------- *)
 
 (* FP32 instructions executed for one full evaluation of the op. *)
@@ -241,13 +224,14 @@ let kernel_work t (k : kernel) : Cost_model.work =
 (* Violations of one kernel, independent of the rest of the plan:
    intra-kernel topological order (1), register co-location (5),
    shared-memory legality and footprint (6), barrier and launch
-   legality (7).  Cross-kernel invariants live in [plan_violations]. *)
+   legality (7).  Cross-kernel invariants live in [plan_violations].
+   Runs per kernel inside the fallback ladder, so its cost stays in the
+   kernel's own size: no node-indexed state. *)
 let kernel_violations ~emit arch g (k : kernel) =
   let structure = Compile_error.Invalid_structure in
   let idx = index_ops k in
-  let live = Graph.live_ids g in
   let live_consumers id =
-    List.filter (fun c -> live.(c)) (Graph.consumers g id)
+    List.filter (Graph.is_live g) (Graph.consumers g id)
   in
   (* 1. intra-kernel topological order and non-emptiness *)
   if k.ops = [] then
@@ -352,37 +336,40 @@ let kernel_violations ~emit arch g (k : kernel) =
          "kernel %s: %s" k.name m)
 
 (* Cross-kernel invariants: unique materialization (2), availability in
-   execution order (3), outputs materialized (4). *)
+   execution order (3), outputs materialized (4).  Per-node state lives
+   in arrays allocated once per plan. *)
 let plan_violations ~emit t =
   let g = t.graph in
   let structure = Compile_error.Invalid_structure in
+  let num_nodes = Graph.num_nodes g in
   (* 2. each node materialized to device at most once *)
-  let materialized = Hashtbl.create 64 in
+  let materialized = Array.make num_nodes false in
   List.iter
     (fun k ->
       List.iter
         (fun (o : compiled_op) ->
           if o.placement = Device_mem then begin
-            if Hashtbl.mem materialized o.id then
+            if materialized.(o.id) then
               emit
                 (Compile_error.violation ~where:k.name ~ops:[ o.id ] structure
                    "node %%%d materialized by two kernels" o.id);
-            Hashtbl.replace materialized o.id k.name
+            materialized.(o.id) <- true
           end)
         k.ops)
     t.kernels;
-  (* 3. cross-kernel availability in execution order *)
-  let available = Hashtbl.create 64 in
-  List.iter
-    (fun k ->
-      let local = Hashtbl.create 16 in
+  (* 3. cross-kernel availability in execution order; [computed_in.(id)]
+        is the last kernel (by position) that computed the node so far *)
+  let available = Array.make num_nodes false in
+  let computed_in = Array.make num_nodes (-1) in
+  List.iteri
+    (fun ki k ->
       List.iter
         (fun (o : compiled_op) ->
           List.iter
             (fun operand ->
               let ok =
-                Hashtbl.mem local operand
-                || Hashtbl.mem available operand
+                computed_in.(operand) = ki
+                || available.(operand)
                 || is_leaf g operand
               in
               if not ok then
@@ -392,21 +379,19 @@ let plan_violations ~emit t =
                      "kernel %s: op %%%d reads %%%d which is not available"
                      k.name o.id operand))
             (Graph.operands g o.id);
-          Hashtbl.replace local o.id ())
+          computed_in.(o.id) <- ki)
         k.ops;
       (* executor semantics: on-chip and scratch values die with their
          kernel, and a kernel recomputing a node on-chip purges any copy
          an earlier kernel materialized (single value slot per node) *)
       List.iter
-        (fun (o : compiled_op) ->
-          if o.placement = Device_mem then Hashtbl.replace available o.id ()
-          else Hashtbl.remove available o.id)
+        (fun (o : compiled_op) -> available.(o.id) <- o.placement = Device_mem)
         k.ops)
     t.kernels;
   (* 4. graph outputs are materialized *)
   List.iter
     (fun out ->
-      if not (Hashtbl.mem available out || is_leaf g out) then
+      if not (available.(out) || is_leaf g out) then
         emit
           (Compile_error.violation ~ops:[ out ] structure
              "graph output %%%d never materialized to device memory" out))
@@ -438,49 +423,49 @@ let check t =
 let toposort_kernels g kernels =
   let arr = Array.of_list kernels in
   let n = Array.length arr in
-  let producer = Hashtbl.create 64 in
+  let num_nodes = Graph.num_nodes g in
+  (* node -> the last kernel that materializes it, or -1 *)
+  let producer = Array.make num_nodes (-1) in
   Array.iteri
     (fun ki k ->
       List.iter
         (fun (o : compiled_op) ->
-          if o.placement = Device_mem then Hashtbl.replace producer o.id ki)
+          if o.placement = Device_mem then producer.(o.id) <- ki)
         k.ops)
     arr;
-  let deps = Array.make n [] in
+  (* stamps while scanning kernel ki: [in_kernel.(id) = ki] for its own
+     ops, [dep_of.(kj) = ki] once kj is recorded as its dependency *)
+  let in_kernel = Array.make num_nodes (-1) in
+  let dep_of = Array.make n (-1) in
   let indegree = Array.make n 0 in
   let succs = Array.make n [] in
   Array.iteri
     (fun ki k ->
-      let local = Hashtbl.create 16 in
-      List.iter (fun (o : compiled_op) -> Hashtbl.replace local o.id ()) k.ops;
-      let dep_set = Hashtbl.create 8 in
+      List.iter (fun (o : compiled_op) -> in_kernel.(o.id) <- ki) k.ops;
       List.iter
         (fun (o : compiled_op) ->
           List.iter
             (fun operand ->
-              if not (Hashtbl.mem local operand) then
-                match Hashtbl.find_opt producer operand with
-                | Some kj when kj <> ki -> Hashtbl.replace dep_set kj ()
-                | _ -> ())
+              let kj = producer.(operand) in
+              if
+                in_kernel.(operand) <> ki
+                && kj >= 0 && kj <> ki && dep_of.(kj) <> ki
+              then begin
+                dep_of.(kj) <- ki;
+                succs.(kj) <- ki :: succs.(kj);
+                indegree.(ki) <- indegree.(ki) + 1
+              end)
             (Graph.operands g o.id))
-        k.ops;
-      deps.(ki) <- Hashtbl.fold (fun kj () acc -> kj :: acc) dep_set [])
+        k.ops)
     arr;
-  Array.iteri
-    (fun ki ds ->
-      List.iter
-        (fun kj ->
-          succs.(kj) <- ki :: succs.(kj);
-          indegree.(ki) <- indegree.(ki) + 1)
-        ds)
-    deps;
   let key ki =
     match arr.(ki).ops with [] -> max_int | o :: _ -> o.id
   in
   let module Ready = Set.Make (struct
     type t = int * int
 
-    let compare = compare
+    let compare (k1, i1) (k2, i2) =
+      match Int.compare k1 k2 with 0 -> Int.compare i1 i2 | c -> c
   end) in
   let ready = ref Ready.empty in
   Array.iteri

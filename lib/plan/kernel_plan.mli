@@ -62,7 +62,6 @@ val copy_kernels : t -> kernel list
 (** Table 3's "CPY": memcpys + memsets + standalone copy kernels. *)
 val cpy_count : t -> int
 val find_op : kernel -> Op.node_id -> compiled_op option
-val producer_kernel : t -> Op.node_id -> kernel option
 
 type op_index
 (** One kernel's ops indexed by node id; O(1) lookup.  Hot paths
@@ -71,10 +70,6 @@ type op_index
 
 val index_ops : kernel -> op_index
 val find_op_in : op_index -> Op.node_id -> compiled_op option
-
-val materializer_index : t -> (Op.node_id, kernel) Hashtbl.t
-(** Node id -> the kernel that materializes it to device memory (first in
-    execution order); the indexed form of {!producer_kernel}. *)
 
 val op_insts : Graph.t -> Op.node_id -> int
 (** FP32 instructions for one full evaluation of the op. *)

@@ -48,9 +48,8 @@ let library_kernel (arch : Arch.t) g id =
   }
 
 let library_kernels arch g =
-  let live = Graph.live_ids g in
   Graph.compute_intensive_ids g
-  |> List.filter (fun id -> live.(id))
+  |> List.filter (Graph.is_live g)
   |> List.map (library_kernel arch g)
 
 (* Memcpy/memset accounting shared across backends:

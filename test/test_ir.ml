@@ -322,18 +322,17 @@ let test_map_operands () =
   Alcotest.(check (list int)) "concat remap" [ 40; 50 ]
     (Op.operands (Op.map_operands (fun i -> i * 10) c))
 
-let test_live_ids () =
+let test_liveness () =
   let b = Builder.create () in
   let x = Builder.parameter b "x" [ 2 ] in
   let live = Builder.tanh b x in
   let dead = Builder.sigmoid b x in
   let deader = Builder.neg b dead in
   let g = Builder.finish b ~outputs:[ live ] in
-  let l = Graph.live_ids g in
-  check "x live" true l.(x);
-  check "tanh live" true l.(live);
-  check "sigmoid dead" false l.(dead);
-  check "neg dead" false l.(deader)
+  check "x live" true (Graph.is_live g x);
+  check "tanh live" true (Graph.is_live g live);
+  check "sigmoid dead" false (Graph.is_live g dead);
+  check "neg dead" false (Graph.is_live g deader)
 
 (* --- More autodiff rules ------------------------------------------------- *)
 
@@ -474,7 +473,7 @@ let () =
           Alcotest.test_case "per-op errors" `Quick test_inference_errors;
           Alcotest.test_case "op tables" `Quick test_op_tables;
           Alcotest.test_case "map_operands" `Quick test_map_operands;
-          Alcotest.test_case "liveness" `Quick test_live_ids;
+          Alcotest.test_case "liveness" `Quick test_liveness;
         ] );
       ( "autodiff extended",
         [

@@ -126,6 +126,149 @@ let test_remote_stitch_width_cap () =
   let merged = Clustering.remote_stitch ~max_merge_width:2 g (Clustering.clusters g) in
   check_int "3 groups of 2" 3 (List.length merged)
 
+(* Reference levelling for remote stitching: a node x cluster reachability
+   closure over byte bitsets, then longest-path levels by an O(C^2) Kahn
+   pass over the cluster pairs.  Slow but direct; [remote_stitch_groups]
+   must group exactly like it. *)
+module Oracle = struct
+  let bits n = Bytes.make ((n + 7) / 8) '\000'
+
+  let set b i =
+    let c = Char.code (Bytes.get b (i / 8)) in
+    Bytes.set b (i / 8) (Char.chr (c lor (1 lsl (i mod 8))))
+
+  let mem b i = Char.code (Bytes.get b (i / 8)) land (1 lsl (i mod 8)) <> 0
+
+  let union_into ~into src =
+    for i = 0 to Bytes.length into - 1 do
+      Bytes.set into i
+        (Char.chr
+           (Char.code (Bytes.get into i) lor Char.code (Bytes.get src i)))
+    done
+
+  let remote_stitch_groups ~max_merge_width g (cs : Clustering.cluster list) =
+    let num_clusters = List.length cs in
+    if num_clusters <= 1 then List.map (fun c -> [ c ]) cs
+    else begin
+      let n = Graph.num_nodes g in
+      let cluster_of = Array.make n None in
+      List.iter
+        (fun (c : Clustering.cluster) ->
+          List.iter (fun id -> cluster_of.(id) <- Some c.id) c.nodes)
+        cs;
+      (* clusters reachable strictly downstream of each node *)
+      let reach = Array.init n (fun _ -> bits num_clusters) in
+      for id = n - 1 downto 0 do
+        List.iter
+          (fun consumer ->
+            union_into ~into:reach.(id) reach.(consumer);
+            match cluster_of.(consumer) with
+            | Some c -> set reach.(id) c
+            | None -> ())
+          (Graph.consumers g id)
+      done;
+      let creach = Array.init num_clusters (fun _ -> bits num_clusters) in
+      List.iter
+        (fun (c : Clustering.cluster) ->
+          List.iter (fun id -> union_into ~into:creach.(c.id) reach.(id)) c.nodes)
+        cs;
+      let level = Array.make num_clusters 0 in
+      let indegree = Array.make num_clusters 0 in
+      let reaches a b = a <> b && mem creach.(a) b in
+      for a = 0 to num_clusters - 1 do
+        for b = 0 to num_clusters - 1 do
+          if reaches a b then indegree.(b) <- indegree.(b) + 1
+        done
+      done;
+      let queue = Queue.create () in
+      Array.iteri (fun c d -> if d = 0 then Queue.add c queue) indegree;
+      let processed = ref 0 in
+      while not (Queue.is_empty queue) do
+        let a = Queue.pop queue in
+        incr processed;
+        for b = 0 to num_clusters - 1 do
+          if reaches a b then begin
+            if level.(b) < level.(a) + 1 then level.(b) <- level.(a) + 1;
+            indegree.(b) <- indegree.(b) - 1;
+            if indegree.(b) = 0 then Queue.add b queue
+          end
+        done
+      done;
+      assert (!processed = num_clusters);
+      let by_level = Hashtbl.create 16 in
+      List.iter
+        (fun (c : Clustering.cluster) ->
+          let l = level.(c.id) in
+          Hashtbl.replace by_level l
+            (c :: Option.value ~default:[] (Hashtbl.find_opt by_level l)))
+        cs;
+      let levels = Hashtbl.fold (fun l _ acc -> l :: acc) by_level [] in
+      List.concat_map
+        (fun l ->
+          let members = List.rev (Hashtbl.find by_level l) in
+          let rec chunk = function
+            | [] -> []
+            | rest ->
+                let took = List.filteri (fun i _ -> i < max_merge_width) rest in
+                took :: chunk (List.filteri (fun i _ -> i >= max_merge_width) rest)
+          in
+          chunk members)
+        (List.sort compare levels)
+    end
+end
+
+(* Every live clusterable node as its own cluster: the scopes the
+   resilient compiler falls back to, and many more levels than the
+   same-depth components of a small random graph. *)
+let singleton_clusters g =
+  List.filter
+    (fun id -> Graph.is_live g id && Clustering.is_clusterable g id)
+    (Graph.topo_order g)
+  |> List.mapi (fun i id -> { Clustering.id = i; nodes = [ id ] })
+
+let group_ids groups =
+  List.map (List.map (fun (c : Clustering.cluster) -> c.id)) groups
+
+let same_groups_as_oracle ~max_merge_width g cs =
+  group_ids (Clustering.remote_stitch_groups ~max_merge_width g cs)
+  = group_ids (Oracle.remote_stitch_groups ~max_merge_width g cs)
+
+let prop_remote_stitch_matches_oracle =
+  QCheck2.Test.make ~name:"remote-stitch groups match the closure oracle"
+    ~count:200
+    QCheck2.Gen.(pair (int_range 100_001 110_000) (int_range 20 160))
+    (fun (seed, nodes) ->
+      let g = Astitch_workloads.Synthetic.random_graph ~seed ~nodes () in
+      List.for_all
+        (fun cs ->
+          List.for_all
+            (fun max_merge_width ->
+              same_groups_as_oracle ~max_merge_width g cs
+              || QCheck2.Test.fail_reportf
+                   "seed %d, %d nodes, %d clusters, width %d: groups differ"
+                   seed nodes (List.length cs) max_merge_width)
+            [ 1; 2; 4 ])
+        [ Clustering.clusters g; singleton_clusters g ])
+
+let test_remote_stitch_zoo_matches_oracle () =
+  List.iter
+    (fun (e : Astitch_workloads.Zoo.entry) ->
+      List.iter
+        (fun (name, mk) ->
+          let g = mk () in
+          let cs = Clustering.clusters g in
+          List.iter
+            (fun max_merge_width ->
+              check
+                (Printf.sprintf "%s width %d" name max_merge_width)
+                true
+                (same_groups_as_oracle ~max_merge_width g cs))
+            [ 1; 2; 4 ])
+        ((e.name, e.inference)
+        :: Option.to_list
+             (Option.map (fun t -> (e.name ^ "-train", t)) e.training)))
+    Astitch_workloads.Zoo.all
+
 (* --- Plan invariants ------------------------------------------------------ *)
 
 let tiny_plan_graph () =
@@ -141,6 +284,15 @@ let mk_op ?(scheme = Scheme.Local) ?(placement = Kernel_plan.Register)
 
 let ew elements =
   Thread_mapping.Elementwise { elements; block = 256; grid = 1; rows = None }
+
+(* Everything [check_all] reports, as (kind, ops, message), in order. *)
+let check_violations msg expected plan =
+  Alcotest.(check (list (triple string (list int) string)))
+    msg expected
+    (List.map
+       (fun (v : Compile_error.violation) ->
+         (Compile_error.kind_to_string v.kind, v.ops, v.message))
+       (Kernel_plan.check_all plan))
 
 let test_check_catches_unavailable () =
   let g, t, r = tiny_plan_graph () in
@@ -161,6 +313,10 @@ let test_check_catches_unavailable () =
   (match Kernel_plan.check plan with
   | () -> Alcotest.fail "reading tanh before computing it must fail"
   | exception Compile_error.Error _ -> ());
+  check_violations "read before compute"
+    [ ("invalid-structure", [ t ],
+       Printf.sprintf "kernel k: op %%%d reads %%%d which is not available" r t) ]
+    plan;
   (* fixed plan passes *)
   let k_ok = { k with ops = [ mk_op t (ew 32); mk_op ~placement:Kernel_plan.Device_mem r (ew 4) ] } in
   Kernel_plan.check { plan with kernels = [ k_ok ] }
@@ -198,9 +354,45 @@ let test_check_catches_double_materialize () =
       kernels = [ mk "a" [ dev t 32 ]; mk "b" [ dev t 32 ]; mk "c" [ dev r 4 ] ];
       memcpys = 0; memsets = 0; memcpy_bytes = 0; batch = None }
   in
-  match Kernel_plan.check plan with
+  (match Kernel_plan.check plan with
   | () -> Alcotest.fail "double materialization must fail"
-  | exception Compile_error.Error _ -> ()
+  | exception Compile_error.Error _ -> ());
+  check_violations "double materialization"
+    [ ("invalid-structure", [ t ],
+       Printf.sprintf "node %%%d materialized by two kernels" t) ]
+    plan
+
+let plan_of g kernels =
+  { Kernel_plan.arch = Arch.v100; graph = g; kernels;
+    memcpys = 0; memsets = 0; memcpy_bytes = 0; batch = None }
+
+let kernel name ops =
+  { Kernel_plan.name; kind = Kernel_plan.Codegen; ops;
+    launch = Launch.make ~grid:1 ~block:256 (); barriers = 0; scratch_bytes = 0 }
+
+let test_check_purged_copy_unavailable () =
+  (* kernel "a" materializes tanh; "b" recomputes it into scratch, which
+     dies with "b" and takes the only value slot of the node with it, so
+     "c" reading tanh afterwards finds nothing *)
+  let g, t, r = tiny_plan_graph () in
+  let dev id n = mk_op ~placement:Kernel_plan.Device_mem id (ew n) in
+  let a = kernel "a" [ dev t 32 ] and c = kernel "c" [ dev r 4 ] in
+  let b =
+    kernel "b"
+      [ mk_op ~placement:Kernel_plan.Global_scratch ~scheme:Scheme.Global t (ew 32) ]
+  in
+  check_violations "without the recompute" [] (plan_of g [ a; c ]);
+  check_violations "purged by the recompute"
+    [ ("invalid-structure", [ t ],
+       Printf.sprintf "kernel c: op %%%d reads %%%d which is not available" r t) ]
+    (plan_of g [ a; b; c ])
+
+let test_check_output_never_materialized () =
+  let g, t, r = tiny_plan_graph () in
+  check_violations "output left in registers"
+    [ ("invalid-structure", [ r ],
+       Printf.sprintf "graph output %%%d never materialized to device memory" r) ]
+    (plan_of g [ kernel "k" [ mk_op t (ew 32); mk_op r (ew 4) ] ])
 
 let test_check_barrier_required () =
   let g, t, r = tiny_plan_graph () in
@@ -350,12 +542,17 @@ let () =
           Alcotest.test_case "remote merge" `Quick test_remote_stitch_independent;
           Alcotest.test_case "no cyclic merge" `Quick test_remote_stitch_dependent;
           Alcotest.test_case "width cap" `Quick test_remote_stitch_width_cap;
+          Alcotest.test_case "zoo levels match oracle" `Quick
+            test_remote_stitch_zoo_matches_oracle;
+          QCheck_alcotest.to_alcotest ~long:false prop_remote_stitch_matches_oracle;
         ] );
       ( "invariants",
         [
           Alcotest.test_case "availability" `Quick test_check_catches_unavailable;
           Alcotest.test_case "register escape" `Quick test_check_catches_register_escape;
           Alcotest.test_case "double materialize" `Quick test_check_catches_double_materialize;
+          Alcotest.test_case "purged copy unavailable" `Quick test_check_purged_copy_unavailable;
+          Alcotest.test_case "output never materialized" `Quick test_check_output_never_materialized;
           Alcotest.test_case "barrier required" `Quick test_check_barrier_required;
           Alcotest.test_case "toposort" `Quick test_toposort_kernels;
           Alcotest.test_case "kernel work" `Quick test_kernel_work;
