@@ -9,11 +9,13 @@
    astitch_cli compare <model>            all backends side by side
    astitch_cli serve [MODEL...]           batched serving with a synthetic
                                           open-loop request generator
+   astitch_cli zoo [MODEL...]             multi-tenant serving under SLO
+                                          classes, same generator
 
    compile/compare take --resilient (per-cluster graceful degradation,
    prints the degradation report) and repeatable
    --inject SITE:MODE[:SEED[:FUEL]] fault-injection options.
-   run/compare/bench take --fused/--no-fused to pick the execution
+   run/compare/serve/zoo take --fused/--no-fused to pick the execution
    engine (fused is the default; kernels the fused engine cannot lower
    fall back to the reference path with a logged reason). *)
 
@@ -505,30 +507,15 @@ let parse_file path backend arch =
               Format.printf "%a@." Profile.pp_breakdown r.profile;
               `Ok ())
 
-let bench experiment fused trace metrics =
-  Astitch_experiments.Experiments.fused_exec_default := fused;
+let bench experiment trace metrics =
+  let module E = Astitch_experiments.Experiments in
   with_obs ~trace ~metrics (fun () ->
-      match experiment with
-      | None ->
-          Astitch_experiments.Experiments.run_all ();
-          `Ok ()
-      | Some name -> (
-          match
-            List.find_opt
-              (fun (n, _, _) -> n = name)
-              Astitch_experiments.Experiments.all
-          with
-          | Some (_, _, f) ->
-              f ();
-              `Ok ()
-          | None ->
-              `Error
-                ( false,
-                  Printf.sprintf "unknown experiment %s (try: %s)" name
-                    (String.concat ", "
-                       (List.map
-                          (fun (n, _, _) -> n)
-                          Astitch_experiments.Experiments.all)) )))
+      match
+        match experiment with None -> E.run_all () | Some id -> E.run id
+      with
+      | () -> `Ok ()
+      | exception Compile_error.Error e ->
+          `Error (false, Compile_error.to_string e))
 
 (* --- The trace command ------------------------------------------------------ *)
 
@@ -549,45 +536,47 @@ let required_phases =
     "run-context";
   ]
 
-(* Re-parse the exported file with the in-tree JSON parser and assert the
-   structure real consumers rely on: a traceEvents array whose entries
-   have name/ph/pid/ts, covering every compile phase and at least one
-   execution span per plan kernel. *)
+module J = Astitch_obs.Json_check
+
+(* Read and parse a JSON file with the in-tree parser. *)
+let read_json path =
+  let ic = open_in path in
+  let text =
+    Fun.protect
+      ~finally:(fun () -> close_in ic)
+      (fun () -> really_input_string ic (in_channel_length ic))
+  in
+  J.parse text
+
+(* A Chrome trace document's event array. *)
+let trace_events root =
+  match Option.bind (J.member "traceEvents" root) J.as_arr with
+  | Some evs -> Ok evs
+  | None -> Error "no traceEvents array"
+
+(* Every event's (name, category), requiring the fields real consumers
+   rely on: a name, a ph, a pid, and a ts on all but metadata events. *)
+let event_names events =
+  List.fold_left
+    (fun acc ev ->
+      Result.bind acc (fun acc ->
+          let str key = Option.bind (J.member key ev) J.as_str in
+          match (str "name", str "ph") with
+          | Some name, Some ph ->
+              if
+                J.member "pid" ev = None
+                || (J.member "ts" ev = None && ph <> "M")
+              then Error (Printf.sprintf "event %S lacks pid/ts" name)
+              else Ok ((name, Option.value ~default:"" (str "cat")) :: acc)
+          | _ -> Error "event without name/ph"))
+    (Ok []) events
+
+(* Re-parse the exported file and assert it covers every compile phase
+   and has at least one execution span per plan kernel. *)
 let validate_trace path (plan : Kernel_plan.t) =
   let ( let* ) = Result.bind in
-  let module J = Astitch_obs.Json_check in
-  let ic = open_in path in
-  let text = really_input_string ic (in_channel_length ic) in
-  close_in ic;
-  let* root = J.parse text in
-  let* events =
-    match Option.bind (J.member "traceEvents" root) J.as_arr with
-    | Some evs -> Ok evs
-    | None -> Error "no traceEvents array"
-  in
-  let* names =
-    List.fold_left
-      (fun acc ev ->
-        let* acc = acc in
-        match
-          ( Option.bind (J.member "name" ev) J.as_str,
-            Option.bind (J.member "ph" ev) J.as_str )
-        with
-        | Some name, Some _ ->
-            if
-              J.member "pid" ev = None
-              || (J.member "ts" ev = None
-                 && Option.bind (J.member "ph" ev) J.as_str <> Some "M")
-            then Error (Printf.sprintf "event %S lacks pid/ts" name)
-            else
-              let cat =
-                Option.value ~default:""
-                  (Option.bind (J.member "cat" ev) J.as_str)
-              in
-              Ok ((name, cat) :: acc)
-        | _ -> Error "event without name/ph")
-      (Ok []) events
-  in
+  let* events = Result.bind (read_json path) trace_events in
+  let* names = event_names events in
   let* () =
     match
       List.filter
@@ -666,36 +655,10 @@ let trace_model model backend training tiny arch seed repeat out check summary
    (the per-batch execution record the smoke test relies on). *)
 let validate_serve_trace path =
   let ( let* ) = Result.bind in
-  let module J = Astitch_obs.Json_check in
-  let ic = open_in path in
-  let text = really_input_string ic (in_channel_length ic) in
-  close_in ic;
-  let* root = J.parse text in
-  let* events =
-    match Option.bind (J.member "traceEvents" root) J.as_arr with
-    | Some evs -> Ok evs
-    | None -> Error "no traceEvents array"
-  in
-  let* cats =
-    List.fold_left
-      (fun acc ev ->
-        let* acc = acc in
-        match
-          ( Option.bind (J.member "name" ev) J.as_str,
-            Option.bind (J.member "ph" ev) J.as_str )
-        with
-        | Some name, Some ph ->
-            if J.member "pid" ev = None || (J.member "ts" ev = None && ph <> "M")
-            then Error (Printf.sprintf "event %S lacks pid/ts" name)
-            else
-              Ok
-                (Option.value ~default:""
-                   (Option.bind (J.member "cat" ev) J.as_str)
-                :: acc)
-        | _ -> Error "event without name/ph")
-      (Ok []) events
-  in
-  if List.mem "serve" cats then Ok (List.length events)
+  let* events = Result.bind (read_json path) trace_events in
+  let* names = event_names events in
+  if List.exists (fun (_, cat) -> cat = "serve") names then
+    Ok (List.length events)
   else Error "no serve-phase batch span in the trace"
 
 (* An incident dump is a self-contained Chrome trace whose trigger event
@@ -703,23 +666,26 @@ let validate_serve_trace path =
    one phase-"incident" instant (the marker [Flight.incident] emits). *)
 let validate_incident_dump path =
   let ( let* ) = Result.bind in
-  let module J = Astitch_obs.Json_check in
-  let ic = open_in path in
-  let text = really_input_string ic (in_channel_length ic) in
-  close_in ic;
-  let* root = J.parse text in
+  let* root = read_json path in
   let* events =
-    match Option.bind (J.member "traceEvents" root) J.as_arr with
-    | Some evs -> Ok evs
-    | None -> Error (path ^ ": no traceEvents array")
+    Result.map_error (fun e -> path ^ ": " ^ e) (trace_events root)
   in
   if
     List.exists
-      (fun ev ->
-        Option.bind (J.member "cat" ev) J.as_str = Some "incident")
+      (fun ev -> Option.bind (J.member "cat" ev) J.as_str = Some "incident")
       events
   then Ok ()
   else Error (path ^ ": no incident marker event in the dump")
+
+let validate_stats_json path =
+  match read_json path with
+  | Error e -> Error (path ^ ": " ^ e)
+  | Ok root ->
+      if
+        Option.bind (J.member "schema" root) J.as_str
+        = Some "astitch-serve-stats-v1"
+      then Ok ()
+      else Error (path ^ ": missing/wrong schema field")
 
 let write_serve_stats_json ~path server ~rejected =
   let module Serve = Astitch_serve.Serve in
@@ -845,21 +811,175 @@ let chaos_plans seed =
         ~seed:(seed + (7 * i)) ~fuel:2)
     Fault.runtime_sites
 
-let serve_cmd_impl models workers max_batch max_wait_us queue_depth requests
-    arrival deadline_us verify_every seed arch fused trace metrics chaos
-    injects retry_budget breaker_threshold check blame stats_json recorder =
-  match resolve_serve_models models with
-  | Error e -> `Error (false, e)
-  | Ok models -> (
-      match parse_injects injects with
-      | Error e -> `Error (false, e)
-      | Ok inject_plans ->
+(* --- Serving traffic: the loop, tally and check serve and zoo share ------ *)
+
+(* The flags serve and zoo share. *)
+type traffic = {
+  workers : int;
+  max_batch : int;
+  max_wait_us : float;
+  queue_depth : int;
+  requests : int;
+  arrival : float;
+  seed : int;
+  check : bool;
+}
+
+(* How a run's requests ended; [wall] runs from the first submission
+   to the drained queue. *)
+type tally = {
+  completed : int;
+  degraded : int;
+  failed : int;
+  shed : int;
+  rejected : int;
+  wall : float;
+}
+
+(* Open loop: request i arrives at its own scheduled time (exponential
+   inter-arrivals at [arrival] req/s), whether or not earlier requests
+   finished - so overload builds queue depth instead of slowing the
+   generator.  Each request draws its gap, then its model ([pick]), from
+   one state seeded by [--seed], so a seed replays the same model
+   sequence.  Refused submissions count as rejected; every admitted
+   ticket is awaited once the queue has drained. *)
+let drive (t : traffic) server ~pick ~submit ~await ~drain =
+  let module Request = Astitch_serve.Request in
+  let st = Random.State.make [| t.seed |] in
+  let t0 = Unix.gettimeofday () in
+  let clock = ref 0. in
+  let rejected = ref 0 in
+  let tickets =
+    List.filter_map
+      (fun i ->
+        (if t.arrival > 0. then begin
+           let gap =
+             -.Float.log (1. -. Random.State.float st 1.) /. t.arrival
+           in
+           clock := !clock +. gap;
+           let until = t0 +. !clock -. Unix.gettimeofday () in
+           if until > 0. then Unix.sleepf until
+         end);
+        let model = pick st i in
+        let params =
+          Astitch_serve.Serve.random_request server ~model ~seed:(t.seed + i)
+        in
+        match submit ~model ~params with
+        | Ok ticket -> Some (i, ticket)
+        | Error _ ->
+            incr rejected;
+            None)
+      (List.init t.requests Fun.id)
+  in
+  drain ();
+  let wall = Unix.gettimeofday () -. t0 in
+  List.fold_left
+    (fun r (i, ticket) ->
+      match await ticket with
+      | Request.Done { degraded; _ } ->
+          {
+            r with
+            completed = r.completed + 1;
+            degraded = r.degraded + Bool.to_int degraded;
+          }
+      | Request.Overloaded _ -> { r with shed = r.shed + 1 }
+      | Request.Failed m ->
+          Printf.printf "request %d FAILED: %s\n" i m;
+          { r with failed = r.failed + 1 })
+    {
+      completed = 0;
+      degraded = 0;
+      failed = 0;
+      shed = 0;
+      rejected = !rejected;
+      wall;
+    }
+    tickets
+
+let print_tally (s : Astitch_serve.Serve.stats) r =
+  Printf.printf "admitted %d  rejected %d  shed %d\n" s.submitted r.rejected
+    r.shed;
+  Printf.printf "completed %d  degraded %d  failed %d\n" r.completed r.degraded
+    r.failed
+
+let print_throughput r =
+  Printf.printf "wall %.3fs  throughput %.1f req/s\n" r.wall
+    (float_of_int r.completed /. Float.max r.wall 1e-9)
+
+(* The --check verdict: the supervision contract (nothing failed,
+   something completed, no padded row, every request completed, shed,
+   failed or refused, none lost), then the command's own [extra]
+   (violated, reason) pairs, then the emitted files re-parsed. *)
+let check_run (t : traffic) r ~padded_rows ~lost ~extra ~trace ~dumps
+    ~stats_json =
+  let accounted = r.completed + r.failed + r.shed + r.rejected in
+  let contract =
+    [
+      (r.failed > 0, Printf.sprintf "%d requests failed" r.failed);
+      (r.completed = 0, "nothing completed");
+      ( padded_rows <> 0,
+        Printf.sprintf
+          "%d padded rows executed (continuous batching promises 0)"
+          padded_rows );
+      ( accounted <> t.requests,
+        Printf.sprintf "%d of %d requests unaccounted for"
+          (t.requests - accounted) t.requests );
+      (lost <> 0, Printf.sprintf "%d requests lost" lost);
+    ]
+  in
+  if not t.check then `Ok ()
+  else
+    match List.find_opt fst (contract @ extra) with
+    | Some (_, reason) -> `Error (false, "check: " ^ reason)
+    | None -> (
+        let ( let* ) = Result.bind in
+        let invalid what =
+          Result.map_error (Printf.sprintf "check: %s invalid: %s" what)
+        in
+        let files =
+          let* events =
+            invalid "trace"
+              (Option.fold ~none:(Ok 0) ~some:validate_serve_trace trace)
+          in
+          let* () =
+            invalid "incident dump"
+              (List.fold_left
+                 (fun acc p ->
+                   Result.bind acc (fun () -> validate_incident_dump p))
+                 (Ok ()) dumps)
+          in
+          let* () =
+            invalid "stats json"
+              (Option.fold ~none:(Ok ()) ~some:validate_stats_json stats_json)
+          in
+          Ok events
+        in
+        match files with
+        | Error e -> `Error (false, e)
+        | Ok events ->
+            Printf.printf "check: OK (%d completed, 0 failed, 0 lost%s%s)\n"
+              r.completed
+              (if trace = None then ""
+               else Printf.sprintf ", %d trace events" events)
+              (if dumps = [] then ""
+               else
+                 Printf.sprintf ", %d incident dumps valid"
+                   (List.length dumps));
+            `Ok ())
+
+(* --- Single-tenant serving ------------------------------------------------ *)
+
+let serve_cmd_impl models (t : traffic) deadline_us verify_every arch fused
+    trace metrics chaos injects retry_budget breaker_threshold blame
+    stats_json recorder =
+  match (resolve_serve_models models, parse_injects injects) with
+  | Error e, _ | _, Error e -> `Error (false, e)
+  | Ok models, Ok inject_plans ->
       let fault_plans =
-        inject_plans @ (if chaos then chaos_plans seed else [])
+        inject_plans @ if chaos then chaos_plans t.seed else []
       in
       with_arch arch (fun arch ->
           let module Serve = Astitch_serve.Serve in
-          let module Request = Astitch_serve.Request in
           let module Flight = Astitch_obs.Flight in
           let with_plans f =
             if fault_plans = [] then f () else Fault.with_faults fault_plans f
@@ -871,136 +991,96 @@ let serve_cmd_impl models workers max_batch max_wait_us queue_depth requests
                with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
               Flight.arm ~dir ();
               Printf.printf "flight recorder: armed -> %s\n%!" dir);
-          let result =
+          let r, padded_rows, lost =
             with_obs ~trace ~metrics (fun () ->
-            with_plans (fun () ->
-                let config =
-                  {
-                    Serve.default_config with
-                    workers;
-                    max_batch;
-                    max_wait_us;
-                    queue_depth;
-                    default_deadline_us = deadline_us;
-                    arch;
-                    fused;
-                    verify_every;
-                    seed;
-                    retry_budget;
-                    breaker_threshold;
-                  }
-                in
-                let server = Serve.create ~config models in
-                let n_models = List.length models in
-                Printf.printf
-                  "serve: %d model%s, %d workers, max-batch %d, window %.0fus, \
-                   depth %d\n\
-                   %!"
-                  n_models
-                  (if n_models = 1 then "" else "s")
-                  workers max_batch max_wait_us queue_depth;
-                List.iter
-                  (fun (m : Serve.model) ->
-                    Printf.printf "  %s: %s\n%!" m.Serve.name
-                      (if Serve.symbolic server ~model:m.Serve.name then
-                         "shape-polymorphic (1 plan, any batch size)"
-                       else "fixed-extent (1 plan per batch size)"))
-                  models;
-                if fault_plans <> [] then
-                  Printf.printf "chaos: %s\n%!"
-                    (String.concat " "
-                       (List.map Fault.plan_to_string fault_plans));
-                Serve.warm server;
-                (* Open loop: request i arrives at its own scheduled time
-                   (exponential inter-arrivals at [arrival] req/s),
-                   whether or not earlier requests finished - so overload
-                   builds queue depth instead of slowing the generator. *)
-                let st = Random.State.make [| seed |] in
-                let t0 = Unix.gettimeofday () in
-                let clock = ref 0. in
-                let rejected = ref 0 in
-                let tickets =
-                  List.filter_map
-                    (fun i ->
-                      (if arrival > 0. then begin
-                         let gap =
-                           -.Float.log (1. -. Random.State.float st 1.)
-                           /. arrival
-                         in
-                         clock := !clock +. gap;
-                         let until = t0 +. !clock -. Unix.gettimeofday () in
-                         if until > 0. then Unix.sleepf until
-                       end);
-                      let model =
-                        (List.nth models (i mod n_models)).Serve.name
-                      in
-                      let params =
-                        Serve.random_request server ~model ~seed:(seed + i)
-                      in
-                      match Serve.submit_async server ~model ~params with
-                      | Ok t -> Some (i, t)
-                      | Error _ ->
-                          incr rejected;
-                          None)
-                    (List.init requests Fun.id)
-                in
-                Serve.drain server;
-                let wall = Unix.gettimeofday () -. t0 in
-                let done_n = ref 0
-                and failed = ref 0
-                and degraded = ref 0
-                and shed = ref 0 in
-                List.iter
-                  (fun (i, t) ->
-                    match Serve.await server t with
-                    | Request.Done { degraded = d; _ } ->
-                        incr done_n;
-                        if d then incr degraded
-                    | Request.Overloaded _ -> incr shed
-                    | Request.Failed m ->
-                        incr failed;
-                        Printf.printf "request %d FAILED: %s\n" i m)
-                  tickets;
-                Serve.shutdown server;
-                let s = Serve.stats server in
-                let sup = Serve.supervision server in
-                Printf.printf "admitted %d  rejected %d  shed %d\n"
-                  s.submitted !rejected !shed;
-                Printf.printf "completed %d  degraded %d  failed %d\n" !done_n
-                  !degraded !failed;
-                Printf.printf
-                  "retried %d  restarts %d  quarantined %d  wedged %d  \
-                   breaker open/close %d/%d\n"
-                  s.retried sup.Serve.restarts sup.Serve.quarantined
-                  sup.Serve.wedged s.breaker_opens s.breaker_closes;
-                let mean_batch =
-                  Astitch_obs.Metrics.hist_mean
-                    (Astitch_obs.Metrics.histogram Astitch_obs.Metrics.default
-                       "serve.batch_size")
-                in
-                Printf.printf
-                  "batches %d  mean batch %.2f  max queue depth %d\n" s.batches
-                  mean_batch s.max_depth_seen;
-                Printf.printf "padded rows %d  plan compiles %d  contexts %s\n"
-                  s.padded_rows s.plan_compiles
-                  (String.concat " "
-                     (List.map
-                        (fun (name, n) -> Printf.sprintf "%s=%d" name n)
-                        (Serve.context_pool_sizes server)));
-                Printf.printf "wall %.3fs  throughput %.1f req/s\n" wall
-                  (float_of_int !done_n /. Float.max wall 1e-9);
-                Printf.printf "latency us:    %s\n" (hist_line "serve.request_us");
-                Printf.printf "queue wait us: %s\n"
-                  (hist_line "serve.queue_wait_us");
-                if blame then print_blame_table ();
-                (match stats_json with
-                | None -> ()
-                | Some path ->
-                    write_serve_stats_json ~path server ~rejected:!rejected;
-                    Printf.printf "stats json -> %s\n" path);
-                (!done_n, !failed, !shed, !rejected, s.padded_rows)))
+                with_plans (fun () ->
+                    let config =
+                      {
+                        Serve.default_config with
+                        workers = t.workers;
+                        max_batch = t.max_batch;
+                        max_wait_us = t.max_wait_us;
+                        queue_depth = t.queue_depth;
+                        default_deadline_us = deadline_us;
+                        arch;
+                        fused;
+                        verify_every;
+                        seed = t.seed;
+                        retry_budget;
+                        breaker_threshold;
+                      }
+                    in
+                    let server = Serve.create ~config models in
+                    let n_models = List.length models in
+                    Printf.printf
+                      "serve: %d model%s, %d workers, max-batch %d, window \
+                       %.0fus, depth %d\n\
+                       %!"
+                      n_models
+                      (if n_models = 1 then "" else "s")
+                      t.workers t.max_batch t.max_wait_us t.queue_depth;
+                    List.iter
+                      (fun (m : Serve.model) ->
+                        Printf.printf "  %s: %s\n%!" m.Serve.name
+                          (if Serve.symbolic server ~model:m.Serve.name then
+                             "shape-polymorphic (1 plan, any batch size)"
+                           else "fixed-extent (1 plan per batch size)"))
+                      models;
+                    if fault_plans <> [] then
+                      Printf.printf "chaos: %s\n%!"
+                        (String.concat " "
+                           (List.map Fault.plan_to_string fault_plans));
+                    Serve.warm server;
+                    (* round-robin across the models *)
+                    let names =
+                      Array.of_list
+                        (List.map (fun (m : Serve.model) -> m.name) models)
+                    in
+                    let r =
+                      drive t server
+                        ~pick:(fun _ i -> names.(i mod n_models))
+                        ~submit:(Serve.submit_async server)
+                        ~await:(Serve.await server)
+                        ~drain:(fun () -> Serve.drain server)
+                    in
+                    Serve.shutdown server;
+                    let s = Serve.stats server in
+                    let sup = Serve.supervision server in
+                    print_tally s r;
+                    Printf.printf
+                      "retried %d  restarts %d  quarantined %d  wedged %d  \
+                       breaker open/close %d/%d\n"
+                      s.retried sup.Serve.restarts sup.Serve.quarantined
+                      sup.Serve.wedged s.breaker_opens s.breaker_closes;
+                    let mean_batch =
+                      Astitch_obs.Metrics.hist_mean
+                        (Astitch_obs.Metrics.histogram
+                           Astitch_obs.Metrics.default "serve.batch_size")
+                    in
+                    Printf.printf
+                      "batches %d  mean batch %.2f  max queue depth %d\n"
+                      s.batches mean_batch s.max_depth_seen;
+                    Printf.printf
+                      "padded rows %d  plan compiles %d  contexts %s\n"
+                      s.padded_rows s.plan_compiles
+                      (String.concat " "
+                         (List.map
+                            (fun (name, n) -> Printf.sprintf "%s=%d" name n)
+                            (Serve.context_pool_sizes server)));
+                    print_throughput r;
+                    Printf.printf "latency us:    %s\n"
+                      (hist_line "serve.request_us");
+                    Printf.printf "queue wait us: %s\n"
+                      (hist_line "serve.queue_wait_us");
+                    if blame then print_blame_table ();
+                    (match stats_json with
+                    | None -> ()
+                    | Some path ->
+                        write_serve_stats_json ~path server
+                          ~rejected:r.rejected;
+                        Printf.printf "stats json -> %s\n" path);
+                    (r, s.padded_rows, (Serve.disposition server).Serve.lost)))
           in
-          let done_n, failed, shed, rejected, padded_rows = result in
           let dumps =
             match recorder with
             | None -> []
@@ -1016,70 +1096,8 @@ let serve_cmd_impl models workers max_batch max_wait_us queue_depth requests
                 List.iter (fun p -> Printf.printf "  %s\n" p) ps;
                 ps
           in
-          if not check then `Ok ()
-          else
-            let accounted = done_n + failed + shed + rejected in
-            if failed > 0 then
-              `Error (false, Printf.sprintf "check: %d requests failed" failed)
-            else if done_n = 0 then `Error (false, "check: nothing completed")
-            else if padded_rows <> 0 then
-              `Error
-                ( false,
-                  Printf.sprintf
-                    "check: %d padded rows executed (continuous batching \
-                     promises 0)"
-                    padded_rows )
-            else if accounted <> requests then
-              `Error
-                ( false,
-                  Printf.sprintf "check: %d of %d requests unaccounted for"
-                    (requests - accounted) requests )
-            else
-              let trace_ok =
-                match trace with
-                | None -> Ok 0
-                | Some path -> validate_serve_trace path
-              in
-              let dumps_ok =
-                List.fold_left
-                  (fun acc p -> Result.bind acc (fun () -> validate_incident_dump p))
-                  (Ok ()) dumps
-              in
-              let stats_json_ok =
-                match stats_json with
-                | None -> Ok ()
-                | Some path -> (
-                    let ic = open_in path in
-                    let text =
-                      really_input_string ic (in_channel_length ic)
-                    in
-                    close_in ic;
-                    let module J = Astitch_obs.Json_check in
-                    match J.parse text with
-                    | Error e -> Error (path ^ ": " ^ e)
-                    | Ok root ->
-                        if
-                          Option.bind (J.member "schema" root) J.as_str
-                          = Some "astitch-serve-stats-v1"
-                        then Ok ()
-                        else Error (path ^ ": missing/wrong schema field"))
-              in
-              match (trace_ok, dumps_ok, stats_json_ok) with
-              | Error e, _, _ -> `Error (false, "check: trace invalid: " ^ e)
-              | _, Error e, _ ->
-                  `Error (false, "check: incident dump invalid: " ^ e)
-              | _, _, Error e ->
-                  `Error (false, "check: stats json invalid: " ^ e)
-              | Ok events, Ok (), Ok () ->
-                  Printf.printf
-                    "check: OK (%d completed, 0 failed%s%s)\n" done_n
-                    (if trace = None then ""
-                     else Printf.sprintf ", %d trace events" events)
-                    (if dumps = [] then ""
-                     else
-                       Printf.sprintf ", %d incident dumps valid"
-                         (List.length dumps));
-                  `Ok ()))
+          check_run t r ~padded_rows ~lost ~extra:[] ~trace ~dumps
+            ~stats_json)
 
 (* --- Multi-tenant zoo ------------------------------------------------------- *)
 
@@ -1118,8 +1136,9 @@ let parse_slo_specs specs =
     (Ok []) specs
 
 (* Skewed popularity: model i draws traffic proportional to 1/(i+1)
-   (first-listed model is hottest), matching the zoo bench's workload
-   shape so CLI runs and bench runs stress the same scheduler paths. *)
+   (first-listed model is hottest), the popularity benchmark/'s serving
+   workloads use, so CLI runs and benchmark runs stress the same
+   scheduler paths. *)
 let skewed_pick st names =
   let n = Array.length names in
   let weights = Array.init n (fun i -> 1. /. float_of_int (i + 1)) in
@@ -1148,9 +1167,8 @@ let count_compile_spans records =
       | _ -> acc)
     0 records
 
-let zoo_cmd_impl names slo_specs plan_dir verify_plans workers max_batch
-    max_wait_us queue_depth requests arrival fair_share_floor seed arch fused
-    trace metrics expect_warm check =
+let zoo_cmd_impl names slo_specs plan_dir verify_plans (t : traffic)
+    fair_share_floor arch fused trace metrics expect_warm =
   let names = if names = [] then [ "CRNN"; "ASR"; "DIEN" ] else names in
   match (resolve_serve_models names, parse_slo_specs slo_specs) with
   | Error e, _ | _, Error e -> `Error (false, e)
@@ -1165,7 +1183,6 @@ let zoo_cmd_impl names slo_specs plan_dir verify_plans workers max_batch
               let module Serve = Astitch_serve.Serve in
               let module Slo = Astitch_serve.Slo in
               let module Zoo = Astitch_serve.Zoo in
-              let module Request = Astitch_serve.Request in
               let registrations =
                 List.mapi
                   (fun i (m : Serve.model) ->
@@ -1186,20 +1203,20 @@ let zoo_cmd_impl names slo_specs plan_dir verify_plans workers max_batch
                   Zoo.serve =
                     {
                       Serve.default_config with
-                      workers;
-                      max_batch;
-                      max_wait_us;
-                      queue_depth;
+                      workers = t.workers;
+                      max_batch = t.max_batch;
+                      max_wait_us = t.max_wait_us;
+                      queue_depth = t.queue_depth;
                       arch;
                       fused;
-                      seed;
+                      seed = t.seed;
                       fair_share_floor;
                     };
                   plan_dir;
                   verify_plans;
                 }
               in
-              let result =
+              let r, padded_rows, lost, (p : Zoo.prewarm), traffic_compiles =
                 with_obs ~trace ~metrics (fun () ->
                   let zoo = Zoo.create ~config registrations in
                   let server = Zoo.server zoo in
@@ -1210,7 +1227,7 @@ let zoo_cmd_impl names slo_specs plan_dir verify_plans workers max_batch
                      %!"
                     n_models
                     (if n_models = 1 then "" else "s")
-                    workers max_batch queue_depth fair_share_floor
+                    t.workers t.max_batch t.queue_depth fair_share_floor
                     (match plan_dir with
                     | None -> ""
                     | Some d -> Printf.sprintf ", plan-dir %s" d);
@@ -1241,59 +1258,19 @@ let zoo_cmd_impl names slo_specs plan_dir verify_plans workers max_batch
                     Array.of_list
                       (List.map (fun (m : Serve.model) -> m.Serve.name) models)
                   in
-                  let st = Random.State.make [| seed |] in
-                  let t0 = Unix.gettimeofday () in
-                  let clock = ref 0. in
-                  let rejected = ref 0 in
-                  let tickets =
-                    List.filter_map
-                      (fun i ->
-                        (if arrival > 0. then begin
-                           let gap =
-                             -.Float.log (1. -. Random.State.float st 1.)
-                             /. arrival
-                           in
-                           clock := !clock +. gap;
-                           let until = t0 +. !clock -. Unix.gettimeofday () in
-                           if until > 0. then Unix.sleepf until
-                         end);
-                        let model = skewed_pick st model_names in
-                        let params =
-                          Serve.random_request server ~model ~seed:(seed + i)
-                        in
-                        match Zoo.submit_async zoo ~model ~params with
-                        | Ok t -> Some (i, t)
-                        | Error _ ->
-                            incr rejected;
-                            None)
-                      (List.init requests Fun.id)
+                  let r =
+                    drive t server
+                      ~pick:(fun st _ -> skewed_pick st model_names)
+                      ~submit:(Zoo.submit_async zoo)
+                      ~await:(Zoo.await zoo)
+                      ~drain:(fun () -> Zoo.drain zoo)
                   in
-                  Zoo.drain zoo;
-                  let wall = Unix.gettimeofday () -. t0 in
-                  let done_n = ref 0
-                  and failed = ref 0
-                  and degraded = ref 0
-                  and shed = ref 0 in
-                  List.iter
-                    (fun (i, t) ->
-                      match Zoo.await zoo t with
-                      | Request.Done { degraded = d; _ } ->
-                          incr done_n;
-                          if d then incr degraded
-                      | Request.Overloaded _ -> incr shed
-                      | Request.Failed m ->
-                          incr failed;
-                          Printf.printf "request %d FAILED: %s\n" i m)
-                    tickets;
                   let records = Astitch_obs.Trace.recorder_uninstall () in
                   let traffic_compiles = count_compile_spans records in
                   let saved_at_shutdown = Zoo.shutdown zoo in
                   let s = Serve.stats server in
                   let d = Serve.disposition server in
-                  Printf.printf "admitted %d  rejected %d  shed %d\n"
-                    s.Serve.submitted !rejected !shed;
-                  Printf.printf "completed %d  degraded %d  failed %d\n"
-                    !done_n !degraded !failed;
+                  print_tally s r;
                   Printf.printf
                     "floor picks %d  displaced %d  shed-at-admission %d  \
                      lost %d\n"
@@ -1304,8 +1281,7 @@ let zoo_cmd_impl names slo_specs plan_dir verify_plans workers max_batch
                     traffic_compiles;
                   Printf.printf "plans saved at shutdown: %d\n"
                     saved_at_shutdown;
-                  Printf.printf "wall %.3fs  throughput %.1f req/s\n" wall
-                    (float_of_int !done_n /. Float.max wall 1e-9);
+                  print_throughput r;
                   Printf.printf
                     "  %-12s %5s %5s %5s %5s %5s %5s %9s %8s %8s %8s %9s\n"
                     "class" "sub" "done" "shed" "rej" "fail" "met" "mean_us"
@@ -1319,77 +1295,29 @@ let zoo_cmd_impl names slo_specs plan_dir verify_plans workers max_batch
                         c.Zoo.rejected c.Zoo.failed c.Zoo.deadline_met
                         c.Zoo.mean_us c.Zoo.p50_us c.Zoo.p95_us c.Zoo.p99_us
                         (float_of_int c.Zoo.deadline_met
-                        /. Float.max wall 1e-9))
+                        /. Float.max r.wall 1e-9))
                     (Zoo.class_stats zoo);
                   pp_cache_stats
                     (Plan_cache.stats (Serve.plan_cache server));
-                  ( !done_n, !failed, !shed, !rejected, d.Serve.lost,
-                    s.Serve.padded_rows, p.Zoo.compiled, p.Zoo.rejected,
-                    traffic_compiles ))
+                  (r, s.Serve.padded_rows, d.Serve.lost, p, traffic_compiles))
               in
-              let ( done_n, failed, shed, rejected, lost, padded_rows,
-                    cold_compiles, gate_rejected, traffic_compiles ) =
-                result
-              in
-              if not check then `Ok ()
-              else
-                let accounted = done_n + failed + shed + rejected in
-                if failed > 0 then
-                  `Error
-                    (false, Printf.sprintf "check: %d requests failed" failed)
-                else if done_n = 0 then
-                  `Error (false, "check: nothing completed")
-                else if accounted <> requests then
-                  `Error
-                    ( false,
+              check_run t r ~padded_rows ~lost
+                ~extra:
+                  [
+                    ( verify_plans && p.rejected > 0,
+                      Printf.sprintf "%d plans failed the bit-identity gate"
+                        p.rejected );
+                    ( expect_warm && p.compiled > 0,
                       Printf.sprintf
-                        "check: %d of %d requests unaccounted for"
-                        (requests - accounted) requests )
-                else if lost <> 0 then
-                  `Error
-                    (false, Printf.sprintf "check: %d requests lost" lost)
-                else if padded_rows <> 0 then
-                  `Error
-                    ( false,
+                        "expected a warm store but prewarm compiled %d plans"
+                        p.compiled );
+                    ( expect_warm && traffic_compiles > 0,
                       Printf.sprintf
-                        "check: %d padded rows executed (continuous \
-                         batching promises 0)"
-                        padded_rows )
-                else if verify_plans && gate_rejected > 0 then
-                  `Error
-                    ( false,
-                      Printf.sprintf
-                        "check: %d plans failed the bit-identity gate"
-                        gate_rejected )
-                else if expect_warm && cold_compiles > 0 then
-                  `Error
-                    ( false,
-                      Printf.sprintf
-                        "check: expected a warm store but prewarm compiled \
-                         %d plans"
-                        cold_compiles )
-                else if expect_warm && traffic_compiles > 0 then
-                  `Error
-                    ( false,
-                      Printf.sprintf
-                        "check: %d compile-phase spans during traffic (warm \
-                         store promises 0)"
-                        traffic_compiles )
-                else
-                  let trace_ok =
-                    match trace with
-                    | None -> Ok 0
-                    | Some path -> validate_serve_trace path
-                  in
-                  match trace_ok with
-                  | Error e -> `Error (false, "check: trace invalid: " ^ e)
-                  | Ok events ->
-                      Printf.printf
-                        "check: OK (%d completed, 0 failed, 0 lost%s)\n"
-                        done_n
-                        (if trace = None then ""
-                         else Printf.sprintf ", %d trace events" events);
-                      `Ok ()))
+                        "%d compile-phase spans during traffic (warm store \
+                         promises 0)"
+                        traffic_compiles );
+                  ]
+                ~trace ~dumps:[] ~stats_json:None))
 
 (* --- Command wiring ----------------------------------------------------------- *)
 
@@ -1477,7 +1405,7 @@ let bench_cmd =
   in
   Cmd.v
     (Cmd.info "bench" ~doc:"Reproduce the paper's tables and figures")
-    Term.(ret (const bench $ exp_arg $ fused_arg $ trace_arg $ metrics_arg))
+    Term.(ret (const bench $ exp_arg $ trace_arg $ metrics_arg))
 
 let trace_cmd =
   let seed_arg =
@@ -1546,44 +1474,81 @@ let parse_cmd =
     (Cmd.info "parse" ~doc:"Parse a textual-IR file, compile and profile it")
     Term.(ret (const parse_file $ file_arg $ backend_arg $ arch_arg))
 
-let serve_cmd =
-  let models_arg =
-    Arg.(value & pos_all string [] & info [] ~docv:"MODEL"
-           ~doc:"Zoo models to serve (default: ASR DIEN).")
-  in
-  let workers_arg =
+(* The eight flags serve and zoo share, with the same defaults. *)
+let traffic_term =
+  let workers =
     Arg.(value & opt int 2 & info [ "workers" ] ~docv:"N"
            ~doc:"Worker domains executing batches (0 = caller-runs: \
                  batches execute on the submitting thread during \
                  await/drain).")
   in
-  let max_batch_arg =
+  let max_batch =
     Arg.(value & opt int 8 & info [ "max-batch" ] ~docv:"N"
            ~doc:"Largest batch a dispatch may take.  Batches execute at \
                  exactly their request count (no padding): \
                  shape-polymorphic models compile once at this size and \
                  rebind to any smaller batch.")
   in
-  let max_wait_arg =
+  let max_wait_us =
     Arg.(value & opt float 2000. & info [ "max-wait-us" ] ~docv:"US"
            ~doc:"Batching window: a request is never held longer than this \
                  waiting for batchmates.")
   in
-  let queue_depth_arg =
+  let queue_depth =
     Arg.(value & opt int 64 & info [ "queue-depth" ] ~docv:"N"
-           ~doc:"Admission-control bound: past this backlog, submissions \
-                 are refused with a structured overload instead of \
-                 queuing.")
+           ~doc:"Admission-control bound across models: past this backlog, \
+                 submissions are refused with a structured overload \
+                 instead of queuing (the zoo first displaces best-effort \
+                 entries to admit higher classes).")
   in
-  let requests_arg =
+  let requests =
     Arg.(value & opt int 100 & info [ "requests" ] ~docv:"N"
-           ~doc:"Total synthetic requests to generate (round-robin across \
-                 the models).")
+           ~doc:"Total synthetic requests: round-robin across the models \
+                 for serve, skewed popularity (first-listed model hottest) \
+                 for zoo.")
   in
-  let arrival_arg =
+  let arrival =
     Arg.(value & opt float 0. & info [ "arrival" ] ~docv:"RATE"
            ~doc:"Open-loop arrival rate in requests/second (exponential \
                  inter-arrivals); 0 submits as fast as possible.")
+  in
+  let seed =
+    Arg.(value & opt int 42 & info [ "seed" ] ~docv:"N"
+           ~doc:"Seed for weights, request payloads, arrivals and the \
+                 zoo's popularity draws.")
+  in
+  let check =
+    Arg.(value & flag
+         & info [ "check" ]
+             ~doc:"Exit non-zero unless every request is accounted for \
+                   (completed, shed or refused) with none failed or lost \
+                   and no padded row; also re-parse every emitted file \
+                   (--trace, and for serve --recorder dumps and \
+                   --stats-json).  In zoo it composes with --verify-plans \
+                   (no gate rejections) and --expect-warm (zero cold \
+                   compiles).")
+  in
+  Term.(
+    const
+      (fun workers max_batch max_wait_us queue_depth requests arrival seed
+           check ->
+        {
+          workers;
+          max_batch;
+          max_wait_us;
+          queue_depth;
+          requests;
+          arrival;
+          seed;
+          check;
+        })
+    $ workers $ max_batch $ max_wait_us $ queue_depth $ requests $ arrival
+    $ seed $ check)
+
+let serve_cmd =
+  let models_arg =
+    Arg.(value & pos_all string [] & info [] ~docv:"MODEL"
+           ~doc:"Zoo models to serve (default: ASR DIEN).")
   in
   let deadline_arg =
     Arg.(value & opt (some float) None & info [ "deadline-us" ] ~docv:"US"
@@ -1594,17 +1559,6 @@ let serve_cmd =
     Arg.(value & opt int 0 & info [ "verify-every" ] ~docv:"N"
            ~doc:"Every Nth batch, re-execute its first request alone and \
                  assert the batched outputs are bit-identical (0 = off).")
-  in
-  let seed_arg =
-    Arg.(value & opt int 42 & info [ "seed" ] ~docv:"N"
-           ~doc:"Seed for weights, request payloads and arrivals.")
-  in
-  let check_arg =
-    Arg.(value & flag
-         & info [ "check" ]
-             ~doc:"Exit non-zero unless every admitted request completed \
-                   without failure; with --trace, also re-parse the \
-                   emitted JSON and require per-batch serve spans.")
   in
   let chaos_arg =
     Arg.(value & flag
@@ -1654,11 +1608,9 @@ let serve_cmd =
              request generator")
     Term.(
       ret
-        (const serve_cmd_impl $ models_arg $ workers_arg $ max_batch_arg
-       $ max_wait_arg $ queue_depth_arg $ requests_arg $ arrival_arg
-       $ deadline_arg $ verify_arg $ seed_arg $ arch_arg $ fused_arg
-       $ trace_arg $ metrics_arg $ chaos_arg $ inject_arg
-       $ retry_budget_arg $ breaker_arg $ check_arg $ blame_arg
+        (const serve_cmd_impl $ models_arg $ traffic_term $ deadline_arg
+       $ verify_arg $ arch_arg $ fused_arg $ trace_arg $ metrics_arg
+       $ chaos_arg $ inject_arg $ retry_budget_arg $ breaker_arg $ blame_arg
        $ stats_json_arg $ recorder_arg))
 
 let zoo_cmd =
@@ -1693,44 +1645,11 @@ let zoo_cmd =
                    the store was saving - a verification mode, not the \
                    serving default.")
   in
-  let workers_arg =
-    Arg.(value & opt int 2 & info [ "workers" ] ~docv:"N"
-           ~doc:"Worker domains executing batches (0 = caller-runs).")
-  in
-  let max_batch_arg =
-    Arg.(value & opt int 8 & info [ "max-batch" ] ~docv:"N"
-           ~doc:"Largest batch a dispatch may take.")
-  in
-  let max_wait_arg =
-    Arg.(value & opt float 2000. & info [ "max-wait-us" ] ~docv:"US"
-           ~doc:"Batching window.")
-  in
-  let queue_depth_arg =
-    Arg.(value & opt int 64 & info [ "queue-depth" ] ~docv:"N"
-           ~doc:"Admission-control bound across models; past it, \
-                 best-effort entries are displaced to admit higher \
-                 classes before anything is refused.")
-  in
-  let requests_arg =
-    Arg.(value & opt int 100 & info [ "requests" ] ~docv:"N"
-           ~doc:"Total synthetic requests, drawn across models with \
-                 skewed popularity (first-listed model hottest).")
-  in
-  let arrival_arg =
-    Arg.(value & opt float 0. & info [ "arrival" ] ~docv:"RATE"
-           ~doc:"Open-loop arrival rate in requests/second (exponential \
-                 inter-arrivals); 0 submits as fast as possible.")
-  in
   let floor_arg =
     Arg.(value & opt float 0.125 & info [ "fair-share-floor" ] ~docv:"F"
            ~doc:"Fraction of dispatches reserved for the least-served \
                  model, so best-effort tenants keep making progress under \
                  overload (0 = pure strict priority).")
-  in
-  let seed_arg =
-    Arg.(value & opt int 42 & info [ "seed" ] ~docv:"N"
-           ~doc:"Seed for weights, request payloads, popularity draws and \
-                 arrivals.")
   in
   let expect_warm_arg =
     Arg.(value & flag
@@ -1739,14 +1658,6 @@ let zoo_cmd =
                    (every plan came from the store) and no compile-phase \
                    span occurred while serving traffic.")
   in
-  let check_arg =
-    Arg.(value & flag
-         & info [ "check" ]
-             ~doc:"Exit non-zero unless every request is accounted for \
-                   with zero failures and zero lost; composes with \
-                   --verify-plans (no gate rejections), --expect-warm \
-                   (zero cold compiles) and --trace (valid serve spans).")
-  in
   Cmd.v
     (Cmd.info "zoo"
        ~doc:"Host a multi-tenant model zoo: SLO-class scheduling over a \
@@ -1754,10 +1665,8 @@ let zoo_cmd =
     Term.(
       ret
         (const zoo_cmd_impl $ models_arg $ slo_arg $ plan_dir_arg
-       $ verify_plans_arg $ workers_arg $ max_batch_arg $ max_wait_arg
-       $ queue_depth_arg $ requests_arg $ arrival_arg $ floor_arg
-       $ seed_arg $ arch_arg $ fused_arg $ trace_arg $ metrics_arg
-       $ expect_warm_arg $ check_arg))
+       $ verify_plans_arg $ traffic_term $ floor_arg $ arch_arg $ fused_arg
+       $ trace_arg $ metrics_arg $ expect_warm_arg))
 
 let main =
   Cmd.group

@@ -73,7 +73,7 @@ let per_op_kernel (arch : Arch.t) g id =
 
 (* A whole-graph terminal: kernel-per-op for every live memory-intensive
    node.  Always compiles and always validates - it is both the ladder's
-   last resort and the bench's "no stitching" baseline. *)
+   last resort and the "no stitching" baseline. *)
 let per_op_plan (arch : Arch.t) g =
   let ids = ref [] in
   for id = Graph.num_nodes g - 1 downto 0 do

@@ -25,8 +25,8 @@ val per_op_kernel : Arch.t -> Graph.t -> Op.node_id -> Kernel_plan.kernel
 val per_op_plan : Arch.t -> Graph.t -> Kernel_plan.t
 (** The whole-graph terminal: one kernel per live memory-intensive node
     plus the library kernels - the ladder's last resort, and the
-    "no stitching" kernel-per-op baseline the serving bench compares
-    global stitching against. *)
+    "no stitching" kernel-per-op baseline global stitching is tested
+    against. *)
 
 val demote_global : Kernel_plan.kernel -> Kernel_plan.kernel
 (** Give up global stitching: global-scratch placements materialize to

@@ -697,61 +697,6 @@ let amortization () =
          ])
        models)
 
-(* --- Fused execution engine: measured run time vs the reference context ---------------- *)
-
-(* The CLI's `bench --no-fused` flips this so the whole experiment run
-   exercises the reference engine instead. *)
-let fused_exec_default = ref true
-
-let exec_engine () =
-  let time_us ~runs f =
-    let samples =
-      Array.init runs (fun _ ->
-          let t0 = Unix.gettimeofday () in
-          ignore (Sys.opaque_identity (f ()));
-          (Unix.gettimeofday () -. t0) *. 1e6)
-    in
-    Array.sort compare samples;
-    samples.(runs / 2)
-  in
-  Report.print_table
-    ~title:
-      (Printf.sprintf
-         "Fused execution engine vs reference context (tiny graphs, %s \
-          engine under test; buffers = arena slots + fallback buffers vs \
-          ops executed)"
-         (if !fused_exec_default then "fused" else "reference"))
-    ~header:
-      [ "model"; "ref us"; "test us"; "speedup"; "buffers/ops"; "fallbacks" ]
-    (List.map
-       (fun (e : Zoo.entry) ->
-         let g = e.tiny () in
-         let plan = (Session.compile astitch arch g).Session.plan in
-         let params = Session.random_params ~seed:11 g in
-         let fctx =
-           Executor.create_context ~fused:!fused_exec_default plan
-         in
-         let rctx = Executor.create_context ~fused:false plan in
-         ignore (Executor.run_context fctx ~params);
-         ignore (Executor.run_context rctx ~params);
-         let tt =
-           time_us ~runs:15 (fun () -> Executor.run_context fctx ~params)
-         in
-         let tr =
-           time_us ~runs:15 (fun () -> Executor.run_context rctx ~params)
-         in
-         let rep = Executor.exec_report fctx in
-         [
-           e.name;
-           Report.f1 tr;
-           Report.f1 tt;
-           Report.speedup (tr /. tt);
-           Printf.sprintf "%d/%d" rep.Profile.buffers_allocated
-             rep.Profile.nodes_executed;
-           string_of_int (List.length (Executor.context_fallbacks fctx));
-         ])
-       models)
-
 (* --- Driver --------------------------------------------------------------------------- *)
 
 let all : (string * string * (unit -> unit)) list =
@@ -778,7 +723,6 @@ let all : (string * string * (unit -> unit)) list =
     ("production", "production-cluster week simulation (Sec 6.3)", production);
     ("memory", "scratch-arena reuse from the memory planner", memory_reuse);
     ("amortization", "JIT compile-cost break-even points", amortization);
-    ("exec", "fused execution engine vs reference context", exec_engine);
   ]
 
 let run name =
@@ -796,8 +740,3 @@ let run_all () =
       Printf.printf ">>> %s\n" name;
       f ())
     all
-
-(* Drop memoized graphs/plans so a benchmark run measures real work. *)
-let clear_caches () =
-  Hashtbl.reset graph_cache;
-  Hashtbl.reset result_cache

@@ -20,17 +20,12 @@ val result : Astitch_workloads.Zoo.entry -> mode -> Backend_intf.t ->
 
 val total_ms : Astitch_workloads.Zoo.entry -> mode -> Backend_intf.t -> float
 
-val fused_exec_default : bool ref
-(** Engine the "exec" experiment puts under test (default [true] =
-    fused); the CLI's [bench --no-fused] flips it. *)
-
 val all : (string * string * (unit -> unit)) list
 (** [(id, description, run)] for every experiment. *)
 
 val run : string -> unit
-(** @raise Invalid_argument on unknown ids. *)
+(** @raise Astitch_plan.Compile_error.Error ([Unknown_name], listing
+    every id) on unknown ids. *)
 
 val run_all : unit -> unit
 
-val clear_caches : unit -> unit
-(** Drop memoized graphs/plans so benchmarks measure real work. *)

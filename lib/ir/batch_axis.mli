@@ -28,6 +28,11 @@ val cls_to_string : cls -> string
 val shape_at : cls -> Shape.t -> batch:int -> Shape.t
 (** The node's shape at [batch], given its batch-1 shape. *)
 
+val classify_shapes : Shape.t -> Shape.t -> (cls, string) result
+(** Classify one node from its batch-1 and batch-2 shapes: equal shapes
+    are [Invariant], exactly one axis doubling is [Scaled]; anything
+    else is an [Error]. *)
+
 val analyze : g1:Graph.t -> g2:Graph.t -> (cls array, string) result
 (** Diff the batch-1 and batch-2 builds.  [Error] carries the first
     node-level reason the family is not prefix-executable. *)

@@ -12,7 +12,7 @@
    ~1e-9 .. ~1.5e12; observations outside clamp to the edge buckets.
    Every bucket is an atomic counter, so concurrent domains can observe
    into one histogram; quantiles are computed from the bucket counts at
-   read time (p50/p95/p99 in the serving bench and text summaries). *)
+   read time (p50/p95/p99 in the serve summaries and text summaries). *)
 
 type counter = { cname : string; c : int Atomic.t }
 type gauge = { gname : string; g : float Atomic.t }

@@ -286,7 +286,7 @@ let pp_exec fmt r =
     r.exec_kernels
 
 (* Bridge the measured execution counters into the metrics registry, so
-   `--metrics`, the trace CLI and the serving bench see execution
+   `--metrics`, the trace CLI and the serving commands see execution
    behaviour alongside the compile/cache metrics.  Byte counters
    accumulate (counters sum across reports); capacity-like quantities are
    high-water gauges; per-kernel wall time (when timing was enabled)

@@ -7,20 +7,18 @@
    its shape as the batch grows (a shared weight) or scales exactly one
    axis linearly with the batch (a per-request input), and every output
    does the same.  We discover the classification structurally instead
-   of trusting annotations: build the graph at batch 1 and at batch 2,
-   diff every parameter and output shape, and reject anything that does
-   not fit ([Not_batchable]).  The numeric half of the contract - no op
-   mixes rows across requests - cannot be decided from shapes alone; it
-   is enforced by the bit-identity test suite over every served builder
-   (zoo workloads and random graphs), and double-checked at runtime by
-   the [verify] sampling hook in the worker pool.
+   of trusting annotations: diff every parameter and output shape of
+   the batch-1 and batch-2 graphs with [Batch_axis.classify_shapes], and
+   reject anything that does not fit ([Not_batchable]).  The numeric
+   half of the contract - no op mixes rows across requests - cannot be
+   decided from shapes alone; it is enforced by the bit-identity test
+   suite over every served builder (zoo workloads and random graphs),
+   and double-checked at runtime by the [verify] sampling hook in the
+   worker pool.
 
    Packing concatenates each per-request parameter along its batch axis
-   in request order and pads the tail batch by replicating the last
-   request's binding (replication keeps padded rows numerically benign -
-   no zeros flowing into logs or rsqrt that the real rows never see).
-   Unpacking slices each output back along its batch axis; padded rows
-   are simply never read. *)
+   in request order, so a batch of n requests executes at exactly n
+   rows.  Unpacking slices each output back along its batch axis. *)
 
 open Astitch_ir
 open Astitch_tensor
@@ -42,23 +40,16 @@ type spec = {
 
 (* --- Shape diffing ------------------------------------------------------- *)
 
-(* Classify one (batch-1 shape, batch-2 shape) pair: equal shapes are
-   batch-invariant; exactly one axis doubling is the batch axis. *)
+(* Classify one (batch-1 shape, batch-2 shape) pair by the node-level
+   rule: equal shapes are batch-invariant; exactly one axis doubling is
+   the batch axis. *)
 let diff_axis ~what s1 s2 =
-  let d1 = Shape.to_list s1 and d2 = Shape.to_list s2 in
-  if List.length d1 <> List.length d2 then
-    not_batchable "%s: rank changes with batch (%s vs %s)" what
-      (Shape.to_string s1) (Shape.to_string s2);
-  let diffs =
-    List.mapi (fun i d -> (i, d, List.nth d2 i)) d1
-    |> List.filter (fun (_, a, b) -> a <> b)
-  in
-  match diffs with
-  | [] -> None
-  | [ (axis, e1, e2) ] when e2 = 2 * e1 -> Some { axis; extent = e1 }
-  | _ ->
-      not_batchable "%s: shape does not scale one axis linearly (%s vs %s)"
-        what (Shape.to_string s1) (Shape.to_string s2)
+  match Batch_axis.classify_shapes s1 s2 with
+  | Ok Batch_axis.Invariant -> None
+  | Ok (Batch_axis.Scaled { axis; unit }) -> Some { axis; extent = unit }
+  | Error m ->
+      not_batchable "%s: %s (%s vs %s)" what m (Shape.to_string s1)
+        (Shape.to_string s2)
 
 let param_shapes g =
   List.map
@@ -70,9 +61,7 @@ let param_shapes g =
 
 let output_shapes g = List.map (Graph.shape g) (Graph.outputs g)
 
-let analyze build =
-  let base = build 1 in
-  let g2 = build 2 in
+let analyze build ~g1:base ~g2 =
   let p1 = param_shapes base and p2 = param_shapes g2 in
   if List.length p1 <> List.length p2 then
     not_batchable "parameter count changes with batch (%d vs %d)"
@@ -197,20 +186,12 @@ let check_request spec params =
               (Shape.to_string want))
     spec.request_params
 
-let pack spec ~batch requests =
-  let n = List.length requests in
-  if n = 0 then invalid_arg "Batching.pack: no requests";
-  if n > batch then
-    invalid_arg
-      (Printf.sprintf "Batching.pack: %d requests exceed batch %d" n batch);
+let pack spec requests =
+  if requests = [] then invalid_arg "Batching.pack: no requests";
   List.iter (check_request spec) requests;
-  let last = List.nth requests (n - 1) in
-  let padded =
-    requests @ List.init (batch - n) (fun _ -> last)
-  in
   List.map
     (fun (name, info) ->
-      let parts = List.map (fun r -> List.assoc name r) padded in
+      let parts = List.map (fun r -> List.assoc name r) requests in
       let packed = concat_axis ~axis:info.axis parts in
       (* serving-runtime fault site: raise models a failed pack,
          corrupt perturbs one cell of the freshly concatenated tensor

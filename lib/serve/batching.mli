@@ -29,21 +29,20 @@ type spec = {
       (** per output: [Some] = sliced per request, [None] = batch-invariant *)
 }
 
-val analyze : (int -> Graph.t) -> spec
-(** Classify a builder family.  Builds the graph at batch 1 and 2.
+val analyze : (int -> Graph.t) -> g1:Graph.t -> g2:Graph.t -> spec
+(** Classify a builder family from its batch-1 and batch-2 graphs
+    ([g1] becomes [base]).
     @raise Not_batchable when any shape fails to classify. *)
 
-val pack :
-  spec -> batch:int -> (string * Tensor.t) list list -> (string * Tensor.t) list
-(** Concatenate up to [batch] requests' bindings along their batch axes,
-    padding the tail by replicating the last request.  Validates every
-    request against the spec.
+val pack : spec -> (string * Tensor.t) list list -> (string * Tensor.t) list
+(** Concatenate the requests' bindings along their batch axes: n
+    requests pack to exactly n rows.  Validates every request against
+    the spec.
     @raise Not_batchable on a binding mismatch. *)
 
 val unpack : spec -> count:int -> Tensor.t list -> Tensor.t list list
-(** Slice batched outputs back into [count] per-request output lists.
-    Padded rows are dropped; batch-invariant outputs are copied to every
-    request. *)
+(** Slice batched outputs back into [count] per-request output lists;
+    batch-invariant outputs are copied to every request. *)
 
 val concat_axis : axis:int -> Tensor.t list -> Tensor.t
 (** Row-major concatenation along [axis] (exposed for tests). *)

@@ -90,8 +90,7 @@ let model_seed ~seed name =
    diff AND hold at [max_batch] (catching locally-linear families).
    Rejected families are served fixed-extent - correct either way, just
    one compile per distinct batch size instead of one per model. *)
-let decide_mode ~max_batch (m : model) =
-  let g1 = m.build ~batch:1 and g2 = m.build ~batch:2 in
+let decide_mode ~max_batch (m : model) ~g1 ~g2 =
   match Batch_axis.analyze ~g1 ~g2 with
   | Error _ -> Worker_pool.Fixed
   | Ok cls -> (
@@ -116,7 +115,8 @@ let create ?(config = default_config) models =
     (fun m ->
       if Hashtbl.mem table m.name then
         invalid_arg (Printf.sprintf "Serve.create: duplicate model %s" m.name);
-      let spec = Batching.analyze (fun b -> m.build ~batch:b) in
+      let g1 = m.build ~batch:1 and g2 = m.build ~batch:2 in
+      let spec = Batching.analyze (fun b -> m.build ~batch:b) ~g1 ~g2 in
       let shared =
         Batching.random_shared spec ~seed:(model_seed ~seed:config.seed m.name)
       in
@@ -126,7 +126,7 @@ let create ?(config = default_config) models =
           shared;
           max_batch = config.max_batch;
           mu = Mutex.create ();
-          mode = decide_mode ~max_batch:config.max_batch m;
+          mode = decide_mode ~max_batch:config.max_batch m ~g1 ~g2;
           sym_ctxs = ref [];
           fixed_ctxs = Hashtbl.create 4;
         })

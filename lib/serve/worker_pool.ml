@@ -469,7 +469,7 @@ let serve_batch pool (batch : Scheduler.batch) =
         let t_pack = now_us () in
         let pid = Trace.span_begin ~phase:"serve" "pack" in
         let packed =
-          Batching.pack m.spec ~batch:exec_rows
+          Batching.pack m.spec
             (List.map (fun (r : Request.t) -> r.params) batch.requests)
         in
         Trace.span_end pid;

@@ -5,8 +5,8 @@
     model registers with an {!Slo.t} class, which drives the
     scheduler's class-priority/EDF dispatch, its fair-share floor, and
     per-request default deadlines; outcomes are additionally accounted
-    per class ({!class_stats}), which is what the zoo bench's
-    per-SLO-class p99 and goodput read.
+    per class ({!class_stats}), which is what the CLI's per-SLO-class
+    p99 and goodput table reads.
 
     The plan store closes the compile-once loop across process
     restarts: {!prewarm} loads every registered model's plans from

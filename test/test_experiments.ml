@@ -41,11 +41,6 @@ let test_unknown_experiment () =
 let test_cheap_experiments_run () =
   List.iter E.run [ "table6"; "fig6" ]
 
-let test_clear_caches () =
-  E.run "fig6";
-  E.clear_caches ();
-  E.run "fig6"
-
 let test_report_table () =
   let rendered =
     R.table ~title:"t" ~header:[ "a"; "bb" ]
@@ -70,7 +65,6 @@ let () =
           Alcotest.test_case "registry" `Quick test_registry;
           Alcotest.test_case "unknown id" `Quick test_unknown_experiment;
           Alcotest.test_case "cheap experiments" `Quick test_cheap_experiments_run;
-          Alcotest.test_case "cache clearing" `Quick test_clear_caches;
         ] );
       ( "report",
         [

@@ -12,6 +12,9 @@
      not divide the staged element count (irregular tail blocks);
    - kernels the tape cannot lower fall back to the reference path with
      a reason, and the mixed context is still bit-identical;
+   - fused contexts write fewer full-buffer bytes than reference
+     contexts on every zoo model at batch 8, and global stitching fewer
+     than kernel-per-op on the shared-memory-overflow shapes;
    - fit_shared demotes largest-first and keeps everything under budget;
    - Config.fused_exec is a runtime knob: it does not change the plan
      cache key. *)
@@ -360,6 +363,34 @@ let test_illegal_demotion_falls_back () =
     Astitch_workloads.Zoo.all;
   check_bool "at least one workload fell back" true (!exercised > 0)
 
+(* Full-buffer bytes one run of [plan]'s context writes: a deterministic
+   count fixed when the context is created, where wall time is not. *)
+let bytes_written ?fused plan =
+  List.fold_left
+    (fun acc (k : Profile.exec_kernel) -> acc + k.bytes_materialized)
+    0
+    (Executor.exec_report (Executor.create_context ?fused plan))
+      .Profile.exec_kernels
+
+(* At the served batch size every zoo model's fused context writes
+   fewer bytes than its reference context: scalarization and staging
+   keep intermediates out of full buffers. *)
+let test_zoo_fewer_bytes_than_reference () =
+  List.iter
+    (fun (e : Astitch_workloads.Zoo.entry) ->
+      let plan =
+        (Session.compile Astitch_core.Astitch.full_backend Arch.v100
+           (e.batched ~batch:8))
+          .Session.plan
+      in
+      let fused = bytes_written plan in
+      let reference = bytes_written ~fused:false plan in
+      check_bool
+        (Printf.sprintf "%s batch 8: fused writes %d B < reference %d B"
+           e.name fused reference)
+        true (fused < reference))
+    Astitch_workloads.Zoo.all
+
 (* --- Global stitching execution -------------------------------------------- *)
 
 let overflow_entries =
@@ -396,6 +427,27 @@ let test_overflow_shapes_fuse_globally () =
       in
       check_bool (name ^ ": bytes staged globally") true (staged > 0);
       check_bool (name ^ ": barriers executed") true (barriers > 0))
+    overflow_entries
+
+(* Global stitching writes fewer bytes than the kernel-per-op baseline
+   ([Fallback.per_op_plan], every memory-intensive op in its own kernel)
+   on the shapes that overflow shared memory. *)
+let test_overflow_fewer_bytes_than_per_op () =
+  List.iter
+    (fun (name, build) ->
+      let g = build () in
+      let global =
+        bytes_written
+          (Session.compile Astitch_core.Astitch.full_backend Arch.v100 g)
+            .Session.plan
+      in
+      let per_op =
+        bytes_written (Astitch_core.Fallback.per_op_plan Arch.v100 g)
+      in
+      check_bool
+        (Printf.sprintf "%s: global writes %d B < kernel-per-op %d B" name
+           global per_op)
+        true (global < per_op))
     overflow_entries
 
 (* Random graphs on an arch whose per-block shared memory is almost
@@ -489,6 +541,8 @@ let () =
           QCheck_alcotest.to_alcotest test_arena_random_exclusive;
           Alcotest.test_case "fewer buffers than ops" `Quick
             test_zoo_fewer_buffers_than_ops;
+          Alcotest.test_case "fewer bytes than reference" `Quick
+            test_zoo_fewer_bytes_than_reference;
         ] );
       ( "shared-memory",
         [
@@ -510,6 +564,8 @@ let () =
         [
           Alcotest.test_case "overflow shapes fuse globally" `Quick
             test_overflow_shapes_fuse_globally;
+          Alcotest.test_case "fewer bytes than kernel-per-op" `Quick
+            test_overflow_fewer_bytes_than_per_op;
           QCheck_alcotest.to_alcotest test_random_overflow_bit_identical;
           Alcotest.test_case "demote-vs-split crossover" `Quick
             test_gating_crossover;

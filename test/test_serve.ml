@@ -4,9 +4,8 @@
    - [Batching.analyze] classifies per-request vs shared parameters and
      batch-carrying vs invariant outputs, and rejects builders that do
      not scale exactly one axis;
-   - pack/unpack is lossless at ANY batch size (primes included),
-     batch-invariant outputs are copied whole to every request, and
-     when padding is asked for it replicates the last request;
+   - pack/unpack is lossless at ANY batch size (primes included), and
+     batch-invariant outputs are copied whole to every request;
    - symbolic batch extents: one plan compiled at max_batch rebinds to
      every smaller size bit-identically to a fresh fixed-extent
      compile (unit, zoo, and a qcheck property on random graphs);
@@ -14,11 +13,11 @@
      exactly their request count on one shape-polymorphic context -
      zero padded rows, one plan compile - and a queue that reaches
      max_batch wakes the worker without waiting out the window;
-   - THE serving invariant: batched execution (including padded tail
-     batches) is bit-identical to running every request alone - as a
-     unit test on hand builders and every zoo workload at batch
-     {1,3,8}, and as a qcheck property over random row-independent
-     builders and random request counts;
+   - THE serving invariant: batched execution at exactly the request
+     count is bit-identical to running every request alone - as a unit
+     test on hand builders and every zoo workload at batch {1,3,8}, and
+     as a qcheck property over random row-independent builders and
+     random request counts;
    - the server end-to-end: all submitted requests come back [Done]
      with solo-identical outputs; admission control refuses past the
      queue bound with a structured [Overloaded] and sheds expired
@@ -123,8 +122,12 @@ let random_batchable ~seed =
 
 (* --- Batching analysis --------------------------------------------------- *)
 
+let analyze build =
+  Batching.analyze (fun n -> build ~batch:n) ~g1:(build ~batch:1)
+    ~g2:(build ~batch:2)
+
 let test_analyze_classifies () =
-  let spec = Batching.analyze (fun n -> mlp_build ~batch:n) in
+  let spec = analyze mlp_build in
   check_int "one per-request parameter" 1 (List.length spec.request_params);
   let name, info = List.hd spec.request_params in
   Alcotest.(check string) "it is x" "x" name;
@@ -138,12 +141,12 @@ let test_analyze_classifies () =
     (String.equal spec.fingerprint (Fingerprint.of_graph (mlp_build ~batch:1)))
 
 let test_analyze_rejects_two_axis () =
-  match Batching.analyze (fun n -> two_axis_build ~batch:n) with
+  match analyze two_axis_build with
   | exception Batching.Not_batchable _ -> ()
   | _ -> Alcotest.fail "two-axis scaling must be rejected"
 
 let test_analyze_rejects_weights_only () =
-  match Batching.analyze (fun n -> weights_only_build ~batch:n) with
+  match analyze weights_only_build with
   | exception Batching.Not_batchable _ -> ()
   | _ -> Alcotest.fail "builder without per-request parameters must be rejected"
 
@@ -165,23 +168,10 @@ let test_concat_slice_roundtrip () =
         ts)
     [ 0; 1; 2 ]
 
-let test_pack_pads_with_last () =
-  let spec = Batching.analyze (fun n -> mlp_build ~batch:n) in
-  let reqs = List.init 3 (fun i -> Batching.random_request spec ~seed:(7 * i)) in
-  let packed = Batching.pack spec ~batch:4 reqs in
-  let x = List.assoc "x" packed in
-  check_bool "packed to the bucket" true
-    (Shape.equal (Tensor.shape x) (Shape.of_list [ 4; 6 ]));
-  let last = List.assoc "x" (List.nth reqs 2) in
-  check_bool "pad row replicates the last request" true
-    (bitwise_equal last (Batching.slice_axis ~axis:0 ~lo:3 ~hi:4 x));
-  check_bool "row 2 is the last request too" true
-    (bitwise_equal last (Batching.slice_axis ~axis:0 ~lo:2 ~hi:3 x))
-
 let test_pack_rejects_bad_shape () =
-  let spec = Batching.analyze (fun n -> mlp_build ~batch:n) in
+  let spec = analyze mlp_build in
   let bad = [ ("x", Tensor.random ~seed:1 (Shape.of_list [ 1; 5 ])) ] in
-  match Batching.pack spec ~batch:1 [ bad ] with
+  match Batching.pack spec [ bad ] with
   | exception Batching.Not_batchable _ -> ()
   | _ -> Alcotest.fail "wrong-shaped binding must be rejected"
 
@@ -189,7 +179,7 @@ let test_pack_rejects_bad_shape () =
    pack/unpack must be exact at ANY size - primes are the sizes a
    pow-2 bucket scheme never exercised. *)
 let test_pack_unpack_primes () =
-  let spec = Batching.analyze (fun n -> mlp_build ~batch:n) in
+  let spec = analyze mlp_build in
   let shared = Batching.random_shared spec ~seed:31 in
   List.iter
     (fun n ->
@@ -197,7 +187,7 @@ let test_pack_unpack_primes () =
         List.init n (fun i ->
             Batching.random_request spec ~seed:((n * 100) + i))
       in
-      let packed = Batching.pack spec ~batch:n reqs in
+      let packed = Batching.pack spec reqs in
       let x = List.assoc "x" packed in
       check_bool
         (Printf.sprintf "batch %d packs at exactly %d rows" n n)
@@ -228,50 +218,41 @@ let test_pack_unpack_primes () =
 
 (* --- Bit-identity -------------------------------------------------------- *)
 
-(* Run [count] requests through the batched graph at [bucket] (padding
-   when count < bucket) and compare every slice against solo batch-1
-   interpretation.  Pure interpreter - no compiler in the loop - so a
-   failure here indicts the batching transform itself. *)
-let assert_bit_identity ~what build ~count ~bucket =
-  let spec = Batching.analyze (fun n -> build ~batch:n) in
+(* Run [count] requests through the batched graph at exactly [count]
+   rows and compare every slice against solo batch-1 interpretation.
+   Pure interpreter - no compiler in the loop - so a failure here
+   indicts the batching transform itself. *)
+let assert_bit_identity ~what build ~count =
+  let spec = analyze build in
   let shared = Batching.random_shared spec ~seed:999 in
   let reqs = List.init count (fun i -> Batching.random_request spec ~seed:i) in
-  let packed = Batching.pack spec ~batch:bucket reqs in
-  let batched_out =
-    Interp.run (build ~batch:bucket) ~params:(shared @ packed)
-  in
+  let packed = Batching.pack spec reqs in
+  let batched_out = Interp.run (build ~batch:count) ~params:(shared @ packed) in
   let sliced = Batching.unpack spec ~count batched_out in
   List.iteri
     (fun i req ->
       let solo = Interp.run spec.base ~params:(shared @ req) in
       check_outputs_identical
-        (Printf.sprintf "%s request %d/%d bucket %d" what i count bucket)
+        (Printf.sprintf "%s request %d/%d" what i count)
         solo (List.nth sliced i))
     reqs
 
 let test_bit_identity_mlp () =
-  assert_bit_identity ~what:"mlp" mlp_build ~count:4 ~bucket:4;
-  assert_bit_identity ~what:"mlp padded" mlp_build ~count:3 ~bucket:4;
-  assert_bit_identity ~what:"mlp solo" mlp_build ~count:1 ~bucket:1
+  assert_bit_identity ~what:"mlp" mlp_build ~count:4;
+  assert_bit_identity ~what:"mlp solo" mlp_build ~count:1
 
 let prop_bit_identity_random =
   QCheck2.Test.make ~name:"random row-independent builders are batchable"
     ~count:40
     QCheck2.Gen.(pair (int_range 0 5_000) (int_range 1 8))
     (fun (seed, count) ->
-      let build = random_batchable ~seed in
-      let bucket =
-        let rec up b = if b >= count then b else up (2 * b) in
-        up 1
-      in
       assert_bit_identity
         ~what:(Printf.sprintf "random(seed=%d)" seed)
-        build ~count ~bucket;
+        (random_batchable ~seed) ~count;
       true)
 
-(* Every zoo workload, both through the interpreter (transform-level
-   identity) and through the full compiler + fused executor at batch
-   {1,3,8} - 3 exercises the padded tail into bucket 4. *)
+(* Every zoo workload compiles and runs through the full compiler +
+   fused executor at batch {1,3,8}. *)
 let test_zoo_batched_build_compile_run () =
   List.iter
     (fun (e : Astitch_workloads.Zoo.entry) ->
@@ -290,15 +271,14 @@ let test_zoo_batched_build_compile_run () =
 let test_zoo_batched_bit_identity () =
   List.iter
     (fun (e : Astitch_workloads.Zoo.entry) ->
-      (* padded: 3 requests in bucket 4 *)
-      let spec = Batching.analyze (fun n -> e.batched ~batch:n) in
+      (* an odd batch, at exactly its request count *)
+      let spec = analyze e.batched in
       let shared = Batching.random_shared spec ~seed:4242 in
       let reqs = List.init 3 (fun i -> Batching.random_request spec ~seed:i) in
-      let packed = Batching.pack spec ~batch:4 reqs in
-      let g4 = e.batched ~batch:4 in
-      let plan4 = Astitch_core.Astitch.compile Arch.v100 g4 in
+      let packed = Batching.pack spec reqs in
+      let plan3 = Astitch_core.Astitch.compile Arch.v100 (e.batched ~batch:3) in
       let batched_out =
-        Astitch_runtime.Executor.run plan4 ~params:(shared @ packed)
+        Astitch_runtime.Executor.run plan3 ~params:(shared @ packed)
       in
       let sliced = Batching.unpack spec ~count:3 batched_out in
       let plan1 = Astitch_core.Astitch.compile Arch.v100 spec.base in
@@ -308,7 +288,7 @@ let test_zoo_batched_bit_identity () =
             Astitch_runtime.Executor.run plan1 ~params:(shared @ req)
           in
           check_outputs_identical
-            (Printf.sprintf "%s padded request %d" e.name i)
+            (Printf.sprintf "%s request %d of 3" e.name i)
             solo (List.nth sliced i))
         reqs)
     Astitch_workloads.Zoo.all
@@ -339,11 +319,11 @@ let assert_symbolic_rebind ~what build ~max_batch =
   let ctx = Astitch_runtime.Executor.create_context plan in
   check_bool (what ^ ": context rebindable") true
     (Astitch_runtime.Executor.rebindable ctx);
-  let spec = Batching.analyze (fun n -> build ~batch:n) in
+  let spec = analyze build in
   let shared = Batching.random_shared spec ~seed:77 in
   for b = 1 to max_batch do
     let reqs = List.init b (fun i -> Batching.random_request spec ~seed:i) in
-    let packed = Batching.pack spec ~batch:b reqs in
+    let packed = Batching.pack spec reqs in
     let params = shared @ packed in
     let rebound =
       Astitch_runtime.Executor.run_context ~batch:b ctx ~params
@@ -1259,8 +1239,6 @@ let () =
             test_analyze_rejects_weights_only;
           Alcotest.test_case "concat/slice roundtrip" `Quick
             test_concat_slice_roundtrip;
-          Alcotest.test_case "pack pads with the last request" `Quick
-            test_pack_pads_with_last;
           Alcotest.test_case "pack rejects bad shapes" `Quick
             test_pack_rejects_bad_shape;
           Alcotest.test_case "pack/unpack exact at prime batch sizes" `Quick
@@ -1268,12 +1246,12 @@ let () =
         ] );
       ( "bit-identity",
         [
-          Alcotest.test_case "mlp batched = solo (incl. padded)" `Quick
+          Alcotest.test_case "mlp batched = solo" `Quick
             test_bit_identity_mlp;
           QCheck_alcotest.to_alcotest prop_bit_identity_random;
           Alcotest.test_case "zoo batched builders compile and run {1,3,8}"
             `Quick test_zoo_batched_build_compile_run;
-          Alcotest.test_case "zoo padded batches slice back identical" `Quick
+          Alcotest.test_case "zoo 3-row batches = solo" `Quick
             test_zoo_batched_bit_identity;
         ] );
       ( "symbolic-batch",
