@@ -15,9 +15,10 @@
    compile/compare take --resilient (per-cluster graceful degradation,
    prints the degradation report) and repeatable
    --inject SITE:MODE[:SEED[:FUEL]] fault-injection options.
-   run/compare/serve/zoo take --fused/--no-fused to pick the execution
-   engine (fused is the default; kernels the fused engine cannot lower
-   fall back to the reference path with a logged reason). *)
+   run/compare take --fused/--no-fused to pick the execution engine
+   (fused is the default; kernels the fused engine cannot lower fall
+   back to the reference path with a logged reason); serve and zoo
+   always execute fused. *)
 
 open Cmdliner
 open Astitch_ir
@@ -969,8 +970,8 @@ let check_run (t : traffic) r ~padded_rows ~lost ~extra ~trace ~dumps
 
 (* --- Single-tenant serving ------------------------------------------------ *)
 
-let serve_cmd_impl models (t : traffic) deadline_us verify_every arch fused
-    trace metrics chaos injects retry_budget breaker_threshold blame
+let serve_cmd_impl models (t : traffic) deadline_us verify_every arch trace
+    metrics chaos injects retry_budget breaker_threshold blame
     stats_json recorder =
   match (resolve_serve_models models, parse_injects injects) with
   | Error e, _ | _, Error e -> `Error (false, e)
@@ -1003,7 +1004,6 @@ let serve_cmd_impl models (t : traffic) deadline_us verify_every arch fused
                         queue_depth = t.queue_depth;
                         default_deadline_us = deadline_us;
                         arch;
-                        fused;
                         verify_every;
                         seed = t.seed;
                         retry_budget;
@@ -1168,7 +1168,7 @@ let count_compile_spans records =
     0 records
 
 let zoo_cmd_impl names slo_specs plan_dir verify_plans (t : traffic)
-    fair_share_floor arch fused trace metrics expect_warm =
+    fair_share_floor arch trace metrics expect_warm =
   let names = if names = [] then [ "CRNN"; "ASR"; "DIEN" ] else names in
   match (resolve_serve_models names, parse_slo_specs slo_specs) with
   | Error e, _ | _, Error e -> `Error (false, e)
@@ -1208,7 +1208,6 @@ let zoo_cmd_impl names slo_specs plan_dir verify_plans (t : traffic)
                       max_wait_us = t.max_wait_us;
                       queue_depth = t.queue_depth;
                       arch;
-                      fused;
                       seed = t.seed;
                       fair_share_floor;
                     };
@@ -1287,14 +1286,14 @@ let zoo_cmd_impl names slo_specs plan_dir verify_plans (t : traffic)
                     "class" "sub" "done" "shed" "rej" "fail" "met" "mean_us"
                     "p50" "p95" "p99" "goodput/s";
                   List.iter
-                    (fun (c : Zoo.class_stats) ->
+                    (fun (c : Astitch_serve.Scheduler.class_stats) ->
                       Printf.printf
                         "  %-12s %5d %5d %5d %5d %5d %5d %9.0f %8.0f %8.0f \
                          %8.0f %9.1f\n"
-                        c.Zoo.cls c.Zoo.submitted c.Zoo.completed c.Zoo.shed
-                        c.Zoo.rejected c.Zoo.failed c.Zoo.deadline_met
-                        c.Zoo.mean_us c.Zoo.p50_us c.Zoo.p95_us c.Zoo.p99_us
-                        (float_of_int c.Zoo.deadline_met
+                        c.cls c.submitted c.completed c.shed c.rejected
+                        c.failed c.deadline_met c.mean_us c.p50_us c.p95_us
+                        c.p99_us
+                        (float_of_int c.deadline_met
                         /. Float.max r.wall 1e-9))
                     (Zoo.class_stats zoo);
                   pp_cache_stats
@@ -1609,8 +1608,8 @@ let serve_cmd =
     Term.(
       ret
         (const serve_cmd_impl $ models_arg $ traffic_term $ deadline_arg
-       $ verify_arg $ arch_arg $ fused_arg $ trace_arg $ metrics_arg
-       $ chaos_arg $ inject_arg $ retry_budget_arg $ breaker_arg $ blame_arg
+       $ verify_arg $ arch_arg $ trace_arg $ metrics_arg $ chaos_arg
+       $ inject_arg $ retry_budget_arg $ breaker_arg $ blame_arg
        $ stats_json_arg $ recorder_arg))
 
 let zoo_cmd =
@@ -1649,7 +1648,8 @@ let zoo_cmd =
     Arg.(value & opt float 0.125 & info [ "fair-share-floor" ] ~docv:"F"
            ~doc:"Fraction of dispatches reserved for the least-served \
                  model, so best-effort tenants keep making progress under \
-                 overload (0 = pure strict priority).")
+                 overload (0 = pure strict priority).  Applies only when \
+                 the models span two or more SLO classes.")
   in
   let expect_warm_arg =
     Arg.(value & flag
@@ -1665,8 +1665,8 @@ let zoo_cmd =
     Term.(
       ret
         (const zoo_cmd_impl $ models_arg $ slo_arg $ plan_dir_arg
-       $ verify_plans_arg $ traffic_term $ floor_arg $ arch_arg $ fused_arg
-       $ trace_arg $ metrics_arg $ expect_warm_arg))
+       $ verify_plans_arg $ traffic_term $ floor_arg $ arch_arg $ trace_arg
+       $ metrics_arg $ expect_warm_arg))
 
 let main =
   Cmd.group

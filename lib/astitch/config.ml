@@ -20,11 +20,6 @@ type t = {
          Plans are byte-identical at any setting (deterministic merge) *)
   faults : Astitch_plan.Fault_site.plan list;
       (* armed fault-injection plans (testing only; [] in production) *)
-  fused_exec : bool;
-      (* execute plans through the fused engine (scalarized registers,
-         staged shared slabs, arena-backed device buffers); off = the
-         reference per-node executor.  Runtime-only: results are
-         bit-identical either way and the plan itself is unchanged *)
 }
 
 let full =
@@ -37,7 +32,6 @@ let full =
     compile_budget_s = None;
     compile_domains = 1;
     faults = [];
-    fused_exec = true;
   }
 
 (* Resolve a requested domain count: [0] (or negative) means "auto", the
@@ -64,11 +58,10 @@ let to_string c =
 
 (* Canonical serialization of every field that can change the compiled
    plan - the config component of a plan-cache key.  [compile_domains]
-   and [fused_exec] are deliberately excluded: parallel compilation is
-   byte-identical to sequential and fused execution is a runtime choice
-   over an unchanged plan, so neither may fragment the cache.  [faults]
-   and the budget are included so fault-injected or budget-constrained
-   configs never alias a production entry. *)
+   is deliberately excluded: parallel compilation is byte-identical to
+   sequential, so it may not fragment the cache.  [faults] and the
+   budget are included so fault-injected or budget-constrained configs
+   never alias a production entry. *)
 let cache_key c =
   Printf.sprintf "atm=%b;hdr=%b;merge=%b;remote=%b;width=%d;budget=%s;faults=%d"
     c.adaptive_thread_mapping c.hierarchical_data_reuse c.dominant_merging

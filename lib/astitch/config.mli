@@ -15,10 +15,6 @@ type t = {
           Any setting produces byte-identical plans. *)
   faults : Astitch_plan.Fault_site.plan list;
       (** armed fault-injection plans (testing only; [[]] in production) *)
-  fused_exec : bool;
-      (** execute plans through the fused engine (register scalarization,
-          shared-slab staging, arena-backed device buffers); off = the
-          reference per-node executor.  Bit-identical either way. *)
 }
 
 val full : t
@@ -43,7 +39,5 @@ val to_string : t -> string
 
 val cache_key : t -> string
 (** Canonical serialization of every plan-affecting field, for plan-cache
-    keys.  [compile_domains] and [fused_exec] are excluded (parallel
-    compilation is byte-identical to sequential, and fused execution is a
-    runtime choice over an unchanged plan; neither may fragment the
-    cache). *)
+    keys.  [compile_domains] is excluded (parallel compilation is
+    byte-identical to sequential, so it may not fragment the cache). *)

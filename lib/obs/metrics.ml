@@ -80,13 +80,26 @@ let set_max g v =
 
 let gauge_value g = Atomic.get g.g
 
+(* The initial value of a fresh bucket array, overwritten slot by slot.
+   An array this long lives in the major heap, and seeding one with a
+   young block ([Array.init]'s first element) forces a minor collection,
+   a pause of every domain, per histogram created. *)
+let unset_bucket = Atomic.make 0
+
+let new_buckets () =
+  let b = Array.make nbuckets unset_bucket in
+  for i = 0 to nbuckets - 1 do
+    b.(i) <- Atomic.make 0
+  done;
+  b
+
 let histogram t name =
   register t name
     (fun () ->
       H
         {
           hname = name;
-          buckets = Array.init nbuckets (fun _ -> Atomic.make 0);
+          buckets = new_buckets ();
           hcount = Atomic.make 0;
           sum_milli = Atomic.make 0;
           min_milli = Atomic.make max_int;

@@ -33,13 +33,12 @@ type context
     Not safe for concurrent use (buffers are shared across calls). *)
 
 val create_context : ?fused:bool -> ?timed:bool -> Kernel_plan.t -> context
-(** Prepare [plan] for repeated execution.  [fused] (default [true],
-    matching [Config.full.fused_exec]) selects the fused engine;
-    [~fused:false] forces the reference path for every kernel.  [timed]
-    (default [false]) accumulates per-kernel wall time into the
-    {!exec_report} at a small per-run cost.  The one-time cost is
-    proportional to the plan; each subsequent {!run_context} call does
-    only the numeric work plus output copies. *)
+(** Prepare [plan] for repeated execution.  [fused] (default [true])
+    selects the fused engine; [~fused:false] forces the reference path
+    for every kernel.  [timed] (default [false]) accumulates per-kernel
+    wall time into the {!exec_report} at a small per-run cost.  The
+    one-time cost is proportional to the plan; each subsequent
+    {!run_context} call does only the numeric work plus output copies. *)
 
 val context_plan : context -> Kernel_plan.t
 

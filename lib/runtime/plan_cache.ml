@@ -80,15 +80,7 @@ let key ~fingerprint ~arch ~config =
 (* Run [f] holding the cache lock; metrics/trace emission stays outside
    the critical section (the metrics registry has its own synchronization
    and the trace sink is per-domain). *)
-let locked t f =
-  Mutex.lock t.mu;
-  match f () with
-  | v ->
-      Mutex.unlock t.mu;
-      v
-  | exception e ->
-      Mutex.unlock t.mu;
-      raise e
+let locked t f = Mutex.protect t.mu f
 
 let length t = locked t (fun () -> Hashtbl.length t.table)
 let capacity t = t.capacity

@@ -12,7 +12,7 @@ type overload =
   | Displaced
       (** shed from the queue: a full queue made room for an arriving
           higher-SLO-class request by evicting this newest lower-class
-          entry (multi-tenant scheduling only) *)
+          entry (never between equal classes) *)
 
 val overload_to_string : overload -> string
 

@@ -68,20 +68,31 @@ type breaker = {
   mutable open_until : float;  (** wall-clock us; probe after this *)
 }
 
+(* One SLO class's account, kept where its requests are admitted,
+   refused and completed: under the scheduler lock. *)
+type account = {
+  mutable a_submitted : int;
+  mutable a_rejected : int;
+  mutable a_completed : int;
+  mutable a_shed : int;
+  mutable a_failed : int;
+  mutable a_deadline_met : int;
+  latency_us : Metrics.histogram;
+}
+
 type t = {
   mu : Mutex.t;
   nonempty : Condition.t;
   done_cond : Condition.t;
   queue : Request.t Rq.t;
-  (* SLO mode (multi-tenant zoo): per-model class assignments drive
-     class-priority + EDF dispatch, a fair-share floor, and
-     displacement shedding.  Empty [slos] = legacy single-tenant
-     behavior, byte-for-byte (oldest-head FIFO across models). *)
   slos : (string, Slo.t) Hashtbl.t;
-  slo_mode : bool;
+      (** per-model SLO class, fixed at creation; a model not listed is
+          best-effort.  Read without the lock: nothing writes it. *)
+  accounts : account array;  (** by [Slo.rank] *)
   floor_period : int;
       (** every [floor_period]-th dispatch goes to the least-served
-          model instead of the highest class - the fair-share floor *)
+          model instead of the highest class - the fair-share floor;
+          0 = off *)
   served : (string, int) Hashtbl.t;  (** dispatches per model *)
   mutable dispatches : int;
   retries : Request.t Stdlib.Queue.t;
@@ -137,25 +148,45 @@ type t = {
 
 let create ?(breaker_threshold = 4) ?(breaker_cooldown_us = 5_000.)
     ?(slos = []) ?(fair_share_floor = 0.125) ~policy ~queue_depth () =
+  (* Validate before the wake pipe opens: a refused config leaks no fd. *)
+  if fair_share_floor < 0. || fair_share_floor > 0.5 then
+    invalid_arg "Scheduler.create: fair_share_floor must be in [0, 0.5]";
+  let queue = Rq.create ~depth:queue_depth in
   let r = Metrics.default in
+  let slo_table = Hashtbl.create 8 in
+  List.iter (fun (m, s) -> Hashtbl.replace slo_table m s) slos;
+  let classes =
+    List.sort_uniq compare (List.map (fun (_, s) -> Slo.rank s) slos)
+  in
+  let per_class = Metrics.create () in
   let wake_r, wake_w = Unix.pipe ~cloexec:true () in
   Unix.set_nonblock wake_r;
   Unix.set_nonblock wake_w;
-  let slo_table = Hashtbl.create 8 in
-  List.iter (fun (m, s) -> Hashtbl.replace slo_table m s) slos;
-  if fair_share_floor < 0. || fair_share_floor > 0.5 then
-    invalid_arg "Scheduler.create: fair_share_floor must be in [0, 0.5]";
   {
     mu = Mutex.create ();
     nonempty = Condition.create ();
     done_cond = Condition.create ();
-    queue = Rq.create ~depth:queue_depth;
+    queue;
     slos = slo_table;
-    slo_mode = slos <> [];
+    accounts =
+      Array.of_list
+        (List.map
+           (fun cls ->
+             {
+               a_submitted = 0;
+               a_rejected = 0;
+               a_completed = 0;
+               a_shed = 0;
+               a_failed = 0;
+               a_deadline_met = 0;
+               latency_us = Metrics.histogram per_class cls;
+             })
+           Slo.all_class_names);
     (* floor share f reserves every round(1/f)-th dispatch; f = 0
-       disables the floor (pure strict priority). *)
+       disables the floor (pure strict priority), and so does a table
+       of fewer than two classes: there is no class to be fair between. *)
     floor_period =
-      (if fair_share_floor <= 0. then 0
+      (if fair_share_floor <= 0. || List.length classes < 2 then 0
        else max 2 (int_of_float (Float.round (1. /. fair_share_floor))));
     served = Hashtbl.create 8;
     dispatches = 0;
@@ -205,15 +236,7 @@ let create ?(breaker_threshold = 4) ?(breaker_cooldown_us = 5_000.)
 
 let now_us () = Unix.gettimeofday () *. 1e6
 
-let locked t f =
-  Mutex.lock t.mu;
-  match f () with
-  | v ->
-      Mutex.unlock t.mu;
-      v
-  | exception e ->
-      Mutex.unlock t.mu;
-      raise e
+let locked t f = Mutex.protect t.mu f
 
 let publish_depth t = Metrics.set t.m_depth (float_of_int (Rq.length t.queue))
 
@@ -264,13 +287,24 @@ let outcome_label = function
   | Request.Overloaded o -> Request.overload_to_string o
   | Request.Failed _ -> "failed"
 
+(* The SLO class a model is served under; a model not in the table is
+   best-effort. *)
+let slo t model =
+  match Hashtbl.find_opt t.slos model with
+  | Some s -> s
+  | None -> Slo.Best_effort
+
+let account t model = t.accounts.(Slo.rank (slo t model))
+
 (* Record an outcome under the scheduler lock and wake waiters.
    First-wins: wedge recovery may steal and re-execute a batch whose
    original worker eventually finishes too, so the same id can complete
    twice.  The first outcome is the one delivered; later attempts are
    counted as duplicates and dropped without touching [outstanding].
    The winning completion terminates the request's flow arrow ("f"), so
-   every admitted flow ends exactly once whatever path resolved it. *)
+   every admitted flow ends exactly once whatever path resolved it.  It
+   also lands in the request's class account; a deadline is met by the
+   request's own absolute deadline, the one dispatch enforced. *)
 let complete_locked t (req : Request.t) outcome =
   if Hashtbl.mem t.resolved req.id then begin
     t.duplicates <- t.duplicates + 1;
@@ -278,18 +312,29 @@ let complete_locked t (req : Request.t) outcome =
   end
   else begin
     Hashtbl.replace t.resolved req.id ();
+    let a = account t req.model in
     (match outcome with
-    | Request.Done { degraded; _ } ->
+    | Request.Done { degraded; latency_us; _ } ->
         t.completed <- t.completed + 1;
         if degraded then t.degraded <- t.degraded + 1;
         Metrics.inc t.m_completed;
-        if degraded then Metrics.inc t.m_degraded
+        if degraded then Metrics.inc t.m_degraded;
+        a.a_completed <- a.a_completed + 1;
+        Metrics.observe a.latency_us latency_us;
+        let met =
+          match req.deadline_us with
+          | None -> true
+          | Some d -> req.submitted_us +. latency_us <= d
+        in
+        if met then a.a_deadline_met <- a.a_deadline_met + 1
     | Request.Overloaded _ ->
         t.shed <- t.shed + 1;
-        Metrics.inc t.m_shed
+        Metrics.inc t.m_shed;
+        a.a_shed <- a.a_shed + 1
     | Request.Failed _ ->
         t.failed <- t.failed + 1;
-        Metrics.inc t.m_failed);
+        Metrics.inc t.m_failed;
+        a.a_failed <- a.a_failed + 1);
     if Trace.active () then
       Trace.flow_end ~phase:"serve" req.trace "request"
         ~attrs:
@@ -372,13 +417,6 @@ let breaker_tick_locked (b : breaker) ~now =
   if b.bstate = `Open && now >= b.open_until then b.bstate <- `Half_open;
   b.bstate
 
-(* The SLO class a model was registered with; unregistered models (and
-   all models outside slo_mode) are best-effort. *)
-let slo_of t model =
-  match Hashtbl.find_opt t.slos model with
-  | Some s -> s
-  | None -> Slo.Best_effort
-
 (* Displacement shedding: the queue is full and a request of a strictly
    higher class (lower rank) wants in.  Evict the NEWEST queued request
    of the LOWEST class present that ranks strictly below the arrival -
@@ -391,7 +429,7 @@ let displace_locked t ~for_rank =
   let victim =
     List.fold_left
       (fun acc model ->
-        let r = Slo.rank (slo_of t model) in
+        let r = Slo.rank (slo t model) in
         if r <= for_rank then acc
         else
           match Rq.newest t.queue ~model with
@@ -425,6 +463,13 @@ let displace_locked t ~for_rank =
 
 let submit t (req : Request.t) =
   locked t (fun () ->
+      let a = account t req.model in
+      let refuse o =
+        t.rejected <- t.rejected + 1;
+        a.a_rejected <- a.a_rejected + 1;
+        Metrics.inc t.m_rejected;
+        Error o
+      in
       let broken =
         t.breaker_threshold > 0
         &&
@@ -432,16 +477,8 @@ let submit t (req : Request.t) =
         | None -> false
         | Some b -> breaker_tick_locked b ~now:(now_us ()) = `Open
       in
-      if t.stopped || t.draining then begin
-        t.rejected <- t.rejected + 1;
-        Metrics.inc t.m_rejected;
-        Error Request.Shutting_down
-      end
-      else if broken then begin
-        t.rejected <- t.rejected + 1;
-        Metrics.inc t.m_rejected;
-        Error Request.Breaker_open
-      end
+      if t.stopped || t.draining then refuse Request.Shutting_down
+      else if broken then refuse Request.Breaker_open
       else if Request.expired ~now_us:(now_us ()) req then begin
         (* Dead on arrival: refuse at admission instead of letting the
            corpse occupy queue space until dispatch-time shedding.  A
@@ -450,9 +487,7 @@ let submit t (req : Request.t) =
            lost = 0 invariant) and separately as [shed_admission]; the
            obs shed counter ticks too, with this distinct reason
            visible as [serve.shed_admission]. *)
-        t.rejected <- t.rejected + 1;
         t.shed_admission <- t.shed_admission + 1;
-        Metrics.inc t.m_rejected;
         Metrics.inc t.m_shed;
         Metrics.inc t.m_shed_admission;
         if Trace.active () then
@@ -461,21 +496,17 @@ let submit t (req : Request.t) =
               [
                 ("model", Trace.Str req.model); ("id", Trace.Int req.id);
               ];
-        Error Request.Deadline_exceeded
+        refuse Request.Deadline_exceeded
       end
       else if
         not
           (Rq.push t.queue ~model:req.model req
-          || t.slo_mode
-             && displace_locked t ~for_rank:(Slo.rank (slo_of t req.model))
+          || displace_locked t ~for_rank:(Slo.rank (slo t req.model))
              && Rq.push t.queue ~model:req.model req)
-      then begin
-        t.rejected <- t.rejected + 1;
-        Metrics.inc t.m_rejected;
-        Error Request.Queue_full
-      end
+      then refuse Request.Queue_full
       else begin
         t.submitted <- t.submitted + 1;
+        a.a_submitted <- a.a_submitted + 1;
         t.outstanding <- t.outstanding + 1;
         Metrics.inc t.m_submitted;
         publish_depth t;
@@ -498,95 +529,73 @@ let shed_expired_locked t =
     dead;
   if dead <> [] then publish_depth t
 
-(* Under the lock: find the dispatchable model whose head request is the
-   oldest (global FIFO fairness across models).  Legacy single-tenant
-   policy, kept bit-identical when no SLOs are registered. *)
-let pick_fifo_locked t =
-  let now = now_us () in
-  let draining = t.draining || t.stopped in
-  List.fold_left
-    (fun best model ->
-      match Rq.oldest t.queue ~model with
-      | None -> best
-      | Some (head : Request.t) -> (
-          let pending = Rq.pending t.queue ~model in
-          let wait = now -. head.submitted_us in
-          match Batcher.decide t.policy ~pending ~oldest_wait_us:wait ~draining with
-          | Batcher.Wait -> best
-          | Batcher.Dispatch n -> (
-              match best with
-              | Some (_, _, best_sub) when best_sub <= head.submitted_us -> best
-              | _ -> Some (model, n, head.submitted_us))))
-    None (Rq.models t.queue)
+(* The one dispatch rule: strict class priority with two refinements.
 
-(* Multi-tenant pick: strict class priority with two refinements.
-
-   Order among dispatchable candidates is (class rank, key): inside the
-   Latency class the key is the head request's absolute deadline
-   (earliest-deadline-first - the workload is feasibility-constrained,
-   and EDF is optimal for it on a single resource); inside Throughput
-   and Best_effort the key is head submission time (FIFO - nothing to
-   be early FOR, so oldest-first minimizes mean wait).
+   Order among dispatchable candidates is (class rank, key, head id):
+   inside the Latency class the key is the head request's absolute
+   deadline (earliest-deadline-first - the workload is
+   feasibility-constrained, and EDF is optimal for it on a single
+   resource); inside Throughput and Best_effort the key is head
+   submission time (FIFO - nothing to be early FOR, so oldest-first
+   minimizes mean wait).  The head id breaks exact ties in admission
+   order.  With no SLO classes every model is best-effort and the pick
+   is the oldest head across models.
 
    The fair-share floor keeps strict priority from starving the bottom
    class under sustained overload: every [floor_period]-th dispatch is
-   handed to the LEAST-SERVED dispatchable model regardless of class.
-   Under 2x overload a latency flood owns (floor_period - 1) of every
-   [floor_period] slots and best-effort still makes progress - goodput
-   bounded below by the floor share instead of rounding to zero.  The
-   floor redirects dispatch order only; it never bypasses the batcher's
-   window decision, so a floor pick is still a legal batch. *)
-let pick_slo_locked t =
+   handed to the LEAST-SERVED dispatchable model regardless of class,
+   ordered by (times served, rank, key, head id).  Under 2x overload a
+   latency flood owns (floor_period - 1) of every [floor_period] slots
+   and best-effort still makes progress - goodput bounded below by the
+   floor share instead of rounding to zero.  The floor redirects
+   dispatch order only; it never bypasses the batcher's window
+   decision, so a floor pick is still a legal batch. *)
+let pick_locked t =
   let now = now_us () in
   let draining = t.draining || t.stopped in
-  let candidates =
-    List.filter_map
-      (fun model ->
+  let floor_turn =
+    t.floor_period > 0 && t.dispatches mod t.floor_period = t.floor_period - 1
+  in
+  let served model =
+    Option.value ~default:0 (Hashtbl.find_opt t.served model)
+  in
+  let best =
+    List.fold_left
+      (fun best model ->
         match Rq.oldest t.queue ~model with
-        | None -> None
+        | None -> best
         | Some (head : Request.t) -> (
             let pending = Rq.pending t.queue ~model in
             let wait = now -. head.submitted_us in
             match
               Batcher.decide t.policy ~pending ~oldest_wait_us:wait ~draining
             with
-            | Batcher.Wait -> None
-            | Batcher.Dispatch n ->
-                let slo = slo_of t model in
+            | Batcher.Wait -> best
+            | Batcher.Dispatch n -> (
+                let slo = slo t model in
                 let key =
                   match (slo, head.deadline_us) with
                   | Slo.Latency _, Some d -> d
                   | _ -> head.submitted_us
                 in
-                Some (model, n, Slo.rank slo, key)))
-      (Rq.models t.queue)
+                let order =
+                  ( (if floor_turn then served model else 0),
+                    Slo.rank slo,
+                    key,
+                    head.id )
+                in
+                match best with
+                | Some (o, _, _) when compare o order <= 0 -> best
+                | _ -> Some (order, model, n))))
+      None (Rq.models t.queue)
   in
-  match candidates with
-  | [] -> None
-  | _ ->
-      let served model =
-        Option.value ~default:0 (Hashtbl.find_opt t.served model)
-      in
-      let floor_turn =
-        t.floor_period > 0 && t.dispatches mod t.floor_period = t.floor_period - 1
-      in
-      let better (m, _, r, k) (m', _, r', k') =
-        if floor_turn then
-          (* least-served first; rank then key break ties deterministically *)
-          compare (served m, r, k, m) (served m', r', k', m') < 0
-        else compare (r, k, m) (r', k', m') < 0
-      in
-      let (model, n, _, _) =
-        List.fold_left
-          (fun best c -> if better c best then c else best)
-          (List.hd candidates) (List.tl candidates)
-      in
+  Option.map
+    (fun (_, model, n) ->
       if floor_turn then t.floor_picks <- t.floor_picks + 1;
       t.dispatches <- t.dispatches + 1;
       Hashtbl.replace t.served model (served model + 1);
-      Some (model, n, 0.)
-
-let pick_locked t = if t.slo_mode then pick_slo_locked t else pick_fifo_locked t
+      (model, n))
+    best
 
 (* Shed every queued request of a model whose breaker is open: the
    fast-rejection contract extends to requests admitted just before the
@@ -645,7 +654,7 @@ let dispatch_locked t =
   | None -> (
       match pick_locked t with
       | None -> None
-      | Some (model, n, _) ->
+      | Some (model, n) ->
           let requests = Rq.take t.queue ~model ~max:n in
           publish_depth t;
           t.batches <- t.batches + 1;
@@ -771,6 +780,44 @@ let shutdown t =
       Condition.broadcast t.nonempty;
       Condition.broadcast t.done_cond);
   wake t
+
+type class_stats = {
+  cls : string;
+  submitted : int;
+  rejected : int;
+  completed : int;
+  shed : int;
+  failed : int;
+  deadline_met : int;
+  mean_us : float;
+  p50_us : float;
+  p95_us : float;
+  p99_us : float;
+}
+
+(* One row per class that has seen a request, in rank order. *)
+let class_stats t =
+  locked t (fun () ->
+      List.mapi (fun rank cls -> (cls, t.accounts.(rank))) Slo.all_class_names
+      |> List.filter_map (fun (cls, a) ->
+             if a.a_submitted + a.a_rejected = 0 then None
+             else
+               let q = Metrics.quantile a.latency_us in
+               Some
+                 ({
+                    cls;
+                    submitted = a.a_submitted;
+                    rejected = a.a_rejected;
+                    completed = a.a_completed;
+                    shed = a.a_shed;
+                    failed = a.a_failed;
+                    deadline_met = a.a_deadline_met;
+                    mean_us = Metrics.hist_mean a.latency_us;
+                    p50_us = q 0.50;
+                    p95_us = q 0.95;
+                    p99_us = q 0.99;
+                  }
+                   : class_stats)))
 
 type stats = {
   submitted : int;

@@ -29,19 +29,26 @@ val create :
     [breaker_cooldown_us] (default 5000) is how long an open breaker
     refuses before admitting a half-open probe.
 
-    [slos] switches the scheduler into multi-tenant mode: per-model SLO
-    classes drive strict class priority (Latency > Throughput >
-    Best_effort), earliest-deadline-first inside the Latency class, and
-    displacement shedding (a full queue evicts the newest lowest-class
-    entry - completed as [Overloaded Displaced] - to admit a
-    higher-class arrival).  With [slos = []] (default) scheduling is
-    the legacy oldest-head FIFO, unchanged.
+    [slos] gives each model its SLO class; a model not listed is
+    [Best_effort].  One rule orders dispatch: strict class priority
+    (Latency > Throughput > Best_effort), then the head request's
+    absolute deadline inside the Latency class and its submission time
+    otherwise, then the head request's id.  With no classes every model
+    is best-effort, so the oldest head dispatches first.  A full queue
+    evicts the newest entry of the lowest class below an arrival's
+    (completed as [Overloaded Displaced]) to admit it.
 
-    [fair_share_floor] (default 0.125, multi-tenant mode only) reserves
-    every [round(1/floor)]-th dispatch for the least-served model
-    regardless of class, so Best_effort keeps making progress under
-    sustained overload; [0.] disables the floor (pure strict priority).
-    @raise Invalid_argument outside [0, 0.5]. *)
+    [fair_share_floor] (default 0.125) reserves every
+    [round(1/floor)]-th dispatch for the least-served model regardless
+    of class, so Best_effort keeps making progress under sustained
+    overload.  The floor applies only when [slos] holds at least two
+    distinct classes; [0.] disables it (pure strict priority).
+    Arguments are checked before any resource is taken.
+    @raise Invalid_argument when [fair_share_floor] is outside
+    [0, 0.5] or [queue_depth < 1]. *)
+
+val slo : t -> string -> Slo.t
+(** The class a model is served under ([Best_effort] when not listed). *)
 
 val submit : t -> Request.t -> (unit, Request.overload) result
 (** Admit or refuse.  Refusals ([Queue_full], [Shutting_down],
@@ -120,6 +127,30 @@ val drain_with : t -> pump:(unit -> unit) -> unit
 
 val shutdown : t -> unit
 (** Stop accepting and let workers exit once the queue empties. *)
+
+type class_stats = {
+  cls : string;  (** "latency" | "throughput" | "best-effort" *)
+  submitted : int;  (** admitted requests *)
+  rejected : int;  (** refused at admission *)
+  completed : int;
+  shed : int;  (** overloaded after admission (deadline, displaced...) *)
+  failed : int;
+  deadline_met : int;
+      (** completions by the request's own deadline (every completion
+          counts for a request without one) *)
+  mean_us : float;  (** exact mean latency of the completions *)
+  p50_us : float;
+  p95_us : float;
+  p99_us : float;
+      (** latency quantiles from a log-bucketed histogram, within ~9.5%
+          of the true sample *)
+}
+
+val class_stats : t -> class_stats list
+(** Per-class accounts, counted under the scheduler lock as requests
+    are admitted, refused and completed; one row per class that has
+    seen a request, in rank order.  Summed over the rows, [submitted],
+    [rejected], [completed], [shed] and [failed] equal {!stats}'. *)
 
 type stats = {
   submitted : int;

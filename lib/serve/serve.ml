@@ -32,21 +32,17 @@ type config = {
   queue_depth : int;  (** admission-control bound, across models *)
   default_deadline_us : float option;  (** relative; [None] = no deadline *)
   arch : Astitch_simt.Arch.t;
-  fused : bool;
-  cache_capacity : int;
   verify_every : int;  (** bit-identity spot checks; 0 = off *)
   seed : int;  (** shared-weight generation *)
   retry_budget : int;  (** failed-batch re-dispatches per request *)
   breaker_threshold : int;  (** consecutive failures to open; 0 = off *)
   breaker_cooldown_us : float;  (** open-breaker fast-reject window *)
   wedge_timeout_us : float;  (** stale-heartbeat bound mid-batch *)
-  restart_backoff_us : float;  (** base worker-respawn delay *)
   slos : (string * Slo.t) list;
-      (** per-model SLO classes; non-empty switches the scheduler into
-          multi-tenant class-priority mode *)
+      (** per-model SLO classes; a model not listed is best-effort *)
   fair_share_floor : float;
       (** fraction of dispatches reserved for the least-served model
-          (multi-tenant mode); 0 = pure strict priority *)
+          when two or more classes are served; 0 = pure strict priority *)
 }
 
 let default_config =
@@ -57,15 +53,12 @@ let default_config =
     queue_depth = 64;
     default_deadline_us = None;
     arch = Astitch_simt.Arch.v100;
-    fused = true;
-    cache_capacity = 64;
     verify_every = 0;
     seed = 42;
     retry_budget = 2;
     breaker_threshold = 4;
     breaker_cooldown_us = 5_000.;
     wedge_timeout_us = 50_000.;
-    restart_backoff_us = 1_000.;
     slos = [];
     fair_share_floor = 0.125;
   }
@@ -75,7 +68,6 @@ type t = {
   scheduler : Scheduler.t;
   pool : Worker_pool.t;
   models : (string, Worker_pool.model_state) Hashtbl.t;
-  slos : (string, Slo.t) Hashtbl.t;
   next_id : int Atomic.t;
   mutable closed : bool;
 }
@@ -106,10 +98,14 @@ let decide_mode ~max_batch (m : model) ~g1 ~g2 =
         | Error _ -> Worker_pool.Fixed)
 
 let create ?(config = default_config) models =
+  (* Every argument is checked before the scheduler opens its wake pipe
+     and the pool spawns domains, so a refused config leaks nothing. *)
   if models = [] then invalid_arg "Serve.create: no models";
   if config.workers < 0 then invalid_arg "Serve.create: workers must be >= 0";
   if config.max_batch < 1 then
     invalid_arg "Serve.create: max_batch must be >= 1";
+  if config.retry_budget < 0 then
+    invalid_arg "Serve.create: retry_budget must be >= 0";
   let table = Hashtbl.create (List.length models) in
   List.iter
     (fun m ->
@@ -140,28 +136,34 @@ let create ?(config = default_config) models =
         invalid_arg
           (Printf.sprintf "Serve.create: SLO for unregistered model %s" name))
     config.slos;
+  (* A class for every served model, so the scheduler sees how many
+     classes it is fair between. *)
+  let slos =
+    List.map
+      (fun m ->
+        ( m.name,
+          Option.value ~default:Slo.Best_effort
+            (List.assoc_opt m.name config.slos) ))
+      models
+  in
   let scheduler =
     Scheduler.create ~breaker_threshold:config.breaker_threshold
-      ~breaker_cooldown_us:config.breaker_cooldown_us ~slos:config.slos
+      ~breaker_cooldown_us:config.breaker_cooldown_us ~slos
       ~fair_share_floor:config.fair_share_floor ~policy
       ~queue_depth:config.queue_depth ()
   in
-  let cache = Session.make_cache ~capacity:config.cache_capacity () in
   let pool =
-    Worker_pool.create ~scheduler ~models:table ~cache ~arch:config.arch
-      ~fused:config.fused ~verify_every:config.verify_every
+    Worker_pool.create ~scheduler ~models:table
+      ~cache:(Session.make_cache ~capacity:64 ())
+      ~arch:config.arch ~verify_every:config.verify_every
       ~retry_budget:config.retry_budget
-      ~wedge_timeout_us:config.wedge_timeout_us
-      ~restart_backoff_us:config.restart_backoff_us ~workers:config.workers
+      ~wedge_timeout_us:config.wedge_timeout_us ~workers:config.workers
   in
-  let slo_table = Hashtbl.create 8 in
-  List.iter (fun (m, s) -> Hashtbl.replace slo_table m s) config.slos;
   {
     config;
     scheduler;
     pool;
     models = table;
-    slos = slo_table;
     next_id = Atomic.make 1;
     closed = false;
   }
@@ -187,6 +189,7 @@ let symbolic t ~model =
   r
 
 let warm t = Worker_pool.warm t.pool
+let warm_sizes t ~model = Worker_pool.warm_sizes (model_state t model)
 let plan_cache t = Worker_pool.plan_cache t.pool
 
 (* A ticket names an admitted request; redeem it with [await]. *)
@@ -201,11 +204,8 @@ let submit_async ?deadline_us t ~model ~params =
     match deadline_us with
     | Some _ as d -> d
     | None -> (
-        match Hashtbl.find_opt t.slos model with
-        | Some slo -> (
-            match Slo.default_deadline_us slo with
-            | Some _ as d -> d
-            | None -> t.config.default_deadline_us)
+        match Slo.default_deadline_us (Scheduler.slo t.scheduler model) with
+        | Some _ as d -> d
         | None -> t.config.default_deadline_us)
   in
   let id = Atomic.fetch_and_add t.next_id 1 in
@@ -259,6 +259,7 @@ let await t ticket =
   else Scheduler.await t.scheduler ticket
 
 let poll t ticket = Scheduler.poll t.scheduler ticket
+let class_stats t = Scheduler.class_stats t.scheduler
 
 let submit ?deadline_us t ~model ~params =
   match submit_async ?deadline_us t ~model ~params with

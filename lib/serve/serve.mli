@@ -32,8 +32,6 @@ type config = {
   queue_depth : int;  (** admission-control bound, across models *)
   default_deadline_us : float option;  (** relative; [None] = no deadline *)
   arch : Astitch_simt.Arch.t;
-  fused : bool;
-  cache_capacity : int;  (** shared plan cache entries *)
   verify_every : int;  (** bit-identity spot checks; 0 = off *)
   seed : int;  (** shared-weight generation *)
   retry_budget : int;
@@ -48,42 +46,51 @@ type config = {
   wedge_timeout_us : float;
       (** a worker stuck mid-batch longer than this has its batch
           stolen and recovered *)
-  restart_backoff_us : float;
-      (** base delay before respawning a dead worker; doubles per
-          consecutive death (capped at 128x) *)
   slos : (string * Slo.t) list;
-      (** per-model SLO classes.  Non-empty switches the scheduler into
-          multi-tenant mode: strict class priority with EDF inside the
-          Latency class, a fair-share floor, and displacement shedding.
-          A model with a [Latency] class inherits its deadline as the
-          per-request default.  Empty (default) keeps the legacy FIFO
-          scheduler.
-          Listing an unregistered model is an [Invalid_argument]. *)
+      (** per-model SLO classes; a model not listed is [Best_effort].
+          One scheduler rule serves every table: strict class priority,
+          EDF inside the Latency class, oldest head first otherwise, and
+          displacement of a lower class by a higher one on a full
+          queue.  With no classes every model is best-effort, so
+          dispatch is oldest head first across models.  A model with a
+          [Latency] class inherits its deadline as the per-request
+          default.  Listing an unregistered model is an
+          [Invalid_argument]. *)
   fair_share_floor : float;
-      (** fraction of dispatches reserved for the least-served model in
-          multi-tenant mode (default 0.125 = every 8th dispatch), so
-          Best_effort tenants keep making progress under overload;
-          [0.] = pure strict priority *)
+      (** fraction of dispatches reserved for the least-served model
+          (default 0.125 = every 8th dispatch), so Best_effort tenants
+          keep making progress under overload.  It applies only when
+          the served models span at least two classes; [0.] = pure
+          strict priority *)
 }
 
 val default_config : config
-(** 2 workers, max_batch 8, 2ms window, depth 64, no deadline, v100,
-    fused, cache 64, no verification, seed 42; retry budget 2, breaker
-    threshold 4 / cooldown 5ms, wedge timeout 50ms, restart backoff
-    1ms; no SLOs (legacy FIFO scheduling), fair-share floor 1/8. *)
+(** 2 workers, max_batch 8, 2ms window, depth 64, no deadline, v100, no
+    verification, seed 42; retry budget 2, breaker threshold 4 /
+    cooldown 5ms, wedge timeout 50ms; no SLOs (every model
+    best-effort), fair-share floor 1/8.  Workers execute on the fused
+    engine through a 64-entry plan cache and respawn after 1ms,
+    doubling per consecutive death (capped at 128x). *)
 
 type t
 
 val create : ?config:config -> model list -> t
 (** Analyze every builder for batchability, fix shared weights
-    deterministically, spawn the workers.
+    deterministically, spawn the workers.  Arguments are checked before
+    any fd or domain is taken.
     @raise Batching.Not_batchable if a builder cannot batch.
-    @raise Invalid_argument on duplicate or empty model lists. *)
+    @raise Invalid_argument on duplicate or empty model lists, a
+    negative [workers] or [retry_budget], [max_batch < 1], or an
+    out-of-range [queue_depth] or [fair_share_floor]. *)
 
 val warm : t -> unit
 (** Pre-compile every model so first requests don't pay compile
     latency: the single max-batch context for a shape-polymorphic
     model, batch-1 and max-batch contexts for a fixed-extent one. *)
+
+val warm_sizes : t -> model:string -> int list
+(** The batch sizes {!warm} compiles for [model]: [max_batch] for a
+    shape-polymorphic model, 1 and [max_batch] for a fixed-extent one. *)
 
 val plan_cache : t -> Astitch_runtime.Session.cache
 (** The server's shared session cache.  Zoo prewarming seeds it with
@@ -111,6 +118,10 @@ val await : t -> ticket -> Request.outcome
     mode ([workers = 0]) this executes batches on the calling thread. *)
 
 val poll : t -> ticket -> Request.outcome option
+
+val class_stats : t -> Scheduler.class_stats list
+(** Per-SLO-class outcomes, counted as they land: see
+    {!Scheduler.class_stats}. *)
 
 val submit :
   ?deadline_us:float ->
@@ -157,10 +168,10 @@ type stats = {
           [serve.shed_admission] metrics) *)
   displaced : int;
       (** queued lower-SLO-class requests evicted to admit higher-class
-          arrivals (subset of [shed]; multi-tenant mode only) *)
+          arrivals (subset of [shed]) *)
   floor_picks : int;
       (** dispatches the fair-share floor redirected to the
-          least-served model (multi-tenant mode only) *)
+          least-served model (0 unless two or more classes are served) *)
   completed : int;
   failed : int;
   degraded : int;

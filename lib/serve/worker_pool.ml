@@ -92,11 +92,9 @@ type t = {
   models : (string, model_state) Hashtbl.t;
   cache : Session.cache;
   arch : Astitch_simt.Arch.t;
-  fused : bool;
   verify_every : int;  (** re-check batch i vs solo when i mod n = 0 *)
   retry_budget : int;  (** failed batch executions before fallback *)
   wedge_timeout_us : float;
-  restart_backoff_us : float;
   batch_counter : int Atomic.t;
   sup_mu : Mutex.t;  (** guards every slot's supervised fields *)
   slots : slot array;
@@ -132,25 +130,12 @@ type t = {
 
 let now_us () = Unix.gettimeofday () *. 1e6
 
-let sup_locked pool f =
-  Mutex.lock pool.sup_mu;
-  match f () with
-  | v ->
-      Mutex.unlock pool.sup_mu;
-      v
-  | exception e ->
-      Mutex.unlock pool.sup_mu;
-      raise e
+let sup_locked pool f = Mutex.protect pool.sup_mu f
+let model_locked m f = Mutex.protect m.mu f
 
-let model_locked m f =
-  Mutex.lock m.mu;
-  match f () with
-  | v ->
-      Mutex.unlock m.mu;
-      v
-  | exception e ->
-      Mutex.unlock m.mu;
-      raise e
+(* Base delay before respawning a dead worker; doubles per consecutive
+   death, capped at 128x. *)
+let restart_backoff_us = 1_000.
 
 (* --- Context pool -------------------------------------------------------- *)
 
@@ -217,7 +202,7 @@ let rec checkout pool m ~n =
       | Symbolic pb ->
           let result = compile_for pool m ~batch:m.max_batch in
           let plan = { result.Session.plan with Kernel_plan.batch = Some pb } in
-          let ctx = Executor.create_context ~fused:pool.fused plan in
+          let ctx = Executor.create_context plan in
           if Executor.rebindable ctx then { ctx; lkey = `Sym }
           else begin
             model_locked m (fun () -> m.mode <- Fixed);
@@ -225,10 +210,7 @@ let rec checkout pool m ~n =
           end
       | Fixed ->
           let result = compile_for pool m ~batch:n in
-          let ctx =
-            Executor.create_context ~fused:pool.fused result.Session.plan
-          in
-          { ctx; lkey = `Fixed n })
+          { ctx = Executor.create_context result.Session.plan; lkey = `Fixed n })
 
 let checkin m lease =
   model_locked m (fun () ->
@@ -633,7 +615,7 @@ let worker_body pool slot () =
         slot.wstate <- W_dead;
         slot.deaths <- slot.deaths + 1;
         let backoff =
-          pool.restart_backoff_us
+          restart_backoff_us
           *. Float.of_int (1 lsl Stdlib.min 7 (slot.deaths - 1))
         in
         slot.restart_at <- now_us () +. backoff);
@@ -744,11 +726,8 @@ let monitor_body pool () =
 
 (* --- Pool lifecycle ------------------------------------------------------ *)
 
-let create ~scheduler ~models ~cache ~arch ~fused ~verify_every ~retry_budget
-    ~wedge_timeout_us ~restart_backoff_us ~workers =
-  if workers < 0 then invalid_arg "Worker_pool.create: workers must be >= 0";
-  if retry_budget < 0 then
-    invalid_arg "Worker_pool.create: retry_budget must be >= 0";
+let create ~scheduler ~models ~cache ~arch ~verify_every ~retry_budget
+    ~wedge_timeout_us ~workers =
   let r = Metrics.default in
   let pool =
     {
@@ -756,11 +735,9 @@ let create ~scheduler ~models ~cache ~arch ~fused ~verify_every ~retry_budget
       models;
       cache;
       arch;
-      fused;
       verify_every;
       retry_budget;
       wedge_timeout_us;
-      restart_backoff_us;
       batch_counter = Atomic.make 1;
       sup_mu = Mutex.create ();
       slots =
@@ -851,23 +828,19 @@ let context_counts pool =
     pool.models []
   |> List.sort compare
 
+(* The batch sizes [warm] checks out.  A symbolic model needs exactly
+   its one max-batch context; a fixed-extent model warms the two sizes
+   every server hits (solo verification/retries and full batches) -
+   other sizes compile on first use. *)
+let warm_sizes m =
+  match model_locked m (fun () -> m.mode) with
+  | Symbolic _ -> [ m.max_batch ]
+  | Fixed -> if m.max_batch = 1 then [ 1 ] else [ 1; m.max_batch ]
+
 (* Pre-compile every model so the first requests don't pay compilation
-   latency (the CLI does this before the clock starts).  A symbolic
-   model needs exactly its one max-batch context; a fixed-extent model
-   warms the two sizes every server hits (solo verification/retries and
-   full batches) - other sizes compile on first use. *)
+   latency (the CLI does this before the clock starts). *)
 let warm pool =
   Hashtbl.iter
     (fun _ m ->
-      let sizes =
-        match model_locked m (fun () -> m.mode) with
-        | Symbolic _ -> [ m.max_batch ]
-        | Fixed ->
-            if m.max_batch = 1 then [ 1 ] else [ 1; m.max_batch ]
-      in
-      List.iter
-        (fun n ->
-          let lease = checkout pool m ~n in
-          checkin m lease)
-        sizes)
+      List.iter (fun n -> checkin m (checkout pool m ~n)) (warm_sizes m))
     pool.models

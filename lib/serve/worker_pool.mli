@@ -47,11 +47,9 @@ val create :
   models:(string, model_state) Hashtbl.t ->
   cache:Session.cache ->
   arch:Astitch_simt.Arch.t ->
-  fused:bool ->
   verify_every:int ->
   retry_budget:int ->
   wedge_timeout_us:float ->
-  restart_backoff_us:float ->
   workers:int ->
   t
 (** Spawn [workers] domains (plus one monitor domain when
@@ -63,8 +61,8 @@ val create :
     failed batch executions a request survives before dropping to the
     per-request fallback rung.  A worker whose heartbeat goes stale for
     [wedge_timeout_us] with a batch in hand is wedged (batch stolen);
-    a dead worker is respawned after [restart_backoff_us], doubling per
-    consecutive death (capped at 128x). *)
+    a dead worker is respawned after 1 ms, doubling per consecutive
+    death (capped at 128x).  Contexts run on the fused engine. *)
 
 val pump : t -> unit
 (** Caller-runs mode: serve every dispatchable batch on the calling
@@ -84,8 +82,11 @@ val join : t -> unit
 
 val warm : t -> unit
 (** Pre-compile every model (hide compile latency from the first
-    requests): one max-batch context for a symbolic model, batch-1 and
-    max-batch contexts for a fixed-extent one. *)
+    requests) at its {!warm_sizes}. *)
+
+val warm_sizes : model_state -> int list
+(** The batch sizes {!warm} checks out: [max_batch] for a symbolic
+    model, 1 and [max_batch] for a fixed-extent one. *)
 
 val padded_rows : t -> int
 (** Padded rows executed so far.  Continuous batching packs every batch

@@ -1,11 +1,9 @@
-(* Multi-tenant model-zoo serving.
+(* Multi-tenant model-zoo serving: a Serve plus a plan store.
 
-   The zoo is policy around the serving mechanism: Serve/Scheduler
-   already know how to batch, dispatch and supervise; the zoo decides
-   WHAT the scheduler optimizes (per-model SLO classes), remembers what
-   was compiled (the persistent plan store), and keeps the per-class
-   score (latency quantiles, goodput numerators) that multi-tenant
-   evaluation is judged on.
+   Serve and its scheduler already batch, dispatch by SLO class,
+   supervise and count outcomes per class; the zoo adds the registration
+   of each model with its class, and the persistent plan store that
+   prewarm loads from and shutdown saves to.
 
    Prewarm ordering matters: plans are loaded-or-compiled and seeded
    into the server's session cache BEFORE Serve.warm builds executor
@@ -36,98 +34,29 @@ type prewarm = {
   saved : int;
 }
 
-(* Per-class account: counters plus a latency reservoir.  Per-zoo (not
-   the process-wide metrics registry) so tests and benches can run
-   several zoos in one process without cross-talk; the reservoir is
-   sorted once, at read time. *)
-type account = {
-  mutable a_submitted : int;
-  mutable a_completed : int;
-  mutable a_shed : int;
-  mutable a_rejected : int;
-  mutable a_failed : int;
-  mutable a_deadline_met : int;
-  mutable latencies : float list;
-}
-
-type pending = { p_cls : string; p_deadline_us : float option }
-
 type t = {
   config : config;
   serve : Serve.t;
-  registrations : (string * Slo.t) list;
-  slos : (string, Slo.t) Hashtbl.t;
+  names : string list;  (** registration order *)
   store : Plan_store.t option;
-  accounts : (string, account) Hashtbl.t;  (** by class name *)
-  tickets : (int, pending) Hashtbl.t;
-  amu : Mutex.t;  (** guards accounts + tickets *)
   mutable prewarmed : prewarm option;
 }
 
-let account_for t cls =
-  match Hashtbl.find_opt t.accounts cls with
-  | Some a -> a
-  | None ->
-      let a =
-        {
-          a_submitted = 0;
-          a_completed = 0;
-          a_shed = 0;
-          a_rejected = 0;
-          a_failed = 0;
-          a_deadline_met = 0;
-          latencies = [];
-        }
-      in
-      Hashtbl.replace t.accounts cls a;
-      a
-
 let create ?(config = default_config) registrations =
-  if registrations = [] then invalid_arg "Zoo.create: no models";
-  let slos = Hashtbl.create 8 in
-  let pairs =
-    List.map
-      (fun ((m : Serve.model), slo) ->
-        if Hashtbl.mem slos m.Serve.name then
-          invalid_arg
-            (Printf.sprintf "Zoo.create: duplicate model %s" m.Serve.name);
-        Hashtbl.replace slos m.Serve.name slo;
-        (m.Serve.name, slo))
-      registrations
-  in
-  let serve_config = { config.serve with Serve.slos = pairs } in
-  let serve = Serve.create ~config:serve_config (List.map fst registrations) in
+  (* The store opens first: a bad [plan_dir] must fail before the
+     server spawns its domains. *)
   let store = Option.map (fun dir -> Plan_store.open_ ~dir) config.plan_dir in
-  {
-    config;
-    serve;
-    registrations = pairs;
-    slos;
-    store;
-    accounts = Hashtbl.create 4;
-    tickets = Hashtbl.create 64;
-    amu = Mutex.create ();
-    prewarmed = None;
-  }
+  let slos =
+    List.map (fun ((m : Serve.model), slo) -> (m.name, slo)) registrations
+  in
+  let serve =
+    Serve.create ~config:{ config.serve with slos } (List.map fst registrations)
+  in
+  { config; serve; names = List.map fst slos; store; prewarmed = None }
 
 let server t = t.serve
-let models t = t.registrations
-
-let slo t ~model =
-  match Hashtbl.find_opt t.slos model with
-  | Some s -> s
-  | None -> invalid_arg (Printf.sprintf "Zoo: unknown model %s" model)
 
 (* --- Prewarm ------------------------------------------------------------- *)
-
-(* The batch sizes Worker_pool.warm will check out, and therefore the
-   exact cache slots prewarm must fill: one max-batch plan for a
-   shape-polymorphic model, batch-1 + max-batch for fixed-extent. *)
-let warm_sizes t ~model =
-  let mb = t.config.serve.Serve.max_batch in
-  if Serve.symbolic t.serve ~model then [ mb ]
-  else if mb = 1 then [ 1 ]
-  else [ 1; mb ]
 
 (* A store file names its (fingerprint, arch), but the bytes inside are
    what we trust least: before serving a loaded plan, its graph must
@@ -206,9 +135,10 @@ let prewarm t =
                 end)
       in
       List.iter
-        (fun (model, _slo) ->
+        (fun model ->
           let spec = Serve.spec t.serve ~model in
-          let sizes = warm_sizes t ~model in
+          (* exactly the cache slots Serve.warm will check out *)
+          let sizes = Serve.warm_sizes t.serve ~model in
           List.iter (handle spec ~required:true) sizes;
           (* A fixed-extent model dispatches at every batch size traffic
              happens to form, and shutdown persisted whatever sizes the
@@ -219,7 +149,7 @@ let prewarm t =
             for n = 1 to t.config.serve.Serve.max_batch do
               if not (List.mem n sizes) then handle spec ~required:false n
             done)
-        t.registrations;
+        t.names;
       Serve.warm t.serve;
       let p =
         {
@@ -233,7 +163,7 @@ let prewarm t =
       t.prewarmed <- Some p;
       p
 
-(* --- Per-class request accounting --------------------------------------- *)
+(* --- Traffic: Serve's, once prewarm has run ------------------------------- *)
 
 let ensure_open t =
   if t.prewarmed = None then
@@ -241,127 +171,17 @@ let ensure_open t =
 
 type ticket = Serve.ticket
 
-let cls_of t model = Slo.class_name (slo t ~model)
-
-let locked t f =
-  Mutex.lock t.amu;
-  match f () with
-  | v ->
-      Mutex.unlock t.amu;
-      v
-  | exception e ->
-      Mutex.unlock t.amu;
-      raise e
-
 let submit_async ?deadline_us t ~model ~params =
   ensure_open t;
-  let cls = cls_of t model in
-  let res = Serve.submit_async ?deadline_us t.serve ~model ~params in
-  locked t (fun () ->
-      let a = account_for t cls in
-      match res with
-      | Ok ticket ->
-          a.a_submitted <- a.a_submitted + 1;
-          let p_deadline_us =
-            match deadline_us with
-            | Some _ as d -> d
-            | None -> Slo.default_deadline_us (slo t ~model)
-          in
-          Hashtbl.replace t.tickets ticket { p_cls = cls; p_deadline_us }
-      | Error _ -> a.a_rejected <- a.a_rejected + 1);
-  res
-
-(* Fold an outcome into its class account; the ticket entry is consumed
-   with the outcome, mirroring the scheduler's own outcome table. *)
-let settle t ticket outcome =
-  locked t (fun () ->
-      match Hashtbl.find_opt t.tickets ticket with
-      | None -> ()
-      | Some p -> (
-          Hashtbl.remove t.tickets ticket;
-          let a = account_for t p.p_cls in
-          match (outcome : Request.outcome) with
-          | Request.Done { latency_us; _ } ->
-              a.a_completed <- a.a_completed + 1;
-              a.latencies <- latency_us :: a.latencies;
-              let met =
-                match p.p_deadline_us with
-                | None -> true
-                | Some d -> latency_us <= d
-              in
-              if met then a.a_deadline_met <- a.a_deadline_met + 1
-          | Request.Overloaded _ -> a.a_shed <- a.a_shed + 1
-          | Request.Failed _ -> a.a_failed <- a.a_failed + 1))
-
-let await t ticket =
-  let outcome = Serve.await t.serve ticket in
-  settle t ticket outcome;
-  outcome
-
-let poll t ticket =
-  match Serve.poll t.serve ticket with
-  | None -> None
-  | Some outcome ->
-      settle t ticket outcome;
-      Some outcome
+  Serve.submit_async ?deadline_us t.serve ~model ~params
 
 let submit ?deadline_us t ~model ~params =
-  match submit_async ?deadline_us t ~model ~params with
-  | Ok ticket -> await t ticket
-  | Error o -> Request.Overloaded o
+  ensure_open t;
+  Serve.submit ?deadline_us t.serve ~model ~params
 
-type class_stats = {
-  cls : string;
-  submitted : int;
-  completed : int;
-  shed : int;
-  rejected : int;
-  failed : int;
-  deadline_met : int;
-  mean_us : float;
-  p50_us : float;
-  p95_us : float;
-  p99_us : float;
-}
-
-let quantile sorted q =
-  match sorted with
-  | [||] -> 0.
-  | a ->
-      let n = Array.length a in
-      let i = int_of_float (Float.round (q *. float_of_int (n - 1))) in
-      a.(max 0 (min (n - 1) i))
-
-let class_stats t =
-  locked t (fun () ->
-      List.filter_map
-        (fun cls ->
-          match Hashtbl.find_opt t.accounts cls with
-          | None -> None
-          | Some a ->
-              let sorted = Array.of_list a.latencies in
-              Array.sort compare sorted;
-              let n = Array.length sorted in
-              let mean =
-                if n = 0 then 0.
-                else Array.fold_left ( +. ) 0. sorted /. float_of_int n
-              in
-              Some
-                {
-                  cls;
-                  submitted = a.a_submitted;
-                  completed = a.a_completed;
-                  shed = a.a_shed;
-                  rejected = a.a_rejected;
-                  failed = a.a_failed;
-                  deadline_met = a.a_deadline_met;
-                  mean_us = mean;
-                  p50_us = quantile sorted 0.50;
-                  p95_us = quantile sorted 0.95;
-                  p99_us = quantile sorted 0.99;
-                })
-        Slo.all_class_names)
-
+let await t = Serve.await t.serve
+let poll t = Serve.poll t.serve
+let class_stats t = Serve.class_stats t.serve
 let drain t = Serve.drain t.serve
 
 let shutdown t =

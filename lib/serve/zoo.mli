@@ -1,12 +1,12 @@
-(** Multi-tenant model-zoo serving: N models, one worker pool, SLO
-    classes, and a persistent plan store.
+(** Multi-tenant model-zoo serving: a {!Serve} plus a persistent plan
+    store.
 
-    A zoo wraps {!Serve} with the multi-tenant policy surface: every
-    model registers with an {!Slo.t} class, which drives the
-    scheduler's class-priority/EDF dispatch, its fair-share floor, and
-    per-request default deadlines; outcomes are additionally accounted
-    per class ({!class_stats}), which is what the CLI's per-SLO-class
-    p99 and goodput table reads.
+    Serving itself is {!Serve}'s: the zoo registers every model with an
+    {!Slo.t} class and hands the table to the server, whose scheduler
+    turns it into class-priority/EDF dispatch, a fair-share floor,
+    per-request default deadlines and per-class accounts.  What the zoo
+    adds is the plan store and the rule that no traffic is admitted
+    before {!prewarm}.
 
     The plan store closes the compile-once loop across process
     restarts: {!prewarm} loads every registered model's plans from
@@ -47,8 +47,11 @@ type prewarm = {
 type t
 
 val create : ?config:config -> (Serve.model * Slo.t) list -> t
-(** Register models with their SLO classes.  The zoo refuses traffic
-    until {!prewarm} has run.
+(** Open the plan store, then register models with their SLO classes
+    (see {!Serve.create}).  The zoo refuses traffic until {!prewarm}
+    has run.
+    @raise Sys_error when [plan_dir] cannot be a directory; no server
+    is started then.
     @raise Invalid_argument on duplicate or empty registrations. *)
 
 val prewarm : t -> prewarm
@@ -62,12 +65,6 @@ val server : t -> Serve.t
 (** The underlying server (trace/metrics surfaces, supervision,
     drain). *)
 
-val slo : t -> model:string -> Slo.t
-(** @raise Invalid_argument on an unknown model. *)
-
-val models : t -> (string * Slo.t) list
-(** Registered models in registration order. *)
-
 type ticket = Serve.ticket
 
 val submit_async :
@@ -76,13 +73,8 @@ val submit_async :
   model:string ->
   params:(string * Tensor.t) list ->
   (ticket, Request.overload) result
-(** {!Serve.submit_async} plus per-class accounting.
+(** {!Serve.submit_async}, once {!prewarm} has run.
     @raise Invalid_argument on an unknown model or before {!prewarm}. *)
-
-val await : t -> ticket -> Request.outcome
-(** Blocks for the outcome and folds it into the per-class accounts. *)
-
-val poll : t -> ticket -> Request.outcome option
 
 val submit :
   ?deadline_us:float ->
@@ -90,27 +82,18 @@ val submit :
   model:string ->
   params:(string * Tensor.t) list ->
   Request.outcome
+(** {!Serve.submit}, once {!prewarm} has run. *)
 
-type class_stats = {
-  cls : string;  (** "latency" | "throughput" | "best-effort" *)
-  submitted : int;  (** admitted requests *)
-  completed : int;
-  shed : int;  (** overloaded after admission (deadline, displaced...) *)
-  rejected : int;  (** refused at admission *)
-  failed : int;
-  deadline_met : int;
-      (** completions within the class deadline (equals [completed]
-          for classes without one) *)
-  mean_us : float;
-  p50_us : float;
-  p95_us : float;
-  p99_us : float;
-}
+val await : t -> ticket -> Request.outcome
+val poll : t -> ticket -> Request.outcome option
 
-val class_stats : t -> class_stats list
-(** Per-SLO-class accounting over every outcome observed via
-    {!await}/{!poll}, in class rank order.  Goodput for a class is
-    [deadline_met] (or [completed]) over the run's wall time. *)
+val class_stats : t -> Scheduler.class_stats list
+(** {!Serve.class_stats}: per-SLO-class counts taken as outcomes land,
+    in rank order, one row per class that has seen a request.  Once the
+    zoo is drained they cover every request.  The mean latency is
+    exact; p50/p95/p99 come from a log-bucketed histogram, within ~9.5%
+    of the true sample.  Goodput for a class is [deadline_met] over the
+    run's wall time. *)
 
 val drain : t -> unit
 

@@ -15,9 +15,7 @@
    - fused contexts write fewer full-buffer bytes than reference
      contexts on every zoo model at batch 8, and global stitching fewer
      than kernel-per-op on the shared-memory-overflow shapes;
-   - fit_shared demotes largest-first and keeps everything under budget;
-   - Config.fused_exec is a runtime knob: it does not change the plan
-     cache key. *)
+   - fit_shared demotes largest-first and keeps everything under budget. *)
 
 open Astitch_ir
 open Astitch_tensor
@@ -514,15 +512,6 @@ let test_disabled_engine_is_all_reference () =
     (List.length plan.Kernel_plan.kernels)
     (List.length (Executor.context_fallbacks ctx))
 
-(* --- Config --------------------------------------------------------------- *)
-
-let test_fused_exec_not_in_cache_key () =
-  let open Astitch_core.Config in
-  Alcotest.(check string)
-    "fused_exec is runtime-only: same cache key either way"
-    (cache_key full)
-    (cache_key { full with fused_exec = false })
-
 let () =
   Alcotest.run "fused"
     [
@@ -569,10 +558,5 @@ let () =
           QCheck_alcotest.to_alcotest test_random_overflow_bit_identical;
           Alcotest.test_case "demote-vs-split crossover" `Quick
             test_gating_crossover;
-        ] );
-      ( "config",
-        [
-          Alcotest.test_case "fused_exec outside the cache key" `Quick
-            test_fused_exec_not_in_cache_key;
         ] );
     ]

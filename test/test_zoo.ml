@@ -16,11 +16,19 @@
    - displacement shedding: a full queue evicts its newest
      strictly-lower-class entry (completed [Overloaded Displaced]) to
      admit a higher-class arrival, and never displaces an equal class;
-   - with [slos = []] everything above is off: legacy FIFO picks.
+   - one rule without classes: with no SLOs every model is
+     best-effort, so picks are oldest head first with no floor and no
+     displacement; equal timestamps dispatch in admission (id) order;
+     two models of one class get no floor either;
+   - per-class accounts sum to the scheduler's totals across
+     admission, refusal, displacement and late completion.
 
    Zoo level (caller-runs, a cheap batchable builder):
    - traffic is refused before prewarm;
    - per-class accounting sums to the outcomes observed;
+   - invalid scheduler and server configs are refused before any fd
+     is opened, and a zoo whose plan store cannot open starts no
+     server (no domain leaks);
    - the plan store round-trips across zoo restarts: cold prewarm
      compiles and saves, warm prewarm loads everything and compiles
      nothing, and the served outputs are bit-identical either way;
@@ -175,7 +183,7 @@ let test_admission_expiry_refused () =
       check_int "nothing outstanding" 0 (Scheduler.outstanding s);
       Scheduler.shutdown s;
       Scheduler.dispose s)
-    (* the admission-time check applies in legacy FIFO mode too *)
+    (* the admission-time check applies without SLO classes too *)
     [ [ ("L", Slo.Latency { deadline_us = 1e9 }) ]; [] ]
 
 let test_displacement () =
@@ -217,17 +225,114 @@ let test_displacement () =
   Scheduler.shutdown s;
   Scheduler.dispose s
 
-let test_legacy_fifo_unchanged () =
-  (* without slos, picks are oldest-head FIFO across models *)
-  let s = mk_sched ~slos:[] () in
+let test_no_slos_one_class () =
+  (* without slos every model is best-effort: picks are the oldest head
+     across models, and one class leaves the floor nothing to do *)
+  let s = mk_sched ~fair_share_floor:0.5 ~slos:[] () in
   submit_ok s (mk_req ~model:"E" ());
   submit_ok s (mk_req ~model:"T" ());
   submit_ok s (mk_req ~model:"L" ());
   Alcotest.(check (list string))
     "submission order" [ "E"; "T"; "L" ] (pick_models s 3);
   let st = Scheduler.stats s in
-  check_int "no floor picks in legacy mode" 0 st.Scheduler.floor_picks;
-  check_int "no displacement in legacy mode" 0 st.Scheduler.displaced;
+  check_int "no floor picks with one class" 0 st.Scheduler.floor_picks;
+  check_int "no displacement with one class" 0 st.Scheduler.displaced;
+  Scheduler.shutdown s;
+  Scheduler.dispose s
+
+let test_equal_timestamps_id_order () =
+  let s = mk_sched ~slos:[] () in
+  let at = Unix.gettimeofday () *. 1e6 in
+  (* ids ascend C, A, B: neither name order nor hash order *)
+  List.iter
+    (fun model ->
+      submit_ok s { (mk_req ~model ()) with Request.submitted_us = at })
+    [ "C"; "A"; "B" ];
+  Alcotest.(check (list string))
+    "admission order" [ "C"; "A"; "B" ] (pick_models s 3);
+  Scheduler.shutdown s;
+  Scheduler.dispose s
+
+let test_one_class_no_floor () =
+  let s =
+    mk_sched ~fair_share_floor:0.5
+      ~slos:[ ("A", Slo.Throughput); ("B", Slo.Throughput) ]
+      ()
+  in
+  List.iter (fun model -> submit_ok s (mk_req ~model ())) [ "A"; "A"; "A"; "B" ];
+  Alcotest.(check (list string))
+    "oldest head first" [ "A"; "A"; "A"; "B" ] (pick_models s 4);
+  check_int "no floor within one class" 0
+    (Scheduler.stats s).Scheduler.floor_picks;
+  Scheduler.shutdown s;
+  Scheduler.dispose s
+
+let test_class_accounts_sum () =
+  let s =
+    mk_sched ~queue_depth:2
+      ~slos:[ ("L", Slo.Latency { deadline_us = 1e9 }); ("E", Slo.Best_effort) ]
+      ()
+  in
+  let refused req expect =
+    match Scheduler.submit s req with
+    | Error o when o = expect -> ()
+    | Error o -> Alcotest.failf "wrong refusal: %s" (Request.overload_to_string o)
+    | Ok () -> Alcotest.fail "request admitted"
+  in
+  let next () =
+    match Scheduler.next_batch s with
+    | Some { Scheduler.requests = [ r ]; _ } -> r
+    | _ -> Alcotest.fail "expected a one-request batch"
+  in
+  (* E: two admitted, one refused on a full queue *)
+  submit_ok s (mk_req ~model:"E" ());
+  submit_ok s (mk_req ~model:"E" ());
+  refused (mk_req ~model:"E" ()) Request.Queue_full;
+  (* L: one admitted by displacing the newest E, one dead on arrival *)
+  submit_ok s (mk_req ~model:"L" ~deadline_us:1e9 ());
+  refused (mk_req ~model:"L" ~deadline_us:(-1000.) ()) Request.Deadline_exceeded;
+  (* L completes after its deadline, E completes, a later E fails *)
+  let late = next () in
+  Scheduler.complete s late
+    (Request.Done
+       { outputs = []; latency_us = 2e9; batch = 1; degraded = false });
+  Scheduler.complete s (next ()) done_outcome;
+  submit_ok s (mk_req ~model:"E" ());
+  Scheduler.complete s (next ()) (Request.Failed "boom");
+  let rows = Scheduler.class_stats s in
+  Alcotest.(check (list string))
+    "one row per class seen, in rank order" [ "latency"; "best-effort" ]
+    (List.map (fun (c : Scheduler.class_stats) -> c.cls) rows);
+  let row (c : Scheduler.class_stats) =
+    [ c.submitted; c.rejected; c.completed; c.shed; c.failed; c.deadline_met ]
+  in
+  let ints = Alcotest.(list int) in
+  Alcotest.check ints "latency: sub rej done shed fail met" [ 1; 1; 1; 0; 0; 0 ]
+    (row (List.nth rows 0));
+  Alcotest.check ints "best-effort: sub rej done shed fail met"
+    [ 3; 1; 1; 1; 1; 1 ]
+    (row (List.nth rows 1));
+  Alcotest.(check (float 0.)) "exact latency mean" 2e9 (List.nth rows 0).mean_us;
+  let st = Scheduler.stats s in
+  let sum f = List.fold_left (fun acc c -> acc + f c) 0 rows in
+  Alcotest.check ints "class sums = scheduler totals"
+    [
+      st.Scheduler.submitted;
+      st.Scheduler.rejected;
+      st.Scheduler.shed;
+      st.Scheduler.completed;
+      st.Scheduler.failed;
+    ]
+    (List.map sum
+       [
+         (fun (c : Scheduler.class_stats) -> c.submitted);
+         (fun c -> c.rejected);
+         (fun c -> c.shed);
+         (fun c -> c.completed);
+         (fun c -> c.failed);
+       ]);
+  check_int "one displacement" 1 st.Scheduler.displaced;
+  check_int "one refusal at admission" 1 st.Scheduler.shed_admission;
   Scheduler.shutdown s;
   Scheduler.dispose s
 
@@ -258,10 +363,10 @@ let registrations =
     ({ Serve.name = "mlp2"; build = mlp2_build }, Slo.Best_effort);
   ]
 
-let zoo_config ?plan_dir ?(verify_plans = false) () =
+let zoo_config ?plan_dir ?(verify_plans = false) ?(workers = 0) () =
   {
     Zoo.serve =
-      { Serve.default_config with workers = 0; max_batch = 4; queue_depth = 32 };
+      { Serve.default_config with workers; max_batch = 4; queue_depth = 32 };
     plan_dir;
     verify_plans;
   }
@@ -311,17 +416,20 @@ let test_class_accounting () =
   ignore (run_some zoo 9);
   let stats = Zoo.class_stats zoo in
   let find c =
-    match List.find_opt (fun (r : Zoo.class_stats) -> r.Zoo.cls = c) stats with
+    match
+      List.find_opt (fun (r : Scheduler.class_stats) -> r.Scheduler.cls = c) stats
+    with
     | Some r -> r
     | None -> Alcotest.failf "class %s missing from stats" c
   in
   let lat = find "latency" and be = find "best-effort" in
-  check_int "latency submitted" 6 lat.Zoo.submitted;
-  check_int "latency completed" 6 lat.Zoo.completed;
-  check_int "latency deadline met (generous deadline)" 6 lat.Zoo.deadline_met;
-  check_int "best-effort submitted" 3 be.Zoo.submitted;
-  check_int "best-effort completed" 3 be.Zoo.completed;
-  check_bool "latency p99 recorded" true (lat.Zoo.p99_us > 0.);
+  check_int "latency submitted" 6 lat.Scheduler.submitted;
+  check_int "latency completed" 6 lat.Scheduler.completed;
+  check_int "latency deadline met (generous deadline)" 6
+    lat.Scheduler.deadline_met;
+  check_int "best-effort submitted" 3 be.Scheduler.submitted;
+  check_int "best-effort completed" 3 be.Scheduler.completed;
+  check_bool "latency p99 recorded" true (lat.Scheduler.p99_us > 0.);
   ignore (Zoo.shutdown zoo)
 
 let test_store_roundtrip_across_restart () =
@@ -400,6 +508,55 @@ let test_corrupted_store_file_recompiled () =
       ignore (run_some warm 6);
       ignore (Zoo.shutdown warm))
 
+(* Open fds of this process, where /proc says; [None] elsewhere. *)
+let open_fds () =
+  if Sys.file_exists "/proc/self/fd" then
+    Some (Array.length (Sys.readdir "/proc/self/fd"))
+  else None
+
+let test_invalid_configs_leak_no_fd () =
+  let before = open_fds () in
+  let refuses f =
+    match f () with
+    | exception Invalid_argument _ -> ()
+    | _ -> Alcotest.fail "invalid config accepted"
+  in
+  for _ = 1 to 100 do
+    refuses (fun () -> mk_sched ~fair_share_floor:0.9 ~slos:[] ());
+    refuses (fun () -> mk_sched ~queue_depth:0 ~slos:[] ())
+  done;
+  for _ = 1 to 100 do
+    refuses (fun () ->
+        Serve.create
+          ~config:{ Serve.default_config with workers = 2; retry_budget = -1 }
+          [ fst (List.hd registrations) ])
+  done;
+  match (before, open_fds ()) with
+  | Some b, Some a -> check_int "open fds unchanged" b a
+  | _ -> ()
+
+let test_bad_plan_dir_starts_no_server () =
+  let file = Filename.temp_file "astitch-test-zoo" ".notadir" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove file)
+    (fun () ->
+      for _ = 1 to 60 do
+        match
+          Zoo.create
+            ~config:(zoo_config ~plan_dir:file ~workers:2 ())
+            registrations
+        with
+        | exception Sys_error _ -> ()
+        | zoo ->
+            ignore (Zoo.shutdown zoo);
+            Alcotest.fail "a file accepted as plan dir"
+      done);
+  (* no domain leaked: a 2-worker zoo still starts and serves *)
+  let zoo = Zoo.create ~config:(zoo_config ~workers:2 ()) registrations in
+  ignore (Zoo.prewarm zoo);
+  check_int "served" 3 (List.length (run_some zoo 3));
+  ignore (Zoo.shutdown zoo)
+
 let test_prewarm_idempotent () =
   let zoo = Zoo.create ~config:(zoo_config ()) registrations in
   let p1 = Zoo.prewarm zoo in
@@ -422,8 +579,14 @@ let () =
           Alcotest.test_case "expired deadlines refused at admission" `Quick
             test_admission_expiry_refused;
           Alcotest.test_case "displacement shedding" `Quick test_displacement;
-          Alcotest.test_case "legacy FIFO unchanged without slos" `Quick
-            test_legacy_fifo_unchanged;
+          Alcotest.test_case "no SLOs: one best-effort class" `Quick
+            test_no_slos_one_class;
+          Alcotest.test_case "equal timestamps dispatch in id order" `Quick
+            test_equal_timestamps_id_order;
+          Alcotest.test_case "one class: oldest head, no floor" `Quick
+            test_one_class_no_floor;
+          Alcotest.test_case "per-class accounts sum to the scheduler totals"
+            `Quick test_class_accounts_sum;
         ] );
       ( "zoo",
         [
@@ -438,5 +601,9 @@ let () =
           Alcotest.test_case "corrupted store file rejected + recompiled"
             `Quick test_corrupted_store_file_recompiled;
           Alcotest.test_case "prewarm idempotent" `Quick test_prewarm_idempotent;
+          Alcotest.test_case "invalid configs leak no fd" `Quick
+            test_invalid_configs_leak_no_fd;
+          Alcotest.test_case "bad plan dir starts no server" `Quick
+            test_bad_plan_dir_starts_no_server;
         ] );
     ]
