@@ -202,6 +202,10 @@ let inspect model training tiny =
            0 clusters);
       `Ok ()
 
+(* One driver, one cache-and-repeat loop: [--resilient] keeps the
+   degradation report and prints it; otherwise an AStitch-family backend
+   compiles with its config (faults and [-j] included) and refuses to
+   degrade, and a baseline backend compiles as it is. *)
 let compile model backend training tiny arch resilient injects use_cache
     repeat jobs =
   match
@@ -211,108 +215,82 @@ let compile model backend training tiny arch resilient injects use_cache
   | Error e, _, _ | _, Error e, _ | _, _, Error e -> `Error (false, e)
   | Ok g, Ok b, Ok faults ->
       let repeat = Stdlib.max 1 repeat in
-      let jobs = Astitch_core.Config.resolve_domains jobs in
+      let config =
+        Option.map
+          (fun base ->
+            {
+              base with
+              Astitch_core.Config.faults;
+              compile_domains = Astitch_core.Config.resolve_domains jobs;
+            })
+          (config_for_backend backend)
+      in
       with_arch arch (fun arch ->
-          if resilient then begin
-            match config_for_backend backend with
-            | None ->
-                `Error
-                  ( false,
-                    "--resilient needs an AStitch-family backend (astitch, \
-                     atm or hdm)" )
-            | Some base -> (
-            let config =
-              { base with Astitch_core.Config.faults; compile_domains = jobs }
-            in
-            let cache = Session.make_resilient_cache () in
-            let compile_once () =
-              if use_cache then
-                Session.compile_resilient_cached ~config cache arch g
-              else (Session.compile_resilient ~config arch g, Plan_cache.Miss)
-            in
-            let last = ref (compile_once ()) in
-            for i = 2 to repeat do
-              if use_cache then
-                Printf.printf "compile %d/%d: %s\n" (i - 1) repeat
-                  (Plan_cache.outcome_to_string (snd !last));
-              last := compile_once ()
-            done;
-            match !last with
-            | Error e, _ -> `Error (false, Compile_error.to_string e)
-            | Ok { result; report }, outcome ->
-                if use_cache then begin
-                  Printf.printf "compile %d/%d: %s\n" repeat repeat
-                    (Plan_cache.outcome_to_string outcome);
-                  pp_cache_stats (Plan_cache.stats cache)
-                end;
-                Format.printf "%a@." Kernel_plan.pp result.plan;
-                Format.printf "%a@." Astitch_core.Degradation.pp_report report;
-                Format.printf "%a@." Profile.pp_breakdown result.profile;
-                `Ok ())
-          end
-          else if faults <> [] then
-            (* non-resilient injection: the compile either survives or
-               reports a structured error -- never a bare exception *)
-            match config_for_backend backend with
-            | None ->
-                `Error
-                  ( false,
-                    "--inject without --resilient needs an AStitch-family \
-                     backend (astitch, atm or hdm)" )
-            | Some base -> (
-                let config = { base with Astitch_core.Config.faults } in
-                let b = Astitch_core.Astitch.backend ~config () in
-                let cache = Session.make_cache () in
-                let compile_once () =
-                  if use_cache then Session.compile_cached cache b arch g
-                  else (Session.compile b arch g, Plan_cache.Miss)
+          let driver =
+            match config with
+            | None when resilient ->
+                Error "--resilient needs an AStitch-family backend (astitch, \
+                       atm or hdm)"
+            | None when faults <> [] ->
+                Error "--inject without --resilient needs an AStitch-family \
+                       backend (astitch, atm or hdm)"
+            | Some config when resilient ->
+                let cache = Session.make_resilient_cache () in
+                let compile () =
+                  if use_cache then
+                    Session.compile_resilient_cached ~config cache arch g
+                  else
+                    (Session.compile_resilient ~config arch g, Plan_cache.Miss)
                 in
+                let with_report (r : Session.resilient) =
+                  (r.result, Some r.report)
+                in
+                Ok
+                  ( (fun () ->
+                      let r, outcome = compile () in
+                      (Result.map with_report r, outcome)),
+                    fun () -> Plan_cache.stats cache )
+            | _ ->
+                let b =
+                  match config with
+                  | Some config -> Astitch_core.Astitch.backend ~config ()
+                  | None -> b
+                in
+                let cache = Session.make_cache () in
+                Ok
+                  ( (fun () ->
+                      match
+                        if use_cache then Session.compile_cached cache b arch g
+                        else (Session.compile b arch g, Plan_cache.Miss)
+                      with
+                      | r, outcome -> (Ok (r, None), outcome)
+                      | exception Compile_error.Error e ->
+                          (Error e, Plan_cache.Bypassed)),
+                    fun () -> Plan_cache.stats cache )
+          in
+          match driver with
+          | Error e -> `Error (false, e)
+          | Ok (compile_once, stats) ->
+              let rec loop i =
                 match compile_once () with
-                | r, outcome ->
-                    if use_cache then begin
-                      (* fault-injected compiles never enter the cache *)
-                      Printf.printf "compile 1/1: %s\n"
+                | Error e, _ -> `Error (false, Compile_error.to_string e)
+                | Ok (result, report), outcome ->
+                    if use_cache then
+                      Printf.printf "compile %d/%d: %s\n" i repeat
                         (Plan_cache.outcome_to_string outcome);
-                      pp_cache_stats (Plan_cache.stats cache)
-                    end;
-                    Format.printf "%a@." Kernel_plan.pp r.plan;
-                    Format.printf "%a@." Profile.pp_breakdown r.profile;
-                    `Ok ()
-                | exception Compile_error.Error e ->
-                    `Error (false, Compile_error.to_string e))
-          else
-            let b =
-              if jobs <= 1 then b
-              else
-                match config_for_backend backend with
-                | Some base ->
-                    Astitch_core.Astitch.backend
-                      ~config:
-                        { base with Astitch_core.Config.compile_domains = jobs }
-                      ()
-                | None -> b
-            in
-            let cache = Session.make_cache () in
-            let compile_once () =
-              if use_cache then Session.compile_cached cache b arch g
-              else (Session.compile b arch g, Plan_cache.Miss)
-            in
-            let r = ref (compile_once ()) in
-            for i = 2 to repeat do
-              if use_cache then
-                Printf.printf "compile %d/%d: %s\n" (i - 1) repeat
-                  (Plan_cache.outcome_to_string (snd !r));
-              r := compile_once ()
-            done;
-            let result, outcome = !r in
-            if use_cache then begin
-              Printf.printf "compile %d/%d: %s\n" repeat repeat
-                (Plan_cache.outcome_to_string outcome);
-              pp_cache_stats (Plan_cache.stats cache)
-            end;
-            Format.printf "%a@." Kernel_plan.pp result.plan;
-            Format.printf "%a@." Profile.pp_breakdown result.profile;
-            `Ok ())
+                    if i < repeat then loop (i + 1)
+                    else begin
+                      if use_cache then pp_cache_stats (stats ());
+                      Format.printf "%a@." Kernel_plan.pp result.Session.plan;
+                      Option.iter
+                        (Format.printf "%a@."
+                           Astitch_core.Degradation.pp_report)
+                        report;
+                      Format.printf "%a@." Profile.pp_breakdown result.profile;
+                      `Ok ()
+                    end
+              in
+              loop 1)
 
 let log_fallbacks ctx =
   List.iter

@@ -11,10 +11,8 @@ type t = {
          off = fall back to XLA's fusion cuts *)
   dominant_merging : bool;
   remote_stitching : bool;
-  max_remote_merge_width : int;
-  compile_budget_s : float option;
-      (* per-attempt compile-time budget for the resilient pipeline
-         (Sec 6.4.1 posture); None = unbounded *)
+      (* merge mutually unreachable clusters, at most 4 per kernel
+         (Clustering.remote_stitch_groups' default width) *)
   compile_domains : int;
       (* worker domains for per-cluster compilation; 1 = sequential.
          Plans are byte-identical at any setting (deterministic merge) *)
@@ -28,8 +26,6 @@ let full =
     hierarchical_data_reuse = true;
     dominant_merging = true;
     remote_stitching = true;
-    max_remote_merge_width = 4;
-    compile_budget_s = None;
     compile_domains = 1;
     faults = [];
   }
@@ -51,22 +47,12 @@ let atm_only = { full with hierarchical_data_reuse = false;
    management, without dominant merging. *)
 let no_dominant_merging = { full with dominant_merging = false }
 
-let to_string c =
-  Printf.sprintf "{atm=%b; hdr=%b; merge=%b; remote=%b}"
-    c.adaptive_thread_mapping c.hierarchical_data_reuse c.dominant_merging
-    c.remote_stitching
-
 (* Canonical serialization of every field that can change the compiled
    plan - the config component of a plan-cache key.  [compile_domains]
    is deliberately excluded: parallel compilation is byte-identical to
-   sequential, so it may not fragment the cache.  [faults] and the
-   budget are included so fault-injected or budget-constrained configs
-   never alias a production entry. *)
+   sequential, so it may not fragment the cache.  [faults] is included
+   so a fault-injected config never aliases a production entry. *)
 let cache_key c =
-  Printf.sprintf "atm=%b;hdr=%b;merge=%b;remote=%b;width=%d;budget=%s;faults=%d"
+  Printf.sprintf "atm=%b;hdr=%b;merge=%b;remote=%b;faults=%d"
     c.adaptive_thread_mapping c.hierarchical_data_reuse c.dominant_merging
-    c.remote_stitching c.max_remote_merge_width
-    (match c.compile_budget_s with
-    | None -> "none"
-    | Some s -> Printf.sprintf "%h" s)
-    (List.length c.faults)
+    c.remote_stitching (List.length c.faults)

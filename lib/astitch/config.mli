@@ -6,10 +6,8 @@ type t = {
       (** off = fall back to XLA's fusion cuts (the ATM ablation) *)
   dominant_merging : bool;
   remote_stitching : bool;
-  max_remote_merge_width : int;
-  compile_budget_s : float option;
-      (** per-attempt compile-time budget for the resilient pipeline;
-          [None] = unbounded *)
+      (** merge mutually unreachable clusters, at most 4 per kernel
+          ([Clustering.remote_stitch_groups]'s default width) *)
   compile_domains : int;
       (** worker domains for per-cluster compilation; [1] = sequential.
           Any setting produces byte-identical plans. *)
@@ -35,9 +33,9 @@ val atm_only : t
 val no_dominant_merging : t
 (** Exhaustive stitching without dominant merging (Table 4 "HDM"). *)
 
-val to_string : t -> string
-
 val cache_key : t -> string
-(** Canonical serialization of every plan-affecting field, for plan-cache
-    keys.  [compile_domains] is excluded (parallel compilation is
-    byte-identical to sequential, so it may not fragment the cache). *)
+(** Canonical serialization of every plan-affecting field (the four
+    switches and the fault count), for plan-cache keys and
+    [Astitch.backend]'s names.  [compile_domains] is excluded (parallel
+    compilation is byte-identical to sequential, so it may not fragment
+    the cache). *)

@@ -1,7 +1,7 @@
 (* Degradation ladder bookkeeping for the resilient pipeline.
 
-   When a stitch scope cannot be compiled at full strength (a pass raised,
-   an invariant failed, the compile-time budget blew), the resilience
+   When a stitch scope cannot be compiled at full strength (a pass raised
+   or an invariant failed), the resilience
    layer retries that scope alone with progressively safer strategies
    while the rest of the graph stays fully stitched.  Every step down the
    ladder is recorded as an event so production logs say exactly which

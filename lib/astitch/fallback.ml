@@ -1,12 +1,14 @@
-(* Per-cluster graceful degradation.
+(* The whole-graph compile driver, with per-cluster graceful degradation.
 
-   The paper's production posture (Sec 6.3) is that a JIT compiler serving
-   thousands of jobs must never take a training job down with it.  This
-   module implements that posture for compile failures: when a stitch
-   scope cannot be compiled at full strength — its plan fails
-   [Kernel_plan.check], a pass raises, or the per-attempt compile-time
-   budget is exceeded — that scope alone is retried with progressively
-   safer strategies while the rest of the graph stays fully stitched:
+   The paper's compiler is one pipeline (Sec 4): scope identification
+   (clustering, remote stitching), per-scope lowering, then kernel
+   scheduling.  Its production posture (Sec 6.3) is that a JIT compiler
+   serving thousands of jobs must never take a training job down with
+   it.  This module is that pipeline with that posture: when a stitch
+   scope cannot be compiled at full strength — a kernel fails
+   [Kernel_plan.check_kernel] or a pass raises — that scope alone is
+   retried with progressively safer strategies while the rest of the
+   graph stays fully stitched:
 
      Remote -> Stitched -> Regional -> Local -> Fusion -> Kernel_per_op
 
@@ -14,10 +16,11 @@
    gives up shared memory; Fusion falls back to XLA-style fusion cuts; the
    terminal kernel-per-op rung is a direct constructor that touches none
    of the instrumented passes, so the ladder always terminates even under
-   persistent injected faults.  Every accepted kernel is re-validated with
-   [Kernel_plan.check_kernel]; every step down is recorded as a
-   [Degradation.event].  In the no-fault case the result is structurally
-   identical to [Stitch_backend.compile_with] and the report is empty. *)
+   persistent injected faults.  Every kernel is checked once where it is
+   made and the cross-kernel rules once on the assembled plan; every step
+   down is recorded as a [Degradation.event].  [Astitch.compile] is this
+   driver refusing to degrade: it keeps the plan only when the report is
+   empty. *)
 
 open Astitch_ir
 open Astitch_simt
@@ -213,39 +216,25 @@ let ladder_pass = function
 
 let compile_armed (config : Config.t) (arch : Arch.t) g :
     (Kernel_plan.t * Degradation.report, Compile_error.t) result =
-  let events = ref [] in
-  let record cluster from_level to_level error =
+  (* [log] is the graph's event log or a group's own. *)
+  let recorder log cluster from_level to_level error =
     note_degrade cluster from_level to_level;
-    events :=
-      { Degradation.cluster; from_level; to_level; error } :: !events
+    log := { Degradation.cluster; from_level; to_level; error } :: !log
   in
-  (* Run one compile attempt: bare exceptions become structured errors,
-     the compile-time budget is enforced, and every produced kernel must
-     pass [check_kernel] in isolation. *)
+  let events = ref [] in
+  let record = recorder events in
+  (* Run one compile attempt: every produced kernel is checked here,
+     where it is made, and bare exceptions from either become structured
+     errors. *)
   let attempt ~pass (f : unit -> Kernel_plan.kernel list) =
-    let t0 = Sys.time () in
     match
       Compile_error.protect ~pass (fun () ->
-          Trace.with_span ~phase:"fallback" pass f)
+          let ks = f () in
+          (ks, List.concat_map (Kernel_plan.check_kernel arch g) ks))
     with
     | Error e -> Error e
-    | Ok ks -> (
-        let elapsed = Sys.time () -. t0 in
-        match config.compile_budget_s with
-        | Some budget when elapsed > budget ->
-            Error
-              (Compile_error.make ~pass
-                 [
-                   Compile_error.violation Compile_error.Budget_exceeded
-                     "compile attempt took %.3fs > budget %.3fs" elapsed
-                     budget;
-                 ])
-        | _ -> (
-            match
-              List.concat_map (Kernel_plan.check_kernel arch g) ks
-            with
-            | [] -> Ok ks
-            | violations -> Error (Compile_error.make ~pass violations)))
+    | Ok (ks, []) -> Ok ks
+    | Ok (_, violations) -> Error (Compile_error.make ~pass violations)
   in
   (* XLA-style fusion over one scope; components that still fail get
      kernel-per-op treatment, so this rung only fails on bare exceptions. *)
@@ -268,11 +257,13 @@ let compile_armed (config : Config.t) (arch : Arch.t) g :
                | _ -> List.map (per_op_kernel arch g) ids))
     |> List.concat
   in
-  (* Degrade one cluster through the given rungs; the terminal
-     kernel-per-op constructor cannot fail.  [record] is a parameter so
-     parallel group compilation can collect events into per-group logs
-     instead of racing on the shared one. *)
-  let per_cluster_ladder ~record ~rungs ~name ~smem_budget ~group_base nodes =
+  (* Degrade one cluster through the given rungs, each attempt traced as
+     a "fallback" span.  The terminal kernel-per-op constructor cannot
+     fail; its kernels go to [floor], to be checked with the plan.
+     [record] and [floor] are parameters so parallel group compilation
+     can collect into per-group logs instead of racing on shared ones. *)
+  let per_cluster_ladder ~record ~floor ~rungs ~name ~smem_budget ~group_base
+      nodes =
     let compile_once () =
       Stitch_backend.compile_cluster config arch g ~name ~smem_budget
         ~group_base nodes
@@ -289,9 +280,13 @@ let compile_armed (config : Config.t) (arch : Arch.t) g :
       | Degradation.Remote | Degradation.Kernel_per_op -> assert false
     in
     let rec go = function
-      | [] -> List.map (per_op_kernel arch g) nodes
+      | [] -> floor (List.map (per_op_kernel arch g) nodes)
       | level :: rest -> (
-          match attempt ~pass:(ladder_pass level) (rung level) with
+          let pass = ladder_pass level in
+          match
+            attempt ~pass (fun () ->
+                Trace.with_span ~phase:"fallback" pass (rung level))
+          with
           | Ok ks -> ks
           | Error e ->
               let next =
@@ -304,98 +299,89 @@ let compile_armed (config : Config.t) (arch : Arch.t) g :
     in
     go rungs
   in
-  (* One remote-stitched group, mirroring [Stitch_backend.compile_with]
-     exactly in the no-fault case (same names, budgets and group bases,
-     so the resulting plan is structurally identical). *)
-  let group_kernels ~record i (parts : Clustering.cluster list) =
-    match parts with
-    | [ { Clustering.nodes = [ single ]; _ } ]
-      when FC.is_layout_only g single ->
-        [ FC.copy_kernel g single ]
-    | _ -> (
-        let name = Printf.sprintf "stitch_op_%d" i in
-        let nparts = List.length parts in
-        let smem_budget = Launch_config.shared_mem_budget arch / nparts in
-        let combined () =
-          (* mirror [Stitch_backend.compile_with_armed] exactly: gated
-             single-cluster groups (demote-vs-split), combined remote
-             groups *)
-          match parts with
-          | [ c ] -> (
-              match
-                Stitch_backend.compile_cluster_gated config arch g
-                  ~name:(name ^ ".0") ~smem_budget ~group_base:0
-                  c.Clustering.nodes
-              with
-              | [ k ] -> [ { k with Kernel_plan.name } ]
-              | ks -> ks)
-          | _ ->
-              List.mapi
-                (fun j (c : Clustering.cluster) ->
-                  Stitch_backend.compile_cluster config arch g
-                    ~name:(Printf.sprintf "%s.%d" name j)
-                    ~smem_budget ~group_base:(j * 1024) c.Clustering.nodes)
-                parts
-              |> Stitch_backend.combine_parts arch ~name
-              |> Option.to_list
+  (* One remote-stitched group's kernels.  The top rung is full-strength
+     group lowering; when it fails the group splits and each cluster
+     degrades on its own, with the full shared-memory budget (it no longer
+     shares a kernel), and the group leaves its events and kernel-per-op
+     kernels in [logs.(i)] — a slot per group, so groups can compile on a
+     domain pool. *)
+  let group_kernels logs i (parts : Clustering.cluster list) =
+    let name = Printf.sprintf "stitch_op_%d" i in
+    let remote = List.compare_length_with parts 1 > 0 in
+    let top = if remote then Degradation.Remote else Degradation.Stitched in
+    match
+      attempt ~pass:(ladder_pass top) (fun () ->
+          Stitch_backend.compile_group config arch g ~name parts)
+    with
+    | Ok ks -> ks
+    | Error e ->
+        let events = ref [] and per_op = ref [] in
+        let record = recorder events in
+        let floor ks =
+          per_op := ks @ !per_op;
+          ks
         in
-        let top = if nparts > 1 then Degradation.Remote else Degradation.Stitched in
-        match attempt ~pass:(ladder_pass top) combined with
-        | Ok ks -> ks
-        | Error e ->
-            (* split the group: each cluster degrades on its own, with the
-               full shared-memory budget (it no longer shares a kernel) *)
-            let rungs =
-              if nparts > 1 then
-                [
-                  Degradation.Stitched;
-                  Degradation.Regional;
-                  Degradation.Local;
-                  Degradation.Fusion;
-                ]
-              else
-                [ Degradation.Regional; Degradation.Local; Degradation.Fusion ]
-            in
-            record name top (List.hd rungs) e;
-            List.concat
-              (List.mapi
-                 (fun j (c : Clustering.cluster) ->
-                   per_cluster_ladder ~record ~rungs
-                     ~name:(Printf.sprintf "%s.%d" name j)
-                     ~smem_budget:(Launch_config.shared_mem_budget arch)
-                     ~group_base:(j * 1024) c.Clustering.nodes)
-                 parts))
+        let rungs =
+          (if remote then [ Degradation.Stitched ] else [])
+          @ [ Degradation.Regional; Degradation.Local; Degradation.Fusion ]
+        in
+        record name top (List.hd rungs) e;
+        let ks =
+          List.concat
+            (List.mapi
+               (fun j (c : Clustering.cluster) ->
+                 per_cluster_ladder ~record ~floor ~rungs
+                   ~name:(Printf.sprintf "%s.%d" name j)
+                   ~smem_budget:(Launch_config.shared_mem_budget arch)
+                   ~group_base:(j * 1024) c.Clustering.nodes)
+               parts)
+        in
+        logs.(i) <- (List.rev !events, !per_op);
+        ks
   in
-  let finish kernels =
-    (* Assemble, then repair: a corrupted front-end (e.g. clustering
-       dropped a node) shows up here as cross-kernel violations.  Each
-       round adds kernel-per-op producers for nodes no kernel materializes
-       and replaces codegen kernels that fail in isolation; bounded so a
-       truly broken plan returns a structured error instead of looping. *)
-    let assemble ks =
+  (* Assemble and check, then repair.  The library kernels and the
+     [unchecked] kernel-per-op kernels get their [check_kernel] here
+     (every other kernel passed it in its attempt), then the cross-kernel
+     rules run on the plan.  A corrupted front end (e.g. clustering
+     dropped a node) shows up here as cross-kernel violations.  Each
+     round adds kernel-per-op producers for nodes no kernel materializes
+     and replaces codegen kernels that fail in isolation; bounded so a
+     truly broken plan returns a structured error instead of looping. *)
+  let finish ~unchecked kernels =
+    let assemble ~unchecked ks =
       Compile_error.protect ~pass:"kernel-schedule" (fun () ->
           Trace.with_span ~phase:"compile" "kernel-schedule" @@ fun () ->
           let sorted =
             Kernel_plan.toposort_kernels g (ks @ Lowering.library_kernels arch g)
           in
-          {
-            Kernel_plan.arch;
-            graph = g;
-            kernels = sorted;
-            memcpys = Lowering.output_memcpys g;
-            memsets = Lowering.atomic_memsets sorted;
-            memcpy_bytes = Lowering.output_bytes g;
-    batch = None;
-          })
+          let plan =
+            {
+              Kernel_plan.arch;
+              graph = g;
+              kernels = sorted;
+              memcpys = Lowering.output_memcpys g;
+              memsets = Lowering.atomic_memsets sorted;
+              memcpy_bytes = Lowering.output_bytes g;
+              batch = None;
+            }
+          in
+          let unchecked_violations (k : Kernel_plan.kernel) =
+            if k.kind = Kernel_plan.Library || List.memq k unchecked then
+              Kernel_plan.check_kernel arch g k
+            else []
+          in
+          ( plan,
+            List.concat_map unchecked_violations sorted
+            @ Kernel_plan.check_cross_kernel plan ))
     in
-    let rec repair round ks =
-      match assemble ks with
+    let rec repair round ~unchecked ks =
+      match assemble ~unchecked ks with
       | Error e ->
           (* unschedulable kernel graph: degrade the whole graph *)
           record "graph" Degradation.Stitched Degradation.Kernel_per_op e;
           Ok (per_op_plan arch g)
-      | Ok plan -> (
-          match Kernel_plan.check_all plan with
+      | Ok (plan, violations) -> (
+          match violations with
           | [] -> Ok plan
           | violations when round >= 4 ->
               Error (Compile_error.make ~pass:"resilient-compile" violations)
@@ -441,6 +427,12 @@ let compile_armed (config : Config.t) (arch : Arch.t) g :
                           && Hashtbl.mem missing o.id)
                         k.ops)
               in
+              let fresh = ref unchecked in
+              let per_op id =
+                let k = per_op_kernel arch g id in
+                fresh := k :: !fresh;
+                k
+              in
               let ks' =
                 List.concat_map
                   (fun (k : Kernel_plan.kernel) ->
@@ -448,8 +440,7 @@ let compile_armed (config : Config.t) (arch : Arch.t) g :
                       record k.name Degradation.Stitched
                         Degradation.Kernel_per_op
                         (Compile_error.make ~pass:"plan-repair" violations);
-                      List.map (per_op_kernel arch g)
-                        (Kernel_plan.kernel_node_ids k)
+                      List.map per_op (Kernel_plan.kernel_node_ids k)
                     end
                     else [ k ])
                   ks
@@ -478,39 +469,24 @@ let compile_armed (config : Config.t) (arch : Arch.t) g :
                                 "node %%%d not materialized by any kernel"
                                 id;
                             ]);
-                       per_op_kernel arch g id)
+                       per_op id)
               in
               if added = [] && ks' = ks then
                 Error
                   (Compile_error.make ~pass:"resilient-compile" violations)
-              else repair (round + 1) (ks' @ added))
+              else repair (round + 1) ~unchecked:!fresh (ks' @ added))
     in
-    repair 0 kernels
+    repair 0 ~unchecked kernels
   in
   if not config.hierarchical_data_reuse then
     (* ATM ablation: XLA fusion scopes are already the Fusion rung; the
        only step left below them is kernel-per-op for the whole graph. *)
-    let f () = Stitch_backend.compile_with_armed config arch g in
-    let t0 = Sys.time () in
+    let f () = Stitch_backend.compile_fusion config arch g in
     match Compile_error.protect ~pass:"fusion-fallback" f with
-    | Ok plan
-      when match config.compile_budget_s with
-           | Some b -> Sys.time () -. t0 <= b
-           | None -> true ->
-        Ok (plan, [])
-    | Ok _ ->
-        let e =
-          Compile_error.make ~pass:"fusion-fallback"
-            [
-              Compile_error.violation Compile_error.Budget_exceeded
-                "whole-graph compile exceeded the budget";
-            ]
-        in
-        record "graph" Degradation.Fusion Degradation.Kernel_per_op e;
-        Result.map (fun p -> (p, List.rev !events)) (Ok (per_op_plan arch g))
+    | Ok plan -> Ok (plan, [])
     | Error e ->
         record "graph" Degradation.Fusion Degradation.Kernel_per_op e;
-        Result.map (fun p -> (p, List.rev !events)) (Ok (per_op_plan arch g))
+        Ok (per_op_plan arch g, List.rev !events)
   else begin
     let clusters =
       match
@@ -533,51 +509,35 @@ let compile_armed (config : Config.t) (arch : Arch.t) g :
             !singles
     in
     let cluster_groups =
-      if config.remote_stitching then
-        match
-          Compile_error.protect ~pass:"remote-stitching" (fun () ->
-              Trace.with_span ~phase:"compile" "remote-stitching" (fun () ->
-                  Clustering.remote_stitch_groups
-                    ~max_merge_width:config.max_remote_merge_width g clusters))
-        with
-        | Ok groups -> groups
-        | Error e ->
-            record "graph" Degradation.Remote Degradation.Stitched e;
-            List.map (fun c -> [ c ]) clusters
-      else List.map (fun c -> [ c ]) clusters
+      match
+        Compile_error.protect ~pass:"remote-stitching" (fun () ->
+            Trace.with_span ~phase:"compile" "remote-stitching" (fun () ->
+                if config.remote_stitching then
+                  Clustering.remote_stitch_groups g clusters
+                else List.map (fun c -> [ c ]) clusters))
+      with
+      | Ok groups -> groups
+      | Error e ->
+          record "graph" Degradation.Remote Degradation.Stitched e;
+          List.map (fun c -> [ c ]) clusters
     in
-    (* Groups degrade independently, so they can compile on a domain
-       pool: each group collects its ladder events locally and the
-       results merge back in group-index order — kernels and event log
-       both byte-identical to the sequential walk.  Parallelism is gated
-       off under fault injection (global registry) and compile budgets
-       (Sys.time is process CPU time, inflated by concurrent domains). *)
+    (* Groups degrade independently, so they compile on a domain pool;
+       kernels and logs merge back in group-index order, byte-identical
+       to the sequential walk at any domain count.  Parallelism is gated
+       off under fault injection (a global registry). *)
     let domains =
-      if
-        config.faults <> []
-        || Fault_site.compile_active ()
-        || config.compile_budget_s <> None
-      then 1
+      if config.faults <> [] || Fault_site.compile_active () then 1
       else config.compile_domains
     in
-    let compiled_groups =
-      Parallel.mapi ~domains
-        (fun i parts ->
-          let local = ref [] in
-          let record cluster from_level to_level error =
-            note_degrade cluster from_level to_level;
-            local :=
-              { Degradation.cluster; from_level; to_level; error } :: !local
-          in
-          let ks = group_kernels ~record i parts in
-          (ks, List.rev !local))
-        cluster_groups
+    let logs = Array.make (List.length cluster_groups) ([], []) in
+    let stitch_kernels =
+      Parallel.mapi ~domains (group_kernels logs) cluster_groups |> List.concat
     in
-    List.iter
-      (fun (_, evs) -> List.iter (fun e -> events := e :: !events) evs)
-      compiled_groups;
-    let stitch_kernels = List.concat_map fst compiled_groups in
-    match finish stitch_kernels with
+    Array.iter (fun (evs, _) -> events := List.rev_append evs !events) logs;
+    match
+      finish stitch_kernels
+        ~unchecked:(Array.fold_right (fun (_, ks) acc -> ks @ acc) logs [])
+    with
     | Ok plan -> Ok (plan, List.rev !events)
     | Error e -> Error e
   end

@@ -1,9 +1,11 @@
-(** Per-cluster graceful degradation: compile every stitch scope at the
-    highest strength that validates, degrading failing scopes alone
-    through Remote -> Stitched -> Regional -> Local -> Fusion ->
-    Kernel_per_op while the rest of the graph stays fully stitched.  In
-    the no-fault case the plan is structurally identical to
-    [Stitch_backend.compile_with] and the report is empty. *)
+(** The one whole-graph compile driver: clustering, remote stitching,
+    group lowering on the domain pool, kernel schedule and plan checks.
+    It compiles every stitch scope at the highest strength that
+    validates, degrading failing scopes alone through Remote -> Stitched
+    -> Regional -> Local -> Fusion -> Kernel_per_op while the rest of the
+    graph stays fully stitched.  [Astitch.compile] is this driver
+    refusing to degrade: it keeps the plan only when the report is
+    empty. *)
 
 open Astitch_ir
 open Astitch_simt
@@ -14,9 +16,11 @@ val compile :
   Arch.t ->
   Graph.t ->
   (Kernel_plan.t * Degradation.report, Compile_error.t) result
-(** Arms [config.faults] for the duration of the compile.  Never raises:
-    any failure the ladder cannot absorb comes back as [Error]; every
-    [Ok] plan has passed [Kernel_plan.check_all] with no violations. *)
+(** Arms [config.faults] for the duration of the compile.  Never raises
+    (resource exhaustion aside): any failure the ladder cannot absorb
+    comes back as [Error].  Every [Ok] plan passed the checks of
+    [Kernel_plan.check_all], each run once: [check_kernel] on every
+    kernel where it is made, [check_cross_kernel] on the plan. *)
 
 val per_op_kernel : Arch.t -> Graph.t -> Op.node_id -> Kernel_plan.kernel
 (** The terminal constructor: one naive-mapped kernel materializing one

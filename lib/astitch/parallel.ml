@@ -10,8 +10,8 @@
    Exceptions are captured per item and re-raised for the lowest failing
    index after all workers drain, matching what a left-to-right
    sequential map would have raised first.  Callers must gate off
-   impure work (fault injection arms global state; compile budgets read
-   process CPU time, which domains inflate) before coming here. *)
+   impure work (fault injection arms global state) before coming
+   here. *)
 
 let sequential_mapi f items = List.mapi f items
 

@@ -8,8 +8,7 @@
     left-to-right sequential map would have surfaced first.
 
     Callers are responsible for gating off impure work: fault injection
-    mutates global registries and compile budgets read process CPU time,
-    neither of which is domain-safe. *)
+    mutates a global registry, which is not domain-safe. *)
 
 val map : domains:int -> ('a -> 'b) -> 'a list -> 'b list
 (** [map ~domains f items]; [domains <= 1] or a short list runs

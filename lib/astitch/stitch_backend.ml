@@ -1,5 +1,5 @@
-(* The AStitch compiler (paper Sec 4): lowers each stitch scope to a
-   single kernel using the three-step automatic design —
+(* Per-scope lowering for the AStitch compiler (paper Sec 4): each stitch
+   scope becomes a single kernel through the three-step automatic design —
    1. dominant identification + op grouping (Dominant),
    2. adaptive thread mapping + schedule propagation (Adaptive_mapping,
       Locality.adapt_elementwise),
@@ -7,7 +7,9 @@
       global stitching per dominant; memory planning demotes regional
       buffers that overflow the shared-memory budget and lays out the
       global scratch arena; resource-aware launch configuration bounds
-      registers so the blocks-per-wave guarantee survives. *)
+      registers so the blocks-per-wave guarantee survives.
+   The whole-graph driver (clustering, remote stitching, the group pool,
+   kernel schedule and plan checks) is [Fallback.compile]. *)
 
 open Astitch_ir
 open Astitch_simt
@@ -454,7 +456,7 @@ let rec compile_cluster_gated (config : Config.t) (arch : Arch.t) g
     end
   end
 
-(* --- Whole-graph compilation -------------------------------------------- *)
+(* --- Groups ------------------------------------------------------------- *)
 
 (* Combine the per-cluster kernels of one remote-stitched group into a
    single kernel.  The parts are mutually independent, so their blocks run
@@ -508,105 +510,46 @@ let combine_parts (arch : Arch.t) ~name = function
           scratch_bytes;
         }
 
-let compile_with_armed (config : Config.t) (arch : Arch.t) g : Kernel_plan.t =
-  if not config.hierarchical_data_reuse then
-    (* ATM ablation: XLA's fusion scopes, adaptive mappings only *)
-    Trace.with_span ~phase:"compile" "fusion-codegen" (fun () ->
-        Astitch_backends.Fusion_common.compile ~name:"atm"
-          ~cut_edge:Astitch_backends.Xla_backend.For_ablation.cut_edge
-          ~mapping_for_root:(fun arch g id ->
-            if
-              config.adaptive_thread_mapping
-              && Op.is_reduce (Graph.op g id)
-            then Adaptive_mapping.for_dominant arch g id
-            else Astitch_backends.Fusion_common.naive_mapping arch g id)
-          arch g)
-  else begin
-    let clusters =
-      Trace.with_span ~phase:"compile" "clustering" (fun () ->
-          Clustering.clusters g)
-    in
-    let cluster_groups =
-      Trace.with_span ~phase:"compile" "remote-stitching" (fun () ->
-          if config.remote_stitching then
-            Clustering.remote_stitch_groups
-              ~max_merge_width:config.max_remote_merge_width g clusters
-          else List.map (fun c -> [ c ]) clusters)
-    in
-    (* Each group's kernel depends only on (g, config, arch): the groups
-       compile independently and merge back in input order, so the plan
-       is byte-identical at any domain count.  Parallelism is gated off
-       when fault injection is armed (global mutable registry) or a
-       compile budget is set (budgets read process CPU time, which
-       concurrent domains inflate). *)
-    let domains =
-      if
-        config.faults <> []
-        || Astitch_plan.Fault_site.compile_active ()
-        || config.compile_budget_s <> None
-      then 1
-      else config.compile_domains
-    in
-    let compile_group i (parts : Clustering.cluster list) =
-      match parts with
-      | [ { Clustering.nodes = [ single ]; _ } ]
-        when Astitch_backends.Fusion_common.is_layout_only g single ->
-          [ Astitch_backends.Fusion_common.copy_kernel g single ]
-      | [ c ] -> (
-          (* single-cluster group: the demote-vs-split gate applies (a
-             split is local to this scope; remote-stitched groups merge
-             grids and cannot split without breaking the lockstep wave) *)
-          let name = Printf.sprintf "stitch_op_%d" i in
-          let smem_budget = Launch_config.shared_mem_budget arch in
-          match
-            compile_cluster_gated config arch g ~name:(name ^ ".0")
-              ~smem_budget ~group_base:0 c.Clustering.nodes
-          with
-          | [ k ] -> [ { k with Kernel_plan.name } ]
-          | ks -> ks)
-      | _ ->
-          let name = Printf.sprintf "stitch_op_%d" i in
-          let nparts = List.length parts in
-          let smem_budget = Launch_config.shared_mem_budget arch / nparts in
-          List.mapi
-            (fun j (c : Clustering.cluster) ->
-              compile_cluster config arch g
-                ~name:(Printf.sprintf "%s.%d" name j)
-                ~smem_budget ~group_base:(j * 1024) c.Clustering.nodes)
-            parts
-          |> combine_parts arch ~name |> Option.to_list
-    in
-    let stitch_kernels =
-      Parallel.mapi ~domains compile_group cluster_groups |> List.concat
-    in
-    Trace.with_span ~phase:"compile" "kernel-schedule" (fun () ->
-        let kernels =
-          Kernel_plan.toposort_kernels g
-            (stitch_kernels @ Lowering.library_kernels arch g)
-        in
-        let plan =
-          {
-            Kernel_plan.arch;
-            graph = g;
-            kernels;
-            memcpys = Lowering.output_memcpys g;
-            memsets = Lowering.atomic_memsets kernels;
-            memcpy_bytes = Lowering.output_bytes g;
-    batch = None;
-          }
-        in
-        Kernel_plan.check plan;
-        plan)
-  end
+(* Lower one remote-stitched group at full strength: a lone layout op
+   is a device copy; a single cluster passes the demote-vs-split gate (a
+   split is local to this scope; remote-stitched groups merge grids and
+   cannot split without breaking the lockstep wave); several clusters
+   compile against equal slices of the shared-memory budget, with group
+   bases 1024 apart, and combine into one kernel. *)
+let compile_group (config : Config.t) (arch : Arch.t) g ~name
+    (parts : Clustering.cluster list) : Kernel_plan.kernel list =
+  match parts with
+  | [ { Clustering.nodes = [ single ]; _ } ]
+    when Astitch_backends.Fusion_common.is_layout_only g single ->
+      [ Astitch_backends.Fusion_common.copy_kernel g single ]
+  | [ c ] -> (
+      match
+        compile_cluster_gated config arch g ~name:(name ^ ".0")
+          ~smem_budget:(Launch_config.shared_mem_budget arch) ~group_base:0
+          c.Clustering.nodes
+      with
+      | [ k ] -> [ { k with Kernel_plan.name } ]
+      | ks -> ks)
+  | _ ->
+      let smem_budget =
+        Launch_config.shared_mem_budget arch / List.length parts
+      in
+      List.mapi
+        (fun j (c : Clustering.cluster) ->
+          compile_cluster config arch g
+            ~name:(Printf.sprintf "%s.%d" name j)
+            ~smem_budget ~group_base:(j * 1024) c.Clustering.nodes)
+        parts
+      |> combine_parts arch ~name |> Option.to_list
 
-(* Arm the config's fault plans for the duration of one compile, so
-   [astitch_cli --inject] exercises the non-resilient path too.  Without
-   armed faults this is [compile_with_armed] exactly. *)
-let compile_with (config : Config.t) (arch : Arch.t) g : Kernel_plan.t =
-  if config.faults = [] then compile_with_armed config arch g
-  else begin
-    Fault_site.arm config.faults;
-    Fun.protect
-      ~finally:(fun () -> Fault_site.disarm ())
-      (fun () -> compile_with_armed config arch g)
-  end
+(* The ATM ablation (Table 4): XLA's fusion scopes, with adaptive
+   mappings for reduce roots when [adaptive_thread_mapping] is on. *)
+let compile_fusion (config : Config.t) (arch : Arch.t) g : Kernel_plan.t =
+  Trace.with_span ~phase:"compile" "fusion-codegen" (fun () ->
+      Astitch_backends.Fusion_common.compile ~name:"atm"
+        ~cut_edge:Astitch_backends.Xla_backend.For_ablation.cut_edge
+        ~mapping_for_root:(fun arch g id ->
+          if config.adaptive_thread_mapping && Op.is_reduce (Graph.op g id)
+          then Adaptive_mapping.for_dominant arch g id
+          else Astitch_backends.Fusion_common.naive_mapping arch g id)
+        arch g)

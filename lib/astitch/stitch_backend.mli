@@ -1,6 +1,9 @@
-(** The AStitch compiler pipeline (paper Sec 4): per-cluster lowering with
-    dominant grouping, adaptive mapping, locality finalization, memory
-    planning and resource-aware launch configuration. *)
+(** Per-scope lowering for the AStitch compiler (paper Sec 4) plus group
+    combination: dominant grouping, adaptive mapping, locality
+    finalization, memory planning and resource-aware launch configuration
+    turn one stitch scope into one kernel, and a remote-stitched group of
+    scopes into one combined kernel.  The whole-graph driver is
+    {!Fallback.compile}. *)
 
 open Astitch_ir
 open Astitch_simt
@@ -40,10 +43,20 @@ val combine_parts :
     one wave), per-block shared memory adds, barriers run in lockstep.
     [None] when the group is empty. *)
 
-val compile_with : Config.t -> Arch.t -> Graph.t -> Kernel_plan.t
-(** Whole-graph compilation; validates the plan before returning.  Arms
-    the config's fault plans for the duration of the compile. *)
+val compile_group :
+  Config.t ->
+  Arch.t ->
+  Graph.t ->
+  name:string ->
+  Clustering.cluster list ->
+  Kernel_plan.kernel list
+(** Lower one remote-stitched group at full strength: a lone layout op
+    becomes a copy kernel; a single cluster goes through
+    {!compile_cluster_gated} (named [name] unless it splits); several
+    clusters compile against equal slices of the shared-memory budget and
+    {!combine_parts} into one kernel named [name].  Kernels are not
+    checked here. *)
 
-val compile_with_armed : Config.t -> Arch.t -> Graph.t -> Kernel_plan.t
-(** [compile_with] without touching the fault-injection registry — for
-    callers (the resilience layer) that manage arming themselves. *)
+val compile_fusion : Config.t -> Arch.t -> Graph.t -> Kernel_plan.t
+(** The ATM ablation (Table 4): XLA's fusion scopes with adaptive
+    mappings for reduce roots; the plan is checked before it returns. *)

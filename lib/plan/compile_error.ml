@@ -18,7 +18,6 @@ type kind =
   | Scratch_aliasing (* two live scratch buffers overlap *)
   | Empty_cluster (* a stitch scope with no ops *)
   | Pass_exception (* a compiler pass raised a bare exception *)
-  | Budget_exceeded (* per-pass compile-time budget blown (Sec 6.4.1) *)
   | Injected_fault (* a fault-injection site fired (testing only) *)
   | Unknown_name (* lookup of a model / backend / experiment failed *)
 
@@ -30,7 +29,6 @@ let kind_to_string = function
   | Scratch_aliasing -> "scratch-aliasing"
   | Empty_cluster -> "empty-cluster"
   | Pass_exception -> "pass-exception"
-  | Budget_exceeded -> "budget-exceeded"
   | Injected_fault -> "injected-fault"
   | Unknown_name -> "unknown-name"
 

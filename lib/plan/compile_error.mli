@@ -12,7 +12,6 @@ type kind =
   | Scratch_aliasing
   | Empty_cluster
   | Pass_exception
-  | Budget_exceeded
   | Injected_fault
   | Unknown_name
 

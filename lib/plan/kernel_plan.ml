@@ -225,8 +225,8 @@ let kernel_work t (k : kernel) : Cost_model.work =
    intra-kernel topological order (1), register co-location (5),
    shared-memory legality and footprint (6), barrier and launch
    legality (7).  Cross-kernel invariants live in [plan_violations].
-   Runs per kernel inside the fallback ladder, so its cost stays in the
-   kernel's own size: no node-indexed state. *)
+   Runs once per kernel where the compile driver makes it, so its cost
+   stays in the kernel's own size: no node-indexed state. *)
 let kernel_violations ~emit arch g (k : kernel) =
   let structure = Compile_error.Invalid_structure in
   let idx = index_ops k in
@@ -400,6 +400,11 @@ let plan_violations ~emit t =
 let check_kernel arch g k =
   let acc = ref [] in
   kernel_violations ~emit:(fun v -> acc := v :: !acc) arch g k;
+  List.rev !acc
+
+let check_cross_kernel t =
+  let acc = ref [] in
+  plan_violations ~emit:(fun v -> acc := v :: !acc) t;
   List.rev !acc
 
 let check_all t =

@@ -86,10 +86,15 @@ val check_kernel : Arch.t -> Graph.t -> kernel -> Compile_error.violation list
     footprint, barrier and launch legality); empty when the kernel is
     valid in isolation. *)
 
+val check_cross_kernel : t -> Compile_error.violation list
+(** Cross-kernel invariants only: each node materialized at most once,
+    every operand available in execution order, graph outputs
+    materialized. *)
+
 val check_all : t -> Compile_error.violation list
-(** Collect ALL structural invariant violations (availability, placement
-    legality, shared-memory budgets, barrier legality) instead of failing
-    on the first — lets the resilience layer repair per-kernel. *)
+(** Collect ALL structural invariant violations instead of failing on
+    the first: {!check_kernel} of every kernel in plan order, then
+    {!check_cross_kernel}. *)
 
 val check : t -> unit
 (** Validate all structural invariants.

@@ -36,9 +36,8 @@ type resilient = {
 
 (* Compile with per-cluster graceful degradation: scopes that fail at
    full strength fall down the ladder alone, the rest of the graph stays
-   fully stitched, and the report says what was lost.  With the default
-   config and a healthy graph the report is empty and the plan matches
-   [Astitch.compile] exactly. *)
+   fully stitched, and the report says what was lost.  [Astitch.compile]
+   runs the same driver and refuses any report that is not empty. *)
 let compile_resilient ?(config = Astitch_core.Config.full) arch g =
   let attrs =
     if Trace.enabled () then
@@ -121,9 +120,15 @@ let result_of_plan (backend : Backend_intf.t) plan =
 let precache (cache : cache) (backend : Backend_intf.t) arch g result =
   Plan_cache.add cache (cache_key backend arch g) result
 
+(* A compile that raises is counted as a bypass, as
+   [compile_resilient_cached] counts an [Error]. *)
 let compile_cached (cache : cache) (backend : Backend_intf.t) arch g =
   Plan_cache.find_or_compute cache (cache_key backend arch g)
-    ~compute:(fun () -> with_fault_watch (fun () -> compile backend arch g))
+    ~compute:(fun () ->
+      try with_fault_watch (fun () -> compile backend arch g)
+      with Compile_error.Error _ as e ->
+        Plan_cache.note_bypass cache;
+        raise e)
 
 (* Quarantine's cache eviction: when a batch served from a cached plan
    produced corrupt output, drop the plan so the next checkout

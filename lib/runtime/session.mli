@@ -23,8 +23,8 @@ val compile_resilient :
   Graph.t ->
   (resilient, Compile_error.t) Stdlib.result
 (** Compile with per-cluster graceful degradation ([Fallback.compile]).
-    Never raises; with the default config and a healthy graph the report
-    is empty and the plan matches [Astitch.compile] exactly. *)
+    Never raises.  [Astitch.compile] is the same driver refusing to
+    degrade: when the report is empty the plans are identical. *)
 
 type cache = result Plan_cache.t
 (** Compiled results keyed by graph fingerprint x arch x backend name. *)
@@ -61,7 +61,9 @@ val compile_cached :
   result * Plan_cache.outcome
 (** {!compile} behind an LRU cache.  A compile during which compile-site
     fault injection was armed (at any point) is returned but never
-    stored ([Bypassed]); runtime-site faults don't affect caching. *)
+    stored ([Bypassed]); runtime-site faults don't affect caching.  A
+    compile that raises [Compile_error.Error] is counted as a bypass
+    and re-raised. *)
 
 val uncache :
   cache -> Backend_intf.t -> Astitch_simt.Arch.t -> Graph.t -> bool

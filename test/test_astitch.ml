@@ -321,7 +321,7 @@ let test_smem_demotion_under_pressure () =
   Kernel_plan.check plan (* the budget invariant is part of check *)
 
 let test_config_printing () =
-  check "full string" true (String.length (Config.to_string Config.full) > 0);
+  check "full string" true (String.length (Config.cache_key Config.full) > 0);
   check "atm differs" true (Config.atm_only <> Config.full);
   check "hdm differs" true (Config.no_dominant_merging <> Config.full)
 

@@ -285,14 +285,24 @@ let mk_op ?(scheme = Scheme.Local) ?(placement = Kernel_plan.Register)
 let ew elements =
   Thread_mapping.Elementwise { elements; block = 256; grid = 1; rows = None }
 
-(* Everything [check_all] reports, as (kind, ops, message), in order. *)
-let check_violations msg expected plan =
-  Alcotest.(check (list (triple string (list int) string)))
-    msg expected
-    (List.map
-       (fun (v : Compile_error.violation) ->
-         (Compile_error.kind_to_string v.kind, v.ops, v.message))
-       (Kernel_plan.check_all plan))
+(* Everything [check_all] reports, as (kind, ops, message), in order;
+   every kernel's [check_kernel] followed by [check_cross_kernel], the
+   split the compile driver runs, must report the same list. *)
+let check_violations msg expected (plan : Kernel_plan.t) =
+  let check msg violations =
+    Alcotest.(check (list (triple string (list int) string)))
+      msg expected
+      (List.map
+         (fun (v : Compile_error.violation) ->
+           (Compile_error.kind_to_string v.kind, v.ops, v.message))
+         violations)
+  in
+  check msg (Kernel_plan.check_all plan);
+  check (msg ^ ", split")
+    (List.concat_map
+       (Kernel_plan.check_kernel plan.arch plan.graph)
+       plan.kernels
+    @ Kernel_plan.check_cross_kernel plan)
 
 let test_check_catches_unavailable () =
   let g, t, r = tiny_plan_graph () in

@@ -4,6 +4,8 @@
      -- never a bare exception, never silent wrong numerics;
    - with no faults, [Session.compile_resilient] is byte-identical to the
      plain AStitch compile and the degradation report is empty;
+   - the plain compile is the same driver refusing to degrade: under a
+     fault that degrades it raises the first event's structured error;
    - persistent faults (huge fuel at every site) still terminate at the
      kernel-per-op floor;
    - no backend lets a bare [Failure]/[Invalid_argument] escape through
@@ -79,6 +81,50 @@ let test_no_fault_identity () =
             (plan_to_string plain)
             (plan_to_string r.result.plan))
     Astitch_workloads.Zoo.all
+
+(* --- Strict compile refuses degradation ----------------------------------- *)
+
+(* [Astitch.compile] and [Session.compile_resilient] run one driver:
+   where the resilient compile records a step down, the strict one raises
+   that step's error, structured, and never a bare exception. *)
+let test_strict_refuses_degradation () =
+  List.iter
+    (fun fault ->
+      List.iter
+        (fun (e : Astitch_workloads.Zoo.entry) ->
+          let g = e.tiny () in
+          let config = { Astitch_core.Config.full with faults = [ fault ] } in
+          let label = e.name ^ " " ^ Fault.plan_to_string fault in
+          let first =
+            match Session.compile_resilient ~config arch g with
+            | Ok { report = first :: _; _ } ->
+                first.Astitch_core.Degradation.error
+            | Ok _ -> Alcotest.failf "%s: fault did not degrade" label
+            | Error err ->
+                Alcotest.failf "%s: %s" label (Compile_error.to_string err)
+          in
+          match Astitch_core.Astitch.compile ~config arch g with
+          | _ ->
+              Alcotest.failf "%s: strict compile accepted a degradation" label
+          | exception Compile_error.Error err ->
+              Alcotest.(check string) (label ^ " pass") first.pass err.pass;
+              check (label ^ " first violation") true
+                (List.hd err.violations = List.hd first.violations);
+              (* every fault here trips a group's top rung; a corrupt
+                 kernel is rejected by the check where it is made *)
+              check (label ^ " caught at the top rung") true
+                (List.mem err.pass
+                   [ "codegen"; "remote-stitching"; "stitch-compile" ])
+          | exception ex ->
+              Alcotest.failf "%s: bare exception %s" label
+                (Printexc.to_string ex))
+        Astitch_workloads.Zoo.all)
+    [
+      Fault.plan ~mode:Fault.Raise Fault.Codegen;
+      Fault.plan ~mode:Fault.Corrupt Fault.Codegen;
+      (* the blown register estimate raises a bare exception in a pass *)
+      Fault.plan ~mode:Fault.Corrupt Fault.Launch_config;
+    ]
 
 (* --- Persistent faults terminate ------------------------------------------ *)
 
@@ -237,6 +283,8 @@ let () =
         [
           Alcotest.test_case "no-fault plans match plain compile" `Quick
             test_no_fault_identity;
+          Alcotest.test_case "strict compile refuses degradation" `Quick
+            test_strict_refuses_degradation;
         ] );
       ( "contract",
         List.map QCheck_alcotest.to_alcotest

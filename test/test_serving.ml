@@ -128,6 +128,38 @@ let test_cache_key_separates () =
   check_bool "different backend misses" true (o_backend = Plan_cache.Miss);
   check_bool "different graph misses" true (o_graph = Plan_cache.Miss)
 
+(* Backends are named by [Config.cache_key]: a config differing only in
+   [compile_domains] shares the full config's slot, and a fault-injected
+   config gets its own name, so its armed fault fires instead of the
+   clean plan coming back as a hit. *)
+let test_config_cache_identity () =
+  let g = Astitch_workloads.Crnn.tiny () in
+  let cache = Session.make_cache () in
+  let compile config =
+    Session.compile_cached cache
+      (Astitch_core.Astitch.backend ~config ())
+      Arch.v100 g
+  in
+  let full = Astitch_core.Config.full in
+  let r1, o1 = compile full in
+  let r2, o2 = compile { full with compile_domains = 2 } in
+  let o3 =
+    match
+      compile
+        { full with faults = [ Fault.plan ~mode:Fault.Corrupt Fault.Codegen ] }
+    with
+    | _, o -> o
+    | exception Compile_error.Error _ ->
+        (* the corrupt kernel degraded, so the strict compile refused *)
+        Plan_cache.Bypassed
+  in
+  check_bool "full misses" true (o1 = Plan_cache.Miss);
+  check_bool "compile_domains = 2 hits" true (o2 = Plan_cache.Hit);
+  check_bool "the hit is the full config's result" true (r1 == r2);
+  check_bool "fault-injected config bypasses" true (o3 = Plan_cache.Bypassed);
+  check_int "one bypass counted" 1 (Plan_cache.stats cache).Plan_cache.bypasses;
+  check_int "only the clean plan cached" 1 (Plan_cache.length cache)
+
 let test_lru_eviction_order () =
   let cache : int Plan_cache.t = Plan_cache.create ~capacity:2 () in
   let key n = Plan_cache.key ~fingerprint:n ~arch:"v100" ~config:"c" in
@@ -403,6 +435,8 @@ let () =
             test_cache_hit_identity;
           Alcotest.test_case "key separates arch/config/graph" `Quick
             test_cache_key_separates;
+          Alcotest.test_case "config identity is the cache key" `Quick
+            test_config_cache_identity;
           Alcotest.test_case "LRU eviction order" `Quick
             test_lru_eviction_order;
           Alcotest.test_case "stats printer invariant" `Quick
