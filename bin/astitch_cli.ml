@@ -55,13 +55,18 @@ let lookup_model name ~training ~tiny =
               (List.map
                  (fun (e : Astitch_workloads.Zoo.entry) -> e.name)
                  Astitch_workloads.Zoo.all)))
-  | Some entry ->
-      if tiny then Ok (entry.tiny ())
-      else if training then
-        match entry.training with
-        | Some t -> Ok (t ())
-        | None -> Error (entry.name ^ " has no training graph")
-      else Ok (entry.inference ())
+  | Some entry -> (
+      match (training, tiny) with
+      | true, true -> (
+          match entry.tiny_training with
+          | Some t -> Ok (t ())
+          | None -> Error (entry.name ^ " has no tiny training graph"))
+      | true, false -> (
+          match entry.training with
+          | Some t -> Ok (t ())
+          | None -> Error (entry.name ^ " has no training graph"))
+      | false, true -> Ok (entry.tiny ())
+      | false, false -> Ok (entry.inference ()))
 
 (* --- Common args ---------------------------------------------------------- *)
 
@@ -77,7 +82,9 @@ let training_arg =
   Arg.(value & flag & info [ "training" ] ~doc:"Use the training graph.")
 
 let tiny_arg =
-  Arg.(value & flag & info [ "tiny" ] ~doc:"Use the tiny test-size variant.")
+  Arg.(value & flag & info [ "tiny" ]
+         ~doc:"Use the tiny test-size variant; with $(b,--training), the \
+               tiny training graph.")
 
 let arch_arg =
   Arg.(value & opt string "v100" & info [ "arch" ] ~docv:"ARCH"
@@ -332,12 +339,16 @@ let run_model model backend training tiny arch seed repeat fused profile_exec
           log_fallbacks ctx;
           let params = Session.random_params ~seed g in
           let outputs = ref [] in
+          let w0 = Gc.minor_words () in
           let t0 = Unix.gettimeofday () in
           for _ = 1 to repeat do
             outputs := Executor.run_context ctx ~params
           done;
           let per_run_us =
             (Unix.gettimeofday () -. t0) *. 1e6 /. float_of_int repeat
+          in
+          let per_run_words =
+            (Gc.minor_words () -. w0) /. float_of_int repeat
           in
           List.iteri
             (fun i t ->
@@ -347,8 +358,9 @@ let run_model model backend training tiny arch seed repeat fused profile_exec
                 (Shape.to_string (Astitch_tensor.Tensor.shape t))
                 sum)
             !outputs;
-          Printf.printf "%d run(s), %.1f us/run, %s execution\n" repeat
-            per_run_us
+          Printf.printf
+            "%d run(s), %.1f us/run, %.0f minor words/run, %s execution\n"
+            repeat per_run_us per_run_words
             (if fused then "fused" else "reference");
           if profile_exec || metrics then
             Profile.publish_exec (Executor.exec_report ctx);

@@ -89,3 +89,9 @@ val is_reduce_like : t -> bool
 val is_broadcast : t -> bool
 val is_parameter : t -> bool
 val is_constant : t -> bool
+
+val scalarizable : t -> bool
+(** Ops whose output element is a pure function of operand elements,
+    which the fused engine can recompute inside a consumer's loop.
+    [Scatter_add] (input-driven writes) and [Parameter] (external
+    storage) are not. *)

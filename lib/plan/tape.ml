@@ -73,13 +73,6 @@ type t = {
   num_positions : int; (* kernel count; the output-read position *)
 }
 
-(* Keep in sync with [Scalar_eval.scalarizable] (lib/tensor): ops whose
-   output element is a pure function of operand elements.  Scatter_add's
-   writes are input-driven and Parameter is external storage. *)
-let scalarizable : Op.t -> bool = function
-  | Op.Parameter _ | Op.Scatter_add _ -> false
-  | _ -> true
-
 exception Reject of string
 
 let reject fmt = Printf.ksprintf (fun s -> raise (Reject s)) fmt
@@ -119,7 +112,7 @@ let lower (plan : Kernel_plan.t) : t =
           let role =
             match o.placement with
             | Kernel_plan.Register ->
-                if scalarizable nd.op then Inline
+                if Op.scalarizable nd.op then Inline
                 else reject "op %d (%s) cannot be scalarized" o.id
                     (Op.mnemonic nd.op)
             | Kernel_plan.Shared_mem -> (
@@ -145,7 +138,7 @@ let lower (plan : Kernel_plan.t) : t =
                 | Op.Parameter _ ->
                     reject "op %d: parameter inside a kernel" o.id
                 | _ -> (
-                    if not (scalarizable nd.op) then
+                    if not (Op.scalarizable nd.op) then
                       stage_globally
                         (Printf.sprintf "op %d (%s) cannot be staged" o.id
                            (Op.mnemonic nd.op))

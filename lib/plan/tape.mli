@@ -63,6 +63,3 @@ val lower : Kernel_plan.t -> t
     it aliases) and pin output buffers to [num_positions].  A kernel
     whose barrier sequencing requires an illegal launch (grid wider than
     the co-resident wave, [Barrier.is_legal]) lowers to [Fallback]. *)
-
-val scalarizable : Op.t -> bool
-(** Structural mirror of [Scalar_eval.scalarizable] (lib/tensor). *)

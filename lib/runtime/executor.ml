@@ -100,7 +100,8 @@ let run (plan : Kernel_plan.t) ~params : Tensor.t list =
    re-deriving every value with [Interp.eval_node]:
 
    - Register ops are scalarized: [Scalar_eval] compiles them into
-     element closures evaluated inside their consumers' loops - zero
+     tile writers evaluated inside their consumers' loops, one tile of
+     at most [Scalar_eval.tile] elements at a time - zero
      materialization (the paper's Local scheme);
    - Shared_mem ops are staged per block: a reusable slab sized from the
      thread mapping's contiguous block geometry holds one block's worth
@@ -118,20 +119,23 @@ let run (plan : Kernel_plan.t) ~params : Tensor.t list =
    same computed/purged availability flags the reference steps check.
 
    Bit-identity: every fused loop writes output elements in ascending
-   linear order, and each element is produced by exactly the float
-   operations, in exactly the order, of the matching [Interp] case
-   ([Scalar_eval] documents the per-op argument; reductions fold their
-   contributing inputs in ascending linear order, which is precisely the
-   order [Interp]'s global ascending sweep feeds each accumulator).
-   Values are pure functions of operand elements, so recomputing them
-   (scalarization) or re-staging them (slabs) cannot change a bit. *)
+   linear order, one tile after another, and each element is produced by
+   exactly the float operations, in exactly the order, of the matching
+   [Interp] case ([Scalar_eval] documents the per-op argument; reductions
+   fold their contributing inputs in ascending linear order, which is
+   precisely the order [Interp]'s global ascending sweep feeds each
+   accumulator).  Values are pure functions of operand elements, so
+   recomputing them (scalarization) or re-staging them (slabs) cannot
+   change a bit.  Slabs also count their refills; tile writers read
+   every slab in the order per-element reads would (see
+   [Scalar_eval.t]), so those counts do not depend on the tiling. *)
 
 type instr =
   | Eval of { nd : Graph.node; operands : int array }
   | Purge of int array (* on-chip values dying at a kernel boundary *)
 
 (* One staged (Shared_mem) value: a slab holding one block of elements.
-   [fill] is tied after the element closure exists (it captures it). *)
+   [fill] is tied after the tile writer exists (it captures it). *)
 type slab = {
   total : int;
   block_elems : int;
@@ -144,16 +148,17 @@ type slab = {
 }
 
 type action =
-  | Loop of { dst : float array; n : int; unit : int; elem : int -> float }
-      (* materialize via a precompiled scalarized loop; [unit] is the
-         per-batch element count (0 = batch-invariant), so a symbolic
-         batch b bounds the loop at [unit * b] instead of [n] *)
-  | Stage_global of {
+  | Tiled of {
       dst : float array;
       n : int;
       unit : int;
-      elem : int -> float;
-    } (* write one value into its per-kernel global scratch slot *)
+      fill : float array -> int -> int -> int -> unit;
+      staged : bool; (* destination is a global scratch slot *)
+    }
+      (* write one value tile by tile, into its arena buffer or its
+         per-kernel global scratch slot; [unit] is the per-batch element
+         count (0 = batch-invariant), so a symbolic batch b bounds the
+         loop at [unit * b] instead of [n] *)
   | Scatter of {
       dst : float array;
       idx : int -> float;
@@ -405,22 +410,24 @@ let create_context_body ~fused ~timed (plan : Kernel_plan.t) : context =
       (fun (a : Astitch_core.Mem_planner.slot_assignment) ->
         Hashtbl.replace gscratch a.node gslot_arrays.(a.slot))
       gassignments;
-    let accessors : (int, int -> float) Hashtbl.t = Hashtbl.create 16 in
+    let accessors : (int, Scalar_eval.t) Hashtbl.t = Hashtbl.create 16 in
     let slabs = ref [] in
-    (* full-storage element reads: capture the backing array when the
-       binding is static (arena slots, pre-evaluated constants), read
-       through [values] when it is rebound per run (parameters, views,
+    let static arr =
+      Scalar_eval.storage ~get:(fun j -> arr.(j)) (fun () -> arr)
+    in
+    (* full-storage reads: capture the backing array when the binding is
+       static (arena slots, pre-evaluated constants), read through
+       [values] when it is rebound per run (parameters, views,
        reference-kernel results) *)
     let storage_read id =
       match arena.(id) with
-      | Some t ->
-          let arr = Tensor.data t in
-          fun j -> arr.(j)
+      | Some t -> static (Tensor.data t)
       | None ->
-          if base_computed.(id) then
-            let arr = Tensor.data values.(id) in
-            fun j -> arr.(j)
-          else fun j -> Tensor.get_linear values.(id) j
+          if base_computed.(id) then static (Tensor.data values.(id))
+          else
+            Scalar_eval.storage
+              ~get:(fun j -> Tensor.get_linear values.(id) j)
+              (fun () -> Tensor.data values.(id))
     in
     let rec accessor id =
       match Hashtbl.find_opt accessors id with
@@ -433,8 +440,7 @@ let create_context_body ~fused ~timed (plan : Kernel_plan.t) : context =
                 (* the slot array is fixed at context creation; reads are
                    sequenced after the staging action by the tape's
                    barrier points *)
-                let arr = Hashtbl.find gscratch id in
-                fun j -> arr.(j)
+                static (Hashtbl.find gscratch id)
             | Some (Tape.Alias { root }) ->
                 (* a reshape view preserves linear order: read the root *)
                 accessor root
@@ -457,15 +463,18 @@ let create_context_body ~fused ~timed (plan : Kernel_plan.t) : context =
                 in
                 slabs := sl :: !slabs;
                 fprof.slab_bytes <- fprof.slab_bytes + bytes_of block_elems;
-                let elem =
+                let node =
                   Scalar_eval.compile g (Graph.node g id) ~operand:accessor
                 in
                 sl.fill <-
                   (fun b ->
                     let lo = b * block_elems in
                     let hi = Stdlib.min sl.cur_total (lo + block_elems) in
-                    for j = lo to hi - 1 do
-                      sl.sdata.(j - lo) <- elem j
+                    let j = ref lo in
+                    while !j < hi do
+                      let len = Stdlib.min Scalar_eval.tile (hi - !j) in
+                      node.fill sl.sdata (!j - lo) !j len;
+                      j := !j + len
                     done;
                     fprof.bytes_staged <-
                       fprof.bytes_staged + bytes_of (hi - lo);
@@ -478,16 +487,53 @@ let create_context_body ~fused ~timed (plan : Kernel_plan.t) : context =
                     with
                     | None -> ()
                     | Some fseed -> corrupt_cell sl.sdata fseed);
-                fun j ->
-                  let b = j / block_elems in
+                let load b =
                   if sl.cur_block <> b then begin
                     sl.fill b;
                     sl.cur_block <- b
-                  end;
-                  sl.sdata.(j - (b * block_elems))
+                  end
+                in
+                (* a tile visits blocks in ascending order, as the same
+                   reads one element at a time would *)
+                let fill dst off lo len =
+                  let j = ref lo and hi = lo + len in
+                  while !j < hi do
+                    let b = !j / block_elems in
+                    load b;
+                    let stop = Stdlib.min hi ((b + 1) * block_elems) in
+                    Array.blit sl.sdata (!j - (b * block_elems)) dst
+                      (off + (!j - lo)) (stop - !j);
+                    j := stop
+                  done
+                in
+                {
+                  Scalar_eval.get =
+                    (fun j ->
+                      let b = j / block_elems in
+                      load b;
+                      sl.sdata.(j - (b * block_elems)));
+                  fill;
+                  storage = None;
+                  (* a slab of one block loads once whatever the
+                     read order *)
+                  slabs =
+                    (if block_elems >= total then node.slabs
+                     else List.sort_uniq compare (id :: node.slabs));
+                }
           in
           Hashtbl.replace accessors id f;
           f
+    in
+    let tiled ~staged dst (nd : Graph.node) =
+      let node = Scalar_eval.compile g nd ~operand:accessor in
+      Tiled
+        {
+          dst;
+          n = Array.length dst;
+          unit = unit_of nd.id;
+          fill = node.fill;
+          staged;
+        }
     in
     let barrier_before : (int, unit) Hashtbl.t = Hashtbl.create 8 in
     List.iter (fun id -> Hashtbl.replace barrier_before id ()) kt.barrier_before;
@@ -516,26 +562,15 @@ let create_context_body ~fused ~timed (plan : Kernel_plan.t) : context =
                       Scatter
                         {
                           dst;
-                          idx = accessor indices;
-                          upd = accessor updates;
+                          idx = (accessor indices).get;
+                          upd = (accessor updates).get;
                           k = kdim;
                           row = Shape.num_elements us / kdim;
                           rows;
                           staged = true;
                         };
                     ]
-              | _ ->
-                  let elem = Scalar_eval.compile g nd ~operand:accessor in
-                  pre
-                  @ [
-                      Stage_global
-                        {
-                          dst;
-                          n = Array.length dst;
-                          unit = unit_of id;
-                          elem;
-                        };
-                    ])
+              | _ -> pre @ [ tiled ~staged:true dst nd ])
           | Tape.Materialize -> (
               let dst =
                 match arena.(id) with
@@ -545,8 +580,8 @@ let create_context_body ~fused ~timed (plan : Kernel_plan.t) : context =
               fprof.loops <- fprof.loops + 1;
               fprof.bytes_materialized <-
                 fprof.bytes_materialized + bytes_of (Tensor.num_elements dst);
-              (* materialization always runs through precompiled element
-                 closures: bit-identical to [Interp.eval_node_into] (see
+              (* materialization always runs through precompiled tile
+                 writers: bit-identical to [Interp.eval_node_into] (see
                  [Scalar_eval]) but with the per-run setup - stride
                  tables, shape checks, per-element index allocation -
                  paid once at context creation *)
@@ -559,28 +594,15 @@ let create_context_body ~fused ~timed (plan : Kernel_plan.t) : context =
                       Scatter
                         {
                           dst = Tensor.data dst;
-                          idx = accessor indices;
-                          upd = accessor updates;
+                          idx = (accessor indices).get;
+                          upd = (accessor updates).get;
                           k = kdim;
                           row = Shape.num_elements us / kdim;
                           rows;
                           staged = false;
                         };
                     ]
-              | _ ->
-                  let elem =
-                    Scalar_eval.compile g nd ~operand:accessor
-                  in
-                  pre
-                  @ [
-                      Loop
-                        {
-                          dst = Tensor.data dst;
-                          n = Tensor.num_elements dst;
-                          unit = unit_of id;
-                          elem;
-                        };
-                    ]))
+              | _ -> pre @ [ tiled ~staged:false (Tensor.data dst) nd ]))
         kt.roles
     in
     Fused_k
@@ -806,22 +828,19 @@ let run_context ?batch (ctx : context) ~params : Tensor.t list =
             fk.slabs;
           Array.iter
             (function
-              | Loop { dst; n; unit; elem } ->
+              | Tiled { dst; n; unit; fill; staged } ->
                   let n =
                     if bscale > 0 && unit > 0 then unit * bscale else n
                   in
-                  for i = 0 to n - 1 do
-                    dst.(i) <- elem i
-                  done
-              | Stage_global { dst; n; unit; elem } ->
-                  let n =
-                    if bscale > 0 && unit > 0 then unit * bscale else n
-                  in
-                  for i = 0 to n - 1 do
-                    dst.(i) <- elem i
+                  let lo = ref 0 in
+                  while !lo < n do
+                    let len = Stdlib.min Scalar_eval.tile (n - !lo) in
+                    fill dst !lo !lo len;
+                    lo := !lo + len
                   done;
-                  fk.fprof.bytes_staged_global <-
-                    fk.fprof.bytes_staged_global + bytes_of n
+                  if staged then
+                    fk.fprof.bytes_staged_global <-
+                      fk.fprof.bytes_staged_global + bytes_of n
               | Scatter { dst; idx; upd; k; row; rows; staged } ->
                   Array.fill dst 0 (Array.length dst) 0.;
                   let clamp i = Stdlib.max 0 (Stdlib.min (rows - 1) i) in

@@ -93,6 +93,12 @@ let equal_approx ?(eps = 1e-6) a b =
          Float.abs (x -. y) <= eps *. scale)
        a.data b.data
 
+let equal_bits a b =
+  Shape.equal a.shape b.shape
+  && Array.for_all2
+       (fun x y -> Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y))
+       a.data b.data
+
 let max_abs_diff a b =
   if not (Shape.equal a.shape b.shape) then infinity
   else begin

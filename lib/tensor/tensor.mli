@@ -39,6 +39,12 @@ val map2_into : (float -> float -> float) -> t -> t -> dst:t -> t
 
 val reshape : t -> Shape.t -> t
 val equal_approx : ?eps:float -> t -> t -> bool
+
+val equal_bits : t -> t -> bool
+(** Same shape and the same bits in every element: tells +0. from -0.
+    and one NaN payload from another, which [equal_approx ~eps:0.]
+    accepts. *)
+
 val max_abs_diff : t -> t -> float
 val pp : Format.formatter -> t -> unit
 

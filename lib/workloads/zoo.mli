@@ -8,6 +8,9 @@ type entry = {
   inference : unit -> Graph.t;
   training : (unit -> Graph.t) option;
   tiny : unit -> Graph.t;
+  tiny_training : (unit -> Graph.t) option;
+      (** The training graph at the tiny variant's size, when the model
+          has a training graph. *)
   batched : batch:int -> Graph.t;
       (** Test-size inference graph at the given batch, row-independent
           per request: outputs slice back bit-identical to batch-1 runs

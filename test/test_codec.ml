@@ -26,7 +26,7 @@ let compile ?(arch = Arch.v100) g = backend.Backend_intf.compile arch g
 
 let same_outputs a b =
   List.length a = List.length b
-  && List.for_all2 (fun x y -> Tensor.equal_approx ~eps:0. x y) a b
+  && List.for_all2 Tensor.equal_bits a b
 
 (* Round-trip one plan: canonical equality plus bit-identical
    execution of the decoded plan. *)

@@ -3,13 +3,21 @@
 
    The load-bearing claims, each tested directly:
    - fused execution is bit-identical to Executor.run and Interp.run on
-     every zoo workload, across backends, context and non-context paths,
-     and on QCheck-random graphs;
+     every zoo workload and tiny training graph, across backends,
+     context and non-context paths, and on QCheck-random graphs;
+   - every compiled node's tile writer writes exactly the bits its
+     element accessor returns, on any window of at most one tile,
+     including windows across rows and at a symbolic-batch prefix;
+   - one fused run of each shared-memory-overflow shape allocates a
+     bounded number of minor-heap words, far below one per element;
    - the slot arena never shares a backing buffer between overlapping
      live ranges, and the fused engine allocates strictly fewer full
      buffers than it executes ops on stitched plans;
    - Regional staging stays bit-identical when the block geometry does
      not divide the staged element count (irregular tail blocks);
+   - at batch 8 every slab block of the zoo models is staged once per
+     run, so tiling the fused loops leaves the staging counts as they
+     were;
    - kernels the tape cannot lower fall back to the reference path with
      a reason, and the mixed context is still bit-identical;
    - fused contexts write fewer full-buffer bytes than reference
@@ -32,36 +40,53 @@ let backend_named = function
   | "tf" -> Astitch_backends.Tf_backend.backend
   | n -> Alcotest.failf "unknown backend %s" n
 
+let compile_with backend g =
+  (Session.compile (backend_named backend) Arch.v100 g).Session.plan
+
 let compile_tiny backend (e : Astitch_workloads.Zoo.entry) =
-  (Session.compile (backend_named backend) Arch.v100 (e.tiny ())).Session.plan
+  compile_with backend (e.tiny ())
+
+(* every tiny graph of the registry: inference, then training where the
+   model has one *)
+let tiny_graphs () =
+  List.concat_map
+    (fun (e : Astitch_workloads.Zoo.entry) ->
+      (e.name, e.tiny ())
+      :: Option.fold ~none:[]
+           ~some:(fun build -> [ (e.name ^ "-train", build ()) ])
+           e.tiny_training)
+    Astitch_workloads.Zoo.all
 
 let check_outputs msg expected got =
   check_int (msg ^ ": output count") (List.length expected) (List.length got);
   List.iteri
     (fun i (a, b) ->
       check_bool (Printf.sprintf "%s: output %d bitwise" msg i) true
-        (Tensor.equal_approx ~eps:0. a b))
+        (Tensor.equal_bits a b))
     (List.combine expected got)
 
 (* --- Bit-identity --------------------------------------------------------- *)
 
 (* fused == reference context == fresh run == interpreter, on two
    different parameter sets through the same context (exercises buffer
-   and slab reuse across calls) *)
+   and slab reuse across calls); the training graphs' backward
+   reduce->broadcast and scatter-add chains fuse without fallbacks *)
 let test_zoo_bit_identical () =
   List.iter
-    (fun (e : Astitch_workloads.Zoo.entry) ->
+    (fun (name, g) ->
       List.iter
         (fun backend ->
-          let plan = compile_tiny backend e in
-          let g = plan.Kernel_plan.graph in
+          let plan = compile_with backend g in
           let fused = Executor.create_context ~fused:true plan in
           let reference = Executor.create_context ~fused:false plan in
+          if backend = "astitch" then
+            check_int (name ^ ": no fallbacks") 0
+              (List.length (Executor.context_fallbacks fused));
           List.iter
             (fun seed ->
               let params = Session.random_params ~seed g in
               let fo = Executor.run_context fused ~params in
-              let label = Printf.sprintf "%s/%s/seed%d" e.name backend seed in
+              let label = Printf.sprintf "%s/%s/seed%d" name backend seed in
               check_outputs (label ^ " vs reference context")
                 (Executor.run_context reference ~params)
                 fo;
@@ -70,7 +95,7 @@ let test_zoo_bit_identical () =
               check_outputs (label ^ " vs interp") (Interp.run g ~params) fo)
             [ 7; 1902 ])
         [ "astitch"; "xla"; "tf" ])
-    Astitch_workloads.Zoo.all
+    (tiny_graphs ())
 
 (* AStitch plans place on-chip values, so every zoo workload must fuse
    without fallbacks and allocate strictly fewer full buffers than it
@@ -113,10 +138,210 @@ let test_random_graphs_bit_identical =
       let params = Session.random_params ~seed g in
       let ctx = Executor.create_context ~fused:true plan in
       let fo = Executor.run_context ctx ~params in
-      let same a b =
-        List.for_all2 (fun x y -> Tensor.equal_approx ~eps:0. x y) a b
-      in
+      let same = List.for_all2 Tensor.equal_bits in
       same fo (Executor.run plan ~params) && same fo (Interp.run g ~params))
+
+(* --- Tile writers --------------------------------------------------------- *)
+
+let overflow_entries =
+  [
+    ("ASR-overflow", Astitch_workloads.Asr.overflow);
+    ("DIEN-overflow", Astitch_workloads.Dien.overflow);
+  ]
+
+(* One graph's nodes compiled the way the engine compiles them: leaves,
+   scatter-adds and every value the plan keeps off registers sit in full
+   storage holding their interpreter values, cut to [prefix id]
+   elements; Register values are compiled in turn.  [compiled id]
+   compiles any node, whatever its placement. *)
+let compiled_nodes plan ~values ~prefix =
+  let g = plan.Kernel_plan.graph in
+  let register = Hashtbl.create 64 in
+  List.iter
+    (fun (k : Kernel_plan.kernel) ->
+      List.iter
+        (fun (o : Kernel_plan.compiled_op) ->
+          if o.placement = Kernel_plan.Register then
+            Hashtbl.replace register o.id ())
+        k.ops)
+    plan.Kernel_plan.kernels;
+  let memo = Hashtbl.create 64 and stored = Hashtbl.create 64 in
+  let rec compiled id =
+    match Hashtbl.find_opt memo id with
+    | Some t -> t
+    | None ->
+        let t = Scalar_eval.compile g (Graph.node g id) ~operand in
+        Hashtbl.replace memo id t;
+        t
+  and operand id =
+    if Hashtbl.mem register id && Op.scalarizable (Graph.node g id).op then
+      compiled id
+    else
+      match Hashtbl.find_opt stored id with
+      | Some t -> t
+      | None ->
+          let arr = Array.sub (Tensor.data values.(id)) 0 (prefix id) in
+          let t =
+            Scalar_eval.storage ~get:(fun j -> arr.(j)) (fun () -> arr)
+          in
+          Hashtbl.replace stored id t;
+          t
+  in
+  compiled
+
+let bits = Int64.bits_of_float
+let sentinel = Int64.float_of_bits 0x7ff8_dead_beef_0001L
+
+(* Windows of at most one tile over the first [n] elements of a value
+   whose rows are [row] long: the first tile, one ending at [n], a
+   random one and, when there are two rows, one across a row boundary. *)
+let windows rng ~n ~row =
+  if n = 0 then []
+  else
+    let tile = Scalar_eval.tile in
+    let at_end = Stdlib.min n (1 + Random.State.int rng tile) in
+    let lo = Random.State.int rng n in
+    let across =
+      if row >= n || row = 0 then []
+      else
+        let b = row * (1 + Random.State.int rng ((n - 1) / row)) in
+        let lo = Stdlib.max 0 (b - 1 - Random.State.int rng (tile - 1)) in
+        let len =
+          Stdlib.min (n - lo)
+            (Stdlib.min tile (b - lo + 1 + Random.State.int rng tile))
+        in
+        [ (lo, len) ]
+    in
+    [
+      (0, Stdlib.min tile n);
+      (n - at_end, at_end);
+      (lo, 1 + Random.State.int rng (Stdlib.min tile (n - lo)));
+    ]
+    @ across
+
+(* [fill] writes exactly the bits [get] returns inside its window and
+   nothing outside it *)
+let fill_matches_get rng (t : Scalar_eval.t) ~n ~row =
+  List.for_all
+    (fun (lo, len) ->
+      let off = Random.State.int rng 4 in
+      let dst = Array.make (off + len + 2) sentinel in
+      t.fill dst off lo len;
+      let ok = ref true in
+      Array.iteri
+        (fun i x ->
+          let want =
+            if i >= off && i < off + len then t.get (lo + i - off) else sentinel
+          in
+          if bits x <> bits want then ok := false)
+        dst;
+      !ok)
+    (windows rng ~n ~row)
+
+let row_of g id =
+  let s = Graph.shape g id in
+  let r = Shape.rank s in
+  if r = 0 then 1 else Shape.dim s (r - 1)
+
+(* A graph prepared once: its plan, interpreter values and per-node
+   element prefix. *)
+type tile_case = {
+  label : string;
+  plan : Kernel_plan.t;
+  values : Tensor.t array;
+  prefix : Op.node_id -> int;
+}
+
+let tile_case ?prefix label g =
+  let plan = compile_with "astitch" g in
+  let values = Interp.eval_all g ~params:(Session.random_params ~seed:3 g) in
+  let prefix =
+    Option.value prefix ~default:(fun id -> Graph.num_elements g id)
+  in
+  { label; plan; values; prefix }
+
+(* Symbolic-batch prefix: batch [b] of a plan built at [smax] reads
+   only the first [b / smax] of every scaled value, so stored values
+   are cut there and windows end inside it. *)
+let prefix_case (e : Astitch_workloads.Zoo.entry) ~smax ~b =
+  match
+    Batch_axis.analyze ~g1:(e.batched ~batch:1) ~g2:(e.batched ~batch:2)
+  with
+  | Error _ -> None
+  | Ok cls ->
+      let g = e.batched ~batch:smax in
+      Some
+        (tile_case
+           ~prefix:(fun id ->
+             let n = Graph.num_elements g id in
+             match cls.(id) with
+             | Batch_axis.Invariant -> n
+             | Batch_axis.Scaled _ -> n / smax * b)
+           (Printf.sprintf "%s batch %d of %d" e.name b smax)
+           g)
+
+let tile_cases =
+  lazy
+    (List.map (fun (label, g) -> tile_case label g) (tiny_graphs ())
+    @ List.filter_map
+        (fun e -> prefix_case e ~smax:3 ~b:2)
+        Astitch_workloads.Zoo.all
+    @ [
+        tile_case "ASR-overflow" (Astitch_workloads.Asr.overflow ());
+        tile_case "DIEN-overflow" (Astitch_workloads.Dien.overflow ());
+      ])
+
+let check_case rng ~select c =
+  let g = c.plan.Kernel_plan.graph in
+  let compiled = compiled_nodes c.plan ~values:c.values ~prefix:c.prefix in
+  Graph.fold_nodes
+    (fun ok (nd : Graph.node) ->
+      ok
+      && ((not (select nd.id && Op.scalarizable nd.op))
+         ||
+         let fine =
+           fill_matches_get rng (compiled nd.id) ~n:(c.prefix nd.id)
+             ~row:(row_of g nd.id)
+         in
+         if not fine then
+           QCheck.Test.fail_reportf "%s: node %d (%s)" c.label nd.id
+             (Op.mnemonic nd.op);
+         fine))
+    true g
+
+(* Each run checks every node of a fresh random graph and a quarter of
+   the nodes of each prepared graph. *)
+let test_fill_matches_get =
+  QCheck.Test.make ~count:20
+    ~name:"fill = accessor (random, zoo, overflow, batch prefix)"
+    QCheck.(make Gen.(int_bound 100_000))
+    (fun seed ->
+      let rng = Random.State.make [| seed |] in
+      let g =
+        Astitch_workloads.Synthetic.random_graph ~seed
+          ~dims_pool:(if seed mod 2 = 0 then [ 2; 3; 5; 32 ] else [ 3; 7; 300 ])
+          ~nodes:20 ()
+      in
+      check_case rng ~select:(fun _ -> true) (tile_case "random" g)
+      && List.for_all
+           (check_case rng ~select:(fun id -> id mod 4 = seed mod 4))
+           (Lazy.force tile_cases))
+
+(* One fused run of each overflow shape allocates no per-element boxes:
+   intermediates stay in unboxed tiles. *)
+let test_overflow_allocation () =
+  List.iter
+    (fun (name, build) ->
+      let g = build () in
+      let ctx = Executor.create_context (compile_with "astitch" g) in
+      let params = Session.random_params ~seed:11 g in
+      let before = Gc.minor_words () in
+      ignore (Sys.opaque_identity (Executor.run_context ctx ~params));
+      let words = Gc.minor_words () -. before in
+      check_bool
+        (Printf.sprintf "%s: %.0f minor words per run < 64k" name words)
+        true (words < 64_000.))
+    overflow_entries
 
 (* --- Slot arena ----------------------------------------------------------- *)
 
@@ -260,6 +485,41 @@ let test_irregular_staging () =
     Astitch_workloads.Zoo.all;
   check_bool "at least one workload staged irregularly" true (!exercised > 0)
 
+(* At the served batch size every slab block of the zoo models is staged
+   once per run, however the fused loops are tiled: tile writers read
+   slabs in the order per-element reads would, so a tile that refilled a
+   block twice would show here as extra staged bytes or a restage. *)
+let test_zoo_stages_each_block_once () =
+  List.iter
+    (fun (e : Astitch_workloads.Zoo.entry) ->
+      let plan = compile_with "astitch" (e.batched ~batch:8) in
+      let g = plan.Kernel_plan.graph in
+      let one_pass =
+        List.fold_left
+          (fun acc -> function
+            | Tape.Fused kt ->
+                List.fold_left
+                  (fun acc (id, role) ->
+                    match role with
+                    | Tape.Staged _ -> acc + (8 * Graph.num_elements g id)
+                    | _ -> acc)
+                  acc kt.roles
+            | Tape.Fallback _ -> acc)
+          0 (Tape.lower plan).kernels
+      in
+      let ctx = Executor.create_context plan in
+      ignore (Executor.run_context ctx ~params:(Session.random_params ~seed:5 g));
+      let staged, restages =
+        List.fold_left
+          (fun (b, r) (k : Profile.exec_kernel) ->
+            (b + k.bytes_staged, r + k.restages))
+          (0, 0) (Executor.exec_report ctx).Profile.exec_kernels
+      in
+      check_bool (e.name ^ ": stages something") true (one_pass > 0);
+      check_int (e.name ^ ": bytes staged in one pass") one_pass staged;
+      check_int (e.name ^ ": no restages") 0 restages)
+    Astitch_workloads.Zoo.all
+
 (* --- Fallback vs demotion -------------------------------------------------- *)
 
 (* A Shared_mem op mapped as a column reduce has no contiguous block
@@ -391,12 +651,6 @@ let test_zoo_fewer_bytes_than_reference () =
 
 (* --- Global stitching execution -------------------------------------------- *)
 
-let overflow_entries =
-  [
-    ("ASR-overflow", Astitch_workloads.Asr.overflow);
-    ("DIEN-overflow", Astitch_workloads.Dien.overflow);
-  ]
-
 (* The shared-mem-overflow shapes must fuse without any fallback - the
    whole point of the global scheme - and run bit-identical to both
    reference paths while actually exercising global staging and
@@ -473,9 +727,7 @@ let test_random_overflow_bit_identical =
       let params = Session.random_params ~seed g in
       let ctx = Executor.create_context ~fused:true plan in
       let fo = Executor.run_context ctx ~params in
-      let same a b =
-        List.for_all2 (fun x y -> Tensor.equal_approx ~eps:0. x y) a b
-      in
+      let same = List.for_all2 Tensor.equal_bits in
       same fo (Executor.run plan ~params) && same fo (Interp.run g ~params))
 
 (* demote-vs-split gating on both sides of the crossover *)
@@ -521,6 +773,12 @@ let () =
             test_zoo_bit_identical;
           QCheck_alcotest.to_alcotest test_random_graphs_bit_identical;
         ] );
+      ( "tiles",
+        [
+          QCheck_alcotest.to_alcotest test_fill_matches_get;
+          Alcotest.test_case "overflow runs allocate under 64k words" `Quick
+            test_overflow_allocation;
+        ] );
       ( "arena",
         [
           Alcotest.test_case "reuse and exclusivity" `Quick
@@ -539,6 +797,8 @@ let () =
             test_fit_shared;
           Alcotest.test_case "irregular block staging" `Quick
             test_irregular_staging;
+          Alcotest.test_case "each block staged once per run" `Quick
+            test_zoo_stages_each_block_once;
         ] );
       ( "fallback",
         [

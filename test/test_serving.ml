@@ -308,7 +308,7 @@ let test_context_bit_identical () =
           let reused = Executor.run_context ctx ~params in
           List.iteri
             (fun i (a, b) ->
-              if not (Tensor.equal_approx ~eps:0. a b) then
+              if not (Tensor.equal_bits a b) then
                 Alcotest.failf
                   "%s (seed %d) output %d: context diverges from run by %g"
                   name seed i (Tensor.max_abs_diff a b))
@@ -330,7 +330,7 @@ let test_context_across_backends () =
           check_bool
             (Printf.sprintf "%s context bit-identical" b.name)
             true
-            (Tensor.equal_approx ~eps:0. a b'))
+            (Tensor.equal_bits a b'))
         fresh reused)
     [
       Astitch_backends.Tf_backend.backend;

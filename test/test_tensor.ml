@@ -19,7 +19,18 @@ let test_tensor_basics () =
     (Tensor.equal_approx (Tensor.scalar infinity) (Tensor.scalar infinity));
   check "nan equal" true
     (Tensor.equal_approx (Tensor.scalar nan) (Tensor.scalar nan));
-  check "not equal" false (Tensor.equal_approx t sq)
+  check "not equal" false (Tensor.equal_approx t sq);
+  (* bit equality tells apart what a zero tolerance lets through *)
+  let zero = Tensor.scalar 0. and neg_zero = Tensor.scalar (-0.) in
+  check "signed zeros within eps 0" true
+    (Tensor.equal_approx ~eps:0. zero neg_zero);
+  check "signed zeros differ in bits" false (Tensor.equal_bits zero neg_zero);
+  let other_nan =
+    Tensor.scalar (Int64.float_of_bits 0x7ff8_dead_beef_0001L)
+  in
+  check "nan payloads differ in bits" false
+    (Tensor.equal_bits (Tensor.scalar nan) other_nan);
+  check "equal_bits self" true (Tensor.equal_bits t (Tensor.copy t))
 
 let test_random_deterministic () =
   let a = Tensor.random ~seed:3 (Shape.of_list [ 10 ]) in

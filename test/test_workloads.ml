@@ -33,8 +33,12 @@ let test_tiny_execution () =
   List.iter (fun (e : Zoo.entry) -> exec_tiny e.name (e.tiny ())) Zoo.all
 
 let test_tiny_training_execution () =
-  exec_tiny "bert-train" (Bert.tiny_training ());
-  exec_tiny "dien-train" (Dien.tiny_training ())
+  List.iter
+    (fun (e : Zoo.entry) ->
+      Option.iter
+        (fun build -> exec_tiny (e.name ^ "-train") (build ()))
+        e.tiny_training)
+    Zoo.all
 
 let test_full_graphs_validate () =
   List.iter

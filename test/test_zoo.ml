@@ -457,7 +457,7 @@ let test_store_roundtrip_across_restart () =
           check_bool
             (Printf.sprintf "request %d bit-identical across restart" i1)
             true
-            (List.for_all2 (fun a b -> Tensor.equal_approx ~eps:0. a b) o1 o2))
+            (List.for_all2 Tensor.equal_bits o1 o2))
         cold_outs warm_outs)
 
 let test_verify_gate_accepts_intact_store () =
