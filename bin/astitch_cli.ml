@@ -5,20 +5,24 @@
    astitch_cli run <model> [-b NAME]      compile + execute on random params
    astitch_cli cuda <model> [-b NAME]     pseudo-CUDA of the plan
    astitch_cli dot <model>                Graphviz of the graph
+   astitch_cli text <model>               textual IR of the graph
+   astitch_cli parse <file>               compile a textual-IR file
+   astitch_cli explain <model>            per-kernel cost breakdown
    astitch_cli bench [EXPERIMENT]         paper tables/figures
    astitch_cli compare <model>            all backends side by side
-   astitch_cli serve [MODEL...]           batched serving with a synthetic
+   astitch_cli serve [MODEL...]           batched multi-tenant serving under
+                                          SLO classes, with an optional
+                                          plan store, driven by a synthetic
                                           open-loop request generator
-   astitch_cli zoo [MODEL...]             multi-tenant serving under SLO
-                                          classes, same generator
 
    compile/compare take --resilient (per-cluster graceful degradation,
    prints the degradation report) and repeatable
    --inject SITE:MODE[:SEED[:FUEL]] fault-injection options.
    run/compare take --fused/--no-fused to pick the execution engine
    (fused is the default; kernels the fused engine cannot lower fall
-   back to the reference path with a logged reason); serve and zoo
-   always execute fused. *)
+   back to the reference path with a logged reason); serve always
+   executes fused.  run/compare/bench/serve take --trace FILE and
+   --metrics; run --trace FILE --check re-parses the trace. *)
 
 open Cmdliner
 open Astitch_ir
@@ -127,7 +131,7 @@ let parse_injects specs =
       match acc with
       | Error _ -> acc
       | Ok ps -> (
-          match Fault.plan_of_string s with
+          match Fault_site.plan_of_string s with
           | Some p -> Ok (ps @ [ p ])
           | None ->
               Error
@@ -135,7 +139,8 @@ let parse_injects specs =
                    "bad --inject %S (want SITE:MODE[:SEED[:FUEL]]; sites: %s)"
                    s
                    (String.concat ", "
-                      (List.map Fault.site_to_string Fault.every_site)))))
+                      (List.map Fault_site.site_to_string
+                         Fault_site.every_site)))))
     (Ok []) specs
 
 (* Fault plans belong to an AStitch config; injecting into a baseline
@@ -170,9 +175,10 @@ let metrics_arg =
                  histograms with p50/p95/p99) when the command finishes.")
 
 (* Install a trace sink around [f] when [--trace FILE] was given; on the
-   way out export the collected records and, with [--metrics], dump the
-   process-wide registry.  The finally block runs even when [f] fails, so
-   a trace of a crashing run is still written. *)
+   way out export the collected records and, with [--metrics], print
+   their aggregated summary and dump the process-wide registry.  The
+   finally block runs even when [f] fails, so a trace of a crashing run
+   is still written. *)
 let with_obs ~trace ~metrics f =
   if trace <> None then Astitch_obs.Trace.install ();
   Fun.protect
@@ -181,11 +187,96 @@ let with_obs ~trace ~metrics f =
       | Some path ->
           let records = Astitch_obs.Trace.uninstall () in
           Astitch_obs.Chrome_trace.to_file ~path records;
-          Printf.printf "trace: %d records -> %s\n" (List.length records) path
+          Printf.printf "trace: %d records -> %s\n" (List.length records) path;
+          if metrics then Format.printf "%a@." Astitch_obs.Summary.pp records
       | None -> ());
       if metrics then
         Format.printf "%a@." Astitch_obs.Metrics.pp Astitch_obs.Metrics.default)
     f
+
+(* Every compile phase the stitch pipeline runs; [run --trace --check]
+   requires each to appear in the exported file (the CI smoke job greps
+   for the same list). *)
+let required_phases =
+  [
+    "clustering";
+    "remote-stitching";
+    "dominant-grouping";
+    "schedule-propagation";
+    "locality-placement";
+    "mem-planning";
+    "launch-config";
+    "codegen";
+    "kernel-schedule";
+    "run-context";
+  ]
+
+module J = Astitch_obs.Json_check
+
+(* Read and parse a JSON file with the in-tree parser. *)
+let read_json path =
+  let ic = open_in path in
+  let text =
+    Fun.protect
+      ~finally:(fun () -> close_in ic)
+      (fun () -> really_input_string ic (in_channel_length ic))
+  in
+  J.parse text
+
+(* A Chrome trace document's event array. *)
+let trace_events root =
+  match Option.bind (J.member "traceEvents" root) J.as_arr with
+  | Some evs -> Ok evs
+  | None -> Error "no traceEvents array"
+
+(* Every event's (name, category), requiring the fields real consumers
+   rely on: a name, a ph, a pid, and a ts on all but metadata events. *)
+let event_names events =
+  List.fold_left
+    (fun acc ev ->
+      Result.bind acc (fun acc ->
+          let str key = Option.bind (J.member key ev) J.as_str in
+          match (str "name", str "ph") with
+          | Some name, Some ph ->
+              if
+                J.member "pid" ev = None
+                || (J.member "ts" ev = None && ph <> "M")
+              then Error (Printf.sprintf "event %S lacks pid/ts" name)
+              else Ok ((name, Option.value ~default:"" (str "cat")) :: acc)
+          | _ -> Error "event without name/ph"))
+    (Ok []) events
+
+(* Re-parse the exported file and assert it covers every compile phase
+   and has at least one execution span per plan kernel. *)
+let validate_trace path (plan : Kernel_plan.t) =
+  let ( let* ) = Result.bind in
+  let* events = Result.bind (read_json path) trace_events in
+  let* names = event_names events in
+  let* () =
+    match
+      List.filter
+        (fun phase -> not (List.mem_assoc phase names))
+        required_phases
+    with
+    | [] -> Ok ()
+    | missing ->
+        Error ("missing compile phases: " ^ String.concat ", " missing)
+  in
+  let* () =
+    match
+      List.filter
+        (fun (k : Kernel_plan.kernel) ->
+          not (List.exists (fun (n, c) -> n = k.name && c = "exec") names))
+        plan.kernels
+    with
+    | [] -> Ok ()
+    | ks ->
+        Error
+          ("kernels without an execution span: "
+          ^ String.concat ", "
+              (List.map (fun (k : Kernel_plan.kernel) -> k.name) ks))
+  in
+  Ok (List.length events)
 
 (* --- Subcommands ------------------------------------------------------------ *)
 
@@ -307,11 +398,14 @@ let log_fallbacks ctx =
     (Executor.context_fallbacks ctx)
 
 let run_model model backend training tiny arch seed repeat fused profile_exec
-    use_cache trace metrics =
+    use_cache trace metrics check =
   match (lookup_model model ~training ~tiny, lookup_backend backend) with
   | Error e, _ | _, Error e -> `Error (false, e)
+  | Ok _, Ok _ when check && trace = None ->
+      `Error (false, "--check needs --trace FILE")
   | Ok g, Ok b ->
       with_arch arch (fun arch ->
+          let plan =
           with_obs ~trace ~metrics (fun () ->
           let repeat = Stdlib.max 1 repeat in
           let r =
@@ -366,7 +460,21 @@ let run_model model backend training tiny arch seed repeat fused profile_exec
             Profile.publish_exec (Executor.exec_report ctx);
           if profile_exec then
             Format.printf "%a@." Profile.pp_exec (Executor.exec_report ctx);
-          `Ok ()))
+          r.Session.plan)
+          in
+          match trace with
+          | Some path when check -> (
+              match validate_trace path plan with
+              | Ok n ->
+                  Printf.printf
+                    "check: OK (%d events, all %d compile phases, %d \
+                     kernels covered)\n"
+                    n
+                    (List.length required_phases)
+                    (List.length plan.Kernel_plan.kernels);
+                  `Ok ()
+              | Error e -> `Error (false, "trace check failed: " ^ e))
+          | _ -> `Ok ())
 
 let cuda model backend training tiny arch =
   match (lookup_model model ~training ~tiny, lookup_backend backend) with
@@ -507,137 +615,6 @@ let bench experiment trace metrics =
       | () -> `Ok ()
       | exception Compile_error.Error e ->
           `Error (false, Compile_error.to_string e))
-
-(* --- The trace command ------------------------------------------------------ *)
-
-(* Every compile phase the stitch pipeline runs; [trace --check] requires
-   each to appear in the exported file (the CI smoke job greps for the
-   same list). *)
-let required_phases =
-  [
-    "clustering";
-    "remote-stitching";
-    "dominant-grouping";
-    "schedule-propagation";
-    "locality-placement";
-    "mem-planning";
-    "launch-config";
-    "codegen";
-    "kernel-schedule";
-    "run-context";
-  ]
-
-module J = Astitch_obs.Json_check
-
-(* Read and parse a JSON file with the in-tree parser. *)
-let read_json path =
-  let ic = open_in path in
-  let text =
-    Fun.protect
-      ~finally:(fun () -> close_in ic)
-      (fun () -> really_input_string ic (in_channel_length ic))
-  in
-  J.parse text
-
-(* A Chrome trace document's event array. *)
-let trace_events root =
-  match Option.bind (J.member "traceEvents" root) J.as_arr with
-  | Some evs -> Ok evs
-  | None -> Error "no traceEvents array"
-
-(* Every event's (name, category), requiring the fields real consumers
-   rely on: a name, a ph, a pid, and a ts on all but metadata events. *)
-let event_names events =
-  List.fold_left
-    (fun acc ev ->
-      Result.bind acc (fun acc ->
-          let str key = Option.bind (J.member key ev) J.as_str in
-          match (str "name", str "ph") with
-          | Some name, Some ph ->
-              if
-                J.member "pid" ev = None
-                || (J.member "ts" ev = None && ph <> "M")
-              then Error (Printf.sprintf "event %S lacks pid/ts" name)
-              else Ok ((name, Option.value ~default:"" (str "cat")) :: acc)
-          | _ -> Error "event without name/ph"))
-    (Ok []) events
-
-(* Re-parse the exported file and assert it covers every compile phase
-   and has at least one execution span per plan kernel. *)
-let validate_trace path (plan : Kernel_plan.t) =
-  let ( let* ) = Result.bind in
-  let* events = Result.bind (read_json path) trace_events in
-  let* names = event_names events in
-  let* () =
-    match
-      List.filter
-        (fun phase -> not (List.mem_assoc phase names))
-        required_phases
-    with
-    | [] -> Ok ()
-    | missing ->
-        Error ("missing compile phases: " ^ String.concat ", " missing)
-  in
-  let* () =
-    match
-      List.filter
-        (fun (k : Kernel_plan.kernel) ->
-          not (List.exists (fun (n, c) -> n = k.name && c = "exec") names))
-        plan.kernels
-    with
-    | [] -> Ok ()
-    | ks ->
-        Error
-          ("kernels without an execution span: "
-          ^ String.concat ", "
-              (List.map (fun (k : Kernel_plan.kernel) -> k.name) ks))
-  in
-  Ok (List.length events)
-
-let trace_model model backend training tiny arch seed repeat out check summary
-    =
-  match (lookup_model model ~training ~tiny, lookup_backend backend) with
-  | Error e, _ | _, Error e -> `Error (false, e)
-  | Ok g, Ok b ->
-      with_arch arch (fun arch ->
-          Astitch_obs.Trace.install ();
-          let finished =
-            Fun.protect
-              ~finally:(fun () ->
-                if Astitch_obs.Trace.installed () then
-                  ignore (Astitch_obs.Trace.uninstall ()))
-              (fun () ->
-                let r = Session.compile b arch g in
-                let ctx =
-                  Executor.create_context ~fused:true ~timed:true
-                    r.Session.plan
-                in
-                let params = Session.random_params ~seed g in
-                for _ = 1 to Stdlib.max 1 repeat do
-                  ignore (Executor.run_context ctx ~params)
-                done;
-                Profile.publish_exec (Executor.exec_report ctx);
-                (r.Session.plan, Astitch_obs.Trace.uninstall ()))
-          in
-          let plan, records = finished in
-          Astitch_obs.Chrome_trace.to_file ~path:out records;
-          Printf.printf "trace: %d records -> %s\n" (List.length records) out;
-          if summary then begin
-            Format.printf "%a@." Astitch_obs.Summary.pp records;
-            Format.printf "%a@." Astitch_obs.Metrics.pp
-              Astitch_obs.Metrics.default
-          end;
-          if check then
-            match validate_trace out plan with
-            | Ok n ->
-                Printf.printf "check: OK (%d events, all %d compile phases, \
-                               %d kernels covered)\n"
-                  n
-                  (List.length required_phases)
-                  (List.length plan.Kernel_plan.kernels);
-                `Ok ()
-            | Error e -> `Error (false, "trace check failed: " ^ e)
-          else `Ok ())
 
 (* --- Serving ---------------------------------------------------------------- *)
 
@@ -797,14 +774,16 @@ let hist_line name =
 let chaos_plans seed =
   List.mapi
     (fun i site ->
-      Fault.plan site
-        ~mode:(if (seed + i) mod 2 = 0 then Fault.Raise else Fault.Corrupt)
+      Fault_site.plan site
+        ~mode:
+          (if (seed + i) mod 2 = 0 then Fault_site.Raise
+           else Fault_site.Corrupt)
         ~seed:(seed + (7 * i)) ~fuel:2)
-    Fault.runtime_sites
+    Fault_site.runtime_sites
 
-(* --- Serving traffic: the loop, tally and check serve and zoo share ------ *)
+(* --- Serving traffic -------------------------------------------------------- *)
 
-(* The flags serve and zoo share. *)
+(* The traffic and pool-shape flags. *)
 type traffic = {
   workers : int;
   max_batch : int;
@@ -827,15 +806,34 @@ type tally = {
   wall : float;
 }
 
+(* Skewed popularity: model i draws traffic proportional to 1/(i+1)
+   (first-listed model is hottest), the popularity benchmark/'s serving
+   workloads use, so CLI runs and benchmark runs stress the same
+   scheduler paths. *)
+let skewed_pick st names =
+  let n = Array.length names in
+  let weights = Array.init n (fun i -> 1. /. float_of_int (i + 1)) in
+  let total = Array.fold_left ( +. ) 0. weights in
+  let u = Random.State.float st total in
+  let rec go i acc =
+    if i >= n - 1 then names.(n - 1)
+    else
+      let acc = acc +. weights.(i) in
+      if u < acc then names.(i) else go (i + 1) acc
+  in
+  go 0 0.
+
 (* Open loop: request i arrives at its own scheduled time (exponential
    inter-arrivals at [arrival] req/s), whether or not earlier requests
    finished - so overload builds queue depth instead of slowing the
-   generator.  Each request draws its gap, then its model ([pick]), from
-   one state seeded by [--seed], so a seed replays the same model
-   sequence.  Refused submissions count as rejected; every admitted
-   ticket is awaited once the queue has drained. *)
-let drive (t : traffic) server ~pick ~submit ~await ~drain =
+   generator.  Each request draws its gap, then its model (skewed
+   popularity over [names]), from one state seeded by [--seed], so a
+   seed replays the same model sequence.  Refused submissions count as
+   rejected; every admitted ticket is awaited once the queue has
+   drained. *)
+let drive (t : traffic) zoo names =
   let module Request = Astitch_serve.Request in
+  let module Zoo = Astitch_serve.Zoo in
   let st = Random.State.make [| t.seed |] in
   let t0 = Unix.gettimeofday () in
   let clock = ref 0. in
@@ -851,22 +849,23 @@ let drive (t : traffic) server ~pick ~submit ~await ~drain =
            let until = t0 +. !clock -. Unix.gettimeofday () in
            if until > 0. then Unix.sleepf until
          end);
-        let model = pick st i in
+        let model = skewed_pick st names in
         let params =
-          Astitch_serve.Serve.random_request server ~model ~seed:(t.seed + i)
+          Astitch_serve.Serve.random_request (Zoo.server zoo) ~model
+            ~seed:(t.seed + i)
         in
-        match submit ~model ~params with
+        match Zoo.submit_async zoo ~model ~params with
         | Ok ticket -> Some (i, ticket)
         | Error _ ->
             incr rejected;
             None)
       (List.init t.requests Fun.id)
   in
-  drain ();
+  Zoo.drain zoo;
   let wall = Unix.gettimeofday () -. t0 in
   List.fold_left
     (fun r (i, ticket) ->
-      match await ticket with
+      match Zoo.await zoo ticket with
       | Request.Done { degraded; _ } ->
           {
             r with
@@ -887,20 +886,10 @@ let drive (t : traffic) server ~pick ~submit ~await ~drain =
     }
     tickets
 
-let print_tally (s : Astitch_serve.Serve.stats) r =
-  Printf.printf "admitted %d  rejected %d  shed %d\n" s.submitted r.rejected
-    r.shed;
-  Printf.printf "completed %d  degraded %d  failed %d\n" r.completed r.degraded
-    r.failed
-
-let print_throughput r =
-  Printf.printf "wall %.3fs  throughput %.1f req/s\n" r.wall
-    (float_of_int r.completed /. Float.max r.wall 1e-9)
-
 (* The --check verdict: the supervision contract (nothing failed,
    something completed, no padded row, every request completed, shed,
-   failed or refused, none lost), then the command's own [extra]
-   (violated, reason) pairs, then the emitted files re-parsed. *)
+   failed or refused, none lost), then the run's [extra] (violated,
+   reason) pairs, then the emitted files re-parsed. *)
 let check_run (t : traffic) r ~padded_rows ~lost ~extra ~trace ~dumps
     ~stats_json =
   let accounted = r.completed + r.failed + r.shed + r.rejected in
@@ -958,150 +947,6 @@ let check_run (t : traffic) r ~padded_rows ~lost ~extra ~trace ~dumps
                    (List.length dumps));
             `Ok ())
 
-(* --- Single-tenant serving ------------------------------------------------ *)
-
-let serve_cmd_impl models (t : traffic) deadline_us verify_every arch trace
-    metrics chaos injects retry_budget breaker_threshold blame
-    stats_json recorder =
-  match (resolve_serve_models models, parse_injects injects) with
-  | Error e, _ | _, Error e -> `Error (false, e)
-  | Ok models, Ok inject_plans ->
-      let fault_plans =
-        inject_plans @ if chaos then chaos_plans t.seed else []
-      in
-      with_arch arch (fun arch ->
-          let module Serve = Astitch_serve.Serve in
-          let module Flight = Astitch_obs.Flight in
-          let with_plans f =
-            if fault_plans = [] then f () else Fault.with_faults fault_plans f
-          in
-          (match recorder with
-          | None -> ()
-          | Some dir ->
-              (try Unix.mkdir dir 0o755
-               with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
-              Flight.arm ~dir ();
-              Printf.printf "flight recorder: armed -> %s\n%!" dir);
-          let r, padded_rows, lost =
-            with_obs ~trace ~metrics (fun () ->
-                with_plans (fun () ->
-                    let config =
-                      {
-                        Serve.default_config with
-                        workers = t.workers;
-                        max_batch = t.max_batch;
-                        max_wait_us = t.max_wait_us;
-                        queue_depth = t.queue_depth;
-                        default_deadline_us = deadline_us;
-                        arch;
-                        verify_every;
-                        seed = t.seed;
-                        retry_budget;
-                        breaker_threshold;
-                      }
-                    in
-                    let server = Serve.create ~config models in
-                    let n_models = List.length models in
-                    Printf.printf
-                      "serve: %d model%s, %d workers, max-batch %d, window \
-                       %.0fus, depth %d\n\
-                       %!"
-                      n_models
-                      (if n_models = 1 then "" else "s")
-                      t.workers t.max_batch t.max_wait_us t.queue_depth;
-                    List.iter
-                      (fun (m : Serve.model) ->
-                        Printf.printf "  %s: %s\n%!" m.Serve.name
-                          (if Serve.symbolic server ~model:m.Serve.name then
-                             "shape-polymorphic (1 plan, any batch size)"
-                           else "fixed-extent (1 plan per batch size)"))
-                      models;
-                    if fault_plans <> [] then
-                      Printf.printf "chaos: %s\n%!"
-                        (String.concat " "
-                           (List.map Fault.plan_to_string fault_plans));
-                    Serve.warm server;
-                    (* round-robin across the models *)
-                    let names =
-                      Array.of_list
-                        (List.map (fun (m : Serve.model) -> m.name) models)
-                    in
-                    let r =
-                      drive t server
-                        ~pick:(fun _ i -> names.(i mod n_models))
-                        ~submit:(Serve.submit_async server)
-                        ~await:(Serve.await server)
-                        ~drain:(fun () -> Serve.drain server)
-                    in
-                    Serve.shutdown server;
-                    let s = Serve.stats server in
-                    let sup = Serve.supervision server in
-                    print_tally s r;
-                    Printf.printf
-                      "retried %d  restarts %d  quarantined %d  wedged %d  \
-                       breaker open/close %d/%d\n"
-                      s.retried sup.Serve.restarts sup.Serve.quarantined
-                      sup.Serve.wedged s.breaker_opens s.breaker_closes;
-                    let mean_batch =
-                      Astitch_obs.Metrics.hist_mean
-                        (Astitch_obs.Metrics.histogram
-                           Astitch_obs.Metrics.default "serve.batch_size")
-                    in
-                    Printf.printf
-                      "batches %d  mean batch %.2f  max queue depth %d\n"
-                      s.batches mean_batch s.max_depth_seen;
-                    Printf.printf
-                      "padded rows %d  plan compiles %d  contexts %s\n"
-                      s.padded_rows s.plan_compiles
-                      (String.concat " "
-                         (List.map
-                            (fun (name, n) -> Printf.sprintf "%s=%d" name n)
-                            (Serve.context_pool_sizes server)));
-                    print_throughput r;
-                    Printf.printf "latency us:    %s\n"
-                      (hist_line "serve.request_us");
-                    Printf.printf "queue wait us: %s\n"
-                      (hist_line "serve.queue_wait_us");
-                    if blame then print_blame_table ();
-                    (match stats_json with
-                    | None -> ()
-                    | Some path ->
-                        write_serve_stats_json ~path server
-                          ~rejected:r.rejected;
-                        Printf.printf "stats json -> %s\n" path);
-                    (r, s.padded_rows, (Serve.disposition server).Serve.lost)))
-          in
-          let dumps =
-            match recorder with
-            | None -> []
-            | Some _ ->
-                let ps = Flight.dump_paths () in
-                let sup = Flight.suppressed () in
-                Flight.disarm ();
-                Printf.printf "flight recorder: %d incident dump%s%s\n"
-                  (List.length ps)
-                  (if List.length ps = 1 then "" else "s")
-                  (if sup = 0 then ""
-                   else Printf.sprintf " (%d suppressed past the limit)" sup);
-                List.iter (fun p -> Printf.printf "  %s\n" p) ps;
-                ps
-          in
-          check_run t r ~padded_rows ~lost ~extra:[] ~trace ~dumps
-            ~stats_json)
-
-(* --- Multi-tenant zoo ------------------------------------------------------- *)
-
-(* With no --slo the classes cycle in registration order, so a bare
-   `zoo` run still exercises the whole multi-tenant scheduler: EDF
-   inside the latency class, strict priority over throughput, and the
-   fair-share floor keeping best-effort alive. *)
-let default_slo_cycle =
-  [
-    Astitch_serve.Slo.Latency { deadline_us = 50_000. };
-    Astitch_serve.Slo.Throughput;
-    Astitch_serve.Slo.Best_effort;
-  ]
-
 let parse_slo_specs specs =
   List.fold_left
     (fun acc spec ->
@@ -1125,23 +970,6 @@ let parse_slo_specs specs =
                 | Error e -> Error (Printf.sprintf "bad --slo %S: %s" spec e))))
     (Ok []) specs
 
-(* Skewed popularity: model i draws traffic proportional to 1/(i+1)
-   (first-listed model is hottest), the popularity benchmark/'s serving
-   workloads use, so CLI runs and benchmark runs stress the same
-   scheduler paths. *)
-let skewed_pick st names =
-  let n = Array.length names in
-  let weights = Array.init n (fun i -> 1. /. float_of_int (i + 1)) in
-  let total = Array.fold_left ( +. ) 0. weights in
-  let u = Random.State.float st total in
-  let rec go i acc =
-    if i >= n - 1 then names.(n - 1)
-    else
-      let acc = acc +. weights.(i) in
-      if u < acc then names.(i) else go (i + 1) acc
-  in
-  go 0 0.
-
 (* Top-level compile spans only (one per plan compiled), not the
    backend-pass spans nested inside them: "zero" must mean zero plans
    compiled, and a nonzero count should read as a number of plans. *)
@@ -1157,35 +985,37 @@ let count_compile_spans records =
       | _ -> acc)
     0 records
 
-let zoo_cmd_impl names slo_specs plan_dir verify_plans (t : traffic)
-    fair_share_floor arch trace metrics expect_warm =
-  let names = if names = [] then [ "CRNN"; "ASR"; "DIEN" ] else names in
-  match (resolve_serve_models names, parse_slo_specs slo_specs) with
-  | Error e, _ | _, Error e -> `Error (false, e)
-  | Ok models, Ok specs -> (
-      match
-        List.find_opt (fun (m, _) -> not (List.mem m names)) specs
-      with
+(* --- The serve command ------------------------------------------------------ *)
+
+(* Every run is a zoo: each model registered under its --slo class
+   (best-effort when unlisted), plans loaded from --plan-dir or compiled
+   by prewarm before traffic starts, and one pool of worker domains
+   behind one scheduler. *)
+let serve_cmd_impl models slo_specs plan_dir verify_plans expect_warm
+    fair_share_floor (t : traffic) verify_every arch trace metrics chaos
+    injects retry_budget breaker_threshold blame stats_json recorder =
+  match
+    (resolve_serve_models models, parse_slo_specs slo_specs,
+     parse_injects injects)
+  with
+  | Error e, _, _ | _, Error e, _ | _, _, Error e -> `Error (false, e)
+  | Ok models, Ok specs, Ok inject_plans -> (
+      let module Serve = Astitch_serve.Serve in
+      let module Slo = Astitch_serve.Slo in
+      let module Zoo = Astitch_serve.Zoo in
+      let module Flight = Astitch_obs.Flight in
+      let names = List.map (fun (m : Serve.model) -> m.name) models in
+      match List.find_opt (fun (m, _) -> not (List.mem m names)) specs with
       | Some (m, _) ->
           `Error (false, Printf.sprintf "--slo names unserved model %s" m)
       | None ->
           with_arch arch (fun arch ->
-              let module Serve = Astitch_serve.Serve in
-              let module Slo = Astitch_serve.Slo in
-              let module Zoo = Astitch_serve.Zoo in
               let registrations =
-                List.mapi
-                  (fun i (m : Serve.model) ->
-                    let slo =
-                      match List.assoc_opt m.Serve.name specs with
-                      | Some s -> s
-                      | None ->
-                          if specs = [] then
-                            List.nth default_slo_cycle
-                              (i mod List.length default_slo_cycle)
-                          else Slo.Best_effort
-                    in
-                    (m, slo))
+                List.map
+                  (fun (m : Serve.model) ->
+                    ( m,
+                      Option.value ~default:Slo.Best_effort
+                        (List.assoc_opt m.name specs) ))
                   models
               in
               let config =
@@ -1198,115 +1028,188 @@ let zoo_cmd_impl names slo_specs plan_dir verify_plans (t : traffic)
                       max_wait_us = t.max_wait_us;
                       queue_depth = t.queue_depth;
                       arch;
+                      verify_every;
                       seed = t.seed;
+                      retry_budget;
+                      breaker_threshold;
                       fair_share_floor;
                     };
                   plan_dir;
                   verify_plans;
                 }
               in
-              let r, padded_rows, lost, (p : Zoo.prewarm), traffic_compiles =
-                with_obs ~trace ~metrics (fun () ->
-                  let zoo = Zoo.create ~config registrations in
-                  let server = Zoo.server zoo in
-                  let n_models = List.length models in
-                  Printf.printf
-                    "zoo: %d model%s, %d workers, max-batch %d, depth %d, \
-                     floor %.3f%s\n\
-                     %!"
-                    n_models
-                    (if n_models = 1 then "" else "s")
-                    t.workers t.max_batch t.queue_depth fair_share_floor
-                    (match plan_dir with
-                    | None -> ""
-                    | Some d -> Printf.sprintf ", plan-dir %s" d);
-                  List.iter
-                    (fun ((m : Serve.model), slo) ->
-                      Printf.printf "  %-12s %-16s %s\n%!" m.Serve.name
-                        (Slo.to_string slo)
-                        (if Serve.symbolic server ~model:m.Serve.name then
-                           "shape-polymorphic"
-                         else "fixed-extent"))
-                    registrations;
-                  let t_pre = Unix.gettimeofday () in
-                  let p = Zoo.prewarm zoo in
-                  Printf.printf
-                    "prewarm: %.0f ms  loaded %d  verified %d  rejected %d  \
-                     saved %d\n"
-                    ((Unix.gettimeofday () -. t_pre) *. 1e3)
-                    p.Zoo.loaded p.Zoo.verified p.Zoo.rejected p.Zoo.saved;
-                  (* The line the CI smoke job greps: a restart against a
-                     warm store must print "cold compiles: 0". *)
-                  Printf.printf "cold compiles: %d\n%!" p.Zoo.compiled;
-                  (* The flight recorder goes up only now, after prewarm:
-                     any compile-phase span it captures happened while
-                     serving traffic - the thing a warm store promises
-                     never occurs. *)
-                  Astitch_obs.Trace.recorder_install ();
-                  let model_names =
-                    Array.of_list
-                      (List.map (fun (m : Serve.model) -> m.Serve.name) models)
-                  in
-                  let r =
-                    drive t server
-                      ~pick:(fun st _ -> skewed_pick st model_names)
-                      ~submit:(Zoo.submit_async zoo)
-                      ~await:(Zoo.await zoo)
-                      ~drain:(fun () -> Zoo.drain zoo)
-                  in
-                  let records = Astitch_obs.Trace.recorder_uninstall () in
-                  let traffic_compiles = count_compile_spans records in
-                  let saved_at_shutdown = Zoo.shutdown zoo in
-                  let s = Serve.stats server in
-                  let d = Serve.disposition server in
-                  print_tally s r;
-                  Printf.printf
-                    "floor picks %d  displaced %d  shed-at-admission %d  \
-                     lost %d\n"
-                    s.Serve.floor_picks s.Serve.displaced
-                    s.Serve.shed_admission d.Serve.lost;
-                  Printf.printf
-                    "compile-phase spans during traffic: %d\n"
-                    traffic_compiles;
-                  Printf.printf "plans saved at shutdown: %d\n"
-                    saved_at_shutdown;
-                  print_throughput r;
-                  Printf.printf
-                    "  %-12s %5s %5s %5s %5s %5s %5s %9s %8s %8s %8s %9s\n"
-                    "class" "sub" "done" "shed" "rej" "fail" "met" "mean_us"
-                    "p50" "p95" "p99" "goodput/s";
-                  List.iter
-                    (fun (c : Astitch_serve.Scheduler.class_stats) ->
-                      Printf.printf
-                        "  %-12s %5d %5d %5d %5d %5d %5d %9.0f %8.0f %8.0f \
-                         %8.0f %9.1f\n"
-                        c.cls c.submitted c.completed c.shed c.rejected
-                        c.failed c.deadline_met c.mean_us c.p50_us c.p95_us
-                        c.p99_us
-                        (float_of_int c.deadline_met
-                        /. Float.max r.wall 1e-9))
-                    (Zoo.class_stats zoo);
-                  pp_cache_stats
-                    (Plan_cache.stats (Serve.plan_cache server));
-                  (r, s.Serve.padded_rows, d.Serve.lost, p, traffic_compiles))
+              let fault_plans =
+                inject_plans @ if chaos then chaos_plans t.seed else []
               in
-              check_run t r ~padded_rows ~lost
-                ~extra:
-                  [
-                    ( verify_plans && p.rejected > 0,
-                      Printf.sprintf "%d plans failed the bit-identity gate"
-                        p.rejected );
-                    ( expect_warm && p.compiled > 0,
-                      Printf.sprintf
-                        "expected a warm store but prewarm compiled %d plans"
-                        p.compiled );
-                    ( expect_warm && traffic_compiles > 0,
-                      Printf.sprintf
-                        "%d compile-phase spans during traffic (warm store \
-                         promises 0)"
-                        traffic_compiles );
-                  ]
-                ~trace ~dumps:[] ~stats_json:None))
+              (* [Serve.create] refuses a bad config (no worker domain,
+                 an empty batch or queue...) with [Invalid_argument]
+                 before it takes any resource *)
+              match
+                with_obs ~trace ~metrics (fun () ->
+                    Fault_site.with_faults fault_plans (fun () ->
+                        let zoo = Zoo.create ~config registrations in
+                        let server = Zoo.server zoo in
+                        let n_models = List.length models in
+                        Printf.printf
+                          "serve: %d model%s, %d workers, max-batch %d, \
+                           window %.0fus, depth %d, floor %.3f%s\n\
+                           %!"
+                          n_models
+                          (if n_models = 1 then "" else "s")
+                          t.workers t.max_batch t.max_wait_us t.queue_depth
+                          fair_share_floor
+                          (match plan_dir with
+                          | None -> ""
+                          | Some d -> Printf.sprintf ", plan-dir %s" d);
+                        List.iter
+                          (fun ((m : Serve.model), slo) ->
+                            Printf.printf "  %-12s %-16s %s\n%!" m.name
+                              (Slo.to_string slo)
+                              (if Serve.symbolic server ~model:m.name then
+                                 "shape-polymorphic (1 plan, any batch size)"
+                               else "fixed-extent (1 plan per batch size)"))
+                          registrations;
+                        if fault_plans <> [] then
+                          Printf.printf "chaos: %s\n%!"
+                            (String.concat " "
+                               (List.map Fault_site.plan_to_string
+                                  fault_plans));
+                        let t_pre = Unix.gettimeofday () in
+                        let p = Zoo.prewarm zoo in
+                        Printf.printf
+                          "prewarm: %.0f ms  loaded %d  verified %d  \
+                           rejected %d  saved %d\n"
+                          ((Unix.gettimeofday () -. t_pre) *. 1e3)
+                          p.loaded p.verified p.rejected p.saved;
+                        (* The line the CI smoke job greps: a restart
+                           against a warm store must print "cold
+                           compiles: 0". *)
+                        Printf.printf "cold compiles: %d\n%!" p.compiled;
+                        (* The recorder goes up only now, after prewarm:
+                           any compile-phase span it captures happened
+                           while serving traffic - the thing a warm store
+                           promises never occurs.  --recorder arms the
+                           same ring for incident dumps. *)
+                        (match recorder with
+                        | None -> Astitch_obs.Trace.recorder_install ()
+                        | Some dir ->
+                            (try Unix.mkdir dir 0o755
+                             with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
+                            Flight.arm ~dir ();
+                            Printf.printf "flight recorder: armed -> %s\n%!"
+                              dir);
+                        let r = drive t zoo (Array.of_list names) in
+                        let traffic_compiles =
+                          count_compile_spans
+                            (if recorder = None then
+                               Astitch_obs.Trace.recorder_uninstall ()
+                             else Astitch_obs.Trace.recorder_records ())
+                        in
+                        let saved_at_shutdown = Zoo.shutdown zoo in
+                        let s = Serve.stats server in
+                        let sup = Serve.supervision server in
+                        let d = Serve.disposition server in
+                        Printf.printf "admitted %d  rejected %d  shed %d\n"
+                          s.submitted r.rejected r.shed;
+                        Printf.printf "completed %d  degraded %d  failed %d\n"
+                          r.completed r.degraded r.failed;
+                        Printf.printf
+                          "retried %d  restarts %d  quarantined %d  wedged \
+                           %d  breaker open/close %d/%d\n"
+                          s.retried sup.restarts sup.quarantined sup.wedged
+                          s.breaker_opens s.breaker_closes;
+                        Printf.printf
+                          "floor picks %d  displaced %d  shed-at-admission \
+                           %d  lost %d\n"
+                          s.floor_picks s.displaced s.shed_admission d.lost;
+                        Printf.printf
+                          "batches %d  mean batch %.2f  max queue depth %d\n"
+                          s.batches
+                          (Astitch_obs.Metrics.hist_mean
+                             (Astitch_obs.Metrics.histogram
+                                Astitch_obs.Metrics.default "serve.batch_size"))
+                          s.max_depth_seen;
+                        Printf.printf
+                          "padded rows %d  plan compiles %d  contexts %s\n"
+                          s.padded_rows s.plan_compiles
+                          (String.concat " "
+                             (List.map
+                                (fun (name, n) -> Printf.sprintf "%s=%d" name n)
+                                (Serve.context_pool_sizes server)));
+                        Printf.printf "compile-phase spans during traffic: %d\n"
+                          traffic_compiles;
+                        Printf.printf "plans saved at shutdown: %d\n"
+                          saved_at_shutdown;
+                        Printf.printf "wall %.3fs  throughput %.1f req/s\n"
+                          r.wall
+                          (float_of_int r.completed /. Float.max r.wall 1e-9);
+                        Printf.printf "latency us:    %s\n"
+                          (hist_line "serve.request_us");
+                        Printf.printf "queue wait us: %s\n"
+                          (hist_line "serve.queue_us");
+                        Printf.printf
+                          "  %-12s %5s %5s %5s %5s %5s %5s %9s %8s %8s %8s \
+                           %9s\n"
+                          "class" "sub" "done" "shed" "rej" "fail" "met"
+                          "mean_us" "p50" "p95" "p99" "goodput/s";
+                        List.iter
+                          (fun (c : Astitch_serve.Scheduler.class_stats) ->
+                            Printf.printf
+                              "  %-12s %5d %5d %5d %5d %5d %5d %9.0f %8.0f \
+                               %8.0f %8.0f %9.1f\n"
+                              c.cls c.submitted c.completed c.shed c.rejected
+                              c.failed c.deadline_met c.mean_us c.p50_us
+                              c.p95_us c.p99_us
+                              (float_of_int c.deadline_met
+                              /. Float.max r.wall 1e-9))
+                          (Zoo.class_stats zoo);
+                        pp_cache_stats
+                          (Plan_cache.stats (Serve.plan_cache server));
+                        if blame then print_blame_table ();
+                        (match stats_json with
+                        | None -> ()
+                        | Some path ->
+                            write_serve_stats_json ~path server
+                              ~rejected:r.rejected;
+                            Printf.printf "stats json -> %s\n" path);
+                        (r, s.padded_rows, d.lost, p, traffic_compiles)))
+              with
+              | exception Invalid_argument e -> `Error (false, e)
+              | r, padded_rows, lost, (p : Zoo.prewarm), traffic_compiles ->
+                  let dumps =
+                    match recorder with
+                    | None -> []
+                    | Some _ ->
+                        let ps = Flight.dump_paths () in
+                        let sup = Flight.suppressed () in
+                        Flight.disarm ();
+                        Printf.printf "flight recorder: %d incident dump%s%s\n"
+                          (List.length ps)
+                          (if List.length ps = 1 then "" else "s")
+                          (if sup = 0 then ""
+                           else
+                             Printf.sprintf " (%d suppressed past the limit)"
+                               sup);
+                        List.iter (fun p -> Printf.printf "  %s\n" p) ps;
+                        ps
+                  in
+                  check_run t r ~padded_rows ~lost ~trace ~dumps ~stats_json
+                    ~extra:
+                      [
+                        ( verify_plans && p.rejected > 0,
+                          Printf.sprintf "%d plans failed the bit-identity gate"
+                            p.rejected );
+                        ( expect_warm && p.compiled > 0,
+                          Printf.sprintf
+                            "expected a warm store but prewarm compiled %d \
+                             plans"
+                            p.compiled );
+                        ( expect_warm && traffic_compiles > 0,
+                          Printf.sprintf
+                            "%d compile-phase spans during traffic (warm store \
+                             promises 0)"
+                            traffic_compiles );
+                      ]))
 
 (* --- Command wiring ----------------------------------------------------------- *)
 
@@ -1378,6 +1281,13 @@ let run_cmd =
                    materialized vs scalarized/staged, arena high-water \
                    mark.")
   in
+  let check_arg =
+    Arg.(value & flag
+         & info [ "check" ]
+             ~doc:"With $(b,--trace): re-parse the written file and fail \
+                   unless it is valid JSON covering every compile phase and \
+                   one execution span per kernel.")
+  in
   Cmd.v
     (Cmd.info "run"
        ~doc:"Compile a workload and execute it on random parameters")
@@ -1385,7 +1295,7 @@ let run_cmd =
       ret
         (const run_model $ model_arg $ backend_arg $ training_arg $ tiny_arg
        $ arch_arg $ seed_arg $ run_repeat_arg $ fused_arg
-       $ profile_exec_arg $ cache_arg $ trace_arg $ metrics_arg))
+       $ profile_exec_arg $ cache_arg $ trace_arg $ metrics_arg $ check_arg))
 
 let bench_cmd =
   let exp_arg =
@@ -1395,42 +1305,6 @@ let bench_cmd =
   Cmd.v
     (Cmd.info "bench" ~doc:"Reproduce the paper's tables and figures")
     Term.(ret (const bench $ exp_arg $ trace_arg $ metrics_arg))
-
-let trace_cmd =
-  let seed_arg =
-    Arg.(value & opt int 42 & info [ "seed" ] ~docv:"N"
-           ~doc:"Seed for the random parameter values.")
-  in
-  let trace_repeat_arg =
-    Arg.(value & opt int 1 & info [ "repeat" ] ~docv:"N"
-           ~doc:"Execute N times so per-kernel spans repeat.")
-  in
-  let out_arg =
-    Arg.(value & opt string "trace.json" & info [ "out"; "o" ] ~docv:"FILE"
-           ~doc:"Output path for the Chrome trace-event JSON.")
-  in
-  let check_arg =
-    Arg.(value & flag
-         & info [ "check" ]
-             ~doc:"Re-parse the emitted file and verify it is valid JSON \
-                   covering every compile phase and one execution span per \
-                   kernel; exit non-zero otherwise.")
-  in
-  let summary_arg =
-    Arg.(value & flag
-         & info [ "summary" ]
-             ~doc:"Also print the aggregated text summary and the metrics \
-                   registry.")
-  in
-  Cmd.v
-    (Cmd.info "trace"
-       ~doc:"Compile and execute a workload under the trace sink and export \
-             a Chrome trace-event JSON file")
-    Term.(
-      ret
-        (const trace_model $ model_arg $ backend_arg $ training_arg
-       $ tiny_arg $ arch_arg $ seed_arg $ trace_repeat_arg $ out_arg
-       $ check_arg $ summary_arg))
 
 let explain_cmd =
   let top_arg =
@@ -1463,13 +1337,11 @@ let parse_cmd =
     (Cmd.info "parse" ~doc:"Parse a textual-IR file, compile and profile it")
     Term.(ret (const parse_file $ file_arg $ backend_arg $ arch_arg))
 
-(* The eight flags serve and zoo share, with the same defaults. *)
+(* The traffic and pool-shape flags of serve. *)
 let traffic_term =
   let workers =
     Arg.(value & opt int 2 & info [ "workers" ] ~docv:"N"
-           ~doc:"Worker domains executing batches (0 = caller-runs: \
-                 batches execute on the submitting thread during \
-                 await/drain).")
+           ~doc:"Worker domains executing batches (at least 1).")
   in
   let max_batch =
     Arg.(value & opt int 8 & info [ "max-batch" ] ~docv:"N"
@@ -1487,14 +1359,14 @@ let traffic_term =
     Arg.(value & opt int 64 & info [ "queue-depth" ] ~docv:"N"
            ~doc:"Admission-control bound across models: past this backlog, \
                  submissions are refused with a structured overload \
-                 instead of queuing (the zoo first displaces best-effort \
-                 entries to admit higher classes).")
+                 instead of queuing (a full queue first displaces a \
+                 lower-class entry to admit a higher-class arrival).")
   in
   let requests =
     Arg.(value & opt int 100 & info [ "requests" ] ~docv:"N"
-           ~doc:"Total synthetic requests: round-robin across the models \
-                 for serve, skewed popularity (first-listed model hottest) \
-                 for zoo.")
+           ~doc:"Total synthetic requests, drawn with skewed popularity \
+                 (model i gets weight 1/(i+1): the first-listed model is \
+                 hottest).")
   in
   let arrival =
     Arg.(value & opt float 0. & info [ "arrival" ] ~docv:"RATE"
@@ -1504,7 +1376,7 @@ let traffic_term =
   let seed =
     Arg.(value & opt int 42 & info [ "seed" ] ~docv:"N"
            ~doc:"Seed for weights, request payloads, arrivals and the \
-                 zoo's popularity draws.")
+                 popularity draws.")
   in
   let check =
     Arg.(value & flag
@@ -1512,10 +1384,9 @@ let traffic_term =
              ~doc:"Exit non-zero unless every request is accounted for \
                    (completed, shed or refused) with none failed or lost \
                    and no padded row; also re-parse every emitted file \
-                   (--trace, and for serve --recorder dumps and \
-                   --stats-json).  In zoo it composes with --verify-plans \
-                   (no gate rejections) and --expect-warm (zero cold \
-                   compiles).")
+                   (--trace, --recorder dumps, --stats-json).  Composes \
+                   with --verify-plans (no gate rejections) and \
+                   --expect-warm (zero cold compiles).")
   in
   Term.(
     const
@@ -1539,10 +1410,46 @@ let serve_cmd =
     Arg.(value & pos_all string [] & info [] ~docv:"MODEL"
            ~doc:"Zoo models to serve (default: ASR DIEN).")
   in
-  let deadline_arg =
-    Arg.(value & opt (some float) None & info [ "deadline-us" ] ~docv:"US"
-           ~doc:"Per-request deadline relative to submission; expired \
-                 requests are shed, not executed.")
+  let slo_arg =
+    Arg.(value & opt_all string []
+         & info [ "slo" ] ~docv:"MODEL=CLASS"
+             ~doc:"SLO class for a model (repeatable): \
+                   MODEL=latency:DEADLINE_US, MODEL=throughput or \
+                   MODEL=best-effort.  Unlisted models are best-effort.  A \
+                   latency class's deadline is every request's deadline; \
+                   expired requests are shed, not executed.")
+  in
+  let plan_dir_arg =
+    Arg.(value & opt (some string) None
+         & info [ "plan-dir" ] ~docv:"DIR"
+             ~doc:"Persistent plan store: prewarm loads each model's plans \
+                   from DIR instead of compiling (saving fresh compiles \
+                   back), and shutdown persists everything compiled since. \
+                   A restart against the same DIR reports \"cold compiles: \
+                   0\".")
+  in
+  let verify_plans_arg =
+    Arg.(value & flag
+         & info [ "verify-plans" ]
+             ~doc:"Bit-identity gate: recompile every store-loaded plan and \
+                   require its canonical encoding to equal the fresh \
+                   compile's, discarding mismatches.  Costs the compiles \
+                   the store was saving - a verification mode, not the \
+                   serving default.")
+  in
+  let expect_warm_arg =
+    Arg.(value & flag
+         & info [ "expect-warm" ]
+             ~doc:"With --check: fail unless prewarm compiled nothing \
+                   (every plan came from the store) and no compile-phase \
+                   span occurred while serving traffic.")
+  in
+  let floor_arg =
+    Arg.(value & opt float 0.125 & info [ "fair-share-floor" ] ~docv:"F"
+           ~doc:"Fraction of dispatches reserved for the least-served \
+                 model, so best-effort tenants keep making progress under \
+                 overload (0 = pure strict priority).  Applies only when \
+                 the models span two or more SLO classes.")
   in
   let verify_arg =
     Arg.(value & opt int 0 & info [ "verify-every" ] ~docv:"N"
@@ -1593,70 +1500,16 @@ let serve_cmd =
   in
   Cmd.v
     (Cmd.info "serve"
-       ~doc:"Run the batched serving runtime under a synthetic open-loop \
-             request generator")
+       ~doc:"Serve models from one supervised worker pool under SLO-class \
+             scheduling, with an optional persistent plan store, driven by \
+             a synthetic open-loop request generator")
     Term.(
       ret
-        (const serve_cmd_impl $ models_arg $ traffic_term $ deadline_arg
+        (const serve_cmd_impl $ models_arg $ slo_arg $ plan_dir_arg
+       $ verify_plans_arg $ expect_warm_arg $ floor_arg $ traffic_term
        $ verify_arg $ arch_arg $ trace_arg $ metrics_arg $ chaos_arg
        $ inject_arg $ retry_budget_arg $ breaker_arg $ blame_arg
        $ stats_json_arg $ recorder_arg))
-
-let zoo_cmd =
-  let models_arg =
-    Arg.(value & pos_all string [] & info [] ~docv:"MODEL"
-           ~doc:"Zoo models to host (default: CRNN ASR DIEN).")
-  in
-  let slo_arg =
-    Arg.(value & opt_all string []
-         & info [ "slo" ] ~docv:"MODEL=CLASS"
-             ~doc:"SLO class for a model (repeatable): \
-                   MODEL=latency:DEADLINE_US, MODEL=throughput or \
-                   MODEL=best-effort.  Unlisted models default to \
-                   best-effort; with no --slo at all the classes cycle \
-                   latency/throughput/best-effort in model order.")
-  in
-  let plan_dir_arg =
-    Arg.(value & opt (some string) None
-         & info [ "plan-dir" ] ~docv:"DIR"
-             ~doc:"Persistent plan store: prewarm loads each model's plans \
-                   from DIR instead of compiling (saving fresh compiles \
-                   back), and shutdown persists everything compiled since. \
-                   A restart against the same DIR reports \"cold compiles: \
-                   0\".")
-  in
-  let verify_plans_arg =
-    Arg.(value & flag
-         & info [ "verify-plans" ]
-             ~doc:"Bit-identity gate: recompile every store-loaded plan and \
-                   require its canonical encoding to equal the fresh \
-                   compile's, discarding mismatches.  Costs the compiles \
-                   the store was saving - a verification mode, not the \
-                   serving default.")
-  in
-  let floor_arg =
-    Arg.(value & opt float 0.125 & info [ "fair-share-floor" ] ~docv:"F"
-           ~doc:"Fraction of dispatches reserved for the least-served \
-                 model, so best-effort tenants keep making progress under \
-                 overload (0 = pure strict priority).  Applies only when \
-                 the models span two or more SLO classes.")
-  in
-  let expect_warm_arg =
-    Arg.(value & flag
-         & info [ "expect-warm" ]
-             ~doc:"With --check: fail unless prewarm compiled nothing \
-                   (every plan came from the store) and no compile-phase \
-                   span occurred while serving traffic.")
-  in
-  Cmd.v
-    (Cmd.info "zoo"
-       ~doc:"Host a multi-tenant model zoo: SLO-class scheduling over a \
-             shared worker pool with a persistent plan store")
-    Term.(
-      ret
-        (const zoo_cmd_impl $ models_arg $ slo_arg $ plan_dir_arg
-       $ verify_plans_arg $ traffic_term $ floor_arg $ arch_arg $ trace_arg
-       $ metrics_arg $ expect_warm_arg))
 
 let main =
   Cmd.group
@@ -1665,8 +1518,7 @@ let main =
              simulated SIMT GPU")
     [
       inspect_cmd; compile_cmd; run_cmd; cuda_cmd; dot_cmd; compare_cmds;
-      bench_cmd; text_cmd; parse_cmd; explain_cmd; trace_cmd; serve_cmd;
-      zoo_cmd;
+      bench_cmd; text_cmd; parse_cmd; explain_cmd; serve_cmd;
     ]
 
 let () = exit (Cmd.eval main)

@@ -102,6 +102,27 @@ type plan = { site : site; mode : mode; seed : int; fuel : int }
 let plan ?(mode = Raise) ?(seed = 0) ?(fuel = 1) site =
   { site; mode; seed; fuel }
 
+(* Parse "site:mode[:seed[:fuel]]", the CLI's --inject syntax. *)
+let plan_of_string s =
+  match String.split_on_char ':' s with
+  | [] -> None
+  | site :: rest -> (
+      match (site_of_string site, rest) with
+      | None, _ -> None
+      | Some site, [] -> Some (plan site)
+      | Some site, mode :: nums -> (
+          let int s = int_of_string_opt (String.trim s) in
+          match (mode_of_string mode, List.map int nums) with
+          | Some mode, [] -> Some (plan ~mode site)
+          | Some mode, [ Some seed ] -> Some (plan ~mode ~seed site)
+          | Some mode, [ Some seed; Some fuel ] ->
+              Some (plan ~mode ~seed ~fuel site)
+          | _ -> None))
+
+let plan_to_string p =
+  Printf.sprintf "%s:%s:%d:%d" (site_to_string p.site) (mode_to_string p.mode)
+    p.seed p.fuel
+
 exception Runtime_fault of { site : site; seed : int; pass : string }
 
 let () =
@@ -135,6 +156,12 @@ let arm plans =
   Atomic.set compile_fired_count 0
 
 let disarm () = armed := []
+
+(* Arm, run, disarm - even on exceptions. *)
+let with_faults plans f =
+  arm plans;
+  Fun.protect ~finally:disarm f
+
 let fired () = Atomic.get fired_count
 let compile_fired () = Atomic.get compile_fired_count
 let active () = !armed <> []

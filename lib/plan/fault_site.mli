@@ -44,6 +44,12 @@ type plan = { site : site; mode : mode; seed : int; fuel : int }
 val plan : ?mode:mode -> ?seed:int -> ?fuel:int -> site -> plan
 (** Defaults: [mode = Raise], [seed = 0], [fuel = 1]. *)
 
+val plan_of_string : string -> plan option
+(** Parse ["site:mode[:seed[:fuel]]"] - the CLI's [--inject] syntax. *)
+
+val plan_to_string : plan -> string
+(** ["site:mode:seed:fuel"], which {!plan_of_string} reads back. *)
+
 exception Runtime_fault of { site : site; seed : int; pass : string }
 (** What a [Raise]-mode runtime fault throws ({!check_runtime}); the
     serving supervision layer catches it like any other worker crash. *)
@@ -55,6 +61,9 @@ val arm : plan list -> unit
 (** Replace the armed set and reset the firing counters. *)
 
 val disarm : unit -> unit
+
+val with_faults : plan list -> (unit -> 'a) -> 'a
+(** {!arm}, run, {!disarm} - even when the function raises. *)
 
 val fired : unit -> int
 (** Total firings (compile + runtime) since the last {!arm}. *)

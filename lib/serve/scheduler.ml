@@ -137,7 +137,6 @@ type t = {
   m_completed : Metrics.counter;
   m_failed : Metrics.counter;
   m_degraded : Metrics.counter;
-  m_wait_us : Metrics.histogram;
   m_retried : Metrics.counter;
   m_duplicate : Metrics.counter;
   m_breaker_open : Metrics.counter;
@@ -225,7 +224,6 @@ let create ?(breaker_threshold = 4) ?(breaker_cooldown_us = 5_000.)
     m_completed = Metrics.counter r "serve.completed";
     m_failed = Metrics.counter r "serve.failed";
     m_degraded = Metrics.counter r "serve.degraded";
-    m_wait_us = Metrics.histogram r "serve.queue_wait_us";
     m_retried = Metrics.counter r "serve.retry";
     m_duplicate = Metrics.counter r "serve.duplicate";
     m_breaker_open = Metrics.counter r "serve.breaker_open";
@@ -637,9 +635,7 @@ let rec take_retry_locked t =
       end
       else begin
         t.batches <- t.batches + 1;
-        let now = now_us () in
-        r.dispatched_us <- now;
-        Metrics.observe t.m_wait_us (now -. r.submitted_us);
+        r.dispatched_us <- now_us ();
         Some { model = r.model; requests = [ r ] }
       end
 
@@ -659,11 +655,7 @@ let dispatch_locked t =
           publish_depth t;
           t.batches <- t.batches + 1;
           let now = now_us () in
-          List.iter
-            (fun (r : Request.t) ->
-              r.dispatched_us <- now;
-              Metrics.observe t.m_wait_us (now -. r.submitted_us))
-            requests;
+          List.iter (fun (r : Request.t) -> r.dispatched_us <- now) requests;
           Some { model; requests })
 
 (* Block until a batch is ready, the queue has pending-but-waiting work
@@ -695,19 +687,6 @@ let rec next_batch t =
       if not (locked t (fun () -> t.stopped || t.draining)) then wait_poll t;
       next_batch t
 
-(* Non-blocking variant for caller-runs pumping: never sleeps, never
-   waits.  [`Waiting] means requests are pending but every batching
-   window is still open. *)
-let try_next_batch t =
-  locked t (fun () ->
-      match dispatch_locked t with
-      | Some b -> `Batch b
-      | None ->
-          if Rq.is_empty t.queue && Stdlib.Queue.is_empty t.retries then
-            `Empty
-          else `Waiting)
-
-let poll_interval_s t = t.poll_s
 let outstanding t = locked t (fun () -> t.outstanding)
 
 (* Re-admit a request from a failed batch for a solo re-dispatch.  No
@@ -760,19 +739,16 @@ let poll t id =
 (* Flush everything in flight, then accept again.  While draining,
    submissions are refused ([Shutting_down]) and the batcher dispatches
    immediately instead of holding the window open. *)
-let drain_with t ~pump =
+let drain t =
   locked t (fun () ->
       t.draining <- true;
       Condition.broadcast t.nonempty);
   wake t;
-  pump ();
   locked t (fun () ->
       while t.outstanding > 0 do
         Condition.wait t.done_cond t.mu
       done;
       t.draining <- false)
-
-let drain t = drain_with t ~pump:ignore
 
 let shutdown t =
   locked t (fun () ->

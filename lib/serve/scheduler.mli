@@ -70,24 +70,9 @@ val next_batch : t -> batch option
     each pick.  [None] means the scheduler is shut down and drained -
     the worker should exit. *)
 
-val try_next_batch : t -> [ `Batch of batch | `Waiting | `Empty ]
-(** Non-blocking [next_batch] for caller-runs pumping.  [`Waiting]
-    means requests are pending but every batching window is still
-    open; the caller should [wait_poll] and retry. *)
-
-val poll_interval_s : t -> float
-(** The batching-window poll timeout (max_wait/4 clamped to
-    [50us, 200us]) - the longest [wait_poll] parks before re-checking. *)
-
-val wait_poll : t -> unit
-(** Park for at most one poll tick, or until a wake event (a batch
-    filling to [max_batch], a retry, a drain, shutdown) cuts the wait
-    short via the scheduler's internal wake pipe.  May return
-    spuriously; callers re-evaluate the queue either way. *)
-
 val dispose : t -> unit
 (** Close the wake pipe.  Call only once no worker can be parked in
-    [wait_poll] (after the pool has joined).  Idempotent. *)
+    [next_batch] (after the pool has joined).  Idempotent. *)
 
 val outstanding : t -> int
 (** Admitted requests whose outcome has not yet been recorded. *)
@@ -118,12 +103,6 @@ val poll : t -> int -> Request.outcome option
 val drain : t -> unit
 (** Flush: refuse new submissions, dispatch pending work immediately,
     block until nothing is outstanding, then accept again. *)
-
-val drain_with : t -> pump:(unit -> unit) -> unit
-(** [drain] for caller-runs mode: after the drain flag is raised (so
-    the batcher stops holding windows open and submitters are refused),
-    [pump] runs on the calling thread to execute the backlog, then the
-    drain completes once nothing is outstanding. *)
 
 val shutdown : t -> unit
 (** Stop accepting and let workers exit once the queue empties. *)

@@ -30,7 +30,6 @@ type config = {
   max_batch : int;
   max_wait_us : float;  (** batching window *)
   queue_depth : int;  (** admission-control bound, across models *)
-  default_deadline_us : float option;  (** relative; [None] = no deadline *)
   arch : Astitch_simt.Arch.t;
   verify_every : int;  (** bit-identity spot checks; 0 = off *)
   seed : int;  (** shared-weight generation *)
@@ -51,7 +50,6 @@ let default_config =
     max_batch = 8;
     max_wait_us = 2_000.;
     queue_depth = 64;
-    default_deadline_us = None;
     arch = Astitch_simt.Arch.v100;
     verify_every = 0;
     seed = 42;
@@ -101,7 +99,7 @@ let create ?(config = default_config) models =
   (* Every argument is checked before the scheduler opens its wake pipe
      and the pool spawns domains, so a refused config leaks nothing. *)
   if models = [] then invalid_arg "Serve.create: no models";
-  if config.workers < 0 then invalid_arg "Serve.create: workers must be >= 0";
+  if config.workers < 1 then invalid_arg "Serve.create: workers must be >= 1";
   if config.max_batch < 1 then
     invalid_arg "Serve.create: max_batch must be >= 1";
   if config.retry_budget < 0 then
@@ -198,15 +196,13 @@ type ticket = int
 let submit_async ?deadline_us t ~model ~params =
   ignore (model_state t model);
   let now = Unix.gettimeofday () *. 1e6 in
-  (* Deadline precedence: explicit per-request > the model's SLO-class
-     default (Latency class carries one) > the server-wide default. *)
+  (* Deadline precedence: explicit per-request, then the model's SLO
+     class (a Latency class carries one). *)
   let rel =
-    match deadline_us with
-    | Some _ as d -> d
-    | None -> (
-        match Slo.default_deadline_us (Scheduler.slo t.scheduler model) with
-        | Some _ as d -> d
-        | None -> t.config.default_deadline_us)
+    match (deadline_us, Scheduler.slo t.scheduler model) with
+    | Some _, _ -> deadline_us
+    | None, Slo.Latency { deadline_us } -> Some deadline_us
+    | None, (Slo.Throughput | Slo.Best_effort) -> None
   in
   let id = Atomic.fetch_and_add t.next_id 1 in
   (* Admission runs inside a client-thread span; the request's trace
@@ -250,13 +246,7 @@ let submit_async ?deadline_us t ~model ~params =
   Trace.span_end sid;
   match res with Ok () -> Ok id | Error o -> Error o
 
-(* [workers = 0] is caller-runs mode: no worker domains exist, so the
-   thread that wants an outcome executes batches itself. *)
-let inline t = t.config.workers = 0
-
-let await t ticket =
-  if inline t then Worker_pool.await_pumping t.pool ticket
-  else Scheduler.await t.scheduler ticket
+let await t ticket = Scheduler.await t.scheduler ticket
 
 let poll t ticket = Scheduler.poll t.scheduler ticket
 let class_stats t = Scheduler.class_stats t.scheduler
@@ -275,10 +265,7 @@ let random_request t ~model ~seed =
    (solo) execution must use to reproduce served outputs. *)
 let shared_weights t ~model = (model_state t model).Worker_pool.shared
 
-let drain t =
-  if inline t then
-    Scheduler.drain_with t.scheduler ~pump:(fun () -> Worker_pool.pump t.pool)
-  else Scheduler.drain t.scheduler
+let drain t = Scheduler.drain t.scheduler
 
 let shutdown t =
   if not t.closed then begin

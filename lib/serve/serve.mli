@@ -22,15 +22,10 @@ type model = {
 }
 
 type config = {
-  workers : int;
-      (** worker domains; 0 = caller-runs mode (no domains - [await],
-          [submit] and [drain] execute batches on the calling thread;
-          right for single-core machines and embedding in an existing
-          loop).  [poll] never makes progress by itself in this mode. *)
+  workers : int;  (** worker domains executing batches; at least 1 *)
   max_batch : int;  (** largest batch a dispatch may take *)
   max_wait_us : float;  (** batching window *)
   queue_depth : int;  (** admission-control bound, across models *)
-  default_deadline_us : float option;  (** relative; [None] = no deadline *)
   arch : Astitch_simt.Arch.t;
   verify_every : int;  (** bit-identity spot checks; 0 = off *)
   seed : int;  (** shared-weight generation *)
@@ -65,7 +60,7 @@ type config = {
 }
 
 val default_config : config
-(** 2 workers, max_batch 8, 2ms window, depth 64, no deadline, v100, no
+(** 2 workers, max_batch 8, 2ms window, depth 64, v100, no
     verification, seed 42; retry budget 2, breaker threshold 4 /
     cooldown 5ms, wedge timeout 50ms; no SLOs (every model
     best-effort), fair-share floor 1/8.  Workers execute on the fused
@@ -79,8 +74,8 @@ val create : ?config:config -> model list -> t
     deterministically, spawn the workers.  Arguments are checked before
     any fd or domain is taken.
     @raise Batching.Not_batchable if a builder cannot batch.
-    @raise Invalid_argument on duplicate or empty model lists, a
-    negative [workers] or [retry_budget], [max_batch < 1], or an
+    @raise Invalid_argument on duplicate or empty model lists,
+    [workers < 1], a negative [retry_budget], [max_batch < 1], or an
     out-of-range [queue_depth] or [fair_share_floor]. *)
 
 val warm : t -> unit
@@ -106,16 +101,15 @@ val submit_async :
   params:(string * Tensor.t) list ->
   (ticket, Request.overload) result
 (** Admit or refuse, without blocking.  [deadline_us] is relative to
-    now; precedence is explicit per-request deadline, then the model's
-    SLO-class default (a [Latency] class carries one), then the config
-    default.  A request whose deadline is already past on arrival is
-    refused as [Deadline_exceeded] at admission (counted under
-    [shed_admission]) instead of occupying queue space.
+    now; without one the request takes its model's SLO-class deadline
+    (a [Latency] class carries one), and otherwise has none.  A
+    request whose deadline is already past on arrival is refused as
+    [Deadline_exceeded] at admission (counted under [shed_admission])
+    instead of occupying queue space.
     @raise Invalid_argument on an unknown model. *)
 
 val await : t -> ticket -> Request.outcome
-(** Block until the outcome lands; consumes the ticket.  In caller-runs
-    mode ([workers = 0]) this executes batches on the calling thread. *)
+(** Block until the outcome lands; consumes the ticket. *)
 
 val poll : t -> ticket -> Request.outcome option
 
@@ -145,8 +139,7 @@ val symbolic : t -> model:string -> bool
 
 val context_pool_sizes : t -> (string * int) list
 (** Free pooled executor contexts per model, sorted by name.  After a
-    drain on a single-worker (or caller-runs) server, a symbolic model
-    holds exactly 1. *)
+    drain on a single-worker server, a symbolic model holds exactly 1. *)
 
 val shared_weights : t -> model:string -> (string * Tensor.t) list
 (** The weights the server fixed at load time - what a reference solo

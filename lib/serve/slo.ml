@@ -13,10 +13,6 @@ let class_name = function
 
 let all_class_names = [ "latency"; "throughput"; "best-effort" ]
 
-let default_deadline_us = function
-  | Latency { deadline_us } -> Some deadline_us
-  | Throughput | Best_effort -> None
-
 let to_string = function
   | Latency { deadline_us } ->
       (* %g keeps round microsecond budgets round on the way back out *)

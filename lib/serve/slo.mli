@@ -7,8 +7,9 @@
 
 type t =
   | Latency of { deadline_us : float }
-      (** interactive traffic: requests default to this relative
-          deadline and dispatch earliest-deadline-first *)
+      (** interactive traffic: a request submitted without its own
+          deadline takes this relative one; dispatch is
+          earliest-deadline-first *)
   | Throughput  (** batch traffic: ahead of best-effort, no deadline *)
   | Best_effort
       (** background traffic: runs in whatever capacity is left, but
@@ -26,11 +27,6 @@ val class_name : t -> string
 
 val all_class_names : string list
 (** In rank order. *)
-
-val default_deadline_us : t -> float option
-(** The relative deadline a request inherits when submitted without an
-    explicit one: [Some d] for [Latency {deadline_us = d}], [None]
-    otherwise. *)
 
 val to_string : t -> string
 (** Round-trips with {!of_string}: ["latency:2000"], ["throughput"],

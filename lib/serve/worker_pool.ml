@@ -12,8 +12,8 @@
    Contexts are NOT concurrent-safe (they reuse buffers across runs),
    hence the free lists: two workers serving the same model
    simultaneously each get their own context, and the pool grows to the
-   observed concurrency - steady state for a single-worker (or
-   caller-runs) server is exactly one context per model.
+   observed concurrency - steady state for a single-worker server is
+   exactly one context per model.
 
    Compilation goes through the shared domain-safe [Session.cache], so
    two workers racing to compile the same model duplicate at most the
@@ -379,8 +379,8 @@ let serve_fallback pool m (requests : Request.t list) =
    has retry budget left, and drops to the fallback rung when the
    budget is spent.  Completion is idempotent, so recovering requests a
    wedged worker might still finish is safe.  The whole detour is a
-   span carrying the reason (batch-failure, worker-death, wedge-steal,
-   worker-loop-fault), so recovery time is attributable in the trace. *)
+   span carrying the reason (batch-failure, worker-death, wedge-steal),
+   so recovery time is attributable in the trace. *)
 let recover_requests pool ~reason (batch : Scheduler.batch) =
   let m = Hashtbl.find pool.models batch.model in
   let attrs =
@@ -482,15 +482,18 @@ let serve_batch pool (batch : Scheduler.batch) =
         (per_request, t_pack, t_exec, t_unpack)
       with
       | per_request, t_pack, t_exec, t_unpack ->
+          (* The breaker hears the success before any caller does: a
+             caller woken by its outcome must never still read the
+             half-open state this batch just closed. *)
+          Scheduler.note_batch_result pool.scheduler ~model:batch.model
+            ~ok:true;
           let t_done = now_us () in
           List.iter2
             (fun req outs ->
               observe_phases pool req ~t_pack ~t_exec ~t_unpack ~t_done;
               complete_done pool ~t_done ~batch_size:n ~degraded:false req
                 outs)
-            batch.requests per_request;
-          Scheduler.note_batch_result pool.scheduler ~model:batch.model
-            ~ok:true
+            batch.requests per_request
       | exception _ ->
           (match !held with
           | Some lease ->
@@ -509,70 +512,6 @@ let serve_batch pool (batch : Scheduler.batch) =
           Scheduler.note_batch_result pool.scheduler ~model:batch.model
             ~ok:false;
           recover_requests pool ~reason:"batch-failure" batch)
-
-(* The worker-loop fault site models the worker itself dying or
-   stalling with a batch in hand (as opposed to the batch failing).
-   [true] means "this worker just crashed": in a domain worker the
-   exception propagates to the supervision handler; in caller-runs mode
-   the caller recovers the batch inline. *)
-let worker_loop_fault () =
-  match Fault_site.check_runtime Fault_site.Worker_loop ~pass:"worker-loop" with
-  | Some _ -> true (* corrupt: worker-local state is toast *)
-  | None -> false
-  | exception Fault_site.Runtime_fault _ -> true
-
-(* --- Caller-runs (inline) mode ------------------------------------------- *)
-
-(* With [workers = 0] no domains exist and the thread that wants
-   progress makes it.  On a single-core machine this sidesteps the
-   stop-the-world synchronization that worker domains would impose on
-   every minor collection; batching and context reuse carry the win.
-
-   [pump] serves every dispatchable batch on the calling domain,
-   parking out still-open batching windows on the scheduler's wake
-   pipe, and returns once the queue is empty.  During a drain the
-   window is forced shut, so the parked branch never runs there.  A
-   worker-loop fault here plays the crashed-worker part without a
-   domain to kill: the batch goes straight to recovery. *)
-let serve_or_recover pool b =
-  if worker_loop_fault () then
-    recover_requests pool ~reason:"worker-loop-fault" b
-  else serve_batch pool b
-
-let rec pump pool =
-  match Scheduler.try_next_batch pool.scheduler with
-  | `Batch b ->
-      serve_or_recover pool b;
-      pump pool
-  | `Waiting ->
-      Scheduler.wait_poll pool.scheduler;
-      pump pool
-  | `Empty -> ()
-
-(* Inline [await]: pump until the outcome for [id] lands.  [`Empty]
-   with work still outstanding means another caller is mid-batch with
-   our request - poll until its completion lands. *)
-let await_pumping pool id =
-  let rec go () =
-    match Scheduler.poll pool.scheduler id with
-    | Some o -> o
-    | None -> (
-        match Scheduler.try_next_batch pool.scheduler with
-        | `Batch b ->
-            serve_or_recover pool b;
-            go ()
-        | `Waiting ->
-            Scheduler.wait_poll pool.scheduler;
-            go ()
-        | `Empty ->
-            if Scheduler.outstanding pool.scheduler = 0 then
-              invalid_arg "Serve.await: unknown or already-consumed ticket"
-            else begin
-              Scheduler.wait_poll pool.scheduler;
-              go ()
-            end)
-  in
-  go ()
 
 (* --- Supervised worker loop ---------------------------------------------- *)
 
@@ -604,7 +543,10 @@ let worker_body pool slot () =
            served - the harshest spot to die.  Raise kills the domain,
            stall freezes it (wedge detection), corrupt is treated as
            unrecoverable worker state. *)
-        if worker_loop_fault () then failwith "worker state corrupted";
+        if
+          Fault_site.check_runtime Fault_site.Worker_loop ~pass:"worker-loop"
+          <> None
+        then failwith "worker state corrupted";
         serve_batch pool batch;
         set_inflight pool slot None;
         go ()
@@ -780,8 +722,7 @@ let create ~scheduler ~models ~cache ~arch ~verify_every ~retry_budget
     (fun s -> s.dom <- Some (Domain.spawn (worker_body pool s)))
     pool.slots;
   Metrics.set pool.g_alive (Float.of_int workers);
-  (* caller-runs mode has no domains to supervise - no monitor either *)
-  if workers > 0 then pool.monitor <- Some (Domain.spawn (monitor_body pool));
+  pool.monitor <- Some (Domain.spawn (monitor_body pool));
   pool
 
 (* Blocks until the monitor and every worker exit; call after

@@ -52,29 +52,16 @@ val create :
   wedge_timeout_us:float ->
   workers:int ->
   t
-(** Spawn [workers] domains (plus one monitor domain when
-    [workers > 0]) immediately.  [workers = 0] is caller-runs mode: no
-    domains; progress is made by [pump]/[await_pumping] on the calling
-    thread.  [verify_every] > 0 re-executes the first request of every
-    n-th batch alone and asserts the batched outputs are bit-identical
-    (a serving self-check; 0 disables).  [retry_budget] is how many
+(** Spawn [workers] domains plus one monitor domain immediately;
+    [Serve.create] refuses [workers < 1] before calling this.
+    [verify_every] > 0 re-executes the first request of every n-th
+    batch alone and asserts the batched outputs are bit-identical (a
+    serving self-check; 0 disables).  [retry_budget] is how many
     failed batch executions a request survives before dropping to the
     per-request fallback rung.  A worker whose heartbeat goes stale for
     [wedge_timeout_us] with a batch in hand is wedged (batch stolen);
     a dead worker is respawned after 1 ms, doubling per consecutive
     death (capped at 128x).  Contexts run on the fused engine. *)
-
-val pump : t -> unit
-(** Caller-runs mode: serve every dispatchable batch on the calling
-    domain (parking out open batching windows on the scheduler's wake
-    pipe) until the queue is empty.  Safe alongside worker domains too -
-    it just competes for batches. *)
-
-val await_pumping : t -> int -> Request.outcome
-(** Caller-runs [Scheduler.await]: pump batches on the calling domain
-    until the outcome for the given request id lands; consumes it.
-    Raises [Invalid_argument] for an unknown or already-consumed id
-    once nothing is outstanding. *)
 
 val join : t -> unit
 (** Block until the monitor and every worker exit.  Call after

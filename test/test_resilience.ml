@@ -18,6 +18,8 @@ open Astitch_simt
 open Astitch_plan
 open Astitch_runtime
 
+module Fault = Fault_site
+
 let check = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
 let arch = Arch.v100

@@ -34,6 +34,8 @@ open Astitch_plan
 open Astitch_runtime
 open Astitch_serve
 
+module Fault = Fault_site
+
 let check_bool = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
 
@@ -500,66 +502,13 @@ let test_serve_weights_match_spec () =
   check_outputs_identical "two servers, same seed, same answer" (run_once ())
     (run_once ())
 
-let test_caller_runs_mode () =
-  (* workers = 0: no domains; [await] and [drain] pump batches on the
-     calling thread.  Same bit-identity contract as the pooled path. *)
-  let server =
-    Serve.create ~config:(serve_config ~workers:0 ()) [ mlp_model ]
-  in
-  Fun.protect
-    ~finally:(fun () -> Serve.shutdown server)
-    (fun () ->
-      let spec = Serve.spec server ~model:"mlp" in
-      let shared = Serve.shared_weights server ~model:"mlp" in
-      (* await-pumping without a drain: the awaiting thread itself must
-         wait out the batching window and execute the batch *)
-      let p0 = Serve.random_request server ~model:"mlp" ~seed:0 in
-      (match Serve.submit server ~model:"mlp" ~params:p0 with
-      | Request.Done { outputs; degraded; _ } ->
-          check_bool "not degraded" false degraded;
-          check_outputs_identical "caller-runs await"
-            (Interp.run spec.base ~params:(shared @ p0))
-            outputs
-      | _ -> Alcotest.fail "caller-runs submit must complete");
-      (* drain-pumping: a backlog of async submissions flushes on the
-         draining thread, batched *)
-      let n = 9 in
-      let reqs =
-        List.init n (fun i ->
-            Serve.random_request server ~model:"mlp" ~seed:(100 + i))
-      in
-      let tickets =
-        List.map
-          (fun params ->
-            match Serve.submit_async server ~model:"mlp" ~params with
-            | Ok t -> t
-            | Error o ->
-                Alcotest.failf "request refused: %s"
-                  (Request.overload_to_string o))
-          reqs
-      in
-      Serve.drain server;
-      List.iteri
-        (fun i ticket ->
-          match Serve.poll server ticket with
-          | Some (Request.Done { outputs; _ }) ->
-              check_outputs_identical
-                (Printf.sprintf "caller-runs drained request %d" i)
-                (Interp.run spec.base ~params:(shared @ List.nth reqs i))
-                outputs
-          | _ -> Alcotest.failf "request %d not completed by drain" i)
-        tickets;
-      let s = Serve.stats server in
-      check_int "all completed" (n + 1) s.completed;
-      check_bool "backlog was batched" true (s.batches < n + 1))
-
 let test_continuous_exact_batches () =
-  (* Odd burst sizes through a caller-runs server with an hour-long
+  (* Odd burst sizes through a single-worker server with an hour-long
      window: drain dispatches each burst as ONE batch at exactly its
      request count.  One shape-polymorphic context serves all of them -
      zero padded rows, one plan compile, pool size 1. *)
   let config =
-    serve_config ~workers:0 ~max_batch:7 ~max_wait_us:3.6e9 ()
+    serve_config ~workers:1 ~max_batch:7 ~max_wait_us:3.6e9 ()
   in
   let server = Serve.create ~config [ mlp_model ] in
   Fun.protect
@@ -929,10 +878,11 @@ let test_chaos_persistent_fault_liveness () =
 
 (* Breaker lifecycle: consecutive batch failures open it, open refuses
    fast with the structured overload, a successful half-open probe
-   closes it.  Caller-runs mode makes the failure count deterministic. *)
+   closes it.  One worker makes the failure count deterministic; the
+   closed state must be visible the moment the probe's outcome lands. *)
 let test_chaos_breaker_opens_and_closes () =
   let config =
-    { (serve_config ~workers:0 ~max_batch:2 ()) with
+    { (serve_config ~workers:1 ~max_batch:2 ()) with
       Serve.breaker_threshold = 3;
       breaker_cooldown_us = 10_000. }
   in
@@ -1035,7 +985,7 @@ let test_chaos_wedged_worker () =
    request CLEAN - full strength, bit-identical.  Corruption must never
    reach a caller. *)
 let test_chaos_corrupt_quarantines_and_retries () =
-  let config = serve_config ~workers:0 ~max_batch:2 () in
+  let config = serve_config ~workers:1 ~max_batch:2 () in
   let server = Serve.create ~config [ mlp_model ] in
   Fun.protect
     ~finally:(fun () -> Serve.shutdown server)
@@ -1274,8 +1224,6 @@ let () =
             test_serve_end_to_end;
           Alcotest.test_case "deterministic across servers" `Quick
             test_serve_weights_match_spec;
-          Alcotest.test_case "caller-runs mode (workers = 0)" `Quick
-            test_caller_runs_mode;
           Alcotest.test_case "continuous batching: exact odd-size batches"
             `Quick test_continuous_exact_batches;
           Alcotest.test_case "full batch wakes the worker immediately" `Quick

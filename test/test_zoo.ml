@@ -23,12 +23,12 @@
    - per-class accounts sum to the scheduler's totals across
      admission, refusal, displacement and late completion.
 
-   Zoo level (caller-runs, a cheap batchable builder):
+   Zoo level (one worker domain, a cheap batchable builder):
    - traffic is refused before prewarm;
    - per-class accounting sums to the outcomes observed;
-   - invalid scheduler and server configs are refused before any fd
-     is opened, and a zoo whose plan store cannot open starts no
-     server (no domain leaks);
+   - invalid scheduler and server configs (no worker domain included)
+     are refused before any fd is opened, and a zoo whose plan store
+     cannot open starts no server (no domain leaks);
    - the plan store round-trips across zoo restarts: cold prewarm
      compiles and saves, warm prewarm loads everything and compiles
      nothing, and the served outputs are bit-identical either way;
@@ -363,7 +363,7 @@ let registrations =
     ({ Serve.name = "mlp2"; build = mlp2_build }, Slo.Best_effort);
   ]
 
-let zoo_config ?plan_dir ?(verify_plans = false) ?(workers = 0) () =
+let zoo_config ?plan_dir ?(verify_plans = false) ?(workers = 1) () =
   {
     Zoo.serve =
       { Serve.default_config with workers; max_batch = 4; queue_depth = 32 };
@@ -529,6 +529,10 @@ let test_invalid_configs_leak_no_fd () =
     refuses (fun () ->
         Serve.create
           ~config:{ Serve.default_config with workers = 2; retry_budget = -1 }
+          [ fst (List.hd registrations) ]);
+    refuses (fun () ->
+        Serve.create
+          ~config:{ Serve.default_config with workers = 0 }
           [ fst (List.hd registrations) ])
   done;
   match (before, open_fds ()) with
