@@ -434,12 +434,13 @@ let run_model model backend training tiny arch seed repeat fused profile_exec
           let params = Session.random_params ~seed g in
           let outputs = ref [] in
           let w0 = Gc.minor_words () in
-          let t0 = Unix.gettimeofday () in
+          let t0 = Astitch_obs.Clock.monotonic_ns () in
           for _ = 1 to repeat do
             outputs := Executor.run_context ctx ~params
           done;
           let per_run_us =
-            (Unix.gettimeofday () -. t0) *. 1e6 /. float_of_int repeat
+            float_of_int (Astitch_obs.Clock.monotonic_ns () - t0)
+            /. 1e3 /. float_of_int repeat
           in
           let per_run_words =
             (Gc.minor_words () -. w0) /. float_of_int repeat

@@ -13,6 +13,10 @@ type t = unit -> int
 
 let wall_ns : t = fun () -> int_of_float (Unix.gettimeofday () *. 1e9)
 
+(* CLOCK_MONOTONIC through bechamel's stub, which returns an unboxed
+   int64: never steps backwards with the wall clock and never allocates *)
+let monotonic_ns : t = fun () -> Int64.to_int (Monotonic_clock.now ())
+
 (* A deterministic clock: every read returns the current value and
    advances by [step].  Backed by an atomic so concurrent domains can
    share one manual clock without torn reads (each still gets a unique

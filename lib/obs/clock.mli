@@ -9,6 +9,11 @@ type t = unit -> int
 val wall_ns : t
 (** Host wall clock ([Unix.gettimeofday]), in nanoseconds. *)
 
+val monotonic_ns : t
+(** Host monotonic clock (CLOCK_MONOTONIC), in nanoseconds from an
+    arbitrary origin: only differences mean anything, and they never go
+    negative when the wall clock is stepped.  Allocation-free. *)
+
 type manual
 (** A deterministic test clock: every read advances by a fixed step, so
     two identical runs produce identical timestamps.  Domain-safe. *)

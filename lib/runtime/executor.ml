@@ -128,7 +128,11 @@ let run (plan : Kernel_plan.t) ~params : Tensor.t list =
    recomputing them (scalarization) or re-staging them (slabs) cannot
    change a bit.  Slabs also count their refills; tile writers read
    every slab in the order per-element reads would (see
-   [Scalar_eval.t]), so those counts do not depend on the tiling. *)
+   [Scalar_eval.t]), so those counts do not depend on the tiling.  The
+   loops that write whole values and refill slabs go through
+   [Scalar_eval.fill_range], which cuts tiles at the value's window
+   period: inside one window every slab read falls in one block, so
+   ops whose operands share a slab run their tile writers too. *)
 
 type instr =
   | Eval of { nd : Graph.node; operands : int array }
@@ -152,13 +156,14 @@ type action =
       dst : float array;
       n : int;
       unit : int;
-      fill : float array -> int -> int -> int -> unit;
+      node : Scalar_eval.t;
       staged : bool; (* destination is a global scratch slot *)
     }
       (* write one value tile by tile, into its arena buffer or its
-         per-kernel global scratch slot; [unit] is the per-batch element
-         count (0 = batch-invariant), so a symbolic batch b bounds the
-         loop at [unit * b] instead of [n] *)
+         per-kernel global scratch slot, tiles cut at the value's window
+         period; [unit] is the per-batch element count (0 =
+         batch-invariant), so a symbolic batch b bounds the loop at
+         [unit * b] instead of [n] *)
   | Scatter of {
       dst : float array;
       idx : int -> float;
@@ -469,13 +474,8 @@ let create_context_body ~fused ~timed (plan : Kernel_plan.t) : context =
                 sl.fill <-
                   (fun b ->
                     let lo = b * block_elems in
-                    let hi = Stdlib.min sl.cur_total (lo + block_elems) in
-                    let j = ref lo in
-                    while !j < hi do
-                      let len = Stdlib.min Scalar_eval.tile (hi - !j) in
-                      node.fill sl.sdata (!j - lo) !j len;
-                      j := !j + len
-                    done;
+                    let hi = Int.min sl.cur_total (lo + block_elems) in
+                    Scalar_eval.fill_range node sl.sdata 0 lo hi;
                     fprof.bytes_staged <-
                       fprof.bytes_staged + bytes_of (hi - lo);
                     (* a backwards move means a consumer re-visits blocks
@@ -500,38 +500,29 @@ let create_context_body ~fused ~timed (plan : Kernel_plan.t) : context =
                   while !j < hi do
                     let b = !j / block_elems in
                     load b;
-                    let stop = Stdlib.min hi ((b + 1) * block_elems) in
+                    let stop = Int.min hi ((b + 1) * block_elems) in
                     Array.blit sl.sdata (!j - (b * block_elems)) dst
                       (off + (!j - lo)) (stop - !j);
                     j := stop
                   done
                 in
-                {
-                  Scalar_eval.get =
-                    (fun j ->
-                      let b = j / block_elems in
-                      load b;
-                      sl.sdata.(j - (b * block_elems)));
-                  fill;
-                  storage = None;
-                  (* a slab of one block loads once whatever the
-                     read order *)
-                  slabs =
-                    (if block_elems >= total then node.slabs
-                     else List.sort_uniq compare (id :: node.slabs));
-                }
+                Scalar_eval.staged ~id ~block_elems ~total ~node
+                  ~get:(fun j ->
+                    let b = j / block_elems in
+                    load b;
+                    sl.sdata.(j - (b * block_elems)))
+                  ~fill
           in
           Hashtbl.replace accessors id f;
           f
     in
     let tiled ~staged dst (nd : Graph.node) =
-      let node = Scalar_eval.compile g nd ~operand:accessor in
       Tiled
         {
           dst;
           n = Array.length dst;
           unit = unit_of nd.id;
-          fill = node.fill;
+          node = Scalar_eval.compile g nd ~operand:accessor;
           staged;
         }
     in
@@ -814,7 +805,7 @@ let run_context ?batch (ctx : context) ~params : Tensor.t list =
             | Ref_k r -> r.rprof.Profile.kname)
         else 0
       in
-      let t0 = if ctx.timed then Unix.gettimeofday () else 0. in
+      let t0 = if ctx.timed then Astitch_obs.Clock.monotonic_ns () else 0 in
       (match ke with
       | Fused_k fk ->
           (* slab contents are stale across runs (parameters changed);
@@ -828,16 +819,11 @@ let run_context ?batch (ctx : context) ~params : Tensor.t list =
             fk.slabs;
           Array.iter
             (function
-              | Tiled { dst; n; unit; fill; staged } ->
+              | Tiled { dst; n; unit; node; staged } ->
                   let n =
                     if bscale > 0 && unit > 0 then unit * bscale else n
                   in
-                  let lo = ref 0 in
-                  while !lo < n do
-                    let len = Stdlib.min Scalar_eval.tile (n - !lo) in
-                    fill dst !lo !lo len;
-                    lo := !lo + len
-                  done;
+                  Scalar_eval.fill_range node dst 0 0 n;
                   if staged then
                     fk.fprof.bytes_staged_global <-
                       fk.fprof.bytes_staged_global + bytes_of n
@@ -921,7 +907,8 @@ let run_context ?batch (ctx : context) ~params : Tensor.t list =
         let prof =
           match ke with Fused_k f -> f.fprof | Ref_k r -> r.rprof
         in
-        prof.wall_ns <- prof.wall_ns +. ((Unix.gettimeofday () -. t0) *. 1e9);
+        prof.wall_ns <-
+          prof.wall_ns +. float_of_int (Astitch_obs.Clock.monotonic_ns () - t0);
         prof.runs <- prof.runs + 1
       end;
       if ksid <> 0 then

@@ -10,7 +10,7 @@ exception Missing_parameter of string
 
 (* Abramowitz & Stegun 7.1.26 (Horner form), ~1e-7 absolute error —
    comparable to a GPU erf intrinsic, within test tolerance. *)
-let erf x =
+let[@inline] erf x =
   let sign = if x < 0. then -1. else 1. in
   let ax = Float.abs x in
   let t = 1. /. (1. +. (0.3275911 *. ax)) in
@@ -22,6 +22,13 @@ let erf x =
              +. t *. (1.421413741 +. (t *. (-1.453152027 +. (t *. 1.061405429))))))
   in
   sign *. (1. -. (poly *. Stdlib.exp (-.ax *. ax)))
+
+(* [erf] in place over a.(lo) .. a.(hi): the same polynomial inlined into
+   one loop, so the tile path neither boxes nor copies it *)
+let erf_tile (a : float array) lo hi =
+  for k = lo to hi do
+    a.(k) <- erf a.(k)
+  done
 
 let unary_fn : Op.unary_kind -> float -> float = function
   | Op.Neg -> fun x -> -.x

@@ -8,6 +8,11 @@ open Astitch_ir
 exception Missing_parameter of string
 
 val unary_fn : Op.unary_kind -> float -> float
+
+val erf_tile : float array -> int -> int -> unit
+(** [erf_tile a lo hi] replaces [a.(lo) .. a.(hi)] by their [Op.Erf]
+    values: the float operations of [unary_fn Op.Erf], without boxing. *)
+
 val binary_fn : Op.binary_kind -> float -> float -> float
 val reduce_init : Op.reduce_kind -> float
 val reduce_step : Op.reduce_kind -> float -> float -> float

@@ -22,26 +22,64 @@ type t = {
       (** the array holding every element, for values in full storage;
           read once per tile, so it may be rebound between runs *)
   slabs : int list;
-      (** ids of the slabs an element read may visit: sources that
-          count the order they are read in, such as the fused engine's
-          per-block staging.  [fill] reads each slab in the same order
-          as [get] over ascending elements would; a node whose tile
-          writer could not keep that order fills element by element. *)
+      (** ids of the multi-block slabs an element read may visit:
+          sources that count the order they are read in, such as the
+          fused engine's per-block staging.  [fill] over any range loads
+          their blocks in the sequence [get] over the same elements,
+          ascending, would; a node whose tile writer could not keep that
+          order fills element by element. *)
+  period : int;
+      (** the window period: within each aligned window
+          [[w * period, (w + 1) * period)] of elements, every read of a
+          slab in [slabs] falls in one block, the same block whichever
+          operand path reaches the slab.  [max_int] when [slabs] is
+          empty or one window holds every element; [0] when no period
+          is known.  Elementwise ops, reshapes, broadcasts that keep
+          the input's axes leading and reductions over a trailing suffix
+          of axes carry it from their operands; any other op reaching a
+          slab has none. *)
 }
 
 val storage : get:(int -> float) -> (unit -> float array) -> t
 (** A value in full storage: [get] reads one element, the thunk returns
     the backing array, and [fill] copies from it. *)
 
+val staged :
+  id:int ->
+  block_elems:int ->
+  total:int ->
+  node:t ->
+  get:(int -> float) ->
+  fill:(float array -> int -> int -> int -> unit) ->
+  t
+(** A value staged in slab [id], [block_elems] of its [total] elements
+    per block, each block refilled by running [node] (the staged op
+    itself) over it; [get] and [fill] read the slab.  Adds the slab to
+    [slabs] when it has more than one block, and derives the period:
+    one block, when each block lies in one window of [node]. *)
+
+val fill_range : t -> float array -> int -> int -> int -> unit
+(** [fill_range t dst off lo hi] writes elements [lo .. hi-1] into
+    [dst.(off) ..], one [fill] per tile of at most {!tile} elements,
+    cutting tiles at multiples of [t.period] so no tile crosses a
+    window. *)
+
+val fmax : float -> float -> float
+(** [Float.max], deciding ordered distinct operands by one comparison:
+    the same bits for every pair, NaNs and signed zeros included. *)
+
+val fmin : float -> float -> float
+(** [Float.min], likewise. *)
+
 val compile : Graph.t -> Graph.node -> operand:(Op.node_id -> t) -> t
 (** [compile g nd ~operand] is [nd]'s accessor and tile writer over the
     operands [operand id].  Each node owns scratch for one operand tile
-    (at most {!tile} elements, fewer when the node is smaller), so
-    neither function is reentrant; operands of distinct nodes never
-    recurse into each other (the graph is a DAG), so nesting is safe.
-    Unary, binary and select ops, constants, reshapes, broadcasts,
-    gathers, and dots and convolutions over full-storage operands
-    carry their own tile writer, and a reduction over a trailing suffix
-    of axes folds its operand tile by tile; every other op fills
-    through its accessor.
+    (at most {!tile} elements, fewer when the node is smaller; up to a
+    few tiles for strided gathers from computed operands), so neither
+    function is reentrant; operands of distinct nodes never recurse
+    into each other (the graph is a DAG), so nesting is safe.  Every op
+    carries its own tile writer except iota, pad, and dots and
+    convolutions whose operands are not both in full storage, which
+    fill through their accessor; an op whose writer would read a slab
+    out of order (see [slabs]) fills element by element too.
     @raise Unsupported when [not (Op.scalarizable nd.op)]. *)

@@ -7,15 +7,21 @@
      context and non-context paths, and on QCheck-random graphs;
    - every compiled node's tile writer writes exactly the bits its
      element accessor returns, on any window of at most one tile,
-     including windows across rows and at a symbolic-batch prefix;
+     including windows across rows and at a symbolic-batch prefix, with
+     operands in storage or computed, on a graph holding every writer;
+   - comparison-first max and min return Float.max's and Float.min's
+     bits on signed zeros, infinities, subnormals, NaNs and random bit
+     patterns, directly and through every max/min writer;
    - one fused run of each shared-memory-overflow shape allocates a
-     bounded number of minor-heap words, far below one per element;
+     bounded number of minor-heap words, far below one per element, and
+     the regional models under half the words tiling alone left them;
    - the slot arena never shares a backing buffer between overlapping
      live ranges, and the fused engine allocates strictly fewer full
      buffers than it executes ops on stitched plans;
    - Regional staging stays bit-identical when the block geometry does
      not divide the staged element count (irregular tail blocks);
-   - at batch 8 every slab block of the zoo models is staged once per
+   - at batch 8, at a batch-3 rebind of each symbolic batch-8 plan and
+     on the tiny training graphs every slab block is staged once per
      run, so tiling the fused loops leaves the staging counts as they
      were;
    - kernels the tape cannot lower fall back to the reference path with
@@ -154,7 +160,7 @@ let overflow_entries =
    storage holding their interpreter values, cut to [prefix id]
    elements; Register values are compiled in turn.  [compiled id]
    compiles any node, whatever its placement. *)
-let compiled_nodes plan ~values ~prefix =
+let compiled_nodes ?(inline_all = false) plan ~values ~prefix =
   let g = plan.Kernel_plan.graph in
   let register = Hashtbl.create 64 in
   List.iter
@@ -174,8 +180,10 @@ let compiled_nodes plan ~values ~prefix =
         Hashtbl.replace memo id t;
         t
   and operand id =
-    if Hashtbl.mem register id && Op.scalarizable (Graph.node g id).op then
-      compiled id
+    if
+      (inline_all || Hashtbl.mem register id)
+      && Op.scalarizable (Graph.node g id).op
+    then compiled id
     else
       match Hashtbl.find_opt stored id with
       | Some t -> t
@@ -190,6 +198,7 @@ let compiled_nodes plan ~values ~prefix =
   compiled
 
 let bits = Int64.bits_of_float
+let same_bits a b = Int64.equal (bits a) (bits b)
 let sentinel = Int64.float_of_bits 0x7ff8_dead_beef_0001L
 
 (* Windows of at most one tile over the first [n] elements of a value
@@ -220,8 +229,8 @@ let windows rng ~n ~row =
     @ across
 
 (* [fill] writes exactly the bits [get] returns inside its window and
-   nothing outside it *)
-let fill_matches_get rng (t : Scalar_eval.t) ~n ~row =
+   nothing outside it, and [get] returns the interpreter's [expect] *)
+let fill_matches_get rng (t : Scalar_eval.t) ~n ~row ~expect =
   List.for_all
     (fun (lo, len) ->
       let off = Random.State.int rng 4 in
@@ -230,10 +239,10 @@ let fill_matches_get rng (t : Scalar_eval.t) ~n ~row =
       let ok = ref true in
       Array.iteri
         (fun i x ->
-          let want =
-            if i >= off && i < off + len then t.get (lo + i - off) else sentinel
-          in
-          if bits x <> bits want then ok := false)
+          let inside = i >= off && i < off + len in
+          let want = if inside then t.get (lo + i - off) else sentinel in
+          if bits x <> bits want then ok := false;
+          if inside && bits want <> bits expect.(lo + i - off) then ok := false)
         dst;
       !ok)
     (windows rng ~n ~row)
@@ -250,15 +259,74 @@ type tile_case = {
   plan : Kernel_plan.t;
   values : Tensor.t array;
   prefix : Op.node_id -> int;
+  inline_all : bool; (* every scalarizable operand computed *)
 }
 
-let tile_case ?prefix label g =
+let tile_case ?prefix ?(inline_all = false) label g =
   let plan = compile_with "astitch" g in
   let values = Interp.eval_all g ~params:(Session.random_params ~seed:3 g) in
   let prefix =
     Option.value prefix ~default:(fun id -> Graph.num_elements g id)
   in
-  { label; plan; values; prefix }
+  { label; plan; values; prefix; inline_all }
+
+(* One graph holding every tile writer's cases: transposes that keep
+   and that move the last axis (the second over a span too long to
+   stage), concats along the last and a middle axis, a slice, max-pools
+   with overlapping windows, strided and suffix reductions of each kind
+   over short and long rows, broadcasts that keep the input's axes
+   leading, that replicate a middle axis, and from a scalar, an operand
+   used twice, sign and erf, max and min, a select, dots eight, four and
+   one columns wide, and convolutions with an odd channel count.  Run
+   with every operand computed as well as with the plan's placements,
+   so the writers see both storage and computed operands. *)
+let writers_graph () =
+  let module B = Builder in
+  let b = B.create () in
+  let x = B.parameter b "x" [ 2; 3; 5; 4 ] in
+  let y = B.parameter b "y" [ 2; 3; 5; 4 ] in
+  let t = B.add b x y in
+  let sq = B.mul b t t in
+  let wide = B.add b (B.parameter b "p" [ 40; 40 ]) (B.parameter b "q" [ 40; 40 ]) in
+  let a = B.reshape b x [ 6; 20 ] in
+  let w = B.parameter b "w" [ 20; 13 ] in
+  let f = B.parameter b "f" [ 2; 2; 4; 3 ] in
+  let rsum = B.reduce_sum b ~axes:[ 3 ] t in
+  let outputs =
+    [
+      B.transpose b t ~perm:[ 0; 2; 1; 3 ];
+      B.transpose b t ~perm:[ 3; 1; 2; 0 ];
+      B.transpose b wide ~perm:[ 1; 0 ];
+      B.concat b ~axis:3 [ t; x ];
+      B.concat b ~axis:1
+        [ t; B.slice b sq ~starts:[ 0; 1; 0; 0 ] ~stops:[ 2; 3; 5; 4 ] ];
+      B.slice b t ~starts:[ 1; 1; 1; 1 ] ~stops:[ 2; 3; 4; 3 ];
+      B.max_pool b ~window:2 ~stride:1 t;
+      B.max_pool b ~window:3 ~stride:2 x;
+      B.reduce_sum b ~axes:[ 1; 2 ] t;
+      B.reduce_max b ~axes:[ 0; 2 ] x;
+      B.reduce_min b ~axes:[ 1 ] t;
+      B.reduce_mean b ~axes:[ 0 ] sq;
+      B.reduce_mean b ~axes:[ 3 ] sq;
+      B.reduce_max b ~axes:[ 2; 3 ] t;
+      B.reduce_min b ~axes:[ 1; 2; 3 ] t;
+      B.broadcast b rsum ~dims:[ 0; 1; 2 ] [ 2; 3; 5; 3 ];
+      B.broadcast b (B.reduce_sum b ~axes:[ 0; 2 ] t) ~dims:[ 1; 3 ] [ 2; 3; 5; 4 ];
+      B.broadcast b (B.reduce_max b ~axes:[ 0; 1; 2; 3 ] t) ~dims:[] [ 7; 3 ];
+      B.sign b t;
+      B.erf b t;
+      B.relu b t;
+      B.max b t sq;
+      B.min b t sq;
+      B.select b ~pred:(B.lt b t sq) ~on_true:t ~on_false:x;
+      B.dot b a w;
+      B.dot b a (B.parameter b "v" [ 20; 4 ]);
+      B.dot b a (B.parameter b "u" [ 20; 3 ]);
+      B.conv2d b ~stride:1 x f;
+      B.conv2d b ~stride:2 x f;
+    ]
+  in
+  B.finish b ~outputs
 
 (* Symbolic-batch prefix: batch [b] of a plan built at [smax] reads
    only the first [b / smax] of every scaled value, so stored values
@@ -289,11 +357,16 @@ let tile_cases =
     @ [
         tile_case "ASR-overflow" (Astitch_workloads.Asr.overflow ());
         tile_case "DIEN-overflow" (Astitch_workloads.Dien.overflow ());
+        tile_case "writers" (writers_graph ());
+        tile_case ~inline_all:true "writers, all computed" (writers_graph ());
       ])
 
 let check_case rng ~select c =
   let g = c.plan.Kernel_plan.graph in
-  let compiled = compiled_nodes c.plan ~values:c.values ~prefix:c.prefix in
+  let compiled =
+    compiled_nodes ~inline_all:c.inline_all c.plan ~values:c.values
+      ~prefix:c.prefix
+  in
   Graph.fold_nodes
     (fun ok (nd : Graph.node) ->
       ok
@@ -302,6 +375,7 @@ let check_case rng ~select c =
          let fine =
            fill_matches_get rng (compiled nd.id) ~n:(c.prefix nd.id)
              ~row:(row_of g nd.id)
+             ~expect:(Tensor.data c.values.(nd.id))
          in
          if not fine then
            QCheck.Test.fail_reportf "%s: node %d (%s)" c.label nd.id
@@ -322,10 +396,148 @@ let test_fill_matches_get =
           ~dims_pool:(if seed mod 2 = 0 then [ 2; 3; 5; 32 ] else [ 3; 7; 300 ])
           ~nodes:20 ()
       in
-      check_case rng ~select:(fun _ -> true) (tile_case "random" g)
+      check_case rng ~select:(fun _ -> true)
+        (tile_case ~inline_all:(seed mod 3 = 0) "random" g)
       && List.for_all
            (check_case rng ~select:(fun id -> id mod 4 = seed mod 4))
            (Lazy.force tile_cases))
+
+(* --- Slab read order --------------------------------------------------------- *)
+
+(* A counting slab like the fused engine's: [block] elements of node
+   [id] per block, refilled through [node] on a miss, every refill
+   logged as (id, block). *)
+let counting_slab ~id ~block ~total ~(node : Scalar_eval.t) log =
+  let data = Array.make block 0. and cur = ref (-1) in
+  let load b =
+    if !cur <> b then begin
+      let lo = b * block in
+      Scalar_eval.fill_range node data 0 lo (Stdlib.min total (lo + block));
+      log := (id, b) :: !log;
+      cur := b
+    end
+  in
+  let fill dst off lo len =
+    let j = ref lo and hi = lo + len in
+    while !j < hi do
+      let b = !j / block in
+      load b;
+      let stop = Stdlib.min hi ((b + 1) * block) in
+      Array.blit data (!j - (b * block)) dst (off + (!j - lo)) (stop - !j);
+      j := stop
+    done
+  in
+  let get j =
+    let b = j / block in
+    load b;
+    data.(j - (b * block))
+  in
+  (Scalar_eval.staged ~id ~block_elems:block ~total ~node ~get ~fill, fun () ->
+    cur := -1)
+
+(* Layer norm and softmax rows over a value whose row statistics (and,
+   in some configurations, the value itself) sit in multi-block slabs,
+   plus two sums of reads that reach a slab at positions not
+   proportional to their own: a broadcast along a new leading axis and
+   a transpose. *)
+let slab_graph () =
+  let module B = Builder in
+  let b = B.create () in
+  let x = B.parameter b "x" [ 8; 6 ] in
+  let rows v = B.broadcast b v ~dims:[ 0 ] [ 8; 6 ] in
+  let m = B.reduce_mean b ~axes:[ 1 ] x in
+  let d = B.sub b x (rows m) in
+  let var = B.reduce_mean b ~axes:[ 1 ] (B.mul b d d) in
+  let nrm = B.mul b d (rows (B.rsqrt b var)) in
+  let mx = B.reduce_max b ~axes:[ 1 ] nrm in
+  let e = B.exp b (B.sub b nrm (rows mx)) in
+  let sm = B.div b e (rows (B.reduce_sum b ~axes:[ 1 ] e)) in
+  let cross =
+    B.add b
+      (B.broadcast b m ~dims:[ 1 ] [ 2; 8 ])
+      (B.reshape b (B.broadcast b m ~dims:[ 0 ] [ 8; 2 ]) [ 2; 8 ])
+  in
+  let turned =
+    B.add b (B.transpose b d ~perm:[ 1; 0 ]) (B.broadcast b m ~dims:[ 1 ] [ 6; 8 ])
+  in
+  (* whole rows pick [x]: their blocks of [d] are never read *)
+  let negative = B.lt b (B.reduce_sum b ~axes:[ 1 ] x) (B.constant b ~dims:[ 8 ] 0.) in
+  let picked = B.select b ~pred:(rows negative) ~on_true:d ~on_false:x in
+  (B.finish b ~outputs:[ sm; cross; turned; picked ], (m, d, var, mx))
+
+(* Every node's tile writer loads slab blocks in the sequence its
+   accessor does over the same elements, whichever values are staged
+   at whichever block sizes - aligned with the rows, straddling them,
+   or one block - so staging counts cannot tell tiles from elements. *)
+let test_slab_read_order () =
+  let g, (m, d, var, mx) = slab_graph () in
+  let params = Session.random_params ~seed:17 g in
+  let values = Interp.eval_all g ~params in
+  let staged_sets =
+    [
+      [ (m, 2) ];
+      [ (m, 2); (d, 12); (var, 2) ];
+      [ (m, 3); (d, 12); (var, 2); (mx, 4) ];
+      [ (m, 2); (d, 18); (mx, 3) ];
+      [ (d, 6); (mx, 8) ];
+      [ (m, 8); (var, 1) ];
+      [ (d, 9) ];
+      [ (d, 9); (var, 2) ];
+      [ (m, 2); (d, 9); (mx, 2) ];
+    ]
+  in
+  List.iteri
+    (fun k staged ->
+      let log = ref [] and resets = ref [] in
+      let memo = Hashtbl.create 32 in
+      let rec operand id =
+        match Hashtbl.find_opt memo id with
+        | Some t -> t
+        | None ->
+            let nd = Graph.node g id in
+            let t =
+              match (nd.op, List.assoc_opt id staged) with
+              | Op.Parameter _, _ ->
+                  let arr = Tensor.data values.(id) in
+                  Scalar_eval.storage ~get:(fun j -> arr.(j)) (fun () -> arr)
+              | _, Some block ->
+                  let node = Scalar_eval.compile g nd ~operand in
+                  let t, reset =
+                    counting_slab ~id ~block ~total:(Graph.num_elements g id)
+                      ~node log
+                  in
+                  resets := reset :: !resets;
+                  t
+              | _, None -> Scalar_eval.compile g nd ~operand
+            in
+            Hashtbl.replace memo id t;
+            t
+      in
+      let fresh () =
+        List.iter (fun r -> r ()) !resets;
+        log := []
+      in
+      Graph.iter_nodes
+        (fun (nd : Graph.node) ->
+          match nd.op with
+          | Op.Parameter _ -> ()
+          | _ ->
+              let t = operand nd.id and n = Graph.num_elements g nd.id in
+              fresh ();
+              let by_element = Array.init n t.get in
+              let per_element = List.rev !log in
+              fresh ();
+              let tiled = Array.make n 0. in
+              Scalar_eval.fill_range t tiled 0 0 n;
+              let label = Printf.sprintf "set %d: node %d (%s)" k nd.id
+                  (Op.mnemonic nd.op) in
+              check_bool (label ^ ": same slab loads") true
+                (List.rev !log = per_element);
+              check_bool (label ^ ": bitwise") true
+                (Array.for_all2 same_bits tiled by_element
+                && Array.for_all2 same_bits tiled (Tensor.data values.(nd.id))))
+        g)
+    staged_sets
 
 (* One fused run of each overflow shape allocates no per-element boxes:
    intermediates stay in unboxed tiles. *)
@@ -342,6 +554,96 @@ let test_overflow_allocation () =
         (Printf.sprintf "%s: %.0f minor words per run < 64k" name words)
         true (words < 64_000.))
     overflow_entries
+
+(* --- Max and min ------------------------------------------------------------ *)
+
+(* Signed zeros, infinities, the extreme subnormals, quiet NaNs of both
+   signs with two payloads, and ordinary values. *)
+let special_floats =
+  Array.map Int64.float_of_bits
+    [|
+      0x0000000000000000L; 0x8000000000000000L; 0x7ff0000000000000L;
+      0xfff0000000000000L; 0x0000000000000001L; 0x8000000000000001L;
+      0x000fffffffffffffL; 0x800fffffffffffffL; 0x7ff8000000000000L;
+      0xfff8000000000000L; 0x7ff80000000abcdeL; 0xfff80000000abcdeL;
+      0x3ff0000000000000L; 0xbff8000000000000L;
+    |]
+
+(* Comparison-first max and min are Float.max and Float.min to the bit:
+   every pair of special values, then random bit patterns (NaNs,
+   subnormals and infinities included). *)
+let test_max_min_exact () =
+  let pair x y =
+    if not (same_bits (Scalar_eval.fmax x y) (Float.max x y)) then
+      Alcotest.failf "fmax %Lx %Lx" (bits x) (bits y);
+    if not (same_bits (Scalar_eval.fmin x y) (Float.min x y)) then
+      Alcotest.failf "fmin %Lx %Lx" (bits x) (bits y)
+  in
+  Array.iter (fun x -> Array.iter (pair x) special_floats) special_floats;
+  let rng = Random.State.make [| 19 |] in
+  let random () = Int64.float_of_bits (Random.State.bits64 rng) in
+  for _ = 1 to 100_000 do
+    let x = random () in
+    pair x (random ());
+    pair x x;
+    pair x (-.x)
+  done
+
+(* The same values through every max/min writer: binary max and min,
+   relu, and max/min folds over suffix and strided axes, over stored and
+   computed operands, fused against the interpreter. *)
+let test_max_min_writers () =
+  let n = Array.length special_floats in
+  let module B = Builder in
+  let b = B.create () in
+  let x = B.parameter b "x" [ n; n ] and y = B.parameter b "y" [ n; n ] in
+  let m = B.max b x y in
+  let outputs =
+    [
+      m;
+      B.min b x y;
+      B.relu b x;
+      B.reduce_max b ~axes:[ 1 ] x;
+      B.reduce_min b ~axes:[ 1 ] x;
+      B.reduce_max b ~axes:[ 0 ] x;
+      B.reduce_min b ~axes:[ 0 ] x;
+      B.reduce_max b ~axes:[ 1 ] (B.min b x y);
+      B.reduce_min b ~axes:[ 0 ] m;
+    ]
+  in
+  let g = B.finish b ~outputs in
+  let grid f = Tensor.init (Shape.of_list [ n; n ]) f in
+  let params =
+    [
+      ("x", grid (fun i -> special_floats.(i / n)));
+      ("y", grid (fun i -> special_floats.(i mod n)));
+    ]
+  in
+  let ctx = Executor.create_context (compile_with "astitch" g) in
+  check_outputs "max/min writers" (Interp.run g ~params)
+    (Executor.run_context ctx ~params)
+
+(* The regional models at batch 8 - layer norms and softmaxes over
+   multi-block slabs, transposes, pools, concats - allocate under half
+   the minor words per run they did when only the local kernels were
+   tiled (CRNN 132,501, BERT 30,221, Transformer 15,286). *)
+let test_regional_allocation () =
+  List.iter
+    (fun (name, parent) ->
+      let e = Option.get (Astitch_workloads.Zoo.find name) in
+      let g = e.batched ~batch:8 in
+      let ctx = Executor.create_context (compile_with "astitch" g) in
+      let params = Session.random_params ~seed:11 g in
+      ignore (Executor.run_context ctx ~params);
+      let before = Gc.minor_words () in
+      ignore (Sys.opaque_identity (Executor.run_context ctx ~params));
+      let words = Gc.minor_words () -. before in
+      check_bool
+        (Printf.sprintf "%s: %.0f minor words per run < %d" name words
+           (parent / 2))
+        true
+        (words < float_of_int (parent / 2)))
+    [ ("CRNN", 132_501); ("BERT", 30_221); ("Transformer", 15_286) ]
 
 (* --- Slot arena ----------------------------------------------------------- *)
 
@@ -485,39 +787,76 @@ let test_irregular_staging () =
     Astitch_workloads.Zoo.all;
   check_bool "at least one workload staged irregularly" true (!exercised > 0)
 
-(* At the served batch size every slab block of the zoo models is staged
-   once per run, however the fused loops are tiled: tile writers read
-   slabs in the order per-element reads would, so a tile that refilled a
-   block twice would show here as extra staged bytes or a restage. *)
+(* Bytes one pass over every slab block stages: each staged value's
+   [elems] elements once. *)
+let one_pass_bytes plan ~elems =
+  List.fold_left
+    (fun acc -> function
+      | Tape.Fused kt ->
+          List.fold_left
+            (fun acc (id, role) ->
+              match role with Tape.Staged _ -> acc + (8 * elems id) | _ -> acc)
+            acc kt.roles
+      | Tape.Fallback _ -> acc)
+    0 (Tape.lower plan).kernels
+
+let check_staged_once label plan ~elems run =
+  let one_pass = one_pass_bytes plan ~elems in
+  let ctx = Executor.create_context plan in
+  run ctx;
+  let staged, restages =
+    List.fold_left
+      (fun (b, r) (k : Profile.exec_kernel) ->
+        (b + k.bytes_staged, r + k.restages))
+      (0, 0) (Executor.exec_report ctx).Profile.exec_kernels
+  in
+  check_bool (label ^ ": stages something") true (one_pass > 0);
+  check_int (label ^ ": bytes staged in one pass") one_pass staged;
+  check_int (label ^ ": no restages") 0 restages
+
+(* Every slab block is staged once per run, however the fused loops are
+   tiled: tile writers read slabs in the order per-element reads would,
+   so a tile that refilled a block twice would show here as extra staged
+   bytes or a restage.  At the served batch size on the zoo models, at a
+   batch-3 rebind of each symbolic batch-8 plan (slabs bounded at their
+   prefix), and on the tiny training graphs. *)
 let test_zoo_stages_each_block_once () =
   List.iter
     (fun (e : Astitch_workloads.Zoo.entry) ->
-      let plan = compile_with "astitch" (e.batched ~batch:8) in
-      let g = plan.Kernel_plan.graph in
-      let one_pass =
-        List.fold_left
-          (fun acc -> function
-            | Tape.Fused kt ->
-                List.fold_left
-                  (fun acc (id, role) ->
-                    match role with
-                    | Tape.Staged _ -> acc + (8 * Graph.num_elements g id)
-                    | _ -> acc)
-                  acc kt.roles
-            | Tape.Fallback _ -> acc)
-          0 (Tape.lower plan).kernels
-      in
-      let ctx = Executor.create_context plan in
-      ignore (Executor.run_context ctx ~params:(Session.random_params ~seed:5 g));
-      let staged, restages =
-        List.fold_left
-          (fun (b, r) (k : Profile.exec_kernel) ->
-            (b + k.bytes_staged, r + k.restages))
-          (0, 0) (Executor.exec_report ctx).Profile.exec_kernels
-      in
-      check_bool (e.name ^ ": stages something") true (one_pass > 0);
-      check_int (e.name ^ ": bytes staged in one pass") one_pass staged;
-      check_int (e.name ^ ": no restages") 0 restages)
+      let g = e.batched ~batch:8 in
+      let plan = compile_with "astitch" g in
+      check_staged_once e.name plan ~elems:(Graph.num_elements g) (fun ctx ->
+          ignore
+            (Executor.run_context ctx ~params:(Session.random_params ~seed:5 g)));
+      match
+        Batch_axis.analyze ~g1:(e.batched ~batch:1) ~g2:(e.batched ~batch:2)
+      with
+      | Error _ -> ()
+      | Ok cls ->
+          let plan =
+            { plan with Kernel_plan.batch = Some { Batch_axis.max_batch = 8; cls } }
+          in
+          let elems id =
+            match cls.(id) with
+            | Batch_axis.Scaled _ -> Graph.num_elements g id / 8 * 3
+            | Batch_axis.Invariant -> Graph.num_elements g id
+          in
+          check_staged_once (e.name ^ " batch 3 of 8") plan ~elems (fun ctx ->
+              ignore
+                (Executor.run_context ~batch:3 ctx
+                   ~params:(Session.random_params ~seed:5 (e.batched ~batch:3)))))
+    Astitch_workloads.Zoo.all;
+  List.iter
+    (fun (e : Astitch_workloads.Zoo.entry) ->
+      Option.iter
+        (fun build ->
+          let g = build () in
+          check_staged_once (e.name ^ "-train") (compile_with "astitch" g)
+            ~elems:(Graph.num_elements g) (fun ctx ->
+              ignore
+                (Executor.run_context ctx
+                   ~params:(Session.random_params ~seed:5 g))))
+        e.tiny_training)
     Astitch_workloads.Zoo.all
 
 (* --- Fallback vs demotion -------------------------------------------------- *)
@@ -778,6 +1117,12 @@ let () =
           QCheck_alcotest.to_alcotest test_fill_matches_get;
           Alcotest.test_case "overflow runs allocate under 64k words" `Quick
             test_overflow_allocation;
+          Alcotest.test_case "regional runs allocate under half the words"
+            `Quick test_regional_allocation;
+          Alcotest.test_case "max/min equal Float.max/min bitwise" `Quick
+            test_max_min_exact;
+          Alcotest.test_case "max/min writers bitwise" `Quick
+            test_max_min_writers;
         ] );
       ( "arena",
         [
@@ -799,6 +1144,8 @@ let () =
             test_irregular_staging;
           Alcotest.test_case "each block staged once per run" `Quick
             test_zoo_stages_each_block_once;
+          Alcotest.test_case "tiles load slabs as elements do" `Quick
+            test_slab_read_order;
         ] );
       ( "fallback",
         [

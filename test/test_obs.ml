@@ -184,6 +184,21 @@ let test_disabled_no_alloc () =
   Alcotest.(check (float 0.))
     "no sink => no allocation on the span/flow hot path" 0. allocated
 
+(* The monotonic clock behind per-kernel exec timing: readings never go
+   backwards and reading it never allocates. *)
+let test_monotonic_clock () =
+  let read = Astitch_obs.Clock.monotonic_ns in
+  let prev = ref (read ()) and backwards = ref 0 in
+  let before = Gc.minor_words () in
+  for _ = 1 to 10_000 do
+    let now = read () in
+    if now < !prev then incr backwards;
+    prev := now
+  done;
+  let allocated = Gc.minor_words () -. before in
+  Alcotest.(check int) "never backwards" 0 !backwards;
+  Alcotest.(check (float 0.)) "no allocation per reading" 0. allocated
+
 (* --- Concurrent emitters (qcheck) ----------------------------------------- *)
 
 let prop_concurrent_domains =
@@ -724,8 +739,10 @@ let () =
           Alcotest.test_case "deterministic" `Quick test_deterministic_export;
         ] );
       ( "cost",
-        [ Alcotest.test_case "disabled = no alloc" `Quick test_disabled_no_alloc ]
-      );
+        [
+          Alcotest.test_case "disabled = no alloc" `Quick test_disabled_no_alloc;
+          Alcotest.test_case "monotonic clock" `Quick test_monotonic_clock;
+        ] );
       ( "concurrency",
         [ QCheck_alcotest.to_alcotest ~long:false prop_concurrent_domains ] );
       ( "flows",

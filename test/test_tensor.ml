@@ -288,6 +288,23 @@ let test_unary_identities () =
     (f Op.Sign (-2.) = -1. && f Op.Sign 0. = 0. && f Op.Sign 9. = 1.);
   check "abs" true (f Op.Abs (-2.5) = 2.5)
 
+(* the tile form of erf applies the same polynomial: equal bits over a
+   sweep of values, and it leaves the rest of the array alone *)
+let test_erf_tile () =
+  let xs = Array.init 2001 (fun i -> float_of_int (i - 1000) /. 250.) in
+  let a = Array.append [| 42. |] (Array.append xs [| -42. |]) in
+  Interp.erf_tile a 1 (Array.length xs);
+  check "ends untouched" true (a.(0) = 42. && a.(Array.length a - 1) = -42.);
+  Array.iteri
+    (fun i x ->
+      check
+        (Printf.sprintf "erf %g bitwise" x)
+        true
+        (Int64.equal
+           (Int64.bits_of_float a.(i + 1))
+           (Int64.bits_of_float (Interp.unary_fn Op.Erf x))))
+    xs
+
 let test_binary_identities () =
   let f = Interp.binary_fn in
   check "pow" true (close (f Op.Pow 2. 10.) 1024.);
@@ -349,6 +366,7 @@ let () =
       ( "identities",
         [
           Alcotest.test_case "unary" `Quick test_unary_identities;
+          Alcotest.test_case "erf tile" `Quick test_erf_tile;
           Alcotest.test_case "binary" `Quick test_binary_identities;
           Alcotest.test_case "reduce" `Quick test_reduce_identities;
           Alcotest.test_case "dtype table" `Quick test_dtype_table;
