@@ -324,6 +324,7 @@ let compile model backend training tiny arch resilient injects use_cache
           (config_for_backend backend)
       in
       with_arch arch (fun arch ->
+          let cache = Session.make_cache () in
           let driver =
             match config with
             | None when resilient ->
@@ -333,7 +334,6 @@ let compile model backend training tiny arch resilient injects use_cache
                 Error "--inject without --resilient needs an AStitch-family \
                        backend (astitch, atm or hdm)"
             | Some config when resilient ->
-                let cache = Session.make_resilient_cache () in
                 let compile () =
                   if use_cache then
                     Session.compile_resilient_cached ~config cache arch g
@@ -344,31 +344,28 @@ let compile model backend training tiny arch resilient injects use_cache
                   (r.result, Some r.report)
                 in
                 Ok
-                  ( (fun () ->
-                      let r, outcome = compile () in
-                      (Result.map with_report r, outcome)),
-                    fun () -> Plan_cache.stats cache )
+                  (fun () ->
+                    let r, outcome = compile () in
+                    (Result.map with_report r, outcome))
             | _ ->
                 let b =
                   match config with
                   | Some config -> Astitch_core.Astitch.backend ~config ()
                   | None -> b
                 in
-                let cache = Session.make_cache () in
                 Ok
-                  ( (fun () ->
-                      match
-                        if use_cache then Session.compile_cached cache b arch g
-                        else (Session.compile b arch g, Plan_cache.Miss)
-                      with
-                      | r, outcome -> (Ok (r, None), outcome)
-                      | exception Compile_error.Error e ->
-                          (Error e, Plan_cache.Bypassed)),
-                    fun () -> Plan_cache.stats cache )
+                  (fun () ->
+                    match
+                      if use_cache then Session.compile_cached cache b arch g
+                      else (Session.compile b arch g, Plan_cache.Miss)
+                    with
+                    | r, outcome -> (Ok (r, None), outcome)
+                    | exception Compile_error.Error e ->
+                        (Error e, Plan_cache.Bypassed))
           in
           match driver with
           | Error e -> `Error (false, e)
-          | Ok (compile_once, stats) ->
+          | Ok compile_once ->
               let rec loop i =
                 match compile_once () with
                 | Error e, _ -> `Error (false, Compile_error.to_string e)
@@ -378,7 +375,7 @@ let compile model backend training tiny arch resilient injects use_cache
                         (Plan_cache.outcome_to_string outcome);
                     if i < repeat then loop (i + 1)
                     else begin
-                      if use_cache then pp_cache_stats (stats ());
+                      if use_cache then pp_cache_stats (Plan_cache.stats cache);
                       Format.printf "%a@." Kernel_plan.pp result.Session.plan;
                       Option.iter
                         (Format.printf "%a@."
@@ -514,10 +511,10 @@ let compare_cmd model training tiny arch resilient injects fused trace metrics
             ignore (Executor.run_context ctx ~params);
             let samples =
               Array.init 3 (fun _ ->
-                  let t0 = Unix.gettimeofday () in
+                  let t0 = Astitch_obs.Clock.now_us () in
                   ignore
                     (Sys.opaque_identity (Executor.run_context ctx ~params));
-                  (Unix.gettimeofday () -. t0) *. 1e6)
+                  Astitch_obs.Clock.now_us () -. t0)
             in
             Array.sort compare samples;
             Printf.printf "%-10s %10d %8d %14.1f %13.2fx %12.1f\n" name
@@ -836,7 +833,7 @@ let drive (t : traffic) zoo names =
   let module Request = Astitch_serve.Request in
   let module Zoo = Astitch_serve.Zoo in
   let st = Random.State.make [| t.seed |] in
-  let t0 = Unix.gettimeofday () in
+  let t0 = Astitch_obs.Clock.now_us () in
   let clock = ref 0. in
   let rejected = ref 0 in
   let tickets =
@@ -846,9 +843,9 @@ let drive (t : traffic) zoo names =
            let gap =
              -.Float.log (1. -. Random.State.float st 1.) /. t.arrival
            in
-           clock := !clock +. gap;
-           let until = t0 +. !clock -. Unix.gettimeofday () in
-           if until > 0. then Unix.sleepf until
+           clock := !clock +. (gap *. 1e6);
+           let until = t0 +. !clock -. Astitch_obs.Clock.now_us () in
+           if until > 0. then Unix.sleepf (until *. 1e-6)
          end);
         let model = skewed_pick st names in
         let params =
@@ -863,7 +860,7 @@ let drive (t : traffic) zoo names =
       (List.init t.requests Fun.id)
   in
   Zoo.drain zoo;
-  let wall = Unix.gettimeofday () -. t0 in
+  let wall = (Astitch_obs.Clock.now_us () -. t0) *. 1e-6 in
   List.fold_left
     (fun r (i, ticket) ->
       match Zoo.await zoo ticket with
@@ -1075,12 +1072,12 @@ let serve_cmd_impl models slo_specs plan_dir verify_plans expect_warm
                             (String.concat " "
                                (List.map Fault_site.plan_to_string
                                   fault_plans));
-                        let t_pre = Unix.gettimeofday () in
+                        let t_pre = Astitch_obs.Clock.now_us () in
                         let p = Zoo.prewarm zoo in
                         Printf.printf
                           "prewarm: %.0f ms  loaded %d  verified %d  \
                            rejected %d  saved %d\n"
-                          ((Unix.gettimeofday () -. t_pre) *. 1e3)
+                          ((Astitch_obs.Clock.now_us () -. t_pre) *. 1e-3)
                           p.loaded p.verified p.rejected p.saved;
                         (* The line the CI smoke job greps: a restart
                            against a warm store must print "cold

@@ -106,7 +106,7 @@ let recorder : sink option Atomic.t = Atomic.make None
    must stay unique if a recorder dump and a trace export are merged. *)
 let flow_ids : int Atomic.t = Atomic.make 0
 
-let make_sink ?(clock = Clock.wall_ns) ?(capacity = 65536) ~what () =
+let make_sink ?(clock = Clock.monotonic_ns) ?(capacity = 65536) ~what () =
   if capacity <= 0 then
     invalid_arg (Printf.sprintf "Trace.%s: capacity must be > 0" what);
   {

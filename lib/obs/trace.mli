@@ -75,9 +75,10 @@ val null_context : context
 
 val install : ?clock:Clock.t -> ?capacity:int -> unit -> unit
 (** Install a fresh trace sink (replacing any previous one).  [clock]
-    defaults to {!Clock.wall_ns}; [capacity] (default 65536) bounds each
-    domain's ring buffer - overflow overwrites the oldest records and is
-    counted by {!dropped}.  @raise Invalid_argument if [capacity <= 0]. *)
+    defaults to {!Clock.monotonic_ns}; [capacity] (default 65536)
+    bounds each domain's ring buffer - overflow overwrites the oldest
+    records and is counted by {!dropped}.
+    @raise Invalid_argument if [capacity <= 0]. *)
 
 val uninstall : unit -> record list
 (** Remove the trace sink, returning everything collected. *)

@@ -237,3 +237,12 @@ let check_runtime site ~pass =
           Unix.sleepf (stall_s p.seed);
           None
       | Raise -> raise (Runtime_fault { site; seed = p.seed; pass }))
+
+(* What a fired [Corrupt] fault does to data, wherever it fires: one
+   cell, picked by the seed, moves by 1 + (seed land 0xff). *)
+let corrupt arr seed =
+  let n = Array.length arr in
+  if n > 0 then begin
+    let i = abs seed mod n in
+    arr.(i) <- arr.(i) +. 1.0 +. float_of_int (seed land 0xff)
+  end

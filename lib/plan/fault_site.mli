@@ -96,3 +96,8 @@ val check : site -> pass:string -> int option
 val check_runtime : site -> pass:string -> int option
 (** {!check} for runtime sites: [Raise] throws {!Runtime_fault} instead
     of a [Compile_error] (execution failures are not compile errors). *)
+
+val corrupt : float array -> int -> unit
+(** [corrupt data seed]: the perturbation a fired runtime [Corrupt]
+    fault applies - the cell at [abs seed mod length] moves by
+    [1 + (seed land 0xff)], in place.  No-op on an empty array. *)

@@ -26,16 +26,10 @@ exception Execution_error of string
    fault-free is what guarantees every request resolves to a structured
    outcome even under persistent injected faults.
 
-   Corrupt mode perturbs one cell of a live buffer in place - silent
-   numeric damage with no exception, which only the serving layer's
-   poisoned-batch detection (comparing the fired counter around each
-   batch) can catch. *)
-let corrupt_cell arr seed =
-  let n = Array.length arr in
-  if n > 0 then begin
-    let i = abs seed mod n in
-    arr.(i) <- arr.(i) +. 1.0 +. float_of_int (seed land 0xff)
-  end
+   Corrupt mode perturbs one cell of a live buffer in place
+   ([Fault_site.corrupt]) - silent numeric damage with no exception,
+   which only the serving layer's poisoned-batch detection (comparing
+   the fired counter around each batch) can catch. *)
 
 let run (plan : Kernel_plan.t) ~params : Tensor.t list =
   let traced = Trace.active () in
@@ -486,7 +480,7 @@ let create_context_body ~fused ~timed (plan : Kernel_plan.t) : context =
                         ~pass:"staged-fill"
                     with
                     | None -> ()
-                    | Some fseed -> corrupt_cell sl.sdata fseed);
+                    | Some fseed -> Fault_site.corrupt sl.sdata fseed);
                 let load b =
                   if sl.cur_block <> b then begin
                     sl.fill b;
@@ -888,7 +882,7 @@ let run_context ?batch (ctx : context) ~params : Tensor.t list =
           | Fused_k fk ->
               let ids = fk.set_computed in
               if Array.length ids > 0 then
-                corrupt_cell
+                Fault_site.corrupt
                   (Tensor.data values.(ids.(abs fseed mod Array.length ids)))
                   fseed
           | Ref_k { steps; _ } ->
@@ -901,7 +895,7 @@ let run_context ?batch (ctx : context) ~params : Tensor.t list =
                   None steps
               in
               (match last with
-              | Some id -> corrupt_cell (Tensor.data values.(id)) fseed
+              | Some id -> Fault_site.corrupt (Tensor.data values.(id)) fseed
               | None -> ())));
       if ctx.timed then begin
         let prof =
@@ -947,13 +941,14 @@ let run_context ?batch (ctx : context) ~params : Tensor.t list =
           Tensor.create s (Array.sub (Tensor.data values.(id)) 0 nb) :: acc)
         ctx.output_ids []
 
-(* Execute and compare against the reference interpreter. *)
-let run_and_check ?(eps = 1e-5) plan ~params =
+(* Execute and compare against the reference interpreter, bit for bit:
+   every plan must reproduce it exactly. *)
+let run_and_check plan ~params =
   let outputs = run plan ~params in
   let reference = Interp.run plan.Kernel_plan.graph ~params in
   List.iter2
     (fun got expect ->
-      if not (Tensor.equal_approx ~eps got expect) then
+      if not (Tensor.equal_bits got expect) then
         raise
           (Execution_error
              (Format.asprintf

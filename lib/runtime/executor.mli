@@ -14,12 +14,10 @@ val run :
     @raise Execution_error if the plan reads a value before computing it. *)
 
 val run_and_check :
-  ?eps:float ->
-  Kernel_plan.t ->
-  params:(string * Tensor.t) list ->
-  Tensor.t list
-(** {!run}, then compare every output against {!Interp.run}.
-    @raise Execution_error on divergence. *)
+  Kernel_plan.t -> params:(string * Tensor.t) list -> Tensor.t list
+(** {!run}, then compare every output against {!Interp.run} with
+    [Tensor.equal_bits]: signed zeros and NaN payloads included.
+    @raise Execution_error on any differing bit. *)
 
 type context
 (** A plan prepared for repeated execution.  By default each kernel is

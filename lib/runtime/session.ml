@@ -61,21 +61,17 @@ let compile_resilient ?(config = Astitch_core.Config.full) arch g =
 (* --- Compile-once caching ---------------------------------------------
 
    Serving recompiles the same models; both compile entry points get a
-   cached variant keyed by canonical graph fingerprint x architecture x
-   compiler identity.  Soundness of serving a hit verbatim rests on the
-   fingerprint (structurally identical live graphs) and on never caching
-   anything that is not a full-strength compile: fault-injected compiles
-   are detected via the Fault_site arming epoch/firing counter, degraded
-   resilient compiles via a non-empty report, and both are counted as
-   cache bypasses. *)
+   cached variant over one cache type, keyed by canonical graph
+   fingerprint x architecture x compiler identity.  Soundness of
+   serving a hit verbatim rests on the fingerprint (structurally
+   identical live graphs) and on never caching anything that is not a
+   full-strength compile: fault-injected compiles are detected via the
+   Fault_site arming epoch/firing counter, degraded resilient compiles
+   via a non-empty report, and both are counted as cache bypasses. *)
 
 type cache = result Plan_cache.t
-type resilient_cache = resilient Plan_cache.t
 
 let make_cache ?capacity () : cache = Plan_cache.create ?capacity ()
-
-let make_resilient_cache ?capacity () : resilient_cache =
-  Plan_cache.create ?capacity ()
 
 (* Did a fault-injection window overlap this compile?  [arm] bumps the
    epoch and [disarm] leaves the counters in place, so comparing epoch
@@ -136,8 +132,10 @@ let compile_cached (cache : cache) (backend : Backend_intf.t) arch g =
 let uncache (cache : cache) (backend : Backend_intf.t) arch g =
   Plan_cache.remove cache (cache_key backend arch g)
 
+(* Only full-strength results are filed, so a hit is one with an empty
+   degradation report: the cache stores the result alone. *)
 let compile_resilient_cached ?(config = Astitch_core.Config.full)
-    (cache : resilient_cache) arch g =
+    (cache : cache) arch g =
   let key =
     Plan_cache.key
       ~fingerprint:(Fingerprint.of_graph g)
@@ -145,7 +143,7 @@ let compile_resilient_cached ?(config = Astitch_core.Config.full)
       ~config:(Astitch_core.Config.cache_key config)
   in
   match Plan_cache.find cache key with
-  | Some r -> (Ok r, Plan_cache.Hit)
+  | Some result -> (Ok { result; report = [] }, Plan_cache.Hit)
   | None -> (
       let compiled, fault_free =
         with_fault_watch (fun () -> compile_resilient ~config arch g)
@@ -160,7 +158,7 @@ let compile_resilient_cached ?(config = Astitch_core.Config.full)
             && Astitch_core.Degradation.is_empty r.report
             && config.Astitch_core.Config.faults = []
           then begin
-            Plan_cache.add cache key r;
+            Plan_cache.add cache key r.result;
             (Ok r, Plan_cache.Miss)
           end
           else begin

@@ -27,12 +27,11 @@ val compile_resilient :
     degrade: when the report is empty the plans are identical. *)
 
 type cache = result Plan_cache.t
-(** Compiled results keyed by graph fingerprint x arch x backend name. *)
-
-type resilient_cache = resilient Plan_cache.t
+(** Full-strength compiled results, keyed by graph fingerprint x arch x
+    compiler identity (the backend name for {!compile_cached}, the
+    config's cache key for {!compile_resilient_cached}). *)
 
 val make_cache : ?capacity:int -> unit -> cache
-val make_resilient_cache : ?capacity:int -> unit -> resilient_cache
 
 val cache_key : Backend_intf.t -> Astitch_simt.Arch.t -> Graph.t -> string
 (** The cache key {!compile_cached} files results under:
@@ -73,13 +72,14 @@ val uncache :
 
 val compile_resilient_cached :
   ?config:Astitch_core.Config.t ->
-  resilient_cache ->
+  cache ->
   Astitch_simt.Arch.t ->
   Graph.t ->
   (resilient, Compile_error.t) Stdlib.result * Plan_cache.outcome
 (** {!compile_resilient} behind an LRU cache.  Only full-strength
     results are stored: compile errors, non-empty degradation reports
-    and fault-injected configs all bypass the cache. *)
+    and fault-injected configs all bypass the cache.  A hit therefore
+    comes back with an empty report. *)
 
 val run :
   ?check:bool ->

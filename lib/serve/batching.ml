@@ -22,6 +22,7 @@
 
 open Astitch_ir
 open Astitch_tensor
+module Fault_site = Astitch_plan.Fault_site
 
 exception Not_batchable of string
 
@@ -196,16 +197,9 @@ let pack spec requests =
       (* serving-runtime fault site: raise models a failed pack,
          corrupt perturbs one cell of the freshly concatenated tensor
          (safe to mutate in place - [concat_axis] allocates it) *)
-      (match
-         Astitch_plan.Fault_site.check_runtime
-           Astitch_plan.Fault_site.Pack ~pass:name
-       with
-      | None -> ()
-      | Some seed ->
-          let d = Tensor.data packed in
-          let nd = Array.length d in
-          if nd > 0 then
-            d.(abs seed mod nd) <- d.(abs seed mod nd) +. 1.);
+      (match Fault_site.check_runtime Fault_site.Pack ~pass:name with
+      | Some seed -> Fault_site.corrupt (Tensor.data packed) seed
+      | None -> ());
       (name, packed))
     spec.request_params
 
@@ -223,16 +217,9 @@ let unpack spec ~count outputs =
           in
           (* serving-runtime fault site: corrupt perturbs the freshly
              sliced (or copied) per-request output in place *)
-          (match
-             Astitch_plan.Fault_site.check_runtime
-               Astitch_plan.Fault_site.Unpack ~pass:"unpack"
-           with
-          | None -> ()
-          | Some seed ->
-              let d = Tensor.data sliced in
-              let nd = Array.length d in
-              if nd > 0 then
-                d.(abs seed mod nd) <- d.(abs seed mod nd) +. 1.);
+          (match Fault_site.check_runtime Fault_site.Unpack ~pass:"unpack" with
+          | Some seed -> Fault_site.corrupt (Tensor.data sliced) seed
+          | None -> ());
           sliced)
         spec.outputs outputs)
 

@@ -6,8 +6,8 @@
    request resolves to exactly one [outcome]: served, structurally
    rejected/shed ([Overloaded] - the admission-control contract, never
    an unbounded queue), or failed after the degradation ladder ran dry.
-   Timestamps are wall-clock microseconds ([Unix.gettimeofday *. 1e6]),
-   matching the obs layer's latency histograms. *)
+   Timestamps are monotonic microseconds ([Astitch_obs.Clock.now_us]),
+   the clock every serving deadline, cooldown and latency phase reads. *)
 
 open Astitch_tensor
 
@@ -56,6 +56,9 @@ type t = {
       (** stamped when the scheduler hands the request to a worker (last
           attempt wins); 0 until first dispatch.  Splits queue wait from
           the on-worker phases in the latency decomposition. *)
+  mutable resolved : bool;
+      (** an outcome has landed; set once, by the scheduler's first-wins
+          completion under its lock *)
 }
 
 let expired ~now_us t =

@@ -32,7 +32,9 @@ type t = {
   id : int;
   model : string;
   params : (string * Tensor.t) list;  (** per-request bindings, batch 1 *)
-  submitted_us : float;  (** wall-clock microseconds *)
+  submitted_us : float;
+      (** monotonic microseconds ({!Astitch_obs.Clock.now_us}): compare
+          only with readings of that clock *)
   deadline_us : float option;  (** absolute; [None] = wait forever *)
   mutable attempts : int;
       (** failed batch executions so far; supervision re-dispatches
@@ -44,6 +46,12 @@ type t = {
       (** stamped at scheduler dispatch (last attempt wins); 0 until
           first dispatch.  Queue wait = [dispatched_us - submitted_us]
           in the latency decomposition. *)
+  mutable resolved : bool;
+      (** [false] at submission.  The scheduler's first-wins completion
+          sets it, under its lock, when the request's one outcome lands;
+          a later completion of the same request (a wedge-steal
+          re-execution holds the same physical record) sees it and is
+          counted as a duplicate. *)
 }
 
 val expired : now_us:float -> t -> bool

@@ -1,7 +1,9 @@
 (* Request scheduler: the concurrent heart of the serving runtime.
 
    One mutex guards the bounded queue, the completion table and every
-   counter; workers and submitters meet only here.  Two conditions:
+   counter; workers and submitters meet only here.  Every timestamp it
+   compares - request stamps and deadlines, breaker cooldowns, batching
+   windows - is [Clock.now_us], the monotonic clock.  Two conditions:
    [nonempty] wakes workers when work (or shutdown) arrives, [done_cond]
    wakes waiters when an outcome lands.
 
@@ -30,7 +32,10 @@
      batch from a stalled worker and re-execute it; if the original
      worker later finishes too, the second completion is counted as a
      duplicate and dropped, so [outstanding] can never double-decrement
-     and an already-delivered outcome is never overwritten.
+     and an already-delivered outcome is never overwritten.  Both
+     completions hold the same physical [Request.t], so the request's
+     own [resolved] flag is the whole memory of it: nothing per request
+     outlives its awaited outcome.
 
    - [requeue] re-admits a request from a failed batch, bypassing
      admission control (the request is already admitted and counted in
@@ -65,11 +70,12 @@ let breaker_state_to_string = function
 type breaker = {
   mutable bstate : breaker_state;
   mutable consec : int;  (** consecutive batch failures while closed *)
-  mutable open_until : float;  (** wall-clock us; probe after this *)
+  mutable open_until : float;  (** [Clock.now_us]; probe after this *)
 }
 
 (* One SLO class's account, kept where its requests are admitted,
-   refused and completed: under the scheduler lock. *)
+   refused and completed: under the scheduler lock.  The accounts are the
+   scheduler's ledger: [stats] sums them. *)
 type account = {
   mutable a_submitted : int;
   mutable a_rejected : int;
@@ -97,9 +103,6 @@ type t = {
   mutable dispatches : int;
   retries : Request.t Stdlib.Queue.t;
       (** failed-batch requests awaiting solo re-dispatch *)
-  resolved : (int, unit) Hashtbl.t;
-      (** ids whose outcome already landed - makes completion
-          first-wins under wedge-steal double execution *)
   breakers : (string, breaker) Hashtbl.t;
   breaker_threshold : int;  (** consecutive failures to open; 0 = off *)
   breaker_cooldown_us : float;
@@ -112,16 +115,11 @@ type t = {
   mutable outstanding : int;  (** admitted, outcome not yet recorded *)
   mutable draining : bool;
   mutable stopped : bool;
-  mutable submitted : int;
-  mutable rejected : int;
-  mutable shed : int;
   mutable shed_admission : int;
       (** refused at submit: deadline already past on arrival *)
   mutable displaced : int;
       (** queued lower-class requests evicted for higher-class arrivals *)
   mutable floor_picks : int;  (** dispatches taken by the fair-share floor *)
-  mutable completed : int;
-  mutable failed : int;
   mutable degraded : int;
   mutable batches : int;
   mutable retried : int;
@@ -190,7 +188,6 @@ let create ?(breaker_threshold = 4) ?(breaker_cooldown_us = 5_000.)
     served = Hashtbl.create 8;
     dispatches = 0;
     retries = Stdlib.Queue.create ();
-    resolved = Hashtbl.create 64;
     breakers = Hashtbl.create 8;
     breaker_threshold;
     breaker_cooldown_us;
@@ -203,14 +200,9 @@ let create ?(breaker_threshold = 4) ?(breaker_cooldown_us = 5_000.)
     outstanding = 0;
     draining = false;
     stopped = false;
-    submitted = 0;
-    rejected = 0;
-    shed = 0;
     shed_admission = 0;
     displaced = 0;
     floor_picks = 0;
-    completed = 0;
-    failed = 0;
     degraded = 0;
     batches = 0;
     retried = 0;
@@ -231,8 +223,6 @@ let create ?(breaker_threshold = 4) ?(breaker_cooldown_us = 5_000.)
     m_shed_admission = Metrics.counter r "serve.shed_admission";
     m_displaced = Metrics.counter r "serve.displaced";
   }
-
-let now_us () = Unix.gettimeofday () *. 1e6
 
 let locked t f = Mutex.protect t.mu f
 
@@ -297,23 +287,23 @@ let account t model = t.accounts.(Slo.rank (slo t model))
 (* Record an outcome under the scheduler lock and wake waiters.
    First-wins: wedge recovery may steal and re-execute a batch whose
    original worker eventually finishes too, so the same id can complete
-   twice.  The first outcome is the one delivered; later attempts are
-   counted as duplicates and dropped without touching [outstanding].
+   twice.  The first outcome is the one delivered and sets the request's
+   [resolved] flag; later attempts see it, are counted as duplicates and
+   dropped without touching [outstanding].
    The winning completion terminates the request's flow arrow ("f"), so
    every admitted flow ends exactly once whatever path resolved it.  It
    also lands in the request's class account; a deadline is met by the
    request's own absolute deadline, the one dispatch enforced. *)
 let complete_locked t (req : Request.t) outcome =
-  if Hashtbl.mem t.resolved req.id then begin
+  if req.resolved then begin
     t.duplicates <- t.duplicates + 1;
     Metrics.inc t.m_duplicate
   end
   else begin
-    Hashtbl.replace t.resolved req.id ();
+    req.resolved <- true;
     let a = account t req.model in
     (match outcome with
     | Request.Done { degraded; latency_us; _ } ->
-        t.completed <- t.completed + 1;
         if degraded then t.degraded <- t.degraded + 1;
         Metrics.inc t.m_completed;
         if degraded then Metrics.inc t.m_degraded;
@@ -326,11 +316,9 @@ let complete_locked t (req : Request.t) outcome =
         in
         if met then a.a_deadline_met <- a.a_deadline_met + 1
     | Request.Overloaded _ ->
-        t.shed <- t.shed + 1;
         Metrics.inc t.m_shed;
         a.a_shed <- a.a_shed + 1
     | Request.Failed _ ->
-        t.failed <- t.failed + 1;
         Metrics.inc t.m_failed;
         a.a_failed <- a.a_failed + 1);
     if Trace.active () then
@@ -365,7 +353,7 @@ let breaker_instant model transition =
 
 let open_breaker_locked t model (b : breaker) =
   b.bstate <- `Open;
-  b.open_until <- now_us () +. t.breaker_cooldown_us;
+  b.open_until <- Clock.now_us () +. t.breaker_cooldown_us;
   t.breaker_opens <- t.breaker_opens + 1;
   Metrics.inc t.m_breaker_open;
   breaker_instant model "open";
@@ -463,7 +451,6 @@ let submit t (req : Request.t) =
   locked t (fun () ->
       let a = account t req.model in
       let refuse o =
-        t.rejected <- t.rejected + 1;
         a.a_rejected <- a.a_rejected + 1;
         Metrics.inc t.m_rejected;
         Error o
@@ -473,11 +460,11 @@ let submit t (req : Request.t) =
         &&
         match Hashtbl.find_opt t.breakers req.model with
         | None -> false
-        | Some b -> breaker_tick_locked b ~now:(now_us ()) = `Open
+        | Some b -> breaker_tick_locked b ~now:(Clock.now_us ()) = `Open
       in
       if t.stopped || t.draining then refuse Request.Shutting_down
       else if broken then refuse Request.Breaker_open
-      else if Request.expired ~now_us:(now_us ()) req then begin
+      else if Request.expired ~now_us:(Clock.now_us ()) req then begin
         (* Dead on arrival: refuse at admission instead of letting the
            corpse occupy queue space until dispatch-time shedding.  A
            refusal never increments [submitted]/[outstanding], so it is
@@ -503,7 +490,6 @@ let submit t (req : Request.t) =
              && Rq.push t.queue ~model:req.model req)
       then refuse Request.Queue_full
       else begin
-        t.submitted <- t.submitted + 1;
         a.a_submitted <- a.a_submitted + 1;
         t.outstanding <- t.outstanding + 1;
         Metrics.inc t.m_submitted;
@@ -519,7 +505,7 @@ let submit t (req : Request.t) =
 (* Shed every queued request past its deadline; their outcome is the
    structured overload, never a silent drop. *)
 let shed_expired_locked t =
-  let now = now_us () in
+  let now = Clock.now_us () in
   let dead = Rq.remove_if t.queue (Request.expired ~now_us:now) in
   List.iter
     (fun (r : Request.t) ->
@@ -549,7 +535,7 @@ let shed_expired_locked t =
    dispatch order only; it never bypasses the batcher's window
    decision, so a floor pick is still a legal batch. *)
 let pick_locked t =
-  let now = now_us () in
+  let now = Clock.now_us () in
   let draining = t.draining || t.stopped in
   let floor_turn =
     t.floor_period > 0 && t.dispatches mod t.floor_period = t.floor_period - 1
@@ -602,7 +588,7 @@ let pick_locked t =
    too, so a model with no new submissions still gets its probe. *)
 let shed_broken_locked t =
   if t.breaker_threshold > 0 then begin
-    let now = now_us () in
+    let now = Clock.now_us () in
     List.iter
       (fun model ->
         match Hashtbl.find_opt t.breakers model with
@@ -629,13 +615,13 @@ let rec take_retry_locked t =
   match Stdlib.Queue.take_opt t.retries with
   | None -> None
   | Some (r : Request.t) ->
-      if Request.expired ~now_us:(now_us ()) r then begin
+      if Request.expired ~now_us:(Clock.now_us ()) r then begin
         complete_locked t r (Request.Overloaded Request.Deadline_exceeded);
         take_retry_locked t
       end
       else begin
         t.batches <- t.batches + 1;
-        r.dispatched_us <- now_us ();
+        r.dispatched_us <- Clock.now_us ();
         Some { model = r.model; requests = [ r ] }
       end
 
@@ -654,7 +640,7 @@ let dispatch_locked t =
           let requests = Rq.take t.queue ~model ~max:n in
           publish_depth t;
           t.batches <- t.batches + 1;
-          let now = now_us () in
+          let now = Clock.now_us () in
           List.iter (fun (r : Request.t) -> r.dispatched_us <- now) requests;
           Some { model; requests })
 
@@ -817,15 +803,16 @@ type stats = {
 
 let stats t =
   locked t (fun () ->
+      let sum f = Array.fold_left (fun acc a -> acc + f a) 0 t.accounts in
       {
-        submitted = t.submitted;
-        rejected = t.rejected;
-        shed = t.shed;
+        submitted = sum (fun a -> a.a_submitted);
+        rejected = sum (fun a -> a.a_rejected);
+        shed = sum (fun a -> a.a_shed);
         shed_admission = t.shed_admission;
         displaced = t.displaced;
         floor_picks = t.floor_picks;
-        completed = t.completed;
-        failed = t.failed;
+        completed = sum (fun a -> a.a_completed);
+        failed = sum (fun a -> a.a_failed);
         degraded = t.degraded;
         batches = t.batches;
         outstanding = t.outstanding;

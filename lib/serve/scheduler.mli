@@ -79,9 +79,11 @@ val outstanding : t -> int
 
 val complete : t -> Request.t -> Request.outcome -> unit
 (** Record the outcome for an admitted request and wake waiters.
-    Idempotent, first-wins: completing an already-resolved request is
-    counted as a duplicate and otherwise ignored, so wedge-steal
-    double execution can't corrupt the accounting.  The winning
+    Idempotent, first-wins: completing an already-resolved request
+    ([Request.resolved] set) is counted as a duplicate and otherwise
+    ignored, so wedge-steal double execution can't corrupt the
+    accounting.  The scheduler keeps no per-request state beyond the
+    outcome awaiting its ticket.  The winning
     completion terminates the request's flow arrow. *)
 
 val note_batch_result : t -> model:string -> ok:bool -> unit
@@ -157,3 +159,6 @@ type stats = {
 }
 
 val stats : t -> stats
+(** A snapshot under the scheduler lock.  [submitted], [rejected],
+    [completed], [shed] and [failed] are the sums of the per-class
+    accounts ({!class_stats}): the scheduler keeps no second copy. *)

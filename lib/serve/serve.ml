@@ -10,9 +10,11 @@
    and serves every batch size 1..max on that single context by prefix
    rebinding; a rejected one (batch axis not outermost, etc.) serves
    fixed-extent contexts per exact size.  Either way batches execute at
-   exactly their request count - no padded rows.  After that the
-   surface is small: [submit]/[submit_async] with per-request bindings,
-   [drain] to flush, [shutdown] to stop, [stats] to look.
+   exactly their request count - no padded rows.  Requests are stamped
+   with [Clock.now_us], the clock the scheduler and workers read.
+   After that the surface is small: [submit]/[submit_async] with
+   per-request bindings, [drain] to flush, [shutdown] to stop, [stats]
+   to look.
 
    Admission control is the submit path: a request either comes back
    with a ticket (its outcome will land) or with the structured
@@ -78,22 +80,21 @@ let model_seed ~seed name =
 (* Decide whether a builder family can be served shape-polymorphically:
    the node-level batch-axis classification must succeed on the {1,2}
    diff AND hold at [max_batch] (catching locally-linear families).
-   Rejected families are served fixed-extent - correct either way, just
-   one compile per distinct batch size instead of one per model. *)
+   Rejected families ([None]) are served fixed-extent - correct either
+   way, just one compile per distinct batch size instead of one per
+   model. *)
 let decide_mode ~max_batch (m : model) ~g1 ~g2 =
   match Batch_axis.analyze ~g1 ~g2 with
-  | Error _ -> Worker_pool.Fixed
+  | Error _ -> None
   | Ok cls -> (
-      if max_batch <= 2 then
-        Worker_pool.Symbolic { Batch_axis.max_batch; cls }
-      else
-        match
-          Batch_axis.validate_at cls ~base:g1
-            ~at:(m.build ~batch:max_batch)
-            ~batch:max_batch
-        with
-        | Ok () -> Worker_pool.Symbolic { Batch_axis.max_batch; cls }
-        | Error _ -> Worker_pool.Fixed)
+      let holds =
+        max_batch <= 2
+        || Result.is_ok
+             (Batch_axis.validate_at cls ~base:g1
+                ~at:(m.build ~batch:max_batch)
+                ~batch:max_batch)
+      in
+      if holds then Some { Batch_axis.max_batch; cls } else None)
 
 let create ?(config = default_config) models =
   (* Every argument is checked before the scheduler opens its wake pipe
@@ -120,9 +121,8 @@ let create ?(config = default_config) models =
           shared;
           max_batch = config.max_batch;
           mu = Mutex.create ();
-          mode = decide_mode ~max_batch:config.max_batch m ~g1 ~g2;
-          sym_ctxs = ref [];
-          fixed_ctxs = Hashtbl.create 4;
+          batch = decide_mode ~max_batch:config.max_batch m ~g1 ~g2;
+          free = Hashtbl.create 4;
         })
     models;
   let policy =
@@ -177,14 +177,7 @@ let spec t ~model = (model_state t model).Worker_pool.spec
    (the shape-polymorphic path); false for fixed-extent fallback. *)
 let symbolic t ~model =
   let m = model_state t model in
-  Mutex.lock m.Worker_pool.mu;
-  let r =
-    match m.Worker_pool.mode with
-    | Worker_pool.Symbolic _ -> true
-    | Worker_pool.Fixed -> false
-  in
-  Mutex.unlock m.Worker_pool.mu;
-  r
+  Mutex.protect m.Worker_pool.mu (fun () -> m.Worker_pool.batch <> None)
 
 let warm t = Worker_pool.warm t.pool
 let warm_sizes t ~model = Worker_pool.warm_sizes (model_state t model)
@@ -195,7 +188,7 @@ type ticket = int
 
 let submit_async ?deadline_us t ~model ~params =
   ignore (model_state t model);
-  let now = Unix.gettimeofday () *. 1e6 in
+  let now = Clock.now_us () in
   (* Deadline precedence: explicit per-request, then the model's SLO
      class (a Latency class carries one). *)
   let rel =
@@ -225,6 +218,7 @@ let submit_async ?deadline_us t ~model ~params =
       attempts = 0;
       trace;
       dispatched_us = 0.;
+      resolved = false;
     }
   in
   if Trace.active () then

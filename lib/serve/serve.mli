@@ -100,8 +100,10 @@ val submit_async :
   model:string ->
   params:(string * Tensor.t) list ->
   (ticket, Request.overload) result
-(** Admit or refuse, without blocking.  [deadline_us] is relative to
-    now; without one the request takes its model's SLO-class deadline
+(** Admit or refuse, without blocking.  The request is stamped with
+    [Astitch_obs.Clock.now_us], the monotonic clock every serving
+    deadline is checked against.  [deadline_us] is relative to that
+    stamp; without one the request takes its model's SLO-class deadline
     (a [Latency] class carries one), and otherwise has none.  A
     request whose deadline is already past on arrival is refused as
     [Deadline_exceeded] at admission (counted under [shed_admission])
@@ -135,7 +137,8 @@ val symbolic : t -> model:string -> bool
 (** True when [model] serves every batch size off one shape-polymorphic
     max-batch context; false when it fell back to fixed-extent
     compilation (batch-axis analysis rejected the builder, or its
-    context couldn't rebind). *)
+    max-batch context couldn't rebind - that context then stays pooled
+    and serves full batches, and smaller sizes compile their own). *)
 
 val context_pool_sizes : t -> (string * int) list
 (** Free pooled executor contexts per model, sorted by name.  After a

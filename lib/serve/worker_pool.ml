@@ -1,19 +1,23 @@
 (* Domain worker pool: turns scheduled batches into outcomes.
 
    Each worker is an OCaml 5 domain looping on [Scheduler.next_batch].
-   Execution state is pooled PER MODEL: a batchable builder compiles
+   Execution state is pooled PER MODEL, in one free list keyed by the
+   batch size a context was compiled at.  A batchable builder compiles
    once at [max_batch] into a shape-polymorphic context (the plan
    carries its [Batch_axis.plan]), and every batch - whatever its size,
-   3 or 7 or 8 - executes on that one context via
-   [Executor.run_context ~batch:n] with zero padded rows and zero
-   recompilation.  Builders the batch-axis analysis rejects (batch axis
-   not outermost, batch-collapsing ops) fall back to fixed-extent
-   serving: one context per exact batch size, still zero padding.
+   3 or 7 or 8 - checks out under [max_batch] and executes on that one
+   context via [Executor.run_context ~batch:n] with zero padded rows and
+   zero recompilation.  Builders the batch-axis analysis rejects (batch
+   axis not outermost, batch-collapsing ops) check out under their
+   exact batch size instead: one context per size, still zero padding.
    Contexts are NOT concurrent-safe (they reuse buffers across runs),
    hence the free lists: two workers serving the same model
    simultaneously each get their own context, and the pool grows to the
    observed concurrency - steady state for a single-worker server is
    exactly one context per model.
+
+   Every stamp - heartbeats, restart gates, the five latency phases -
+   reads [Clock.now_us], the clock the scheduler stamps requests with.
 
    Compilation goes through the shared domain-safe [Session.cache], so
    two workers racing to compile the same model duplicate at most the
@@ -47,30 +51,25 @@ open Astitch_obs
 module Fault_site = Astitch_plan.Fault_site
 module Kernel_plan = Astitch_plan.Kernel_plan
 
-type mode =
-  | Symbolic of Batch_axis.plan
-      (** one context compiled at [max_batch] serves every size *)
-  | Fixed  (** one context per exact batch size *)
-
 type model_state = {
   spec : Batching.spec;
   shared : (string * Tensor.t) list;  (** weight bindings, fixed at load *)
   max_batch : int;
-  mu : Mutex.t;  (** guards [mode] and both free lists *)
-  mutable mode : mode;
-      (** decided at load from the batch-axis analysis; demoted to
-          [Fixed] if the compiled context can't rebind (e.g. a kernel
-          fell back to the reference path) *)
-  sym_ctxs : Executor.context list ref;  (** free shape-polymorphic ctxs *)
-  fixed_ctxs : (int, Executor.context list ref) Hashtbl.t;
-      (** exact batch size -> free list (fixed-extent fallback) *)
+  mu : Mutex.t;  (** guards [batch] and [free] *)
+  mutable batch : Batch_axis.plan option;
+      (** the batch-axis classification, decided at load: [Some] while
+          one max-batch context serves every size; dropped to [None]
+          (fixed-extent) if the compiled context can't rebind (e.g. a
+          kernel fell back to the reference path) *)
+  free : (int, Executor.context list) Hashtbl.t;
+      (** free contexts, keyed by the batch size they were compiled at *)
 }
 
 type worker_state = W_running | W_dead | W_stopped
 
 type slot = {
   wid : int;
-  hb : float Atomic.t;  (** last heartbeat, wall-clock us *)
+  hb : float Atomic.t;  (** last heartbeat, [Clock.now_us] *)
   (* The remaining fields are guarded by the pool's [sup_mu]. *)
   mutable dom : unit Domain.t option;
   mutable inflight : Scheduler.batch option;
@@ -128,8 +127,6 @@ type t = {
   g_alive : Metrics.gauge;
 }
 
-let now_us () = Unix.gettimeofday () *. 1e6
-
 let sup_locked pool f = Mutex.protect pool.sup_mu f
 let model_locked m f = Mutex.protect m.mu f
 
@@ -139,25 +136,9 @@ let restart_backoff_us = 1_000.
 
 (* --- Context pool -------------------------------------------------------- *)
 
-(* A checked-out context plus how to return (or blame) it: [`Sym] leases
-   come from the per-model shape-polymorphic list, [`Fixed n] from the
-   exact-size free list of the fixed-extent fallback. *)
-type lease = { ctx : Executor.context; lkey : [ `Sym | `Fixed of int ] }
-
-let fixed_list m n =
-  match Hashtbl.find_opt m.fixed_ctxs n with
-  | Some l -> l
-  | None ->
-      let l = ref [] in
-      Hashtbl.add m.fixed_ctxs n l;
-      l
-
-let pop l =
-  match !l with
-  | ctx :: rest ->
-      l := rest;
-      Some ctx
-  | [] -> None
+(* A checked-out context and the batch size it was compiled at: the key
+   it returns under, and the plan a quarantine blames. *)
+type lease = { ctx : Executor.context; at : int }
 
 let compile_for pool m ~batch =
   let g = m.spec.Batching.build batch in
@@ -172,58 +153,48 @@ let compile_for pool m ~batch =
   | Plan_cache.Hit -> ());
   result
 
-(* Check out a context able to execute a batch of exactly [n] requests,
-   compiling one if the free list is empty.  Compilation happens
-   OUTSIDE the model lock: two workers racing on a cold model both
-   compile (through the shared plan cache, so the expensive half is
-   shared) and both contexts join the pool.
+let checkin m lease =
+  model_locked m (fun () ->
+      let l = Option.value ~default:[] (Hashtbl.find_opt m.free lease.at) in
+      Hashtbl.replace m.free lease.at (lease.ctx :: l))
 
-   A Symbolic model compiles ONCE, at [max_batch], and the context
-   serves every [n] by prefix rebinding.  If the freshly created
-   context turns out non-rebindable - a kernel fell back to the
-   reference path, which re-derives values against the full compiled
-   shapes - the model is demoted to [Fixed] and the checkout retries
-   down that path. *)
+(* Check out a context able to execute a batch of exactly [n] requests,
+   compiling one if the free list is empty.  The key is [max_batch]
+   while the model is classified (one context serves every [n] by
+   prefix rebinding), [n] otherwise.  Compilation happens OUTSIDE the
+   model lock: two workers racing on a cold model both compile (through
+   the shared plan cache, so the expensive half is shared) and both
+   contexts join the pool.
+
+   If a freshly created max-batch context turns out non-rebindable - a
+   kernel fell back to the reference path, which re-derives values
+   against the full compiled shapes - the model drops its
+   classification, the context joins the pool under [max_batch] (it
+   still serves full batches at full extent), and the checkout retries
+   under [n]. *)
 let rec checkout pool m ~n =
   let cached =
     model_locked m (fun () ->
-        match m.mode with
-        | Symbolic _ ->
-            Option.map (fun ctx -> { ctx; lkey = `Sym }) (pop m.sym_ctxs)
-        | Fixed ->
-            Option.map
-              (fun ctx -> { ctx; lkey = `Fixed n })
-              (pop (fixed_list m n)))
+        let at = if m.batch = None then n else m.max_batch in
+        match Hashtbl.find_opt m.free at with
+        | Some (ctx :: rest) ->
+            Hashtbl.replace m.free at rest;
+            Ok { ctx; at }
+        | Some [] | None -> Error (at, m.batch))
   in
   match cached with
-  | Some lease -> lease
-  | None -> (
-      match model_locked m (fun () -> m.mode) with
-      | Symbolic pb ->
-          let result = compile_for pool m ~batch:m.max_batch in
-          let plan = { result.Session.plan with Kernel_plan.batch = Some pb } in
-          let ctx = Executor.create_context plan in
-          if Executor.rebindable ctx then { ctx; lkey = `Sym }
-          else begin
-            model_locked m (fun () -> m.mode <- Fixed);
-            checkout pool m ~n
-          end
-      | Fixed ->
-          let result = compile_for pool m ~batch:n in
-          { ctx = Executor.create_context result.Session.plan; lkey = `Fixed n })
-
-let checkin m lease =
-  model_locked m (fun () ->
-      match lease.lkey with
-      | `Sym -> (
-          (* a demotion may have raced this lease; a symbolic context
-             under Fixed mode would never be popped again, so drop it *)
-          match m.mode with
-          | Symbolic _ -> m.sym_ctxs := lease.ctx :: !(m.sym_ctxs)
-          | Fixed -> ())
-      | `Fixed n ->
-          let l = fixed_list m n in
-          l := lease.ctx :: !l)
+  | Ok lease -> lease
+  | Error (at, batch) ->
+      let plan = (compile_for pool m ~batch:at).Session.plan in
+      let lease =
+        { ctx = Executor.create_context { plan with Kernel_plan.batch }; at }
+      in
+      if batch = None || Executor.rebindable lease.ctx then lease
+      else begin
+        model_locked m (fun () -> m.batch <- None);
+        checkin m lease;
+        checkout pool m ~n
+      end
 
 (* A context a fault touched never rejoins the pool, and the plan it
    was compiled from is evicted from the shared cache: the next
@@ -236,14 +207,11 @@ let quarantine pool m ~model ~reason lease =
   ignore (lease.ctx : Executor.context);
   Atomic.incr pool.n_quarantined;
   Metrics.inc pool.m_quarantine;
-  let compiled_at =
-    match lease.lkey with `Sym -> m.max_batch | `Fixed n -> n
-  in
   let attrs =
     if Trace.active () then
       [
         ("model", Trace.Str model);
-        ("batch", Trace.Int compiled_at);
+        ("batch", Trace.Int lease.at);
         ("reason", Trace.Str reason);
       ]
     else []
@@ -255,55 +223,44 @@ let quarantine pool m ~model ~reason lease =
       ignore
         (Session.uncache pool.cache Astitch_core.Astitch.full_backend
            pool.arch
-           (m.spec.Batching.build compiled_at)));
+           (m.spec.Batching.build lease.at)));
   if Trace.active () then ignore (Flight.incident ~attrs ~reason:"quarantine" ())
 
-(* Execute a lease at batch size [n]: symbolic contexts rebind to the
-   prefix, fixed contexts were compiled at exactly [n] already. *)
+(* Execute a lease at batch size [n]: a context compiled at [n] runs at
+   full extent, a max-batch one rebinds to the prefix. *)
 let run_lease lease ~n params =
-  match lease.lkey with
-  | `Sym -> Executor.run_context ~batch:n lease.ctx ~params
-  | `Fixed _ -> Executor.run_context lease.ctx ~params
+  Executor.run_context
+    ?batch:(if n = lease.at then None else Some n)
+    lease.ctx ~params
 
 (* --- Serving one batch --------------------------------------------------- *)
-
-let bitwise_equal a b =
-  Shape.equal (Tensor.shape a) (Tensor.shape b)
-  &&
-  let da = Tensor.data a and db = Tensor.data b in
-  let n = Array.length da in
-  let rec go i = i >= n || (Float.equal da.(i) db.(i) && go (i + 1)) in
-  go 0
 
 (* Bit-identity spot check: serve the batch's first request alone at
    batch 1 and compare against its slice of the batched outputs.  A
    mismatch means a row-dependent builder slipped past analysis - that
    is a server bug, not a request failure, so it raises (and the batch
    goes down the recovery path, which is trivially identical).  A
-   symbolic lease verifies on the SAME context rebound to batch 1 - the
-   polymorphism makes the check free of extra compilation; a fixed
-   lease checks out a batch-1 context (a solo run that raises
+   rebindable lease verifies on the SAME context rebound to batch 1 -
+   the polymorphism makes the check free of extra compilation; any
+   other lease checks out a batch-1 context (a solo run that raises
    quarantines it). *)
 let verify_first pool m ~model (lease : lease) (req : Request.t) sliced =
+  let params = m.shared @ req.params in
   let check solo =
-    if not (List.for_all2 bitwise_equal solo sliced) then
+    if not (List.for_all2 Tensor.equal_bits solo sliced) then
       failwith "batched outputs diverge from solo execution";
     Metrics.inc pool.m_verified
   in
-  match lease.lkey with
-  | `Sym ->
-      check
-        (Executor.run_context ~batch:1 lease.ctx
-           ~params:(m.shared @ req.params))
-  | `Fixed _ -> (
-      let l1 = checkout pool m ~n:1 in
-      match run_lease l1 ~n:1 (m.shared @ req.params) with
-      | solo ->
-          checkin m l1;
-          check solo
-      | exception e ->
-          quarantine pool m ~model ~reason:"verify-solo-failure" l1;
-          raise e)
+  if Executor.rebindable lease.ctx then check (run_lease lease ~n:1 params)
+  else
+    let l1 = checkout pool m ~n:1 in
+    match run_lease l1 ~n:1 params with
+    | solo ->
+        checkin m l1;
+        check solo
+    | exception e ->
+        quarantine pool m ~model ~reason:"verify-solo-failure" l1;
+        raise e
 
 let complete_done pool ~t_done ~batch_size ~degraded (req : Request.t) outputs
     =
@@ -350,7 +307,7 @@ let serve_fallback pool m (requests : Request.t list) =
           if Trace.active () then
             Trace.flow_step ~phase:"serve" req.trace "request"
               ~attrs:[ ("hop", Trace.Str "fallback") ];
-          let t_pack = now_us () in
+          let t_pack = Clock.now_us () in
           match
             Session.compile_resilient pool.arch (m.spec.Batching.build 1)
           with
@@ -358,13 +315,13 @@ let serve_fallback pool m (requests : Request.t list) =
               Scheduler.complete pool.scheduler req
                 (Request.Failed (Astitch_plan.Compile_error.to_string e))
           | Ok { result; _ } -> (
-              let t_exec = now_us () in
+              let t_exec = Clock.now_us () in
               match
                 Executor.run result.Session.plan
                   ~params:(m.shared @ req.params)
               with
               | outputs ->
-                  let t_unpack = now_us () in
+                  let t_unpack = Clock.now_us () in
                   observe_phases pool req ~t_pack ~t_exec ~t_unpack
                     ~t_done:t_unpack;
                   complete_done pool ~t_done:t_unpack ~batch_size:1
@@ -408,8 +365,8 @@ let serve_batch pool (batch : Scheduler.batch) =
   let seq = Atomic.fetch_and_add pool.batch_counter 1 in
   Metrics.inc pool.m_batches;
   Metrics.observe pool.m_batch_size (float_of_int n);
-  (* Continuous batching packs exactly [n] rows - symbolic contexts
-     rebind to the prefix, fixed ones compile at [n] - so the padded
+  (* Continuous batching packs exactly [n] rows - max-batch contexts
+     rebind to the prefix, the others compile at [n] - so the padded
      count is 0 by construction.  The accounting stays wired to the
      actual pack extent so any future padding would surface instead of
      hiding. *)
@@ -448,19 +405,19 @@ let serve_batch pool (batch : Scheduler.batch) =
            a cold-model compile surfaces as a compile error, not as
            corrupt execution, and must not poison this batch. *)
         let fired0 = Fault_site.fired () in
-        let t_pack = now_us () in
+        let t_pack = Clock.now_us () in
         let pid = Trace.span_begin ~phase:"serve" "pack" in
         let packed =
           Batching.pack m.spec
             (List.map (fun (r : Request.t) -> r.params) batch.requests)
         in
         Trace.span_end pid;
-        let t_exec = now_us () in
+        let t_exec = Clock.now_us () in
         (* [run_lease] opens the executor's own "run-context" span; it
            nests under this batch span via the domain stack, so the
            per-kernel exec spans are already parented correctly. *)
         let outputs = run_lease lease ~n (m.shared @ packed) in
-        let t_unpack = now_us () in
+        let t_unpack = Clock.now_us () in
         let uid = Trace.span_begin ~phase:"serve" "unpack" in
         let per_request = Batching.unpack m.spec ~count:n outputs in
         Trace.span_end uid;
@@ -487,7 +444,7 @@ let serve_batch pool (batch : Scheduler.batch) =
              half-open state this batch just closed. *)
           Scheduler.note_batch_result pool.scheduler ~model:batch.model
             ~ok:true;
-          let t_done = now_us () in
+          let t_done = Clock.now_us () in
           List.iter2
             (fun req outs ->
               observe_phases pool req ~t_pack ~t_exec ~t_unpack ~t_done;
@@ -533,12 +490,12 @@ let set_inflight pool slot batch =
    itself always returns normally, so [Domain.join] never re-raises. *)
 let worker_body pool slot () =
   let rec go () =
-    Atomic.set slot.hb (now_us ());
+    Atomic.set slot.hb (Clock.now_us ());
     match Scheduler.next_batch pool.scheduler with
     | None -> sup_locked pool (fun () -> slot.wstate <- W_stopped)
     | Some batch ->
         set_inflight pool slot (Some batch);
-        Atomic.set slot.hb (now_us ());
+        Atomic.set slot.hb (Clock.now_us ());
         (* Injected worker failure point: batch in hand, not yet
            served - the harshest spot to die.  Raise kills the domain,
            stall freezes it (wedge detection), corrupt is treated as
@@ -560,7 +517,7 @@ let worker_body pool slot () =
           restart_backoff_us
           *. Float.of_int (1 lsl Stdlib.min 7 (slot.deaths - 1))
         in
-        slot.restart_at <- now_us () +. backoff);
+        slot.restart_at <- Clock.now_us () +. backoff);
     if Trace.active () then begin
       Trace.instant ~phase:"serve" "worker-death"
         ~attrs:[ ("worker", Trace.Int slot.wid) ];
@@ -591,7 +548,7 @@ let workers_alive_locked pool =
      and recovered.  If the worker eventually finishes anyway, the
      scheduler's first-wins completion discards the late outcome. *)
 let supervise_once pool =
-  let now = now_us () in
+  let now = Clock.now_us () in
   let to_recover = ref [] in
   let to_restart = ref [] in
   let stolen = ref [] in
@@ -686,7 +643,7 @@ let create ~scheduler ~models ~cache ~arch ~verify_every ~retry_budget
         Array.init workers (fun wid ->
             {
               wid;
-              hb = Atomic.make (now_us ());
+              hb = Atomic.make (Clock.now_us ());
               dom = None;
               inflight = None;
               wstate = W_running;
@@ -760,10 +717,7 @@ let context_counts pool =
     (fun name m acc ->
       let count =
         model_locked m (fun () ->
-            List.length !(m.sym_ctxs)
-            + Hashtbl.fold
-                (fun _ l acc -> acc + List.length !l)
-                m.fixed_ctxs 0)
+            Hashtbl.fold (fun _ l acc -> acc + List.length l) m.free 0)
       in
       (name, count) :: acc)
     pool.models []
@@ -774,9 +728,9 @@ let context_counts pool =
    every server hits (solo verification/retries and full batches) -
    other sizes compile on first use. *)
 let warm_sizes m =
-  match model_locked m (fun () -> m.mode) with
-  | Symbolic _ -> [ m.max_batch ]
-  | Fixed -> if m.max_batch = 1 then [ 1 ] else [ 1; m.max_batch ]
+  if model_locked m (fun () -> m.batch <> None) then [ m.max_batch ]
+  else if m.max_batch = 1 then [ 1 ]
+  else [ 1; m.max_batch ]
 
 (* Pre-compile every model so the first requests don't pay compilation
    latency (the CLI does this before the clock starts). *)

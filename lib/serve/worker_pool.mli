@@ -2,14 +2,16 @@
     under supervision.
 
     Workers are OCaml 5 domains looping on [Scheduler.next_batch].
-    Executor contexts are pooled PER MODEL: a batch-axis-analyzable
+    Executor contexts are pooled PER MODEL, in one free list keyed by
+    the batch size a context was compiled at: a batch-axis-analyzable
     builder compiles once at [max_batch] into a shape-polymorphic
     context that executes any batch size by prefix rebinding
     ([Executor.run_context ~batch]) - zero padded rows, zero
     recompilation.  Builders the analysis rejects fall back to
     fixed-extent serving (one context per exact batch size, still
     unpadded).  Contexts are not concurrent-safe, so each is owned by
-    one worker for the duration of one batch.
+    one worker for the duration of one batch.  Heartbeats, restart
+    gates and latency phases read [Astitch_obs.Clock.now_us].
 
     A monitor domain restarts dead workers (exponential backoff) and
     steals batches from wedged ones (stale heartbeat past the wedge
@@ -23,21 +25,20 @@ open Astitch_ir
 open Astitch_tensor
 open Astitch_runtime
 
-type mode =
-  | Symbolic of Batch_axis.plan
-      (** one context compiled at [max_batch] serves every size *)
-  | Fixed  (** one context per exact batch size *)
-
 type model_state = {
   spec : Batching.spec;
   shared : (string * Tensor.t) list;  (** weight bindings, fixed at load *)
   max_batch : int;
-  mu : Mutex.t;  (** guards [mode] and both free lists *)
-  mutable mode : mode;
-      (** decided at load from [Batch_axis.analyze]; demoted to [Fixed]
-          if the compiled context can't rebind *)
-  sym_ctxs : Executor.context list ref;
-  fixed_ctxs : (int, Executor.context list ref) Hashtbl.t;
+  mu : Mutex.t;  (** guards [batch] and [free] *)
+  mutable batch : Batch_axis.plan option;
+      (** decided at load from [Batch_axis.analyze]: [Some] while one
+          max-batch context serves every size (checkouts key on
+          [max_batch]); dropped to [None] - fixed-extent, checkouts key
+          on the exact size - if the compiled context can't rebind.  That
+          context stays pooled under [max_batch] and serves full
+          batches. *)
+  free : (int, Executor.context list) Hashtbl.t;
+      (** free contexts, keyed by the batch size they were compiled at *)
 }
 
 type t
@@ -90,9 +91,9 @@ val plan_cache : t -> Astitch_runtime.Session.cache
     instead of compiling) and persist it on shutdown. *)
 
 val context_counts : t -> (string * int) list
-(** Free pooled contexts per model, sorted by name - symbolic and
-    fixed-extent together.  A drained single-worker server holds
-    exactly 1 per symbolic model. *)
+(** Free pooled contexts per model, sorted by name, over every compiled
+    batch size.  A drained single-worker server holds exactly 1 per
+    symbolic model. *)
 
 type supervision = {
   restarts : int;  (** worker domains respawned after a death *)

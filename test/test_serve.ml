@@ -19,11 +19,13 @@
      as a qcheck property over random row-independent builders and
      random request counts;
    - the server end-to-end: all submitted requests come back [Done]
-     with solo-identical outputs; admission control refuses past the
-     queue bound with a structured [Overloaded] and sheds expired
-     requests as [Deadline_exceeded] (visible in serve.shed); a
-     poisoned request fails alone without taking down its batchmates
-     or the server;
+     with solo-identical outputs; a model whose max-batch context
+     cannot rebind drops to fixed-extent serving, keeps that context
+     pooled for full batches and stays bit-identical at every size;
+     admission control refuses past the queue bound with a structured
+     [Overloaded] and sheds expired requests as [Deadline_exceeded]
+     (visible in serve.shed); a poisoned request fails alone without
+     taking down its batchmates or the server;
    - the batcher policy's dispatch algebra;
    - the plan cache stays coherent when hammered from many domains. *)
 
@@ -39,16 +41,12 @@ module Fault = Fault_site
 let check_bool = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
 
-let bitwise_equal a b =
-  Shape.equal (Tensor.shape a) (Tensor.shape b)
-  && Array.for_all2 Float.equal (Tensor.data a) (Tensor.data b)
-
 let check_outputs_identical what expected got =
   check_int (what ^ ": output arity") (List.length expected) (List.length got);
   List.iteri
     (fun i (e, g) ->
       check_bool (Printf.sprintf "%s: output %d bit-identical" what i) true
-        (bitwise_equal e g))
+        (Tensor.equal_bits e g))
     (List.combine expected got)
 
 (* --- Fixture builders ---------------------------------------------------- *)
@@ -166,7 +164,7 @@ let test_concat_slice_roundtrip () =
           check_bool
             (Printf.sprintf "axis %d part %d survives the roundtrip" axis i)
             true
-            (bitwise_equal t (Batching.slice_axis ~axis ~lo ~hi cat)))
+            (Tensor.equal_bits t (Batching.slice_axis ~axis ~lo ~hi cat)))
         ts)
     [ 0; 1; 2 ]
 
@@ -207,7 +205,7 @@ let test_pack_unpack_primes () =
           check_bool
             (Printf.sprintf "batch %d request %d gets the invariant output" n i)
             true
-            (bitwise_equal aux (List.nth outs 1)))
+            (Tensor.equal_bits aux (List.nth outs 1)))
         sliced;
       List.iteri
         (fun i req ->
@@ -794,6 +792,78 @@ let submit_burst server ~what ~seed n =
           Alcotest.failf "%s: request refused: %s" what
             (Request.overload_to_string o))
 
+(* A max-batch plan whose first kernel holds a parameter op: the tape
+   refuses to fuse that kernel, so the context runs it on the reference
+   path and cannot rebind.  Seeded into the plan cache, it makes the
+   model drop its classification at its first checkout - during [warm],
+   or under a batch of one when the server was not warmed.  Either way
+   that context stays pooled under max_batch and serves the full batch,
+   the smaller sizes compile their own, nothing is retried, and every
+   size is bit-identical to the interpreter - including the full
+   batch's solo verification. *)
+let test_demoted_model_keeps_serving () =
+  let max_batch = 4 in
+  let config =
+    {
+      (serve_config ~workers:1 ~max_batch ~max_wait_us:3.6e9 ()) with
+      verify_every = max_batch;
+    }
+  in
+  let backend = Astitch_core.Astitch.full_backend in
+  let g = mlp_build ~batch:max_batch in
+  let plan = (Session.compile backend config.arch g).Session.plan in
+  let unrebindable =
+    match plan.Kernel_plan.kernels with
+    | k :: rest ->
+        let param =
+          {
+            (List.hd k.ops) with
+            Kernel_plan.id = List.hd (Graph.parameters g);
+            placement = Kernel_plan.Device_mem;
+          }
+        in
+        { plan with kernels = { k with ops = k.ops @ [ param ] } :: rest }
+    | [] -> Alcotest.fail "empty plan"
+  in
+  let scenario ~warm =
+    let what = if warm then "warmed" else "cold" in
+    let server = Serve.create ~config [ mlp_model ] in
+    let pools () =
+      match Serve.context_pool_sizes server with
+      | [ ("mlp", c) ] -> c
+      | _ -> Alcotest.fail "expected one model's pool"
+    in
+    Fun.protect
+      ~finally:(fun () -> Serve.shutdown server)
+      (fun () ->
+        check_bool (what ^ ": classified at load") true
+          (Serve.symbolic server ~model:"mlp");
+        Session.precache (Serve.plan_cache server) backend config.arch g
+          (Session.result_of_plan backend unrebindable);
+        if warm then begin
+          Serve.warm server;
+          check_bool "demoted at warm" false
+            (Serve.symbolic server ~model:"mlp");
+          check_int "the max-batch context stays pooled" 1 (pools ())
+        end;
+        for n = 1 to max_batch do
+          let tickets = submit_burst server ~what ~seed:n n in
+          Serve.drain server;
+          await_all_accounted server
+            ~what:(Printf.sprintf "%s: batch of %d" what n)
+            tickets
+        done;
+        check_bool (what ^ ": demoted") false
+          (Serve.symbolic server ~model:"mlp");
+        let s = Serve.stats server in
+        check_int (what ^ ": one batch per size") max_batch s.batches;
+        check_int (what ^ ": nothing retried") 0 s.retried;
+        check_int (what ^ ": one context per compiled size") max_batch
+          (pools ()))
+  in
+  scenario ~warm:true;
+  scenario ~warm:false
+
 (* Every runtime fault site x 50 seeds x {raise, corrupt}, against a
    live worker-backed server.  One server per (site, mode): arming is
    per-burst, so each seed replays deterministically. *)
@@ -1226,6 +1296,8 @@ let () =
             test_serve_weights_match_spec;
           Alcotest.test_case "continuous batching: exact odd-size batches"
             `Quick test_continuous_exact_batches;
+          Alcotest.test_case "demoted model keeps serving" `Quick
+            test_demoted_model_keeps_serving;
           Alcotest.test_case "full batch wakes the worker immediately" `Quick
             test_full_batch_dispatches_immediately;
           Alcotest.test_case "admission control refuses past the bound" `Quick

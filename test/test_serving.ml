@@ -260,7 +260,7 @@ let test_fault_injected_compile_bypasses_cache () =
 
 let test_degraded_compile_bypasses_cache () =
   let g = serving_graph () in
-  let cache = Session.make_resilient_cache () in
+  let cache = Session.make_cache () in
   let config =
     {
       Astitch_core.Config.full with
@@ -277,7 +277,7 @@ let test_degraded_compile_bypasses_cache () =
       check_int "nothing cached" 0 (Plan_cache.length cache)
   | Error _, _ -> Alcotest.fail "resilient compile should degrade, not fail");
   (* the same cache serves clean compiles normally afterwards *)
-  let clean_cache = Session.make_resilient_cache () in
+  let clean_cache = Session.make_cache () in
   (match Session.compile_resilient_cached clean_cache Arch.v100 g with
   | Ok _, o1 ->
       check_bool "clean compile misses then caches" true (o1 = Plan_cache.Miss)

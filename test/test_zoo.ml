@@ -21,7 +21,13 @@
      displacement; equal timestamps dispatch in admission (id) order;
      two models of one class get no floor either;
    - per-class accounts sum to the scheduler's totals across
-     admission, refusal, displacement and late completion.
+     admission, refusal, displacement and late completion;
+   - monotonic stamps: a request stamped with [Clock.now_us] and a
+     one-second deadline is admitted and dispatched, because the
+     scheduler reads the same clock;
+   - first-wins keeps no per-request state: a second completion is a
+     counted duplicate that delivers nothing, and 100k completed and
+     awaited requests leave the live heap where it was.
 
    Zoo level (one worker domain, a cheap batchable builder):
    - traffic is refused before prewarm;
@@ -49,7 +55,7 @@ let next_id = ref 0
 
 let mk_req ?deadline_us ~model () =
   incr next_id;
-  let now = Unix.gettimeofday () *. 1e6 in
+  let now = Astitch_obs.Clock.now_us () in
   {
     Request.id = !next_id;
     model;
@@ -59,6 +65,7 @@ let mk_req ?deadline_us ~model () =
     attempts = 0;
     trace = Astitch_obs.Trace.new_context ();
     dispatched_us = 0.;
+    resolved = false;
   }
 
 let done_outcome =
@@ -242,7 +249,7 @@ let test_no_slos_one_class () =
 
 let test_equal_timestamps_id_order () =
   let s = mk_sched ~slos:[] () in
-  let at = Unix.gettimeofday () *. 1e6 in
+  let at = Astitch_obs.Clock.now_us () in
   (* ids ascend C, A, B: neither name order nor hash order *)
   List.iter
     (fun model ->
@@ -333,6 +340,58 @@ let test_class_accounts_sum () =
        ]);
   check_int "one displacement" 1 st.Scheduler.displaced;
   check_int "one refusal at admission" 1 st.Scheduler.shed_admission;
+  Scheduler.shutdown s;
+  Scheduler.dispose s
+
+let test_monotonic_stamps () =
+  let s = mk_sched ~slos:[] () in
+  let req = mk_req ~model:"E" ~deadline_us:1e6 () in
+  submit_ok s req;
+  (match Scheduler.next_batch s with
+  | Some { Scheduler.requests = [ r ]; _ } ->
+      check_int "the stamped request dispatched" req.Request.id r.Request.id
+  | _ -> Alcotest.fail "expected a one-request batch");
+  let st = Scheduler.stats s in
+  check_int "nothing refused" 0 st.Scheduler.rejected;
+  check_int "nothing shed" 0 st.Scheduler.shed;
+  Scheduler.shutdown s;
+  Scheduler.dispose s
+
+let test_first_wins_no_per_request_state () =
+  let s = mk_sched ~slos:[] () in
+  let cycle () =
+    let req = mk_req ~model:"E" () in
+    submit_ok s req;
+    (match Scheduler.next_batch s with
+    | Some { Scheduler.requests; _ } ->
+        List.iter (fun r -> Scheduler.complete s r done_outcome) requests
+    | None -> Alcotest.fail "scheduler shut down mid-test");
+    req
+  in
+  (* a wedge-steal's late completion: counted, never delivered *)
+  let req = cycle () in
+  Scheduler.complete s req (Request.Failed "late duplicate");
+  (match Scheduler.await s req.Request.id with
+  | Request.Done _ -> ()
+  | _ -> Alcotest.fail "the first outcome must be the one delivered");
+  check_bool "no second outcome" true (Scheduler.poll s req.Request.id = None);
+  let st = Scheduler.stats s in
+  check_int "one duplicate" 1 st.Scheduler.duplicates;
+  check_int "one completion" 1 st.Scheduler.completed;
+  check_int "nothing failed" 0 st.Scheduler.failed;
+  check_int "nothing outstanding" 0 (Scheduler.outstanding s);
+  let live () =
+    Gc.full_major ();
+    (Gc.stat ()).Gc.live_words
+  in
+  let before = live () in
+  for _ = 1 to 100_000 do
+    ignore (Scheduler.await s (cycle ()).Request.id)
+  done;
+  let grown = live () - before in
+  check_bool
+    (Printf.sprintf "live heap grew %d words over 100k requests" grown)
+    true (grown < 50_000);
   Scheduler.shutdown s;
   Scheduler.dispose s
 
@@ -591,6 +650,9 @@ let () =
             test_one_class_no_floor;
           Alcotest.test_case "per-class accounts sum to the scheduler totals"
             `Quick test_class_accounts_sum;
+          Alcotest.test_case "monotonic stamps" `Quick test_monotonic_stamps;
+          Alcotest.test_case "first-wins keeps no per-request state" `Quick
+            test_first_wins_no_per_request_state;
         ] );
       ( "zoo",
         [
