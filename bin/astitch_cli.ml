@@ -896,8 +896,7 @@ let check_run (t : traffic) r ~padded_rows ~lost ~extra ~trace ~dumps
       (r.failed > 0, Printf.sprintf "%d requests failed" r.failed);
       (r.completed = 0, "nothing completed");
       ( padded_rows <> 0,
-        Printf.sprintf
-          "%d padded rows executed (continuous batching promises 0)"
+        Printf.sprintf "%d padded rows executed (a context could not rebind)"
           padded_rows );
       ( accounted <> t.requests,
         Printf.sprintf "%d of %d requests unaccounted for"
@@ -1061,11 +1060,8 @@ let serve_cmd_impl models slo_specs plan_dir verify_plans expect_warm
                           | Some d -> Printf.sprintf ", plan-dir %s" d);
                         List.iter
                           (fun ((m : Serve.model), slo) ->
-                            Printf.printf "  %-12s %-16s %s\n%!" m.name
-                              (Slo.to_string slo)
-                              (if Serve.symbolic server ~model:m.name then
-                                 "shape-polymorphic (1 plan, any batch size)"
-                               else "fixed-extent (1 plan per batch size)"))
+                            Printf.printf "  %-12s %s\n%!" m.name
+                              (Slo.to_string slo))
                           registrations;
                         if fault_plans <> [] then
                           Printf.printf "chaos: %s\n%!"

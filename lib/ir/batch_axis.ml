@@ -15,8 +15,8 @@
    before it), because then every per-element index computation —
    stride tables, reduce odometers, concat offsets — is identical for
    prefix indices regardless of the compiled extent.  [analyze] rejects
-   families where any rule below fails; the serving layer falls back to
-   fixed-extent compilation for those. *)
+   families where any rule below fails; the serving layer refuses to
+   serve those. *)
 
 type cls = Invariant | Scaled of { axis : int; unit : int }
 type plan = { max_batch : int; cls : cls array }

@@ -11,8 +11,8 @@
     bounding each scaled loop at b x unit elements over the max-sized
     buffers.  [analyze] enforces the soundness conditions (batch axis
     effectively outermost, no batch-collapsing ops, no
-    extent-dependent index arithmetic); families that fail are served
-    by fixed-extent compilation instead. *)
+    extent-dependent index arithmetic); the serving layer refuses
+    families that fail ([Batching.Not_batchable]). *)
 
 type cls =
   | Invariant  (** same shape at every batch size *)

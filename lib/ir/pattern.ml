@@ -71,12 +71,14 @@ let is_pattern2_edge g ~producer ~consumer =
    paper's Figure 4). *)
 let has_multi_consumer g id = List.length (Graph.consumers g id) > 1
 
-(* Candidate dominant ops (Sec 4.3 step 1): reduces, and heavy element-wise
-   ops followed by a broadcast.  Output nodes of a stitch scope are added
-   by the caller, which knows the scope boundary. *)
+(* Candidate dominant ops (Sec 4.3 step 1): reduces (scatter-add is an
+   atomic one), and heavy element-wise ops followed by a broadcast.
+   Output nodes of a stitch scope are added by the caller, which knows
+   the scope boundary. *)
 let is_dominant_candidate g id =
   let op = Graph.op g id in
   Op.is_reduce_like op
+  || (match op with Op.Scatter_add _ -> true | _ -> false)
   || (match op with
      | Op.Unary _ | Op.Binary _ -> Op.weight op = Op.Heavy
      | _ -> false)

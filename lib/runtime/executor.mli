@@ -65,9 +65,8 @@ val run_context :
     prefix shapes, every scaled loop/slab/scratch bound shrinks to the
     prefix, scaled thread mappings are re-packed (validated once per
     batch size), and outputs come back under their batch-b shapes -
-    bit-identical to a fresh fixed-extent compile at b, with no
-    recompilation.  Omitting [batch] (or passing B) is the ordinary
-    full-extent run.
+    bit-identical to a fresh compile at b, with no recompilation.
+    Omitting [batch] (or passing B) is the ordinary full-extent run.
     @raise Invalid_argument if [batch] is given on a non-rebindable
     context or falls outside [1, B].
     @raise Execution_error if the plan reads a value before computing it.

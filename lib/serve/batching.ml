@@ -1,15 +1,15 @@
-(* Dynamic-batching shape analysis, packing and unpacking.
+(* Dynamic-batching analysis, packing and unpacking.
 
    The batcher may merge requests only when the merged execution is
    BIT-IDENTICAL to running each request alone - the whole contract of
    the serving runtime.  That property is per-builder: a builder family
-   [build : batch -> graph] qualifies when every parameter either keeps
-   its shape as the batch grows (a shared weight) or scales exactly one
-   axis linearly with the batch (a per-request input), and every output
-   does the same.  We discover the classification structurally instead
-   of trusting annotations: diff every parameter and output shape of
-   the batch-1 and batch-2 graphs with [Batch_axis.classify_shapes], and
-   reject anything that does not fit ([Not_batchable]).  The numeric
+   [build : batch -> graph] qualifies when one compiled plan at
+   [max_batch] can serve every batch size, which is what
+   [Batch_axis.analyze] decides node by node (cross-checked at
+   [max_batch] by [validate_at]); anything it rejects is
+   [Not_batchable].  The parameter and output split falls out of the
+   node classes: a [Scaled] parameter is per-request, an [Invariant] one
+   a shared weight, and each output takes its own class.  The numeric
    half of the contract - no op mixes rows across requests - cannot be
    decided from shapes alone; it is enforced by the bit-identity test
    suite over every served builder (zoo workloads and random graphs),
@@ -33,70 +33,56 @@ type axis_info = { axis : int; extent : int }
 type spec = {
   build : int -> Graph.t;
   base : Graph.t;
+  batch : Batch_axis.plan;
   fingerprint : string;
   request_params : (string * axis_info) list;
   shared_params : (string * Shape.t) list;
   outputs : axis_info option list;
 }
 
-(* --- Shape diffing ------------------------------------------------------- *)
-
-(* Classify one (batch-1 shape, batch-2 shape) pair by the node-level
-   rule: equal shapes are batch-invariant; exactly one axis doubling is
-   the batch axis. *)
-let diff_axis ~what s1 s2 =
-  match Batch_axis.classify_shapes s1 s2 with
-  | Ok Batch_axis.Invariant -> None
-  | Ok (Batch_axis.Scaled { axis; unit }) -> Some { axis; extent = unit }
-  | Error m ->
-      not_batchable "%s: %s (%s vs %s)" what m (Shape.to_string s1)
-        (Shape.to_string s2)
-
-let param_shapes g =
-  List.map
-    (fun id ->
-      match Graph.op g id with
-      | Op.Parameter { name } -> (name, Graph.shape g id)
-      | _ -> assert false)
-    (Graph.parameters g)
-
-let output_shapes g = List.map (Graph.shape g) (Graph.outputs g)
-
-let analyze build ~g1:base ~g2 =
-  let p1 = param_shapes base and p2 = param_shapes g2 in
-  if List.length p1 <> List.length p2 then
-    not_batchable "parameter count changes with batch (%d vs %d)"
-      (List.length p1) (List.length p2);
-  let request_params, shared_params =
-    List.fold_left
-      (fun (req, shared) (name, s1) ->
-        match List.assoc_opt name p2 with
-        | None -> not_batchable "parameter %s disappears at batch 2" name
-        | Some s2 -> (
-            match diff_axis ~what:("parameter " ^ name) s1 s2 with
-            | Some info -> ((name, info) :: req, shared)
-            | None -> (req, (name, s1) :: shared)))
-      ([], []) p1
+let analyze build ~max_batch =
+  let base = build 1 in
+  let cls =
+    let ( let* ) = Result.bind in
+    match
+      let* cls = Batch_axis.analyze ~g1:base ~g2:(build 2) in
+      let* () =
+        Batch_axis.validate_at cls ~base ~at:(build max_batch)
+          ~batch:max_batch
+      in
+      Ok cls
+    with
+    | Ok cls -> cls
+    | Error m -> raise (Not_batchable m)
   in
-  let o1 = output_shapes base and o2 = output_shapes g2 in
-  if List.length o1 <> List.length o2 then
-    not_batchable "output count changes with batch (%d vs %d)"
-      (List.length o1) (List.length o2);
-  let outputs =
-    List.mapi
-      (fun i s1 ->
-        diff_axis ~what:(Printf.sprintf "output %d" i) s1 (List.nth o2 i))
-      o1
+  let axis_info id =
+    match cls.(id) with
+    | Batch_axis.Scaled { axis; unit } -> Some { axis; extent = unit }
+    | Batch_axis.Invariant -> None
+  in
+  let request_params, shared_params =
+    List.partition_map
+      (fun id ->
+        let name =
+          match Graph.op base id with
+          | Op.Parameter { name } -> name
+          | _ -> assert false
+        in
+        match axis_info id with
+        | Some info -> Left (name, info)
+        | None -> Right (name, Graph.shape base id))
+      (Graph.parameters base)
   in
   if request_params = [] then
     not_batchable "no per-request parameters: nothing to batch";
   {
     build;
     base;
+    batch = { Batch_axis.max_batch; cls };
     fingerprint = Fingerprint.of_graph base;
-    request_params = List.rev request_params;
-    shared_params = List.rev shared_params;
-    outputs;
+    request_params;
+    shared_params;
+    outputs = List.map axis_info (Graph.outputs base);
   }
 
 (* --- Tensor surgery along an axis ---------------------------------------- *)

@@ -1,13 +1,13 @@
-(** Dynamic-batching shape analysis, packing and unpacking.
+(** Dynamic-batching analysis, packing and unpacking.
 
-    A builder family [build : batch -> graph] is batchable when every
-    parameter and output either keeps its shape across batch sizes
-    (shared) or scales exactly one axis linearly with the batch
-    (per-request).  [analyze] discovers that classification by diffing
-    the graphs at batch 1 and 2; [pack]/[unpack] then move request
-    tensors in and out of a batched execution such that, for
-    row-independent builders, batched results are bit-identical to
-    running every request alone. *)
+    A builder family [build : batch -> graph] is batchable when
+    {!Batch_axis.analyze} classifies every node of it (and the
+    classification holds at [max_batch]), so that one plan compiled at
+    [max_batch] serves every batch size by prefix rebinding.  [analyze]
+    reads the per-request, shared and output split off the node
+    classes; [pack]/[unpack] then move request tensors in and out of a
+    batched execution such that, for row-independent builders, batched
+    results are bit-identical to running every request alone. *)
 
 open Astitch_ir
 open Astitch_tensor
@@ -22,17 +22,24 @@ type axis_info = {
 type spec = {
   build : int -> Graph.t;
   base : Graph.t;  (** the batch-1 graph *)
+  batch : Batch_axis.plan;
+      (** the node classes and the [max_batch] they were checked at:
+          what the one compiled plan carries *)
   fingerprint : string;  (** of [base]; the batching-compatibility key *)
-  request_params : (string * axis_info) list;  (** packed per request *)
-  shared_params : (string * Shape.t) list;  (** weights, bound once *)
+  request_params : (string * axis_info) list;
+      (** the [Scaled] parameters, packed per request *)
+  shared_params : (string * Shape.t) list;
+      (** the [Invariant] parameters: weights, bound once *)
   outputs : axis_info option list;
       (** per output: [Some] = sliced per request, [None] = batch-invariant *)
 }
 
-val analyze : (int -> Graph.t) -> g1:Graph.t -> g2:Graph.t -> spec
-(** Classify a builder family from its batch-1 and batch-2 graphs
-    ([g1] becomes [base]).
-    @raise Not_batchable when any shape fails to classify. *)
+val analyze : (int -> Graph.t) -> max_batch:int -> spec
+(** Classify a builder family with {!Batch_axis.analyze} on its batch-1
+    and batch-2 graphs (the batch-1 graph becomes [base]), then
+    {!Batch_axis.validate_at} [max_batch].
+    @raise Not_batchable with the analysis' reason when it rejects the
+    family, or when no parameter scales with the batch. *)
 
 val pack : spec -> (string * Tensor.t) list list -> (string * Tensor.t) list
 (** Concatenate the requests' bindings along their batch axes: n

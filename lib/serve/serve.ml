@@ -1,17 +1,15 @@
 (* The serving front end: load models, submit requests, get outcomes.
 
-   [create] analyzes every registered builder for batchability, fixes
-   its shared weights deterministically from the config seed (a served
-   model's weights do not change between requests - only per-request
-   parameters do), and spins up the scheduler plus worker pool.  Each
-   builder is also classified for SHAPE POLYMORPHISM
-   ([Batch_axis.analyze], cross-checked at [max_batch] by
-   [validate_at]): a symbolic model compiles one plan at [max_batch]
-   and serves every batch size 1..max on that single context by prefix
-   rebinding; a rejected one (batch axis not outermost, etc.) serves
-   fixed-extent contexts per exact size.  Either way batches execute at
-   exactly their request count - no padded rows.  Requests are stamped
-   with [Clock.now_us], the clock the scheduler and workers read.
+   [create] analyzes every registered builder for batchability
+   ([Batching.analyze]: the node-level batch-axis classification,
+   cross-checked at [max_batch]) and refuses one the analysis rejects,
+   fixes its shared weights deterministically from the config seed (a
+   served model's weights do not change between requests - only
+   per-request parameters do), and spins up the scheduler plus worker
+   pool.  Every model compiles one plan at [max_batch] and serves every
+   batch size 1..max on it by prefix rebinding, so batches execute at
+   exactly their request count.  Requests are stamped with
+   [Clock.now_us], the clock the scheduler and workers read.
    After that the surface is small: [submit]/[submit_async] with
    per-request bindings, [drain] to flush, [shutdown] to stop, [stats]
    to look.
@@ -77,25 +75,6 @@ type t = {
 let model_seed ~seed name =
   seed + (Hashtbl.hash name land 0xffff)
 
-(* Decide whether a builder family can be served shape-polymorphically:
-   the node-level batch-axis classification must succeed on the {1,2}
-   diff AND hold at [max_batch] (catching locally-linear families).
-   Rejected families ([None]) are served fixed-extent - correct either
-   way, just one compile per distinct batch size instead of one per
-   model. *)
-let decide_mode ~max_batch (m : model) ~g1 ~g2 =
-  match Batch_axis.analyze ~g1 ~g2 with
-  | Error _ -> None
-  | Ok cls -> (
-      let holds =
-        max_batch <= 2
-        || Result.is_ok
-             (Batch_axis.validate_at cls ~base:g1
-                ~at:(m.build ~batch:max_batch)
-                ~batch:max_batch)
-      in
-      if holds then Some { Batch_axis.max_batch; cls } else None)
-
 let create ?(config = default_config) models =
   (* Every argument is checked before the scheduler opens its wake pipe
      and the pool spawns domains, so a refused config leaks nothing. *)
@@ -110,20 +89,19 @@ let create ?(config = default_config) models =
     (fun m ->
       if Hashtbl.mem table m.name then
         invalid_arg (Printf.sprintf "Serve.create: duplicate model %s" m.name);
-      let g1 = m.build ~batch:1 and g2 = m.build ~batch:2 in
-      let spec = Batching.analyze (fun b -> m.build ~batch:b) ~g1 ~g2 in
+      let spec =
+        try
+          Batching.analyze
+            (fun b -> m.build ~batch:b)
+            ~max_batch:config.max_batch
+        with Batching.Not_batchable why ->
+          raise (Batching.Not_batchable (m.name ^ ": " ^ why))
+      in
       let shared =
         Batching.random_shared spec ~seed:(model_seed ~seed:config.seed m.name)
       in
       Hashtbl.add table m.name
-        {
-          Worker_pool.spec;
-          shared;
-          max_batch = config.max_batch;
-          mu = Mutex.create ();
-          batch = decide_mode ~max_batch:config.max_batch m ~g1 ~g2;
-          free = Hashtbl.create 4;
-        })
+        { Worker_pool.spec; shared; mu = Mutex.create (); free = [] })
     models;
   let policy =
     Batcher.policy ~max_batch:config.max_batch ~max_wait_us:config.max_wait_us
@@ -173,14 +151,13 @@ let model_state t name =
 
 let spec t ~model = (model_state t model).Worker_pool.spec
 
-(* True when [model] serves every batch size off one max-batch context
-   (the shape-polymorphic path); false for fixed-extent fallback. *)
+(* False while a pooled context of [model] cannot rebind. *)
 let symbolic t ~model =
   let m = model_state t model in
-  Mutex.protect m.Worker_pool.mu (fun () -> m.Worker_pool.batch <> None)
+  Mutex.protect m.Worker_pool.mu (fun () ->
+      List.for_all Executor.rebindable m.Worker_pool.free)
 
 let warm t = Worker_pool.warm t.pool
-let warm_sizes t ~model = Worker_pool.warm_sizes (model_state t model)
 let plan_cache t = Worker_pool.plan_cache t.pool
 
 (* A ticket names an admitted request; redeem it with [await]. *)
@@ -283,8 +260,8 @@ type stats = {
   degraded : int;
   batches : int;
   padded_rows : int;
-      (** rows executed beyond real requests; 0 under continuous
-          batching *)
+      (** rows executed beyond real requests, by contexts that cannot
+          rebind *)
   plan_compiles : int;  (** plan compiles at context checkout *)
   outstanding : int;
   queue_depth : int;

@@ -6,11 +6,11 @@
     request count, any size up to [max_batch], with zero padded rows -
     on a pool of worker domains with reused executor contexts, and
     hands back per-request outputs bit-identical to solo execution.
-    Builders that pass the batch-axis analysis compile ONE
-    shape-polymorphic plan per model (at [max_batch]) and serve every
-    batch size on it by prefix rebinding; the rest fall back to
-    fixed-extent contexts per exact size.  Admission is bounded: past
-    [queue_depth] the server answers [Overloaded] instead of queuing. *)
+    Every model compiles ONE shape-polymorphic plan (at [max_batch])
+    and serves every batch size on it by prefix rebinding; a builder
+    the batch-axis analysis rejects is refused at {!create}.  Admission
+    is bounded: past [queue_depth] the server answers [Overloaded]
+    instead of queuing. *)
 
 open Astitch_ir
 open Astitch_tensor
@@ -70,22 +70,18 @@ val default_config : config
 type t
 
 val create : ?config:config -> model list -> t
-(** Analyze every builder for batchability, fix shared weights
-    deterministically, spawn the workers.  Arguments are checked before
-    any fd or domain is taken.
-    @raise Batching.Not_batchable if a builder cannot batch.
+(** Analyze every builder for batchability ({!Batching.analyze} at
+    [max_batch]), fix shared weights deterministically, spawn the
+    workers.  Arguments are checked before any fd or domain is taken.
+    @raise Batching.Not_batchable if a builder cannot batch, with the
+    model's name and the analysis' reason.
     @raise Invalid_argument on duplicate or empty model lists,
     [workers < 1], a negative [retry_budget], [max_batch < 1], or an
     out-of-range [queue_depth] or [fair_share_floor]. *)
 
 val warm : t -> unit
 (** Pre-compile every model so first requests don't pay compile
-    latency: the single max-batch context for a shape-polymorphic
-    model, batch-1 and max-batch contexts for a fixed-extent one. *)
-
-val warm_sizes : t -> model:string -> int list
-(** The batch sizes {!warm} compiles for [model]: [max_batch] for a
-    shape-polymorphic model, 1 and [max_batch] for a fixed-extent one. *)
+    latency: one max-batch context per model. *)
 
 val plan_cache : t -> Astitch_runtime.Session.cache
 (** The server's shared session cache.  Zoo prewarming seeds it with
@@ -134,15 +130,14 @@ val random_request : t -> model:string -> seed:int -> (string * Tensor.t) list
 val spec : t -> model:string -> Batching.spec
 
 val symbolic : t -> model:string -> bool
-(** True when [model] serves every batch size off one shape-polymorphic
-    max-batch context; false when it fell back to fixed-extent
-    compilation (batch-axis analysis rejected the builder, or its
-    max-batch context couldn't rebind - that context then stays pooled
-    and serves full batches, and smaller sizes compile their own). *)
+(** True unless a pooled context of [model] could not rebind (one of
+    its kernels runs on the reference path).  Such a context still
+    serves, running every batch at [max_batch] rows with the padding
+    counted in [padded_rows]. *)
 
 val context_pool_sizes : t -> (string * int) list
 (** Free pooled executor contexts per model, sorted by name.  After a
-    drain on a single-worker server, a symbolic model holds exactly 1. *)
+    drain on a single-worker server, every model holds exactly 1. *)
 
 val shared_weights : t -> model:string -> (string * Tensor.t) list
 (** The weights the server fixed at load time - what a reference solo
@@ -173,12 +168,11 @@ type stats = {
   degraded : int;
   batches : int;
   padded_rows : int;
-      (** rows executed beyond real requests; continuous batching keeps
-          this at 0 - it is surfaced (rather than assumed) so any
-          regression shows up in every stats consumer *)
+      (** rows executed beyond real requests: 0 unless a context could
+          not rebind (see {!symbolic}) *)
   plan_compiles : int;
-      (** plan compiles performed at context checkout; one per
-          shape-polymorphic model in steady state *)
+      (** plan compiles performed at context checkout; at most one per
+          model in steady state *)
   outstanding : int;
   queue_depth : int;
   max_depth_seen : int;

@@ -1,20 +1,19 @@
 (* Domain worker pool: turns scheduled batches into outcomes.
 
    Each worker is an OCaml 5 domain looping on [Scheduler.next_batch].
-   Execution state is pooled PER MODEL, in one free list keyed by the
-   batch size a context was compiled at.  A batchable builder compiles
-   once at [max_batch] into a shape-polymorphic context (the plan
-   carries its [Batch_axis.plan]), and every batch - whatever its size,
-   3 or 7 or 8 - checks out under [max_batch] and executes on that one
-   context via [Executor.run_context ~batch:n] with zero padded rows and
-   zero recompilation.  Builders the batch-axis analysis rejects (batch
-   axis not outermost, batch-collapsing ops) check out under their
-   exact batch size instead: one context per size, still zero padding.
-   Contexts are NOT concurrent-safe (they reuse buffers across runs),
-   hence the free lists: two workers serving the same model
-   simultaneously each get their own context, and the pool grows to the
-   observed concurrency - steady state for a single-worker server is
-   exactly one context per model.
+   Execution state is pooled PER MODEL, in one free list of contexts
+   compiled at [max_batch] (the plan carries the model's
+   [Batch_axis.plan]): every batch - whatever its size, 3 or 7 or 8 -
+   executes on such a context via [Executor.run_context ~batch:n] with
+   zero padded rows and zero recompilation.  A context that cannot
+   rebind (one of its kernels runs on the reference path) still serves:
+   it runs every batch at [max_batch] rows, the last request copied
+   into the padding rows, which [padded_rows] counts.  Contexts are NOT
+   concurrent-safe (they reuse buffers across runs), hence the free
+   lists: two workers serving the same model simultaneously each get
+   their own context, and the pool grows to the observed concurrency -
+   steady state for a single-worker server is exactly one context per
+   model.
 
    Every stamp - heartbeats, restart gates, the five latency phases -
    reads [Clock.now_us], the clock the scheduler stamps requests with.
@@ -54,15 +53,8 @@ module Kernel_plan = Astitch_plan.Kernel_plan
 type model_state = {
   spec : Batching.spec;
   shared : (string * Tensor.t) list;  (** weight bindings, fixed at load *)
-  max_batch : int;
-  mu : Mutex.t;  (** guards [batch] and [free] *)
-  mutable batch : Batch_axis.plan option;
-      (** the batch-axis classification, decided at load: [Some] while
-          one max-batch context serves every size; dropped to [None]
-          (fixed-extent) if the compiled context can't rebind (e.g. a
-          kernel fell back to the reference path) *)
-  free : (int, Executor.context list) Hashtbl.t;
-      (** free contexts, keyed by the batch size they were compiled at *)
+  mu : Mutex.t;  (** guards [free] *)
+  mutable free : Executor.context list;  (** free max-batch contexts *)
 }
 
 type worker_state = W_running | W_dead | W_stopped
@@ -102,7 +94,7 @@ type t = {
   n_restarts : int Atomic.t;
   n_quarantined : int Atomic.t;
   n_wedged : int Atomic.t;
-  n_padded : int Atomic.t;  (** padded rows executed; 0 by construction *)
+  n_padded : int Atomic.t;  (** rows run beyond the requests *)
   n_compiles : int Atomic.t;  (** plan compiles performed at checkout *)
   m_batch_size : Metrics.histogram;
   m_padded : Metrics.counter;
@@ -136,12 +128,10 @@ let restart_backoff_us = 1_000.
 
 (* --- Context pool -------------------------------------------------------- *)
 
-(* A checked-out context and the batch size it was compiled at: the key
-   it returns under, and the plan a quarantine blames. *)
-type lease = { ctx : Executor.context; at : int }
+let max_batch m = m.spec.Batching.batch.Batch_axis.max_batch
 
-let compile_for pool m ~batch =
-  let g = m.spec.Batching.build batch in
+let compile_for pool m =
+  let g = m.spec.Batching.build (max_batch m) in
   let result, outcome =
     Session.compile_cached pool.cache Astitch_core.Astitch.full_backend
       pool.arch g
@@ -153,48 +143,26 @@ let compile_for pool m ~batch =
   | Plan_cache.Hit -> ());
   result
 
-let checkin m lease =
-  model_locked m (fun () ->
-      let l = Option.value ~default:[] (Hashtbl.find_opt m.free lease.at) in
-      Hashtbl.replace m.free lease.at (lease.ctx :: l))
+let checkin m ctx = model_locked m (fun () -> m.free <- ctx :: m.free)
 
-(* Check out a context able to execute a batch of exactly [n] requests,
-   compiling one if the free list is empty.  The key is [max_batch]
-   while the model is classified (one context serves every [n] by
-   prefix rebinding), [n] otherwise.  Compilation happens OUTSIDE the
-   model lock: two workers racing on a cold model both compile (through
-   the shared plan cache, so the expensive half is shared) and both
-   contexts join the pool.
-
-   If a freshly created max-batch context turns out non-rebindable - a
-   kernel fell back to the reference path, which re-derives values
-   against the full compiled shapes - the model drops its
-   classification, the context joins the pool under [max_batch] (it
-   still serves full batches at full extent), and the checkout retries
-   under [n]. *)
-let rec checkout pool m ~n =
-  let cached =
+(* Check out a max-batch context, compiling one if the free list is
+   empty.  Compilation happens OUTSIDE the model lock: two workers
+   racing on a cold model both compile (through the shared plan cache,
+   so the expensive half is shared) and both contexts join the pool. *)
+let checkout pool m =
+  match
     model_locked m (fun () ->
-        let at = if m.batch = None then n else m.max_batch in
-        match Hashtbl.find_opt m.free at with
-        | Some (ctx :: rest) ->
-            Hashtbl.replace m.free at rest;
-            Ok { ctx; at }
-        | Some [] | None -> Error (at, m.batch))
-  in
-  match cached with
-  | Ok lease -> lease
-  | Error (at, batch) ->
-      let plan = (compile_for pool m ~batch:at).Session.plan in
-      let lease =
-        { ctx = Executor.create_context { plan with Kernel_plan.batch }; at }
-      in
-      if batch = None || Executor.rebindable lease.ctx then lease
-      else begin
-        model_locked m (fun () -> m.batch <- None);
-        checkin m lease;
-        checkout pool m ~n
-      end
+        match m.free with
+        | ctx :: rest ->
+            m.free <- rest;
+            Some ctx
+        | [] -> None)
+  with
+  | Some ctx -> ctx
+  | None ->
+      let plan = (compile_for pool m).Session.plan in
+      Executor.create_context
+        { plan with Kernel_plan.batch = Some m.spec.Batching.batch }
 
 (* A context a fault touched never rejoins the pool, and the plan it
    was compiled from is evicted from the shared cache: the next
@@ -203,15 +171,14 @@ let rec checkout pool m ~n =
    (Contexts rewrite every buffer on each run, so this is deliberately
    conservative - the cost is one recompile, the alternative is ever
    having served numerics from a suspect context.) *)
-let quarantine pool m ~model ~reason lease =
-  ignore (lease.ctx : Executor.context);
+let quarantine pool m ~model ~reason =
   Atomic.incr pool.n_quarantined;
   Metrics.inc pool.m_quarantine;
   let attrs =
     if Trace.active () then
       [
         ("model", Trace.Str model);
-        ("batch", Trace.Int lease.at);
+        ("batch", Trace.Int (max_batch m));
         ("reason", Trace.Str reason);
       ]
     else []
@@ -223,44 +190,44 @@ let quarantine pool m ~model ~reason lease =
       ignore
         (Session.uncache pool.cache Astitch_core.Astitch.full_backend
            pool.arch
-           (m.spec.Batching.build lease.at)));
+           (m.spec.Batching.build (max_batch m))));
   if Trace.active () then ignore (Flight.incident ~attrs ~reason:"quarantine" ())
 
-(* Execute a lease at batch size [n]: a context compiled at [n] runs at
-   full extent, a max-batch one rebinds to the prefix. *)
-let run_lease lease ~n params =
+(* The rows a batch of [n] requests runs at on [ctx]: exactly [n] when
+   the context rebinds, its full [max_batch] extent when it cannot. *)
+let rows_for m ctx n = if Executor.rebindable ctx then n else max_batch m
+
+(* Pack one binding list per request at [rows] rows, the last request
+   copied into the padding rows (which [unpack] never reads back). *)
+let pack_rows m ~rows bindings =
+  let n = List.length bindings in
+  let last = List.nth bindings (n - 1) in
+  Batching.pack m.spec (bindings @ List.init (rows - n) (fun _ -> last))
+
+let run_rows ctx ~rows params =
   Executor.run_context
-    ?batch:(if n = lease.at then None else Some n)
-    lease.ctx ~params
+    ?batch:(if Executor.rebindable ctx then Some rows else None)
+    ctx ~params
 
 (* --- Serving one batch --------------------------------------------------- *)
 
-(* Bit-identity spot check: serve the batch's first request alone at
-   batch 1 and compare against its slice of the batched outputs.  A
-   mismatch means a row-dependent builder slipped past analysis - that
-   is a server bug, not a request failure, so it raises (and the batch
-   goes down the recovery path, which is trivially identical).  A
-   rebindable lease verifies on the SAME context rebound to batch 1 -
-   the polymorphism makes the check free of extra compilation; any
-   other lease checks out a batch-1 context (a solo run that raises
-   quarantines it). *)
-let verify_first pool m ~model (lease : lease) (req : Request.t) sliced =
-  let params = m.shared @ req.params in
-  let check solo =
-    if not (List.for_all2 Tensor.equal_bits solo sliced) then
-      failwith "batched outputs diverge from solo execution";
-    Metrics.inc pool.m_verified
+(* Bit-identity spot check: serve the batch's first request alone on
+   the SAME context - at one row, or padded to the full extent when the
+   context cannot rebind - and compare against its slice of the batched
+   outputs.  A mismatch means a row-dependent builder slipped past
+   analysis - that is a server bug, not a request failure, so it raises
+   (and the batch goes down the recovery path, which is trivially
+   identical). *)
+let verify_first pool m ctx (req : Request.t) sliced =
+  let rows = rows_for m ctx 1 in
+  let solo =
+    run_rows ctx ~rows (m.shared @ pack_rows m ~rows [ req.params ])
+    |> Batching.unpack m.spec ~count:1
+    |> List.hd
   in
-  if Executor.rebindable lease.ctx then check (run_lease lease ~n:1 params)
-  else
-    let l1 = checkout pool m ~n:1 in
-    match run_lease l1 ~n:1 params with
-    | solo ->
-        checkin m l1;
-        check solo
-    | exception e ->
-        quarantine pool m ~model ~reason:"verify-solo-failure" l1;
-        raise e
+  if not (List.for_all2 Tensor.equal_bits solo sliced) then
+    failwith "batched outputs diverge from solo execution";
+  Metrics.inc pool.m_verified
 
 let complete_done pool ~t_done ~batch_size ~degraded (req : Request.t) outputs
     =
@@ -365,14 +332,6 @@ let serve_batch pool (batch : Scheduler.batch) =
   let seq = Atomic.fetch_and_add pool.batch_counter 1 in
   Metrics.inc pool.m_batches;
   Metrics.observe pool.m_batch_size (float_of_int n);
-  (* Continuous batching packs exactly [n] rows - max-batch contexts
-     rebind to the prefix, the others compile at [n] - so the padded
-     count is 0 by construction.  The accounting stays wired to the
-     actual pack extent so any future padding would surface instead of
-     hiding. *)
-  let exec_rows = n in
-  Metrics.add pool.m_padded (exec_rows - n);
-  ignore (Atomic.fetch_and_add pool.n_padded (exec_rows - n));
   let attrs =
     [
       ("model", Trace.Str batch.model);
@@ -391,16 +350,21 @@ let serve_batch pool (batch : Scheduler.batch) =
             Trace.flow_step ~phase:"serve" r.trace "request"
               ~attrs:[ ("id", Trace.Int r.id) ])
           batch.requests;
-      (* The lease is tracked outside the happy path so the failure
-         handler knows whether there is one to quarantine.  Lifecycle
-         stages run under child spans; an exception anywhere leaves the
-         open child to the batch span's auto-close. *)
-      let held = ref None in
+      (* Whether a context is held is tracked outside the happy path so
+         the failure handler knows whether there is one to quarantine.
+         Lifecycle stages run under child spans; an exception anywhere
+         leaves the open child to the batch span's auto-close. *)
+      let held = ref false in
       match
         let cid = Trace.span_begin ~phase:"serve" "checkout" in
-        let lease = checkout pool m ~n in
+        let ctx = checkout pool m in
         Trace.span_end cid;
-        held := Some lease;
+        held := true;
+        (* Continuous batching packs exactly [n] rows; only a context
+           that cannot rebind pads, and the padding is counted. *)
+        let rows = rows_for m ctx n in
+        Metrics.add pool.m_padded (rows - n);
+        ignore (Atomic.fetch_and_add pool.n_padded (rows - n));
         (* Snapshot AFTER checkout: a compile-site fault firing during
            a cold-model compile surfaces as a compile error, not as
            corrupt execution, and must not poison this batch. *)
@@ -408,15 +372,15 @@ let serve_batch pool (batch : Scheduler.batch) =
         let t_pack = Clock.now_us () in
         let pid = Trace.span_begin ~phase:"serve" "pack" in
         let packed =
-          Batching.pack m.spec
+          pack_rows m ~rows
             (List.map (fun (r : Request.t) -> r.params) batch.requests)
         in
         Trace.span_end pid;
         let t_exec = Clock.now_us () in
-        (* [run_lease] opens the executor's own "run-context" span; it
+        (* [run_rows] opens the executor's own "run-context" span; it
            nests under this batch span via the domain stack, so the
            per-kernel exec spans are already parented correctly. *)
-        let outputs = run_lease lease ~n (m.shared @ packed) in
+        let outputs = run_rows ctx ~rows (m.shared @ packed) in
         let t_unpack = Clock.now_us () in
         let uid = Trace.span_begin ~phase:"serve" "unpack" in
         let per_request = Batching.unpack m.spec ~count:n outputs in
@@ -425,7 +389,7 @@ let serve_batch pool (batch : Scheduler.batch) =
            match (batch.requests, per_request) with
            | req :: _, sliced :: _ ->
                Trace.with_span ~phase:"serve" "verify" (fun () ->
-                   verify_first pool m ~model:batch.model lease req sliced)
+                   verify_first pool m ctx req sliced)
            | _ -> ());
         (* Corrupt-mode faults don't raise - they silently perturb
            numerics.  Any site that fired during this batch poisons it:
@@ -434,8 +398,8 @@ let serve_batch pool (batch : Scheduler.batch) =
            to solo execution. *)
         if Fault_site.fired () > fired0 then
           failwith "fault fired during batch execution";
-        checkin m lease;
-        held := None;
+        checkin m ctx;
+        held := false;
         (per_request, t_pack, t_exec, t_unpack)
       with
       | per_request, t_pack, t_exec, t_unpack ->
@@ -452,11 +416,8 @@ let serve_batch pool (batch : Scheduler.batch) =
                 outs)
             batch.requests per_request
       | exception _ ->
-          (match !held with
-          | Some lease ->
-              quarantine pool m ~model:batch.model ~reason:"batch-failure"
-                lease
-          | None -> ());
+          if !held then
+            quarantine pool m ~model:batch.model ~reason:"batch-failure";
           if Trace.active () then
             ignore
               (Flight.incident ~reason:"batch-failure"
@@ -715,27 +676,11 @@ let plan_cache pool = pool.cache
 let context_counts pool =
   Hashtbl.fold
     (fun name m acc ->
-      let count =
-        model_locked m (fun () ->
-            Hashtbl.fold (fun _ l acc -> acc + List.length l) m.free 0)
-      in
-      (name, count) :: acc)
+      (name, model_locked m (fun () -> List.length m.free)) :: acc)
     pool.models []
   |> List.sort compare
-
-(* The batch sizes [warm] checks out.  A symbolic model needs exactly
-   its one max-batch context; a fixed-extent model warms the two sizes
-   every server hits (solo verification/retries and full batches) -
-   other sizes compile on first use. *)
-let warm_sizes m =
-  if model_locked m (fun () -> m.batch <> None) then [ m.max_batch ]
-  else if m.max_batch = 1 then [ 1 ]
-  else [ 1; m.max_batch ]
 
 (* Pre-compile every model so the first requests don't pay compilation
    latency (the CLI does this before the clock starts). *)
 let warm pool =
-  Hashtbl.iter
-    (fun _ m ->
-      List.iter (fun n -> checkin m (checkout pool m ~n)) (warm_sizes m))
-    pool.models
+  Hashtbl.iter (fun _ m -> checkin m (checkout pool m)) pool.models

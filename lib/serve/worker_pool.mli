@@ -2,16 +2,15 @@
     under supervision.
 
     Workers are OCaml 5 domains looping on [Scheduler.next_batch].
-    Executor contexts are pooled PER MODEL, in one free list keyed by
-    the batch size a context was compiled at: a batch-axis-analyzable
-    builder compiles once at [max_batch] into a shape-polymorphic
-    context that executes any batch size by prefix rebinding
-    ([Executor.run_context ~batch]) - zero padded rows, zero
-    recompilation.  Builders the analysis rejects fall back to
-    fixed-extent serving (one context per exact batch size, still
-    unpadded).  Contexts are not concurrent-safe, so each is owned by
-    one worker for the duration of one batch.  Heartbeats, restart
-    gates and latency phases read [Astitch_obs.Clock.now_us].
+    Executor contexts are pooled PER MODEL, in one free list of
+    contexts compiled at [max_batch]; each executes any batch size by
+    prefix rebinding ([Executor.run_context ~batch]) - zero padded
+    rows, zero recompilation.  A context that cannot rebind (a kernel
+    on the reference path) runs every batch at [max_batch] rows, the
+    last request copied into the padding rows.  Contexts are not
+    concurrent-safe, so each is owned by one worker for the duration of
+    one batch.  Heartbeats, restart gates and latency phases read
+    [Astitch_obs.Clock.now_us].
 
     A monitor domain restarts dead workers (exponential backoff) and
     steals batches from wedged ones (stale heartbeat past the wedge
@@ -21,24 +20,15 @@
     resilient per-request execution when the budget is spent.  The pool
     never crashes the server and never loses a request. *)
 
-open Astitch_ir
 open Astitch_tensor
 open Astitch_runtime
 
 type model_state = {
-  spec : Batching.spec;
+  spec : Batching.spec;  (** carries the [Batch_axis.plan] contexts run *)
   shared : (string * Tensor.t) list;  (** weight bindings, fixed at load *)
-  max_batch : int;
-  mu : Mutex.t;  (** guards [batch] and [free] *)
-  mutable batch : Batch_axis.plan option;
-      (** decided at load from [Batch_axis.analyze]: [Some] while one
-          max-batch context serves every size (checkouts key on
-          [max_batch]); dropped to [None] - fixed-extent, checkouts key
-          on the exact size - if the compiled context can't rebind.  That
-          context stays pooled under [max_batch] and serves full
-          batches. *)
-  free : (int, Executor.context list) Hashtbl.t;
-      (** free contexts, keyed by the batch size they were compiled at *)
+  mu : Mutex.t;  (** guards [free] *)
+  mutable free : Executor.context list;
+      (** free contexts, all compiled at the spec's [max_batch] *)
 }
 
 type t
@@ -70,20 +60,16 @@ val join : t -> unit
 
 val warm : t -> unit
 (** Pre-compile every model (hide compile latency from the first
-    requests) at its {!warm_sizes}. *)
-
-val warm_sizes : model_state -> int list
-(** The batch sizes {!warm} checks out: [max_batch] for a symbolic
-    model, 1 and [max_batch] for a fixed-extent one. *)
+    requests): check out one max-batch context per model. *)
 
 val padded_rows : t -> int
 (** Padded rows executed so far.  Continuous batching packs every batch
-    at its exact size, so this reads 0; it stays wired to the actual
-    pack extent so any regression surfaces. *)
+    at its exact size; only a context that cannot rebind pads, to
+    [max_batch] rows. *)
 
 val plan_compiles : t -> int
 (** Plan compiles performed at context checkout (shared-cache misses
-    and bypasses).  One per symbolic model in steady state. *)
+    and bypasses).  At most one per model in steady state. *)
 
 val plan_cache : t -> Astitch_runtime.Session.cache
 (** The shared session cache behind every checkout.  Exposed so zoo
@@ -91,9 +77,8 @@ val plan_cache : t -> Astitch_runtime.Session.cache
     instead of compiling) and persist it on shutdown. *)
 
 val context_counts : t -> (string * int) list
-(** Free pooled contexts per model, sorted by name, over every compiled
-    batch size.  A drained single-worker server holds exactly 1 per
-    symbolic model. *)
+(** Free pooled contexts per model, sorted by name.  A drained
+    single-worker server holds exactly 1 per model. *)
 
 type supervision = {
   restarts : int;  (** worker domains respawned after a death *)

@@ -94,23 +94,23 @@ let prewarm t =
             | Ok () -> incr saved
             | Error _ -> ()))
       in
-      let handle spec ~required n =
-        let g = spec.Batching.build n in
+      (* exactly the cache slot Serve.warm will check out *)
+      let handle (spec : Batching.spec) =
+        let g = spec.build spec.batch.Batch_axis.max_batch in
         let fingerprint = Fingerprint.of_graph g in
         match t.store with
-        | None -> if required then compile_and_save g ~fingerprint
+        | None -> compile_and_save g ~fingerprint
         | Some store -> (
             match Plan_store.load store ~fingerprint ~arch:arch.name with
-            | Plan_store.Absent ->
-                if required then compile_and_save g ~fingerprint
+            | Plan_store.Absent -> compile_and_save g ~fingerprint
             | Plan_store.Rejected _ ->
                 incr rejected;
-                if required then compile_and_save g ~fingerprint
+                compile_and_save g ~fingerprint
             | Plan_store.Loaded plan ->
                 if not (structurally_ok ~fingerprint ~arch:arch.name plan)
                 then begin
                   incr rejected;
-                  if required then compile_and_save g ~fingerprint
+                  compile_and_save g ~fingerprint
                 end
                 else if t.config.verify_plans then begin
                   (* Bit-identity gate: the freshly compiled plan is
@@ -134,22 +134,7 @@ let prewarm t =
                   incr loaded
                 end)
       in
-      List.iter
-        (fun model ->
-          let spec = Serve.spec t.serve ~model in
-          (* exactly the cache slots Serve.warm will check out *)
-          let sizes = Serve.warm_sizes t.serve ~model in
-          List.iter (handle spec ~required:true) sizes;
-          (* A fixed-extent model dispatches at every batch size traffic
-             happens to form, and shutdown persisted whatever sizes the
-             previous process compiled: load any of those the store
-             holds too (never compiling for sizes nobody asked about
-             yet), so a restart is warm for more than the warm list. *)
-          if t.store <> None && not (Serve.symbolic t.serve ~model) then
-            for n = 1 to t.config.serve.Serve.max_batch do
-              if not (List.mem n sizes) then handle spec ~required:false n
-            done)
-        t.names;
+      List.iter (fun model -> handle (Serve.spec t.serve ~model)) t.names;
       Serve.warm t.serve;
       let p =
         {
@@ -185,9 +170,8 @@ let class_stats t = Serve.class_stats t.serve
 let drain t = Serve.drain t.serve
 
 let shutdown t =
-  (* Persist everything compiled since prewarm (fixed-extent models pick
-     up extra batch sizes on demand) before the server goes down; the
-     next process's prewarm then loads instead of compiling them. *)
+  (* Persist every cached plan before the server goes down; the next
+     process's prewarm then loads instead of compiling. *)
   let saved =
     match t.store with
     | None -> 0

@@ -9,11 +9,11 @@
     before {!prewarm}.
 
     The plan store closes the compile-once loop across process
-    restarts: {!prewarm} loads every registered model's plans from
-    [plan_dir] (falling back to compiling and saving them), optionally
-    gating each loaded plan on bit-identity against a fresh compile,
-    and then warms executor contexts - all before the zoo admits any
-    traffic.  A restarted zoo pointed at the same directory serves its
+    restarts: {!prewarm} loads every registered model's max-batch plan
+    from [plan_dir] (falling back to compiling and saving it),
+    optionally gating each loaded plan on bit-identity against a fresh
+    compile, and then warms executor contexts - all before the zoo
+    admits any traffic.  A restarted zoo pointed at the same directory serves its
     first request of every model with zero compile-phase spans. *)
 
 open Astitch_tensor
@@ -55,10 +55,10 @@ val create : ?config:config -> (Serve.model * Slo.t) list -> t
     @raise Invalid_argument on duplicate or empty registrations. *)
 
 val prewarm : t -> prewarm
-(** Load-or-compile every registered model's plans, then warm executor
-    contexts.  For each plan the store either hits ([loaded], gated by
-    [verify_plans]) or the plan is compiled cold and saved back
-    ([compiled], [saved]).  Idempotent; traffic is admitted after the
+(** Load-or-compile every registered model's one max-batch plan, then
+    warm one executor context per model.  For each plan the store
+    either hits ([loaded], gated by [verify_plans]) or the plan is
+    compiled cold and saved back ([compiled], [saved]).  Idempotent; traffic is admitted after the
     first call. *)
 
 val server : t -> Serve.t

@@ -150,9 +150,11 @@ let tiny () = inference ~config:tiny_config ()
    per-image (rank-3 reduces over the image's own pixels, in the same
    element order as the batch-1 reduce), so each image's scalar sequence
    is identical whatever the batch - the property the serving batcher's
-   bit-identity contract rests on.  Timesteps are kept timestep-major
-   internally for the GRU slices and transposed back to image-major on
-   output: request i owns output rows [i*w' .. (i+1)*w'). *)
+   bit-identity contract rests on.  The batch axis stays outermost
+   throughout (the condition [Batch_axis.analyze] checks for prefix
+   execution): tokens are image-major and a GRU step slices one
+   timestep out of every image.  Request i owns output rows
+   [i*w' .. (i+1)*w'). *)
 let build_batched b (c : config) ~batch:n =
   let raw = Builder.parameter b "image" [ n; c.height; c.width; 1 ] in
   let pixels = c.height * c.width in
@@ -226,15 +228,23 @@ let build_batched b (c : config) ~batch:n =
     | [ n'; h; w; ch ] when n' = n -> (h, w, ch)
     | _ -> Graph.ill_formed "crnn: unexpected conv output shape"
   in
-  (* timestep-major token layout: row t*n + i is image i at timestep t,
-     so a GRU step is one contiguous [n; hidden] row slice *)
-  let tr = Builder.transpose b feat ~perm:[ 2; 0; 1; 3 ] in
-  let seq = Builder.reshape b tr [ w' * n; h' * ch' ] in
+  (* image-major token layout: row i*w' + t is image i at timestep t,
+     holding the same (height, channel) elements in the same order as
+     the batch-1 row t, so every projection dot sums the same way *)
+  let tr = Builder.transpose b feat ~perm:[ 0; 2; 1; 3 ] in
+  let seq = Builder.reshape b tr [ n * w'; h' * ch' ] in
   let w_in = Builder.parameter b "proj.w" [ h' * ch'; c.hidden ] in
   let b_in = Builder.parameter b "proj.b" [ c.hidden ] in
-  let seq = Blocks.dense b seq ~weight:w_in ~bias:b_in in
+  let seq =
+    Builder.reshape b
+      (Blocks.dense b seq ~weight:w_in ~bias:b_in)
+      [ n; w'; c.hidden ]
+  in
+  (* a GRU step: timestep t of every image, [n; hidden] *)
   let step t =
-    Builder.slice b seq ~starts:[ t * n; 0 ] ~stops:[ (t + 1) * n; c.hidden ]
+    Builder.reshape b
+      (Builder.slice b seq ~starts:[ 0; t; 0 ] ~stops:[ n; t + 1; c.hidden ])
+      [ n; c.hidden ]
   in
   let run_dir name order =
     let h0 = Builder.parameter b (name ^ ".h0") [ n; c.hidden ] in

@@ -1069,6 +1069,27 @@ let test_random_overflow_bit_identical =
       let same = List.for_all2 Tensor.equal_bits in
       same fo (Executor.run plan ~params) && same fo (Interp.run g ~params))
 
+(* Every kernel of a random graph lowers to the fused recipe, on the
+   default arch and the tight-smem one: a scatter-add with only
+   in-cluster consumers is a dominant (atomic-reduce) op staged in
+   memory, never a register value the tape cannot scalarize. *)
+let test_random_graphs_fuse_every_kernel () =
+  List.iter
+    (fun arch ->
+      for seed = 0 to 299 do
+        let g = Astitch_workloads.Synthetic.random_graph ~seed ~nodes:40 () in
+        let plan =
+          (Session.compile Astitch_core.Astitch.full_backend arch g)
+            .Session.plan
+        in
+        match Executor.context_fallbacks (Executor.create_context plan) with
+        | [] -> ()
+        | (k, why) :: _ ->
+            Alcotest.failf "%s seed %d: %s on the reference path: %s"
+              arch.Arch.name seed k why
+      done)
+    [ Arch.v100; tight_smem_arch ]
+
 (* demote-vs-split gating on both sides of the crossover *)
 let test_gating_crossover () =
   let open Astitch_core.Global_gating in
@@ -1153,6 +1174,8 @@ let () =
             test_demotes_instead_of_falling_back;
           Alcotest.test_case "illegal demotion falls back with reason" `Quick
             test_illegal_demotion_falls_back;
+          Alcotest.test_case "random graphs fuse every kernel" `Quick
+            test_random_graphs_fuse_every_kernel;
           Alcotest.test_case "disabled engine" `Quick
             test_disabled_engine_is_all_reference;
         ] );

@@ -3,7 +3,8 @@
    The load-bearing claims, each tested directly:
    - [Batching.analyze] classifies per-request vs shared parameters and
      batch-carrying vs invariant outputs, and rejects builders that do
-     not scale exactly one axis;
+     not scale exactly one axis, and [Serve.create] refuses one that
+     moves the batch axis inward;
    - pack/unpack is lossless at ANY batch size (primes included), and
      batch-invariant outputs are copied whole to every request;
    - symbolic batch extents: one plan compiled at max_batch rebinds to
@@ -19,9 +20,10 @@
      as a qcheck property over random row-independent builders and
      random request counts;
    - the server end-to-end: all submitted requests come back [Done]
-     with solo-identical outputs; a model whose max-batch context
-     cannot rebind drops to fixed-extent serving, keeps that context
-     pooled for full batches and stays bit-identical at every size;
+     with solo-identical outputs; every zoo model serves every batch
+     size off its one warmed context without a compile; a model whose
+     max-batch context cannot rebind keeps serving on it, padding each
+     batch to max_batch, and stays bit-identical at every size;
      admission control refuses past the queue bound with a structured
      [Overloaded] and sheds expired requests as [Deadline_exceeded]
      (visible in serve.shed); a poisoned request fails alone without
@@ -78,6 +80,15 @@ let two_axis_build ~batch =
   let x = Builder.parameter b "x" [ batch; batch + 1 ] in
   Builder.finish b ~outputs:[ Builder.tanh b x ]
 
+(* Moves the batch axis inward between batch-major input and output, as
+   a timestep-major token layout does: a plan compiled at max_batch
+   cannot serve a prefix of it. *)
+let inward_axis_build ~batch =
+  let b = Builder.create () in
+  let x = Builder.parameter b "x" [ batch; 3 ] in
+  let t = Builder.tanh b (Builder.transpose b x ~perm:[ 1; 0 ]) in
+  Builder.finish b ~outputs:[ Builder.transpose b t ~perm:[ 1; 0 ] ]
+
 (* No per-request parameter at all: nothing to batch. *)
 let weights_only_build ~batch:_ =
   let b = Builder.create () in
@@ -122,9 +133,7 @@ let random_batchable ~seed =
 
 (* --- Batching analysis --------------------------------------------------- *)
 
-let analyze build =
-  Batching.analyze (fun n -> build ~batch:n) ~g1:(build ~batch:1)
-    ~g2:(build ~batch:2)
+let analyze build = Batching.analyze (fun n -> build ~batch:n) ~max_batch:8
 
 let test_analyze_classifies () =
   let spec = analyze mlp_build in
@@ -138,7 +147,8 @@ let test_analyze_classifies () =
   | [ Some { axis = 0; extent = 1 }; None ] -> ()
   | _ -> Alcotest.fail "outputs misclassified");
   check_bool "fingerprint is the batch-1 graph's" true
-    (String.equal spec.fingerprint (Fingerprint.of_graph (mlp_build ~batch:1)))
+    (String.equal spec.fingerprint (Fingerprint.of_graph (mlp_build ~batch:1)));
+  check_int "classified for max_batch" 8 spec.batch.Batch_axis.max_batch
 
 let test_analyze_rejects_two_axis () =
   match analyze two_axis_build with
@@ -341,13 +351,7 @@ let test_symbolic_rebind_mlp () =
 let test_symbolic_rebind_zoo () =
   List.iter
     (fun (e : Astitch_workloads.Zoo.entry) ->
-      let g1 = e.batched ~batch:1 and g2 = e.batched ~batch:2 in
-      match Batch_axis.analyze ~g1 ~g2 with
-      | Ok _ -> assert_symbolic_rebind ~what:e.name e.batched ~max_batch:8
-      | Error _ ->
-          (* not prefix-executable: the serving layer uses fixed-extent
-             compilation for these; nothing to assert here *)
-          ())
+      assert_symbolic_rebind ~what:e.name e.batched ~max_batch:8)
     Astitch_workloads.Zoo.all
 
 let prop_symbolic_rebind_random =
@@ -794,13 +798,13 @@ let submit_burst server ~what ~seed n =
 
 (* A max-batch plan whose first kernel holds a parameter op: the tape
    refuses to fuse that kernel, so the context runs it on the reference
-   path and cannot rebind.  Seeded into the plan cache, it makes the
-   model drop its classification at its first checkout - during [warm],
-   or under a batch of one when the server was not warmed.  Either way
-   that context stays pooled under max_batch and serves the full batch,
-   the smaller sizes compile their own, nothing is retried, and every
-   size is bit-identical to the interpreter - including the full
-   batch's solo verification. *)
+   path and cannot rebind.  Seeded into the plan cache, it is the
+   model's context from its first checkout - during [warm], or under a
+   batch of one when the server was not warmed.  Either way that one
+   pooled context serves every size, padded to max_batch rows (1+2+3
+   padding rows for bursts of 1..4), nothing is retried, and every size
+   is bit-identical to the interpreter - including the full batch's
+   solo verification on the same context. *)
 let test_demoted_model_keeps_serving () =
   let max_batch = 4 in
   let config =
@@ -858,11 +862,116 @@ let test_demoted_model_keeps_serving () =
         let s = Serve.stats server in
         check_int (what ^ ": one batch per size") max_batch s.batches;
         check_int (what ^ ": nothing retried") 0 s.retried;
-        check_int (what ^ ": one context per compiled size") max_batch
-          (pools ()))
+        check_int (what ^ ": one pooled context") 1 (pools ());
+        check_int (what ^ ": padded to max_batch")
+          (max_batch * (max_batch - 1) / 2)
+          s.padded_rows)
   in
   scenario ~warm:true;
   scenario ~warm:false
+
+let contains haystack needle =
+  let nl = String.length needle and hl = String.length haystack in
+  let rec scan i =
+    i + nl <= hl && (String.sub haystack i nl = needle || scan (i + 1))
+  in
+  scan 0
+
+(* Open fds of this process, where /proc says; [None] elsewhere. *)
+let open_fds () =
+  if Sys.file_exists "/proc/self/fd" then
+    Some (Array.length (Sys.readdir "/proc/self/fd"))
+  else None
+
+(* A builder whose batch axis moves inward is refused at load with the
+   analysis' reason, before the server takes an fd or a domain. *)
+let test_inward_batch_axis_refused () =
+  let model = { Serve.name = "inward"; build = inward_axis_build } in
+  let before = open_fds () in
+  for _ = 1 to 20 do
+    match Serve.create ~config:(serve_config ()) [ model ] with
+    | exception Batching.Not_batchable why ->
+        check_bool ("names the cause: " ^ why) true
+          (contains why "not outermost")
+    | server ->
+        Serve.shutdown server;
+        Alcotest.fail "an inward batch axis was accepted"
+  done;
+  match (before, open_fds ()) with
+  | Some b, Some a -> check_int "open fds unchanged" b a
+  | _ -> ()
+
+let zoo_models =
+  List.map
+    (fun (e : Astitch_workloads.Zoo.entry) ->
+      { Serve.name = e.name; build = e.batched })
+    Astitch_workloads.Zoo.all
+
+(* One burst of every size 1..max_batch for [model], each drained as
+   one batch (the window is an hour) and awaited. *)
+let serve_bursts server ~model ~max_batch =
+  for n = 1 to max_batch do
+    let tickets =
+      List.init n (fun i ->
+          let params = Serve.random_request server ~model ~seed:((n * 10) + i) in
+          match Serve.submit_async server ~model ~params with
+          | Ok t -> t
+          | Error o ->
+              Alcotest.failf "%s: refused: %s" model
+                (Request.overload_to_string o))
+    in
+    Serve.drain server;
+    List.iter
+      (fun t ->
+        match Serve.await server t with
+        | Request.Done { batch; _ } ->
+            check_int (Printf.sprintf "%s: burst of %d is one batch" model n)
+              n batch
+        | _ -> Alcotest.failf "%s: burst of %d not served" model n)
+      tickets
+  done
+
+(* Verifying every batch runs the solo request on the batch's own
+   context, so a warmed single-worker CRNN server ends with the one
+   context it warmed. *)
+let test_crnn_pools_one_context () =
+  let config =
+    {
+      (serve_config ~workers:1 ~max_batch:8 ~max_wait_us:3.6e9 ()) with
+      verify_every = 1;
+    }
+  in
+  let crnn = List.filter (fun (m : Serve.model) -> m.name = "CRNN") zoo_models in
+  let server = Serve.create ~config crnn in
+  Fun.protect
+    ~finally:(fun () -> Serve.shutdown server)
+    (fun () ->
+      Serve.warm server;
+      serve_bursts server ~model:"CRNN" ~max_batch:8;
+      match Serve.context_pool_sizes server with
+      | [ ("CRNN", 1) ] -> ()
+      | sizes ->
+          Alcotest.failf "expected CRNN=1, got [%s]"
+            (String.concat "; "
+               (List.map (fun (m, c) -> Printf.sprintf "%s=%d" m c) sizes)))
+
+(* After [warm], no batch size of any zoo model compiles a plan. *)
+let test_zoo_serves_without_compiling () =
+  let config = serve_config ~workers:1 ~max_batch:8 ~max_wait_us:3.6e9 () in
+  let server = Serve.create ~config zoo_models in
+  Fun.protect
+    ~finally:(fun () -> Serve.shutdown server)
+    (fun () ->
+      Serve.warm server;
+      let warmed = (Serve.stats server).plan_compiles in
+      List.iter
+        (fun (m : Serve.model) ->
+          serve_bursts server ~model:m.name ~max_batch:8;
+          check_int
+            (m.name ^ ": no plan compile under traffic")
+            warmed (Serve.stats server).plan_compiles)
+        zoo_models;
+      check_int "no padded rows" 0 (Serve.stats server).padded_rows)
 
 (* Every runtime fault site x 50 seeds x {raise, corrupt}, against a
    live worker-backed server.  One server per (site, mode): arming is
@@ -1298,6 +1407,12 @@ let () =
             `Quick test_continuous_exact_batches;
           Alcotest.test_case "demoted model keeps serving" `Quick
             test_demoted_model_keeps_serving;
+          Alcotest.test_case "inward batch axis refused at create" `Quick
+            test_inward_batch_axis_refused;
+          Alcotest.test_case "CRNN verifies on its one context" `Quick
+            test_crnn_pools_one_context;
+          Alcotest.test_case "zoo serves every size without compiling"
+            `Quick test_zoo_serves_without_compiling;
           Alcotest.test_case "full batch wakes the worker immediately" `Quick
             test_full_batch_dispatches_immediately;
           Alcotest.test_case "admission control refuses past the bound" `Quick
