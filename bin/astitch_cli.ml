@@ -143,7 +143,7 @@ let parse_injects specs =
                          Fault_site.every_site)))))
     (Ok []) specs
 
-(* Fault plans belong to an AStitch config; injecting into a baseline
+(* Fault sites live in the AStitch passes; injecting into a baseline
    backend has no sites to hit. *)
 let config_for_backend name =
   match String.lowercase_ascii name with
@@ -302,8 +302,9 @@ let inspect model training tiny =
 
 (* One driver, one cache-and-repeat loop: [--resilient] keeps the
    degradation report and prints it; otherwise an AStitch-family backend
-   compiles with its config (faults and [-j] included) and refuses to
-   degrade, and a baseline backend compiles as it is. *)
+   compiles with its config ([-j] included) and refuses to degrade, and
+   a baseline backend compiles as it is.  Every compile of the loop runs
+   with the [--inject] faults armed afresh. *)
 let compile model backend training tiny arch resilient injects use_cache
     repeat jobs =
   match
@@ -318,8 +319,8 @@ let compile model backend training tiny arch resilient injects use_cache
           (fun base ->
             {
               base with
-              Astitch_core.Config.faults;
-              compile_domains = Astitch_core.Config.resolve_domains jobs;
+              Astitch_core.Config.compile_domains =
+                Astitch_core.Config.resolve_domains jobs;
             })
           (config_for_backend backend)
       in
@@ -367,7 +368,7 @@ let compile model backend training tiny arch resilient injects use_cache
           | Error e -> `Error (false, e)
           | Ok compile_once ->
               let rec loop i =
-                match compile_once () with
+                match Fault_site.with_faults faults compile_once with
                 | Error e, _ -> `Error (false, Compile_error.to_string e)
                 | Ok (result, report), outcome ->
                     if use_cache then
@@ -527,8 +528,10 @@ let compare_cmd model training tiny arch resilient injects fused trace metrics
           List.iter (fun (name, b) -> print_row name (Session.compile b arch g))
             backends;
           if resilient then begin
-            let config = { Astitch_core.Config.full with faults } in
-            match Session.compile_resilient ~config arch g with
+            match
+              Fault_site.with_faults faults (fun () ->
+                  Session.compile_resilient arch g)
+            with
             | Error e -> `Error (false, Compile_error.to_string e)
             | Ok { result; report } ->
                 print_row "resilient" result;
@@ -1069,7 +1072,15 @@ let serve_cmd_impl models slo_specs plan_dir verify_plans expect_warm
                                (List.map Fault_site.plan_to_string
                                   fault_plans));
                         let t_pre = Astitch_obs.Clock.now_us () in
-                        let p = Zoo.prewarm zoo in
+                        (* a compile-site [--inject] can make prewarm's
+                           strict compile refuse: stop the server, then
+                           report the structured error *)
+                        let p =
+                          try Zoo.prewarm zoo
+                          with e ->
+                            Zoo.shutdown zoo;
+                            raise e
+                        in
                         Printf.printf
                           "prewarm: %.0f ms  loaded %d  verified %d  \
                            rejected %d  saved %d\n"
@@ -1099,7 +1110,7 @@ let serve_cmd_impl models slo_specs plan_dir verify_plans expect_warm
                                Astitch_obs.Trace.recorder_uninstall ()
                              else Astitch_obs.Trace.recorder_records ())
                         in
-                        let saved_at_shutdown = Zoo.shutdown zoo in
+                        Zoo.shutdown zoo;
                         let s = Serve.stats server in
                         let sup = Serve.supervision server in
                         let d = Serve.disposition server in
@@ -1132,8 +1143,6 @@ let serve_cmd_impl models slo_specs plan_dir verify_plans expect_warm
                                 (Serve.context_pool_sizes server)));
                         Printf.printf "compile-phase spans during traffic: %d\n"
                           traffic_compiles;
-                        Printf.printf "plans saved at shutdown: %d\n"
-                          saved_at_shutdown;
                         Printf.printf "wall %.3fs  throughput %.1f req/s\n"
                           r.wall
                           (float_of_int r.completed /. Float.max r.wall 1e-9);
@@ -1169,6 +1178,8 @@ let serve_cmd_impl models slo_specs plan_dir verify_plans expect_warm
                         (r, s.padded_rows, d.lost, p, traffic_compiles)))
               with
               | exception Invalid_argument e -> `Error (false, e)
+              | exception Compile_error.Error e ->
+                  `Error (false, Compile_error.to_string e)
               | r, padded_rows, lost, (p : Zoo.prewarm), traffic_compiles ->
                   let dumps =
                     match recorder with
@@ -1416,11 +1427,10 @@ let serve_cmd =
   let plan_dir_arg =
     Arg.(value & opt (some string) None
          & info [ "plan-dir" ] ~docv:"DIR"
-             ~doc:"Persistent plan store: prewarm loads each model's plans \
+             ~doc:"Persistent plan store: prewarm loads each model's plan \
                    from DIR instead of compiling (saving fresh compiles \
-                   back), and shutdown persists everything compiled since. \
-                   A restart against the same DIR reports \"cold compiles: \
-                   0\".")
+                   back).  A restart against the same DIR reports \"cold \
+                   compiles: 0\".")
   in
   let verify_plans_arg =
     Arg.(value & flag

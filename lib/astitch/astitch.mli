@@ -8,7 +8,7 @@ val cost_config : Cost_model.config
 val compile : ?config:Config.t -> Arch.t -> Astitch_ir.Graph.t -> Kernel_plan.t
 (** {!Fallback.compile} with degradation refused: the plan when the
     degradation report is empty, every kernel and the cross-kernel rules
-    checked.  Arms [config.faults] for the duration of the compile.
+    checked.
     @raise Compile_error.Error with the first degradation event's error,
     or the driver's own error; no other exception escapes, resource
     exhaustion ([Out_of_memory], [Stack_overflow]) aside. *)

@@ -16,8 +16,6 @@ type t = {
   compile_domains : int;
       (* worker domains for per-cluster compilation; 1 = sequential.
          Plans are byte-identical at any setting (deterministic merge) *)
-  faults : Astitch_plan.Fault_site.plan list;
-      (* armed fault-injection plans (testing only; [] in production) *)
 }
 
 let full =
@@ -27,7 +25,6 @@ let full =
     dominant_merging = true;
     remote_stitching = true;
     compile_domains = 1;
-    faults = [];
   }
 
 (* Resolve a requested domain count: [0] (or negative) means "auto", the
@@ -50,9 +47,7 @@ let no_dominant_merging = { full with dominant_merging = false }
 (* Canonical serialization of every field that can change the compiled
    plan - the config component of a plan-cache key.  [compile_domains]
    is deliberately excluded: parallel compilation is byte-identical to
-   sequential, so it may not fragment the cache.  [faults] is included
-   so a fault-injected config never aliases a production entry. *)
+   sequential, so it may not fragment the cache. *)
 let cache_key c =
-  Printf.sprintf "atm=%b;hdr=%b;merge=%b;remote=%b;faults=%d"
-    c.adaptive_thread_mapping c.hierarchical_data_reuse c.dominant_merging
-    c.remote_stitching (List.length c.faults)
+  Printf.sprintf "atm=%b;hdr=%b;merge=%b;remote=%b" c.adaptive_thread_mapping
+    c.hierarchical_data_reuse c.dominant_merging c.remote_stitching

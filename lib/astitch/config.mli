@@ -11,8 +11,6 @@ type t = {
   compile_domains : int;
       (** worker domains for per-cluster compilation; [1] = sequential.
           Any setting produces byte-identical plans. *)
-  faults : Astitch_plan.Fault_site.plan list;
-      (** armed fault-injection plans (testing only; [[]] in production) *)
 }
 
 val full : t
@@ -35,7 +33,6 @@ val no_dominant_merging : t
 
 val cache_key : t -> string
 (** Canonical serialization of every plan-affecting field (the four
-    switches and the fault count), for plan-cache keys and
-    [Astitch.backend]'s names.  [compile_domains] is excluded (parallel
+    switches), for plan-cache keys and [Astitch.backend]'s names.  [compile_domains] is excluded (parallel
     compilation is byte-identical to sequential, so it may not fragment
     the cache). *)

@@ -214,7 +214,7 @@ let ladder_pass = function
   | Degradation.Fusion -> "fusion-fallback"
   | Degradation.Kernel_per_op -> "kernel-per-op"
 
-let compile_armed (config : Config.t) (arch : Arch.t) g :
+let compile (config : Config.t) (arch : Arch.t) g :
     (Kernel_plan.t * Degradation.report, Compile_error.t) result =
   (* [log] is the graph's event log or a group's own. *)
   let recorder log cluster from_level to_level error =
@@ -526,8 +526,7 @@ let compile_armed (config : Config.t) (arch : Arch.t) g :
        to the sequential walk at any domain count.  Parallelism is gated
        off under fault injection (a global registry). *)
     let domains =
-      if config.faults <> [] || Fault_site.compile_active () then 1
-      else config.compile_domains
+      if Fault_site.compile_active () then 1 else config.compile_domains
     in
     let logs = Array.make (List.length cluster_groups) ([], []) in
     let stitch_kernels =
@@ -540,13 +539,4 @@ let compile_armed (config : Config.t) (arch : Arch.t) g :
     with
     | Ok plan -> Ok (plan, List.rev !events)
     | Error e -> Error e
-  end
-
-let compile (config : Config.t) (arch : Arch.t) g =
-  if config.faults = [] then compile_armed config arch g
-  else begin
-    Fault_site.arm config.faults;
-    Fun.protect
-      ~finally:(fun () -> Fault_site.disarm ())
-      (fun () -> compile_armed config arch g)
   end

@@ -16,9 +16,11 @@ val compile :
   Arch.t ->
   Graph.t ->
   (Kernel_plan.t * Degradation.report, Compile_error.t) result
-(** Arms [config.faults] for the duration of the compile.  Never raises
-    (resource exhaustion aside): any failure the ladder cannot absorb
-    comes back as [Error].  Every [Ok] plan passed the checks of
+(** Never raises (resource exhaustion aside): any failure the ladder
+    cannot absorb comes back as [Error].  Faults armed by
+    [Fault_site.with_faults] fire at the instrumented passes; while a
+    compile-site fault is armed, groups compile on one domain.  Every
+    [Ok] plan passed the checks of
     [Kernel_plan.check_all], each run once: [check_kernel] on every
     kernel where it is made, [check_cross_kernel] on the plan. *)
 

@@ -21,10 +21,6 @@
 type cls = Invariant | Scaled of { axis : int; unit : int }
 type plan = { max_batch : int; cls : cls array }
 
-let cls_to_string = function
-  | Invariant -> "invariant"
-  | Scaled { axis; unit } -> Printf.sprintf "scaled{axis=%d, unit=%d}" axis unit
-
 (* The shape a node takes at batch [b], given its batch-1 unit shape. *)
 let shape_at cls (s : Shape.t) ~batch =
   match cls with

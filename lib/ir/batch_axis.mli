@@ -23,8 +23,6 @@ type plan = { max_batch : int; cls : cls array }
 (** What a compiled plan carries: the extent it was compiled at and the
     per-node classification (indexed by node id). *)
 
-val cls_to_string : cls -> string
-
 val shape_at : cls -> Shape.t -> batch:int -> Shape.t
 (** The node's shape at [batch], given its batch-1 shape. *)
 

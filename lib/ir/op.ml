@@ -213,7 +213,6 @@ let is_reduce = function Reduce _ -> true | _ -> false
 let is_reduce_like = function Reduce _ | Max_pool _ -> true | _ -> false
 let is_broadcast = function Broadcast _ -> true | _ -> false
 let is_parameter = function Parameter _ -> true | _ -> false
-let is_constant = function Constant _ -> true | _ -> false
 
 let scalarizable = function
   | Parameter _ | Scatter_add _ -> false

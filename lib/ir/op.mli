@@ -88,7 +88,6 @@ val is_reduce_like : t -> bool
 
 val is_broadcast : t -> bool
 val is_parameter : t -> bool
-val is_constant : t -> bool
 
 val scalarizable : t -> bool
 (** Ops whose output element is a pure function of operand elements,

@@ -66,11 +66,6 @@ let is_pattern2_edge g ~producer ~consumer =
   | _ -> false)
   && edge_dep g ~producer ~consumer = One_to_many
 
-(* An op has operator-level one-to-many fan-out when several distinct
-   memory-intensive consumers read it (operators B and C reading A in the
-   paper's Figure 4). *)
-let has_multi_consumer g id = List.length (Graph.consumers g id) > 1
-
 (* Candidate dominant ops (Sec 4.3 step 1): reduces (scatter-add is an
    atomic one), and heavy element-wise ops followed by a broadcast.
    Output nodes of a stitch scope are added by the caller, which knows

@@ -22,8 +22,6 @@ val is_pattern2_edge :
   Graph.t -> producer:Op.node_id -> consumer:Op.node_id -> bool
 (** Paper pattern (2): heavy element-wise op followed by a broadcast. *)
 
-val has_multi_consumer : Graph.t -> Op.node_id -> bool
-
 val is_dominant_candidate : Graph.t -> Op.node_id -> bool
 (** Sec 4.3 step 1 candidates: reduces, and heavy element-wise ops with a
     one-to-many (broadcast) consumer. *)

@@ -15,8 +15,6 @@ type stats = {
   dce : int; (* dead nodes dropped *)
 }
 
-let no_stats = { folded = 0; identities = 0; cse = 0; dce = 0 }
-
 let pp_stats fmt s =
   Format.fprintf fmt "folded=%d identities=%d cse=%d dce=%d" s.folded
     s.identities s.cse s.dce

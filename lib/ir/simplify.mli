@@ -6,7 +6,6 @@
 
 type stats = { folded : int; identities : int; cse : int; dce : int }
 
-val no_stats : stats
 val pp_stats : Format.formatter -> stats -> unit
 
 val uniform_value : Graph.t -> Op.node_id -> float option

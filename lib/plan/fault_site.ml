@@ -139,41 +139,35 @@ let stall_s seed = 0.001 *. (1. +. float_of_int (abs seed mod 10))
 
 (* Armed faults (remaining fuel tracked per plan), firing counters, and
    a monotonic arming epoch.  The epoch lets observers (the plan cache)
-   detect that faults were armed at any point during a compile even
-   though [arm] resets the firing counters and the compile disarms on
-   the way out.  [compile_fired] counts only compile-site firings, so a
-   serving process with runtime faults armed still caches full-strength
+   detect that faults were armed at any point during a compile - by
+   another domain, say - even though arming resets the firing counters
+   and the window may close before the compile returns.
+   [compile_fired] counts only compile-site firings, so a serving
+   process with runtime faults armed still caches full-strength
    compiles (runtime sites cannot perturb a plan). *)
 let armed : (plan * int Atomic.t) list ref = ref []
 let fired_count = Atomic.make 0
 let compile_fired_count = Atomic.make 0
 let arm_epoch = ref 0
 
-let arm plans =
+(* Arm (replacing the armed set, resetting the counters), run, disarm -
+   even on exceptions.  The only way faults are armed. *)
+let with_faults plans f =
   armed := List.map (fun p -> (p, Atomic.make p.fuel)) plans;
   incr arm_epoch;
   Atomic.set fired_count 0;
-  Atomic.set compile_fired_count 0
-
-let disarm () = armed := []
-
-(* Arm, run, disarm - even on exceptions. *)
-let with_faults plans f =
-  arm plans;
-  Fun.protect ~finally:disarm f
+  Atomic.set compile_fired_count 0;
+  Fun.protect ~finally:(fun () -> armed := []) f
 
 let fired () = Atomic.get fired_count
 let compile_fired () = Atomic.get compile_fired_count
-let active () = !armed <> []
 let epoch () = !arm_epoch
 
-let site_active pred () =
+let compile_active () =
   List.exists
-    (fun ((p : plan), fuel) -> pred p.site && Atomic.get fuel > 0)
+    (fun ((p : plan), fuel) ->
+      (not (is_runtime_site p.site)) && Atomic.get fuel > 0)
     !armed
-
-let compile_active = site_active (fun s -> not (is_runtime_site s))
-let runtime_active = site_active is_runtime_site
 
 (* Claim one unit of fuel; the compare-and-set loop makes "fires at most
    [fuel] times" hold under concurrent domains. *)

@@ -57,35 +57,27 @@ exception Runtime_fault of { site : site; seed : int; pass : string }
 val stall_s : int -> float
 (** The seeded stall duration (1-10ms) a [Stall]-mode fault sleeps. *)
 
-val arm : plan list -> unit
-(** Replace the armed set and reset the firing counters. *)
-
-val disarm : unit -> unit
-
 val with_faults : plan list -> (unit -> 'a) -> 'a
-(** {!arm}, run, {!disarm} - even when the function raises. *)
+(** [with_faults plans f] arms [plans] (replacing the armed set and
+    resetting the firing counters), runs [f], and disarms - even when
+    [f] raises.  The only way to arm faults: compiles, serving and
+    tests all arm through it. *)
 
 val fired : unit -> int
-(** Total firings (compile + runtime) since the last {!arm}. *)
+(** Total firings (compile + runtime) since the last arming. *)
 
 val compile_fired : unit -> int
 (** Compile-site firings only — what the plan cache's fault watch
     compares, so runtime-only faults don't poison compile caching. *)
 
-val active : unit -> bool
-(** Any armed fault with fuel left, at any site. *)
-
 val compile_active : unit -> bool
 (** An armed compile-site fault with fuel left exists. *)
 
-val runtime_active : unit -> bool
-(** An armed runtime-site fault with fuel left exists — the serving
-    path's cheap guard before consulting {!check_runtime}. *)
-
 val epoch : unit -> int
-(** Monotonic count of {!arm} calls.  An observer that snapshots the
-    epoch around a compile can tell whether faults were armed inside it,
-    even though the compile disarms before returning. *)
+(** Monotonic count of {!with_faults} armings.  An observer that
+    snapshots the epoch around a compile can tell whether faults were
+    armed during it, even when they were disarmed again before it
+    returned. *)
 
 val check : site -> pass:string -> int option
 (** Called at compile-pass instrumentation points.  [Some seed] =

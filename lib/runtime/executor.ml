@@ -693,7 +693,6 @@ let create_context ?(fused = true) ?(timed = false) (plan : Kernel_plan.t) :
         ]
       (fun () -> create_context_body ~fused ~timed plan)
 
-let context_plan ctx = ctx.plan
 let exec_report ctx = ctx.report
 let rebindable ctx = ctx.sym <> None
 

@@ -38,8 +38,6 @@ val create_context : ?fused:bool -> ?timed:bool -> Kernel_plan.t -> context
     one-time cost is proportional to the plan; each subsequent
     {!run_context} call does only the numeric work plus output copies. *)
 
-val context_plan : context -> Kernel_plan.t
-
 val exec_report : context -> Profile.exec_report
 (** Measured execution counters: per-kernel fused/reference mode, bytes
     materialized vs scalarized/staged, arena high-water mark.  Staging

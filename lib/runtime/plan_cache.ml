@@ -1,4 +1,4 @@
-(* LRU cache for compiled artifacts.
+(* Cache for compiled artifacts.
 
    Serving compiles the same graphs over and over; the cache keys an
    arbitrary compiled artifact ('a is a plan, a session result, or a
@@ -7,22 +7,23 @@
    sound by construction: two graphs share a key only when their live
    structure is identical, so a hit can serve the cached plan verbatim.
 
-   Recency is tracked with a monotonic tick per access; eviction removes
-   the entry with the smallest tick (strict LRU, deterministic).  The
+   The cache is a plain table: an entry leaves only through [remove].
+   A server keys one plan per served model and every plan a model uses
+   is also held by its pooled executor contexts, so dropping one would
+   free nothing.  The
    cache never stores degraded or fault-injected results - callers route
    those through [note_bypass] - so a hit is always a full-strength
    artifact.
 
    The cache is safe for concurrent domains: every operation that reads
-   or mutates the table, the tick or the stats record holds [mu].  The
-   serving worker pool shares one cache across all workers, so lookups,
-   insertions and evictions race freely; the mutex keeps the LRU
-   invariants (tick monotonicity, length <= capacity, stats consistent
-   with table contents) intact under that load.  [find_or_compute] runs
-   [compute] OUTSIDE the lock - compilation is slow and must overlap
-   across domains - so two domains may compile the same key
-   concurrently; the second [add] replaces the first, which is sound
-   because equal keys imply interchangeable artifacts. *)
+   or mutates the table or the stats record holds [mu].  The serving
+   worker pool shares one cache across all workers, so lookups,
+   insertions and removals race freely; the mutex keeps the stats
+   consistent with the table ([length = insertions - removals]).
+   [find_or_compute] runs [compute] OUTSIDE the lock - compilation is
+   slow and must overlap across domains - so two domains may compile the
+   same key concurrently; the second [add] replaces the first, which is
+   sound because equal keys imply interchangeable artifacts. *)
 
 module Trace = Astitch_obs.Trace
 module Metrics = Astitch_obs.Metrics
@@ -39,39 +40,22 @@ type stats = {
   hits : int;
   misses : int;
   insertions : int;
-  evictions : int;
   bypasses : int;
   removals : int;
 }
 
-let zero_stats =
-  {
-    hits = 0;
-    misses = 0;
-    insertions = 0;
-    evictions = 0;
-    bypasses = 0;
-    removals = 0;
-  }
-
-type 'a entry = { value : 'a; mutable last_used : int }
-
 type 'a t = {
   mu : Mutex.t;
-  capacity : int;
-  table : (string, 'a entry) Hashtbl.t;
-  mutable tick : int;
+  table : (string, 'a) Hashtbl.t;
   mutable stats : stats;
 }
 
-let create ?(capacity = 128) () =
-  if capacity <= 0 then invalid_arg "Plan_cache.create: capacity must be > 0";
+let create () =
   {
     mu = Mutex.create ();
-    capacity;
-    table = Hashtbl.create (2 * capacity);
-    tick = 0;
-    stats = zero_stats;
+    table = Hashtbl.create 16;
+    stats =
+      { hits = 0; misses = 0; insertions = 0; bypasses = 0; removals = 0 };
   }
 
 let key ~fingerprint ~arch ~config =
@@ -83,35 +67,20 @@ let key ~fingerprint ~arch ~config =
 let locked t f = Mutex.protect t.mu f
 
 let length t = locked t (fun () -> Hashtbl.length t.table)
-let capacity t = t.capacity
 let stats t = locked t (fun () -> t.stats)
-
-(* Iteration snapshots the table under the lock and releases it before
-   handing entries to the caller: [f] may be slow (the plan store
-   serializes each plan to disk) and must not stall serving lookups. *)
-let entries t =
-  locked t (fun () ->
-      Hashtbl.fold (fun k e acc -> (k, e.value) :: acc) t.table [])
-
-let fold f init t = List.fold_left (fun acc (k, v) -> f acc k v) init (entries t)
 
 let pp_stats ppf s =
   Format.fprintf ppf
-    "%d hits, %d misses, %d insertions, %d evictions, %d bypasses, %d removals"
-    s.hits s.misses s.insertions s.evictions s.bypasses s.removals
-
-let touch t e =
-  t.tick <- t.tick + 1;
-  e.last_used <- t.tick
+    "%d hits, %d misses, %d insertions, %d bypasses, %d removals" s.hits
+    s.misses s.insertions s.bypasses s.removals
 
 let find t k =
   let r =
     locked t (fun () ->
         match Hashtbl.find_opt t.table k with
-        | Some e ->
-            touch t e;
+        | Some _ as r ->
             t.stats <- { t.stats with hits = t.stats.hits + 1 };
-            Some e.value
+            r
         | None ->
             t.stats <- { t.stats with misses = t.stats.misses + 1 };
             None)
@@ -119,51 +88,23 @@ let find t k =
   note (match r with Some _ -> "hit" | None -> "miss");
   r
 
-(* Evict the least-recently-used entry (smallest tick).  Caller holds
-   the lock.  Returns whether an eviction happened so the metric can be
-   emitted outside the critical section. *)
-let evict_one t =
-  let victim =
-    Hashtbl.fold
-      (fun k e acc ->
-        match acc with
-        | Some (_, best) when best.last_used <= e.last_used -> acc
-        | _ -> Some (k, e))
-      t.table None
-  in
-  match victim with
-  | None -> false
-  | Some (k, _) ->
-      Hashtbl.remove t.table k;
-      t.stats <- { t.stats with evictions = t.stats.evictions + 1 };
-      true
-
 (* Re-adding an existing key (concurrent domains racing on the same
-   compile) is an in-place update: it counts as neither insertion nor
-   eviction, so [length = insertions - evictions] holds at all times. *)
+   compile) is an in-place update: it counts as no insertion, so
+   [length = insertions - removals] holds at all times. *)
 let add t k v =
-  let replaced, evicted =
+  let replaced =
     locked t (fun () ->
         let replaced = Hashtbl.mem t.table k in
-        let evicted =
-          (not replaced)
-          && Hashtbl.length t.table >= t.capacity
-          && evict_one t
-        in
-        t.tick <- t.tick + 1;
-        Hashtbl.replace t.table k { value = v; last_used = t.tick };
+        Hashtbl.replace t.table k v;
         if not replaced then
           t.stats <- { t.stats with insertions = t.stats.insertions + 1 };
-        (replaced, evicted))
+        replaced)
   in
-  if evicted then note "eviction";
   note (if replaced then "replacement" else "insertion")
 
-(* Explicit invalidation: serving quarantine evicts the plan behind a
+(* Explicit invalidation: serving quarantine drops the plan behind a
    batch that produced corrupt output, so the next checkout recompiles
-   instead of resurrecting the suspect artifact from cache.  Removals
-   are accounted separately from capacity evictions; the length
-   invariant becomes [length = insertions - evictions - removals]. *)
+   instead of resurrecting the suspect artifact from cache. *)
 let remove t k =
   let removed =
     locked t (fun () ->

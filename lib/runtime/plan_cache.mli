@@ -1,5 +1,5 @@
-(** LRU cache for compiled artifacts, keyed by canonical graph
-    fingerprint x architecture x config serialization.
+(** Cache for compiled artifacts, keyed by canonical graph fingerprint x
+    architecture x config serialization.
 
     The key's soundness comes from {!Astitch_ir.Fingerprint}: equal keys
     imply structurally identical live graphs under the same compiler
@@ -7,6 +7,9 @@
     fault-injected compiles must never be inserted; route them through
     {!note_bypass} (or return [cacheable = false] from
     {!find_or_compute}).
+
+    A plain table: entries leave only through {!remove}, so
+    [length = insertions - removals] is an invariant.
 
     Safe for concurrent domains: all table/stat mutation is serialized
     behind an internal mutex, so one cache can back a whole serving
@@ -19,35 +22,27 @@ type stats = {
   hits : int;
   misses : int;
   insertions : int;
-  evictions : int;
   bypasses : int;  (** compiles that were deliberately not cached *)
   removals : int;  (** explicit invalidations ({!remove}) *)
 }
 
-val zero_stats : stats
-
 type 'a t
 
-val create : ?capacity:int -> unit -> 'a t
-(** An empty cache holding at most [capacity] (default 128) entries.
-    @raise Invalid_argument if [capacity <= 0]. *)
+val create : unit -> 'a t
 
 val key : fingerprint:string -> arch:string -> config:string -> string
 (** Compose the three key components canonically. *)
 
 val find : 'a t -> string -> 'a option
-(** Lookup; refreshes recency and counts a hit or miss. *)
+(** Lookup; counts a hit or miss. *)
 
 val add : 'a t -> string -> 'a -> unit
-(** Insert, evicting the least-recently-used entry when full.  Re-adding
-    an existing key replaces its value in place - no spurious eviction,
-    and no insertion count either, so [length = insertions - evictions]
-    is an invariant. *)
+(** Insert.  Re-adding an existing key replaces its value in place and
+    counts no insertion. *)
 
 val remove : 'a t -> string -> bool
-(** Invalidate one entry (quarantine evicting a suspect plan); [true]
-    when the key was present.  Counted in [removals], so
-    [length = insertions - evictions - removals] is an invariant. *)
+(** Invalidate one entry (quarantine dropping a suspect plan); [true]
+    when the key was present.  Counted in [removals]. *)
 
 val note_bypass : 'a t -> unit
 (** Record a compile that deliberately skipped the cache. *)
@@ -63,20 +58,9 @@ val find_or_compute :
     itself cacheable ([Miss]), counting a bypass otherwise ([Bypassed]). *)
 
 val length : 'a t -> int
-val capacity : 'a t -> int
 val stats : 'a t -> stats
 
-val entries : 'a t -> (string * 'a) list
-(** Snapshot of all (key, value) pairs, in unspecified order.  Taken
-    under the lock, returned outside it: safe to consume slowly (the
-    plan store's save path serializes each entry to disk) without
-    stalling concurrent lookups.  Does not touch recency or stats. *)
-
-val fold : ('acc -> string -> 'a -> 'acc) -> 'acc -> 'a t -> 'acc
-(** [fold f init t] folds [f] over a snapshot of the entries
-    (see {!entries}); iteration order is unspecified. *)
-
 val pp_stats : Format.formatter -> stats -> unit
-(** Render all six counters (including [removals]) on one line, so
-    [length = insertions - evictions - removals] can be read off the
-    printed stats directly. *)
+(** Render all five counters on one line, so
+    [length = insertions - removals] can be read off the printed stats
+    directly. *)

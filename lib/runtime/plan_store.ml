@@ -9,7 +9,6 @@
    crash mid-save leaves either the old file or none, never a torn one
    that a later load would have to reject. *)
 
-open Astitch_ir
 open Astitch_plan
 
 type t = { dir : string }
@@ -90,23 +89,6 @@ let load t ~fingerprint ~arch =
             Rejected
               (Printf.sprintf "%s: %s" (Filename.basename p)
                  (Plan_codec.error_to_string e)))
-
-(* Persist a session cache.  The (fingerprint, arch) address of each
-   entry is recovered from the plan itself - the graph travels inside
-   the plan and Fingerprint.of_graph is canonical - so this never has
-   to parse cache-key strings.  Only entries compiled by [backend] are
-   saved: the store holds one compiler identity (see mli). *)
-let save_session_cache t ~backend (cache : Session.cache) =
-  List.fold_left
-    (fun (saved, failed) (_key, (r : Session.result)) ->
-      if r.backend_name <> backend then (saved, failed)
-      else
-        let fingerprint = Fingerprint.of_graph r.plan.Kernel_plan.graph in
-        let arch = r.plan.Kernel_plan.arch.Astitch_simt.Arch.name in
-        match save t ~fingerprint ~arch r.plan with
-        | Ok () -> (saved + 1, failed)
-        | Error _ -> (saved, failed + 1))
-    (0, 0) (Plan_cache.entries cache)
 
 let list t =
   let want_suffix = Printf.sprintf "-v%d%s" Plan_codec.version suffix in

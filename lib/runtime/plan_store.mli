@@ -10,11 +10,10 @@
     crash or a wrong plan.
 
     One store directory serves one compiler identity: the zoo persists
-    plans from the full AStitch backend only, and
-    {!save_session_cache} filters by backend name accordingly.  The
-    codec version is baked into every filename, so bumping the codec
-    orphans old files (they are simply never matched) rather than
-    misparsing them.
+    plans from the full AStitch backend only, each once, when its
+    prewarm compiles it.  The codec version is baked into every
+    filename, so bumping the codec orphans old files (they are simply
+    never matched) rather than misparsing them.
 
     Loading performs no semantic validation beyond the codec's - the
     bit-identity gate (deserialized plan must encode identically to a
@@ -54,12 +53,6 @@ type load =
 
 val load : t -> fingerprint:string -> arch:string -> load
 (** Never raises: every failure mode folds into [Absent]/[Rejected]. *)
-
-val save_session_cache : t -> backend:string -> Session.cache -> int * int
-(** Persist every full-strength entry of a session cache whose backend
-    name matches [backend]; returns [(saved, failed)].  Fingerprint and
-    arch are recovered from each plan itself (the graph travels inside
-    the plan), not parsed out of cache keys. *)
 
 val list : t -> string list
 (** Basenames of current-version plan files in the store, sorted. *)

@@ -65,32 +65,38 @@ let compile_resilient ?(config = Astitch_core.Config.full) arch g =
    fingerprint x architecture x compiler identity.  Soundness of
    serving a hit verbatim rests on the fingerprint (structurally
    identical live graphs) and on never caching anything that is not a
-   full-strength compile: fault-injected compiles are detected via the
-   Fault_site arming epoch/firing counter, degraded resilient compiles
-   via a non-empty report, and both are counted as cache bypasses. *)
+   full-strength compile.  A compile that starts with compile-site
+   faults armed ([Fault_site.with_faults]) neither reads nor fills the
+   cache, so its faults fire instead of a clean plan coming back;
+   faults armed during a compile are caught by the Fault_site arming
+   epoch/firing counter, degraded resilient compiles by a non-empty
+   report.  All of them count as cache bypasses. *)
 
 type cache = result Plan_cache.t
 
-let make_cache ?capacity () : cache = Plan_cache.create ?capacity ()
+let make_cache () : cache = Plan_cache.create ()
 
-(* Did a fault-injection window overlap this compile?  [arm] bumps the
-   epoch and [disarm] leaves the counters in place, so comparing epoch
-   and firing counter around the compile catches arming inside it even
-   though the compile disarms on the way out.  Only compile-site faults
-   matter here: a serving process with runtime-site faults armed (chaos
-   mode) still produces full-strength plans, and refusing to cache them
-   would silently turn chaos runs into compile-bound ones. *)
+(* Did a fault-injection window open during this compile - another
+   domain arming while it ran?  Arming bumps the epoch and resets the
+   firing counters, so comparing epoch and compile firing counter
+   around the compile catches a window even when it closed before the
+   compile returned.  Only compile-site faults matter here: a serving
+   process with runtime-site faults armed (chaos mode) still produces
+   full-strength plans, and refusing to cache them would silently turn
+   chaos runs into compile-bound ones. *)
 let with_fault_watch f =
   let epoch0 = Fault_site.epoch () and fired0 = Fault_site.compile_fired () in
-  let armed0 = Fault_site.compile_active () in
   let x = f () in
   let clean =
-    (not armed0)
-    && (not (Fault_site.compile_active ()))
+    (not (Fault_site.compile_active ()))
     && Fault_site.epoch () = epoch0
     && Fault_site.compile_fired () = fired0
   in
   (x, clean)
+
+let bypass (cache : cache) compile =
+  Plan_cache.note_bypass cache;
+  (compile (), Plan_cache.Bypassed)
 
 let cache_key (backend : Backend_intf.t) arch g =
   Plan_cache.key
@@ -119,14 +125,17 @@ let precache (cache : cache) (backend : Backend_intf.t) arch g result =
 (* A compile that raises is counted as a bypass, as
    [compile_resilient_cached] counts an [Error]. *)
 let compile_cached (cache : cache) (backend : Backend_intf.t) arch g =
-  Plan_cache.find_or_compute cache (cache_key backend arch g)
-    ~compute:(fun () ->
-      try with_fault_watch (fun () -> compile backend arch g)
-      with Compile_error.Error _ as e ->
-        Plan_cache.note_bypass cache;
-        raise e)
+  if Fault_site.compile_active () then
+    bypass cache (fun () -> compile backend arch g)
+  else
+    Plan_cache.find_or_compute cache (cache_key backend arch g)
+      ~compute:(fun () ->
+        try with_fault_watch (fun () -> compile backend arch g)
+        with Compile_error.Error _ as e ->
+          Plan_cache.note_bypass cache;
+          raise e)
 
-(* Quarantine's cache eviction: when a batch served from a cached plan
+(* Quarantine's cache invalidation: when a batch served from a cached plan
    produced corrupt output, drop the plan so the next checkout
    recompiles it instead of trusting the suspect artifact. *)
 let uncache (cache : cache) (backend : Backend_intf.t) arch g =
@@ -136,35 +145,26 @@ let uncache (cache : cache) (backend : Backend_intf.t) arch g =
    degradation report: the cache stores the result alone. *)
 let compile_resilient_cached ?(config = Astitch_core.Config.full)
     (cache : cache) arch g =
-  let key =
-    Plan_cache.key
-      ~fingerprint:(Fingerprint.of_graph g)
-      ~arch:arch.Astitch_simt.Arch.name
-      ~config:(Astitch_core.Config.cache_key config)
-  in
-  match Plan_cache.find cache key with
-  | Some result -> (Ok { result; report = [] }, Plan_cache.Hit)
-  | None -> (
-      let compiled, fault_free =
-        with_fault_watch (fun () -> compile_resilient ~config arch g)
-      in
-      match compiled with
-      | Error _ as e ->
-          Plan_cache.note_bypass cache;
-          (e, Plan_cache.Bypassed)
-      | Ok r ->
-          if
-            fault_free
-            && Astitch_core.Degradation.is_empty r.report
-            && config.Astitch_core.Config.faults = []
-          then begin
+  if Fault_site.compile_active () then
+    bypass cache (fun () -> compile_resilient ~config arch g)
+  else
+    let key =
+      Plan_cache.key
+        ~fingerprint:(Fingerprint.of_graph g)
+        ~arch:arch.Astitch_simt.Arch.name
+        ~config:(Astitch_core.Config.cache_key config)
+    in
+    match Plan_cache.find cache key with
+    | Some result -> (Ok { result; report = [] }, Plan_cache.Hit)
+    | None -> (
+        match with_fault_watch (fun () -> compile_resilient ~config arch g) with
+        | (Ok r as compiled), true
+          when Astitch_core.Degradation.is_empty r.report ->
             Plan_cache.add cache key r.result;
-            (Ok r, Plan_cache.Miss)
-          end
-          else begin
+            (compiled, Plan_cache.Miss)
+        | compiled, _ ->
             Plan_cache.note_bypass cache;
-            (Ok r, Plan_cache.Bypassed)
-          end)
+            (compiled, Plan_cache.Bypassed))
 
 let run ?(check = true) (backend : Backend_intf.t) arch g ~params =
   let result = compile backend arch g in

@@ -31,13 +31,7 @@ type cache = result Plan_cache.t
     compiler identity (the backend name for {!compile_cached}, the
     config's cache key for {!compile_resilient_cached}). *)
 
-val make_cache : ?capacity:int -> unit -> cache
-
-val cache_key : Backend_intf.t -> Astitch_simt.Arch.t -> Graph.t -> string
-(** The cache key {!compile_cached} files results under:
-    [Plan_cache.key] over canonical graph fingerprint, arch name and
-    backend name.  Exposed so the plan store and zoo prewarming can
-    address the same slots. *)
+val make_cache : unit -> cache
 
 val result_of_plan : Backend_intf.t -> Kernel_plan.t -> result
 (** Rebuild a session result around an already-materialized plan (one
@@ -58,16 +52,18 @@ val compile_cached :
   Astitch_simt.Arch.t ->
   Graph.t ->
   result * Plan_cache.outcome
-(** {!compile} behind an LRU cache.  A compile during which compile-site
-    fault injection was armed (at any point) is returned but never
-    stored ([Bypassed]); runtime-site faults don't affect caching.  A
-    compile that raises [Compile_error.Error] is counted as a bypass
-    and re-raised. *)
+(** {!compile} behind the plan cache.  A compile that starts with
+    compile-site faults armed ({!Fault_site.with_faults}) neither looks
+    up nor inserts: it compiles, so its faults fire, and counts as
+    [Bypassed].  A compile during which compile-site faults were armed
+    (by another domain) is returned but never stored ([Bypassed]);
+    runtime-site faults don't affect caching.  A compile that raises
+    [Compile_error.Error] is counted as a bypass and re-raised. *)
 
 val uncache :
   cache -> Backend_intf.t -> Astitch_simt.Arch.t -> Graph.t -> bool
 (** Invalidate the cached compile for this (graph, arch, backend) —
-    serving quarantine evicting a plan suspected of corrupt output.
+    serving quarantine dropping a plan suspected of corrupt output.
     [true] when an entry was present. *)
 
 val compile_resilient_cached :
@@ -76,10 +72,10 @@ val compile_resilient_cached :
   Astitch_simt.Arch.t ->
   Graph.t ->
   (resilient, Compile_error.t) Stdlib.result * Plan_cache.outcome
-(** {!compile_resilient} behind an LRU cache.  Only full-strength
-    results are stored: compile errors, non-empty degradation reports
-    and fault-injected configs all bypass the cache.  A hit therefore
-    comes back with an empty report. *)
+(** {!compile_resilient} behind the plan cache, with {!compile_cached}'s
+    fault rule.  Only full-strength results are stored: compile errors,
+    non-empty degradation reports and fault-injected compiles all bypass
+    the cache.  A hit therefore comes back with an empty report. *)
 
 val run :
   ?check:bool ->

@@ -62,11 +62,6 @@ type batch = {
 
 type breaker_state = [ `Closed | `Open | `Half_open ]
 
-let breaker_state_to_string = function
-  | `Closed -> "closed"
-  | `Open -> "open"
-  | `Half_open -> "half-open"
-
 type breaker = {
   mutable bstate : breaker_state;
   mutable consec : int;  (** consecutive batch failures while closed *)

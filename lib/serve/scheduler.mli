@@ -94,8 +94,6 @@ val note_batch_result : t -> model:string -> ok:bool -> unit
 val breaker_state : t -> string -> [ `Closed | `Open | `Half_open ]
 (** Current breaker state for a model ([`Closed] if never tripped). *)
 
-val breaker_state_to_string : [ `Closed | `Open | `Half_open ] -> string
-
 val await : t -> int -> Request.outcome
 (** Block until the outcome for [id] lands; consumes the entry. *)
 

@@ -130,7 +130,7 @@ let create ?(config = default_config) models =
   in
   let pool =
     Worker_pool.create ~scheduler ~models:table
-      ~cache:(Session.make_cache ~capacity:64 ())
+      ~cache:(Session.make_cache ())
       ~arch:config.arch ~verify_every:config.verify_every
       ~retry_budget:config.retry_budget
       ~wedge_timeout_us:config.wedge_timeout_us ~workers:config.workers
@@ -364,15 +364,3 @@ let latency_breakdown () =
         max_us = Metrics.hist_max h;
       })
     phase_names
-
-let pp_stats fmt (s : stats) =
-  Format.fprintf fmt
-    "submitted %d  completed %d  degraded %d  failed %d  rejected %d  shed %d@ \
-     shed-at-admission %d  displaced %d  floor picks %d@ \
-     batches %d  padded rows %d  plan compiles %d  outstanding %d  queue %d \
-     (max %d)@ \
-     retried %d  duplicates %d  breaker open/close %d/%d"
-    s.submitted s.completed s.degraded s.failed s.rejected s.shed
-    s.shed_admission s.displaced s.floor_picks s.batches
-    s.padded_rows s.plan_compiles s.outstanding s.queue_depth s.max_depth_seen
-    s.retried s.duplicates s.breaker_opens s.breaker_closes

@@ -183,7 +183,6 @@ type stats = {
 }
 
 val stats : t -> stats
-val pp_stats : Format.formatter -> stats -> unit
 
 type phase_latency = {
   phase : string;

@@ -6,11 +6,6 @@ type t = Latency of { deadline_us : float } | Throughput | Best_effort
 
 let rank = function Latency _ -> 0 | Throughput -> 1 | Best_effort -> 2
 
-let class_name = function
-  | Latency _ -> "latency"
-  | Throughput -> "throughput"
-  | Best_effort -> "best-effort"
-
 let all_class_names = [ "latency"; "throughput"; "best-effort" ]
 
 let to_string = function

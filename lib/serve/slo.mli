@@ -21,10 +21,6 @@ val rank : t -> int
     [Best_effort].  Lower rank dispatches first and displaces higher
     rank when the queue is full. *)
 
-val class_name : t -> string
-(** ["latency"], ["throughput"] or ["best-effort"] - the per-class
-    label benches and summaries aggregate by. *)
-
 val all_class_names : string list
 (** In rank order. *)
 

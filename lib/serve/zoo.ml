@@ -3,7 +3,10 @@
    Serve and its scheduler already batch, dispatch by SLO class,
    supervise and count outcomes per class; the zoo adds the registration
    of each model with its class, and the persistent plan store that
-   prewarm loads from and shutdown saves to.
+   prewarm loads from and saves to.  Prewarm is the store's only writer:
+   it saves each plan it compiles, so shutdown has nothing to persist -
+   traffic compiles only quarantine recompiles of a plan already saved
+   (byte-identical) and uncached fallback plans.
 
    Prewarm ordering matters: plans are loaded-or-compiled and seeded
    into the server's session cache BEFORE Serve.warm builds executor
@@ -169,19 +172,4 @@ let poll t = Serve.poll t.serve
 let class_stats t = Serve.class_stats t.serve
 let drain t = Serve.drain t.serve
 
-let shutdown t =
-  (* Persist every cached plan before the server goes down; the next
-     process's prewarm then loads instead of compiling. *)
-  let saved =
-    match t.store with
-    | None -> 0
-    | Some store ->
-        let n, _failed =
-          Plan_store.save_session_cache store
-            ~backend:backend.Astitch_plan.Backend_intf.name
-            (Serve.plan_cache t.serve)
-        in
-        n
-  in
-  Serve.shutdown t.serve;
-  saved
+let shutdown t = Serve.shutdown t.serve

@@ -97,7 +97,7 @@ val class_stats : t -> Scheduler.class_stats list
 
 val drain : t -> unit
 
-val shutdown : t -> int
-(** Drain, persist every cached plan to the store (returns how many
-    were saved; 0 without a [plan_dir]), and shut the server down.
+val shutdown : t -> unit
+(** {!Serve.shutdown}: drain and stop the server.  Writes nothing to the
+    store - {!prewarm} already saved every plan it compiled.
     Idempotent. *)

@@ -673,11 +673,8 @@ let test_cache_metrics () =
 
 let test_fault_and_degrade_events () =
   let g = crnn_tiny () in
-  let config =
-    {
-      Astitch_core.Config.full with
-      faults = [ Fault_site.plan ~mode:Fault_site.Raise Fault_site.Mem_planning ];
-    }
+  let faults =
+    [ Fault_site.plan ~mode:Fault_site.Raise Fault_site.Mem_planning ]
   in
   let fired0 = Metrics.value (Metrics.counter Metrics.default "fault.fired") in
   let deg0 =
@@ -685,7 +682,10 @@ let test_fault_and_degrade_events () =
   in
   let report, records =
     with_manual_sink (fun () ->
-        match Session.compile_resilient ~config Arch.v100 g with
+        match
+          Fault_site.with_faults faults (fun () ->
+              Session.compile_resilient Arch.v100 g)
+        with
         | Error e -> Alcotest.failf "resilient compile failed: %s"
                        (Compile_error.to_string e)
         | Ok { report; _ } -> (report, Trace.records ()))

@@ -41,13 +41,10 @@ let test_fault_sweep () =
         let g =
           Astitch_workloads.Synthetic.random_graph ~seed ~nodes:40 ()
         in
-        let config =
-          {
-            Astitch_core.Config.full with
-            faults = [ Fault.plan ~mode ~seed ~fuel site ];
-          }
-        in
-        match Session.compile_resilient ~config arch g with
+        let faults = [ Fault.plan ~mode ~seed ~fuel site ] in
+        match
+          Fault.with_faults faults (fun () -> Session.compile_resilient arch g)
+        with
         | Ok r ->
             incr ok;
             if not (Astitch_core.Degradation.is_empty r.report) then
@@ -95,17 +92,17 @@ let test_strict_refuses_degradation () =
       List.iter
         (fun (e : Astitch_workloads.Zoo.entry) ->
           let g = e.tiny () in
-          let config = { Astitch_core.Config.full with faults = [ fault ] } in
+          let armed f = Fault.with_faults [ fault ] f in
           let label = e.name ^ " " ^ Fault.plan_to_string fault in
           let first =
-            match Session.compile_resilient ~config arch g with
+            match armed (fun () -> Session.compile_resilient arch g) with
             | Ok { report = first :: _; _ } ->
                 first.Astitch_core.Degradation.error
             | Ok _ -> Alcotest.failf "%s: fault did not degrade" label
             | Error err ->
                 Alcotest.failf "%s: %s" label (Compile_error.to_string err)
           in
-          match Astitch_core.Astitch.compile ~config arch g with
+          match armed (fun () -> Astitch_core.Astitch.compile arch g) with
           | _ ->
               Alcotest.failf "%s: strict compile accepted a degradation" label
           | exception Compile_error.Error err ->
@@ -139,16 +136,14 @@ let test_persistent_faults_terminate () =
       List.iter
         (fun (e : Astitch_workloads.Zoo.entry) ->
           let g = e.tiny () in
-          let config =
-            {
-              Astitch_core.Config.full with
-              faults =
-                List.map
-                  (fun site -> Fault.plan ~mode ~seed:7 ~fuel:10_000 site)
-                  Fault.all_sites;
-            }
+          let faults =
+            List.map
+              (fun site -> Fault.plan ~mode ~seed:7 ~fuel:10_000 site)
+              Fault.all_sites
           in
-          match Session.compile_resilient ~config arch g with
+          match
+            Fault.with_faults faults (fun () -> Session.compile_resilient arch g)
+          with
           | Error _ -> ()
           | Ok r ->
               check

@@ -744,7 +744,7 @@ let prop_plan_cache_domain_hammer =
     ~count:15
     QCheck2.Gen.(int_range 0 1_000)
     (fun seed ->
-      let cache : int Plan_cache.t = Plan_cache.create ~capacity:8 () in
+      let cache : int Plan_cache.t = Plan_cache.create () in
       let domains =
         List.init 4 (fun d ->
             Domain.spawn (fun () ->
@@ -758,10 +758,9 @@ let prop_plan_cache_domain_hammer =
       in
       List.iter Domain.join domains;
       let s = Plan_cache.stats cache in
-      Plan_cache.length cache <= 8
-      && s.hits + s.misses = 2000
-      && s.insertions >= s.evictions
-      && Plan_cache.length cache = s.insertions - s.evictions)
+      s.hits + s.misses = 2000
+      && Plan_cache.length cache = s.insertions
+      && s.insertions <= 16)
 
 (* --- Chaos: supervision under injected runtime faults --------------------- *)
 
@@ -1217,7 +1216,7 @@ let test_shutdown_prompt_under_open_window () =
 
 (* The plan-cache invalidation satellite. *)
 let test_plan_cache_remove () =
-  let cache : int Plan_cache.t = Plan_cache.create ~capacity:4 () in
+  let cache : int Plan_cache.t = Plan_cache.create () in
   Plan_cache.add cache "a" 1;
   Plan_cache.add cache "b" 2;
   check_bool "remove present" true (Plan_cache.remove cache "a");
@@ -1226,8 +1225,8 @@ let test_plan_cache_remove () =
   check_bool "other key survives" true (Plan_cache.find cache "b" = Some 2);
   let s = Plan_cache.stats cache in
   check_int "one removal counted" 1 s.removals;
-  check_int "length = insertions - evictions - removals"
-    (s.insertions - s.evictions - s.removals)
+  check_int "length = insertions - removals"
+    (s.insertions - s.removals)
     (Plan_cache.length cache)
 
 (* --- Request tracing: span chains, decomposition, flight recorder --------- *)

@@ -4,8 +4,8 @@
    The load-bearing claims, each tested directly:
    - fingerprints are invariant under node renumbering/dead code and
      sensitive to semantic changes (cache-key soundness);
-   - a cache hit returns the identical compiled result, eviction is
-     strict LRU, and degraded/fault-injected compiles never get cached;
+   - a cache hit returns the identical compiled result, and
+     degraded/fault-injected compiles neither read nor fill the cache;
    - run_context is bit-identical to a fresh Executor.run;
    - parallel cluster compilation is byte-identical to sequential on
      every zoo workload and on random graphs. *)
@@ -128,10 +128,11 @@ let test_cache_key_separates () =
   check_bool "different backend misses" true (o_backend = Plan_cache.Miss);
   check_bool "different graph misses" true (o_graph = Plan_cache.Miss)
 
-(* Backends are named by [Config.cache_key]: a config differing only in
-   [compile_domains] shares the full config's slot, and a fault-injected
-   config gets its own name, so its armed fault fires instead of the
-   clean plan coming back as a hit. *)
+(* Backends are named by [Config.cache_key], the four compiler switches:
+   a config differing only in [compile_domains] shares the full config's
+   slot.  Faults are not part of the key: a compile that starts with a
+   compile-site fault armed skips the cache, so the fault fires instead
+   of the clean plan coming back as a hit. *)
 let test_config_cache_identity () =
   let g = Astitch_workloads.Crnn.tiny () in
   let cache = Session.make_cache () in
@@ -143,49 +144,36 @@ let test_config_cache_identity () =
   let full = Astitch_core.Config.full in
   let r1, o1 = compile full in
   let r2, o2 = compile { full with compile_domains = 2 } in
-  let o3 =
-    match
-      compile
-        { full with faults = [ Fault.plan ~mode:Fault.Corrupt Fault.Codegen ] }
-    with
-    | _, o -> o
-    | exception Compile_error.Error _ ->
-        (* the corrupt kernel degraded, so the strict compile refused *)
-        Plan_cache.Bypassed
-  in
   check_bool "full misses" true (o1 = Plan_cache.Miss);
   check_bool "compile_domains = 2 hits" true (o2 = Plan_cache.Hit);
   check_bool "the hit is the full config's result" true (r1 == r2);
-  check_bool "fault-injected config bypasses" true (o3 = Plan_cache.Bypassed);
-  check_int "one bypass counted" 1 (Plan_cache.stats cache).Plan_cache.bypasses;
+  let o3, fired =
+    Fault.with_faults [ Fault.plan ~mode:Fault.Corrupt Fault.Codegen ]
+      (fun () ->
+        let o =
+          match compile full with
+          | _, o -> o
+          | exception Compile_error.Error _ ->
+              (* the corrupt kernel degraded, so the strict compile
+                 refused; the cache counted it as a bypass *)
+              Plan_cache.Bypassed
+        in
+        (o, Fault.compile_fired ()))
+  in
+  check_bool "armed compile bypasses" true (o3 = Plan_cache.Bypassed);
+  check_bool "its fault fired" true (fired > 0);
+  let s = Plan_cache.stats cache in
+  check_int "one bypass counted" 1 s.Plan_cache.bypasses;
+  check_int "the armed compile looked nothing up" 2
+    (s.Plan_cache.hits + s.Plan_cache.misses);
   check_int "only the clean plan cached" 1 (Plan_cache.length cache)
 
-let test_lru_eviction_order () =
-  let cache : int Plan_cache.t = Plan_cache.create ~capacity:2 () in
-  let key n = Plan_cache.key ~fingerprint:n ~arch:"v100" ~config:"c" in
-  Plan_cache.add cache (key "a") 1;
-  Plan_cache.add cache (key "b") 2;
-  (* touch "a": now "b" is least recent *)
-  check_bool "a present" true (Plan_cache.find cache (key "a") = Some 1);
-  Plan_cache.add cache (key "c") 3;
-  check_int "capacity respected" 2 (Plan_cache.length cache);
-  check_bool "b evicted (LRU)" true (Plan_cache.find cache (key "b") = None);
-  check_bool "a survives" true (Plan_cache.find cache (key "a") = Some 1);
-  check_bool "c present" true (Plan_cache.find cache (key "c") = Some 3);
-  let s = Plan_cache.stats cache in
-  check_int "one eviction" 1 s.Plan_cache.evictions;
-  (* re-adding an existing key must not evict *)
-  Plan_cache.add cache (key "a") 10;
-  check_int "replace does not evict" 1
-    (Plan_cache.stats cache).Plan_cache.evictions;
-  check_bool "replaced value" true (Plan_cache.find cache (key "a") = Some 10)
-
 let test_stats_printer_invariant () =
-  let cache : int Plan_cache.t = Plan_cache.create ~capacity:2 () in
+  let cache : int Plan_cache.t = Plan_cache.create () in
   let key n = Plan_cache.key ~fingerprint:n ~arch:"v100" ~config:"c" in
   Plan_cache.add cache (key "a") 1;
   Plan_cache.add cache (key "b") 2;
-  Plan_cache.add cache (key "c") 3 (* evicts the LRU entry *);
+  Plan_cache.add cache (key "c") 3;
   ignore (Plan_cache.remove cache (key "c"));
   let s = Plan_cache.stats cache in
   let printed = Format.asprintf "%a" Plan_cache.pp_stats s in
@@ -204,29 +192,12 @@ let test_stats_printer_invariant () =
         (contains (Printf.sprintf "%d %s" count label)))
     [
       (s.Plan_cache.insertions, "insertions");
-      (s.Plan_cache.evictions, "evictions");
       (s.Plan_cache.removals, "removals");
       (s.Plan_cache.bypasses, "bypasses");
     ];
-  check_int "length = insertions - evictions - removals"
+  check_int "length = insertions - removals"
     (Plan_cache.length cache)
-    (s.Plan_cache.insertions - s.Plan_cache.evictions - s.Plan_cache.removals)
-
-let test_entries_fold () =
-  let cache : int Plan_cache.t = Plan_cache.create ~capacity:8 () in
-  let key n = Plan_cache.key ~fingerprint:n ~arch:"v100" ~config:"c" in
-  List.iter (fun (k, v) -> Plan_cache.add cache (key k) v)
-    [ ("a", 1); ("b", 2); ("c", 3) ];
-  let entries =
-    List.sort compare (List.map snd (Plan_cache.entries cache))
-  in
-  check_bool "entries snapshot all values" true (entries = [ 1; 2; 3 ]);
-  let sum = Plan_cache.fold (fun acc _k v -> acc + v) 0 cache in
-  check_int "fold visits every entry" 6 sum;
-  (* iteration must not perturb recency or hit/miss accounting *)
-  let s = Plan_cache.stats cache in
-  check_int "no hits from iteration" 0 s.Plan_cache.hits;
-  check_int "no misses from iteration" 0 s.Plan_cache.misses
+    (s.Plan_cache.insertions - s.Plan_cache.removals)
 
 let test_fault_injected_compile_bypasses_cache () =
   let g = serving_graph () in
@@ -234,14 +205,12 @@ let test_fault_injected_compile_bypasses_cache () =
   List.iter
     (fun site ->
       let cache = Session.make_cache () in
-      let config =
-        {
-          Astitch_core.Config.full with
-          faults = [ Fault.plan ~mode:Fault.Corrupt ~fuel:max_int site ];
-        }
-      in
-      let b = Astitch_core.Astitch.backend ~config () in
-      match Session.compile_cached cache b Arch.v100 g with
+      let b = Astitch_core.Astitch.full_backend in
+      match
+        Fault.with_faults
+          [ Fault.plan ~mode:Fault.Corrupt ~fuel:max_int site ]
+          (fun () -> Session.compile_cached cache b Arch.v100 g)
+      with
       | _, outcome ->
           check_bool
             (Fault.site_to_string site ^ " corrupt compile not cached")
@@ -261,14 +230,11 @@ let test_fault_injected_compile_bypasses_cache () =
 let test_degraded_compile_bypasses_cache () =
   let g = serving_graph () in
   let cache = Session.make_cache () in
-  let config =
-    {
-      Astitch_core.Config.full with
-      faults =
-        [ Fault.plan ~mode:Fault.Raise ~fuel:1 Fault.Launch_config ];
-    }
-  in
-  (match Session.compile_resilient_cached ~config cache Arch.v100 g with
+  (match
+     Fault.with_faults
+       [ Fault.plan ~mode:Fault.Raise ~fuel:1 Fault.Launch_config ]
+       (fun () -> Session.compile_resilient_cached cache Arch.v100 g)
+   with
   | Ok r, outcome ->
       check_bool "fault produced a degradation" true
         (not (Astitch_core.Degradation.is_empty r.Session.report));
@@ -437,11 +403,8 @@ let () =
             test_cache_key_separates;
           Alcotest.test_case "config identity is the cache key" `Quick
             test_config_cache_identity;
-          Alcotest.test_case "LRU eviction order" `Quick
-            test_lru_eviction_order;
           Alcotest.test_case "stats printer invariant" `Quick
             test_stats_printer_invariant;
-          Alcotest.test_case "entries/fold snapshot" `Quick test_entries_fold;
           Alcotest.test_case "fault-injected compiles bypass" `Quick
             test_fault_injected_compile_bypasses_cache;
           Alcotest.test_case "degraded compiles bypass" `Quick

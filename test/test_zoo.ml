@@ -37,7 +37,8 @@
      cannot open starts no server (no domain leaks);
    - the plan store round-trips across zoo restarts: cold prewarm
      compiles and saves, warm prewarm loads everything and compiles
-     nothing, and the served outputs are bit-identical either way;
+     nothing, the warm run rewrites no store file, and the served
+     outputs are bit-identical either way;
    - the bit-identity gate: --verify-plans accepts an intact store
      (all loaded plans verified) and a corrupted store file is
      rejected and recompiled without the zoo missing a request. *)
@@ -454,7 +455,7 @@ let test_refuses_traffic_before_prewarm () =
    with
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "zoo accepted traffic before prewarm");
-  ignore (Zoo.shutdown zoo)
+  Zoo.shutdown zoo
 
 let run_some zoo n =
   let outs = ref [] in
@@ -489,7 +490,17 @@ let test_class_accounting () =
   check_int "best-effort submitted" 3 be.Scheduler.submitted;
   check_int "best-effort completed" 3 be.Scheduler.completed;
   check_bool "latency p99 recorded" true (lat.Scheduler.p99_us > 0.);
-  ignore (Zoo.shutdown zoo)
+  Zoo.shutdown zoo
+
+(* Every store file's name, inode and bytes: equal snapshots mean no
+   file was rewritten, not even with identical contents. *)
+let store_snapshot dir =
+  Sys.readdir dir |> Array.to_list |> List.sort compare
+  |> List.map (fun f ->
+         let path = Filename.concat dir f in
+         ( f,
+           (Unix.stat path).Unix.st_ino,
+           In_channel.with_open_bin path In_channel.input_all ))
 
 let test_store_roundtrip_across_restart () =
   with_store_dir (fun dir ->
@@ -500,7 +511,8 @@ let test_store_roundtrip_across_restart () =
       check_int "cold run saved every compile" p1.Zoo.compiled p1.Zoo.saved;
       check_int "cold run loaded nothing" 0 p1.Zoo.loaded;
       let cold_outs = run_some cold 6 in
-      ignore (Zoo.shutdown cold);
+      Zoo.shutdown cold;
+      let stored = store_snapshot dir in
       (* warm zoo against the same directory: loads, compiles nothing *)
       let warm = Zoo.create ~config:(zoo_config ~plan_dir:dir ()) registrations in
       let p2 = Zoo.prewarm warm in
@@ -508,7 +520,11 @@ let test_store_roundtrip_across_restart () =
       check_int "warm restart loads every plan" p1.Zoo.saved p2.Zoo.loaded;
       check_int "warm restart rejects nothing" 0 p2.Zoo.rejected;
       let warm_outs = run_some warm 6 in
-      ignore (Zoo.shutdown warm);
+      Zoo.shutdown warm;
+      (* prewarm is the store's only writer: the warm run rewrote nothing *)
+      check_int "one file per saved plan" p1.Zoo.saved (List.length stored);
+      check_bool "store files keep their inodes and bytes" true
+        (store_snapshot dir = stored);
       (* store-served plans answer bit-identically to fresh compiles *)
       List.iter2
         (fun (m1, i1, o1) (m2, i2, o2) ->
@@ -523,7 +539,7 @@ let test_verify_gate_accepts_intact_store () =
   with_store_dir (fun dir ->
       let cold = Zoo.create ~config:(zoo_config ~plan_dir:dir ()) registrations in
       let p1 = Zoo.prewarm cold in
-      ignore (Zoo.shutdown cold);
+      Zoo.shutdown cold;
       let v =
         Zoo.create
           ~config:(zoo_config ~plan_dir:dir ~verify_plans:true ())
@@ -533,13 +549,13 @@ let test_verify_gate_accepts_intact_store () =
       check_int "every loaded plan passes the gate" p1.Zoo.saved p2.Zoo.verified;
       check_int "gate rejects nothing" 0 p2.Zoo.rejected;
       ignore (run_some v 3);
-      ignore (Zoo.shutdown v))
+      Zoo.shutdown v)
 
 let test_corrupted_store_file_recompiled () =
   with_store_dir (fun dir ->
       let cold = Zoo.create ~config:(zoo_config ~plan_dir:dir ()) registrations in
       let p1 = Zoo.prewarm cold in
-      ignore (Zoo.shutdown cold);
+      Zoo.shutdown cold;
       (* flip one payload byte in one stored plan *)
       let victim =
         match Sys.readdir dir with
@@ -565,7 +581,7 @@ let test_corrupted_store_file_recompiled () =
       check_int "the rest loaded" (p1.Zoo.saved - 1) p2.Zoo.loaded;
       (* and serving is unaffected *)
       ignore (run_some warm 6);
-      ignore (Zoo.shutdown warm))
+      Zoo.shutdown warm)
 
 (* Open fds of this process, where /proc says; [None] elsewhere. *)
 let open_fds () =
@@ -611,21 +627,21 @@ let test_bad_plan_dir_starts_no_server () =
         with
         | exception Sys_error _ -> ()
         | zoo ->
-            ignore (Zoo.shutdown zoo);
+            Zoo.shutdown zoo;
             Alcotest.fail "a file accepted as plan dir"
       done);
   (* no domain leaked: a 2-worker zoo still starts and serves *)
   let zoo = Zoo.create ~config:(zoo_config ~workers:2 ()) registrations in
   ignore (Zoo.prewarm zoo);
   check_int "served" 3 (List.length (run_some zoo 3));
-  ignore (Zoo.shutdown zoo)
+  Zoo.shutdown zoo
 
 let test_prewarm_idempotent () =
   let zoo = Zoo.create ~config:(zoo_config ()) registrations in
   let p1 = Zoo.prewarm zoo in
   let p2 = Zoo.prewarm zoo in
   check_bool "second prewarm is the memo" true (p1 = p2);
-  ignore (Zoo.shutdown zoo)
+  Zoo.shutdown zoo
 
 let () =
   Alcotest.run "zoo"
