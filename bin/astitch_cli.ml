@@ -22,7 +22,10 @@
    (fused is the default; kernels the fused engine cannot lower fall
    back to the reference path with a logged reason); serve always
    executes fused.  run/compare/bench/serve take --trace FILE and
-   --metrics; run --trace FILE --check re-parses the trace. *)
+   --metrics; run --trace FILE --check re-parses the trace.  serve
+   --recorder DIR dumps the trace sink on each incident (installing a
+   small sink when --trace did not), and serve --expect-warm --check
+   fails when prewarm or traffic compiles a plan. *)
 
 open Cmdliner
 open Astitch_ir
@@ -656,7 +659,7 @@ let validate_stats_json path =
       then Ok ()
       else Error (path ^ ": missing/wrong schema field")
 
-let write_serve_stats_json ~path server ~rejected =
+let write_serve_stats_json ~path server =
   let module Serve = Astitch_serve.Serve in
   let module Flight = Astitch_obs.Flight in
   let s = Serve.stats server in
@@ -681,7 +684,7 @@ let write_serve_stats_json ~path server ~rejected =
         "\"stats\":"
         ^ obj
             [
-              num "submitted" s.submitted; num "rejected" rejected;
+              num "submitted" s.submitted; num "rejected" s.rejected;
               num "shed" s.shed; num "completed" s.completed;
               num "failed" s.failed; num "degraded" s.degraded;
               num "batches" s.batches; num "padded_rows" s.padded_rows;
@@ -796,17 +799,6 @@ type traffic = {
   check : bool;
 }
 
-(* How a run's requests ended; [wall] runs from the first submission
-   to the drained queue. *)
-type tally = {
-  completed : int;
-  degraded : int;
-  failed : int;
-  shed : int;
-  rejected : int;
-  wall : float;
-}
-
 (* Skewed popularity: model i draws traffic proportional to 1/(i+1)
    (first-listed model is hottest), the popularity benchmark/'s serving
    workloads use, so CLI runs and benchmark runs stress the same
@@ -829,16 +821,16 @@ let skewed_pick st names =
    finished - so overload builds queue depth instead of slowing the
    generator.  Each request draws its gap, then its model (skewed
    popularity over [names]), from one state seeded by [--seed], so a
-   seed replays the same model sequence.  Refused submissions count as
-   rejected; every admitted ticket is awaited once the queue has
-   drained. *)
+   seed replays the same model sequence.  Every admitted ticket is
+   awaited once the queue has drained, and a failed one is printed; the
+   server's ledger counts every outcome.  Returns the wall time from
+   the first submission to the drained queue, in seconds. *)
 let drive (t : traffic) zoo names =
   let module Request = Astitch_serve.Request in
   let module Zoo = Astitch_serve.Zoo in
   let st = Random.State.make [| t.seed |] in
   let t0 = Astitch_obs.Clock.now_us () in
   let clock = ref 0. in
-  let rejected = ref 0 in
   let tickets =
     List.filter_map
       (fun i ->
@@ -857,50 +849,33 @@ let drive (t : traffic) zoo names =
         in
         match Zoo.submit_async zoo ~model ~params with
         | Ok ticket -> Some (i, ticket)
-        | Error _ ->
-            incr rejected;
-            None)
+        | Error _ -> None)
       (List.init t.requests Fun.id)
   in
   Zoo.drain zoo;
   let wall = (Astitch_obs.Clock.now_us () -. t0) *. 1e-6 in
-  List.fold_left
-    (fun r (i, ticket) ->
+  List.iter
+    (fun (i, ticket) ->
       match Zoo.await zoo ticket with
-      | Request.Done { degraded; _ } ->
-          {
-            r with
-            completed = r.completed + 1;
-            degraded = r.degraded + Bool.to_int degraded;
-          }
-      | Request.Overloaded _ -> { r with shed = r.shed + 1 }
-      | Request.Failed m ->
-          Printf.printf "request %d FAILED: %s\n" i m;
-          { r with failed = r.failed + 1 })
-    {
-      completed = 0;
-      degraded = 0;
-      failed = 0;
-      shed = 0;
-      rejected = !rejected;
-      wall;
-    }
-    tickets
+      | Request.Failed m -> Printf.printf "request %d FAILED: %s\n" i m
+      | Request.Done _ | Request.Overloaded _ -> ())
+    tickets;
+  wall
 
 (* The --check verdict: the supervision contract (nothing failed,
-   something completed, no padded row, every request completed, shed,
-   failed or refused, none lost), then the run's [extra] (violated,
-   reason) pairs, then the emitted files re-parsed. *)
-let check_run (t : traffic) r ~padded_rows ~lost ~extra ~trace ~dumps
-    ~stats_json =
-  let accounted = r.completed + r.failed + r.shed + r.rejected in
+   something completed, no padded row, every generated request
+   completed, shed, failed or refused, none lost), then the run's
+   [extra] (violated, reason) pairs, then the emitted files re-parsed. *)
+let check_run (t : traffic) (s : Astitch_serve.Serve.stats) ~lost ~extra
+    ~trace ~dumps ~stats_json =
+  let accounted = s.completed + s.failed + s.shed + s.rejected in
   let contract =
     [
-      (r.failed > 0, Printf.sprintf "%d requests failed" r.failed);
-      (r.completed = 0, "nothing completed");
-      ( padded_rows <> 0,
+      (s.failed > 0, Printf.sprintf "%d requests failed" s.failed);
+      (s.completed = 0, "nothing completed");
+      ( s.padded_rows <> 0,
         Printf.sprintf "%d padded rows executed (a context could not rebind)"
-          padded_rows );
+          s.padded_rows );
       ( accounted <> t.requests,
         Printf.sprintf "%d of %d requests unaccounted for"
           (t.requests - accounted) t.requests );
@@ -938,7 +913,7 @@ let check_run (t : traffic) r ~padded_rows ~lost ~extra ~trace ~dumps
         | Error e -> `Error (false, e)
         | Ok events ->
             Printf.printf "check: OK (%d completed, 0 failed, 0 lost%s%s)\n"
-              r.completed
+              s.completed
               (if trace = None then ""
                else Printf.sprintf ", %d trace events" events)
               (if dumps = [] then ""
@@ -969,21 +944,6 @@ let parse_slo_specs specs =
                 | Ok s -> Ok (acc @ [ (model, s) ])
                 | Error e -> Error (Printf.sprintf "bad --slo %S: %s" spec e))))
     (Ok []) specs
-
-(* Top-level compile spans only (one per plan compiled), not the
-   backend-pass spans nested inside them: "zero" must mean zero plans
-   compiled, and a nonzero count should read as a number of plans. *)
-let count_compile_spans records =
-  List.fold_left
-    (fun acc r ->
-      match r with
-      | Astitch_obs.Trace.Span s
-        when s.Astitch_obs.Trace.phase = "session"
-             && (s.Astitch_obs.Trace.name = "compile"
-                || s.Astitch_obs.Trace.name = "compile-resilient") ->
-          acc + 1
-      | _ -> acc)
-    0 records
 
 (* --- The serve command ------------------------------------------------------ *)
 
@@ -1090,34 +1050,36 @@ let serve_cmd_impl models slo_specs plan_dir verify_plans expect_warm
                            against a warm store must print "cold
                            compiles: 0". *)
                         Printf.printf "cold compiles: %d\n%!" p.compiled;
-                        (* The recorder goes up only now, after prewarm:
-                           any compile-phase span it captures happened
-                           while serving traffic - the thing a warm store
-                           promises never occurs.  --recorder arms the
-                           same ring for incident dumps. *)
+                        (* The recorder is armed only now, after
+                           prewarm, so its dumps hold traffic. *)
                         (match recorder with
-                        | None -> Astitch_obs.Trace.recorder_install ()
+                        | None -> ()
                         | Some dir ->
                             (try Unix.mkdir dir 0o755
                              with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
                             Flight.arm ~dir ();
                             Printf.printf "flight recorder: armed -> %s\n%!"
                               dir);
-                        let r = drive t zoo (Array.of_list names) in
+                        (* Every plan compile passes through [Session]:
+                           its counter's rise across traffic is what a
+                           warm store promises to keep at 0. *)
+                        let session_compiles () =
+                          Astitch_obs.Metrics.(
+                            value (counter default "session.compiles"))
+                        in
+                        let compiles0 = session_compiles () in
+                        let wall = drive t zoo (Array.of_list names) in
                         let traffic_compiles =
-                          count_compile_spans
-                            (if recorder = None then
-                               Astitch_obs.Trace.recorder_uninstall ()
-                             else Astitch_obs.Trace.recorder_records ())
+                          session_compiles () - compiles0
                         in
                         Zoo.shutdown zoo;
                         let s = Serve.stats server in
                         let sup = Serve.supervision server in
                         let d = Serve.disposition server in
                         Printf.printf "admitted %d  rejected %d  shed %d\n"
-                          s.submitted r.rejected r.shed;
+                          s.submitted s.rejected s.shed;
                         Printf.printf "completed %d  degraded %d  failed %d\n"
-                          r.completed r.degraded r.failed;
+                          s.completed s.degraded s.failed;
                         Printf.printf
                           "retried %d  restarts %d  quarantined %d  wedged \
                            %d  breaker open/close %d/%d\n"
@@ -1141,11 +1103,11 @@ let serve_cmd_impl models slo_specs plan_dir verify_plans expect_warm
                              (List.map
                                 (fun (name, n) -> Printf.sprintf "%s=%d" name n)
                                 (Serve.context_pool_sizes server)));
-                        Printf.printf "compile-phase spans during traffic: %d\n"
+                        Printf.printf "compiles during traffic: %d\n"
                           traffic_compiles;
                         Printf.printf "wall %.3fs  throughput %.1f req/s\n"
-                          r.wall
-                          (float_of_int r.completed /. Float.max r.wall 1e-9);
+                          wall
+                          (float_of_int s.completed /. Float.max wall 1e-9);
                         Printf.printf "latency us:    %s\n"
                           (hist_line "serve.request_us");
                         Printf.printf "queue wait us: %s\n"
@@ -1164,7 +1126,7 @@ let serve_cmd_impl models slo_specs plan_dir verify_plans expect_warm
                               c.failed c.deadline_met c.mean_us c.p50_us
                               c.p95_us c.p99_us
                               (float_of_int c.deadline_met
-                              /. Float.max r.wall 1e-9))
+                              /. Float.max wall 1e-9))
                           (Zoo.class_stats zoo);
                         pp_cache_stats
                           (Plan_cache.stats (Serve.plan_cache server));
@@ -1172,15 +1134,14 @@ let serve_cmd_impl models slo_specs plan_dir verify_plans expect_warm
                         (match stats_json with
                         | None -> ()
                         | Some path ->
-                            write_serve_stats_json ~path server
-                              ~rejected:r.rejected;
+                            write_serve_stats_json ~path server;
                             Printf.printf "stats json -> %s\n" path);
-                        (r, s.padded_rows, d.lost, p, traffic_compiles)))
+                        (s, d.lost, p, traffic_compiles)))
               with
               | exception Invalid_argument e -> `Error (false, e)
               | exception Compile_error.Error e ->
                   `Error (false, Compile_error.to_string e)
-              | r, padded_rows, lost, (p : Zoo.prewarm), traffic_compiles ->
+              | s, lost, (p : Zoo.prewarm), traffic_compiles ->
                   let dumps =
                     match recorder with
                     | None -> []
@@ -1198,7 +1159,7 @@ let serve_cmd_impl models slo_specs plan_dir verify_plans expect_warm
                         List.iter (fun p -> Printf.printf "  %s\n" p) ps;
                         ps
                   in
-                  check_run t r ~padded_rows ~lost ~trace ~dumps ~stats_json
+                  check_run t s ~lost ~trace ~dumps ~stats_json
                     ~extra:
                       [
                         ( verify_plans && p.rejected > 0,
@@ -1211,8 +1172,8 @@ let serve_cmd_impl models slo_specs plan_dir verify_plans expect_warm
                             p.compiled );
                         ( expect_warm && traffic_compiles > 0,
                           Printf.sprintf
-                            "%d compile-phase spans during traffic (warm store \
-                             promises 0)"
+                            "%d compiles during traffic (warm store promises \
+                             0)"
                             traffic_compiles );
                       ]))
 
@@ -1445,8 +1406,9 @@ let serve_cmd =
     Arg.(value & flag
          & info [ "expect-warm" ]
              ~doc:"With --check: fail unless prewarm compiled nothing \
-                   (every plan came from the store) and no compile-phase \
-                   span occurred while serving traffic.")
+                   (every plan came from the store) and no plan compiled \
+                   while serving traffic (the \"compiles during traffic\" \
+                   line, counted at each compile).")
   in
   let floor_arg =
     Arg.(value & opt float 0.125 & info [ "fair-share-floor" ] ~docv:"F"
@@ -1496,11 +1458,13 @@ let serve_cmd =
   let recorder_arg =
     Arg.(value & opt (some string) None
          & info [ "recorder" ] ~docv:"DIR"
-             ~doc:"Arm the black-box flight recorder: a bounded per-domain \
-                   ring of recent lifecycle events, dumped into DIR as a \
-                   Chrome-trace file whenever an incident fires (batch \
-                   failure, quarantine, breaker open, worker death, wedge \
-                   steal).")
+             ~doc:"Arm the black-box flight recorder once prewarm is done: \
+                   the trace sink is dumped into DIR as a Chrome-trace \
+                   file whenever an incident fires (batch failure, \
+                   quarantine, breaker open, worker death, wedge steal).  \
+                   Without --trace a bounded sink of 4096 recent records \
+                   per domain is installed; with --trace each dump holds \
+                   everything the trace holds.")
   in
   Cmd.v
     (Cmd.info "serve"

@@ -1,15 +1,17 @@
 (* Black-box flight-recorder dumps.
 
-   The recorder ring itself lives in [Trace] (an independent sink teed a
-   copy of every record); this module owns the *dump* policy: where
-   incident files go, how many may be written before further incidents
-   are suppressed (a chaos run can fire hundreds), and the incident
-   marker event itself.  [incident] first emits a phase-["incident"]
-   instant - so the triggering event is always inside the dump it
-   produces - then snapshots the recorder into a self-contained
+   The recorder ring is [Trace]'s one sink: [arm] installs a small one
+   (4096 records per domain) only when no sink is installed, and keeps
+   a trace sink that is already there, so a run with both a trace and
+   the recorder collects each record once.  This module owns the *dump*
+   policy: where incident files go, how many may be written before
+   further incidents are suppressed (a chaos run can fire hundreds), and
+   the incident marker event itself.  [incident] first emits a
+   phase-["incident"] instant - so the triggering event is always inside
+   the dump it produces - then snapshots the sink into a self-contained
    Chrome-trace file.
 
-   Everything is global state, mirroring the recorder sink: the serving
+   Everything is global state, mirroring the trace sink: the serving
    runtime's incident sites (batch failure, quarantine, breaker-open,
    worker death, wedge-steal) sit deep inside the scheduler and worker
    pool, and threading a dump handle through them would couple every
@@ -22,8 +24,14 @@ let suppressed_n : int Atomic.t = Atomic.make 0
 let mu = Mutex.create ()
 let paths : string list ref = ref []
 
-let arm ?capacity ?(limit = 32) ~dir () =
-  Trace.recorder_install ?capacity ();
+(* Did [arm] install the live sink?  Only then does [disarm] remove it. *)
+let owns_sink : bool Atomic.t = Atomic.make false
+
+let arm ?(limit = 32) ~dir () =
+  if not (Trace.enabled ()) then begin
+    Trace.install ~capacity:4096 ();
+    Atomic.set owns_sink true
+  end;
   Atomic.set dump_limit limit;
   Atomic.set dump_seq 0;
   Atomic.set suppressed_n 0;
@@ -34,9 +42,7 @@ let arm ?capacity ?(limit = 32) ~dir () =
 
 let disarm () =
   Atomic.set dump_dir None;
-  ignore (Trace.recorder_uninstall ())
-
-let armed () = Trace.recorder_installed ()
+  if Atomic.exchange owns_sink false then ignore (Trace.uninstall ())
 
 let dump_paths () =
   Mutex.lock mu;
@@ -52,13 +58,12 @@ let sanitize reason =
       match c with 'a' .. 'z' | 'A' .. 'Z' | '0' .. '9' | '-' -> c | _ -> '-')
     reason
 
-(* Snapshot the recorder into [dir] and remember the path.  Concurrent
+(* Snapshot the sink into [dir] and remember the path.  Concurrent
    incidents on different domains each get a unique sequence number and
    write distinct files. *)
 let dump ~reason =
   match Atomic.get dump_dir with
-  | None -> None
-  | Some dir when Trace.recorder_installed () ->
+  | Some dir when Trace.enabled () ->
       let n = Atomic.fetch_and_add dump_seq 1 in
       if n >= Atomic.get dump_limit then begin
         Atomic.incr suppressed_n;
@@ -70,17 +75,17 @@ let dump ~reason =
             (Printf.sprintf "incident-%03d-%s.json" n (sanitize reason))
         in
         Chrome_trace.to_file ~path ~process_name:"astitch-flight"
-          (Trace.recorder_records ());
+          (Trace.records ());
         Mutex.lock mu;
         paths := path :: !paths;
         Mutex.unlock mu;
         Some path
       end
-  | Some _ -> None
+  | _ -> None
 
 let incident ?attrs ~reason () =
   (* The marker goes through the normal emission path, so it lands in
-     the recorder ring (and any trace sink) before the snapshot below -
-     every dump contains its own trigger. *)
+     the sink before the snapshot below - every dump contains its own
+     trigger. *)
   Trace.instant ?attrs ~phase:"incident" reason;
   dump ~reason

@@ -1,6 +1,6 @@
 (* Structured trace spans, events and cross-domain flows.
 
-   One global sink (installed by the CLI's --trace, the `trace` command,
+   One global sink (installed by the CLI's --trace, the flight recorder,
    or a test) collects records into *per-domain ring buffers*: each
    emitting domain lazily registers its own fixed-capacity buffer, writes
    to it without any synchronization, and the buffers only meet at
@@ -8,15 +8,12 @@
    or corrupt each other's records - the QCheck property in
    test_obs.ml leans on exactly this structure.
 
-   A second, independent sink - the *flight recorder* - reuses the same
-   ring machinery.  When installed it receives a copy of every record the
-   trace sink would see (and keeps receiving them when no trace sink is
-   installed), so the last N lifecycle events per domain are always
-   available for an incident dump even in production runs that never
-   asked for a full trace.
+   The flight recorder ([Flight]) is not a second sink: when no sink is
+   installed it installs a small one, and an incident dump snapshots
+   whatever sink is live, so a dump holds everything a trace holds.
 
-   Zero cost when disabled: every entry point first reads the two sink
-   atomics; with neither installed, [span_begin] returns 0, [span_end 0],
+   Zero cost when disabled: every entry point first reads the sink
+   atomic; with no sink installed, [span_begin] returns 0, [span_end 0],
    [instant] and the flow emitters return immediately, [new_context]
    returns the preallocated [null_context], and none of them allocates
    (the timestamps are plain ints, the optional [?attrs] defaults to an
@@ -100,41 +97,25 @@ type sink = {
 }
 
 let current : sink option Atomic.t = Atomic.make None
-let recorder : sink option Atomic.t = Atomic.make None
 
 (* Flow ids are global (never reset): a context minted under one sink
-   must stay unique if a recorder dump and a trace export are merged. *)
+   stays unique if traces from two sinks are merged. *)
 let flow_ids : int Atomic.t = Atomic.make 0
 
-let make_sink ?(clock = Clock.monotonic_ns) ?(capacity = 65536) ~what () =
-  if capacity <= 0 then
-    invalid_arg (Printf.sprintf "Trace.%s: capacity must be > 0" what);
-  {
-    clock;
-    capacity;
-    buffers = [];
-    mu = Mutex.create ();
-    ids = Atomic.make 0;
-  }
+let install ?(clock = Clock.monotonic_ns) ?(capacity = 65536) () =
+  if capacity <= 0 then invalid_arg "Trace.install: capacity must be > 0";
+  Atomic.set current
+    (Some
+       {
+         clock;
+         capacity;
+         buffers = [];
+         mu = Mutex.create ();
+         ids = Atomic.make 0;
+       })
 
-let install ?clock ?capacity () =
-  Atomic.set current (Some (make_sink ?clock ?capacity ~what:"install" ()))
-
-let recorder_install ?clock ?(capacity = 4096) () =
-  Atomic.set recorder
-    (Some (make_sink ?clock ~capacity ~what:"recorder_install" ()))
-
-let installed () =
+let enabled () =
   match Atomic.get current with None -> false | Some _ -> true
-
-let recorder_installed () =
-  match Atomic.get recorder with None -> false | Some _ -> true
-
-let enabled = installed
-
-(* Any sink live?  Instrumentation sites that build attribute lists
-   guard on this so lifecycle events reach a recorder-only setup too. *)
-let active () = installed () || recorder_installed ()
 
 (* --- Domain-local emission state ---------------------------------------- *)
 
@@ -148,10 +129,8 @@ type open_span = {
 }
 
 type dstate = {
-  towner : sink option; (* trace sink this state registered with *)
-  rowner : sink option; (* recorder sink this state registered with *)
-  tbuf : buffer option;
-  rbuf : buffer option;
+  owner : sink;  (* the sink this state registered with *)
+  buf : buffer;
   mutable stack : open_span list;
 }
 
@@ -167,50 +146,31 @@ let register_buffer (s : sink) : buffer =
   Mutex.unlock s.mu;
   buf
 
-let same_owner (o : sink option) (s : sink option) =
-  match (o, s) with
-  | None, None -> true
-  | Some a, Some b -> a == b
-  | _ -> false
-
-(* The domain's state under the currently installed sinks; buffers are
+(* The domain's state under the installed sink; its buffer is
    registered on first use.  A reinstalled sink is detected by physical
    identity, so stale state from a previous sink is abandoned rather
    than mixed in. *)
-let dstate_for (cur : sink option) (rec_ : sink option) : dstate =
+let dstate_for (s : sink) : dstate =
   let cell = Domain.DLS.get dls in
   match !cell with
-  | Some d when same_owner d.towner cur && same_owner d.rowner rec_ -> d
+  | Some d when d.owner == s -> d
   | _ ->
-      let tbuf = match cur with None -> None | Some s -> Some (register_buffer s)
-      and rbuf =
-        match rec_ with None -> None | Some s -> Some (register_buffer s)
-      in
-      let d = { towner = cur; rowner = rec_; tbuf; rbuf; stack = [] } in
+      let d = { owner = s; buf = register_buffer s; stack = [] } in
       cell := Some d;
       d
 
-let emit (b : buffer) (r : record) =
+let emit (d : dstate) (r : record) =
+  let b = d.buf in
   b.ring.(b.next mod Array.length b.ring) <- Some r;
   b.next <- b.next + 1
-
-let emit_both (d : dstate) (r : record) =
-  (match d.tbuf with Some b -> emit b r | None -> ());
-  match d.rbuf with Some b -> emit b r | None -> ()
-
-(* The trace sink drives span ids and the clock when installed; with
-   only the recorder live, the recorder's do. *)
-let primary (cur : sink option) (rec_ : sink option) : sink =
-  match cur with Some s -> s | None -> Option.get rec_
 
 (* --- Emission ------------------------------------------------------------ *)
 
 let span_begin ?attrs ~phase name =
-  match (Atomic.get current, Atomic.get recorder) with
-  | None, None -> 0
-  | cur, rec_ ->
-      let d = dstate_for cur rec_ in
-      let s = primary cur rec_ in
+  match Atomic.get current with
+  | None -> 0
+  | Some s ->
+      let d = dstate_for s in
       let id = Atomic.fetch_and_add s.ids 1 + 1 in
       let parent = match d.stack with [] -> 0 | o :: _ -> o.oid in
       d.stack <-
@@ -227,11 +187,10 @@ let span_begin ?attrs ~phase name =
 
 let span_end ?attrs id =
   if id <> 0 then
-    match (Atomic.get current, Atomic.get recorder) with
-    | None, None -> ()
-    | cur, rec_ ->
-        let d = dstate_for cur rec_ in
-        let s = primary cur rec_ in
+    match Atomic.get current with
+    | None -> ()
+    | Some s ->
+        let d = dstate_for s in
         (* Only unwind if the span is actually open on this domain (a
            sink swapped mid-span leaves orphan ids; a span opened on
            another domain lives on *that* domain's stack).  Children
@@ -245,7 +204,7 @@ let span_end ?attrs id =
             | [] -> ()
             | o :: rest ->
                 d.stack <- rest;
-                emit_both d
+                emit d
                   (Span
                      {
                        id = o.oid;
@@ -265,7 +224,7 @@ let span_end ?attrs id =
         else
           (* Cross-domain (or stale) close: record the attempt instead
              of silently dropping it - see the module comment's rule. *)
-          emit_both d
+          emit d
             (Event
                {
                  ename = "cross-domain-span-end";
@@ -278,12 +237,10 @@ let span_end ?attrs id =
                })
 
 let instant ?attrs ~phase name =
-  match (Atomic.get current, Atomic.get recorder) with
-  | None, None -> ()
-  | cur, rec_ ->
-      let d = dstate_for cur rec_ in
-      let s = primary cur rec_ in
-      emit_both d
+  match Atomic.get current with
+  | None -> ()
+  | Some s ->
+      emit (dstate_for s)
         (Event
            {
              ename = name;
@@ -294,7 +251,7 @@ let instant ?attrs ~phase name =
            })
 
 let with_span ?attrs ~phase name f =
-  if not (installed () || recorder_installed ()) then f ()
+  if not (enabled ()) then f ()
   else begin
     let id = span_begin ?attrs ~phase name in
     match f () with
@@ -309,21 +266,19 @@ let with_span ?attrs ~phase name f =
 (* --- Cross-domain contexts and flow events ------------------------------- *)
 
 let new_context () =
-  match (Atomic.get current, Atomic.get recorder) with
-  | None, None -> null_context
-  | cur, rec_ ->
-      let d = dstate_for cur rec_ in
+  match Atomic.get current with
+  | None -> null_context
+  | Some s ->
+      let d = dstate_for s in
       let parent = match d.stack with [] -> 0 | o :: _ -> o.oid in
       { trace_id = Atomic.fetch_and_add flow_ids 1 + 1; parent_span = parent }
 
 let flow ?attrs dir ~phase (ctx : context) name =
   if ctx.trace_id <> 0 then
-    match (Atomic.get current, Atomic.get recorder) with
-    | None, None -> ()
-    | cur, rec_ ->
-        let d = dstate_for cur rec_ in
-        let s = primary cur rec_ in
-        emit_both d
+    match Atomic.get current with
+    | None -> ()
+    | Some s ->
+        emit (dstate_for s)
           (Flow
              {
                fdir = dir;
@@ -360,46 +315,33 @@ let buffer_records (b : buffer) =
       | Some r -> r
       | None -> assert false)
 
-let sink_records (s : sink) =
-  Mutex.lock s.mu;
-  let bufs = s.buffers in
-  Mutex.unlock s.mu;
-  List.concat_map buffer_records bufs
+(* The installed sink's buffers, or none. *)
+let buffers () =
+  match Atomic.get current with
+  | None -> []
+  | Some s ->
+      Mutex.lock s.mu;
+      let bufs = s.buffers in
+      Mutex.unlock s.mu;
+      bufs
+
+let records () =
+  List.concat_map buffer_records (buffers ())
   |> List.stable_sort (fun a b ->
          let c = compare (ts_of a) (ts_of b) in
          if c <> 0 then c else compare (seq_of a) (seq_of b))
 
-let sink_dropped (s : sink) =
-  Mutex.lock s.mu;
-  let bufs = s.buffers in
-  Mutex.unlock s.mu;
-  List.fold_left
-    (fun acc b -> acc + Stdlib.max 0 (b.next - s.capacity))
-    0 bufs
-
-let records () =
-  match Atomic.get current with None -> [] | Some s -> sink_records s
-
 let dropped () =
-  match Atomic.get current with None -> 0 | Some s -> sink_dropped s
-
-let recorder_records () =
-  match Atomic.get recorder with None -> [] | Some s -> sink_records s
-
-let recorder_dropped () =
-  match Atomic.get recorder with None -> 0 | Some s -> sink_dropped s
+  List.fold_left
+    (fun acc b -> acc + Stdlib.max 0 (b.next - Array.length b.ring))
+    0 (buffers ())
 
 let open_spans () =
-  match (Atomic.get current, Atomic.get recorder) with
-  | None, None -> 0
-  | cur, rec_ -> List.length (dstate_for cur rec_).stack
+  match Atomic.get current with
+  | None -> 0
+  | Some s -> List.length (dstate_for s).stack
 
 let uninstall () =
   let rs = records () in
   Atomic.set current None;
-  rs
-
-let recorder_uninstall () =
-  let rs = recorder_records () in
-  Atomic.set recorder None;
   rs

@@ -1,14 +1,14 @@
 (** Structured trace spans, events and cross-domain flows, collected
-    into per-domain ring buffers behind one globally installed sink,
-    plus an independent always-on {e flight recorder} sink reusing the
-    same ring machinery.
+    into per-domain ring buffers behind one globally installed sink.
+    The flight recorder ([Flight]) shares that sink: it installs a
+    small one only when none is installed, and its incident dumps
+    snapshot {!records}.
 
-    Zero-cost when disabled: with neither sink installed every entry
-    point returns immediately without allocating ([span_begin] returns
-    the reserved id 0, [new_context] the shared {!null_context}).
-    Emission is lock-free within a domain - each domain owns its buffer
-    per sink - so concurrent emitters never corrupt each other's
-    records.
+    Zero-cost when disabled: with no sink installed every entry point
+    returns immediately without allocating ([span_begin] returns the
+    reserved id 0, [new_context] the shared {!null_context}).  Emission
+    is lock-free within a domain - each domain owns its buffer - so
+    concurrent emitters never corrupt each other's records.
 
     {b Cross-domain rule.}  Spans are domain-local: the parent of a new
     span is the innermost span still open on the {e calling} domain, and
@@ -83,32 +83,9 @@ val install : ?clock:Clock.t -> ?capacity:int -> unit -> unit
 val uninstall : unit -> record list
 (** Remove the trace sink, returning everything collected. *)
 
-val installed : unit -> bool
-
 val enabled : unit -> bool
-(** Alias of {!installed}; the guard hot paths use before building
-    attribute lists. *)
-
-val active : unit -> bool
-(** True when the trace sink {e or} the recorder is installed - the
-    guard for lifecycle instrumentation that must also reach a
-    recorder-only (black-box) setup. *)
-
-val recorder_install : ?clock:Clock.t -> ?capacity:int -> unit -> unit
-(** Install the flight recorder: an independent sink that receives a
-    copy of every record (spans, instants, flows) whether or not a trace
-    sink is installed.  [capacity] defaults to 4096 - a small bounded
-    ring per domain holding the last events before an incident.
-    @raise Invalid_argument if [capacity <= 0]. *)
-
-val recorder_uninstall : unit -> record list
-val recorder_installed : unit -> bool
-
-val recorder_records : unit -> record list
-(** The recorder's current contents without uninstalling it - what an
-    incident dump snapshots (merged across domains, sorted). *)
-
-val recorder_dropped : unit -> int
+(** True while a sink is installed: the one guard instrumentation sites
+    use before building attribute lists. *)
 
 val span_begin : ?attrs:attrs -> phase:string -> string -> int
 (** Open a span on the calling domain; returns its id (0 when disabled).

@@ -32,7 +32,7 @@ exception Execution_error of string
    the fired counter around each batch) can catch. *)
 
 let run (plan : Kernel_plan.t) ~params : Tensor.t list =
-  let traced = Trace.active () in
+  let traced = Trace.enabled () in
   let rsid = if traced then Trace.span_begin ~phase:"exec" "run" else 0 in
   let g = plan.graph in
   let n = Graph.num_nodes g in
@@ -703,13 +703,13 @@ let context_fallbacks ctx =
     ctx.report.exec_kernels
 
 let run_context ?batch (ctx : context) ~params : Tensor.t list =
-  (* [traced] is decided once per run: with no sink (trace or recorder)
-     installed the ids stay 0 and no per-kernel code below allocates
-     (the zero-cost contract the test suite pins down with
-     [Gc.minor_words]).  When the worker pool calls this inside its
-     batch span the whole run-context tree - including the per-kernel
-     spans - nests under that batch via the domain-local span stack. *)
-  let traced = Trace.active () in
+  (* [traced] is decided once per run: with no sink installed the ids
+     stay 0 and no per-kernel code below allocates (the zero-cost
+     contract the test suite pins down with [Gc.minor_words]).  When
+     the worker pool calls this inside its batch span the whole
+     run-context tree - including the per-kernel spans - nests under
+     that batch via the domain-local span stack. *)
+  let traced = Trace.enabled () in
   let rsid = if traced then Trace.span_begin ~phase:"exec" "run-context" else 0 in
   let g = ctx.plan.Kernel_plan.graph in
   (* symbolic-batch rebind: [bscale] > 0 executes the prefix for batch

@@ -12,7 +12,13 @@ type result = {
   profile : Profile.t;
 }
 
+(* Every plan compiled through a session, cached or not, counts once
+   here: [serve] reads it around traffic to check a warm store's
+   promise that no plan compiles while requests flow. *)
+let compiles = Astitch_obs.Metrics.(counter default "session.compiles")
+
 let compile (backend : Backend_intf.t) arch g =
+  Astitch_obs.Metrics.inc compiles;
   let attrs =
     if Trace.enabled () then
       [
@@ -39,6 +45,7 @@ type resilient = {
    fully stitched, and the report says what was lost.  [Astitch.compile]
    runs the same driver and refuses any report that is not empty. *)
 let compile_resilient ?(config = Astitch_core.Config.full) arch g =
+  Astitch_obs.Metrics.inc compiles;
   let attrs =
     if Trace.enabled () then
       [ ("arch", Trace.Str arch.Astitch_simt.Arch.name) ]
@@ -106,9 +113,9 @@ let cache_key (backend : Backend_intf.t) arch g =
 (* Rebuild a full session result around a plan that was NOT just
    compiled - one deserialized from the plan store.  The profile is
    deterministic from the plan and the backend's cost config, so
-   recomputing it is exact; crucially this path emits no compile-phase
-   span, which is what lets a warm restart prove "zero cold compiles"
-   from its trace. *)
+   recomputing it is exact; crucially this path neither compiles nor
+   counts in [session.compiles], which is what lets a warm restart
+   prove "zero cold compiles". *)
 let result_of_plan (backend : Backend_intf.t) plan =
   {
     backend_name = backend.Backend_intf.name;

@@ -11,6 +11,11 @@ type result = {
 }
 
 val compile : Backend_intf.t -> Astitch_simt.Arch.t -> Graph.t -> result
+(** Compile inside a ["compile"] span (phase ["session"]).  Every call,
+    and every {!compile_resilient} call, bumps the process-wide counter
+    [session.compiles] in [Metrics.default]; a {!compile_cached} hit
+    does not.  [serve] reads it before and after traffic to count the
+    plans compiled while requests flowed. *)
 
 type resilient = {
   result : result;
@@ -22,9 +27,11 @@ val compile_resilient :
   Astitch_simt.Arch.t ->
   Graph.t ->
   (resilient, Compile_error.t) Stdlib.result
-(** Compile with per-cluster graceful degradation ([Fallback.compile]).
-    Never raises.  [Astitch.compile] is the same driver refusing to
-    degrade: when the report is empty the plans are identical. *)
+(** Compile with per-cluster graceful degradation ([Fallback.compile])
+    inside a ["compile-resilient"] span; bumps [session.compiles] like
+    {!compile}.  Never raises.  [Astitch.compile] is the same driver
+    refusing to degrade: when the report is empty the plans are
+    identical. *)
 
 type cache = result Plan_cache.t
 (** Full-strength compiled results, keyed by graph fingerprint x arch x
@@ -37,7 +44,8 @@ val result_of_plan : Backend_intf.t -> Kernel_plan.t -> result
 (** Rebuild a session result around an already-materialized plan (one
     deserialized from the plan store).  The profile is recomputed from
     the plan - deterministic, so it matches what a fresh compile would
-    have produced - and no compile-phase trace span is emitted. *)
+    have produced - and nothing is compiled or counted in
+    [session.compiles]. *)
 
 val precache :
   cache -> Backend_intf.t -> Astitch_simt.Arch.t -> Graph.t -> result -> unit

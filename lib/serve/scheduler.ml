@@ -121,21 +121,6 @@ type t = {
   mutable duplicates : int;
   mutable breaker_opens : int;
   mutable breaker_closes : int;
-  (* obs: published so `serve --metrics` and the smoke test see the
-     runtime from the outside *)
-  m_depth : Metrics.gauge;
-  m_submitted : Metrics.counter;
-  m_rejected : Metrics.counter;
-  m_shed : Metrics.counter;
-  m_completed : Metrics.counter;
-  m_failed : Metrics.counter;
-  m_degraded : Metrics.counter;
-  m_retried : Metrics.counter;
-  m_duplicate : Metrics.counter;
-  m_breaker_open : Metrics.counter;
-  m_breaker_close : Metrics.counter;
-  m_shed_admission : Metrics.counter;
-  m_displaced : Metrics.counter;
 }
 
 let create ?(breaker_threshold = 4) ?(breaker_cooldown_us = 5_000.)
@@ -144,7 +129,6 @@ let create ?(breaker_threshold = 4) ?(breaker_cooldown_us = 5_000.)
   if fair_share_floor < 0. || fair_share_floor > 0.5 then
     invalid_arg "Scheduler.create: fair_share_floor must be in [0, 0.5]";
   let queue = Rq.create ~depth:queue_depth in
-  let r = Metrics.default in
   let slo_table = Hashtbl.create 8 in
   List.iter (fun (m, s) -> Hashtbl.replace slo_table m s) slos;
   let classes =
@@ -204,24 +188,9 @@ let create ?(breaker_threshold = 4) ?(breaker_cooldown_us = 5_000.)
     duplicates = 0;
     breaker_opens = 0;
     breaker_closes = 0;
-    m_depth = Metrics.gauge r "serve.queue_depth";
-    m_submitted = Metrics.counter r "serve.submitted";
-    m_rejected = Metrics.counter r "serve.rejected";
-    m_shed = Metrics.counter r "serve.shed";
-    m_completed = Metrics.counter r "serve.completed";
-    m_failed = Metrics.counter r "serve.failed";
-    m_degraded = Metrics.counter r "serve.degraded";
-    m_retried = Metrics.counter r "serve.retry";
-    m_duplicate = Metrics.counter r "serve.duplicate";
-    m_breaker_open = Metrics.counter r "serve.breaker_open";
-    m_breaker_close = Metrics.counter r "serve.breaker_close";
-    m_shed_admission = Metrics.counter r "serve.shed_admission";
-    m_displaced = Metrics.counter r "serve.displaced";
   }
 
 let locked t f = Mutex.protect t.mu f
-
-let publish_depth t = Metrics.set t.m_depth (float_of_int (Rq.length t.queue))
 
 (* --- Wake pipe ---------------------------------------------------------- *)
 
@@ -290,18 +259,13 @@ let account t model = t.accounts.(Slo.rank (slo t model))
    also lands in the request's class account; a deadline is met by the
    request's own absolute deadline, the one dispatch enforced. *)
 let complete_locked t (req : Request.t) outcome =
-  if req.resolved then begin
-    t.duplicates <- t.duplicates + 1;
-    Metrics.inc t.m_duplicate
-  end
+  if req.resolved then t.duplicates <- t.duplicates + 1
   else begin
     req.resolved <- true;
     let a = account t req.model in
     (match outcome with
     | Request.Done { degraded; latency_us; _ } ->
         if degraded then t.degraded <- t.degraded + 1;
-        Metrics.inc t.m_completed;
-        if degraded then Metrics.inc t.m_degraded;
         a.a_completed <- a.a_completed + 1;
         Metrics.observe a.latency_us latency_us;
         let met =
@@ -310,13 +274,9 @@ let complete_locked t (req : Request.t) outcome =
           | Some d -> req.submitted_us +. latency_us <= d
         in
         if met then a.a_deadline_met <- a.a_deadline_met + 1
-    | Request.Overloaded _ ->
-        Metrics.inc t.m_shed;
-        a.a_shed <- a.a_shed + 1
-    | Request.Failed _ ->
-        Metrics.inc t.m_failed;
-        a.a_failed <- a.a_failed + 1);
-    if Trace.active () then
+    | Request.Overloaded _ -> a.a_shed <- a.a_shed + 1
+    | Request.Failed _ -> a.a_failed <- a.a_failed + 1);
+    if Trace.enabled () then
       Trace.flow_end ~phase:"serve" req.trace "request"
         ~attrs:
           [
@@ -341,7 +301,7 @@ let breaker_for t model =
       b
 
 let breaker_instant model transition =
-  if Trace.active () then
+  if Trace.enabled () then
     Trace.instant ~phase:"serve"
       ("breaker-" ^ transition)
       ~attrs:[ ("model", Trace.Str model) ]
@@ -350,9 +310,8 @@ let open_breaker_locked t model (b : breaker) =
   b.bstate <- `Open;
   b.open_until <- Clock.now_us () +. t.breaker_cooldown_us;
   t.breaker_opens <- t.breaker_opens + 1;
-  Metrics.inc t.m_breaker_open;
   breaker_instant model "open";
-  if Trace.active () then
+  if Trace.enabled () then
     ignore
       (Flight.incident ~reason:"breaker-open"
          ~attrs:[ ("model", Trace.Str model) ]
@@ -370,7 +329,6 @@ let note_batch_result t ~model ~ok =
           if b.bstate <> `Closed then begin
             b.bstate <- `Closed;
             t.breaker_closes <- t.breaker_closes + 1;
-            Metrics.inc t.m_breaker_close;
             breaker_instant model "close"
           end;
           b.consec <- 0
@@ -431,8 +389,7 @@ let displace_locked t ~for_rank =
       | None -> false
       | Some evicted ->
           t.displaced <- t.displaced + 1;
-          Metrics.inc t.m_displaced;
-          if Trace.active () then
+          if Trace.enabled () then
             Trace.instant ~phase:"serve" "displaced"
               ~attrs:
                 [
@@ -447,7 +404,6 @@ let submit t (req : Request.t) =
       let a = account t req.model in
       let refuse o =
         a.a_rejected <- a.a_rejected + 1;
-        Metrics.inc t.m_rejected;
         Error o
       in
       let broken =
@@ -464,13 +420,9 @@ let submit t (req : Request.t) =
            corpse occupy queue space until dispatch-time shedding.  A
            refusal never increments [submitted]/[outstanding], so it is
            accounted as a rejection (keeping the disposition ledger's
-           lost = 0 invariant) and separately as [shed_admission]; the
-           obs shed counter ticks too, with this distinct reason
-           visible as [serve.shed_admission]. *)
+           lost = 0 invariant) and separately as [shed_admission]. *)
         t.shed_admission <- t.shed_admission + 1;
-        Metrics.inc t.m_shed;
-        Metrics.inc t.m_shed_admission;
-        if Trace.active () then
+        if Trace.enabled () then
           Trace.instant ~phase:"serve" "shed-admission"
             ~attrs:
               [
@@ -487,8 +439,6 @@ let submit t (req : Request.t) =
       else begin
         a.a_submitted <- a.a_submitted + 1;
         t.outstanding <- t.outstanding + 1;
-        Metrics.inc t.m_submitted;
-        publish_depth t;
         Condition.signal t.nonempty;
         (* A batch just reached [max_batch]: workers parked on an open
            window should dispatch NOW, not a poll tick from now. *)
@@ -505,8 +455,7 @@ let shed_expired_locked t =
   List.iter
     (fun (r : Request.t) ->
       complete_locked t r (Request.Overloaded Request.Deadline_exceeded))
-    dead;
-  if dead <> [] then publish_depth t
+    dead
 
 (* The one dispatch rule: strict class priority with two refinements.
 
@@ -597,8 +546,7 @@ let shed_broken_locked t =
                 (fun (r : Request.t) ->
                   complete_locked t r
                     (Request.Overloaded Request.Breaker_open))
-                dead;
-              if dead <> [] then publish_depth t
+                dead
             end)
       (Rq.models t.queue)
   end
@@ -633,7 +581,6 @@ let dispatch_locked t =
       | None -> None
       | Some (model, n) ->
           let requests = Rq.take t.queue ~model ~max:n in
-          publish_depth t;
           t.batches <- t.batches + 1;
           let now = Clock.now_us () in
           List.iter (fun (r : Request.t) -> r.dispatched_us <- now) requests;
@@ -678,8 +625,7 @@ let outstanding t = locked t (fun () -> t.outstanding)
 let requeue t (req : Request.t) =
   locked t (fun () ->
       t.retried <- t.retried + 1;
-      Metrics.inc t.m_retried;
-      if Trace.active () then begin
+      if Trace.enabled () then begin
         Trace.instant ~phase:"serve" "retry"
           ~attrs:
             [

@@ -55,8 +55,7 @@ val submit : t -> Request.t -> (unit, Request.overload) result
     [Breaker_open], and [Deadline_exceeded] for a request whose
     deadline is already past on arrival) never occupy queue space and
     never produce an outcome entry.  Admission-time deadline refusals
-    are counted as rejections plus [shed_admission] (and tick the
-    [serve.shed] / [serve.shed_admission] metrics). *)
+    are counted as rejections plus [shed_admission], never as shed. *)
 
 val requeue : t -> Request.t -> unit
 (** Re-admit a request from a failed batch for a solo re-dispatch.

@@ -179,7 +179,7 @@ let submit_async ?deadline_us t ~model ~params =
      context is minted under it, so the flow arrow leaves from here and
      lands in whatever worker-domain span serves the request. *)
   let sid =
-    if Trace.active () then
+    if Trace.enabled () then
       Trace.span_begin ~phase:"serve" "submit"
         ~attrs:[ ("model", Trace.Str model); ("id", Trace.Int id) ]
     else 0
@@ -198,7 +198,7 @@ let submit_async ?deadline_us t ~model ~params =
       resolved = false;
     }
   in
-  if Trace.active () then
+  if Trace.enabled () then
     Trace.flow_start ~phase:"serve" trace "request"
       ~attrs:[ ("id", Trace.Int id); ("model", Trace.Str model) ];
   let res = Scheduler.submit t.scheduler req in
@@ -207,7 +207,7 @@ let submit_async ?deadline_us t ~model ~params =
   | Error o ->
       (* A refusal never reaches the scheduler's completion path, so
          the flow must terminate here or the "s" arrow dangles. *)
-      if Trace.active () then
+      if Trace.enabled () then
         Trace.flow_end ~phase:"serve" trace "request"
           ~attrs:
             [

@@ -155,8 +155,7 @@ type stats = {
   shed : int;
   shed_admission : int;
       (** refused at submit with an already-past deadline (subset of
-          [rejected]; also ticks the [serve.shed] /
-          [serve.shed_admission] metrics) *)
+          [rejected], never counted as [shed]) *)
   displaced : int;
       (** queued lower-SLO-class requests evicted to admit higher-class
           arrivals (subset of [shed]) *)

@@ -97,9 +97,6 @@ type t = {
   n_padded : int Atomic.t;  (** rows run beyond the requests *)
   n_compiles : int Atomic.t;  (** plan compiles performed at checkout *)
   m_batch_size : Metrics.histogram;
-  m_padded : Metrics.counter;
-  m_compiles : Metrics.counter;
-  m_batches : Metrics.counter;
   m_request_us : Metrics.histogram;
   (* The latency decomposition: per completed request, these five sum
      to [serve.request_us] up to clock granularity (same stamps, the
@@ -113,10 +110,6 @@ type t = {
   m_exec_us : Metrics.histogram;
   m_unpack_us : Metrics.histogram;
   m_verified : Metrics.counter;
-  m_restart : Metrics.counter;
-  m_quarantine : Metrics.counter;
-  m_wedged : Metrics.counter;
-  g_alive : Metrics.gauge;
 }
 
 let sup_locked pool f = Mutex.protect pool.sup_mu f
@@ -137,9 +130,7 @@ let compile_for pool m =
       pool.arch g
   in
   (match outcome with
-  | Plan_cache.Miss | Plan_cache.Bypassed ->
-      Atomic.incr pool.n_compiles;
-      Metrics.inc pool.m_compiles
+  | Plan_cache.Miss | Plan_cache.Bypassed -> Atomic.incr pool.n_compiles
   | Plan_cache.Hit -> ());
   result
 
@@ -173,9 +164,8 @@ let checkout pool m =
    having served numerics from a suspect context.) *)
 let quarantine pool m ~model ~reason =
   Atomic.incr pool.n_quarantined;
-  Metrics.inc pool.m_quarantine;
   let attrs =
-    if Trace.active () then
+    if Trace.enabled () then
       [
         ("model", Trace.Str model);
         ("batch", Trace.Int (max_batch m));
@@ -191,7 +181,8 @@ let quarantine pool m ~model ~reason =
         (Session.uncache pool.cache Astitch_core.Astitch.full_backend
            pool.arch
            (m.spec.Batching.build (max_batch m))));
-  if Trace.active () then ignore (Flight.incident ~attrs ~reason:"quarantine" ())
+  if Trace.enabled () then
+    ignore (Flight.incident ~attrs ~reason:"quarantine" ())
 
 (* The rows a batch of [n] requests runs at on [ctx]: exactly [n] when
    the context rebinds, its full [max_batch] extent when it cannot. *)
@@ -266,12 +257,12 @@ let serve_fallback pool m (requests : Request.t list) =
   List.iter
     (fun (req : Request.t) ->
       let attrs =
-        if Trace.active () then
+        if Trace.enabled () then
           [ ("model", Trace.Str req.model); ("id", Trace.Int req.id) ]
         else []
       in
       Trace.with_span ~attrs ~phase:"serve" "fallback" (fun () ->
-          if Trace.active () then
+          if Trace.enabled () then
             Trace.flow_step ~phase:"serve" req.trace "request"
               ~attrs:[ ("hop", Trace.Str "fallback") ];
           let t_pack = Clock.now_us () in
@@ -308,7 +299,7 @@ let serve_fallback pool m (requests : Request.t list) =
 let recover_requests pool ~reason (batch : Scheduler.batch) =
   let m = Hashtbl.find pool.models batch.model in
   let attrs =
-    if Trace.active () then
+    if Trace.enabled () then
       [
         ("model", Trace.Str batch.model);
         ("reason", Trace.Str reason);
@@ -330,7 +321,6 @@ let serve_batch pool (batch : Scheduler.batch) =
   let m = Hashtbl.find pool.models batch.model in
   let n = List.length batch.requests in
   let seq = Atomic.fetch_and_add pool.batch_counter 1 in
-  Metrics.inc pool.m_batches;
   Metrics.observe pool.m_batch_size (float_of_int n);
   let attrs =
     [
@@ -344,7 +334,7 @@ let serve_batch pool (batch : Scheduler.batch) =
       (* Pull each request's flow arrow into this batch span: the "t"
          step is what links the client-thread submit span to this
          worker domain in Perfetto. *)
-      if Trace.active () then
+      if Trace.enabled () then
         List.iter
           (fun (r : Request.t) ->
             Trace.flow_step ~phase:"serve" r.trace "request"
@@ -363,7 +353,6 @@ let serve_batch pool (batch : Scheduler.batch) =
         (* Continuous batching packs exactly [n] rows; only a context
            that cannot rebind pads, and the padding is counted. *)
         let rows = rows_for m ctx n in
-        Metrics.add pool.m_padded (rows - n);
         ignore (Atomic.fetch_and_add pool.n_padded (rows - n));
         (* Snapshot AFTER checkout: a compile-site fault firing during
            a cold-model compile surfaces as a compile error, not as
@@ -418,7 +407,7 @@ let serve_batch pool (batch : Scheduler.batch) =
       | exception _ ->
           if !held then
             quarantine pool m ~model:batch.model ~reason:"batch-failure";
-          if Trace.active () then
+          if Trace.enabled () then
             ignore
               (Flight.incident ~reason:"batch-failure"
                  ~attrs:
@@ -479,7 +468,7 @@ let worker_body pool slot () =
           *. Float.of_int (1 lsl Stdlib.min 7 (slot.deaths - 1))
         in
         slot.restart_at <- Clock.now_us () +. backoff);
-    if Trace.active () then begin
+    if Trace.enabled () then begin
       Trace.instant ~phase:"serve" "worker-death"
         ~attrs:[ ("worker", Trace.Int slot.wid) ];
       ignore
@@ -542,8 +531,7 @@ let supervise_once pool =
   List.iter
     (fun b ->
       Atomic.incr pool.n_wedged;
-      Metrics.inc pool.m_wedged;
-      if Trace.active () then begin
+      if Trace.enabled () then begin
         Trace.instant ~phase:"serve" "wedge-steal"
           ~attrs:[ ("model", Trace.Str b.Scheduler.model) ];
         ignore
@@ -563,13 +551,10 @@ let supervise_once pool =
       let d = Domain.spawn (worker_body pool s) in
       sup_locked pool (fun () -> s.dom <- Some d);
       Atomic.incr pool.n_restarts;
-      Metrics.inc pool.m_restart;
-      if Trace.active () then
+      if Trace.enabled () then
         Trace.instant ~phase:"serve" "worker-restart"
           ~attrs:[ ("worker", Trace.Int s.wid) ])
-    !to_restart;
-  Metrics.set pool.g_alive
-    (Float.of_int (sup_locked pool (fun () -> workers_alive_locked pool)))
+    !to_restart
 
 let monitor_body pool () =
   (* fast enough to catch a wedge well inside the timeout, slow enough
@@ -620,9 +605,6 @@ let create ~scheduler ~models ~cache ~arch ~verify_every ~retry_budget
       n_padded = Atomic.make 0;
       n_compiles = Atomic.make 0;
       m_batch_size = Metrics.histogram r "serve.batch_size";
-      m_padded = Metrics.counter r "serve.padded";
-      m_compiles = Metrics.counter r "serve.plan_compiles";
-      m_batches = Metrics.counter r "serve.batches";
       m_request_us = Metrics.histogram r "serve.request_us";
       m_queue_us = Metrics.histogram r "serve.queue_us";
       m_batch_wait_us = Metrics.histogram r "serve.batch_wait_us";
@@ -630,16 +612,11 @@ let create ~scheduler ~models ~cache ~arch ~verify_every ~retry_budget
       m_exec_us = Metrics.histogram r "serve.exec_us";
       m_unpack_us = Metrics.histogram r "serve.unpack_us";
       m_verified = Metrics.counter r "serve.verified";
-      m_restart = Metrics.counter r "serve.worker_restart";
-      m_quarantine = Metrics.counter r "serve.quarantine";
-      m_wedged = Metrics.counter r "serve.wedged";
-      g_alive = Metrics.gauge r "serve.workers_alive";
     }
   in
   Array.iter
     (fun s -> s.dom <- Some (Domain.spawn (worker_body pool s)))
     pool.slots;
-  Metrics.set pool.g_alive (Float.of_int workers);
   pool.monitor <- Some (Domain.spawn (monitor_body pool));
   pool
 

@@ -28,7 +28,7 @@ let check_string = Alcotest.(check string)
 let with_manual_sink f =
   Trace.install ~clock:(Clock.read (Clock.manual ())) ();
   Fun.protect
-    ~finally:(fun () -> if Trace.installed () then ignore (Trace.uninstall ()))
+    ~finally:(fun () -> if Trace.enabled () then ignore (Trace.uninstall ()))
     f
 
 let spans records =
@@ -160,8 +160,7 @@ let test_deterministic_export () =
 (* --- Zero cost when disabled --------------------------------------------- *)
 
 let test_disabled_no_alloc () =
-  if Trace.installed () then ignore (Trace.uninstall ());
-  if Trace.recorder_installed () then ignore (Trace.recorder_uninstall ());
+  if Trace.enabled () then ignore (Trace.uninstall ());
   (* warm up so any one-time setup is out of the measured window *)
   let id = Trace.span_begin ~phase:"exec" "warm" in
   Trace.span_end id;
@@ -170,15 +169,14 @@ let test_disabled_no_alloc () =
     let id = Trace.span_begin ~phase:"exec" "kernel" in
     Trace.span_end id;
     Trace.instant ~phase:"exec" "tick";
-    (* the request-tracing entry points share the contract: with both
-       sinks off, minting a context hands back the shared null context
+    (* the request-tracing entry points share the contract: with the
+       sink off, minting a context hands back the shared null context
        and every flow emitter returns before touching it *)
     let ctx = Trace.new_context () in
     Trace.flow_start ~phase:"serve" ctx "request";
     Trace.flow_step ~phase:"serve" ctx "request";
     Trace.flow_end ~phase:"serve" ctx "request";
-    ignore (Trace.enabled ());
-    ignore (Trace.active ())
+    ignore (Trace.enabled ())
   done;
   let allocated = Gc.minor_words () -. before in
   Alcotest.(check (float 0.))
@@ -374,52 +372,67 @@ let test_cross_domain_span_end () =
       check_string "diagnostic is in the trace phase" "trace" e.Trace.ephase
   | l -> Alcotest.failf "expected 1 diagnostic event, got %d" (List.length l)
 
-let test_recorder_tee () =
-  if Trace.installed () then ignore (Trace.uninstall ());
-  if Trace.recorder_installed () then ignore (Trace.recorder_uninstall ());
-  Trace.recorder_install ~clock:(Clock.read (Clock.manual ())) ();
-  Fun.protect
-    ~finally:(fun () ->
-      if Trace.installed () then ignore (Trace.uninstall ());
-      if Trace.recorder_installed () then ignore (Trace.recorder_uninstall ()))
-    (fun () ->
-      check_bool "recorder-only: active but not enabled" true
-        (Trace.active () && not (Trace.enabled ()));
-      Trace.instant ~phase:"serve" "black-box-only";
-      Trace.install ~clock:(Clock.read (Clock.manual ())) ();
-      Trace.with_span ~phase:"serve" "teed" (fun () -> ());
-      let traced = Trace.uninstall () in
-      check_bool "the trace sink saw the teed span" true
-        (List.exists
-           (fun (s : Trace.span) -> s.Trace.name = "teed")
-           (spans traced));
-      check_bool "the trace sink missed the pre-install event" false
-        (List.exists
-           (fun (e : Trace.event) -> e.Trace.ename = "black-box-only")
-           (events traced));
-      let rec_ = Trace.recorder_records () in
-      check_bool "the recorder holds both" true
-        (List.exists
-           (fun (e : Trace.event) -> e.Trace.ename = "black-box-only")
-           (events rec_)
-        && List.exists
-             (fun (s : Trace.span) -> s.Trace.name = "teed")
-             (spans rec_)))
+(* The flight recorder shares the one trace sink: [arm] installs a
+   small sink only when none is installed and [disarm] removes only
+   that one; a trace sink installed before [arm] survives both, records
+   and all, and holds the incident marker too. *)
+let test_flight_shares_sink () =
+  if Trace.enabled () then ignore (Trace.uninstall ());
+  let dir = Filename.get_temp_dir_name () in
+  Flight.arm ~dir ~limit:0 ();
+  check_bool "arm installs a sink when none is installed" true
+    (Trace.enabled ());
+  Flight.disarm ();
+  check_bool "disarm removes the sink arm installed" false (Trace.enabled ());
+  with_manual_sink (fun () ->
+      Trace.instant ~phase:"serve" "before-arm";
+      Flight.arm ~dir ~limit:0 ();
+      ignore (Flight.incident ~reason:"shared" ());
+      Flight.disarm ();
+      check_bool "arm/disarm keep an installed trace sink" true
+        (Trace.enabled ());
+      let names = List.map (fun (e : Trace.event) -> e.Trace.ename) in
+      check_bool "the trace sink keeps its records and the marker" true
+        (names (events (Trace.records ())) = [ "before-arm"; "shared" ]))
 
 let test_recorder_overflow_export () =
-  if Trace.installed () then ignore (Trace.uninstall ());
-  Trace.recorder_install ~clock:(Clock.read (Clock.manual ())) ~capacity:8 ();
+  if Trace.enabled () then ignore (Trace.uninstall ());
+  Trace.install ~clock:(Clock.read (Clock.manual ())) ~capacity:8 ();
   Fun.protect
-    ~finally:(fun () ->
-      if Trace.recorder_installed () then ignore (Trace.recorder_uninstall ()))
+    ~finally:(fun () -> if Trace.enabled () then ignore (Trace.uninstall ()))
     (fun () ->
-      for i = 1 to 50 do
-        Trace.instant ~phase:"serve" (Printf.sprintf "e%d" i)
+      (* four records per round - two flow arrows, an instant and the
+         span that closes around them - then one more instant, so the
+         overflow cuts through every record kind and leaves a flow end
+         whose start was overwritten *)
+      for i = 1 to 20 do
+        let ctx = Trace.new_context () in
+        Trace.with_span ~phase:"serve" (Printf.sprintf "s%d" i) (fun () ->
+            Trace.flow_start ~phase:"serve" ctx "request";
+            Trace.instant ~phase:"serve" (Printf.sprintf "e%d" i);
+            Trace.flow_end ~phase:"serve" ctx "request")
       done;
-      check_bool "overflow is counted" true (Trace.recorder_dropped () > 0);
-      let text = Chrome.to_string (Trace.recorder_records ()) in
+      Trace.instant ~phase:"serve" "last";
+      check_int "overflow is counted" 73 (Trace.dropped ());
+      let records = Trace.records () in
+      let flows =
+        List.filter_map (function Trace.Flow f -> Some f | _ -> None) records
+      in
+      let started (f : Trace.flow) =
+        List.exists
+          (fun (g : Trace.flow) ->
+            g.Trace.fdir = Trace.Flow_start && g.Trace.fid = f.Trace.fid)
+          flows
+      in
+      check_bool "spans, instants and a cut flow chain survive" true
+        (spans records <> [] && events records <> []
+        && List.exists
+             (fun (f : Trace.flow) ->
+               f.Trace.fdir = Trace.Flow_end && not (started f))
+             flows);
+      let text = Chrome.to_string records in
       match J.parse text with
-      | Error e -> Alcotest.failf "overflowed recorder export invalid: %s" e
+      | Error e -> Alcotest.failf "overflowed sink export invalid: %s" e
       | Ok root ->
           let evs =
             Option.value ~default:[]
@@ -755,7 +768,8 @@ let () =
         ] );
       ( "recorder",
         [
-          Alcotest.test_case "tee to both sinks" `Quick test_recorder_tee;
+          Alcotest.test_case "flight shares the sink" `Quick
+            test_flight_shares_sink;
           Alcotest.test_case "overflow export valid" `Quick
             test_recorder_overflow_export;
           Alcotest.test_case "flight dump" `Quick test_flight_dump;

@@ -5,7 +5,8 @@
    - fingerprints are invariant under node renumbering/dead code and
      sensitive to semantic changes (cache-key soundness);
    - a cache hit returns the identical compiled result, and
-     degraded/fault-injected compiles neither read nor fill the cache;
+     degraded/fault-injected compiles neither read nor fill the cache,
+     and [session.compiles] counts every compile but no hit;
    - run_context is bit-identical to a fresh Executor.run;
    - parallel cluster compilation is byte-identical to sequential on
      every zoo workload and on random graphs. *)
@@ -252,6 +253,27 @@ let test_degraded_compile_bypasses_cache () =
   | Ok _, o2 -> check_bool "clean recompile hits" true (o2 = Plan_cache.Hit)
   | Error _, _ -> Alcotest.fail "clean recompile failed"
 
+(* [session.compiles] counts each compile where it happens - what
+   [serve --expect-warm] reads before and after traffic - and a cache
+   hit compiles nothing. *)
+let test_session_compiles_counted () =
+  let compiles () =
+    Astitch_obs.Metrics.(value (counter default "session.compiles"))
+  in
+  let b = Astitch_core.Astitch.full_backend and g = serving_graph () in
+  let c0 = compiles () in
+  ignore (Session.compile b Arch.v100 g);
+  check_int "Session.compile counts one" (c0 + 1) (compiles ());
+  ignore (Session.compile_resilient Arch.v100 g);
+  check_int "Session.compile_resilient counts one" (c0 + 2) (compiles ());
+  let cache = Session.make_cache () in
+  let _, o1 = Session.compile_cached cache b Arch.v100 g in
+  check_bool "first cached compile misses" true (o1 = Plan_cache.Miss);
+  check_int "the miss compiles once" (c0 + 3) (compiles ());
+  let _, o2 = Session.compile_cached cache b Arch.v100 g in
+  check_bool "second cached compile hits" true (o2 = Plan_cache.Hit);
+  check_int "the hit compiles nothing" (c0 + 3) (compiles ())
+
 (* --- Execution contexts ------------------------------------------------- *)
 
 let context_workloads () =
@@ -409,6 +431,8 @@ let () =
             test_fault_injected_compile_bypasses_cache;
           Alcotest.test_case "degraded compiles bypass" `Quick
             test_degraded_compile_bypasses_cache;
+          Alcotest.test_case "session.compiles counts compiles" `Quick
+            test_session_compiles_counted;
         ] );
       ( "context",
         [
