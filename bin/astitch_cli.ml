@@ -1419,8 +1419,8 @@ let serve_cmd =
   in
   let verify_arg =
     Arg.(value & opt int 0 & info [ "verify-every" ] ~docv:"N"
-           ~doc:"Every Nth batch, re-execute its first request alone and \
-                 assert the batched outputs are bit-identical (0 = off).")
+           ~doc:"Every Nth batch, check its first request's outputs \
+                 against the reference interpreter, bit for bit (0 = off).")
   in
   let chaos_arg =
     Arg.(value & flag
@@ -1432,8 +1432,8 @@ let serve_cmd =
   in
   let retry_budget_arg =
     Arg.(value & opt int 2 & info [ "retry-budget" ] ~docv:"N"
-           ~doc:"Failed batch executions a request survives before \
-                 dropping to per-request fallback.")
+           ~doc:"Failed batch executions a request survives before the \
+                 reference interpreter serves it alone.")
   in
   let breaker_arg =
     Arg.(value & opt int 4 & info [ "breaker-threshold" ] ~docv:"N"

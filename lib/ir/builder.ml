@@ -97,18 +97,6 @@ let broadcast_scalar b x out_dims =
     Graph.ill_formed "broadcast_scalar: input is not a scalar";
   broadcast b x ~dims:[] out_dims
 
-(* Broadcast [x] along new trailing axes: <a,b> -> <a,b,extra...>. *)
-let broadcast_trailing b x extra =
-  let s = Shape.to_list (shape_of b x) in
-  let r = List.length s in
-  broadcast b x ~dims:(List.init r Fun.id) (s @ extra)
-
-(* Broadcast [x] along new leading axes: <a,b> -> <extra...,a,b>. *)
-let broadcast_leading b x extra =
-  let s = Shape.to_list (shape_of b x) in
-  let r = List.length s and e = List.length extra in
-  broadcast b x ~dims:(List.init r (fun i -> e + i)) (extra @ s)
-
 let reduce b kind ~axes x =
   emit b (Op.Reduce { input = x; kind; axes = Array.of_list axes })
 

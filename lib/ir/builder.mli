@@ -53,8 +53,6 @@ val broadcast : t -> v -> dims:int list -> int list -> v
     [List.nth dims i]; remaining output axes replicate. *)
 
 val broadcast_scalar : t -> v -> int list -> v
-val broadcast_trailing : t -> v -> int list -> v
-val broadcast_leading : t -> v -> int list -> v
 val reduce : t -> Op.reduce_kind -> axes:int list -> v -> v
 val reduce_sum : t -> axes:int list -> v -> v
 val reduce_max : t -> axes:int list -> v -> v

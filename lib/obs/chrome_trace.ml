@@ -114,7 +114,8 @@ let add_record b = function
       add_args b [] f.Trace.fattrs;
       Buffer.add_char b '}'
 
-let to_buffer b ?(process_name = "astitch") (records : Trace.record list) =
+let to_string ?(process_name = "astitch") (records : Trace.record list) =
+  let b = Buffer.create 4096 in
   Buffer.add_string b "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n";
   Buffer.add_string b "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":1,\"args\":{\"name\":";
   add_str b process_name;
@@ -124,11 +125,7 @@ let to_buffer b ?(process_name = "astitch") (records : Trace.record list) =
       Buffer.add_string b ",\n";
       add_record b r)
     records;
-  Buffer.add_string b "\n]}\n"
-
-let to_string ?process_name records =
-  let b = Buffer.create 4096 in
-  to_buffer b ?process_name records;
+  Buffer.add_string b "\n]}\n";
   Buffer.contents b
 
 let to_file ~path ?process_name records =

@@ -6,5 +6,4 @@
     span/parent ids travel in [args]. *)
 
 val to_string : ?process_name:string -> Trace.record list -> string
-val to_buffer : Buffer.t -> ?process_name:string -> Trace.record list -> unit
 val to_file : path:string -> ?process_name:string -> Trace.record list -> unit

@@ -22,8 +22,8 @@
    the per-cluster retry succeed; more fuel pushes the degradation ladder
    further down.  The terminal fallbacks deliberately avoid every
    instrumented site — kernel-per-op compilation for the compile ladder,
-   [Executor.run] solo execution for the serving ladder — so both
-   ladders always terminate.
+   the reference interpreter for the serving ladder — so both ladders
+   always terminate.
 
    The registry is shared by compile domains and serving worker domains,
    so fuel and the firing counters are atomics: a fault with fuel [n]

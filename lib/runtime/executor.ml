@@ -18,76 +18,18 @@ exception Execution_error of string
 
 (* --- Runtime fault instrumentation --------------------------------------
 
-   The reusable-context path ([create_context]/[run_context]) carries two
-   of the serving runtime's fault sites: [Kernel_exec] fires after each
-   kernel executes, [Staged_restage] inside slab refills.  [run] is
-   deliberately NOT instrumented: it is the terminal rung of the serving
-   degradation ladder (the per-request fallback), and keeping it
-   fault-free is what guarantees every request resolves to a structured
-   outcome even under persistent injected faults.
-
-   Corrupt mode perturbs one cell of a live buffer in place
-   ([Fault_site.corrupt]) - silent numeric damage with no exception,
-   which only the serving layer's poisoned-batch detection (comparing
-   the fired counter around each batch) can catch. *)
-
-let run (plan : Kernel_plan.t) ~params : Tensor.t list =
-  let traced = Trace.enabled () in
-  let rsid = if traced then Trace.span_begin ~phase:"exec" "run" else 0 in
-  let g = plan.graph in
-  let n = Graph.num_nodes g in
-  let values = Array.make n (Tensor.scalar 0.) in
-  let computed = Array.make n false in
-  let require id =
-    if not computed.(id) then
-      raise
-        (Execution_error
-           (Printf.sprintf "node %%%d read before it was computed" id))
-  in
-  (* leaves are device-resident before the first kernel launches *)
-  Graph.iter_nodes
-    (fun nd ->
-      if Kernel_plan.is_leaf g nd.id then begin
-        values.(nd.id) <- Interp.eval_node g values ~params nd;
-        computed.(nd.id) <- true
-      end)
-    g;
-  List.iter
-    (fun (k : Kernel_plan.kernel) ->
-      let ksid = if traced then Trace.span_begin ~phase:"exec" k.name else 0 in
-      List.iter
-        (fun (o : Kernel_plan.compiled_op) ->
-          List.iter require (Graph.operands g o.id);
-          values.(o.id) <- Interp.eval_node g values ~params (Graph.node g o.id);
-          computed.(o.id) <- true)
-        k.ops;
-      (* on-chip and scratch values die with their kernel: only
-         device-materialized tensors remain visible downstream.  A later
-         kernel reading a purged value is a backend bug this executor
-         surfaces independently of the static plan checker. *)
-      List.iter
-        (fun (o : Kernel_plan.compiled_op) ->
-          match o.placement with
-          | Kernel_plan.Device_mem -> ()
-          | Kernel_plan.Register | Kernel_plan.Shared_mem
-          | Kernel_plan.Global_scratch ->
-              computed.(o.id) <- false)
-        k.ops;
-      if ksid <> 0 then Trace.span_end ksid)
-    plan.kernels;
-  if rsid <> 0 then Trace.span_end rsid;
-  List.map
-    (fun id ->
-      require id;
-      values.(id))
-    (Graph.outputs g)
+   Every context carries two of the serving runtime's fault sites:
+   [Kernel_exec] fires after each kernel executes, [Staged_restage]
+   inside slab refills.  Corrupt mode perturbs one cell of a live buffer
+   in place ([Fault_site.corrupt]) - silent numeric damage with no
+   exception, which only the serving layer's poisoned-batch detection
+   (comparing the fired counter around each batch) can catch. *)
 
 (* --- Reusable execution contexts --------------------------------------
 
-   [run] above re-walks the kernel lists and allocates a fresh tensor per
-   op on every call.  For serving, a plan is compiled once and executed
-   many times, so [create_context] compiles the plan once into per-kernel
-   execution recipes and [run_context] replays them.
+   A plan is compiled once and executed many times, so [create_context]
+   compiles the plan once into per-kernel execution recipes and
+   [run_context] replays them; [run] is a one-shot reference context.
 
    Two recipes exist per kernel.  The *fused* recipe (default) finally
    makes the runtime honor the plan's stitching schemes instead of
@@ -762,9 +704,8 @@ let run_context ?batch (ctx : context) ~params : Tensor.t list =
         (Execution_error
            (Printf.sprintf "node %%%d read before it was computed" id))
   in
-  (* bind parameters through the pre-resolved slots (id order, matching
-     the leaf sweep in [run]); under a symbolic batch, scaled parameters
-     bind at their prefix shape *)
+  (* bind parameters through the pre-resolved slots (id order); under a
+     symbolic batch, scaled parameters bind at their prefix shape *)
   Array.iter
     (fun (id, name, shape) ->
       match List.assoc_opt name params with
@@ -939,6 +880,12 @@ let run_context ?batch (ctx : context) ~params : Tensor.t list =
           in
           Tensor.create s (Array.sub (Tensor.data values.(id)) 0 nb) :: acc)
         ctx.output_ids []
+
+(* The reference context, built for one run and dropped: every kernel
+   on the per-node instruction path, no create-context span, so traced
+   set-up counts only contexts meant to be reused. *)
+let run plan ~params =
+  run_context (create_context_body ~fused:false ~timed:false plan) ~params
 
 (* Execute and compare against the reference interpreter, bit for bit:
    every plan must reproduce it exactly. *)

@@ -10,7 +10,11 @@ exception Execution_error of string
 
 val run :
   Kernel_plan.t -> params:(string * Tensor.t) list -> Tensor.t list
-(** Walk kernels in plan order; graph outputs in declaration order.
+(** One-shot reference execution: {!run_context} on a context built
+    [~fused:false] for this call alone (no ["create-context"] span), so
+    kernels run in plan order on the reference path; graph outputs in
+    declaration order.  Like every context it carries the runtime fault
+    sites: an armed [kernel-exec] fault fires here too.
     @raise Execution_error if the plan reads a value before computing it. *)
 
 val run_and_check :

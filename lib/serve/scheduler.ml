@@ -306,42 +306,49 @@ let breaker_instant model transition =
       ("breaker-" ^ transition)
       ~attrs:[ ("model", Trace.Str model) ]
 
+(* Under the lock; returns [true] so that the caller dumps the incident
+   once the lock is released - a dump writes a whole file, and every
+   submit and dispatch waits on this lock. *)
 let open_breaker_locked t model (b : breaker) =
   b.bstate <- `Open;
   b.open_until <- Clock.now_us () +. t.breaker_cooldown_us;
   t.breaker_opens <- t.breaker_opens + 1;
   breaker_instant model "open";
-  if Trace.enabled () then
-    ignore
-      (Flight.incident ~reason:"breaker-open"
-         ~attrs:[ ("model", Trace.Str model) ]
-         ())
+  true
 
 (* Every batch result feeds the model's breaker: a success closes it
    (from half-open or even open - the worker proved the plan serves),
    a failure opened-from-closed after [breaker_threshold] consecutive
    misses, and a failed half-open probe re-opens for another cooldown. *)
 let note_batch_result t ~model ~ok =
-  locked t (fun () ->
-      if t.breaker_threshold > 0 then begin
-        let b = breaker_for t model in
-        if ok then begin
-          if b.bstate <> `Closed then begin
-            b.bstate <- `Closed;
-            t.breaker_closes <- t.breaker_closes + 1;
-            breaker_instant model "close"
-          end;
-          b.consec <- 0
-        end
-        else begin
-          b.consec <- b.consec + 1;
-          match b.bstate with
-          | `Half_open -> open_breaker_locked t model b
-          | `Closed when b.consec >= t.breaker_threshold ->
-              open_breaker_locked t model b
-          | `Open | `Closed -> ()
-        end
-      end)
+  let opened =
+    locked t (fun () ->
+        if t.breaker_threshold <= 0 then false
+        else
+          let b = breaker_for t model in
+          if ok then begin
+            if b.bstate <> `Closed then begin
+              b.bstate <- `Closed;
+              t.breaker_closes <- t.breaker_closes + 1;
+              breaker_instant model "close"
+            end;
+            b.consec <- 0;
+            false
+          end
+          else begin
+            b.consec <- b.consec + 1;
+            match b.bstate with
+            | `Half_open -> open_breaker_locked t model b
+            | `Closed when b.consec >= t.breaker_threshold ->
+                open_breaker_locked t model b
+            | `Open | `Closed -> false
+          end)
+  in
+  if opened && Trace.enabled () then
+    ignore
+      (Flight.incident ~reason:"breaker-open"
+         ~attrs:[ ("model", Trace.Str model) ]
+         ())
 
 let breaker_state t model =
   locked t (fun () ->

@@ -27,11 +27,12 @@ type config = {
   max_wait_us : float;  (** batching window *)
   queue_depth : int;  (** admission-control bound, across models *)
   arch : Astitch_simt.Arch.t;
-  verify_every : int;  (** bit-identity spot checks; 0 = off *)
+  verify_every : int;  (** spot checks against the interpreter; 0 = off *)
   seed : int;  (** shared-weight generation *)
   retry_budget : int;
       (** how many failed batch executions a request survives before
-          dropping to the per-request fallback rung *)
+          it is served alone by the reference interpreter (the
+          fallback rung, which compiles nothing) *)
   breaker_threshold : int;
       (** consecutive batch failures that open a model's circuit
           breaker; 0 disables breakers *)
@@ -64,7 +65,7 @@ val default_config : config
     verification, seed 42; retry budget 2, breaker threshold 4 /
     cooldown 5ms, wedge timeout 50ms; no SLOs (every model
     best-effort), fair-share floor 1/8.  Workers execute on the fused
-    engine through a 64-entry plan cache and respawn after 1ms,
+    engine through the shared plan cache and respawn after 1ms,
     doubling per consecutive death (capped at 128x). *)
 
 type t

@@ -37,11 +37,10 @@
      evicted from the compile cache), and its requests are re-dispatched
      individually under a per-request retry budget.
 
-   - A request whose budget is spent falls back to solo execution
-     through the resilient compile ladder ([Session.compile_resilient]
-     + [Executor.run]) - the terminal rung, deliberately free of fault
-     instrumentation, so every request resolves to [Done] or [Failed].
-     Nothing is ever lost. *)
+   - A request whose budget is spent falls back to the reference
+     interpreter on its model's batch-1 graph - the terminal rung,
+     which no fault site reaches and which compiles nothing, so every
+     request resolves to [Done] or [Failed].  Nothing is ever lost. *)
 
 open Astitch_ir
 open Astitch_tensor
@@ -202,22 +201,19 @@ let run_rows ctx ~rows params =
 
 (* --- Serving one batch --------------------------------------------------- *)
 
-(* Bit-identity spot check: serve the batch's first request alone on
-   the SAME context - at one row, or padded to the full extent when the
-   context cannot rebind - and compare against its slice of the batched
-   outputs.  A mismatch means a row-dependent builder slipped past
+(* What every served output must reproduce bit for bit: the
+   interpreter on the model's batch-1 graph, under the server's weights
+   and the request's own bindings. *)
+let reference m (req : Request.t) =
+  Interp.run m.spec.Batching.base ~params:(m.shared @ req.params)
+
+(* Bit-identity spot check: the batch's first request against its
+   {!reference}.  A mismatch means a row-dependent builder slipped past
    analysis - that is a server bug, not a request failure, so it raises
-   (and the batch goes down the recovery path, which is trivially
-   identical). *)
-let verify_first pool m ctx (req : Request.t) sliced =
-  let rows = rows_for m ctx 1 in
-  let solo =
-    run_rows ctx ~rows (m.shared @ pack_rows m ~rows [ req.params ])
-    |> Batching.unpack m.spec ~count:1
-    |> List.hd
-  in
-  if not (List.for_all2 Tensor.equal_bits solo sliced) then
-    failwith "batched outputs diverge from solo execution";
+   (and the batch goes down the recovery path). *)
+let verify_first pool m (req : Request.t) sliced =
+  if not (List.for_all2 Tensor.equal_bits (reference m req) sliced) then
+    failwith "batched outputs diverge from the interpreter";
   Metrics.inc pool.m_verified
 
 let complete_done pool ~t_done ~batch_size ~degraded (req : Request.t) outputs
@@ -243,51 +239,35 @@ let observe_phases pool (req : Request.t) ~t_pack ~t_exec ~t_unpack ~t_done =
   Metrics.observe pool.m_exec_us (t_unpack -. t_exec);
   Metrics.observe pool.m_unpack_us (t_done -. t_unpack)
 
-(* The terminal rung: each request alone, batch 1, through the
-   resilient compile ladder and the UN-instrumented [Executor.run].
-   Keeping fault sites out of this path is what makes the whole ladder
-   terminate: however chaotic the run, a request that reaches here
-   resolves to [Done] (degraded) or [Failed].  Never raises.
+(* The terminal rung: one request alone, through its {!reference}.  No
+   fault site reaches the interpreter and nothing is compiled, so
+   however chaotic the run, a request that reaches here resolves to
+   [Done] (degraded) or [Failed].  Never raises.
 
-   Decomposition on this path: there is no batch pack, so the pack
-   bucket absorbs the resilient compile and the batch-wait bucket the
-   handoff from the last dispatch - the per-request sum still
+   Decomposition on this path: there is no pack, so the pack bucket is
+   empty, the exec bucket holds the interpretation and the batch-wait
+   bucket the handoff from the last dispatch - the per-request sum still
    telescopes to the end-to-end latency. *)
-let serve_fallback pool m (requests : Request.t list) =
-  List.iter
-    (fun (req : Request.t) ->
-      let attrs =
-        if Trace.enabled () then
-          [ ("model", Trace.Str req.model); ("id", Trace.Int req.id) ]
-        else []
-      in
-      Trace.with_span ~attrs ~phase:"serve" "fallback" (fun () ->
-          if Trace.enabled () then
-            Trace.flow_step ~phase:"serve" req.trace "request"
-              ~attrs:[ ("hop", Trace.Str "fallback") ];
-          let t_pack = Clock.now_us () in
-          match
-            Session.compile_resilient pool.arch (m.spec.Batching.build 1)
-          with
-          | Error e ->
-              Scheduler.complete pool.scheduler req
-                (Request.Failed (Astitch_plan.Compile_error.to_string e))
-          | Ok { result; _ } -> (
-              let t_exec = Clock.now_us () in
-              match
-                Executor.run result.Session.plan
-                  ~params:(m.shared @ req.params)
-              with
-              | outputs ->
-                  let t_unpack = Clock.now_us () in
-                  observe_phases pool req ~t_pack ~t_exec ~t_unpack
-                    ~t_done:t_unpack;
-                  complete_done pool ~t_done:t_unpack ~batch_size:1
-                    ~degraded:true req outputs
-              | exception e ->
-                  Scheduler.complete pool.scheduler req
-                    (Request.Failed (Printexc.to_string e)))))
-    requests
+let serve_fallback pool m (req : Request.t) =
+  let attrs =
+    if Trace.enabled () then
+      [ ("model", Trace.Str req.model); ("id", Trace.Int req.id) ]
+    else []
+  in
+  Trace.with_span ~attrs ~phase:"serve" "fallback" (fun () ->
+      if Trace.enabled () then
+        Trace.flow_step ~phase:"serve" req.trace "request"
+          ~attrs:[ ("hop", Trace.Str "fallback") ];
+      let t_exec = Clock.now_us () in
+      match reference m req with
+      | outputs ->
+          let t_done = Clock.now_us () in
+          observe_phases pool req ~t_pack:t_exec ~t_exec ~t_unpack:t_done
+            ~t_done;
+          complete_done pool ~t_done ~batch_size:1 ~degraded:true req outputs
+      | exception e ->
+          Scheduler.complete pool.scheduler req
+            (Request.Failed (Printexc.to_string e)))
 
 (* Recovery for the requests of a batch that did not complete cleanly:
    each request re-enters the scheduler for a solo re-dispatch while it
@@ -314,7 +294,7 @@ let recover_requests pool ~reason (batch : Scheduler.batch) =
             r.attempts <- r.attempts + 1;
             Scheduler.requeue pool.scheduler r
           end
-          else serve_fallback pool m [ r ])
+          else serve_fallback pool m r)
         batch.requests)
 
 let serve_batch pool (batch : Scheduler.batch) =
@@ -378,7 +358,7 @@ let serve_batch pool (batch : Scheduler.batch) =
            match (batch.requests, per_request) with
            | req :: _, sliced :: _ ->
                Trace.with_span ~phase:"serve" "verify" (fun () ->
-                   verify_first pool m ctx req sliced)
+                   verify_first pool m req sliced)
            | _ -> ());
         (* Corrupt-mode faults don't raise - they silently perturb
            numerics.  Any site that fired during this batch poisons it:

@@ -17,8 +17,8 @@
     timeout); a failing or fault-poisoned batch quarantines its context,
     evicts the plan behind it from the compile cache, and re-dispatches
     its requests solo under a per-request retry budget, falling back to
-    resilient per-request execution when the budget is spent.  The pool
-    never crashes the server and never loses a request. *)
+    the reference interpreter per request when the budget is spent.
+    The pool never crashes the server and never loses a request. *)
 
 open Astitch_tensor
 open Astitch_runtime
@@ -45,14 +45,15 @@ val create :
   t
 (** Spawn [workers] domains plus one monitor domain immediately;
     [Serve.create] refuses [workers < 1] before calling this.
-    [verify_every] > 0 re-executes the first request of every n-th
-    batch alone and asserts the batched outputs are bit-identical (a
+    [verify_every] > 0 checks the first request of every n-th batch
+    against [Interp.run] on the model's batch-1 graph, bit for bit (a
     serving self-check; 0 disables).  [retry_budget] is how many
     failed batch executions a request survives before dropping to the
-    per-request fallback rung.  A worker whose heartbeat goes stale for
-    [wedge_timeout_us] with a batch in hand is wedged (batch stolen);
-    a dead worker is respawned after 1 ms, doubling per consecutive
-    death (capped at 128x).  Contexts run on the fused engine. *)
+    fallback rung: that same interpreter call, which compiles nothing.
+    A worker whose heartbeat goes stale for [wedge_timeout_us] with a
+    batch in hand is wedged (batch stolen); a dead worker is respawned
+    after 1 ms, doubling per consecutive death (capped at 128x).
+    Contexts run on the fused engine. *)
 
 val join : t -> unit
 (** Block until the monitor and every worker exit.  Call after

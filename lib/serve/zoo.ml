@@ -5,15 +5,17 @@
    of each model with its class, and the persistent plan store that
    prewarm loads from and saves to.  Prewarm is the store's only writer:
    it saves each plan it compiles, so shutdown has nothing to persist -
-   traffic compiles only quarantine recompiles of a plan already saved
-   (byte-identical) and uncached fallback plans.
+   the only traffic compiles are quarantine recompiles of a plan already
+   saved (byte-identical); the fallback rung interprets and compiles
+   nothing.
 
    Prewarm ordering matters: plans are loaded-or-compiled and seeded
    into the server's session cache BEFORE Serve.warm builds executor
    contexts, so warm's checkouts hit the cache; and all of it happens
    before the first submit is legal, so no request ever races a cold
-   compile.  On a warm store that leaves zero compile-phase spans in
-   the whole process trace - the property the CI smoke test pins. *)
+   compile.  On a warm store that leaves [session.compiles] where
+   prewarm left it for the whole of traffic - the property the CI smoke
+   test pins. *)
 
 open Astitch_ir
 open Astitch_runtime

@@ -13,8 +13,9 @@
     from [plan_dir] (falling back to compiling and saving it),
     optionally gating each loaded plan on bit-identity against a fresh
     compile, and then warms executor contexts - all before the zoo
-    admits any traffic.  A restarted zoo pointed at the same directory serves its
-    first request of every model with zero compile-phase spans. *)
+    admits any traffic.  A restarted zoo pointed at the same directory
+    serves every request without a compile: fault-free traffic leaves
+    [session.compiles] where prewarm left it. *)
 
 open Astitch_tensor
 

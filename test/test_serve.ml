@@ -793,8 +793,8 @@ let submit_burst server ~what ~seed n =
    batch of one when the server was not warmed.  Either way that one
    pooled context serves every size, padded to max_batch rows (1+2+3
    padding rows for bursts of 1..4), nothing is retried, and every size
-   is bit-identical to the interpreter - including the full batch's
-   solo verification on the same context. *)
+   is bit-identical to the interpreter - the full batch's spot check
+   compares against it too. *)
 let test_demoted_model_keeps_serving () =
   let max_batch = 4 in
   let config =
@@ -921,9 +921,9 @@ let serve_bursts server ~model ~max_batch =
       tickets
   done
 
-(* Verifying every batch runs the solo request on the batch's own
-   context, so a warmed single-worker CRNN server ends with the one
-   context it warmed. *)
+(* Verifying every batch compares against the interpreter and checks
+   out no second context, so a warmed single-worker CRNN server ends
+   with the one context it warmed. *)
 let test_crnn_pools_one_context () =
   let config =
     {
@@ -1012,21 +1012,31 @@ let test_chaos_sweep () =
 (* A fault that never stops firing: kernel-exec raises on every batch,
    forever.  Breakers off so nothing is fast-rejected; every request
    must ride the ladder down to the fault-free fallback rung and come
-   back [Done] (degraded), bit-identical. *)
+   back [Done] (degraded), bit-identical.  The rung is the interpreter,
+   so it compiles nothing: every compile during the burst is a context
+   checkout's. *)
 let test_chaos_persistent_fault_liveness () =
   let config =
     { (serve_config ~workers:1 ~max_batch:2 ()) with
       Serve.breaker_threshold = 0 }
   in
   let server = Serve.create ~config [ mlp_model ] in
+  let session_compiles () =
+    Astitch_obs.Metrics.(value (counter default "session.compiles"))
+  in
   Fun.protect
     ~finally:(fun () -> Serve.shutdown server)
     (fun () ->
       Fault.with_faults
         [ Fault.plan Fault.Kernel_exec ~mode:Fault.Raise ~seed:3 ~fuel:max_int ]
         (fun () ->
+          let compiles0 = session_compiles ()
+          and checkouts0 = (Serve.stats server).plan_compiles in
           let burst = submit_burst server ~what:"persistent" ~seed:1 6 in
           Serve.drain server;
+          check_int "persistent: every compile is a checkout compile"
+            ((Serve.stats server).plan_compiles - checkouts0)
+            (session_compiles () - compiles0);
           let spec = Serve.spec server ~model:"mlp" in
           let shared = Serve.shared_weights server ~model:"mlp" in
           List.iter
@@ -1100,6 +1110,47 @@ let test_chaos_breaker_opens_and_closes () =
       let s = Serve.stats server in
       check_bool "open transitions counted" true (s.breaker_opens >= 1);
       check_bool "close transitions counted" true (s.breaker_closes >= 1))
+
+(* A breaker that opens dumps one incident, written after the scheduler
+   lock is released.  Two consecutive failures open it; a third, on the
+   open breaker, opens nothing and dumps nothing. *)
+let test_breaker_open_dump () =
+  let dir =
+    Filename.concat
+      (Filename.get_temp_dir_name ())
+      (Printf.sprintf "astitch-breaker-dump-%d" (Unix.getpid ()))
+  in
+  (try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
+  Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
+  let sched =
+    Scheduler.create ~breaker_threshold:2
+      ~policy:(Batcher.policy ~max_batch:1 ~max_wait_us:0.)
+      ~queue_depth:4 ()
+  in
+  Astitch_obs.Flight.arm ~dir ();
+  Fun.protect
+    ~finally:(fun () ->
+      Astitch_obs.Flight.disarm ();
+      Scheduler.dispose sched)
+    (fun () ->
+      for _ = 1 to 3 do
+        Scheduler.note_batch_result sched ~model:"mlp" ~ok:false
+      done;
+      check_bool "breaker open" true
+        (Scheduler.breaker_state sched "mlp" = `Open);
+      match
+        List.filter
+          (fun f -> String.ends_with ~suffix:"-breaker-open.json" f)
+          (Array.to_list (Sys.readdir dir))
+      with
+      | [ f ] ->
+          let ic = open_in (Filename.concat dir f) in
+          let text = really_input_string ic (in_channel_length ic) in
+          close_in ic;
+          check_bool "the dump holds its breaker-open marker" true
+            (contains text
+               "{\"name\":\"breaker-open\",\"cat\":\"incident\"")
+      | l -> Alcotest.failf "expected one breaker-open dump, got %d" (List.length l))
 
 (* Worker death and restart: the worker-loop site kills the worker with
    a batch in hand; the monitor recovers the batch and respawns the
@@ -1410,6 +1461,8 @@ let () =
             test_chaos_persistent_fault_liveness;
           Alcotest.test_case "breaker opens, half-opens, closes" `Quick
             test_chaos_breaker_opens_and_closes;
+          Alcotest.test_case "breaker-open dump written once" `Quick
+            test_breaker_open_dump;
           Alcotest.test_case "dead worker restarts, batch recovered" `Quick
             test_chaos_worker_restart;
           Alcotest.test_case "wedged worker's batch stolen" `Quick
