@@ -1012,7 +1012,7 @@ let serve_cmd_impl models slo_specs plan_dir verify_plans expect_warm
                         let n_models = List.length models in
                         Printf.printf
                           "serve: %d model%s, %d workers, max-batch %d, \
-                           window %.0fus, depth %d, floor %.3f%s\n\
+                           max wait %.0fus, depth %d, floor %.3f%s\n\
                            %!"
                           n_models
                           (if n_models = 1 then "" else "s")
@@ -1318,8 +1318,11 @@ let traffic_term =
   in
   let max_wait_us =
     Arg.(value & opt float 2000. & info [ "max-wait-us" ] ~docv:"US"
-           ~doc:"Batching window: a request is never held longer than this \
-                 waiting for batchmates.")
+           ~doc:"Upper bound on batching: a request is never held longer \
+                 than this waiting for batchmates.  Within it, a partial \
+                 batch is held for one measured batch service time of its \
+                 model, and a model with no measured batch yet dispatches \
+                 at once.")
   in
   let queue_depth =
     Arg.(value & opt int 64 & info [ "queue-depth" ] ~docv:"N"

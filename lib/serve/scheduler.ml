@@ -3,21 +3,26 @@
    One mutex guards the bounded queue, the completion table and every
    counter; workers and submitters meet only here.  Every timestamp it
    compares - request stamps and deadlines, breaker cooldowns, batching
-   windows - is [Clock.now_us], the monotonic clock.  Two conditions:
+   holds - is [Clock.now_us], the monotonic clock.  Two conditions:
    [nonempty] wakes workers when work (or shutdown) arrives, [done_cond]
    wakes waiters when an outcome lands.
 
-   The OCaml stdlib has no timed condition wait, so the batching window
-   is enforced by a wake pipe + timeout: a worker that sees pending-but-
-   not-yet-dispatchable work parks in [Unix.select] on the pipe's read
-   end with a fraction of the window ([poll_s]) as the timeout, while a
-   worker that sees an empty queue blocks on [nonempty] and costs
-   nothing.  The timeout (max_wait/4 clamped to [50us, 200us]) bounds
-   how late a window EXPIRY can be noticed; queue EVENTS don't wait for
-   it - a submission that fills a batch to [max_batch], a drain, and
-   shutdown each write one byte to the pipe and the select returns
-   immediately, so a full batch dispatches the moment it forms instead
-   of up to a poll tick later.
+   A partial batch is held for its model's hold: the service time of
+   that model's last successful batch, which the worker pool reports
+   through [note_batch_result] ([Batcher] explains why one service time
+   is the right wait, and caps it at [max_wait_us]).  A model with no
+   measured batch has a hold of 0, so an idle worker dispatches it at
+   once.  The OCaml stdlib has no timed condition wait, so holds are
+   enforced by a wake pipe + timeout: a worker that sees
+   pending-but-not-yet-dispatchable work parks in [Unix.select] on the
+   pipe's read end until the earliest hold expires, capped at one poll
+   tick ([poll_s]: max_wait/4 clamped to [50us, 200us]) so an arrival
+   for another model is seen within a tick, while a worker that sees
+   an empty queue blocks on [nonempty] and costs nothing.  Queue EVENTS
+   don't wait for either - a submission that fills a batch to
+   [max_batch], a drain, and shutdown each write one byte to the pipe
+   and the select returns immediately, so a full batch dispatches the
+   moment it forms.
 
    Admission control is synchronous: [submit] either admits (the caller
    will find an outcome under the request id) or returns the structured
@@ -102,6 +107,9 @@ type t = {
   breaker_threshold : int;  (** consecutive failures to open; 0 = off *)
   breaker_cooldown_us : float;
   policy : Batcher.policy;
+  holds : (string, float) Hashtbl.t;
+      (** per model: the last successful batch's service time (us), how
+          long its partial batches are held; absent = 0 *)
   poll_s : float;
   wake_r : Unix.file_descr;  (** self-pipe read end: select target *)
   wake_w : Unix.file_descr;  (** write one byte = wake a parked worker *)
@@ -171,6 +179,7 @@ let create ?(breaker_threshold = 4) ?(breaker_cooldown_us = 5_000.)
     breaker_threshold;
     breaker_cooldown_us;
     policy;
+    holds = Hashtbl.create 8;
     poll_s = 1e-6 *. Batcher.poll_interval_us policy;
     wake_r;
     wake_w;
@@ -202,16 +211,19 @@ let wake t =
     try ignore (Unix.write t.wake_w (Bytes.make 1 '!') 0 1)
     with Unix.Unix_error ((EAGAIN | EWOULDBLOCK | EPIPE | EBADF), _, _) -> ()
 
-(* Park for at most one poll tick, or until someone writes the wake
-   pipe.  Called WITHOUT the scheduler lock.  Readable bytes are
-   drained so a single event doesn't turn every later wait into a spin;
-   with several parked workers one drains and the rest time out, which
-   is correct (spurious wakeups are fine, missed ones are not - and a
-   wake written after the drain leaves a byte for the next select). *)
-let wait_poll t =
-  if t.disposed then ()
+(* Park until [until_us] ([Clock.now_us]) but at most one poll tick,
+   or until someone writes the wake pipe.  Called WITHOUT the scheduler
+   lock.  Readable bytes are drained so a single event doesn't turn
+   every later wait into a spin; with several parked workers one drains
+   and the rest time out, which is correct (spurious wakeups are fine,
+   missed ones are not - and a wake written after the drain leaves a
+   byte for the next select). *)
+let wait_poll t ~until_us =
+  let timeout = Float.min t.poll_s (1e-6 *. (until_us -. Clock.now_us ())) in
+  (* a negative select timeout would block forever *)
+  if t.disposed || timeout <= 0. then ()
   else begin
-    (try ignore (Unix.select [ t.wake_r ] [] [] t.poll_s)
+    (try ignore (Unix.select [ t.wake_r ] [] [] timeout)
      with Unix.Unix_error ((EINTR | EBADF), _, _) -> ());
     let buf = Bytes.create 64 in
     let rec drain () =
@@ -319,10 +331,14 @@ let open_breaker_locked t model (b : breaker) =
 (* Every batch result feeds the model's breaker: a success closes it
    (from half-open or even open - the worker proved the plan serves),
    a failure opened-from-closed after [breaker_threshold] consecutive
-   misses, and a failed half-open probe re-opens for another cooldown. *)
-let note_batch_result t ~model ~ok =
+   misses, and a failed half-open probe re-opens for another cooldown.
+   A success's service time becomes the model's hold as it is - a
+   smoothing factor would be one more knob; a failure's says nothing
+   about how long a batch takes to serve and is dropped. *)
+let note_batch_result t ~model ~ok ~service_us =
   let opened =
     locked t (fun () ->
+        if ok then Hashtbl.replace t.holds model service_us;
         if t.breaker_threshold <= 0 then false
         else
           let b = breaker_for t model in
@@ -406,53 +422,54 @@ let displace_locked t ~for_rank =
           complete_locked t evicted (Request.Overloaded Request.Displaced);
           true)
 
-let submit t (req : Request.t) =
-  locked t (fun () ->
-      let a = account t req.model in
-      let refuse o =
-        a.a_rejected <- a.a_rejected + 1;
-        Error o
-      in
-      let broken =
-        t.breaker_threshold > 0
-        &&
-        match Hashtbl.find_opt t.breakers req.model with
-        | None -> false
-        | Some b -> breaker_tick_locked b ~now:(Clock.now_us ()) = `Open
-      in
-      if t.stopped || t.draining then refuse Request.Shutting_down
-      else if broken then refuse Request.Breaker_open
-      else if Request.expired ~now_us:(Clock.now_us ()) req then begin
-        (* Dead on arrival: refuse at admission instead of letting the
-           corpse occupy queue space until dispatch-time shedding.  A
-           refusal never increments [submitted]/[outstanding], so it is
-           accounted as a rejection (keeping the disposition ledger's
-           lost = 0 invariant) and separately as [shed_admission]. *)
-        t.shed_admission <- t.shed_admission + 1;
-        if Trace.enabled () then
-          Trace.instant ~phase:"serve" "shed-admission"
-            ~attrs:
-              [
-                ("model", Trace.Str req.model); ("id", Trace.Int req.id);
-              ];
-        refuse Request.Deadline_exceeded
-      end
-      else if
-        not
-          (Rq.push t.queue ~model:req.model req
-          || displace_locked t ~for_rank:(Slo.rank (slo t req.model))
-             && Rq.push t.queue ~model:req.model req)
-      then refuse Request.Queue_full
-      else begin
-        a.a_submitted <- a.a_submitted + 1;
-        t.outstanding <- t.outstanding + 1;
-        Condition.signal t.nonempty;
-        (* A batch just reached [max_batch]: workers parked on an open
-           window should dispatch NOW, not a poll tick from now. *)
-        if Rq.pending t.queue ~model:req.model >= Batcher.max_batch t.policy
-        then wake t;
-        Ok ()
-      end)
+let submit_locked t (req : Request.t) =
+  let a = account t req.model in
+  let refuse o =
+    a.a_rejected <- a.a_rejected + 1;
+    Error o
+  in
+  let broken =
+    t.breaker_threshold > 0
+    &&
+    match Hashtbl.find_opt t.breakers req.model with
+    | None -> false
+    | Some b -> breaker_tick_locked b ~now:(Clock.now_us ()) = `Open
+  in
+  if t.stopped || t.draining then refuse Request.Shutting_down
+  else if broken then refuse Request.Breaker_open
+  else if Request.expired ~now_us:(Clock.now_us ()) req then begin
+    (* Dead on arrival: refuse at admission instead of letting the
+       corpse occupy queue space until dispatch-time shedding.  A
+       refusal never increments [submitted]/[outstanding], so it is
+       accounted as a rejection (keeping the disposition ledger's
+       lost = 0 invariant) and separately as [shed_admission]. *)
+    t.shed_admission <- t.shed_admission + 1;
+    if Trace.enabled () then
+      Trace.instant ~phase:"serve" "shed-admission"
+        ~attrs:[ ("model", Trace.Str req.model); ("id", Trace.Int req.id) ];
+    refuse Request.Deadline_exceeded
+  end
+  else if
+    not
+      (Rq.push t.queue ~model:req.model req
+      || displace_locked t ~for_rank:(Slo.rank (slo t req.model))
+         && Rq.push t.queue ~model:req.model req)
+  then refuse Request.Queue_full
+  else begin
+    a.a_submitted <- a.a_submitted + 1;
+    t.outstanding <- t.outstanding + 1;
+    Condition.signal t.nonempty;
+    (* A batch just reached [max_batch]: workers parked on a hold
+       should dispatch NOW, not when it expires. *)
+    if Rq.pending t.queue ~model:req.model >= Batcher.max_batch t.policy
+    then wake t;
+    Ok ()
+  end
+
+let submit t req = locked t (fun () -> submit_locked t req)
+
+(* One lock acquisition for the whole burst: no worker sees part of it. *)
+let submit_all t reqs = locked t (fun () -> List.map (submit_locked t) reqs)
 
 (* Shed every queued request past its deadline; their outcome is the
    structured overload, never a silent drop. *)
@@ -483,8 +500,13 @@ let shed_expired_locked t =
    latency flood owns (floor_period - 1) of every [floor_period] slots
    and best-effort still makes progress - goodput bounded below by the
    floor share instead of rounding to zero.  The floor redirects
-   dispatch order only; it never bypasses the batcher's window
-   decision, so a floor pick is still a legal batch. *)
+   dispatch order only; it never bypasses the batcher's hold decision,
+   so a floor pick is still a legal batch.
+
+   Every waiting head is visited anyway, so the pick also reports when
+   the earliest hold expires: with nothing to take, [`Hold_until us] is
+   when the next partial batch becomes dispatchable (infinity when
+   nothing waits), and a worker parks until then. *)
 let pick_locked t =
   let now = Clock.now_us () in
   let draining = t.draining || t.stopped in
@@ -494,18 +516,25 @@ let pick_locked t =
   let served model =
     Option.value ~default:0 (Hashtbl.find_opt t.served model)
   in
-  let best =
+  let best, until =
     List.fold_left
-      (fun best model ->
+      (fun ((best, until) as acc) model ->
         match Rq.oldest t.queue ~model with
-        | None -> best
+        | None -> acc
         | Some (head : Request.t) -> (
             let pending = Rq.pending t.queue ~model in
+            let hold_us =
+              Option.value ~default:0. (Hashtbl.find_opt t.holds model)
+            in
             let wait = now -. head.submitted_us in
             match
-              Batcher.decide t.policy ~pending ~oldest_wait_us:wait ~draining
+              Batcher.decide t.policy ~pending ~oldest_wait_us:wait ~hold_us
+                ~draining
             with
-            | Batcher.Wait -> best
+            | Batcher.Wait ->
+                ( best,
+                  Float.min until
+                    (head.submitted_us +. Batcher.held_us t.policy ~hold_us) )
             | Batcher.Dispatch n -> (
                 let slo = slo t model in
                 let key =
@@ -520,17 +549,17 @@ let pick_locked t =
                     head.id )
                 in
                 match best with
-                | Some (o, _, _) when compare o order <= 0 -> best
-                | _ -> Some (order, model, n))))
-      None (Rq.models t.queue)
+                | Some (o, _, _) when compare o order <= 0 -> acc
+                | _ -> (Some (order, model, n), until))))
+      (None, Float.infinity) (Rq.models t.queue)
   in
-  Option.map
-    (fun (_, model, n) ->
+  match best with
+  | None -> `Hold_until until
+  | Some (_, model, n) ->
       if floor_turn then t.floor_picks <- t.floor_picks + 1;
       t.dispatches <- t.dispatches + 1;
       Hashtbl.replace t.served model (served model + 1);
-      (model, n))
-    best
+      `Take (model, n)
 
 (* Shed every queued request of a model whose breaker is open: the
    fast-rejection contract extends to requests admitted just before the
@@ -575,32 +604,33 @@ let rec take_retry_locked t =
         Some { model = r.model; requests = [ r ] }
       end
 
-(* Under the lock: shed, pick, and take the next dispatchable batch.
-   Retries dispatch ahead of queued work - they have already waited one
-   full batch execution. *)
+(* Under the lock: shed, pick, and take the next dispatchable batch,
+   or learn when the earliest hold expires.  Retries dispatch ahead of
+   queued work - they have already waited one full batch execution. *)
 let dispatch_locked t =
   shed_expired_locked t;
   shed_broken_locked t;
   match take_retry_locked t with
-  | Some b -> Some b
+  | Some b -> `Batch b
   | None -> (
       match pick_locked t with
-      | None -> None
-      | Some (model, n) ->
+      | `Hold_until _ as hold -> hold
+      | `Take (model, n) ->
           let requests = Rq.take t.queue ~model ~max:n in
           t.batches <- t.batches + 1;
           let now = Clock.now_us () in
           List.iter (fun (r : Request.t) -> r.dispatched_us <- now) requests;
-          Some { model; requests })
+          `Batch { model; requests })
 
-(* Block until a batch is ready, the queue has pending-but-waiting work
-   (then poll the batching window), or shutdown empties the world. *)
+(* Block until a batch is ready, the queue has pending-but-held work
+   (then park until the earliest hold expires), or shutdown empties
+   the world. *)
 let rec next_batch t =
   let action =
     locked t (fun () ->
         match dispatch_locked t with
-        | Some b -> `Batch b
-        | None ->
+        | `Batch b -> `Batch b
+        | `Hold_until until_us ->
             if Rq.is_empty t.queue && Stdlib.Queue.is_empty t.retries then
               if t.stopped then `Exit
               else begin
@@ -608,18 +638,19 @@ let rec next_batch t =
                 Condition.wait t.nonempty t.mu;
                 `Retry
               end
-            else `Poll)
+            else `Poll until_us)
   in
   match action with
   | `Batch b -> Some b
   | `Exit -> None
   | `Retry -> next_batch t
-  | `Poll ->
+  | `Poll until_us ->
       (* Re-check the stop flags before parking: a shutdown raised
          between the dispatch attempt and this wait must cost nothing
          (and even a racing one costs at most the select timeout, since
          shutdown also writes the wake pipe). *)
-      if not (locked t (fun () -> t.stopped || t.draining)) then wait_poll t;
+      if not (locked t (fun () -> t.stopped || t.draining)) then
+        wait_poll t ~until_us;
       next_batch t
 
 let outstanding t = locked t (fun () -> t.outstanding)
@@ -672,7 +703,7 @@ let poll t id =
 
 (* Flush everything in flight, then accept again.  While draining,
    submissions are refused ([Shutting_down]) and the batcher dispatches
-   immediately instead of holding the window open. *)
+   immediately instead of holding a partial batch. *)
 let drain t =
   locked t (fun () ->
       t.draining <- true;

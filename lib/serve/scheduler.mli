@@ -57,6 +57,11 @@ val submit : t -> Request.t -> (unit, Request.overload) result
     never produce an outcome entry.  Admission-time deadline refusals
     are counted as rejections plus [shed_admission], never as shed. *)
 
+val submit_all : t -> Request.t list -> (unit, Request.overload) result list
+(** [submit] for each request in order, under one acquisition of the
+    scheduler lock: no worker sees part of the burst.  One result per
+    request. *)
+
 val requeue : t -> Request.t -> unit
 (** Re-admit a request from a failed batch for a solo re-dispatch.
     Bypasses admission control (the request is already admitted and
@@ -66,8 +71,12 @@ val requeue : t -> Request.t -> unit
 val next_batch : t -> batch option
 (** Worker entry point: block until a batch is ready.  Sheds expired
     requests (completing them as [Overloaded Deadline_exceeded]) before
-    each pick.  [None] means the scheduler is shut down and drained -
-    the worker should exit. *)
+    each pick.  A partial batch is held for its model's hold (see
+    {!note_batch_result}) capped at the policy's [max_wait_us]; while
+    every waiting batch is held, the worker parks until the earliest
+    hold expires, at most one {!Batcher.poll_interval_us} tick.  [None]
+    means the scheduler is shut down and drained - the worker should
+    exit. *)
 
 val dispose : t -> unit
 (** Close the wake pipe.  Call only once no worker can be parked in
@@ -85,10 +94,17 @@ val complete : t -> Request.t -> Request.outcome -> unit
     outcome awaiting its ticket.  The winning
     completion terminates the request's flow arrow. *)
 
-val note_batch_result : t -> model:string -> ok:bool -> unit
+val note_batch_result :
+  t -> model:string -> ok:bool -> service_us:float -> unit
 (** Feed a batch execution result to [model]'s circuit breaker:
     [breaker_threshold] consecutive failures open it, a success closes
-    it, a failed half-open probe re-opens it for another cooldown. *)
+    it, a failed half-open probe re-opens it for another cooldown.
+    [service_us] is the time from the batch's dispatch stamp
+    ([Request.dispatched_us]) to its result, on [Clock.now_us] (the
+    worker pool leaves its optional spot check out).  A success's
+    becomes [model]'s hold - how long its next partial batches are
+    held - as it is, unsmoothed; a failure leaves the hold as it was.
+    A model never reported has a hold of 0. *)
 
 val breaker_state : t -> string -> [ `Closed | `Open | `Half_open ]
 (** Current breaker state for a model ([`Closed] if never tripped). *)

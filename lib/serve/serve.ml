@@ -11,8 +11,8 @@
    exactly their request count.  Requests are stamped with
    [Clock.now_us], the clock the scheduler and workers read.
    After that the surface is small: [submit]/[submit_async] with
-   per-request bindings, [drain] to flush, [shutdown] to stop, [stats]
-   to look.
+   per-request bindings, [submit_all] for a burst admitted at once,
+   [drain] to flush, [shutdown] to stop, [stats] to look.
 
    Admission control is the submit path: a request either comes back
    with a ticket (its outcome will land) or with the structured
@@ -28,7 +28,9 @@ type model = { name : string; build : batch:int -> Graph.t }
 type config = {
   workers : int;
   max_batch : int;
-  max_wait_us : float;  (** batching window *)
+  max_wait_us : float;
+      (** upper bound on how long a partial batch is held; within it a
+          batch is held for one measured service time of its model *)
   queue_depth : int;  (** admission-control bound, across models *)
   arch : Astitch_simt.Arch.t;
   verify_every : int;  (** bit-identity spot checks; 0 = off *)
@@ -163,59 +165,78 @@ let plan_cache t = Worker_pool.plan_cache t.pool
 (* A ticket names an admitted request; redeem it with [await]. *)
 type ticket = int
 
-let submit_async ?deadline_us t ~model ~params =
-  ignore (model_state t model);
-  let now = Clock.now_us () in
-  (* Deadline precedence: explicit per-request, then the model's SLO
-     class (a Latency class carries one). *)
+(* Stamp request [id] for [model] and start its flow arrow.  Deadline
+   precedence: explicit per-request, then the model's SLO class (a
+   Latency class carries one). *)
+let make_request ?deadline_us t ~model ~now ~id params =
   let rel =
     match (deadline_us, Scheduler.slo t.scheduler model) with
     | Some _, _ -> deadline_us
     | None, Slo.Latency { deadline_us } -> Some deadline_us
     | None, (Slo.Throughput | Slo.Best_effort) -> None
   in
-  let id = Atomic.fetch_and_add t.next_id 1 in
-  (* Admission runs inside a client-thread span; the request's trace
-     context is minted under it, so the flow arrow leaves from here and
-     lands in whatever worker-domain span serves the request. *)
-  let sid =
-    if Trace.enabled () then
-      Trace.span_begin ~phase:"serve" "submit"
-        ~attrs:[ ("model", Trace.Str model); ("id", Trace.Int id) ]
-    else 0
-  in
   let trace = Trace.new_context () in
-  let req =
-    {
-      Request.id;
-      model;
-      params;
-      submitted_us = now;
-      deadline_us = Option.map (fun d -> now +. d) rel;
-      attempts = 0;
-      trace;
-      dispatched_us = 0.;
-      resolved = false;
-    }
-  in
   if Trace.enabled () then
     Trace.flow_start ~phase:"serve" trace "request"
       ~attrs:[ ("id", Trace.Int id); ("model", Trace.Str model) ];
-  let res = Scheduler.submit t.scheduler req in
-  (match res with
-  | Ok () -> ()
+  {
+    Request.id;
+    model;
+    params;
+    submitted_us = now;
+    deadline_us = Option.map (fun d -> now +. d) rel;
+    attempts = 0;
+    trace;
+    dispatched_us = 0.;
+    resolved = false;
+  }
+
+(* The ticket of an admitted request.  A refusal never reaches the
+   scheduler's completion path, so its flow must terminate here or the
+   "s" arrow dangles. *)
+let ticket_of (req : Request.t) = function
+  | Ok () -> Ok req.id
   | Error o ->
-      (* A refusal never reaches the scheduler's completion path, so
-         the flow must terminate here or the "s" arrow dangles. *)
       if Trace.enabled () then
-        Trace.flow_end ~phase:"serve" trace "request"
+        Trace.flow_end ~phase:"serve" req.trace "request"
           ~attrs:
             [
-              ("id", Trace.Int id);
+              ("id", Trace.Int req.id);
               ("outcome", Trace.Str (Request.overload_to_string o));
-            ]);
-  Trace.span_end sid;
-  match res with Ok () -> Ok id | Error o -> Error o
+            ];
+      Error o
+
+(* Admission runs inside a client-thread span; each request's trace
+   context is minted under it, so the flow arrow leaves from here and
+   lands in whatever worker-domain span serves the request. *)
+let with_submit_span ~model attr f =
+  let attrs =
+    if Trace.enabled () then [ ("model", Trace.Str model); attr ] else []
+  in
+  Trace.with_span ~attrs ~phase:"serve" "submit" f
+
+let submit_async ?deadline_us t ~model ~params =
+  ignore (model_state t model);
+  let now = Clock.now_us () in
+  let id = Atomic.fetch_and_add t.next_id 1 in
+  with_submit_span ~model ("id", Trace.Int id) (fun () ->
+      let req = make_request ?deadline_us t ~model ~now ~id params in
+      ticket_of req (Scheduler.submit t.scheduler req))
+
+let submit_all t ~model params_list =
+  ignore (model_state t model);
+  let now = Clock.now_us () in
+  with_submit_span ~model
+    ("burst", Trace.Int (List.length params_list))
+    (fun () ->
+      let reqs =
+        List.map
+          (fun params ->
+            let id = Atomic.fetch_and_add t.next_id 1 in
+            make_request t ~model ~now ~id params)
+          params_list
+      in
+      List.map2 ticket_of reqs (Scheduler.submit_all t.scheduler reqs))
 
 let await t ticket = Scheduler.await t.scheduler ticket
 

@@ -24,7 +24,9 @@ type model = {
 type config = {
   workers : int;  (** worker domains executing batches; at least 1 *)
   max_batch : int;  (** largest batch a dispatch may take *)
-  max_wait_us : float;  (** batching window *)
+  max_wait_us : float;
+      (** upper bound on how long a partial batch is held; within it a
+          batch is held for one measured service time of its model *)
   queue_depth : int;  (** admission-control bound, across models *)
   arch : Astitch_simt.Arch.t;
   verify_every : int;  (** spot checks against the interpreter; 0 = off *)
@@ -61,7 +63,7 @@ type config = {
 }
 
 val default_config : config
-(** 2 workers, max_batch 8, 2ms window, depth 64, v100, no
+(** 2 workers, max_batch 8, 2ms max wait, depth 64, v100, no
     verification, seed 42; retry budget 2, breaker threshold 4 /
     cooldown 5ms, wedge timeout 50ms; no SLOs (every model
     best-effort), fair-share floor 1/8.  Workers execute on the fused
@@ -105,6 +107,18 @@ val submit_async :
     request whose deadline is already past on arrival is refused as
     [Deadline_exceeded] at admission (counted under [shed_admission])
     instead of occupying queue space.
+    @raise Invalid_argument on an unknown model. *)
+
+val submit_all :
+  t ->
+  model:string ->
+  (string * Tensor.t) list list ->
+  (ticket, Request.overload) result list
+(** [submit_async] (without an explicit deadline) for each binding
+    list in order, admitted under one acquisition of the scheduler
+    lock, so no worker sees part of the burst: the same admission rules
+    apply to each request, and the result list holds one result per
+    request.
     @raise Invalid_argument on an unknown model. *)
 
 val await : t -> ticket -> Request.outcome

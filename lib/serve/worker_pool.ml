@@ -300,6 +300,8 @@ let recover_requests pool ~reason (batch : Scheduler.batch) =
 let serve_batch pool (batch : Scheduler.batch) =
   let m = Hashtbl.find pool.models batch.model in
   let n = List.length batch.requests in
+  (* one stamp for the whole batch, set when it was dispatched *)
+  let dispatched = (List.hd batch.requests).Request.dispatched_us in
   let seq = Atomic.fetch_and_add pool.batch_counter 1 in
   Metrics.observe pool.m_batch_size (float_of_int n);
   let attrs =
@@ -354,6 +356,7 @@ let serve_batch pool (batch : Scheduler.batch) =
         let uid = Trace.span_begin ~phase:"serve" "unpack" in
         let per_request = Batching.unpack m.spec ~count:n outputs in
         Trace.span_end uid;
+        let t_result = Clock.now_us () in
         (if pool.verify_every > 0 && seq mod pool.verify_every = 0 then
            match (batch.requests, per_request) with
            | req :: _, sliced :: _ ->
@@ -369,14 +372,18 @@ let serve_batch pool (batch : Scheduler.batch) =
           failwith "fault fired during batch execution";
         checkin m ctx;
         held := false;
-        (per_request, t_pack, t_exec, t_unpack)
+        (per_request, t_pack, t_exec, t_unpack, t_result)
       with
-      | per_request, t_pack, t_exec, t_unpack ->
+      | per_request, t_pack, t_exec, t_unpack, t_result ->
           (* The breaker hears the success before any caller does: a
              caller woken by its outcome must never still read the
-             half-open state this batch just closed. *)
+             half-open state this batch just closed.  The same report
+             carries the batch's service time up to its result, the
+             model's next hold.  The spot check is left out: it runs on
+             one batch in [verify_every], and its interpreter time
+             would hold the model's next partial batch that long. *)
           Scheduler.note_batch_result pool.scheduler ~model:batch.model
-            ~ok:true;
+            ~ok:true ~service_us:(t_result -. dispatched);
           let t_done = Clock.now_us () in
           List.iter2
             (fun req outs ->
@@ -397,7 +404,7 @@ let serve_batch pool (batch : Scheduler.batch) =
                    ]
                  ());
           Scheduler.note_batch_result pool.scheduler ~model:batch.model
-            ~ok:false;
+            ~ok:false ~service_us:(Clock.now_us () -. dispatched);
           recover_requests pool ~reason:"batch-failure" batch)
 
 (* --- Supervised worker loop ---------------------------------------------- *)

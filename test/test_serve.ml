@@ -409,19 +409,35 @@ let test_thread_mapping_rebind () =
 let test_batcher_decisions () =
   let p = Batcher.policy ~max_batch:4 ~max_wait_us:1000. in
   let decide = Batcher.decide p in
+  (* a hold longer than the window: the window is the bound *)
+  let long = decide ~hold_us:1e9 in
   check_bool "empty waits" true
-    (decide ~pending:0 ~oldest_wait_us:1e9 ~draining:true = Batcher.Wait);
+    (long ~pending:0 ~oldest_wait_us:1e9 ~draining:true = Batcher.Wait);
   check_bool "full batch dispatches" true
-    (decide ~pending:4 ~oldest_wait_us:0. ~draining:false = Batcher.Dispatch 4);
+    (long ~pending:4 ~oldest_wait_us:0. ~draining:false = Batcher.Dispatch 4);
   check_bool "overfull clamps to max" true
-    (decide ~pending:9 ~oldest_wait_us:0. ~draining:false = Batcher.Dispatch 4);
+    (long ~pending:9 ~oldest_wait_us:0. ~draining:false = Batcher.Dispatch 4);
   check_bool "window open waits" true
-    (decide ~pending:2 ~oldest_wait_us:500. ~draining:false = Batcher.Wait);
+    (long ~pending:2 ~oldest_wait_us:500. ~draining:false = Batcher.Wait);
   check_bool "window expired dispatches partial" true
-    (decide ~pending:2 ~oldest_wait_us:1000. ~draining:false
+    (long ~pending:2 ~oldest_wait_us:1000. ~draining:false
     = Batcher.Dispatch 2);
   check_bool "draining flushes immediately" true
-    (decide ~pending:2 ~oldest_wait_us:0. ~draining:true = Batcher.Dispatch 2)
+    (long ~pending:2 ~oldest_wait_us:0. ~draining:true = Batcher.Dispatch 2);
+  check_bool "held for the window" true (Batcher.held_us p ~hold_us:1e9 = 1000.);
+  (* a hold below the window: the hold is the wait *)
+  let short = decide ~hold_us:80. in
+  check_bool "hold open waits" true
+    (short ~pending:2 ~oldest_wait_us:79. ~draining:false = Batcher.Wait);
+  check_bool "hold expired dispatches partial" true
+    (short ~pending:2 ~oldest_wait_us:80. ~draining:false = Batcher.Dispatch 2);
+  check_bool "held for the hold" true (Batcher.held_us p ~hold_us:80. = 80.);
+  (* no measured batch: hold 0 dispatches at once *)
+  check_bool "unmeasured model dispatches at once" true
+    (decide ~hold_us:0. ~pending:1 ~oldest_wait_us:0. ~draining:false
+    = Batcher.Dispatch 1);
+  check_bool "a full batch ignores the hold" true
+    (short ~pending:4 ~oldest_wait_us:0. ~draining:false = Batcher.Dispatch 4)
 
 (* --- The server end-to-end ----------------------------------------------- *)
 
@@ -437,6 +453,18 @@ let serve_config ?(workers = 2) ?(max_batch = 4) ?(max_wait_us = 500.)
     queue_depth;
     verify_every = 3;
   }
+
+(* Admit a whole burst under one scheduler lock: the worker sees all of
+   it or none of it, so a burst stays together however fast the worker
+   wakes. *)
+let submit_all_ok server ~model params_list =
+  List.map
+    (function
+      | Ok t -> t
+      | Error o ->
+          Alcotest.failf "%s: request refused: %s" model
+            (Request.overload_to_string o))
+    (Serve.submit_all server ~model params_list)
 
 let test_serve_end_to_end () =
   let server = Serve.create ~config:(serve_config ()) [ mlp_model ] in
@@ -505,10 +533,10 @@ let test_serve_weights_match_spec () =
     (run_once ())
 
 let test_continuous_exact_batches () =
-  (* Odd burst sizes through a single-worker server with an hour-long
-     window: drain dispatches each burst as ONE batch at exactly its
-     request count.  One shape-polymorphic context serves all of them -
-     zero padded rows, one plan compile, pool size 1. *)
+  (* Odd burst sizes, each admitted at once, through a single-worker
+     server: each burst dispatches as ONE batch at exactly its request
+     count.  One shape-polymorphic context serves all of them - zero
+     padded rows, one plan compile, pool size 1. *)
   let config =
     serve_config ~workers:1 ~max_batch:7 ~max_wait_us:3.6e9 ()
   in
@@ -521,16 +549,10 @@ let test_continuous_exact_batches () =
       List.iter
         (fun n ->
           let tickets =
-            List.init n (fun i ->
-                match
-                  Serve.submit_async server ~model:"mlp"
-                    ~params:
-                      (Serve.random_request server ~model:"mlp"
-                         ~seed:((n * 10) + i))
-                with
-                | Ok t -> t
-                | Error o ->
-                    Alcotest.failf "refused: %s" (Request.overload_to_string o))
+            submit_all_ok server ~model:"mlp"
+              (List.init n (fun i ->
+                   Serve.random_request server ~model:"mlp"
+                     ~seed:((n * 10) + i)))
           in
           Serve.drain server;
           List.iter
@@ -555,9 +577,9 @@ let test_continuous_exact_batches () =
                (List.map (fun (m, c) -> Printf.sprintf "%s:%d" m c) sizes)))
 
 let test_full_batch_dispatches_immediately () =
-  (* An hour-long batching window, but the queue reaches max_batch: the
-     submit-side wake must rouse the parked worker and dispatch NOW -
-     awaits complete in poll-tick time, not window time. *)
+  (* An hour-long max wait, but the queue reaches max_batch: the
+     submit-side wake must rouse the worker and dispatch NOW - awaits
+     complete in poll-tick time, not window time. *)
   let config =
     serve_config ~workers:1 ~max_batch:4 ~max_wait_us:3.6e9 ()
   in
@@ -567,13 +589,9 @@ let test_full_batch_dispatches_immediately () =
     (fun () ->
       let t0 = Unix.gettimeofday () in
       let tickets =
-        List.init 4 (fun i ->
-            match
-              Serve.submit_async server ~model:"mlp"
-                ~params:(Serve.random_request server ~model:"mlp" ~seed:i)
-            with
-            | Ok t -> t
-            | Error _ -> Alcotest.fail "empty queue refused a request")
+        submit_all_ok server ~model:"mlp"
+          (List.init 4 (fun i ->
+               Serve.random_request server ~model:"mlp" ~seed:i))
       in
       List.iter
         (fun t ->
@@ -589,10 +607,50 @@ let test_full_batch_dispatches_immediately () =
       check_int "one batch of four" 1 s.batches;
       check_int "no padding" 0 s.padded_rows)
 
+(* An hour-long max wait, one request at a time, and nobody drains: an
+   idle worker never waits out the window.  The first request has no
+   measured batch to wait for and dispatches at once; the next is held
+   for one measured service time. *)
+let test_idle_worker_dispatches () =
+  let config =
+    serve_config ~workers:1 ~max_batch:8 ~max_wait_us:3.6e9 ()
+  in
+  let server = Serve.create ~config [ mlp_model ] in
+  Fun.protect
+    ~finally:(fun () -> Serve.shutdown server)
+    (fun () ->
+      Serve.warm server;
+      let served_alone seed =
+        let ticket =
+          match
+            Serve.submit_async server ~model:"mlp"
+              ~params:(Serve.random_request server ~model:"mlp" ~seed)
+          with
+          | Ok t -> t
+          | Error _ -> Alcotest.fail "empty queue refused a request"
+        in
+        let t0 = Astitch_obs.Clock.now_us () in
+        let rec poll () =
+          match Serve.poll server ticket with
+          | Some (Request.Done { batch; _ }) -> batch = 1
+          | Some _ -> false
+          | None ->
+              Astitch_obs.Clock.now_us () -. t0 < 2e6
+              && (Unix.sleepf 1e-3;
+                  poll ())
+        in
+        poll ()
+      in
+      check_bool "unmeasured model: served within 2 s, not the window" true
+        (served_alone 1);
+      check_bool "measured model: served within 2 s, not the window" true
+        (served_alone 2);
+      check_int "two batches of one" 2 (Serve.stats server).batches)
+
 let test_admission_control () =
-  (* max_batch 8 with only 4 queue slots and an hour-long window: the
-     worker can never assemble a batch, so the queue fills and stays
-     full - admission must refuse deterministically. *)
+  (* max_batch 8 with only 4 queue slots, and ten requests admitted
+     under one scheduler lock: no worker can take any of them before
+     the queue is full - admission must refuse deterministically. *)
   let config =
     serve_config ~workers:1 ~max_batch:8 ~max_wait_us:3.6e9 ~queue_depth:4 ()
   in
@@ -601,9 +659,9 @@ let test_admission_control () =
     ~finally:(fun () -> Serve.shutdown server)
     (fun () ->
       let outcomes =
-        List.init 10 (fun i ->
-            Serve.submit_async server ~model:"mlp"
-              ~params:(Serve.random_request server ~model:"mlp" ~seed:i))
+        Serve.submit_all server ~model:"mlp"
+          (List.init 10 (fun i ->
+               Serve.random_request server ~model:"mlp" ~seed:i))
       in
       let admitted, refused =
         List.partition (function Ok _ -> true | Error _ -> false) outcomes
@@ -617,7 +675,7 @@ let test_admission_control () =
               Alcotest.failf "wrong overload: %s" (Request.overload_to_string o)
           | Ok _ -> ())
         refused;
-      (* drain flushes the stuck partial batch *)
+      (* drain flushes whatever is still queued *)
       Serve.drain server;
       List.iter
         (function
@@ -631,43 +689,9 @@ let test_admission_control () =
       check_int "rejected counted" 6 s.rejected;
       check_int "admitted completed" 4 s.completed)
 
-let test_deadline_shedding () =
-  (* Batch can't fill (max_batch 8, window 1h), so the requests sit
-     until their 2ms deadline passes and the dispatch loop sheds them. *)
-  let config =
-    serve_config ~workers:1 ~max_batch:8 ~max_wait_us:3.6e9 ~queue_depth:64 ()
-  in
-  let server = Serve.create ~config [ mlp_model ] in
-  Fun.protect
-    ~finally:(fun () -> Serve.shutdown server)
-    (fun () ->
-      let tickets =
-        List.init 3 (fun i ->
-            match
-              Serve.submit_async server ~deadline_us:2_000. ~model:"mlp"
-                ~params:(Serve.random_request server ~model:"mlp" ~seed:i)
-            with
-            | Ok t -> t
-            | Error _ -> Alcotest.fail "admission refused an empty queue")
-      in
-      List.iter
-        (fun t ->
-          match Serve.await server t with
-          | Request.Overloaded Request.Deadline_exceeded -> ()
-          | Request.Done _ -> Alcotest.fail "expired request must be shed"
-          | o ->
-              Alcotest.failf "unexpected outcome: %s"
-                (match o with
-                | Request.Failed m -> m
-                | Request.Overloaded ov -> Request.overload_to_string ov
-                | _ -> "done"))
-        tickets;
-      let s = Serve.stats server in
-      check_int "all shed" 3 s.shed)
-
 let test_poisoned_request_fails_alone () =
-  (* Two requests forced into one batch (max_batch 2, long window); one
-     has a wrong-shaped binding.  The batch fails at pack and
+  (* Two requests forced into one batch (max_batch 2, admitted at
+     once); one has a wrong-shaped binding.  The batch fails at pack and
      supervision re-dispatches each request solo: the good one is
      served at full strength (NOT degraded - its solo batch packs
      fine), the bad one burns its retry budget and fails on the
@@ -681,15 +705,10 @@ let test_poisoned_request_fails_alone () =
     (fun () ->
       let good = Serve.random_request server ~model:"mlp" ~seed:1 in
       let bad = [ ("x", Tensor.random ~seed:2 (Shape.of_list [ 1; 5 ])) ] in
-      let t_good =
-        match Serve.submit_async server ~model:"mlp" ~params:good with
-        | Ok t -> t
-        | Error _ -> Alcotest.fail "good request refused"
-      in
-      let t_bad =
-        match Serve.submit_async server ~model:"mlp" ~params:bad with
-        | Ok t -> t
-        | Error _ -> Alcotest.fail "bad request refused"
+      let t_good, t_bad =
+        match submit_all_ok server ~model:"mlp" [ good; bad ] with
+        | [ g; b ] -> (g, b)
+        | _ -> Alcotest.fail "one ticket per request"
       in
       (match Serve.await server t_good with
       | Request.Done { degraded; _ } ->
@@ -698,8 +717,7 @@ let test_poisoned_request_fails_alone () =
       (match Serve.await server t_bad with
       | Request.Failed _ -> ()
       | _ -> Alcotest.fail "poisoned request must fail");
-      (* the server still serves after the failure; the hour-long window
-         means a lone request only flushes on drain *)
+      (* the server still serves after the failure *)
       (let t3 =
          match
            Serve.submit_async server ~model:"mlp"
@@ -776,15 +794,19 @@ let await_all_accounted server ~what tickets_with_reqs =
     tickets_with_reqs
 
 let submit_burst server ~what ~seed n =
-  List.init n (fun j ->
-      let params =
-        Serve.random_request server ~model:"mlp" ~seed:((seed * 31) + j)
-      in
-      match Serve.submit_async server ~model:"mlp" ~params with
+  let burst =
+    List.init n (fun j ->
+        Serve.random_request server ~model:"mlp" ~seed:((seed * 31) + j))
+  in
+  List.map2
+    (fun res params ->
+      match res with
       | Ok t -> (t, params)
       | Error o ->
           Alcotest.failf "%s: request refused: %s" what
             (Request.overload_to_string o))
+    (Serve.submit_all server ~model:"mlp" burst)
+    burst
 
 (* A max-batch plan whose first kernel holds a parameter op: the tape
    refuses to fuse that kernel, so the context runs it on the reference
@@ -897,18 +919,14 @@ let zoo_models =
       { Serve.name = e.name; build = e.batched })
     Astitch_workloads.Zoo.all
 
-(* One burst of every size 1..max_batch for [model], each drained as
-   one batch (the window is an hour) and awaited. *)
+(* One burst of every size 1..max_batch for [model], each admitted at
+   once, drained as one batch and awaited. *)
 let serve_bursts server ~model ~max_batch =
   for n = 1 to max_batch do
     let tickets =
-      List.init n (fun i ->
-          let params = Serve.random_request server ~model ~seed:((n * 10) + i) in
-          match Serve.submit_async server ~model ~params with
-          | Ok t -> t
-          | Error o ->
-              Alcotest.failf "%s: refused: %s" model
-                (Request.overload_to_string o))
+      submit_all_ok server ~model
+        (List.init n (fun i ->
+             Serve.random_request server ~model ~seed:((n * 10) + i)))
     in
     Serve.drain server;
     List.iter
@@ -1135,6 +1153,7 @@ let test_breaker_open_dump () =
     (fun () ->
       for _ = 1 to 3 do
         Scheduler.note_batch_result sched ~model:"mlp" ~ok:false
+          ~service_us:0.
       done;
       check_bool "breaker open" true
         (Scheduler.breaker_state sched "mlp" = `Open);
@@ -1230,10 +1249,9 @@ let test_chaos_corrupt_quarantines_and_retries () =
       check_bool "request was retried" true (s.retried >= 1);
       check_int "corruption never delivered as a failure" 0 s.failed)
 
-(* The batcher-polling shutdown satellite: with an hour-long window and
-   a pending partial batch, the worker is in its poll loop; drain +
-   shutdown must complete within poll-tick latency, not window
-   latency. *)
+(* The batcher-polling shutdown satellite: with an hour-long max wait
+   and a pending partial batch, drain + shutdown must complete within
+   poll-tick latency, not window latency. *)
 let test_shutdown_prompt_under_open_window () =
   let config =
     serve_config ~workers:1 ~max_batch:8 ~max_wait_us:3.6e9 ~queue_depth:8 ()
@@ -1443,9 +1461,10 @@ let () =
             `Quick test_zoo_serves_without_compiling;
           Alcotest.test_case "full batch wakes the worker immediately" `Quick
             test_full_batch_dispatches_immediately;
+          Alcotest.test_case "an idle worker never waits out the window"
+            `Quick test_idle_worker_dispatches;
           Alcotest.test_case "admission control refuses past the bound" `Quick
             test_admission_control;
-          Alcotest.test_case "deadline shedding" `Quick test_deadline_shedding;
           Alcotest.test_case "poisoned request fails alone" `Quick
             test_poisoned_request_fails_alone;
           Alcotest.test_case "unknown model rejected" `Quick

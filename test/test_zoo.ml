@@ -13,6 +13,13 @@
    - admission-time expiry: a request whose deadline is already past is
      refused as [Deadline_exceeded] at submit - counted under
      [shed_admission], never queued, never producing an outcome;
+   - dispatch-time shedding: a queued request whose deadline passes
+     while it waits resolves [Overloaded Deadline_exceeded], and the
+     live request behind it dispatches;
+   - the batching hold: a partial batch is held for one measured
+     service time of its model (below the max wait), a model with no
+     measured batch dispatches at once, and a failed batch leaves the
+     hold as it was;
    - displacement shedding: a full queue evicts its newest
      strictly-lower-class entry (completed [Overloaded Displaced]) to
      admit a higher-class arrival, and never displaces an equal class;
@@ -193,6 +200,87 @@ let test_admission_expiry_refused () =
       Scheduler.dispose s)
     (* the admission-time check applies without SLO classes too *)
     [ [ ("L", Slo.Latency { deadline_us = 1e9 }) ]; [] ]
+
+(* Queued past its deadline: the request is spun past it (no sleep),
+   and the next pick sheds it and dispatches the live request behind. *)
+let test_deadline_shedding () =
+  let s = mk_sched ~slos:[] () in
+  let doomed = mk_req ~model:"A" ~deadline_us:2_000. () in
+  let live = mk_req ~model:"A" () in
+  submit_ok s doomed;
+  submit_ok s live;
+  let deadline = Option.get doomed.Request.deadline_us in
+  while Astitch_obs.Clock.now_us () <= deadline do
+    ()
+  done;
+  (match Scheduler.next_batch s with
+  | Some { Scheduler.requests = [ r ]; _ } when r == live ->
+      Scheduler.complete s r done_outcome
+  | _ -> Alcotest.fail "next_batch must return the live request");
+  (match Scheduler.poll s doomed.Request.id with
+  | Some (Request.Overloaded Request.Deadline_exceeded) -> ()
+  | _ -> Alcotest.fail "the expired request must resolve Deadline_exceeded");
+  check_int "shed once" 1 (Scheduler.stats s).Scheduler.shed;
+  Scheduler.shutdown s;
+  Scheduler.dispose s
+
+(* --- The batching hold ----------------------------------------------------- *)
+
+(* Partial batches (max_batch 8) under a one-second max wait. *)
+let hold_max_wait_us = 1e6
+
+let mk_hold_sched () =
+  Scheduler.create
+    ~policy:(Batcher.policy ~max_batch:8 ~max_wait_us:hold_max_wait_us)
+    ~queue_depth:16 ()
+
+(* Submit one request for [model] and dispatch it alone; its wait from
+   submission to dispatch. *)
+let lone_wait s ~model =
+  let req = mk_req ~model () in
+  submit_ok s req;
+  match Scheduler.next_batch s with
+  | Some { Scheduler.requests = [ r ]; _ } when r == req ->
+      Scheduler.complete s r done_outcome;
+      req.dispatched_us -. req.submitted_us
+  | _ -> Alcotest.fail "expected the lone request alone"
+
+let test_hold_one_service_time () =
+  let s = mk_hold_sched () in
+  Scheduler.note_batch_result s ~model:"A" ~ok:true ~service_us:2_000.;
+  let w = lone_wait s ~model:"A" in
+  check_bool
+    (Printf.sprintf "held one service time, below the max wait (%.0f us)" w)
+    true
+    (w >= 2_000. && w < hold_max_wait_us);
+  Scheduler.shutdown s;
+  Scheduler.dispose s
+
+let test_unmeasured_dispatches_at_once () =
+  let s = mk_hold_sched () in
+  (* another model's hold is not this one's *)
+  Scheduler.note_batch_result s ~model:"A" ~ok:true
+    ~service_us:hold_max_wait_us;
+  let w = lone_wait s ~model:"B" in
+  check_bool
+    (Printf.sprintf "no measured batch: dispatched at once (%.0f us)" w)
+    true
+    (w < hold_max_wait_us /. 2.);
+  Scheduler.shutdown s;
+  Scheduler.dispose s
+
+let test_failed_batch_keeps_hold () =
+  let s = mk_hold_sched () in
+  Scheduler.note_batch_result s ~model:"A" ~ok:true ~service_us:2_000.;
+  Scheduler.note_batch_result s ~model:"A" ~ok:false
+    ~service_us:(hold_max_wait_us /. 2.);
+  let w = lone_wait s ~model:"A" in
+  check_bool
+    (Printf.sprintf "the successful batch's hold stands (%.0f us)" w)
+    true
+    (w >= 2_000. && w < hold_max_wait_us /. 2.);
+  Scheduler.shutdown s;
+  Scheduler.dispose s
 
 let test_displacement () =
   let s =
@@ -657,7 +745,14 @@ let () =
             test_pure_strict_priority_starves;
           Alcotest.test_case "expired deadlines refused at admission" `Quick
             test_admission_expiry_refused;
+          Alcotest.test_case "deadline shedding" `Quick test_deadline_shedding;
           Alcotest.test_case "displacement shedding" `Quick test_displacement;
+          Alcotest.test_case "hold: one measured service time" `Quick
+            test_hold_one_service_time;
+          Alcotest.test_case "hold: unmeasured model dispatches at once" `Quick
+            test_unmeasured_dispatches_at_once;
+          Alcotest.test_case "hold: a failed batch leaves it" `Quick
+            test_failed_batch_keeps_hold;
           Alcotest.test_case "no SLOs: one best-effort class" `Quick
             test_no_slos_one_class;
           Alcotest.test_case "equal timestamps dispatch in id order" `Quick
