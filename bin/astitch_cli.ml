@@ -160,9 +160,6 @@ let with_arch name f =
   | Some arch -> f arch
   | None -> `Error (false, "unknown arch " ^ name)
 
-let pp_cache_stats (s : Plan_cache.stats) =
-  Format.printf "cache: %a@." Plan_cache.pp_stats s
-
 (* --- Observability surface ------------------------------------------------- *)
 
 let trace_arg =
@@ -303,20 +300,18 @@ let inspect model training tiny =
            0 clusters);
       `Ok ()
 
-(* One driver, one cache-and-repeat loop: [--resilient] keeps the
-   degradation report and prints it; otherwise an AStitch-family backend
-   compiles with its config ([-j] included) and refuses to degrade, and
-   a baseline backend compiles as it is.  Every compile of the loop runs
-   with the [--inject] faults armed afresh. *)
-let compile model backend training tiny arch resilient injects use_cache
-    repeat jobs =
+(* One driver: [--resilient] keeps the degradation report and prints
+   it; otherwise an AStitch-family backend compiles with its config
+   ([-j] included) and refuses to degrade, and a baseline backend
+   compiles as it is.  The compile runs with the [--inject] faults
+   armed. *)
+let compile model backend training tiny arch resilient injects jobs =
   match
     (lookup_model model ~training ~tiny, lookup_backend backend,
      parse_injects injects)
   with
   | Error e, _, _ | _, Error e, _ | _, _, Error e -> `Error (false, e)
   | Ok g, Ok b, Ok faults ->
-      let repeat = Stdlib.max 1 repeat in
       let config =
         Option.map
           (fun base ->
@@ -328,68 +323,39 @@ let compile model backend training tiny arch resilient injects use_cache
           (config_for_backend backend)
       in
       with_arch arch (fun arch ->
-          let cache = Session.make_cache () in
-          let driver =
-            match config with
-            | None when resilient ->
-                Error "--resilient needs an AStitch-family backend (astitch, \
-                       atm or hdm)"
-            | None when faults <> [] ->
-                Error "--inject without --resilient needs an AStitch-family \
-                       backend (astitch, atm or hdm)"
-            | Some config when resilient ->
-                let compile () =
-                  if use_cache then
-                    Session.compile_resilient_cached ~config cache arch g
-                  else
-                    (Session.compile_resilient ~config arch g, Plan_cache.Miss)
-                in
-                let with_report (r : Session.resilient) =
-                  (r.result, Some r.report)
-                in
-                Ok
-                  (fun () ->
-                    let r, outcome = compile () in
-                    (Result.map with_report r, outcome))
-            | _ ->
-                let b =
-                  match config with
-                  | Some config -> Astitch_core.Astitch.backend ~config ()
-                  | None -> b
-                in
-                Ok
-                  (fun () ->
-                    match
-                      if use_cache then Session.compile_cached cache b arch g
-                      else (Session.compile b arch g, Plan_cache.Miss)
-                    with
-                    | r, outcome -> (Ok (r, None), outcome)
-                    | exception Compile_error.Error e ->
-                        (Error e, Plan_cache.Bypassed))
+          let print_compile f =
+            match Fault_site.with_faults faults f with
+            | Error e -> `Error (false, Compile_error.to_string e)
+            | Ok ((result : Session.result), report) ->
+                Format.printf "%a@." Kernel_plan.pp result.plan;
+                Option.iter
+                  (Format.printf "%a@." Astitch_core.Degradation.pp_report)
+                  report;
+                Format.printf "%a@." Profile.pp_breakdown result.profile;
+                `Ok ()
           in
-          match driver with
-          | Error e -> `Error (false, e)
-          | Ok compile_once ->
-              let rec loop i =
-                match Fault_site.with_faults faults compile_once with
-                | Error e, _ -> `Error (false, Compile_error.to_string e)
-                | Ok (result, report), outcome ->
-                    if use_cache then
-                      Printf.printf "compile %d/%d: %s\n" i repeat
-                        (Plan_cache.outcome_to_string outcome);
-                    if i < repeat then loop (i + 1)
-                    else begin
-                      if use_cache then pp_cache_stats (Plan_cache.stats cache);
-                      Format.printf "%a@." Kernel_plan.pp result.Session.plan;
-                      Option.iter
-                        (Format.printf "%a@."
-                           Astitch_core.Degradation.pp_report)
-                        report;
-                      Format.printf "%a@." Profile.pp_breakdown result.profile;
-                      `Ok ()
-                    end
+          match config with
+          | None when resilient ->
+              `Error (false, "--resilient needs an AStitch-family backend \
+                              (astitch, atm or hdm)")
+          | None when faults <> [] ->
+              `Error (false, "--inject without --resilient needs an \
+                              AStitch-family backend (astitch, atm or hdm)")
+          | Some config when resilient ->
+              print_compile (fun () ->
+                  Result.map
+                    (fun (r : Session.resilient) -> (r.result, Some r.report))
+                    (Session.compile_resilient ~config arch g))
+          | _ ->
+              let b =
+                match config with
+                | Some config -> Astitch_core.Astitch.backend ~config ()
+                | None -> b
               in
-              loop 1)
+              print_compile (fun () ->
+                  match Session.compile b arch g with
+                  | r -> Ok (r, None)
+                  | exception Compile_error.Error e -> Error e))
 
 let log_fallbacks ctx =
   List.iter
@@ -399,7 +365,7 @@ let log_fallbacks ctx =
     (Executor.context_fallbacks ctx)
 
 let run_model model backend training tiny arch seed repeat fused profile_exec
-    use_cache trace metrics check =
+    trace metrics check =
   match (lookup_model model ~training ~tiny, lookup_backend backend) with
   | Error e, _ | _, Error e -> `Error (false, e)
   | Ok _, Ok _ when check && trace = None ->
@@ -409,23 +375,7 @@ let run_model model backend training tiny arch seed repeat fused profile_exec
           let plan =
           with_obs ~trace ~metrics (fun () ->
           let repeat = Stdlib.max 1 repeat in
-          let r =
-            if use_cache then begin
-              (* one cached compile per run iteration: the first is a miss,
-                 the rest hit, and the stats line proves it *)
-              let cache = Session.make_cache () in
-              let last = ref None in
-              for i = 1 to repeat do
-                let r, outcome = Session.compile_cached cache b arch g in
-                Printf.printf "compile %d/%d: %s\n" i repeat
-                  (Plan_cache.outcome_to_string outcome);
-                last := Some r
-              done;
-              pp_cache_stats (Plan_cache.stats cache);
-              Option.get !last
-            end
-            else Session.compile b arch g
-          in
+          let r = Session.compile b arch g in
           (* --profile-exec, --metrics and --trace all need per-kernel wall
              time, so any of them implies a timed context: wall_ns is never
              silently zero in a profiled report *)
@@ -1128,8 +1078,6 @@ let serve_cmd_impl models slo_specs plan_dir verify_plans expect_warm
                               (float_of_int c.deadline_met
                               /. Float.max wall 1e-9))
                           (Zoo.class_stats zoo);
-                        pp_cache_stats
-                          (Plan_cache.stats (Serve.plan_cache server));
                         if blame then print_blame_table ();
                         (match stats_json with
                         | None -> ()
@@ -1184,18 +1132,6 @@ let inspect_cmd =
     (Cmd.info "inspect" ~doc:"Show graph statistics for a workload")
     Term.(ret (const inspect $ model_arg $ training_arg $ tiny_arg))
 
-let cache_arg =
-  Arg.(value & flag
-       & info [ "cache" ]
-           ~doc:"Compile through the plan cache (keyed by canonical graph \
-                 fingerprint, arch and config) and print per-iteration \
-                 hit/miss outcomes plus cache statistics.")
-
-let repeat_arg =
-  Arg.(value & opt int 1 & info [ "repeat" ] ~docv:"N"
-         ~doc:"Compile N times (interesting with --cache: the first is a \
-               miss, the rest are hits).")
-
 let jobs_arg =
   Arg.(value & opt int 1 & info [ "j"; "jobs" ] ~docv:"N"
          ~doc:"Compile cluster groups on N domains (AStitch-family \
@@ -1208,8 +1144,7 @@ let compile_cmd =
     Term.(
       ret
         (const compile $ model_arg $ backend_arg $ training_arg $ tiny_arg
-       $ arch_arg $ resilient_arg $ inject_arg $ cache_arg $ repeat_arg
-       $ jobs_arg))
+       $ arch_arg $ resilient_arg $ inject_arg $ jobs_arg))
 
 let cuda_cmd =
   Cmd.v
@@ -1261,7 +1196,7 @@ let run_cmd =
       ret
         (const run_model $ model_arg $ backend_arg $ training_arg $ tiny_arg
        $ arch_arg $ seed_arg $ run_repeat_arg $ fused_arg
-       $ profile_exec_arg $ cache_arg $ trace_arg $ metrics_arg $ check_arg))
+       $ profile_exec_arg $ trace_arg $ metrics_arg $ check_arg))
 
 let bench_cmd =
   let exp_arg =

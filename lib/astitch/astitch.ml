@@ -18,8 +18,8 @@ let compile ?(config = Config.full) arch g =
   | Error e -> raise (Compile_error.Error e)
 
 (* Backends are named by the config's cache key, so configs that compile
-   the same plans share plan-cache slots and configs that differ never
-   do; the three Table 4 configs keep their names. *)
+   the same plans share a name and configs that differ never do; the
+   three Table 4 configs keep their names. *)
 let backend ?(config = Config.full) () =
   let key = Config.cache_key config in
   let is c = String.equal key (Config.cache_key c) in

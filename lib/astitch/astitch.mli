@@ -14,10 +14,10 @@ val compile : ?config:Config.t -> Arch.t -> Astitch_ir.Graph.t -> Kernel_plan.t
     exhaustion ([Out_of_memory], [Stack_overflow]) aside. *)
 
 val backend : ?config:Config.t -> unit -> Backend_intf.t
-(** A backend compiling with [config].  Its name, the config component of
-    [Session]'s plan-cache key, follows {!Config.cache_key}: "AStitch",
-    "ATM" and "HDM" for the three Table 4 configs (whatever their
-    [compile_domains]), ["AStitch{<cache key>}"] otherwise. *)
+(** A backend compiling with [config].  Its name follows
+    {!Config.cache_key}: "AStitch", "ATM" and "HDM" for the three
+    Table 4 configs (whatever their [compile_domains]),
+    ["AStitch{<cache key>}"] otherwise. *)
 
 val full_backend : Backend_intf.t
 val atm_backend : Backend_intf.t

@@ -45,9 +45,9 @@ let atm_only = { full with hierarchical_data_reuse = false;
 let no_dominant_merging = { full with dominant_merging = false }
 
 (* Canonical serialization of every field that can change the compiled
-   plan - the config component of a plan-cache key.  [compile_domains]
-   is deliberately excluded: parallel compilation is byte-identical to
-   sequential, so it may not fragment the cache. *)
+   plan - what names a backend.  [compile_domains] is deliberately
+   excluded: parallel compilation is byte-identical to sequential, so
+   two configs differing only there name the same backend. *)
 let cache_key c =
   Printf.sprintf "atm=%b;hdr=%b;merge=%b;remote=%b" c.adaptive_thread_mapping
     c.hierarchical_data_reuse c.dominant_merging c.remote_stitching

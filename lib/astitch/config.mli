@@ -33,6 +33,6 @@ val no_dominant_merging : t
 
 val cache_key : t -> string
 (** Canonical serialization of every plan-affecting field (the four
-    switches), for plan-cache keys and [Astitch.backend]'s names.  [compile_domains] is excluded (parallel
-    compilation is byte-identical to sequential, so it may not fragment
-    the cache). *)
+    switches), for [Astitch.backend]'s names.  [compile_domains] is
+    excluded (parallel compilation is byte-identical to sequential, so
+    it may not tell two backends apart). *)

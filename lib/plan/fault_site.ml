@@ -26,7 +26,7 @@
    always terminate.
 
    The registry is shared by compile domains and serving worker domains,
-   so fuel and the firing counters are atomics: a fault with fuel [n]
+   so fuel and the firing counter are atomics: a fault with fuel [n]
    fires at most [n] times no matter how many domains race on it. *)
 
 type site =
@@ -137,31 +137,19 @@ let () =
    wedge timeout deterministically, short enough to keep sweeps fast. *)
 let stall_s seed = 0.001 *. (1. +. float_of_int (abs seed mod 10))
 
-(* Armed faults (remaining fuel tracked per plan), firing counters, and
-   a monotonic arming epoch.  The epoch lets observers (the plan cache)
-   detect that faults were armed at any point during a compile - by
-   another domain, say - even though arming resets the firing counters
-   and the window may close before the compile returns.
-   [compile_fired] counts only compile-site firings, so a serving
-   process with runtime faults armed still caches full-strength
-   compiles (runtime sites cannot perturb a plan). *)
+(* Armed faults (remaining fuel tracked per plan) and the firing
+   counter. *)
 let armed : (plan * int Atomic.t) list ref = ref []
 let fired_count = Atomic.make 0
-let compile_fired_count = Atomic.make 0
-let arm_epoch = ref 0
 
-(* Arm (replacing the armed set, resetting the counters), run, disarm -
+(* Arm (replacing the armed set, resetting the counter), run, disarm -
    even on exceptions.  The only way faults are armed. *)
 let with_faults plans f =
   armed := List.map (fun p -> (p, Atomic.make p.fuel)) plans;
-  incr arm_epoch;
   Atomic.set fired_count 0;
-  Atomic.set compile_fired_count 0;
   Fun.protect ~finally:(fun () -> armed := []) f
 
 let fired () = Atomic.get fired_count
-let compile_fired () = Atomic.get compile_fired_count
-let epoch () = !arm_epoch
 
 let compile_active () =
   List.exists
@@ -182,9 +170,8 @@ let rec first_armed site = function
   | ((p : plan), fuel) :: rest ->
       if p.site = site && take_fuel fuel then Some p else first_armed site rest
 
-let record_fired ~compile site (p : plan) pass =
+let record_fired site (p : plan) pass =
   Atomic.incr fired_count;
-  if compile then Atomic.incr compile_fired_count;
   Astitch_obs.Metrics.(inc (counter default "fault.fired"));
   if Astitch_obs.Trace.enabled () then
     Astitch_obs.Trace.instant ~phase:"fault" "fault-fired"
@@ -205,7 +192,7 @@ let check site ~pass =
   match first_armed site !armed with
   | None -> None
   | Some p -> (
-      record_fired ~compile:true site p pass;
+      record_fired site p pass;
       match p.mode with
       | Corrupt -> Some p.seed
       | Stall ->
@@ -224,7 +211,7 @@ let check_runtime site ~pass =
   match first_armed site !armed with
   | None -> None
   | Some p -> (
-      record_fired ~compile:false site p pass;
+      record_fired site p pass;
       match p.mode with
       | Corrupt -> Some p.seed
       | Stall ->

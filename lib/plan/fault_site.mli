@@ -2,8 +2,8 @@
     compiler passes and the serving runtime's execution path.  Armed
     faults either raise a structured error, corrupt a site's result
     (seeded), or stall (a seeded sleep); [fuel] bounds how many site
-    hits fire, so degraded retries can succeed.  Fuel and firing
-    counters are atomic — the registry is shared by compile domains and
+    hits fire, so degraded retries can succeed.  Fuel and the firing
+    counter are atomic — the registry is shared by compile domains and
     serving worker domains. *)
 
 type site =
@@ -59,25 +59,15 @@ val stall_s : int -> float
 
 val with_faults : plan list -> (unit -> 'a) -> 'a
 (** [with_faults plans f] arms [plans] (replacing the armed set and
-    resetting the firing counters), runs [f], and disarms - even when
+    resetting the firing counter), runs [f], and disarms - even when
     [f] raises.  The only way to arm faults: compiles, serving and
     tests all arm through it. *)
 
 val fired : unit -> int
 (** Total firings (compile + runtime) since the last arming. *)
 
-val compile_fired : unit -> int
-(** Compile-site firings only — what the plan cache's fault watch
-    compares, so runtime-only faults don't poison compile caching. *)
-
 val compile_active : unit -> bool
 (** An armed compile-site fault with fuel left exists. *)
-
-val epoch : unit -> int
-(** Monotonic count of {!with_faults} armings.  An observer that
-    snapshots the epoch around a compile can tell whether faults were
-    armed during it, even when they were disarmed again before it
-    returned. *)
 
 val check : site -> pass:string -> int option
 (** Called at compile-pass instrumentation points.  [Some seed] =

@@ -103,7 +103,13 @@ let create ?(config = default_config) models =
         Batching.random_shared spec ~seed:(model_seed ~seed:config.seed m.name)
       in
       Hashtbl.add table m.name
-        { Worker_pool.spec; shared; mu = Mutex.create (); free = [] })
+        {
+          Worker_pool.spec;
+          shared;
+          mu = Mutex.create ();
+          plan = None;
+          free = [];
+        })
     models;
   let policy =
     Batcher.policy ~max_batch:config.max_batch ~max_wait_us:config.max_wait_us
@@ -131,10 +137,8 @@ let create ?(config = default_config) models =
       ~queue_depth:config.queue_depth ()
   in
   let pool =
-    Worker_pool.create ~scheduler ~models:table
-      ~cache:(Session.make_cache ())
-      ~arch:config.arch ~verify_every:config.verify_every
-      ~retry_budget:config.retry_budget
+    Worker_pool.create ~scheduler ~models:table ~arch:config.arch
+      ~verify_every:config.verify_every ~retry_budget:config.retry_budget
       ~wedge_timeout_us:config.wedge_timeout_us ~workers:config.workers
   in
   {
@@ -159,8 +163,8 @@ let symbolic t ~model =
   Mutex.protect m.Worker_pool.mu (fun () ->
       List.for_all Executor.rebindable m.Worker_pool.free)
 
+let set_plan t ~model plan = Worker_pool.set_plan (model_state t model) plan
 let warm t = Worker_pool.warm t.pool
-let plan_cache t = Worker_pool.plan_cache t.pool
 
 (* A ticket names an admitted request; redeem it with [await]. *)
 type ticket = int
@@ -283,7 +287,7 @@ type stats = {
   padded_rows : int;
       (** rows executed beyond real requests, by contexts that cannot
           rebind *)
-  plan_compiles : int;  (** plan compiles at context checkout *)
+  plan_compiles : int;  (** plans compiled at context checkout *)
   outstanding : int;
   queue_depth : int;
   max_depth_seen : int;

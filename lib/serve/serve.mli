@@ -67,8 +67,9 @@ val default_config : config
     verification, seed 42; retry budget 2, breaker threshold 4 /
     cooldown 5ms, wedge timeout 50ms; no SLOs (every model
     best-effort), fair-share floor 1/8.  Workers execute on the fused
-    engine through the shared plan cache and respawn after 1ms,
-    doubling per consecutive death (capped at 128x). *)
+    engine, each model on contexts built from its one plan, and
+    respawn after 1ms, doubling per consecutive death (capped at
+    128x). *)
 
 type t
 
@@ -82,14 +83,18 @@ val create : ?config:config -> model list -> t
     [workers < 1], a negative [retry_budget], [max_batch < 1], or an
     out-of-range [queue_depth] or [fair_share_floor]. *)
 
-val warm : t -> unit
-(** Pre-compile every model so first requests don't pay compile
-    latency: one max-batch context per model. *)
+val set_plan : t -> model:string -> Astitch_plan.Kernel_plan.t -> unit
+(** Give [model] its max-batch plan before traffic - the zoo hands
+    over store-loaded plans this way - so no checkout compiles it.  The
+    plan must come from the full AStitch backend for the server's arch
+    on the model's [max_batch] graph; it is kept for the server's
+    lifetime, through any fault.
+    @raise Invalid_argument on an unknown model, or when the model
+    already has its plan (set, or compiled by {!warm} or traffic). *)
 
-val plan_cache : t -> Astitch_runtime.Session.cache
-(** The server's shared session cache.  Zoo prewarming seeds it with
-    store-loaded plans (so [warm] hits instead of compiling) and
-    persists it on shutdown. *)
+val warm : t -> unit
+(** Build one max-batch context per model, compiling each plan not yet
+    set, so the first requests pay neither. *)
 
 type ticket = int
 
@@ -185,8 +190,9 @@ type stats = {
       (** rows executed beyond real requests: 0 unless a context could
           not rebind (see {!symbolic}) *)
   plan_compiles : int;
-      (** plan compiles performed at context checkout; at most one per
-          model in steady state *)
+      (** plans compiled at context checkout, for models that had none
+          (one per model, two if two workers race on a cold one); a
+          quarantine keeps the plan and compiles nothing *)
   outstanding : int;
   queue_depth : int;
   max_depth_seen : int;

@@ -1,26 +1,26 @@
 (* Domain worker pool: turns scheduled batches into outcomes.
 
    Each worker is an OCaml 5 domain looping on [Scheduler.next_batch].
-   Execution state is pooled PER MODEL, in one free list of contexts
-   compiled at [max_batch] (the plan carries the model's
-   [Batch_axis.plan]): every batch - whatever its size, 3 or 7 or 8 -
-   executes on such a context via [Executor.run_context ~batch:n] with
-   zero padded rows and zero recompilation.  A context that cannot
-   rebind (one of its kernels runs on the reference path) still serves:
-   it runs every batch at [max_batch] rows, the last request copied
-   into the padding rows, which [padded_rows] counts.  Contexts are NOT
-   concurrent-safe (they reuse buffers across runs), hence the free
-   lists: two workers serving the same model simultaneously each get
-   their own context, and the pool grows to the observed concurrency -
-   steady state for a single-worker server is exactly one context per
-   model.
+   Each model owns ONE plan, compiled at [max_batch] (it carries the
+   model's [Batch_axis.plan]), and a free list of contexts built from
+   it: every batch - whatever its size, 3 or 7 or 8 - executes on such
+   a context via [Executor.run_context ~batch:n] with zero padded rows
+   and zero recompilation.  A context that cannot rebind (one of its
+   kernels runs on the reference path) still serves: it runs every
+   batch at [max_batch] rows, the last request copied into the padding
+   rows, which [padded_rows] counts.  Contexts are NOT concurrent-safe
+   (they reuse buffers across runs), hence the free lists: two workers
+   serving the same model simultaneously each get their own context,
+   and the pool grows to the observed concurrency - steady state for a
+   single-worker server is exactly one context per model.
 
    Every stamp - heartbeats, restart gates, the five latency phases -
    reads [Clock.now_us], the clock the scheduler stamps requests with.
 
-   Compilation goes through the shared domain-safe [Session.cache], so
-   two workers racing to compile the same model duplicate at most the
-   planning work, never the cached artifact.
+   A model's plan is handed over before traffic ([set_plan], the zoo's
+   store-loaded plans) or compiled by the first checkout that finds
+   none.  Once set it is never replaced: the compiler is deterministic,
+   so a second compile could only produce the same bytes.
 
    Failure never takes the server down, and it never delivers corrupt
    numerics.  The supervision layers, outermost first:
@@ -33,9 +33,9 @@
 
    - A batch that raises OR during which any fault site fired is
      treated as poisoned: its outputs are discarded, its context is
-     quarantined (never returned to the pool, and the plan behind it is
-     evicted from the compile cache), and its requests are re-dispatched
-     individually under a per-request retry budget.
+     quarantined (never returned to the pool; the model keeps its
+     plan), and its requests are re-dispatched individually under a
+     per-request retry budget.
 
    - A request whose budget is spent falls back to the reference
      interpreter on its model's batch-1 graph - the terminal rung,
@@ -52,7 +52,8 @@ module Kernel_plan = Astitch_plan.Kernel_plan
 type model_state = {
   spec : Batching.spec;
   shared : (string * Tensor.t) list;  (** weight bindings, fixed at load *)
-  mu : Mutex.t;  (** guards [free] *)
+  mu : Mutex.t;  (** guards [plan] and [free] *)
+  mutable plan : Kernel_plan.t option;  (** the max-batch plan, set once *)
   mutable free : Executor.context list;  (** free max-batch contexts *)
 }
 
@@ -80,7 +81,6 @@ type supervision = {
 type t = {
   scheduler : Scheduler.t;
   models : (string, model_state) Hashtbl.t;
-  cache : Session.cache;
   arch : Astitch_simt.Arch.t;
   verify_every : int;  (** re-check batch i vs solo when i mod n = 0 *)
   retry_budget : int;  (** failed batch executions before fallback *)
@@ -94,7 +94,7 @@ type t = {
   n_quarantined : int Atomic.t;
   n_wedged : int Atomic.t;
   n_padded : int Atomic.t;  (** rows run beyond the requests *)
-  n_compiles : int Atomic.t;  (** plan compiles performed at checkout *)
+  n_compiles : int Atomic.t;  (** plans compiled at checkout *)
   m_batch_size : Metrics.histogram;
   m_request_us : Metrics.histogram;
   (* The latency decomposition: per completed request, these five sum
@@ -122,23 +122,40 @@ let restart_backoff_us = 1_000.
 
 let max_batch m = m.spec.Batching.batch.Batch_axis.max_batch
 
-let compile_for pool m =
-  let g = m.spec.Batching.build (max_batch m) in
-  let result, outcome =
-    Session.compile_cached pool.cache Astitch_core.Astitch.full_backend
-      pool.arch g
-  in
-  (match outcome with
-  | Plan_cache.Miss | Plan_cache.Bypassed -> Atomic.incr pool.n_compiles
-  | Plan_cache.Hit -> ());
-  result
+let with_axis m plan =
+  { plan with Kernel_plan.batch = Some m.spec.Batching.batch }
+
+let set_plan m plan =
+  model_locked m (fun () ->
+      if Option.is_some m.plan then
+        invalid_arg "Worker_pool.set_plan: the model already has its plan";
+      m.plan <- Some (with_axis m plan))
+
+(* The model's plan, compiled when it has none.  The compile runs
+   OUTSIDE the model lock: two workers racing on a cold model may both
+   compile, and the first plan stored is the one both use. *)
+let plan_of pool m =
+  match model_locked m (fun () -> m.plan) with
+  | Some plan -> plan
+  | None -> (
+      let g = m.spec.Batching.build (max_batch m) in
+      let compiled =
+        with_axis m
+          (Session.compile Astitch_core.Astitch.full_backend pool.arch g)
+            .Session.plan
+      in
+      Atomic.incr pool.n_compiles;
+      model_locked m (fun () ->
+          match m.plan with
+          | Some kept -> kept
+          | None ->
+              m.plan <- Some compiled;
+              compiled))
 
 let checkin m ctx = model_locked m (fun () -> m.free <- ctx :: m.free)
 
-(* Check out a max-batch context, compiling one if the free list is
-   empty.  Compilation happens OUTSIDE the model lock: two workers
-   racing on a cold model both compile (through the shared plan cache,
-   so the expensive half is shared) and both contexts join the pool. *)
+(* Check out a max-batch context, building one from the model's plan
+   when the free list is empty. *)
 let checkout pool m =
   match
     model_locked m (fun () ->
@@ -149,39 +166,26 @@ let checkout pool m =
         | [] -> None)
   with
   | Some ctx -> ctx
-  | None ->
-      let plan = (compile_for pool m).Session.plan in
-      Executor.create_context
-        { plan with Kernel_plan.batch = Some m.spec.Batching.batch }
+  | None -> Executor.create_context (plan_of pool m)
 
-(* A context a fault touched never rejoins the pool, and the plan it
-   was compiled from is evicted from the shared cache: the next
-   checkout for this model recompiles from scratch instead of trusting
-   either the mutated execution state or the cached artifact behind it.
-   (Contexts rewrite every buffer on each run, so this is deliberately
-   conservative - the cost is one recompile, the alternative is ever
-   having served numerics from a suspect context.) *)
+(* A context a fault touched never rejoins the pool; the next checkout
+   builds a fresh one from the model's plan.  Every runtime fault site
+   writes into storage a context or a batch owns - kernel outputs, slab
+   staging, packed and sliced tensors - never into the plan, so the
+   plan is kept. *)
 let quarantine pool m ~model ~reason =
   Atomic.incr pool.n_quarantined;
-  let attrs =
-    if Trace.enabled () then
+  if Trace.enabled () then begin
+    let attrs =
       [
         ("model", Trace.Str model);
         ("batch", Trace.Int (max_batch m));
         ("reason", Trace.Str reason);
       ]
-    else []
-  in
-  (* A child span (under whatever batch/recover span is open on this
-     domain), not just an instant: the eviction has real duration and a
-     reason worth attributing in the blame view. *)
-  Trace.with_span ~attrs ~phase:"serve" "quarantine" (fun () ->
-      ignore
-        (Session.uncache pool.cache Astitch_core.Astitch.full_backend
-           pool.arch
-           (m.spec.Batching.build (max_batch m))));
-  if Trace.enabled () then
+    in
+    Trace.instant ~attrs ~phase:"serve" "quarantine";
     ignore (Flight.incident ~attrs ~reason:"quarantine" ())
+  end
 
 (* The rows a batch of [n] requests runs at on [ctx]: exactly [n] when
    the context rebinds, its full [max_batch] extent when it cannot. *)
@@ -558,14 +562,13 @@ let monitor_body pool () =
 
 (* --- Pool lifecycle ------------------------------------------------------ *)
 
-let create ~scheduler ~models ~cache ~arch ~verify_every ~retry_budget
+let create ~scheduler ~models ~arch ~verify_every ~retry_budget
     ~wedge_timeout_us ~workers =
   let r = Metrics.default in
   let pool =
     {
       scheduler;
       models;
-      cache;
       arch;
       verify_every;
       retry_budget;
@@ -635,7 +638,6 @@ let supervision pool =
 
 let padded_rows pool = Atomic.get pool.n_padded
 let plan_compiles pool = Atomic.get pool.n_compiles
-let plan_cache pool = pool.cache
 
 let context_counts pool =
   Hashtbl.fold
@@ -644,7 +646,8 @@ let context_counts pool =
     pool.models []
   |> List.sort compare
 
-(* Pre-compile every model so the first requests don't pay compilation
-   latency (the CLI does this before the clock starts). *)
+(* Build one context per model, compiling the plans not yet set, so
+   the first requests pay neither (the CLI does this before the clock
+   starts). *)
 let warm pool =
   Hashtbl.iter (fun _ m -> checkin m (checkout pool m)) pool.models

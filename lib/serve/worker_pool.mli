@@ -2,23 +2,23 @@
     under supervision.
 
     Workers are OCaml 5 domains looping on [Scheduler.next_batch].
-    Executor contexts are pooled PER MODEL, in one free list of
-    contexts compiled at [max_batch]; each executes any batch size by
-    prefix rebinding ([Executor.run_context ~batch]) - zero padded
-    rows, zero recompilation.  A context that cannot rebind (a kernel
-    on the reference path) runs every batch at [max_batch] rows, the
-    last request copied into the padding rows.  Contexts are not
+    Each model owns one plan, compiled at [max_batch], and a free list
+    of executor contexts built from it; each context executes any batch
+    size by prefix rebinding ([Executor.run_context ~batch]) - zero
+    padded rows, zero recompilation.  A context that cannot rebind (a
+    kernel on the reference path) runs every batch at [max_batch] rows,
+    the last request copied into the padding rows.  Contexts are not
     concurrent-safe, so each is owned by one worker for the duration of
     one batch.  Heartbeats, restart gates and latency phases read
     [Astitch_obs.Clock.now_us].
 
     A monitor domain restarts dead workers (exponential backoff) and
     steals batches from wedged ones (stale heartbeat past the wedge
-    timeout); a failing or fault-poisoned batch quarantines its context,
-    evicts the plan behind it from the compile cache, and re-dispatches
-    its requests solo under a per-request retry budget, falling back to
-    the reference interpreter per request when the budget is spent.
-    The pool never crashes the server and never loses a request. *)
+    timeout); a failing or fault-poisoned batch quarantines its context
+    (the model keeps its plan) and re-dispatches its requests solo
+    under a per-request retry budget, falling back to the reference
+    interpreter per request when the budget is spent.  The pool never
+    crashes the server and never loses a request. *)
 
 open Astitch_tensor
 open Astitch_runtime
@@ -26,9 +26,11 @@ open Astitch_runtime
 type model_state = {
   spec : Batching.spec;  (** carries the [Batch_axis.plan] contexts run *)
   shared : (string * Tensor.t) list;  (** weight bindings, fixed at load *)
-  mu : Mutex.t;  (** guards [free] *)
+  mu : Mutex.t;  (** guards [plan] and [free] *)
+  mutable plan : Astitch_plan.Kernel_plan.t option;
+      (** the model's max-batch plan; once set, never replaced *)
   mutable free : Executor.context list;
-      (** free contexts, all compiled at the spec's [max_batch] *)
+      (** free contexts, all built from [plan] *)
 }
 
 type t
@@ -36,7 +38,6 @@ type t
 val create :
   scheduler:Scheduler.t ->
   models:(string, model_state) Hashtbl.t ->
-  cache:Session.cache ->
   arch:Astitch_simt.Arch.t ->
   verify_every:int ->
   retry_budget:int ->
@@ -59,9 +60,16 @@ val join : t -> unit
 (** Block until the monitor and every worker exit.  Call after
     [Scheduler.shutdown]. *)
 
+val set_plan : model_state -> Astitch_plan.Kernel_plan.t -> unit
+(** Give a model its max-batch plan (compiled for the pool's arch by
+    the full AStitch backend, e.g. loaded from a plan store), so no
+    checkout compiles it.  The plan keeps the spec's batch axis.
+    @raise Invalid_argument when the model already has its plan. *)
+
 val warm : t -> unit
-(** Pre-compile every model (hide compile latency from the first
-    requests): check out one max-batch context per model. *)
+(** Hide compile and context latency from the first requests: build
+    one max-batch context per model, compiling the plans not yet
+    set. *)
 
 val padded_rows : t -> int
 (** Padded rows executed so far.  Continuous batching packs every batch
@@ -69,13 +77,9 @@ val padded_rows : t -> int
     [max_batch] rows. *)
 
 val plan_compiles : t -> int
-(** Plan compiles performed at context checkout (shared-cache misses
-    and bypasses).  At most one per model in steady state. *)
-
-val plan_cache : t -> Astitch_runtime.Session.cache
-(** The shared session cache behind every checkout.  Exposed so zoo
-    prewarming can seed it with store-loaded plans (checkouts then hit
-    instead of compiling) and persist it on shutdown. *)
+(** Plans compiled at context checkout, for models that had none: at
+    most one per model, or two when two workers race on a cold model.
+    Quarantine keeps the plan, so faults add none. *)
 
 val context_counts : t -> (string * int) list
 (** Free pooled contexts per model, sorted by name.  A drained

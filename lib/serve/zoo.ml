@@ -4,18 +4,16 @@
    supervise and count outcomes per class; the zoo adds the registration
    of each model with its class, and the persistent plan store that
    prewarm loads from and saves to.  Prewarm is the store's only writer:
-   it saves each plan it compiles, so shutdown has nothing to persist -
-   the only traffic compiles are quarantine recompiles of a plan already
-   saved (byte-identical); the fallback rung interprets and compiles
-   nothing.
+   it saves each plan it compiles, so shutdown has nothing to persist.
+   Traffic compiles nothing either: each model keeps the plan prewarm
+   handed it through any fault, and the fallback rung interprets.
 
-   Prewarm ordering matters: plans are loaded-or-compiled and seeded
-   into the server's session cache BEFORE Serve.warm builds executor
-   contexts, so warm's checkouts hit the cache; and all of it happens
-   before the first submit is legal, so no request ever races a cold
-   compile.  On a warm store that leaves [session.compiles] where
-   prewarm left it for the whole of traffic - the property the CI smoke
-   test pins. *)
+   Prewarm ordering matters: each plan is loaded-or-compiled and handed
+   to its model ([Serve.set_plan]) BEFORE Serve.warm builds executor
+   contexts from it, and all of it happens before the first submit is
+   legal, so no request ever races a cold compile.  On a warm store
+   that leaves [session.compiles] where prewarm left it for the whole
+   of traffic - the property the CI smoke test pins. *)
 
 open Astitch_ir
 open Astitch_runtime
@@ -80,66 +78,65 @@ let prewarm t =
   | Some p -> p
   | None ->
       let arch = t.config.serve.Serve.arch in
-      let cache = Serve.plan_cache t.serve in
       let loaded = ref 0
       and compiled = ref 0
       and verified = ref 0
       and rejected = ref 0
       and saved = ref 0 in
-      let compile_and_save g ~fingerprint =
-        let result, _outcome = Session.compile_cached cache backend arch g in
+      let compile g =
         incr compiled;
-        (match t.store with
-        | None -> ()
-        | Some store -> (
-            match
-              Plan_store.save store ~fingerprint ~arch:arch.name
-                result.Session.plan
-            with
-            | Ok () -> incr saved
-            | Error _ -> ()))
+        (Session.compile backend arch g).Session.plan
       in
-      (* exactly the cache slot Serve.warm will check out *)
-      let handle (spec : Batching.spec) =
+      let compile_and_save store g ~fingerprint =
+        let plan = compile g in
+        (match Plan_store.save store ~fingerprint ~arch:arch.name plan with
+        | Ok () -> incr saved
+        | Error _ -> ());
+        plan
+      in
+      (* the plan every context of the model will be built from *)
+      let plan_for (spec : Batching.spec) =
         let g = spec.build spec.batch.Batch_axis.max_batch in
-        let fingerprint = Fingerprint.of_graph g in
         match t.store with
-        | None -> compile_and_save g ~fingerprint
+        | None -> compile g
         | Some store -> (
+            let fingerprint = Fingerprint.of_graph g in
             match Plan_store.load store ~fingerprint ~arch:arch.name with
-            | Plan_store.Absent -> compile_and_save g ~fingerprint
+            | Plan_store.Absent -> compile_and_save store g ~fingerprint
             | Plan_store.Rejected _ ->
                 incr rejected;
-                compile_and_save g ~fingerprint
+                compile_and_save store g ~fingerprint
             | Plan_store.Loaded plan ->
                 if not (structurally_ok ~fingerprint ~arch:arch.name plan)
                 then begin
                   incr rejected;
-                  compile_and_save g ~fingerprint
+                  compile_and_save store g ~fingerprint
                 end
                 else if t.config.verify_plans then begin
                   (* Bit-identity gate: the freshly compiled plan is
-                     the reference; a loaded plan that doesn't encode
-                     identically is discarded (the fresh compile is
-                     already cached and re-saved). *)
-                  let fresh, _ = Session.compile_cached cache backend arch g in
-                  incr compiled;
-                  if Astitch_plan.Plan_codec.equal plan fresh.Session.plan
-                  then incr verified
+                     the reference and the one served; a loaded plan
+                     that doesn't encode identically is discarded and
+                     the fresh one re-saved. *)
+                  let fresh = compile g in
+                  if Astitch_plan.Plan_codec.equal plan fresh then
+                    incr verified
                   else begin
                     incr rejected;
                     ignore
                       (Plan_store.save store ~fingerprint ~arch:arch.name
-                         fresh.Session.plan)
-                  end
+                         fresh)
+                  end;
+                  fresh
                 end
                 else begin
-                  Session.precache cache backend arch g
-                    (Session.result_of_plan backend plan);
-                  incr loaded
+                  incr loaded;
+                  plan
                 end)
       in
-      List.iter (fun model -> handle (Serve.spec t.serve ~model)) t.names;
+      List.iter
+        (fun model ->
+          Serve.set_plan t.serve ~model (plan_for (Serve.spec t.serve ~model)))
+        t.names;
       Serve.warm t.serve;
       let p =
         {

@@ -12,10 +12,12 @@
     restarts: {!prewarm} loads every registered model's max-batch plan
     from [plan_dir] (falling back to compiling and saving it),
     optionally gating each loaded plan on bit-identity against a fresh
-    compile, and then warms executor contexts - all before the zoo
-    admits any traffic.  A restarted zoo pointed at the same directory
-    serves every request without a compile: fault-free traffic leaves
-    [session.compiles] where prewarm left it. *)
+    compile, hands each plan to its model ({!Serve.set_plan}), and then
+    warms executor contexts - all before the zoo admits any traffic.
+    A model keeps its plan through any runtime fault (quarantine
+    retires only the context), so a restarted zoo pointed at the same
+    directory serves every request without a compile: traffic, chaos
+    included, leaves [session.compiles] where prewarm left it. *)
 
 open Astitch_tensor
 
@@ -56,11 +58,14 @@ val create : ?config:config -> (Serve.model * Slo.t) list -> t
     @raise Invalid_argument on duplicate or empty registrations. *)
 
 val prewarm : t -> prewarm
-(** Load-or-compile every registered model's one max-batch plan, then
-    warm one executor context per model.  For each plan the store
-    either hits ([loaded], gated by [verify_plans]) or the plan is
-    compiled cold and saved back ([compiled], [saved]).  Idempotent; traffic is admitted after the
-    first call. *)
+(** Load-or-compile every registered model's one max-batch plan, hand
+    it to the model, then warm one executor context per model.  For
+    each plan the store either hits ([loaded], gated by
+    [verify_plans]) or the plan is compiled cold and saved back
+    ([compiled], [saved]).  Idempotent; traffic is admitted after the
+    first call.
+    @raise Invalid_argument when a model already has its plan (the
+    server was warmed or served before the first call). *)
 
 val server : t -> Serve.t
 (** The underlying server (trace/metrics surfaces, supervision,

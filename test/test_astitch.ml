@@ -323,7 +323,12 @@ let test_smem_demotion_under_pressure () =
 let test_config_printing () =
   check "full string" true (String.length (Config.cache_key Config.full) > 0);
   check "atm differs" true (Config.atm_only <> Config.full);
-  check "hdm differs" true (Config.no_dominant_merging <> Config.full)
+  check "hdm differs" true (Config.no_dominant_merging <> Config.full);
+  (* [compile_domains] cannot change a plan, so it names no new backend *)
+  check "compile_domains names the same backend" true
+    (String.equal
+       (Astitch.backend ~config:{ Config.full with compile_domains = 2 } ())
+         .Backend_intf.name Astitch.full_backend.Backend_intf.name)
 
 let () =
   Alcotest.run "astitch"

@@ -746,31 +746,6 @@ let test_unknown_model_rejected () =
       | exception Invalid_argument _ -> ()
       | _ -> Alcotest.fail "unknown model must raise")
 
-(* --- Plan cache under domain pressure ------------------------------------ *)
-
-let prop_plan_cache_domain_hammer =
-  QCheck2.Test.make ~name:"plan cache coherent under concurrent domains"
-    ~count:15
-    QCheck2.Gen.(int_range 0 1_000)
-    (fun seed ->
-      let cache : int Plan_cache.t = Plan_cache.create () in
-      let domains =
-        List.init 4 (fun d ->
-            Domain.spawn (fun () ->
-                let st = Random.State.make [| seed; d |] in
-                for i = 1 to 500 do
-                  let key = Printf.sprintf "k%d" (Random.State.int st 16) in
-                  match Plan_cache.find cache key with
-                  | Some _ -> ()
-                  | None -> Plan_cache.add cache key (d * 1000 + i)
-                done))
-      in
-      List.iter Domain.join domains;
-      let s = Plan_cache.stats cache in
-      s.hits + s.misses = 2000
-      && Plan_cache.length cache = s.insertions
-      && s.insertions <= 16)
-
 (* --- Chaos: supervision under injected runtime faults --------------------- *)
 
 (* The supervision contract, exercised per fault: every admitted request
@@ -810,13 +785,13 @@ let submit_burst server ~what ~seed n =
 
 (* A max-batch plan whose first kernel holds a parameter op: the tape
    refuses to fuse that kernel, so the context runs it on the reference
-   path and cannot rebind.  Seeded into the plan cache, it is the
-   model's context from its first checkout - during [warm], or under a
-   batch of one when the server was not warmed.  Either way that one
-   pooled context serves every size, padded to max_batch rows (1+2+3
-   padding rows for bursts of 1..4), nothing is retried, and every size
-   is bit-identical to the interpreter - the full batch's spot check
-   compares against it too. *)
+   path and cannot rebind.  Handed to the model ([Serve.set_plan]), it
+   is the model's context from its first checkout - during [warm], or
+   under a batch of one when the server was not warmed.  Either way
+   that one pooled context serves every size, padded to max_batch rows
+   (1+2+3 padding rows for bursts of 1..4), nothing is retried, and
+   every size is bit-identical to the interpreter - the full batch's
+   spot check compares against it too. *)
 let test_demoted_model_keeps_serving () =
   let max_batch = 4 in
   let config =
@@ -825,9 +800,11 @@ let test_demoted_model_keeps_serving () =
       verify_every = max_batch;
     }
   in
-  let backend = Astitch_core.Astitch.full_backend in
   let g = mlp_build ~batch:max_batch in
-  let plan = (Session.compile backend config.arch g).Session.plan in
+  let plan =
+    (Session.compile Astitch_core.Astitch.full_backend config.arch g)
+      .Session.plan
+  in
   let unrebindable =
     match plan.Kernel_plan.kernels with
     | k :: rest ->
@@ -854,8 +831,7 @@ let test_demoted_model_keeps_serving () =
       (fun () ->
         check_bool (what ^ ": classified at load") true
           (Serve.symbolic server ~model:"mlp");
-        Session.precache (Serve.plan_cache server) backend config.arch g
-          (Session.result_of_plan backend unrebindable);
+        Serve.set_plan server ~model:"mlp" unrebindable;
         if warm then begin
           Serve.warm server;
           check_bool "demoted at warm" false
@@ -981,6 +957,28 @@ let test_zoo_serves_without_compiling () =
         zoo_models;
       check_int "no padded rows" 0 (Serve.stats server).padded_rows)
 
+(* A server that was not warmed compiles a model's plan at its first
+   checkout - twice at most, when both workers race on the cold model -
+   and keeps it: a second burst compiles nothing. *)
+let test_cold_model_compiles_once () =
+  let config = serve_config ~workers:2 ~max_batch:2 () in
+  let server = Serve.create ~config [ mlp_model ] in
+  Fun.protect
+    ~finally:(fun () -> Serve.shutdown server)
+    (fun () ->
+      let burst seed =
+        let tickets = submit_burst server ~what:"cold" ~seed 6 in
+        Serve.drain server;
+        await_all_accounted server ~what:"cold" tickets;
+        (Serve.stats server).plan_compiles
+      in
+      let first = burst 1 in
+      check_bool
+        (Printf.sprintf "first burst compiles 1 or 2 plans (%d)" first)
+        true
+        (first = 1 || first = 2);
+      check_int "second burst compiles none" first (burst 2))
+
 (* Every runtime fault site x 50 seeds x {raise, corrupt}, against a
    live worker-backed server.  One server per (site, mode): arming is
    per-burst, so each seed replays deterministically. *)
@@ -991,6 +989,10 @@ let test_chaos_sweep () =
         (fun mode ->
           let config = serve_config ~workers:1 ~max_batch:2 () in
           let server = Serve.create ~config [ mlp_model ] in
+          let weights () = Serve.shared_weights server ~model:"mlp" in
+          let before =
+            List.map (fun (n, w) -> (n, Tensor.copy w)) (weights ())
+          in
           Fun.protect
             ~finally:(fun () -> Serve.shutdown server)
             (fun () ->
@@ -1023,16 +1025,25 @@ let test_chaos_sweep () =
               check_int (what ^ ": every request resolved")
                 s.submitted
                 (s.completed + s.failed + s.shed);
-              check_int (what ^ ": no request failed") 0 s.failed))
+              check_int (what ^ ": no request failed") 0 s.failed;
+              (* faults write into what a context or a batch owns, never
+                 into what the model keeps across quarantines *)
+              List.iter2
+                (fun (name, w0) (_, w) ->
+                  check_bool
+                    (Printf.sprintf "%s: weight %s bit-identical" what name)
+                    true (Tensor.equal_bits w0 w))
+                before (weights ());
+              check_int (what ^ ": one plan, kept") 1 s.plan_compiles))
         [ Fault.Raise; Fault.Corrupt ])
     Fault.runtime_sites
 
 (* A fault that never stops firing: kernel-exec raises on every batch,
    forever.  Breakers off so nothing is fast-rejected; every request
    must ride the ladder down to the fault-free fallback rung and come
-   back [Done] (degraded), bit-identical.  The rung is the interpreter,
-   so it compiles nothing: every compile during the burst is a context
-   checkout's. *)
+   back [Done] (degraded), bit-identical.  The rung is the interpreter
+   and a quarantine retires only the context, so on a warmed server
+   nothing compiles across the burst while contexts are quarantined. *)
 let test_chaos_persistent_fault_liveness () =
   let config =
     { (serve_config ~workers:1 ~max_batch:2 ()) with
@@ -1045,16 +1056,21 @@ let test_chaos_persistent_fault_liveness () =
   Fun.protect
     ~finally:(fun () -> Serve.shutdown server)
     (fun () ->
+      Serve.warm server;
       Fault.with_faults
         [ Fault.plan Fault.Kernel_exec ~mode:Fault.Raise ~seed:3 ~fuel:max_int ]
         (fun () ->
           let compiles0 = session_compiles ()
-          and checkouts0 = (Serve.stats server).plan_compiles in
+          and plans0 = (Serve.stats server).plan_compiles
+          and quarantined0 = (Serve.supervision server).quarantined in
           let burst = submit_burst server ~what:"persistent" ~seed:1 6 in
           Serve.drain server;
-          check_int "persistent: every compile is a checkout compile"
-            ((Serve.stats server).plan_compiles - checkouts0)
-            (session_compiles () - compiles0);
+          check_int "persistent: no plan compiled" plans0
+            (Serve.stats server).plan_compiles;
+          check_int "persistent: no session compile" compiles0
+            (session_compiles ());
+          check_bool "persistent: contexts quarantined" true
+            ((Serve.supervision server).quarantined > quarantined0);
           let spec = Serve.spec server ~model:"mlp" in
           let shared = Serve.shared_weights server ~model:"mlp" in
           List.iter
@@ -1222,7 +1238,8 @@ let test_chaos_wedged_worker () =
 (* Corrupt-mode quarantine: a silently-corrupted batch is detected via
    the fired counter, its context quarantined, and the retry serves the
    request CLEAN - full strength, bit-identical.  Corruption must never
-   reach a caller. *)
+   reach a caller.  The model keeps its plan: the one worker compiled
+   it once, and the next clean request compiles nothing. *)
 let test_chaos_corrupt_quarantines_and_retries () =
   let config = serve_config ~workers:1 ~max_batch:2 () in
   let server = Serve.create ~config [ mlp_model ] in
@@ -1247,7 +1264,18 @@ let test_chaos_corrupt_quarantines_and_retries () =
       check_bool "context quarantined" true (sup.Serve.quarantined >= 1);
       let s = Serve.stats server in
       check_bool "request was retried" true (s.retried >= 1);
-      check_int "corruption never delivered as a failure" 0 s.failed)
+      check_int "corruption never delivered as a failure" 0 s.failed;
+      check_int "one plan compiled" 1 s.plan_compiles;
+      let params = Serve.random_request server ~model:"mlp" ~seed:12 in
+      (match Serve.submit server ~model:"mlp" ~params with
+      | Request.Done { outputs; degraded; _ } ->
+          check_bool "next clean request at full strength" false degraded;
+          check_outputs_identical "after quarantine"
+            (Interp.run spec.base ~params:(shared @ params))
+            outputs
+      | _ -> Alcotest.fail "the next clean request must be served");
+      check_int "no plan compiled after the quarantine" 1
+        (Serve.stats server).plan_compiles)
 
 (* The batcher-polling shutdown satellite: with an hour-long max wait
    and a pending partial batch, drain + shutdown must complete within
@@ -1273,21 +1301,6 @@ let test_shutdown_prompt_under_open_window () =
   check_bool "huge window clamps to 200us" true (interval 3.6e9 = 200.);
   check_bool "zero window clamps to 50us" true (interval 0. = 50.);
   check_bool "quarter window in between" true (interval 400. = 100.)
-
-(* The plan-cache invalidation satellite. *)
-let test_plan_cache_remove () =
-  let cache : int Plan_cache.t = Plan_cache.create () in
-  Plan_cache.add cache "a" 1;
-  Plan_cache.add cache "b" 2;
-  check_bool "remove present" true (Plan_cache.remove cache "a");
-  check_bool "remove absent" false (Plan_cache.remove cache "a");
-  check_bool "removed key misses" true (Plan_cache.find cache "a" = None);
-  check_bool "other key survives" true (Plan_cache.find cache "b" = Some 2);
-  let s = Plan_cache.stats cache in
-  check_int "one removal counted" 1 s.removals;
-  check_int "length = insertions - removals"
-    (s.insertions - s.removals)
-    (Plan_cache.length cache)
 
 (* --- Request tracing: span chains, decomposition, flight recorder --------- *)
 
@@ -1470,8 +1483,11 @@ let () =
           Alcotest.test_case "unknown model rejected" `Quick
             test_unknown_model_rejected;
         ] );
-      ( "plan-cache-domains",
-        [ QCheck_alcotest.to_alcotest prop_plan_cache_domain_hammer ] );
+      ( "one-plan-per-model",
+        [
+          Alcotest.test_case "a cold model compiles its plan once" `Quick
+            test_cold_model_compiles_once;
+        ] );
       ( "chaos",
         [
           Alcotest.test_case "sweep: every runtime site x 50 seeds x mode"
@@ -1490,8 +1506,6 @@ let () =
             test_chaos_corrupt_quarantines_and_retries;
           Alcotest.test_case "shutdown prompt under an open window" `Quick
             test_shutdown_prompt_under_open_window;
-          Alcotest.test_case "plan cache invalidation" `Quick
-            test_plan_cache_remove;
         ] );
       ( "tracing",
         [

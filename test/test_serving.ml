@@ -1,12 +1,10 @@
-(* The serving fast path: canonical fingerprints, the plan cache,
+(* The serving fast path: canonical fingerprints, compile counting,
    reusable execution contexts, and parallel cluster compilation.
 
    The load-bearing claims, each tested directly:
    - fingerprints are invariant under node renumbering/dead code and
-     sensitive to semantic changes (cache-key soundness);
-   - a cache hit returns the identical compiled result, and
-     degraded/fault-injected compiles neither read nor fill the cache,
-     and [session.compiles] counts every compile but no hit;
+     sensitive to semantic changes (plan-store key soundness);
+   - [session.compiles] counts every compile;
    - run_context is bit-identical to a fresh Executor.run;
    - parallel cluster compilation is byte-identical to sequential on
      every zoo workload and on random graphs. *)
@@ -20,8 +18,6 @@ open Astitch_runtime
 let check_bool = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
 let check_string = Alcotest.(check string)
-
-module Fault = Fault_site
 
 (* --- Graph fixtures ----------------------------------------------------- *)
 
@@ -99,163 +95,10 @@ let test_fingerprint_output_order () =
        (Fingerprint.of_graph (two_outputs false))
        (Fingerprint.of_graph (two_outputs true)))
 
-(* --- Plan cache --------------------------------------------------------- *)
-
-let test_cache_hit_identity () =
-  let cache = Session.make_cache () in
-  let b = Astitch_core.Astitch.full_backend in
-  let r1, o1 = Session.compile_cached cache b Arch.v100 (serving_graph ()) in
-  let r2, o2 =
-    (* a different construction of the same live graph still hits *)
-    Session.compile_cached cache b Arch.v100 (serving_graph_with_dead ())
-  in
-  check_bool "first compile misses" true (o1 = Plan_cache.Miss);
-  check_bool "second compile hits" true (o2 = Plan_cache.Hit);
-  check_bool "hit returns the identical result" true (r1 == r2)
-
-let test_cache_key_separates () =
-  let cache = Session.make_cache () in
-  let b = Astitch_core.Astitch.full_backend in
-  let _ = Session.compile_cached cache b Arch.v100 (serving_graph ()) in
-  let _, o_arch = Session.compile_cached cache b Arch.t4 (serving_graph ()) in
-  let _, o_backend =
-    Session.compile_cached cache Astitch_core.Astitch.atm_backend Arch.v100
-      (serving_graph ())
-  in
-  let _, o_graph =
-    Session.compile_cached cache b Arch.v100 (serving_graph_sub ())
-  in
-  check_bool "different arch misses" true (o_arch = Plan_cache.Miss);
-  check_bool "different backend misses" true (o_backend = Plan_cache.Miss);
-  check_bool "different graph misses" true (o_graph = Plan_cache.Miss)
-
-(* Backends are named by [Config.cache_key], the four compiler switches:
-   a config differing only in [compile_domains] shares the full config's
-   slot.  Faults are not part of the key: a compile that starts with a
-   compile-site fault armed skips the cache, so the fault fires instead
-   of the clean plan coming back as a hit. *)
-let test_config_cache_identity () =
-  let g = Astitch_workloads.Crnn.tiny () in
-  let cache = Session.make_cache () in
-  let compile config =
-    Session.compile_cached cache
-      (Astitch_core.Astitch.backend ~config ())
-      Arch.v100 g
-  in
-  let full = Astitch_core.Config.full in
-  let r1, o1 = compile full in
-  let r2, o2 = compile { full with compile_domains = 2 } in
-  check_bool "full misses" true (o1 = Plan_cache.Miss);
-  check_bool "compile_domains = 2 hits" true (o2 = Plan_cache.Hit);
-  check_bool "the hit is the full config's result" true (r1 == r2);
-  let o3, fired =
-    Fault.with_faults [ Fault.plan ~mode:Fault.Corrupt Fault.Codegen ]
-      (fun () ->
-        let o =
-          match compile full with
-          | _, o -> o
-          | exception Compile_error.Error _ ->
-              (* the corrupt kernel degraded, so the strict compile
-                 refused; the cache counted it as a bypass *)
-              Plan_cache.Bypassed
-        in
-        (o, Fault.compile_fired ()))
-  in
-  check_bool "armed compile bypasses" true (o3 = Plan_cache.Bypassed);
-  check_bool "its fault fired" true (fired > 0);
-  let s = Plan_cache.stats cache in
-  check_int "one bypass counted" 1 s.Plan_cache.bypasses;
-  check_int "the armed compile looked nothing up" 2
-    (s.Plan_cache.hits + s.Plan_cache.misses);
-  check_int "only the clean plan cached" 1 (Plan_cache.length cache)
-
-let test_stats_printer_invariant () =
-  let cache : int Plan_cache.t = Plan_cache.create () in
-  let key n = Plan_cache.key ~fingerprint:n ~arch:"v100" ~config:"c" in
-  Plan_cache.add cache (key "a") 1;
-  Plan_cache.add cache (key "b") 2;
-  Plan_cache.add cache (key "c") 3;
-  ignore (Plan_cache.remove cache (key "c"));
-  let s = Plan_cache.stats cache in
-  let printed = Format.asprintf "%a" Plan_cache.pp_stats s in
-  (* Every counter the invariant needs must be readable off the printed
-     line - in particular [removals], which the printer used to omit. *)
-  let contains sub =
-    let n = String.length sub and len = String.length printed in
-    let rec go i = i + n <= len && (String.sub printed i n = sub || go (i + 1)) in
-    go 0
-  in
-  List.iter
-    (fun (count, label) ->
-      check_bool
-        (Printf.sprintf "printed stats mention %S" label)
-        true
-        (contains (Printf.sprintf "%d %s" count label)))
-    [
-      (s.Plan_cache.insertions, "insertions");
-      (s.Plan_cache.removals, "removals");
-      (s.Plan_cache.bypasses, "bypasses");
-    ];
-  check_int "length = insertions - removals"
-    (Plan_cache.length cache)
-    (s.Plan_cache.insertions - s.Plan_cache.removals)
-
-let test_fault_injected_compile_bypasses_cache () =
-  let g = serving_graph () in
-  (* a Corrupt fault that fires somewhere in the pipeline *)
-  List.iter
-    (fun site ->
-      let cache = Session.make_cache () in
-      let b = Astitch_core.Astitch.full_backend in
-      match
-        Fault.with_faults
-          [ Fault.plan ~mode:Fault.Corrupt ~fuel:max_int site ]
-          (fun () -> Session.compile_cached cache b Arch.v100 g)
-      with
-      | _, outcome ->
-          check_bool
-            (Fault.site_to_string site ^ " corrupt compile not cached")
-            true
-            (outcome = Plan_cache.Bypassed);
-          check_int
-            (Fault.site_to_string site ^ " cache stays empty")
-            0 (Plan_cache.length cache)
-      | exception _ ->
-          (* corruption made the compile fail outright (structured or
-             bare, e.g. an unlaunchable config): nothing was cached *)
-          check_int
-            (Fault.site_to_string site ^ " cache stays empty")
-            0 (Plan_cache.length cache))
-    Fault.all_sites
-
-let test_degraded_compile_bypasses_cache () =
-  let g = serving_graph () in
-  let cache = Session.make_cache () in
-  (match
-     Fault.with_faults
-       [ Fault.plan ~mode:Fault.Raise ~fuel:1 Fault.Launch_config ]
-       (fun () -> Session.compile_resilient_cached cache Arch.v100 g)
-   with
-  | Ok r, outcome ->
-      check_bool "fault produced a degradation" true
-        (not (Astitch_core.Degradation.is_empty r.Session.report));
-      check_bool "degraded result bypassed" true
-        (outcome = Plan_cache.Bypassed);
-      check_int "nothing cached" 0 (Plan_cache.length cache)
-  | Error _, _ -> Alcotest.fail "resilient compile should degrade, not fail");
-  (* the same cache serves clean compiles normally afterwards *)
-  let clean_cache = Session.make_cache () in
-  (match Session.compile_resilient_cached clean_cache Arch.v100 g with
-  | Ok _, o1 ->
-      check_bool "clean compile misses then caches" true (o1 = Plan_cache.Miss)
-  | Error _, _ -> Alcotest.fail "clean compile failed");
-  match Session.compile_resilient_cached clean_cache Arch.v100 g with
-  | Ok _, o2 -> check_bool "clean recompile hits" true (o2 = Plan_cache.Hit)
-  | Error _, _ -> Alcotest.fail "clean recompile failed"
+(* --- Compile counting ------------------------------------------------ *)
 
 (* [session.compiles] counts each compile where it happens - what
-   [serve --expect-warm] reads before and after traffic - and a cache
-   hit compiles nothing. *)
+   [serve --expect-warm] reads before and after traffic. *)
 let test_session_compiles_counted () =
   let compiles () =
     Astitch_obs.Metrics.(value (counter default "session.compiles"))
@@ -265,14 +108,7 @@ let test_session_compiles_counted () =
   ignore (Session.compile b Arch.v100 g);
   check_int "Session.compile counts one" (c0 + 1) (compiles ());
   ignore (Session.compile_resilient Arch.v100 g);
-  check_int "Session.compile_resilient counts one" (c0 + 2) (compiles ());
-  let cache = Session.make_cache () in
-  let _, o1 = Session.compile_cached cache b Arch.v100 g in
-  check_bool "first cached compile misses" true (o1 = Plan_cache.Miss);
-  check_int "the miss compiles once" (c0 + 3) (compiles ());
-  let _, o2 = Session.compile_cached cache b Arch.v100 g in
-  check_bool "second cached compile hits" true (o2 = Plan_cache.Hit);
-  check_int "the hit compiles nothing" (c0 + 3) (compiles ())
+  check_int "Session.compile_resilient counts one" (c0 + 2) (compiles ())
 
 (* --- Execution contexts ------------------------------------------------- *)
 
@@ -419,18 +255,6 @@ let () =
         ] );
       ( "cache",
         [
-          Alcotest.test_case "hit returns identical plan" `Quick
-            test_cache_hit_identity;
-          Alcotest.test_case "key separates arch/config/graph" `Quick
-            test_cache_key_separates;
-          Alcotest.test_case "config identity is the cache key" `Quick
-            test_config_cache_identity;
-          Alcotest.test_case "stats printer invariant" `Quick
-            test_stats_printer_invariant;
-          Alcotest.test_case "fault-injected compiles bypass" `Quick
-            test_fault_injected_compile_bypasses_cache;
-          Alcotest.test_case "degraded compiles bypass" `Quick
-            test_degraded_compile_bypasses_cache;
           Alcotest.test_case "session.compiles counts compiles" `Quick
             test_session_compiles_counted;
         ] );
