@@ -298,6 +298,11 @@ let inspect model training tiny =
            (fun acc (c : Clustering.cluster) ->
              Stdlib.max acc (List.length c.nodes))
            0 clusters);
+      (* the groups a full compile lowers, and how many it compiles *)
+      let groups = Array.of_list (Clustering.remote_stitch_groups g clusters) in
+      let reps = Astitch_core.Scope_key.representatives g groups in
+      Printf.printf "  remote-stitch groups: %d (%d distinct)\n" (Array.length groups)
+        (List.length (List.sort_uniq Int.compare (Array.to_list reps)));
       `Ok ()
 
 (* One driver: [--resilient] keeps the degradation report and prints

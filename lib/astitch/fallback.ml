@@ -299,6 +299,7 @@ let compile (config : Config.t) (arch : Arch.t) g :
     in
     go rungs
   in
+  let group_name = Printf.sprintf "stitch_op_%d" in
   (* One remote-stitched group's kernels.  The top rung is full-strength
      group lowering; when it fails the group splits and each cluster
      degrades on its own, with the full shared-memory budget (it no longer
@@ -306,7 +307,7 @@ let compile (config : Config.t) (arch : Arch.t) g :
      kernels in [logs.(i)] — a slot per group, so groups can compile on a
      domain pool. *)
   let group_kernels logs i (parts : Clustering.cluster list) =
-    let name = Printf.sprintf "stitch_op_%d" i in
+    let name = group_name i in
     let remote = List.compare_length_with parts 1 > 0 in
     let top = if remote then Degradation.Remote else Degradation.Stitched in
     match
@@ -338,6 +339,41 @@ let compile (config : Config.t) (arch : Arch.t) g :
         in
         logs.(i) <- (List.rev !events, !per_op);
         ks
+  in
+  (* Group [i]'s kernels as an instance of group [r]'s, whose scope key
+     is the same: node ids map by position, and kernel names trade [r]'s
+     group name for [i]'s (the suffixes of gated splits stay); a copy
+     kernel is rebuilt for its new node.  Launch, barriers, scratch and
+     mappings carry over.  The instance is checked like any attempt;
+     [None] when it fails, and the caller compiles group [i] itself. *)
+  let instantiate ~r ~i src dst ks =
+    let rename () =
+      let ids = Hashtbl.create 64 in
+      List.iter2
+        (fun (a : Clustering.cluster) (b : Clustering.cluster) ->
+          List.iter2 (Hashtbl.replace ids) a.nodes b.nodes)
+        src dst;
+      let from = String.length (group_name r) in
+      List.map
+        (fun (k : Kernel_plan.kernel) ->
+          match k.ops with
+          | [ o ] when k.kind = Kernel_plan.Copy ->
+              FC.copy_kernel g (Hashtbl.find ids o.id)
+          | _ ->
+              {
+                k with
+                name =
+                  group_name i
+                  ^ String.sub k.name from (String.length k.name - from);
+                ops =
+                  List.map
+                    (fun (o : Kernel_plan.compiled_op) ->
+                      { o with id = Hashtbl.find ids o.id })
+                    k.ops;
+              })
+        ks
+    in
+    Result.to_option (attempt ~pass:"scope-memo" rename)
   in
   (* Assemble and check, then repair.  The library kernels and the
      [unchecked] kernel-per-op kernels get their [check_kernel] here
@@ -523,14 +559,49 @@ let compile (config : Config.t) (arch : Arch.t) g :
     in
     (* Groups degrade independently, so they compile on a domain pool;
        kernels and logs merge back in group-index order, byte-identical
-       to the sequential walk at any domain count.  Parallelism is gated
-       off under fault injection (a global registry). *)
-    let domains =
-      if Fault_site.compile_active () then 1 else config.compile_domains
-    in
-    let logs = Array.make (List.length cluster_groups) ([], []) in
+       to the sequential walk at any domain count.  A group whose exact
+       scope key repeats an earlier group's is an instance of that first
+       occurrence when the first compiled at its top rung with an empty
+       log, so only first occurrences go to the pool.  The memo lives for
+       this call: keys are exact only within one graph, config and arch.
+       Fault injection gates off the pool (a global registry) and the
+       memo (fault fuel counts attempts). *)
+    let faults = Fault_site.compile_active () in
+    let domains = if faults then 1 else config.compile_domains in
+    let groups = Array.of_list cluster_groups in
+    let n = Array.length groups in
+    let logs = Array.make n ([], []) in
     let stitch_kernels =
-      Parallel.mapi ~domains (group_kernels logs) cluster_groups |> List.concat
+      Trace.with_span ~phase:"compile" "scope-memo" @@ fun () ->
+      let reps =
+        if faults then Array.init n Fun.id
+        else Scope_key.representatives g groups
+      in
+      let firsts = List.filter (fun i -> reps.(i) = i) (List.init n Fun.id) in
+      let kernels = Array.make n [] in
+      List.iter2
+        (fun i ks -> kernels.(i) <- ks)
+        firsts
+        (Parallel.map ~domains (fun i -> group_kernels logs i groups.(i)) firsts);
+      let reused = ref 0 in
+      Array.iteri
+        (fun i r ->
+          if r <> i then
+            let instance =
+              if fst logs.(r) = [] then
+                instantiate ~r ~i groups.(r) groups.(i) kernels.(r)
+              else None
+            in
+            kernels.(i) <-
+              (match instance with
+              | Some ks ->
+                  incr reused;
+                  ks
+              | None -> group_kernels logs i groups.(i)))
+        reps;
+      Metrics.(add (counter default "compile.scopes") (n - !reused));
+      Metrics.(add (counter default "compile.scopes_reused") !reused);
+      List.concat (Array.to_list kernels)
     in
     Array.iter (fun (evs, _) -> events := List.rev_append evs !events) logs;
     match

@@ -17,9 +17,14 @@ val compile :
   Graph.t ->
   (Kernel_plan.t * Degradation.report, Compile_error.t) result
 (** Never raises (resource exhaustion aside): any failure the ladder
-    cannot absorb comes back as [Error].  Faults armed by
-    [Fault_site.with_faults] fire at the instrumented passes; while a
-    compile-site fault is armed, groups compile on one domain.  Every
+    cannot absorb comes back as [Error].  Within one call, a group with
+    the same {!Scope_key} as an earlier group reuses that group's
+    kernels, renamed, when they compiled at full strength; the counters
+    [compile.scopes] (groups lowered by the passes) and
+    [compile.scopes_reused] (instances) in [Metrics.default] count both.
+    Faults armed by [Fault_site.with_faults] fire at the instrumented
+    passes; while a compile-site fault is armed, groups compile on one
+    domain and every group compiles itself.  Every
     [Ok] plan passed the checks of
     [Kernel_plan.check_all], each run once: [check_kernel] on every
     kernel where it is made, [check_cross_kernel] on the plan. *)

@@ -1,16 +1,17 @@
 (* Canonical structural fingerprints for graphs.
 
-   The serving plan cache needs a key that identifies "the same graph" no
-   matter how its nodes happen to be numbered: a session rebuilding a model
-   from the same builder calls, a parser re-reading the same file, or a
-   frontend emitting the same subgraph with interleaved dead nodes must all
-   map to one cache entry.  We therefore canonicalize instead of hashing
+   The plan store (with the arch and codec version) and each [Batching]
+   spec key a graph by a value that identifies "the same graph" no matter
+   how its nodes happen to be numbered: a server rebuilding a model from
+   the same builder calls, a parser re-reading the same file, or a
+   frontend emitting the same subgraph with interleaved dead nodes must
+   all find one stored plan.  We therefore canonicalize instead of hashing
    the raw node array: nodes are renumbered by a deterministic
    depth-first walk from the outputs (operands before users, outputs in
    declaration order), dead nodes disappear, and each live node is printed
    with its full operator identity - kind, every static attribute, operand
    canonical ids, shape and dtype.  Two graphs share a fingerprint exactly
-   when their canonical texts collide, so cache-key soundness reduces to
+   when their canonical texts collide, so store-key soundness reduces to
    the collision resistance of [Digest] over a faithful serialization,
    not to the quality of an ad-hoc structural hash. *)
 
@@ -84,9 +85,8 @@ let canonical_text g =
              (Graph.outputs g))));
   Buffer.contents buf
 
-(* Memoized on the graph value: serving fingerprints the same graph on
-   every request, and the canonicalization walk would otherwise dominate
-   a cache hit.  Sound because graphs are immutable after construction. *)
+(* Memoized on the graph value, which is sound because graphs are
+   immutable after construction. *)
 let of_graph g =
   match Graph.fingerprint_memo g with
   | Some fp -> fp

@@ -1,4 +1,6 @@
-(** Canonical structural fingerprints for graphs: the plan-cache key.
+(** Canonical structural fingerprints for graphs: with the arch and codec
+    version, the key of a stored plan; also the identity of a
+    [Batching] spec.
 
     The fingerprint is the digest of a canonical serialization of the
     {e live} graph, with nodes renumbered by a deterministic depth-first

@@ -43,9 +43,7 @@ let is_output g id = id >= 0 && id < num_nodes g && g.output_set.(id)
 let is_live g id = g.live.(id)
 
 (* Fingerprint memo slot, owned by [Fingerprint] (which computes the
-   canonical digest); serving looks graphs up by fingerprint per request,
-   so recomputing the canonicalization each time would dominate a cache
-   hit. *)
+   canonical digest). *)
 let fingerprint_memo g = g.fingerprint_memo
 let set_fingerprint_memo g fp = g.fingerprint_memo <- Some fp
 

@@ -330,6 +330,129 @@ let test_config_printing () =
        (Astitch.backend ~config:{ Config.full with compile_domains = 2 } ())
          .Backend_intf.name Astitch.full_backend.Backend_intf.name)
 
+(* --- Scope memo ------------------------------------------------------------ *)
+
+(* A chain of softmax-like blocks [z = exp x / sum(exp x) + bias], joined
+   by dots so that each block is its own depth and so its own
+   remote-stitch group.  Plain blocks are copies of one scope; every
+   other variant changes one fact a group's compile reads. *)
+type block =
+  | Plain
+  | Output  (** the row sum is also a graph output *)
+  | Dead_broadcast
+      (** a dead broadcast of [exp x] outside the scope makes it a dominant
+          candidate *)
+  | Computed_bias  (** the bias is a dot output, not a parameter *)
+  | Dead_consumer  (** a dead [neg z] *)
+  | Column_reduce  (** the sum runs over axis 0 *)
+
+let blocks =
+  [ Plain; Plain; Output; Plain; Dead_broadcast; Computed_bias; Dead_consumer;
+    Column_reduce; Plain ]
+
+(* The graph and each block's [exp] node. *)
+let block_chain () =
+  let n = 16 in
+  let b = Builder.create () in
+  let mat name = Builder.parameter b name [ n; n ] in
+  let prev = ref (mat "x") and outputs = ref [] in
+  let exps =
+    List.mapi
+      (fun i v ->
+        let e = Builder.exp b (Builder.dot b !prev (mat (Printf.sprintf "w%d" i))) in
+        let s = Builder.reduce_sum b ~axes:[ (if v = Column_reduce then 0 else 1) ] e in
+        let y = Builder.div b e (Builder.broadcast b s ~dims:[ 0 ] [ n; n ]) in
+        let bias = mat (Printf.sprintf "bias%d" i) in
+        let bias = if v = Computed_bias then Builder.dot b bias (mat "v") else bias in
+        let z = Builder.add b y bias in
+        if v = Output then outputs := s :: !outputs;
+        if v = Dead_broadcast then ignore (Builder.broadcast b e ~dims:[ 1; 2 ] [ 2; n; n ]);
+        if v = Dead_consumer then ignore (Builder.neg b z);
+        prev := z;
+        e)
+      blocks
+  in
+  (Builder.finish b ~outputs:(Builder.dot b !prev (mat "w_out") :: !outputs), exps)
+
+(* The groups a full compile lowers, as [astitch_cli inspect] counts them. *)
+let stitch_groups g = Array.of_list (Clustering.remote_stitch_groups g (Clustering.clusters g))
+
+let distinct reps = List.length (List.sort_uniq Int.compare (Array.to_list reps))
+let reused () = Astitch_obs.Metrics.(value (counter default "compile.scopes_reused"))
+
+let test_scope_keys () =
+  let g, exps = block_chain () in
+  let groups = stitch_groups g in
+  check_int "one group per block" (List.length blocks) (Array.length groups);
+  let group_of id =
+    let rec find i =
+      if List.exists (fun (c : Clustering.cluster) -> List.mem id c.nodes) groups.(i) then i
+      else find (i + 1)
+    in
+    find 0
+  in
+  let reps = Scope_key.representatives g groups in
+  let first_plain = group_of (List.hd exps) in
+  List.iter2
+    (fun v e ->
+      let i = group_of e in
+      if v = Plain then check_int "plain copies share a key" first_plain reps.(i)
+      else check_int "a changed fact gets a key of its own" i reps.(i))
+    blocks exps;
+  check_int "distinct scopes" 6 (distinct reps)
+
+let test_scope_memo_compiles () =
+  let g, exps = block_chain () in
+  let compile ?(domains = 1) g =
+    match Fallback.compile { Config.full with compile_domains = domains } Arch.v100 g with
+    | Ok (plan, []) -> plan
+    | _ -> Alcotest.fail "a plain compile degraded"
+  in
+  let compile_reusing g =
+    let groups = stitch_groups g in
+    let before = reused () in
+    let plan = compile g in
+    check_int "reused = groups - distinct"
+      (Array.length groups - distinct (Scope_key.representatives g groups))
+      (reused () - before);
+    check "1 and 4 domains byte-identical" true
+      (String.equal (Plan_codec.encode plan) (Plan_codec.encode (compile ~domains:4 g)));
+    plan
+  in
+  ignore (compile_reusing (Astitch_workloads.Bert.tiny_training ()));
+  let plan = compile_reusing g in
+  check "plan passes every check" true (Kernel_plan.check_all plan = []);
+  let params = Astitch_runtime.Session.random_params g in
+  let ctx = Astitch_runtime.Executor.create_context ~fused:true plan in
+  check "fused run bit-identical to Interp" true
+    (List.for_all2 Astitch_tensor.Tensor.equal_bits
+       (Astitch_runtime.Executor.run_context ctx ~params)
+       (Astitch_tensor.Interp.run g ~params));
+  (* the outside consumer is load-bearing: a dead broadcast moves [exp] off
+     registers, so a key without it would hand out the wrong kernel *)
+  let placement e =
+    List.find_map (fun k -> Kernel_plan.find_op k e) plan.kernels
+    |> Option.map (fun (o : Kernel_plan.compiled_op) -> o.placement)
+  in
+  List.iter2
+    (fun v e ->
+      if v = Dead_broadcast then
+        check "dominant candidate placed apart" true (placement e <> placement (List.hd exps)))
+    blocks exps
+
+let test_scope_memo_bypassed_under_faults () =
+  let g, _ = block_chain () in
+  let scopes () = Astitch_obs.Metrics.(value (counter default "compile.scopes")) in
+  let reused0 = reused () and scopes0 = scopes () in
+  let fault = Fault_site.plan ~mode:Fault_site.Raise ~fuel:2 Fault_site.Codegen in
+  (match Fault_site.with_faults [ fault ] (fun () -> Fallback.compile Config.full Arch.v100 g) with
+  | Ok (plan, report) ->
+      check "the fault degraded a scope" true (report <> []);
+      check "degraded plan passes every check" true (Kernel_plan.check_all plan = [])
+  | Error e -> Alcotest.fail (Compile_error.to_string e));
+  check_int "nothing reused" reused0 (reused ());
+  check_int "every group compiled" (Array.length (stitch_groups g)) (scopes () - scopes0)
+
 let () =
   Alcotest.run "astitch"
     [
@@ -377,5 +500,11 @@ let () =
           Alcotest.test_case "table 1 spaces" `Quick test_scheme_table1_memory_spaces;
           Alcotest.test_case "smem demotion" `Quick test_smem_demotion_under_pressure;
           Alcotest.test_case "config" `Quick test_config_printing;
+        ] );
+      ( "scope memo",
+        [
+          Alcotest.test_case "keys" `Quick test_scope_keys;
+          Alcotest.test_case "instances compile" `Quick test_scope_memo_compiles;
+          Alcotest.test_case "bypassed under faults" `Quick test_scope_memo_bypassed_under_faults;
         ] );
     ]
