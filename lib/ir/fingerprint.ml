@@ -85,12 +85,4 @@ let canonical_text g =
              (Graph.outputs g))));
   Buffer.contents buf
 
-(* Memoized on the graph value, which is sound because graphs are
-   immutable after construction. *)
-let of_graph g =
-  match Graph.fingerprint_memo g with
-  | Some fp -> fp
-  | None ->
-      let fp = Digest.to_hex (Digest.string (canonical_text g)) in
-      Graph.set_fingerprint_memo g fp;
-      fp
+let of_graph g = Digest.to_hex (Digest.string (canonical_text g))

@@ -12,9 +12,6 @@ type t = {
   consumers : Op.node_id list array; (* users of each node, ascending *)
   output_set : bool array; (* is_output without the per-call list scan *)
   live : bool array; (* reachable backwards from the outputs *)
-  mutable fingerprint_memo : string option;
-      (* canonical fingerprint, filled on first request; sound because
-         the graph is otherwise immutable *)
 }
 
 exception Ill_formed of string
@@ -41,11 +38,6 @@ let fold_nodes f acc g = Array.fold_left f acc g.nodes
 
 let is_output g id = id >= 0 && id < num_nodes g && g.output_set.(id)
 let is_live g id = g.live.(id)
-
-(* Fingerprint memo slot, owned by [Fingerprint] (which computes the
-   canonical digest). *)
-let fingerprint_memo g = g.fingerprint_memo
-let set_fingerprint_memo g fp = g.fingerprint_memo <- Some fp
 
 (* A node's value escapes the graph if a consumer exists outside it or it
    is a declared output; parameters never escape (they are inputs). *)
@@ -128,7 +120,7 @@ let of_nodes nodes ~outputs =
   for id = n - 1 downto 0 do
     if not live.(id) then live.(id) <- any_live consumers.(id)
   done;
-  { nodes; outputs; consumers; output_set; live; fingerprint_memo = None }
+  { nodes; outputs; consumers; output_set; live }
 
 (* Re-check all shapes/dtypes against the inference rules. *)
 let validate g =

@@ -33,12 +33,6 @@ val is_live : t -> Op.node_id -> bool
     built; backends never lower dead nodes (matching XLA/TF dead-code
     elimination). *)
 
-val fingerprint_memo : t -> string option
-(** Memoized canonical fingerprint.  Owned by [Fingerprint]; use
-    [Fingerprint.of_graph], which fills it on first computation (sound
-    because graphs are otherwise immutable). *)
-
-val set_fingerprint_memo : t -> string -> unit
 val consumers : t -> Op.node_id -> Op.node_id list
 val operands : t -> Op.node_id -> Op.node_id list
 val topo_order : t -> Op.node_id list

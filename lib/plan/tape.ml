@@ -5,7 +5,7 @@
    into the structural recipe the runtime executor compiles into closures:
 
    - Register ops become [Inline] - recomputed per consumer read, zero
-     materialization (the paper's Local scheme);
+     materialization (the paper's Local scheme) - or [Held] (below);
    - Shared_mem ops become [Staged] - kept in a per-block slab sized from
      the thread mapping's contiguous block geometry (Regional scheme);
    - Global_scratch ops become [Staged_global] - written to a per-kernel
@@ -26,7 +26,25 @@
    into barrier-separated segments (a read of a scratch value staged
    since the last barrier point inserts a barrier before the reading
    producer; [Barrier.is_legal] bounds the grid, so an over-wide kernel
-   rejects instead of deadlocking).  Kernels that use an unsupported
+   rejects instead of deadlocking).
+
+   Holds.  An [Inline] value costs its work once per loop that reads it,
+   where the plan may charge it once (paper §3.2: a thread keeps a
+   Register value for all its consumers).  A Register value that is
+   heavy ([Op.weight]), charged once ([recompute = 1]), read by two or
+   more of the kernel's loops and whose own reads reach no multi-block
+   slab becomes [Held]: the engine writes it once per run, by its own
+   loop, into a per-kernel buffer placed just before the first loop
+   that reads it, and later loops read that buffer.  Loops read lazy
+   values through Register chains and through slab refills (a slab is
+   refilled inside whichever loop reads it), so a value's readers are
+   gathered from its consumers backwards, in reverse op order; a held
+   consumer counts as one loop, its own.  Barriers and scratch slots
+   are sequenced as if nothing were held: the hold loop reads a subset
+   of what its first reading loop reads, after that loop's barrier, and
+   a value with no multi-block slab refills no block out of order.
+   Recompute stays for light values, for plan [recompute > 1] and
+   within one loop.  Kernels that use an unsupported
    pattern lower to [Fallback] with a reason; the executor runs those
    through the reference per-node path, so a bad plan still fails exactly
    where the reference executor would fail. *)
@@ -36,6 +54,8 @@ open Astitch_simt
 
 type role =
   | Inline (* Register: recomputed inside consumer loops *)
+  | Held of { before : Op.node_id }
+      (* Register: one loop per run into a hold buffer, before [before] *)
   | Staged of { block_elems : int } (* Shared_mem: per-block slab *)
   | Staged_global of { elems : int; demoted : bool }
       (* Global_scratch: per-kernel scratch slot behind a barrier *)
@@ -95,11 +115,12 @@ let lower (plan : Kernel_plan.t) : t =
     let direct id =
       match Hashtbl.find_opt seen id with
       | Some (Materialize | Alias _) -> true
-      | Some (Inline | Staged _ | Staged_global _) -> false
+      | Some (Inline | Held _ | Staged _ | Staged_global _) -> false
       | None -> avail.(id)
     in
     let demotions = ref [] in
     let roles = ref [] in
+    let candidates = ref [] in
     List.iter
       (fun (o : Kernel_plan.compiled_op) ->
         if not (Hashtbl.mem seen o.id) then begin
@@ -112,9 +133,12 @@ let lower (plan : Kernel_plan.t) : t =
           let role =
             match o.placement with
             | Kernel_plan.Register ->
-                if Op.scalarizable nd.op then Inline
-                else reject "op %d (%s) cannot be scalarized" o.id
-                    (Op.mnemonic nd.op)
+                if not (Op.scalarizable nd.op) then
+                  reject "op %d (%s) cannot be scalarized" o.id
+                    (Op.mnemonic nd.op);
+                if o.recompute = 1 && Op.weight nd.op = Op.Heavy then
+                  candidates := o.id :: !candidates;
+                Inline
             | Kernel_plan.Shared_mem -> (
                 (* regional -> global demotion: a value that cannot live
                    in a per-block slab can still stitch through a global
@@ -237,7 +261,7 @@ let lower (plan : Kernel_plan.t) : t =
     List.iter
       (fun (id, role) ->
         match role with
-        | Inline | Staged _ -> ()
+        | Inline | Held _ | Staged _ -> ()
         | Staged_global _ | Materialize | Alias _ ->
             let i = !next_idx in
             incr next_idx;
@@ -273,6 +297,104 @@ let lower (plan : Kernel_plan.t) : t =
               Some (id, elems, d, l)
           | _ -> None)
         roles
+    in
+    (* ---- holds ----
+       [readers id]: the first two loops, by place, that read lazy value
+       [id] - producer actions and holds - gathered from its consumers,
+       which follow it in op order; two are enough to tell one reading
+       loop from several and to find the first.  [held]: each held
+       value with the producer whose action its hold precedes. *)
+    let held =
+      (* a hold needs two loops reading it, so two actions at least *)
+      if !candidates = [] || !next_idx < 2 then []
+      else begin
+        let held = ref [] and readers = Hashtbl.create 16 in
+        (* a hold runs just before the action of the producer it
+           precedes *)
+        let place r =
+          Hashtbl.find action_index
+            (Option.value ~default:r (List.assoc_opt r !held))
+        in
+        let earlier a b =
+          let pa = place a and pb = place b in
+          pa < pb || (pa = pb && a < b)
+        in
+        let add rs r =
+          match rs with
+          | [] -> [ r ]
+          | [ a ] when a = r -> rs
+          | [ a ] -> if earlier r a then [ r; a ] else [ a; r ]
+          | [ a; b ] when a = r || b = r -> rs
+          | [ a; b ] ->
+              if earlier r a then [ r; a ]
+              else if earlier r b then [ a; r ]
+              else rs
+          | _ -> assert false
+        in
+        let lazy_role p =
+          match role_of p with Some (Inline | Staged _) -> true | _ -> false
+        in
+        (* reading [id] may refill a multi-block slab *)
+        let memo = Hashtbl.create 16 in
+        let rec multi id =
+          match Hashtbl.find_opt memo id with
+          | Some m -> m
+          | None ->
+              let m =
+                List.exists
+                  (fun p ->
+                    match role_of p with
+                    | Some (Staged { block_elems }) ->
+                        block_elems < Graph.num_elements g p || multi p
+                    | Some Inline -> multi p
+                    | _ -> false)
+                  (Graph.operands g id)
+              in
+              Hashtbl.replace memo id m;
+              m
+        in
+        let readers_of id =
+          match Hashtbl.find readers id with
+          | rs -> rs
+          | exception Not_found -> []
+        in
+        List.iter
+          (fun (id, role) ->
+            let rs = readers_of id in
+            let via =
+              match (role, rs) with
+              | (Staged_global _ | Materialize), _ -> [ id ]
+              | (Alias _ | Held _), _ -> []
+              | Staged _, _ -> rs
+              | Inline, [ first; _ ]
+                when List.mem id !candidates && not (multi id) ->
+                  let before =
+                    Option.value ~default:first (List.assoc_opt first !held)
+                  in
+                  held := (id, before) :: !held;
+                  [ id ]
+              | Inline, _ -> rs
+            in
+            if via <> [] then
+              List.iter
+                (fun p ->
+                  if lazy_role p then
+                    Hashtbl.replace readers p
+                      (List.fold_left add (readers_of p) via))
+                (Graph.operands g id))
+          (List.rev roles);
+        !held
+      end
+    in
+    let roles =
+      if held = [] then roles
+      else
+        List.map
+          (fun ((id, _) as r) ->
+            match List.assoc_opt id held with
+            | Some before -> (id, Held { before })
+            | None -> r)
+          roles
     in
     let materialized =
       List.filter_map

@@ -12,6 +12,16 @@ open Astitch_ir
 
 type role =
   | Inline  (** Register: recomputed inside consumer loops *)
+  | Held of { before : Op.node_id }
+      (** Register: written once per run, by its own loop, into a
+          per-kernel hold buffer just before the action of producer
+          [before], the first loop that reads it; later reads are
+          storage reads.  A Register value is held when it is heavy
+          ([Op.weight]), the plan charges it once ([recompute = 1]), two
+          or more of the kernel's loops read it - through Register
+          chains and slab refills, a held consumer counting as its own
+          loop - and its reads reach no multi-block slab.  Barriers and
+          scratch slots are sequenced as for [Inline]. *)
   | Staged of { block_elems : int }  (** Shared_mem: per-block slab *)
   | Staged_global of { elems : int; demoted : bool }
       (** Global_scratch: per-kernel scratch slot sequenced by in-kernel

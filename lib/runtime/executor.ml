@@ -38,7 +38,10 @@ exception Execution_error of string
    - Register ops are scalarized: [Scalar_eval] compiles them into
      tile writers evaluated inside their consumers' loops, one tile of
      at most [Scalar_eval.tile] elements at a time - zero
-     materialization (the paper's Local scheme);
+     materialization (the paper's Local scheme).  A heavy one the plan
+     charges once and two or more loops read is held instead
+     ([Tape.Held]): its own loop writes it into a per-kernel hold
+     buffer just before the first loop that reads it;
    - Shared_mem ops are staged per block: a reusable slab sized from the
      thread mapping's contiguous block geometry holds one block's worth
      of elements, refilled on block change (Regional scheme);
@@ -95,15 +98,17 @@ type action =
       node : Scalar_eval.t;
       staged : bool; (* destination is a global scratch slot *)
     }
-      (* write one value tile by tile, into its arena buffer or its
-         per-kernel global scratch slot, tiles cut at the value's window
-         period; [unit] is the per-batch element count (0 =
-         batch-invariant), so a symbolic batch b bounds the loop at
-         [unit * b] instead of [n] *)
+      (* write one value tile by tile, into its arena buffer, its
+         per-kernel global scratch slot or its hold buffer, tiles cut at
+         the value's window period; [unit] is the per-batch element
+         count (0 = batch-invariant), so a symbolic batch b bounds the
+         loop at [unit * b] instead of [n] *)
   | Scatter of {
       dst : float array;
-      idx : int -> float;
-      upd : int -> float;
+      idx : Scalar_eval.t;
+      upd : Scalar_eval.t;
+      one : float array; (* a row's index, read by a one-slot fill *)
+      buf : float array; (* one tile of a row's updates *)
       k : int;
       row : int;
       rows : int;
@@ -293,6 +298,7 @@ let create_context_body ~fused ~timed (plan : Kernel_plan.t) : context =
               else acc)
             0 k.ops;
         bytes_scalarized = 0;
+        bytes_held = 0;
         slab_bytes = 0;
         bytes_staged = 0;
         restages = 0;
@@ -301,6 +307,7 @@ let create_context_body ~fused ~timed (plan : Kernel_plan.t) : context =
         bytes_staged_global = 0;
         barriers_run = 0;
         wall_ns = 0.;
+        minor_words = 0;
         runs = 0;
       }
     in
@@ -317,6 +324,7 @@ let create_context_body ~fused ~timed (plan : Kernel_plan.t) : context =
         loops = 0;
         bytes_materialized = 0;
         bytes_scalarized = 0;
+        bytes_held = 0;
         slab_bytes = 0;
         bytes_staged = 0;
         restages = 0;
@@ -325,6 +333,7 @@ let create_context_body ~fused ~timed (plan : Kernel_plan.t) : context =
         bytes_staged_global = 0;
         barriers_run = 0;
         wall_ns = 0.;
+        minor_words = 0;
         runs = 0;
       }
     in
@@ -351,6 +360,19 @@ let create_context_body ~fused ~timed (plan : Kernel_plan.t) : context =
       (fun (a : Astitch_core.Mem_planner.slot_assignment) ->
         Hashtbl.replace gscratch a.node gslot_arrays.(a.slot))
       gassignments;
+    (* hold buffers, in op order: (held id, the producer whose loop its
+       hold precedes, buffer) *)
+    let holds =
+      List.filter_map
+        (fun (id, role) ->
+          match role with
+          | Tape.Held { before } ->
+              let buf = Array.make (Graph.num_elements g id) 0. in
+              fprof.bytes_held <- fprof.bytes_held + bytes_of (Array.length buf);
+              Some (id, before, buf)
+          | _ -> None)
+        kt.roles
+    in
     let accessors : (int, Scalar_eval.t) Hashtbl.t = Hashtbl.create 16 in
     let slabs = ref [] in
     let static arr =
@@ -385,6 +407,10 @@ let create_context_body ~fused ~timed (plan : Kernel_plan.t) : context =
             | Some (Tape.Alias { root }) ->
                 (* a reshape view preserves linear order: read the root *)
                 accessor root
+            | Some (Tape.Held _) ->
+                (* written before the first loop that reads it *)
+                let _, _, buf = List.find (fun (h, _, _) -> h = id) holds in
+                static buf
             | Some Tape.Inline ->
                 fprof.bytes_scalarized <-
                   fprof.bytes_scalarized + bytes_of (Graph.num_elements g id);
@@ -462,6 +488,23 @@ let create_context_body ~fused ~timed (plan : Kernel_plan.t) : context =
           staged;
         }
     in
+    let scatter ~staged dst indices updates rows =
+      let us = Graph.shape g updates in
+      let k = Shape.dim us 0 in
+      let row = Shape.num_elements us / k in
+      Scatter
+        {
+          dst;
+          idx = accessor indices;
+          upd = accessor updates;
+          one = [| 0. |];
+          buf = Array.make (Int.min row Scalar_eval.tile) 0.;
+          k;
+          row;
+          rows;
+          staged;
+        }
+    in
     let barrier_before : (int, unit) Hashtbl.t = Hashtbl.create 8 in
     List.iter (fun id -> Hashtbl.replace barrier_before id ()) kt.barrier_before;
     let actions =
@@ -469,12 +512,26 @@ let create_context_body ~fused ~timed (plan : Kernel_plan.t) : context =
         (fun ((id, role) : int * Tape.role) ->
           let nd = Graph.node g id in
           (* the tape opens a new barrier-separated segment before any
-             producer that reads scratch staged since the last barrier *)
+             producer that reads scratch staged since the last barrier;
+             the values held for the producer's loop are written after
+             the barrier, in op order *)
           let pre =
-            if Hashtbl.mem barrier_before id then [ Barrier_sync ] else []
+            (if Hashtbl.mem barrier_before id then [ Barrier_sync ] else [])
+            @
+            if holds = [] then []
+            else
+              List.filter_map
+                (fun (h, before, buf) ->
+                  if before <> id then None
+                  else begin
+                    fprof.loops <- fprof.loops + 1;
+                    Some (tiled ~staged:false buf (Graph.node g h))
+                  end)
+                holds
           in
           match role with
-          | Tape.Inline | Tape.Staged _ -> [] (* consumed lazily *)
+          | Tape.Inline | Tape.Held _ | Tape.Staged _ ->
+              [] (* consumed lazily, or written by a hold loop *)
           | Tape.Alias { root } ->
               pre @ [ Bind_view { id; root; shape = nd.shape } ]
           | Tape.Staged_global _ -> (
@@ -482,21 +539,7 @@ let create_context_body ~fused ~timed (plan : Kernel_plan.t) : context =
               fprof.loops <- fprof.loops + 1;
               match nd.op with
               | Op.Scatter_add { indices; updates; rows } ->
-                  let us = Graph.shape g updates in
-                  let kdim = Shape.dim us 0 in
-                  pre
-                  @ [
-                      Scatter
-                        {
-                          dst;
-                          idx = (accessor indices).get;
-                          upd = (accessor updates).get;
-                          k = kdim;
-                          row = Shape.num_elements us / kdim;
-                          rows;
-                          staged = true;
-                        };
-                    ]
+                  pre @ [ scatter ~staged:true dst indices updates rows ]
               | _ -> pre @ [ tiled ~staged:true dst nd ])
           | Tape.Materialize -> (
               let dst =
@@ -514,21 +557,8 @@ let create_context_body ~fused ~timed (plan : Kernel_plan.t) : context =
                  paid once at context creation *)
               match nd.op with
               | Op.Scatter_add { indices; updates; rows } ->
-                  let us = Graph.shape g updates in
-                  let kdim = Shape.dim us 0 in
-                  pre
-                  @ [
-                      Scatter
-                        {
-                          dst = Tensor.data dst;
-                          idx = (accessor indices).get;
-                          upd = (accessor updates).get;
-                          k = kdim;
-                          row = Shape.num_elements us / kdim;
-                          rows;
-                          staged = false;
-                        };
-                    ]
+                  let dst = Tensor.data dst in
+                  pre @ [ scatter ~staged:false dst indices updates rows ]
               | _ -> pre @ [ tiled ~staged:false (Tensor.data dst) nd ]))
         kt.roles
     in
@@ -740,60 +770,80 @@ let run_context ?batch (ctx : context) ~params : Tensor.t list =
         else 0
       in
       let t0 = if ctx.timed then Astitch_obs.Clock.monotonic_ns () else 0 in
+      (* an unboxed external: reading it allocates nothing *)
+      let w0 = if ctx.timed then Gc.minor_words () else 0. in
       (match ke with
       | Fused_k fk ->
           (* slab contents are stale across runs (parameters changed);
-             under a symbolic batch the slab bound shrinks to the prefix *)
-          Array.iter
-            (fun sl ->
-              sl.cur_block <- -1;
-              sl.cur_total <-
-                (if bscale > 0 && sl.s_unit > 0 then sl.s_unit * bscale
-                 else sl.total))
-            fk.slabs;
-          Array.iter
-            (function
-              | Tiled { dst; n; unit; node; staged } ->
-                  let n =
-                    if bscale > 0 && unit > 0 then unit * bscale else n
+             under a symbolic batch the slab bound shrinks to the prefix.
+             Loops, not [Array.iter]: a closure per kernel would be the
+             run's only allocation on small kernels *)
+          for i = 0 to Array.length fk.slabs - 1 do
+            let sl = fk.slabs.(i) in
+            sl.cur_block <- -1;
+            sl.cur_total <-
+              (if bscale > 0 && sl.s_unit > 0 then sl.s_unit * bscale
+               else sl.total)
+          done;
+          for i = 0 to Array.length fk.actions - 1 do
+            match fk.actions.(i) with
+            | Tiled { dst; n; unit; node; staged } ->
+                let n =
+                  if bscale > 0 && unit > 0 then unit * bscale else n
+                in
+                Scalar_eval.fill_range node dst 0 0 n;
+                if staged then
+                  fk.fprof.bytes_staged_global <-
+                    fk.fprof.bytes_staged_global + bytes_of n
+            | Scatter { dst; idx; upd; one; buf; k; row; rows; staged } ->
+                Array.fill dst 0 (Array.length dst) 0.;
+                (* row r: its index, then its updates a tile at a time,
+                   added in element order - the reads per-element
+                   accessors would make, in the same order *)
+                for r = 0 to k - 1 do
+                  idx.fill one 0 r 1;
+                  let d =
+                    Int.max 0 (Int.min (rows - 1) (int_of_float one.(0)))
+                    * row
                   in
-                  Scalar_eval.fill_range node dst 0 0 n;
-                  if staged then
-                    fk.fprof.bytes_staged_global <-
-                      fk.fprof.bytes_staged_global + bytes_of n
-              | Scatter { dst; idx; upd; k; row; rows; staged } ->
-                  Array.fill dst 0 (Array.length dst) 0.;
-                  let clamp i = Stdlib.max 0 (Stdlib.min (rows - 1) i) in
-                  for r = 0 to k - 1 do
-                    let d = clamp (int_of_float (idx r)) in
-                    for off = 0 to row - 1 do
-                      let j = (d * row) + off in
-                      dst.(j) <- dst.(j) +. upd ((r * row) + off)
-                    done
-                  done;
-                  if staged then
-                    fk.fprof.bytes_staged_global <-
-                      fk.fprof.bytes_staged_global
-                      + bytes_of (Array.length dst)
-              | Barrier_sync ->
-                  (* on device: grid-wide sync making the scratch writes
-                     of the previous segment visible; on the host model
-                     the sequential action order already provides the
-                     ordering, so the barrier only counts *)
-                  fk.fprof.barriers_run <- fk.fprof.barriers_run + 1
-              | Bind_view { id; root; shape } ->
-                  (* under a symbolic batch the root holds either a
-                     max-sized buffer or a prefix-shaped parameter, so
-                     the compiled view shape no longer matches; bind the
-                     root raw instead - every read of the view is linear
-                     (reshape preserves linear order) and outputs are
-                     re-shaped explicitly below *)
-                  values.(id) <-
-                    (if bscale > 0 then values.(root)
-                     else Tensor.reshape values.(root) shape))
-            fk.actions;
-          Array.iter (fun id -> computed.(id) <- true) fk.set_computed;
-          Array.iter (fun id -> computed.(id) <- false) fk.fpurged
+                  let c = ref 0 in
+                  while !c < row do
+                    let len = Int.min (Array.length buf) (row - !c) in
+                    let src = (r * row) + !c and base = d + !c in
+                    Scalar_eval.fill_range upd buf 0 src (src + len);
+                    for t = 0 to len - 1 do
+                      dst.(base + t) <- dst.(base + t) +. buf.(t)
+                    done;
+                    c := !c + len
+                  done
+                done;
+                if staged then
+                  fk.fprof.bytes_staged_global <-
+                    fk.fprof.bytes_staged_global
+                    + bytes_of (Array.length dst)
+            | Barrier_sync ->
+                (* on device: grid-wide sync making the scratch writes
+                   of the previous segment visible; on the host model
+                   the sequential action order already provides the
+                   ordering, so the barrier only counts *)
+                fk.fprof.barriers_run <- fk.fprof.barriers_run + 1
+            | Bind_view { id; root; shape } ->
+                (* under a symbolic batch the root holds either a
+                   max-sized buffer or a prefix-shaped parameter, so
+                   the compiled view shape no longer matches; bind the
+                   root raw instead - every read of the view is linear
+                   (reshape preserves linear order) and outputs are
+                   re-shaped explicitly below *)
+                values.(id) <-
+                  (if bscale > 0 then values.(root)
+                   else Tensor.reshape values.(root) shape)
+          done;
+          for i = 0 to Array.length fk.set_computed - 1 do
+            computed.(fk.set_computed.(i)) <- true
+          done;
+          for i = 0 to Array.length fk.fpurged - 1 do
+            computed.(fk.fpurged.(i)) <- false
+          done
       | Ref_k { steps; _ } ->
           Array.iter
             (function
@@ -838,9 +888,11 @@ let run_context ?batch (ctx : context) ~params : Tensor.t list =
               | Some id -> Fault_site.corrupt (Tensor.data values.(id)) fseed
               | None -> ())));
       if ctx.timed then begin
+        let words = Gc.minor_words () -. w0 in
         let prof =
           match ke with Fused_k f -> f.fprof | Ref_k r -> r.rprof
         in
+        prof.minor_words <- prof.minor_words + int_of_float words;
         prof.wall_ns <-
           prof.wall_ns +. float_of_int (Astitch_obs.Clock.monotonic_ns () - t0);
         prof.runs <- prof.runs + 1

@@ -26,7 +26,9 @@ val run_and_check :
 type context
 (** A plan prepared for repeated execution.  By default each kernel is
     compiled into a fused recipe that honors the plan's stitching
-    schemes: Register values are scalarized into consumer loops,
+    schemes: Register values are scalarized into consumer loops (or,
+    when heavy and read by several loops, held in a per-kernel buffer
+    written once per run),
     Shared_mem values are staged per block in reusable slabs, and only
     Device_mem/Global_scratch values get full buffers - drawn from a
     liveness-driven arena, so strictly fewer buffers exist than ops run.

@@ -184,6 +184,7 @@ type exec_kernel = {
   mutable loops : int; (* materialization loops the fused tape runs *)
   mutable bytes_materialized : int; (* full-buffer bytes written per run *)
   mutable bytes_scalarized : int; (* register values never materialized *)
+  mutable bytes_held : int; (* hold buffers: register values computed once *)
   mutable slab_bytes : int; (* shared-slab capacity for staged values *)
   mutable bytes_staged : int; (* slab fills, accumulated across runs *)
   mutable restages : int; (* slab fills beyond one pass per consumer *)
@@ -191,6 +192,7 @@ type exec_kernel = {
   mutable bytes_staged_global : int; (* scratch fills, across runs *)
   mutable barriers_run : int; (* global barriers executed, across runs *)
   mutable wall_ns : float; (* accumulated when timing is enabled *)
+  mutable minor_words : int; (* minor-heap words, likewise *)
   mutable runs : int;
 }
 
@@ -243,7 +245,8 @@ let pp_exec fmt r =
   Format.fprintf fmt
     "@[<v>exec: %d kernels (%d fused, %d reference), %d ops@,\
      buffers: %d requested -> %d arena slots (%d bytes high water, naive %d)@,\
-     traffic/run: %d bytes materialized, %d scalarized away, %d slab bytes@,\
+     traffic/run: %d bytes materialized, %d scalarized away, %d held, \
+     %d slab bytes@,\
      global: %d scratch bytes, %d staged globally, %d barriers, \
      %d demotions@]"
     (List.length r.exec_kernels)
@@ -251,6 +254,7 @@ let pp_exec fmt r =
     r.buffers_requested r.buffers_allocated r.arena_bytes r.naive_bytes
     (List.fold_left (fun a k -> a + k.bytes_materialized) 0 r.exec_kernels)
     (List.fold_left (fun a k -> a + k.bytes_scalarized) 0 r.exec_kernels)
+    (List.fold_left (fun a k -> a + k.bytes_held) 0 r.exec_kernels)
     (List.fold_left (fun a k -> a + k.slab_bytes) 0 r.exec_kernels)
     (List.fold_left (fun a k -> a + k.gscratch_bytes) 0 r.exec_kernels)
     (List.fold_left (fun a k -> a + k.bytes_staged_global) 0 r.exec_kernels)
@@ -267,18 +271,20 @@ let pp_exec fmt r =
   List.iter
     (fun k ->
       Format.fprintf fmt
-        "@,%-24s %s %2d ops %2d loops  mat %8dB  reg %8dB  slab %6dB  \
-         staged %8dB (%d restages)%s%s%s"
+        "@,%-24s %s %2d ops %2d loops  mat %8dB  reg %8dB  held %7dB  \
+         slab %6dB  staged %8dB (%d restages)%s%s%s"
         k.kname
         (if k.fused then "fused" else "ref  ")
-        k.ops k.loops k.bytes_materialized k.bytes_scalarized k.slab_bytes
-        k.bytes_staged k.restages
+        k.ops k.loops k.bytes_materialized k.bytes_scalarized k.bytes_held
+        k.slab_bytes k.bytes_staged k.restages
         (if k.gscratch_bytes > 0 || k.barriers_run > 0 then
            Printf.sprintf "  gmem %dB gstaged %dB %d barriers"
              k.gscratch_bytes k.bytes_staged_global k.barriers_run
          else "")
         (if k.runs > 0 && k.wall_ns > 0. then
-           Printf.sprintf "  %.2fus/run" (k.wall_ns /. float_of_int k.runs /. 1e3)
+           Printf.sprintf "  %.2fus/run %d words/run"
+             (k.wall_ns /. float_of_int k.runs /. 1e3)
+             (k.minor_words / k.runs)
          else "")
         (match k.fallback with
         | Some r -> Printf.sprintf "  [%s]" r

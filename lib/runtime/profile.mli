@@ -60,6 +60,9 @@ type exec_kernel = {
   mutable loops : int;  (** materialization loops the fused tape runs *)
   mutable bytes_materialized : int;  (** full-buffer bytes written per run *)
   mutable bytes_scalarized : int;  (** register values never materialized *)
+  mutable bytes_held : int;
+      (** hold buffers: register values written once per run and read
+          by several loops (see [Tape.Held]) *)
   mutable slab_bytes : int;  (** shared-slab capacity for staged values *)
   mutable bytes_staged : int;  (** slab fills, accumulated across runs *)
   mutable restages : int;  (** slab fills beyond one pass per consumer *)
@@ -69,6 +72,9 @@ type exec_kernel = {
   mutable barriers_run : int;
       (** global barrier points executed, accumulated across runs *)
   mutable wall_ns : float;  (** accumulated when timing is enabled *)
+  mutable minor_words : int;
+      (** minor-heap words allocated while the kernel ran, accumulated
+          when timing is enabled *)
   mutable runs : int;
 }
 

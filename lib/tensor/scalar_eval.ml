@@ -24,6 +24,16 @@
    convolutions over operands not in full storage fill through their
    accessor, element by element.
 
+   Row-constant operands.  [const_run] records the runs over which a
+   value is constant: everywhere for a constant, r * q for a broadcast
+   that keeps its input's axes leading and copies each element of an
+   input with runs of r q times, its operand's for a reshape.  A binary
+   op whose operand is constant over the whole tile and reads no slab
+   reads that one element through a one-slot fill (unboxed, where [get]
+   would box it) and applies it to the other operand's tile, with the
+   operands in their order: the same float operations on the same
+   values as a tile of copies.
+
    Slabs.  The fused engine stages some values in per-block slabs that
    count their refills, so every [fill] reads each slab in the order
    [get] over the same elements ascending would: its blocks are loaded
@@ -65,6 +75,7 @@ type t = {
   storage : (unit -> float array) option;
   slabs : int list;
   period : int;
+  const_run : int;
 }
 
 (* --- Window periods ---------------------------------------------------- *)
@@ -114,6 +125,7 @@ let storage ~get data =
     storage = Some data;
     slabs = [];
     period = unbounded;
+    const_run = 1;
   }
 
 let reach ts = List.sort_uniq compare (List.concat_map (fun t -> t.slabs) ts)
@@ -122,16 +134,16 @@ let disjoint a b = not (List.exists (fun x -> List.mem x b.slabs) a.slabs)
 (* A computed value.  Ops without a tile writer, and ops whose writer
    would read some slab in another order than their accessor does, fill
    through the accessor, element by element. *)
-let computed ?fill ~slabs ~period get =
+let computed ?fill ?(const_run = 1) ~slabs ~period get =
   match fill with
-  | Some fill -> { get; fill; storage = None; slabs; period }
+  | Some fill -> { get; fill; storage = None; slabs; period; const_run }
   | None ->
       let fill dst off lo len =
         for k = 0 to len - 1 do
           dst.(off + k) <- get (lo + k)
         done
       in
-      { get; fill; storage = None; slabs; period }
+      { get; fill; storage = None; slabs; period; const_run }
 
 let staged ~id ~block_elems ~total ~(node : t) ~get ~fill =
   (* a refill runs [node] over one block: the block must lie in one of
@@ -153,6 +165,7 @@ let staged ~id ~block_elems ~total ~(node : t) ~get ~fill =
     slabs =
       (if multi then List.sort_uniq compare (id :: node.slabs) else node.slabs);
     period;
+    const_run = 1;
   }
 
 (* operand tile scratch: one tile, or the whole value when smaller *)
@@ -475,6 +488,75 @@ let unary (kind : Op.unary_kind) (s : t) =
   in
   computed ~fill ~slabs:s.slabs ~period:s.period (fun i -> f (s.get i))
 
+(* dst.(k) <- dst.(k) op sc.(k - soff) for k in [off, hi] *)
+let apply_tile (kind : Op.binary_kind) (dst : float array) off hi
+    (sc : float array) soff =
+  match kind with
+  | Op.Add -> for k = off to hi do dst.(k) <- dst.(k) +. sc.(k - soff) done
+  | Op.Sub -> for k = off to hi do dst.(k) <- dst.(k) -. sc.(k - soff) done
+  | Op.Mul -> for k = off to hi do dst.(k) <- dst.(k) *. sc.(k - soff) done
+  | Op.Div -> for k = off to hi do dst.(k) <- dst.(k) /. sc.(k - soff) done
+  | Op.Max -> for k = off to hi do dst.(k) <- fmax dst.(k) sc.(k - soff) done
+  | Op.Min -> for k = off to hi do dst.(k) <- fmin dst.(k) sc.(k - soff) done
+  | Op.Pow -> for k = off to hi do dst.(k) <- dst.(k) ** sc.(k - soff) done
+  | Op.Lt ->
+      for k = off to hi do
+        dst.(k) <- (if dst.(k) < sc.(k - soff) then 1. else 0.)
+      done
+  | Op.Gt ->
+      for k = off to hi do
+        dst.(k) <- (if dst.(k) > sc.(k - soff) then 1. else 0.)
+      done
+  | Op.Eq ->
+      for k = off to hi do
+        dst.(k) <- (if dst.(k) = sc.(k - soff) then 1. else 0.)
+      done
+
+(* dst.(k) <- dst.(k) op c.(0): the right operand is one value over the
+   tile, read from a one-slot array so it stays unboxed *)
+let apply_right (kind : Op.binary_kind) (dst : float array) off hi
+    (c : float array) =
+  let v = c.(0) in
+  match kind with
+  | Op.Add -> for k = off to hi do dst.(k) <- dst.(k) +. v done
+  | Op.Sub -> for k = off to hi do dst.(k) <- dst.(k) -. v done
+  | Op.Mul -> for k = off to hi do dst.(k) <- dst.(k) *. v done
+  | Op.Div -> for k = off to hi do dst.(k) <- dst.(k) /. v done
+  | Op.Max -> for k = off to hi do dst.(k) <- fmax dst.(k) v done
+  | Op.Min -> for k = off to hi do dst.(k) <- fmin dst.(k) v done
+  | Op.Pow -> for k = off to hi do dst.(k) <- dst.(k) ** v done
+  | Op.Lt ->
+      for k = off to hi do dst.(k) <- (if dst.(k) < v then 1. else 0.) done
+  | Op.Gt ->
+      for k = off to hi do dst.(k) <- (if dst.(k) > v then 1. else 0.) done
+  | Op.Eq ->
+      for k = off to hi do dst.(k) <- (if dst.(k) = v then 1. else 0.) done
+
+(* dst.(k) <- c.(0) op dst.(k): the left operand is one value *)
+let apply_left (kind : Op.binary_kind) (dst : float array) off hi
+    (c : float array) =
+  let v = c.(0) in
+  match kind with
+  | Op.Add -> for k = off to hi do dst.(k) <- v +. dst.(k) done
+  | Op.Sub -> for k = off to hi do dst.(k) <- v -. dst.(k) done
+  | Op.Mul -> for k = off to hi do dst.(k) <- v *. dst.(k) done
+  | Op.Div -> for k = off to hi do dst.(k) <- v /. dst.(k) done
+  | Op.Max -> for k = off to hi do dst.(k) <- fmax v dst.(k) done
+  | Op.Min -> for k = off to hi do dst.(k) <- fmin v dst.(k) done
+  | Op.Pow -> for k = off to hi do dst.(k) <- v ** dst.(k) done
+  | Op.Lt ->
+      for k = off to hi do dst.(k) <- (if v < dst.(k) then 1. else 0.) done
+  | Op.Gt ->
+      for k = off to hi do dst.(k) <- (if v > dst.(k) then 1. else 0.) done
+  | Op.Eq ->
+      for k = off to hi do dst.(k) <- (if v = dst.(k) then 1. else 0.) done
+
+(* [s] holds one value over elements [lo, lo+len) and reads no slab, so
+   one element stands for the tile: reading it alone loads no block *)
+let flat (s : t) lo len =
+  let r = s.const_run in
+  r > 1 && s.slabs = [] && (r = unbounded || lo / r = (lo + len - 1) / r)
+
 let binary (kind : Op.binary_kind) (a : t) (b : t) elems =
   let f = Interp.binary_fn kind in
   let get i = f (a.get i) (b.get i) in
@@ -484,35 +566,31 @@ let binary (kind : Op.binary_kind) (a : t) (b : t) elems =
   else
     let same = a == b in
     let bs = if same then [||] else scratch elems in
+    let one = [| 0. |] in
     let apply dst off lo len =
-      a.fill dst off lo len;
-      (* an operand used twice (x * x) is read once: its second reads
-         would hit the blocks the first just loaded *)
-      if not same then b.fill bs 0 lo len;
-      let sc = if same then dst else bs and soff = if same then 0 else off in
       let hi = off + len - 1 in
-      match kind with
-      | Op.Add -> for k = off to hi do dst.(k) <- dst.(k) +. sc.(k - soff) done
-      | Op.Sub -> for k = off to hi do dst.(k) <- dst.(k) -. sc.(k - soff) done
-      | Op.Mul -> for k = off to hi do dst.(k) <- dst.(k) *. sc.(k - soff) done
-      | Op.Div -> for k = off to hi do dst.(k) <- dst.(k) /. sc.(k - soff) done
-      | Op.Max ->
-          for k = off to hi do dst.(k) <- fmax dst.(k) sc.(k - soff) done
-      | Op.Min ->
-          for k = off to hi do dst.(k) <- fmin dst.(k) sc.(k - soff) done
-      | Op.Pow -> for k = off to hi do dst.(k) <- dst.(k) ** sc.(k - soff) done
-      | Op.Lt ->
-          for k = off to hi do
-            dst.(k) <- (if dst.(k) < sc.(k - soff) then 1. else 0.)
-          done
-      | Op.Gt ->
-          for k = off to hi do
-            dst.(k) <- (if dst.(k) > sc.(k - soff) then 1. else 0.)
-          done
-      | Op.Eq ->
-          for k = off to hi do
-            dst.(k) <- (if dst.(k) = sc.(k - soff) then 1. else 0.)
-          done
+      (* a row-constant operand (a broadcast row statistic, a constant)
+         is applied as its one element, not as a tile of copies *)
+      if flat b lo len then begin
+        a.fill dst off lo len;
+        b.fill one 0 lo 1;
+        apply_right kind dst off hi one
+      end
+      else if flat a lo len then begin
+        b.fill dst off lo len;
+        a.fill one 0 lo 1;
+        apply_left kind dst off hi one
+      end
+      else begin
+        a.fill dst off lo len;
+        (* an operand used twice (x * x) is read once: its second reads
+           would hit the blocks the first just loaded *)
+        if same then apply_tile kind dst off hi dst 0
+        else begin
+          b.fill bs 0 lo len;
+          apply_tile kind dst off hi bs off
+        end
+      end
     in
     let fill =
       if (not shared) || period = unbounded then apply
@@ -540,7 +618,7 @@ let compile (g : Graph.t) (nd : Graph.node) ~(operand : Op.node_id -> t) : t =
   match nd.op with
   | Op.Parameter { name } -> unsupported "parameter %s has no element formula" name
   | Op.Constant { value } ->
-      computed ~slabs:[] ~period:unbounded
+      computed ~const_run:unbounded ~slabs:[] ~period:unbounded
         ~fill:(fun dst off _ len -> Array.fill dst off len value)
         (fun _ -> value)
   | Op.Iota { axis } ->
@@ -606,6 +684,14 @@ let compile (g : Graph.t) (nd : Graph.node) ~(operand : Op.node_id -> t) : t =
           else clip elems (s.period * q)
         else 0
       in
+      (* output i is input i / q: a run of r equal inputs is a run of
+         r * q equal outputs *)
+      let const_run =
+        if not leading then 1
+        else if s.const_run = unbounded then unbounded
+        else s.const_run * q
+      in
+      let computed = computed ~const_run in
       (* one read stands for the run of reads it replicates: the same
          blocks only when one element reads one block of each slab *)
       let replicable = s.slabs = [] || s.period > 0 in

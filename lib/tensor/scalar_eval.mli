@@ -38,6 +38,15 @@ type t = {
           the input's axes leading and reductions over a trailing suffix
           of axes carry it from their operands; any other op reaching a
           slab has none. *)
+  const_run : int;
+      (** the run length over which the value is constant: within each
+          aligned run [[w * const_run, (w + 1) * const_run)] every
+          element is equal.  [max_int] for a constant; r * q for a
+          broadcast that keeps its input's axes leading and copies each
+          element of an input with runs of r q times; its operand's for
+          a reshape; 1 otherwise.  A binary op applies an operand that
+          reads no slab and is constant over the whole tile as its one
+          element instead of filling a tile of copies. *)
 }
 
 val storage : get:(int -> float) -> (unit -> float array) -> t

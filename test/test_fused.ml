@@ -8,7 +8,9 @@
    - every compiled node's tile writer writes exactly the bits its
      element accessor returns, on any window of at most one tile,
      including windows across rows and at a symbolic-batch prefix, with
-     operands in storage or computed, on a graph holding every writer;
+     operands in storage or computed, on a graph holding every writer,
+     and on random graphs compiled for two shared-memory sizes (row-
+     constant operands included);
    - comparison-first max and min return Float.max's and Float.min's
      bits on signed zeros, infinities, subnormals, NaNs and random bit
      patterns, directly and through every max/min writer;
@@ -29,7 +31,15 @@
    - fused contexts write fewer full-buffer bytes than reference
      contexts on every zoo model at batch 8, and global stitching fewer
      than kernel-per-op on the shared-memory-overflow shapes;
-   - fit_shared demotes largest-first and keeps everything under budget. *)
+   - fit_shared demotes largest-first and keeps everything under budget;
+   - the exec graphs hold exactly the values the hold rule names, a
+     value first read through a slab refill is held before that loop,
+     and holds move Register bytes from scalarized to held and no
+     staging, restage or barrier count;
+   - fused runs of the exec graphs allocate no more minor words than
+     when every Register value was recomputed, and a scatter-add fed by
+     a Register broadcast reads its updates in tiles, bit-identical and
+     with fewer words per run than update elements. *)
 
 open Astitch_ir
 open Astitch_tensor
@@ -48,6 +58,11 @@ let backend_named = function
 
 let compile_with backend g =
   (Session.compile (backend_named backend) Arch.v100 g).Session.plan
+
+(* A V100 whose per-block shared memory is almost gone: any staged row
+   overflows it, so kernels demote to global staging. *)
+let tight_smem_arch =
+  { Arch.v100 with name = "v100-tight-smem"; shared_mem_per_block = 128 }
 
 let compile_tiny backend (e : Astitch_workloads.Zoo.entry) =
   compile_with backend (e.tiny ())
@@ -262,8 +277,10 @@ type tile_case = {
   inline_all : bool; (* every scalarizable operand computed *)
 }
 
-let tile_case ?prefix ?(inline_all = false) label g =
-  let plan = compile_with "astitch" g in
+let tile_case ?(arch = Arch.v100) ?prefix ?(inline_all = false) label g =
+  let plan =
+    (Session.compile Astitch_core.Astitch.full_backend arch g).Session.plan
+  in
   let values = Interp.eval_all g ~params:(Session.random_params ~seed:3 g) in
   let prefix =
     Option.value prefix ~default:(fun id -> Graph.num_elements g id)
@@ -351,8 +368,10 @@ let prefix_case (e : Astitch_workloads.Zoo.entry) ~smax ~b =
 let tile_cases =
   lazy
     (List.map (fun (label, g) -> tile_case label g) (tiny_graphs ())
-    @ List.filter_map
-        (fun e -> prefix_case e ~smax:3 ~b:2)
+    @ List.concat_map
+        (fun e ->
+          List.filter_map Fun.id
+            [ prefix_case e ~smax:3 ~b:2; prefix_case e ~smax:8 ~b:3 ])
         Astitch_workloads.Zoo.all
     @ [
         tile_case "ASR-overflow" (Astitch_workloads.Asr.overflow ());
@@ -383,8 +402,10 @@ let check_case rng ~select c =
          fine))
     true g
 
-(* Each run checks every node of a fresh random graph and a quarter of
-   the nodes of each prepared graph. *)
+(* Each run checks every node of a fresh random graph, compiled for the
+   V100 and for the tight-shared-memory V100, and a quarter of the nodes
+   of each prepared graph.  Rows of 300 put whole tiles inside one
+   broadcast row, so binary ops take their row-constant path. *)
 let test_fill_matches_get =
   QCheck.Test.make ~count:20
     ~name:"fill = accessor (random, zoo, overflow, batch prefix)"
@@ -396,8 +417,13 @@ let test_fill_matches_get =
           ~dims_pool:(if seed mod 2 = 0 then [ 2; 3; 5; 32 ] else [ 3; 7; 300 ])
           ~nodes:20 ()
       in
-      check_case rng ~select:(fun _ -> true)
-        (tile_case ~inline_all:(seed mod 3 = 0) "random" g)
+      List.for_all
+        (fun arch ->
+          check_case rng ~select:(fun _ -> true)
+            (tile_case ~arch ~inline_all:(seed mod 3 = 0)
+               ("random on " ^ arch.Arch.name)
+               g))
+        [ Arch.v100; tight_smem_arch ]
       && List.for_all
            (check_case rng ~select:(fun id -> id mod 4 = seed mod 4))
            (Lazy.force tile_cases))
@@ -1047,9 +1073,6 @@ let test_overflow_fewer_bytes_than_per_op () =
    with tensors small enough for the interpreter.  Execution itself is
    arch-independent, so bit-identity still holds against the
    interpreter. *)
-let tight_smem_arch =
-  { Arch.v100 with name = "v100-tight-smem"; shared_mem_per_block = 128 }
-
 let test_random_overflow_bit_identical =
   QCheck.Test.make ~count:25
     ~name:"fused == run == interp (shared-mem-overflow random graphs)"
@@ -1124,6 +1147,206 @@ let test_disabled_engine_is_all_reference () =
     (List.length plan.Kernel_plan.kernels)
     (List.length (Executor.context_fallbacks ctx))
 
+(* --- Holds, row-constant operands and scatter tiles ---------------------- *)
+
+(* The graphs the exec benchmark runs: the zoo at batch 8 and both
+   shared-memory-overflow shapes. *)
+let exec_graphs () =
+  List.map
+    (fun (e : Astitch_workloads.Zoo.entry) -> (e.name, e.batched ~batch:8))
+    Astitch_workloads.Zoo.all
+  @ List.map (fun (name, build) -> (name, build ())) overflow_entries
+
+let held_values plan =
+  List.concat_map
+    (function
+      | Tape.Fallback _ -> []
+      | Tape.Fused kt ->
+          List.filter_map
+            (fun (id, role) ->
+              match role with
+              | Tape.Held { before } -> Some (kt.kernel.name, id, before)
+              | _ -> None)
+            kt.roles)
+    (Tape.lower plan).kernels
+
+(* The values the hold rule names on the exec graphs: DIEN-overflow's
+   softmax [exp] %6, which its row sum %7 and its normalizing divide
+   (through the row sum %10) read in two loops on either side of a
+   barrier.  ASR-overflow holds nothing: its [sub] %119 is light and
+   only the row sum %121 reads its [exp] %120.  The zoo's batch-8
+   softmaxes read their [exp] through a slab refill and the consumer
+   in one loop, so they hold nothing either. *)
+let test_holds_named_values () =
+  let total = ref 0 in
+  List.iter
+    (fun (name, g) ->
+      let plan = compile_with "astitch" g in
+      let want =
+        if name = "DIEN-overflow" then [ ("stitch_op_0", 6, 7) ] else []
+      in
+      check_bool (name ^ ": held values") true (held_values plan = want);
+      List.iter
+        (fun (_, id, _) ->
+          check_bool (name ^ ": a held exp") true
+            (Op.mnemonic (Graph.node g id).op = "exp"))
+        want;
+      List.iter
+        (fun (k : Profile.exec_kernel) ->
+          let bytes =
+            List.fold_left
+              (fun acc (kn, id, _) ->
+                if kn = k.kname then acc + (8 * Graph.num_elements g id)
+                else acc)
+              0 want
+          in
+          total := !total + k.bytes_held;
+          check_int (name ^ " " ^ k.kname ^ ": bytes held") bytes k.bytes_held)
+        (Executor.exec_report (Executor.create_context plan))
+          .Profile.exec_kernels)
+    (exec_graphs ());
+  check_int "one 512 KiB hold buffer" 524_288 !total
+
+(* A hold moves Register bytes from [bytes_scalarized] to [bytes_held]
+   and nothing else: per kernel the two sum to every Register value's
+   bytes, each slab block is staged once per run with no restage, the
+   tape's barriers run once per run, and outputs stay bit-identical.
+   Summed over the exec graphs the Register bytes are the 6,932,128 the
+   engine scalarized when it recomputed every Register value. *)
+let test_holds_move_nothing_else () =
+  let register = ref 0 in
+  List.iter
+    (fun (name, g) ->
+      let plan = compile_with "astitch" g in
+      let ctx = Executor.create_context plan in
+      let params = Session.random_params ~seed:9 g in
+      check_outputs (name ^ " vs interp") (Interp.run g ~params)
+        (Executor.run_context ctx ~params);
+      List.iter2
+        (fun lowered (k : Profile.exec_kernel) ->
+          match lowered with
+          | Tape.Fallback _ -> Alcotest.failf "%s: %s fell back" name k.kname
+          | Tape.Fused kt ->
+              let bytes pick =
+                List.fold_left
+                  (fun acc (id, role) ->
+                    if pick role then acc + (8 * Graph.num_elements g id)
+                    else acc)
+                  0 kt.roles
+              in
+              let reg =
+                bytes (function Tape.Inline | Tape.Held _ -> true | _ -> false)
+              in
+              register := !register + reg;
+              let label = name ^ " " ^ k.kname in
+              check_int (label ^ ": scalarized + held") reg
+                (k.bytes_scalarized + k.bytes_held);
+              check_int (label ^ ": staged once")
+                (bytes (function Tape.Staged _ -> true | _ -> false))
+                k.bytes_staged;
+              check_int (label ^ ": no restages") 0 k.restages;
+              check_int (label ^ ": barriers") kt.barriers k.barriers_run)
+        (Tape.lower plan).kernels
+        (Executor.exec_report ctx).Profile.exec_kernels)
+    (exec_graphs ());
+  check_int "Register bytes of the exec graphs" 6_932_128 !register
+
+(* Random graph 1012 reads its [exp] %2 first through reduce %5's slab,
+   which the loop of %21 refills, then directly in the loops of %22 and
+   %23.  Its hold buffer is written before %21: one looking only
+   through Register chains would place it before %22, and %21 would
+   read it unwritten (zeros on the first run, the previous run's values
+   after). *)
+let test_hold_before_slab_refill () =
+  let g = Astitch_workloads.Synthetic.random_graph ~seed:1012 ~nodes:24 () in
+  let plan = compile_with "astitch" g in
+  check_bool "exp %2 held before %21" true
+    (List.map (fun (_, id, before) -> (id, before)) (held_values plan)
+    = [ (2, 21) ]);
+  let ctx = Executor.create_context plan in
+  List.iter
+    (fun seed ->
+      let params = Session.random_params ~seed g in
+      check_outputs
+        (Printf.sprintf "seed 1012, params %d" seed)
+        (Interp.run g ~params)
+        (Executor.run_context ctx ~params))
+    [ 1012; 7 ]
+
+(* Minor words one fused run of each exec graph allocated when every
+   Register value was recomputed and row-constant operands were filled
+   as tiles of copies.  A hold or a row-constant read that boxed a float
+   per tile would exceed them. *)
+let recompute_words =
+  [
+    ("CRNN", 3539); ("ASR", 986); ("BERT", 1599); ("Transformer", 740);
+    ("DIEN", 1247); ("ASR-overflow", 857); ("DIEN-overflow", 2328);
+  ]
+
+let test_exec_words_do_not_rise () =
+  List.iter
+    (fun (name, g) ->
+      let ctx = Executor.create_context (compile_with "astitch" g) in
+      let params = Session.random_params ~seed:5 g in
+      ignore (Executor.run_context ctx ~params);
+      let before = Gc.minor_words () in
+      ignore (Sys.opaque_identity (Executor.run_context ctx ~params));
+      let words = Gc.minor_words () -. before in
+      let bound = List.assoc name recompute_words in
+      check_bool
+        (Printf.sprintf "%s: %.0f minor words per run <= %d" name words bound)
+        true
+        (words <= float_of_int bound))
+    (exec_graphs ())
+
+(* A scatter-add whose 64 x 32 updates are a Register broadcast runs
+   fused, bit-identical to the interpreter, and reads its updates a
+   tile at a time: a run allocates fewer minor words than the scatter
+   has update elements, where one boxed float per element took three
+   each. *)
+let test_scatter_tiles () =
+  let module B = Builder in
+  let b = B.create () in
+  let ids = B.parameter b "ids" [ 64 ] in
+  let v = B.parameter b "v" [ 64 ] in
+  let upd = B.broadcast b (B.exp b v) ~dims:[ 0 ] [ 64; 32 ] in
+  let g = B.finish b ~outputs:[ B.relu b (B.scatter_add b ~rows:16 ids upd) ] in
+  let plan = compile_with "astitch" g in
+  check_bool "the updates are a Register value" true
+    (List.exists
+       (function
+         | Tape.Fused kt -> List.assoc_opt 3 kt.roles = Some Tape.Inline
+         | Tape.Fallback _ -> false)
+       (Tape.lower plan).kernels
+    && Op.mnemonic (Graph.node g 3).op = "broadcast");
+  let ctx = Executor.create_context plan in
+  check_int "no fallbacks" 0 (List.length (Executor.context_fallbacks ctx));
+  List.iter
+    (fun seed ->
+      let rng = Random.State.make [| seed |] in
+      let params =
+        [
+          ( "ids",
+            Tensor.create (Shape.of_list [ 64 ])
+              (Array.init 64 (fun _ ->
+                   float_of_int (Random.State.int rng 20 - 2))) );
+          ( "v",
+            Tensor.create (Shape.of_list [ 64 ])
+              (Array.init 64 (fun _ -> Random.State.float rng 2. -. 1.)) );
+        ]
+      in
+      check_outputs
+        (Printf.sprintf "scatter, seed %d" seed)
+        (Interp.run g ~params)
+        (Executor.run_context ctx ~params);
+      let before = Gc.minor_words () in
+      ignore (Sys.opaque_identity (Executor.run_context ctx ~params));
+      let words = Gc.minor_words () -. before in
+      check_bool
+        (Printf.sprintf "%.0f minor words per run < 2048 update elements" words)
+        true (words < 2048.))
+    [ 1; 2 ]
+
 let () =
   Alcotest.run "fused"
     [
@@ -1188,5 +1411,18 @@ let () =
           QCheck_alcotest.to_alcotest test_random_overflow_bit_identical;
           Alcotest.test_case "demote-vs-split crossover" `Quick
             test_gating_crossover;
+        ] );
+      ( "holds",
+        [
+          Alcotest.test_case "exactly the named values held" `Quick
+            test_holds_named_values;
+          Alcotest.test_case "holds move no other counter" `Quick
+            test_holds_move_nothing_else;
+          Alcotest.test_case "hold written before a slab refill" `Quick
+            test_hold_before_slab_refill;
+          Alcotest.test_case "exec runs allocate no more words" `Quick
+            test_exec_words_do_not_rise;
+          Alcotest.test_case "scatter reads updates in tiles" `Quick
+            test_scatter_tiles;
         ] );
     ]
