@@ -11,11 +11,12 @@
       its shape, dtype and whether it is a leaf;
     - per consumer, its position in the group, or for an external
       consumer whether it is live, its [Pattern.edge_dep] and its element
-      count (escape analysis and dominant identification look outside
-      the scope).
-    Groups with one key therefore compile, under one config and arch, to
-    the same kernels up to node ids and kernel names.  Keys are compared
-    exactly, never by hash alone, and mean nothing across graphs. *)
+      count (escape analysis looks at live consumers outside the scope).
+    A key is the bytes of those facts, each node written with
+    {!Astitch_ir.Op_format.write_node}.  Groups with one key therefore
+    compile, under one config and arch, to the same kernels up to node
+    ids and kernel names.  Keys are compared exactly, never by hash
+    alone, and mean nothing across graphs. *)
 
 open Astitch_ir
 open Astitch_plan

@@ -187,11 +187,11 @@ let components g (cluster : Clustering.cluster) ~cut_edge =
     members_of []
   |> List.sort compare
 
-(* A node escapes its kernel when some consumer lives outside it or it is
-   a graph output. *)
+(* A node escapes its kernel when a live consumer sits outside it or it
+   is a graph output; a dead consumer is never lowered. *)
 let escapes g kernel_set id =
   Graph.is_output g id
-  || List.exists (fun c -> not (Hashtbl.mem kernel_set c)) (Graph.consumers g id)
+  || List.exists (fun c -> Graph.is_live g c && not (Hashtbl.mem kernel_set c)) (Graph.consumers g id)
 
 (* A component may contain a cut edge internally (producer and consumer
    joined through other fusable paths).  The producer then becomes a

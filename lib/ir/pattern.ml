@@ -67,9 +67,10 @@ let is_pattern2_edge g ~producer ~consumer =
   && edge_dep g ~producer ~consumer = One_to_many
 
 (* Candidate dominant ops (Sec 4.3 step 1): reduces (scatter-add is an
-   atomic one), and heavy element-wise ops followed by a broadcast.
-   Output nodes of a stitch scope are added by the caller, which knows
-   the scope boundary. *)
+   atomic one), and heavy element-wise ops followed by a live broadcast
+   (a dead consumer is never lowered, so it steers nothing).  Output
+   nodes of a stitch scope are added by the caller, which knows the
+   scope boundary. *)
 let is_dominant_candidate g id =
   let op = Graph.op g id in
   Op.is_reduce_like op
@@ -78,7 +79,7 @@ let is_dominant_candidate g id =
      | Op.Unary _ | Op.Binary _ -> Op.weight op = Op.Heavy
      | _ -> false)
      && List.exists
-          (fun c -> edge_dep g ~producer:id ~consumer:c = One_to_many)
+          (fun c -> Graph.is_live g c && edge_dep g ~producer:id ~consumer:c = One_to_many)
           (Graph.consumers g id)
 
 (* Is the reduce a row-reduce (contiguous elements, one thread block per

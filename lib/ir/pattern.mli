@@ -24,7 +24,7 @@ val is_pattern2_edge :
 
 val is_dominant_candidate : Graph.t -> Op.node_id -> bool
 (** Sec 4.3 step 1 candidates: reduces, and heavy element-wise ops with a
-    one-to-many (broadcast) consumer. *)
+    live one-to-many (broadcast) consumer. *)
 
 type reduce_layout = Row_reduce | Column_reduce
 

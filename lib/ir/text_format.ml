@@ -104,6 +104,10 @@ let strip_comment line =
   | Some i -> String.sub line 0 i
   | None -> line
 
+(* Kind and dtype names are the printers' ([Op.*_to_string],
+   [Dtype.to_string]) over [Op_format]'s kind lists. *)
+let named to_string kinds s = Array.find_opt (fun k -> String.equal (to_string k) s) kinds
+
 let parse_shape_suffix s =
   (* "f32<2,3>" -> (dtype, dims) ; "<2,3>" -> dims with default dtype *)
   match String.index_opt s '<' with
@@ -111,12 +115,11 @@ let parse_shape_suffix s =
   | Some i ->
       let dtype_str = String.sub s 0 i in
       let dtype =
-        match dtype_str with
-        | "" | "f32" -> Dtype.F32
-        | "f16" -> Dtype.F16
-        | "i32" -> Dtype.I32
-        | "pred" -> Dtype.Pred
-        | other -> parse_error "unknown dtype %s" other
+        if dtype_str = "" then Dtype.F32
+        else
+          match named Dtype.to_string Op_format.dtypes dtype_str with
+          | Some d -> d
+          | None -> parse_error "unknown dtype %s" dtype_str
       in
       let inner = String.sub s (i + 1) (String.length s - i - 2) in
       if String.length s = 0 || s.[String.length s - 1] <> '>' then
@@ -154,28 +157,6 @@ let parse_name s =
   if n < 2 || s.[0] <> '"' || s.[n - 1] <> '"' then
     parse_error "expected a quoted name but found %s" s;
   String.sub s 1 (n - 2)
-
-let unary_of_string s =
-  List.assoc_opt s
-    [
-      ("neg", Op.Neg); ("abs", Op.Abs); ("sign", Op.Sign); ("relu", Op.Relu);
-      ("rcp", Op.Rcp); ("exp", Op.Exp); ("log", Op.Log); ("tanh", Op.Tanh);
-      ("sigmoid", Op.Sigmoid); ("sqrt", Op.Sqrt); ("rsqrt", Op.Rsqrt);
-      ("erf", Op.Erf);
-    ]
-
-let binary_of_string s =
-  List.assoc_opt s
-    [
-      ("add", Op.Add); ("sub", Op.Sub); ("multiply", Op.Mul);
-      ("divide", Op.Div); ("maximum", Op.Max); ("minimum", Op.Min);
-      ("power", Op.Pow); ("less", Op.Lt); ("greater", Op.Gt);
-      ("equal", Op.Eq);
-    ]
-
-let reduce_of_string s =
-  List.assoc_opt s
-    [ ("sum", Op.Sum); ("max", Op.Max_r); ("min", Op.Min_r); ("mean", Op.Mean) ]
 
 let parse text =
   let b = Builder.create () in
@@ -246,14 +227,18 @@ let parse text =
               (* reduce.KIND, unary, binary *)
               match String.split_on_char '.' mnemonic with
               | [ "reduce"; kind_str ] -> (
-                  match (reduce_of_string kind_str, args) with
+                  match (named Op.reduce_to_string Op_format.reduce_kinds kind_str, args) with
                   | Some kind, [ axes; input ] ->
                       Builder.reduce b kind
                         ~axes:(parse_int_list ~key:"axes" axes)
                         (parse_ref input)
                   | _ -> parse_error "bad reduce: %s" (String.concat " " args))
               | _ -> (
-                  match (unary_of_string mnemonic, binary_of_string mnemonic, args) with
+                  match
+                    ( named Op.unary_to_string Op_format.unary_kinds mnemonic,
+                      named Op.binary_to_string Op_format.binary_kinds mnemonic,
+                      args )
+                  with
                   | Some kind, _, [ input ] -> Builder.unary b kind (parse_ref input)
                   | _, Some kind, [ lhs; rhs ] ->
                       Builder.binary b kind (parse_ref lhs) (parse_ref rhs)

@@ -1,18 +1,17 @@
 (* Versioned binary codec for kernel plans.
 
-   The format is deliberately dumb: little-endian fixed-width words, a
-   tag byte per variant constructor, length-prefixed strings and
-   sequences.  Every integer travels as 64 bits (element counts and
-   byte totals overflow 32), every float as its IEEE bit pattern (so
-   arch descriptors and constants round-trip exactly), and the whole
-   payload is guarded by an FNV-1a 64 checksum.  Canonical by
-   construction: the only non-deterministic state on a plan - the
-   graph's memoized fingerprint - is not encoded, so structurally
-   identical plans produce identical bytes and byte equality doubles as
-   the bit-identity gate. *)
+   The format is deliberately dumb: [Op_format]'s words (little-endian
+   64-bit integers, IEEE float bit patterns, so arch descriptors and
+   constants round-trip exactly), a tag byte per variant constructor,
+   length-prefixed strings and sequences, and the graph section written
+   by [Op_format.write_graph].  The whole payload is guarded by an
+   FNV-1a 64 checksum.  Canonical by construction: a plan is pure data,
+   so structurally identical plans produce identical bytes and byte
+   equality doubles as the bit-identity gate. *)
 
 open Astitch_ir
 open Astitch_simt
+open Op_format
 
 let version = 1
 let magic = "ASPK"
@@ -47,23 +46,7 @@ let fnv1a64 s ~pos ~len =
   done;
   !h
 
-(* --- Writer --------------------------------------------------------------- *)
-
-let w_i b n = Buffer.add_int64_le b (Int64.of_int n)
-let w_f b x = Buffer.add_int64_le b (Int64.bits_of_float x)
-let w_u8 b n = Buffer.add_char b (Char.chr (n land 0xff))
-
-let w_s b s =
-  w_i b (String.length s);
-  Buffer.add_string b s
-
-let w_arr b wf a =
-  w_i b (Array.length a);
-  Array.iter (wf b) a
-
-let w_list b wf l =
-  w_i b (List.length l);
-  List.iter (wf b) l
+(* --- Options ---------------------------------------------------------------- *)
 
 let w_opt b wf = function
   | None -> w_u8 b 0
@@ -71,94 +54,10 @@ let w_opt b wf = function
       w_u8 b 1;
       wf b v
 
-(* --- Reader --------------------------------------------------------------- *)
-
-(* A bounded cursor over the payload region.  Overruns raise [Short],
-   caught at the decode boundary - inside a length- and checksum-checked
-   payload an overrun means the payload lies about its own structure,
-   which is [Malformed], not [Truncated]. *)
-
-exception Short
-
-type reader = { src : string; limit : int; mutable pos : int }
-
-let need r n = if r.pos + n > r.limit then raise Short
-
-let r_i64 r =
-  need r 8;
-  let v = String.get_int64_le r.src r.pos in
-  r.pos <- r.pos + 8;
-  v
-
-let r_i r =
-  let v = r_i64 r in
-  Int64.to_int v
-
-let r_f r = Int64.float_of_bits (r_i64 r)
-
-let r_u8 r =
-  need r 1;
-  let v = Char.code r.src.[r.pos] in
-  r.pos <- r.pos + 1;
-  v
-
-let r_s r =
-  let n = r_i r in
-  if n < 0 then raise Short;
-  need r n;
-  let s = String.sub r.src r.pos n in
-  r.pos <- r.pos + n;
-  s
-
-let r_count r =
-  let n = r_i r in
-  if n < 0 || n > r.limit - r.pos then raise Short;
-  n
-
-let r_arr r rf =
-  let n = r_count r in
-  Array.init n (fun _ -> rf r)
-
-let r_list r rf =
-  let n = r_count r in
-  List.init n (fun _ -> rf r)
-
-let r_opt r rf = match r_u8 r with 0 -> None | 1 -> Some (rf r) | _ -> raise Short
-
-let malformed fmt = Printf.ksprintf (fun m -> raise (Codec_error (Malformed m))) fmt
+let r_opt r rf =
+  match r_u8 r with 0 -> None | 1 -> Some (rf r) | t -> malformed "option tag %d" t
 
 (* --- Enums ---------------------------------------------------------------- *)
-
-let unary_tag : Op.unary_kind -> int = function
-  | Neg -> 0 | Abs -> 1 | Sign -> 2 | Relu -> 3 | Rcp -> 4 | Exp -> 5
-  | Log -> 6 | Tanh -> 7 | Sigmoid -> 8 | Sqrt -> 9 | Rsqrt -> 10 | Erf -> 11
-
-let unary_of_tag : int -> Op.unary_kind = function
-  | 0 -> Neg | 1 -> Abs | 2 -> Sign | 3 -> Relu | 4 -> Rcp | 5 -> Exp
-  | 6 -> Log | 7 -> Tanh | 8 -> Sigmoid | 9 -> Sqrt | 10 -> Rsqrt | 11 -> Erf
-  | t -> malformed "unary kind tag %d" t
-
-let binary_tag : Op.binary_kind -> int = function
-  | Add -> 0 | Sub -> 1 | Mul -> 2 | Div -> 3 | Max -> 4 | Min -> 5
-  | Pow -> 6 | Lt -> 7 | Gt -> 8 | Eq -> 9
-
-let binary_of_tag : int -> Op.binary_kind = function
-  | 0 -> Add | 1 -> Sub | 2 -> Mul | 3 -> Div | 4 -> Max | 5 -> Min
-  | 6 -> Pow | 7 -> Lt | 8 -> Gt | 9 -> Eq
-  | t -> malformed "binary kind tag %d" t
-
-let reduce_tag : Op.reduce_kind -> int = function
-  | Sum -> 0 | Max_r -> 1 | Min_r -> 2 | Mean -> 3
-
-let reduce_of_tag : int -> Op.reduce_kind = function
-  | 0 -> Sum | 1 -> Max_r | 2 -> Min_r | 3 -> Mean
-  | t -> malformed "reduce kind tag %d" t
-
-let dtype_tag : Dtype.t -> int = function F32 -> 0 | F16 -> 1 | I32 -> 2 | Pred -> 3
-
-let dtype_of_tag : int -> Dtype.t = function
-  | 0 -> F32 | 1 -> F16 | 2 -> I32 | 3 -> Pred
-  | t -> malformed "dtype tag %d" t
 
 let scheme_tag : Scheme.t -> int = function
   | Independent -> 0 | Local -> 1 | Regional -> 2 | Global -> 3
@@ -180,172 +79,6 @@ let kind_tag : Kernel_plan.kernel_kind -> int = function
 let kind_of_tag : int -> Kernel_plan.kernel_kind = function
   | 0 -> Codegen | 1 -> Library | 2 -> Copy
   | t -> malformed "kernel kind tag %d" t
-
-(* --- Ops ------------------------------------------------------------------ *)
-
-let w_int_arr b a = w_arr b w_i a
-let r_int_arr r = r_arr r r_i
-
-let w_op b : Op.t -> unit = function
-  | Parameter { name } ->
-      w_u8 b 0;
-      w_s b name
-  | Constant { value } ->
-      w_u8 b 1;
-      w_f b value
-  | Iota { axis } ->
-      w_u8 b 2;
-      w_i b axis
-  | Unary { kind; input } ->
-      w_u8 b 3;
-      w_u8 b (unary_tag kind);
-      w_i b input
-  | Binary { kind; lhs; rhs } ->
-      w_u8 b 4;
-      w_u8 b (binary_tag kind);
-      w_i b lhs;
-      w_i b rhs
-  | Broadcast { input; dims } ->
-      w_u8 b 5;
-      w_i b input;
-      w_int_arr b dims
-  | Reduce { input; kind; axes } ->
-      w_u8 b 6;
-      w_i b input;
-      w_u8 b (reduce_tag kind);
-      w_int_arr b axes
-  | Reshape { input } ->
-      w_u8 b 7;
-      w_i b input
-  | Transpose { input; perm } ->
-      w_u8 b 8;
-      w_i b input;
-      w_int_arr b perm
-  | Select { pred; on_true; on_false } ->
-      w_u8 b 9;
-      w_i b pred;
-      w_i b on_true;
-      w_i b on_false
-  | Concat { inputs; axis } ->
-      w_u8 b 10;
-      w_list b w_i inputs;
-      w_i b axis
-  | Slice { input; starts; stops } ->
-      w_u8 b 11;
-      w_i b input;
-      w_int_arr b starts;
-      w_int_arr b stops
-  | Pad { input; low; high } ->
-      w_u8 b 12;
-      w_i b input;
-      w_int_arr b low;
-      w_int_arr b high
-  | Gather { params; indices } ->
-      w_u8 b 13;
-      w_i b params;
-      w_i b indices
-  | Scatter_add { indices; updates; rows } ->
-      w_u8 b 14;
-      w_i b indices;
-      w_i b updates;
-      w_i b rows
-  | Max_pool { input; window; stride } ->
-      w_u8 b 15;
-      w_i b input;
-      w_i b window;
-      w_i b stride
-  | Dot { lhs; rhs } ->
-      w_u8 b 16;
-      w_i b lhs;
-      w_i b rhs
-  | Conv2d { input; filter; stride } ->
-      w_u8 b 17;
-      w_i b input;
-      w_i b filter;
-      w_i b stride
-
-let r_op r : Op.t =
-  match r_u8 r with
-  | 0 -> Parameter { name = r_s r }
-  | 1 -> Constant { value = r_f r }
-  | 2 -> Iota { axis = r_i r }
-  | 3 ->
-      let kind = unary_of_tag (r_u8 r) in
-      Unary { kind; input = r_i r }
-  | 4 ->
-      let kind = binary_of_tag (r_u8 r) in
-      let lhs = r_i r in
-      Binary { kind; lhs; rhs = r_i r }
-  | 5 ->
-      let input = r_i r in
-      Broadcast { input; dims = r_int_arr r }
-  | 6 ->
-      let input = r_i r in
-      let kind = reduce_of_tag (r_u8 r) in
-      Reduce { input; kind; axes = r_int_arr r }
-  | 7 -> Reshape { input = r_i r }
-  | 8 ->
-      let input = r_i r in
-      Transpose { input; perm = r_int_arr r }
-  | 9 ->
-      let pred = r_i r in
-      let on_true = r_i r in
-      Select { pred; on_true; on_false = r_i r }
-  | 10 ->
-      let inputs = r_list r r_i in
-      Concat { inputs; axis = r_i r }
-  | 11 ->
-      let input = r_i r in
-      let starts = r_int_arr r in
-      Slice { input; starts; stops = r_int_arr r }
-  | 12 ->
-      let input = r_i r in
-      let low = r_int_arr r in
-      Pad { input; low; high = r_int_arr r }
-  | 13 ->
-      let params = r_i r in
-      Gather { params; indices = r_i r }
-  | 14 ->
-      let indices = r_i r in
-      let updates = r_i r in
-      Scatter_add { indices; updates; rows = r_i r }
-  | 15 ->
-      let input = r_i r in
-      let window = r_i r in
-      Max_pool { input; window; stride = r_i r }
-  | 16 ->
-      let lhs = r_i r in
-      Dot { lhs; rhs = r_i r }
-  | 17 ->
-      let input = r_i r in
-      let filter = r_i r in
-      Conv2d { input; filter; stride = r_i r }
-  | t -> malformed "op tag %d" t
-
-(* --- Graph ---------------------------------------------------------------- *)
-
-let w_graph b g =
-  w_i b (Graph.num_nodes g);
-  for i = 0 to Graph.num_nodes g - 1 do
-    let n = Graph.node g i in
-    w_op b n.Graph.op;
-    w_int_arr b n.Graph.shape;
-    w_u8 b (dtype_tag n.Graph.dtype)
-  done;
-  w_list b w_i (Graph.outputs g)
-
-let r_graph r =
-  let n = r_count r in
-  let nodes =
-    Array.init n (fun id ->
-        let op = r_op r in
-        let shape = r_int_arr r in
-        let dtype = dtype_of_tag (r_u8 r) in
-        { Graph.id; op; shape; dtype })
-  in
-  let outputs = r_list r r_i in
-  try Graph.of_nodes nodes ~outputs
-  with Graph.Ill_formed m -> malformed "graph: %s" m
 
 (* --- Arch ----------------------------------------------------------------- *)
 
@@ -510,7 +243,7 @@ let r_batch r : Batch_axis.plan =
 
 let w_plan b (p : Kernel_plan.t) =
   w_arch b p.arch;
-  w_graph b p.graph;
+  write_graph b p.graph;
   w_list b w_kernel p.kernels;
   w_i b p.memcpys;
   w_i b p.memsets;
@@ -519,7 +252,7 @@ let w_plan b (p : Kernel_plan.t) =
 
 let r_plan r : Kernel_plan.t =
   let arch = r_arch r in
-  let graph = r_graph r in
+  let graph = read_graph r in
   let kernels = r_list r r_kernel in
   let memcpys = r_i r in
   let memsets = r_i r in
@@ -560,19 +293,19 @@ let decode_exn s =
   let stored = String.get_int64_le s (20 + plen) in
   if not (Int64.equal stored (fnv1a64 s ~pos:20 ~len:plen)) then
     raise (Codec_error Checksum_mismatch);
-  let r = { src = s; limit = 20 + plen; pos = 20 } in
+  let r = reader s ~pos:20 ~limit:(20 + plen) in
   let plan =
     try r_plan r with
-    | Short -> raise (Codec_error (Malformed "payload exhausted mid-field"))
+    | Op_format.Malformed m -> raise (Codec_error (Malformed m))
     | Thread_mapping.Invalid m ->
         raise (Codec_error (Malformed ("mapping: " ^ m)))
     | Shape.Invalid m -> raise (Codec_error (Malformed ("shape: " ^ m)))
   in
-  if r.pos <> r.limit then
+  if pos r <> 20 + plen then
     raise
       (Codec_error
          (Malformed
-            (Printf.sprintf "%d trailing payload bytes" (r.limit - r.pos))));
+            (Printf.sprintf "%d trailing payload bytes" (20 + plen - pos r))));
   plan
 
 let decode s =

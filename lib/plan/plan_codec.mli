@@ -36,8 +36,8 @@ exception Codec_error of error
 
 val encode : Kernel_plan.t -> string
 (** Canonical bytes for a plan.  Deterministic: structurally identical
-    plans encode identically (the graph's memoized fingerprint is not
-    part of the encoding). *)
+    plans encode identically.  The graph section is
+    {!Astitch_ir.Op_format.write_graph}'s bytes. *)
 
 val decode : string -> (Kernel_plan.t, error) result
 (** Parse [encode]'s output.  Never raises: corruption, truncation and

@@ -34,7 +34,6 @@ type spec = {
   build : int -> Graph.t;
   base : Graph.t;
   batch : Batch_axis.plan;
-  fingerprint : string;
   request_params : (string * axis_info) list;
   shared_params : (string * Shape.t) list;
   outputs : axis_info option list;
@@ -79,7 +78,6 @@ let analyze build ~max_batch =
     build;
     base;
     batch = { Batch_axis.max_batch; cls };
-    fingerprint = Fingerprint.of_graph base;
     request_params;
     shared_params;
     outputs = List.map axis_info (Graph.outputs base);

@@ -25,7 +25,6 @@ type spec = {
   batch : Batch_axis.plan;
       (** the node classes and the [max_batch] they were checked at:
           what the one compiled plan carries *)
-  fingerprint : string;  (** of [base]; the batching-compatibility key *)
   request_params : (string * axis_info) list;
       (** the [Scaled] parameters, packed per request *)
   shared_params : (string * Shape.t) list;

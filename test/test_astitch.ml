@@ -339,16 +339,18 @@ let test_config_printing () =
 type block =
   | Plain
   | Output  (** the row sum is also a graph output *)
+  | Outside_consumer
+      (** a dot of [exp x] outside the scope, a graph output, makes it
+          escape the scope *)
   | Dead_broadcast
-      (** a dead broadcast of [exp x] outside the scope makes it a dominant
-          candidate *)
+      (** a dead broadcast of [exp x] outside the scope steers nothing *)
   | Computed_bias  (** the bias is a dot output, not a parameter *)
   | Dead_consumer  (** a dead [neg z] *)
   | Column_reduce  (** the sum runs over axis 0 *)
 
 let blocks =
-  [ Plain; Plain; Output; Plain; Dead_broadcast; Computed_bias; Dead_consumer;
-    Column_reduce; Plain ]
+  [ Plain; Plain; Output; Plain; Outside_consumer; Computed_bias; Dead_consumer;
+    Column_reduce; Dead_broadcast; Plain ]
 
 (* The graph and each block's [exp] node. *)
 let block_chain () =
@@ -366,6 +368,7 @@ let block_chain () =
         let bias = if v = Computed_bias then Builder.dot b bias (mat "v") else bias in
         let z = Builder.add b y bias in
         if v = Output then outputs := s :: !outputs;
+        if v = Outside_consumer then outputs := Builder.dot b e (mat "u") :: !outputs;
         if v = Dead_broadcast then ignore (Builder.broadcast b e ~dims:[ 1; 2 ] [ 2; n; n ]);
         if v = Dead_consumer then ignore (Builder.neg b z);
         prev := z;
@@ -399,7 +402,7 @@ let test_scope_keys () =
       if v = Plain then check_int "plain copies share a key" first_plain reps.(i)
       else check_int "a changed fact gets a key of its own" i reps.(i))
     blocks exps;
-  check_int "distinct scopes" 6 (distinct reps)
+  check_int "distinct scopes" 7 (distinct reps)
 
 let test_scope_memo_compiles () =
   let g, exps = block_chain () in
@@ -428,16 +431,20 @@ let test_scope_memo_compiles () =
     (List.for_all2 Astitch_tensor.Tensor.equal_bits
        (Astitch_runtime.Executor.run_context ctx ~params)
        (Astitch_tensor.Interp.run g ~params));
-  (* the outside consumer is load-bearing: a dead broadcast moves [exp] off
-     registers, so a key without it would hand out the wrong kernel *)
+  (* the outside consumer is load-bearing: a live one moves [exp] off
+     registers, so a key without it would hand out the wrong kernel; a
+     dead broadcast is never lowered and leaves [exp] where a plain block
+     puts it *)
   let placement e =
     List.find_map (fun k -> Kernel_plan.find_op k e) plan.kernels
     |> Option.map (fun (o : Kernel_plan.compiled_op) -> o.placement)
   in
   List.iter2
     (fun v e ->
+      if v = Outside_consumer then
+        check "escaping exp placed apart" true (placement e <> placement (List.hd exps));
       if v = Dead_broadcast then
-        check "dominant candidate placed apart" true (placement e <> placement (List.hd exps)))
+        check "a dead broadcast moves nothing" true (placement e = placement (List.hd exps)))
     blocks exps
 
 let test_scope_memo_bypassed_under_faults () =

@@ -224,6 +224,113 @@ let prop_decode_total_near_valid =
       | exception e ->
           QCheck2.Test.fail_reportf "decode raised %s" (Printexc.to_string e))
 
+(* --- The shared op format ------------------------------------------------- *)
+
+(* Every constructor with its attributes, every kind and every dtype. *)
+let every_op : Op.t list =
+  let open Op in
+  [
+    Parameter { name = "x y\000" };
+    Constant { value = 1. /. 3. };
+    Constant { value = -0. };
+    Constant { value = Float.nan };
+    Iota { axis = 2 };
+    Broadcast { input = 3; dims = [| 0; 2 |] };
+    Reshape { input = 4 };
+    Transpose { input = 5; perm = [| 2; 0; 1 |] };
+    Select { pred = 6; on_true = 7; on_false = 8 };
+    Concat { inputs = [ 9; 10; 11 ]; axis = 1 };
+    Slice { input = 12; starts = [| 0; 1 |]; stops = [| 2; 3 |] };
+    Pad { input = 13; low = [| 1; 0 |]; high = [| 0; 2 |] };
+    Gather { params = 14; indices = 15 };
+    Scatter_add { indices = 16; updates = 17; rows = 9 };
+    Max_pool { input = 18; window = 3; stride = 2 };
+    Dot { lhs = 19; rhs = 20 };
+    Conv2d { input = 21; filter = 22; stride = 2 };
+  ]
+  @ List.map (fun kind -> Unary { kind; input = 1 }) (Array.to_list Op_format.unary_kinds)
+  @ List.map (fun kind -> Binary { kind; lhs = 1; rhs = 2 }) (Array.to_list Op_format.binary_kinds)
+  @ List.map
+      (fun kind -> Reduce { input = 1; kind; axes = [| 1; 2 |] })
+      (Array.to_list Op_format.reduce_kinds)
+
+let test_every_op_roundtrips () =
+  List.iter
+    (fun op ->
+      let b = Buffer.create 64 in
+      Op_format.write_op b ~operand:Op_format.w_i op;
+      let bytes = Buffer.contents b in
+      let r = Op_format.reader bytes ~pos:0 ~limit:(String.length bytes) in
+      let op' = Op_format.read_op r in
+      check (Op.mnemonic op ^ " round-trips") true (compare op op' = 0);
+      check_int (Op.mnemonic op ^ " reads every byte") (String.length bytes) (Op_format.pos r))
+    every_op
+
+let test_every_dtype_roundtrips () =
+  Array.iter
+    (fun dtype ->
+      let bld = Builder.create () in
+      let x = Builder.parameter bld ~dtype "x" [ 2; 3 ] in
+      let g = Builder.finish bld ~outputs:[ Builder.neg bld x ] in
+      let b = Buffer.create 64 in
+      Op_format.write_graph b g;
+      let bytes = Buffer.contents b in
+      let g' = Op_format.read_graph (Op_format.reader bytes ~pos:0 ~limit:(String.length bytes)) in
+      check (Dtype.to_string dtype ^ " round-trips") true (Graph.dtype g' x = dtype))
+    Op_format.dtypes
+
+(* Overwrite bytes of the graph section of a real encoding and fix the
+   checksum, so only the rewritten field is wrong. *)
+let with_graph_bytes plan ~offset patch =
+  let bytes = Plan_codec.encode plan in
+  let graph =
+    let b = Buffer.create 256 in
+    Op_format.write_graph b plan.Kernel_plan.graph;
+    Buffer.contents b
+  in
+  let rec find i =
+    if String.sub bytes i (String.length graph) = graph then i else find (i + 1)
+  in
+  let b = Bytes.of_string bytes in
+  Bytes.blit_string patch 0 b (find 20 + offset) (String.length patch);
+  let plen = Bytes.length b - 28 in
+  Bytes.set_int64_le b (20 + plen) (fnv1a64 (Bytes.sub_string b 20 plen));
+  Bytes.to_string b
+
+let tag_plan () =
+  let bld = Builder.create () in
+  let x = Builder.parameter bld "x" [ 4 ] in
+  compile (Builder.finish bld ~outputs:[ Builder.exp bld x ])
+
+(* [decode]'s message, once [decode_exn] raised the same error *)
+let expect_malformed what bytes =
+  (match Plan_codec.decode_exn bytes with
+  | _ -> Alcotest.failf "%s: decode_exn succeeded" what
+  | exception Plan_codec.Codec_error (Plan_codec.Malformed _) -> ());
+  match Plan_codec.decode bytes with
+  | Error (Plan_codec.Malformed m) -> m
+  | Error e -> Alcotest.failf "%s: wrong error %s" what (Plan_codec.error_to_string e)
+  | Ok _ -> Alcotest.failf "%s: decoded" what
+
+let test_unknown_tags_malformed () =
+  let plan = tag_plan () in
+  (* node 0: count word, op tag, name, rank word, one dim, dtype tag *)
+  let dtype_offset = 8 + 1 + 8 + 1 + 8 + 8 in
+  List.iter
+    (fun (what, offset, byte) ->
+      let m = expect_malformed what (with_graph_bytes plan ~offset (String.make 1 (Char.chr byte))) in
+      Alcotest.(check string) what (Printf.sprintf "%s %d" what byte) m)
+    [ ("op tag", 8, 0xff); ("dtype tag", dtype_offset, 9); ("unary kind tag", dtype_offset + 2, 12) ]
+
+(* A length word near [max_int] must not wrap the reader's bounds
+   check: the parameter's name claims max_int - 100 bytes. *)
+let test_lying_length_malformed () =
+  let word = Bytes.create 8 in
+  Bytes.set_int64_le word 0 (Int64.of_int (max_int - 100));
+  ignore
+    (expect_malformed "name length"
+       (with_graph_bytes (tag_plan ()) ~offset:9 (Bytes.to_string word)))
+
 (* --- Plan store ------------------------------------------------------------ *)
 
 let with_store f =
@@ -343,6 +450,13 @@ let () =
             test_decode_exn_raises_codec_error;
         ]
         @ qsuite [ prop_decode_total; prop_decode_total_near_valid ] );
+      ( "op format",
+        [
+          Alcotest.test_case "every op round-trips" `Quick test_every_op_roundtrips;
+          Alcotest.test_case "every dtype round-trips" `Quick test_every_dtype_roundtrips;
+          Alcotest.test_case "unknown tags are Malformed" `Quick test_unknown_tags_malformed;
+          Alcotest.test_case "a lying length is Malformed" `Quick test_lying_length_malformed;
+        ] );
       ( "store",
         [
           Alcotest.test_case "save/load round-trip by key" `Quick

@@ -172,6 +172,43 @@ let prop_simplify_never_grows =
       let g', _ = Astitch_ir.Simplify.run g in
       Astitch_ir.Graph.num_nodes g' <= Astitch_ir.Graph.num_nodes g)
 
+(* A dead consumer is never lowered, so it steers no compile decision: a
+   graph and its dead-code-eliminated copy compile to the same kernel
+   count and per-op (mnemonic, shape, placement, scheme, recompute)
+   multiset under full, HDM and ATM, and on a 128 B-shared-memory V100. *)
+let prop_dead_code_steers_nothing =
+  let module Config = Astitch_core.Config in
+  let configs =
+    [
+      (Config.full, Arch.v100);
+      (Config.no_dominant_merging, Arch.v100);
+      (Config.atm_only, Arch.v100);
+      (Config.full, { Arch.v100 with shared_mem_per_block = 128 });
+    ]
+  in
+  let summary config arch g =
+    match Astitch_core.Fallback.compile config arch g with
+    | Error e -> Error (Compile_error.to_string e)
+    | Ok ((plan : Kernel_plan.t), _) ->
+        let op (o : Kernel_plan.compiled_op) =
+          ( Astitch_ir.Op.mnemonic (Astitch_ir.Graph.op plan.graph o.id),
+            Astitch_ir.Graph.shape plan.graph o.id,
+            o.placement,
+            o.scheme,
+            o.recompute )
+        in
+        Ok
+          ( List.length plan.kernels,
+            List.sort compare
+              (List.concat_map (fun (k : Kernel_plan.kernel) -> List.map op k.ops) plan.kernels) )
+  in
+  QCheck2.Test.make ~name:"dead code steers no compile decision" ~count:200
+    QCheck2.Gen.(pair (int_range 60_001 70_000) (int_range 10 70))
+    (fun (seed, nodes) ->
+      let g = Astitch_workloads.Synthetic.random_graph ~seed ~nodes () in
+      let live = Astitch_ir.Simplify.dce g in
+      List.for_all (fun (config, arch) -> summary config arch g = summary config arch live) configs)
+
 let prop_text_roundtrip =
   QCheck2.Test.make ~name:"textual IR round-trips" ~count:80
     QCheck2.Gen.(pair (int_range 50_001 60_000) (int_range 20 100))
@@ -386,6 +423,7 @@ let () =
           prop_simplify_preserves_values;
           prop_simplify_never_grows;
           prop_text_roundtrip;
+          prop_dead_code_steers_nothing;
         ];
       suite "structure"
         [ prop_clusters_single_depth; prop_kernel_dag_schedulable ];

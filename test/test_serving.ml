@@ -95,6 +95,45 @@ let test_fingerprint_output_order () =
        (Fingerprint.of_graph (two_outputs false))
        (Fingerprint.of_graph (two_outputs true)))
 
+(* Bits the text form would round away still key the graph. *)
+let test_fingerprint_bits () =
+  let third = 1. /. 3. in
+  let scaled c =
+    let b = Builder.create () in
+    let x = Builder.parameter b "x" [ 4 ] in
+    Builder.finish b ~outputs:[ Builder.mul b x (Builder.constant b ~dims:[ 4 ] c) ]
+  in
+  check_bool "a constant's last mantissa bit changes the fingerprint" false
+    (String.equal
+       (Fingerprint.of_graph (scaled third))
+       (Fingerprint.of_graph
+          (scaled (Int64.float_of_bits (Int64.logxor (Int64.bits_of_float third) 1L)))));
+  let typed dtype =
+    let b = Builder.create () in
+    let x = Builder.parameter b ~dtype "x" [ 4 ] in
+    Builder.finish b ~outputs:[ Builder.relu b x ]
+  in
+  check_bool "changing a dtype changes the fingerprint" false
+    (String.equal
+       (Fingerprint.of_graph (typed Dtype.F32))
+       (Fingerprint.of_graph (typed Dtype.F16)))
+
+(* The fingerprint is the digest of the live graph in the plan codec's
+   own graph format: dead code and a trip through a stored plan leave
+   it as it was. *)
+let prop_fingerprint_survives_dce_and_codec =
+  QCheck2.Test.make ~name:"fingerprint = dce's = decoded plan graph's" ~count:40
+    QCheck2.Gen.(pair (int_range 0 100_000) (int_range 10 70))
+    (fun (seed, nodes) ->
+      let g = Astitch_workloads.Synthetic.random_graph ~seed ~nodes () in
+      let fp = Fingerprint.of_graph g in
+      let decoded =
+        Plan_codec.decode_exn
+          (Plan_codec.encode (Astitch_core.Astitch.full_backend.compile Arch.v100 g))
+      in
+      String.equal fp (Fingerprint.of_graph (Simplify.dce g))
+      && String.equal fp (Fingerprint.of_graph decoded.Kernel_plan.graph))
+
 (* --- Compile counting ------------------------------------------------ *)
 
 (* [session.compiles] counts each compile where it happens - what
@@ -252,6 +291,9 @@ let () =
             test_fingerprint_sensitive;
           Alcotest.test_case "output order sensitive" `Quick
             test_fingerprint_output_order;
+          Alcotest.test_case "constant bits and dtypes" `Quick
+            test_fingerprint_bits;
+          QCheck_alcotest.to_alcotest prop_fingerprint_survives_dce_and_codec;
         ] );
       ( "cache",
         [
