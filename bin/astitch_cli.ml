@@ -18,14 +18,15 @@
    compile/compare take --resilient (per-cluster graceful degradation,
    prints the degradation report) and repeatable
    --inject SITE:MODE[:SEED[:FUEL]] fault-injection options.
-   run/compare take --fused/--no-fused to pick the execution engine
-   (fused is the default; kernels the fused engine cannot lower fall
-   back to the reference path with a logged reason); serve always
-   executes fused.  run/compare/bench/serve take --trace FILE and
-   --metrics; run --trace FILE --check re-parses the trace.  serve
-   --recorder DIR dumps the trace sink on each incident (installing a
-   small sink when --trace did not), and serve --expect-warm --check
-   fails when prewarm or traffic compiles a plan. *)
+   run/compare take --fused/--no-fused to pick stitched or unstitched
+   kernels on the one tiled engine (fused is the default; a kernel the
+   engine cannot stitch runs with every op materialized, its reason
+   logged); serve always executes fused.  run/compare/bench/serve take
+   --trace FILE and --metrics; run --trace FILE --check re-parses the
+   trace.  serve --recorder DIR dumps the trace sink on each incident
+   (installing a small sink when --trace did not), and serve
+   --expect-warm --check fails when prewarm or traffic compiles a
+   plan. *)
 
 open Cmdliner
 open Astitch_ir
@@ -105,13 +106,15 @@ let fused_arg =
           ( true,
             info [ "fused" ]
               ~doc:
-                "Execute through the fused engine: register scalarization, \
-                 per-block staging, arena buffers (default).  Kernels the \
-                 engine cannot lower automatically fall back to the \
-                 reference path; each fallback logs its reason to stderr." );
+                "Execute stitched: register scalarization, per-block \
+                 staging, arena buffers (default).  A kernel the engine \
+                 cannot stitch runs with every op materialized; each \
+                 fallback logs its reason to stderr." );
           ( false,
             info [ "no-fused" ]
-              ~doc:"Execute through the reference per-node engine." );
+              ~doc:
+                "Execute unstitched on the same engine: every op \
+                 materialized into its own arena buffer." );
         ])
 
 let resilient_arg =
@@ -365,8 +368,8 @@ let compile model backend training tiny arch resilient injects jobs =
 let log_fallbacks ctx =
   List.iter
     (fun (kernel, reason) ->
-      Printf.eprintf "fallback: kernel %s -> reference path (%s)\n%!" kernel
-        reason)
+      Printf.eprintf "fallback: kernel %s -> every op materialized (%s)\n%!"
+        kernel reason)
     (Executor.context_fallbacks ctx)
 
 let run_model model backend training tiny arch seed repeat fused profile_exec
@@ -412,7 +415,7 @@ let run_model model backend training tiny arch seed repeat fused profile_exec
           Printf.printf
             "%d run(s), %.1f us/run, %.0f minor words/run, %s execution\n"
             repeat per_run_us per_run_words
-            (if fused then "fused" else "reference");
+            (if fused then "fused" else "unstitched");
           if profile_exec || metrics then
             Profile.publish_exec (Executor.exec_report ctx);
           if profile_exec then
@@ -459,7 +462,7 @@ let compare_cmd model training tiny arch resilient injects fused trace metrics
           let params = Session.random_params ~seed:11 g in
           Printf.printf "%-10s %10s %8s %14s %14s %12s\n" "backend" "kernels"
             "CPY" "time (us)" "vs TF"
-            (if fused then "run (us)" else "ref-run (us)");
+            (if fused then "run (us)" else "unst-run (us)");
           let tf_time = ref 0. in
           let print_row name (r : Session.result) =
             let t = r.profile.Profile.total_time_us in
@@ -818,8 +821,8 @@ let drive (t : traffic) zoo names =
   wall
 
 (* The --check verdict: the supervision contract (nothing failed,
-   something completed, no padded row, every generated request
-   completed, shed, failed or refused, none lost), then the run's
+   something completed, every generated request completed, shed,
+   failed or refused, none lost), then the run's
    [extra] (violated, reason) pairs, then the emitted files re-parsed. *)
 let check_run (t : traffic) (s : Astitch_serve.Serve.stats) ~lost ~extra
     ~trace ~dumps ~stats_json =
@@ -828,9 +831,6 @@ let check_run (t : traffic) (s : Astitch_serve.Serve.stats) ~lost ~extra
     [
       (s.failed > 0, Printf.sprintf "%d requests failed" s.failed);
       (s.completed = 0, "nothing completed");
-      ( s.padded_rows <> 0,
-        Printf.sprintf "%d padded rows executed (a context could not rebind)"
-          s.padded_rows );
       ( accounted <> t.requests,
         Printf.sprintf "%d of %d requests unaccounted for"
           (t.requests - accounted) t.requests );
@@ -1052,8 +1052,8 @@ let serve_cmd_impl models slo_specs plan_dir verify_plans expect_warm
                                 Astitch_obs.Metrics.default "serve.batch_size"))
                           s.max_depth_seen;
                         Printf.printf
-                          "padded rows %d  plan compiles %d  contexts %s\n"
-                          s.padded_rows s.plan_compiles
+                          "plan compiles %d  contexts %s\n"
+                          s.plan_compiles
                           (String.concat " "
                              (List.map
                                 (fun (name, n) -> Printf.sprintf "%s=%d" name n)
@@ -1291,8 +1291,8 @@ let traffic_term =
     Arg.(value & flag
          & info [ "check" ]
              ~doc:"Exit non-zero unless every request is accounted for \
-                   (completed, shed or refused) with none failed or lost \
-                   and no padded row; also re-parse every emitted file \
+                   (completed, shed or refused) with none failed or lost; \
+                   also re-parse every emitted file \
                    (--trace, --recorder dumps, --stats-json).  Composes \
                    with --verify-plans (no gate rejections) and \
                    --expect-warm (zero cold compiles).")

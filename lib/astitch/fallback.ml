@@ -83,19 +83,7 @@ let per_op_plan (arch : Arch.t) g =
     if Graph.is_live g id && Clustering.is_clusterable g id then
       ids := id :: !ids
   done;
-  let kernels =
-    Kernel_plan.toposort_kernels g
-      (List.map (per_op_kernel arch g) !ids @ Lowering.library_kernels arch g)
-  in
-  {
-    Kernel_plan.arch;
-    graph = g;
-    kernels;
-    memcpys = Lowering.output_memcpys g;
-    memsets = Lowering.atomic_memsets kernels;
-    memcpy_bytes = Lowering.output_bytes g;
-    batch = None;
-  }
+  Lowering.assemble arch g (List.map (per_op_kernel arch g) !ids)
 
 (* --- Scheme demotion (the Regional and Local rungs) --------------------- *)
 
@@ -387,27 +375,14 @@ let compile (config : Config.t) (arch : Arch.t) g :
     let assemble ~unchecked ks =
       Compile_error.protect ~pass:"kernel-schedule" (fun () ->
           Trace.with_span ~phase:"compile" "kernel-schedule" @@ fun () ->
-          let sorted =
-            Kernel_plan.toposort_kernels g (ks @ Lowering.library_kernels arch g)
-          in
-          let plan =
-            {
-              Kernel_plan.arch;
-              graph = g;
-              kernels = sorted;
-              memcpys = Lowering.output_memcpys g;
-              memsets = Lowering.atomic_memsets sorted;
-              memcpy_bytes = Lowering.output_bytes g;
-              batch = None;
-            }
-          in
+          let plan = Lowering.assemble arch g ks in
           let unchecked_violations (k : Kernel_plan.kernel) =
             if k.kind = Kernel_plan.Library || List.memq k unchecked then
               Kernel_plan.check_kernel arch g k
             else []
           in
           ( plan,
-            List.concat_map unchecked_violations sorted
+            List.concat_map unchecked_violations plan.Kernel_plan.kernels
             @ Kernel_plan.check_cross_kernel plan ))
     in
     let rec repair round ~unchecked ks =

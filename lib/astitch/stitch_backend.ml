@@ -30,12 +30,7 @@ let compile_cluster_body ?demoted_out (config : Config.t) (arch : Arch.t) g
     (nodes : Op.node_id list) : Kernel_plan.kernel =
   let in_cluster = Hashtbl.create 16 in
   List.iter (fun id -> Hashtbl.replace in_cluster id ()) nodes;
-  let escaping id =
-    Graph.is_output g id
-    || List.exists
-         (fun c -> Graph.is_live g c && not (Hashtbl.mem in_cluster c))
-         (Graph.consumers g id)
-  in
+  let escaping = Astitch_backends.Fusion_common.escapes g in_cluster in
   (* Step 1: dominants and groups *)
   let groups =
     Trace.with_span ~phase:"compile" "dominant-grouping" (fun () ->
@@ -125,25 +120,13 @@ let compile_cluster_body ?demoted_out (config : Config.t) (arch : Arch.t) g
     in
     if Op.is_reduce (Graph.op g id) then dominant_mapping id
     else
-      match grp_map with
-      | Thread_mapping.Elementwise _ when Thread_mapping.grid grp_map > 0 ->
-          let rows = Option.map fst (Thread_mapping.row_partition grp_map) in
-          Thread_mapping.Elementwise
-            {
-              elements = Graph.num_elements g id;
-              block = Thread_mapping.block grp_map;
-              grid = Thread_mapping.grid grp_map;
-              rows;
-            }
-      | m ->
-          let rows = Option.map fst (Thread_mapping.row_partition m) in
-          Thread_mapping.Elementwise
-            {
-              elements = Graph.num_elements g id;
-              block = Thread_mapping.block m;
-              grid = Thread_mapping.grid m;
-              rows;
-            }
+      Thread_mapping.Elementwise
+        {
+          elements = Graph.num_elements g id;
+          block = Thread_mapping.block grp_map;
+          grid = Thread_mapping.grid grp_map;
+          rows = Option.map fst (Thread_mapping.row_partition grp_map);
+        }
   in
   (* Step 3: placement / scheme finalization *)
   let roles : (Op.node_id, node_role) Hashtbl.t = Hashtbl.create 16 in

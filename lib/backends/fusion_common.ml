@@ -361,20 +361,6 @@ let compile ~name ~cut_edge ~mapping_for_root (arch : Arch.t) g =
                      ids))
       clusters
   in
-  let kernels =
-    Kernel_plan.toposort_kernels g
-      (fusion_kernels @ Lowering.library_kernels arch g)
-  in
-  let plan =
-    {
-      Kernel_plan.arch;
-      graph = g;
-      kernels;
-      memcpys = Lowering.output_memcpys g;
-      memsets = Lowering.atomic_memsets kernels;
-      memcpy_bytes = Lowering.output_bytes g;
-    batch = None;
-    }
-  in
+  let plan = Lowering.assemble arch g fusion_kernels in
   Kernel_plan.check plan;
   plan

@@ -45,21 +45,7 @@ let compile (arch : Arch.t) g =
              }
            end)
   in
-  let kernels =
-    Kernel_plan.toposort_kernels g
-      (mem_kernels @ Lowering.library_kernels arch g)
-  in
-  let plan =
-    {
-      Kernel_plan.arch;
-      graph = g;
-      kernels;
-      memcpys = Lowering.output_memcpys g;
-      memsets = Lowering.atomic_memsets kernels;
-      memcpy_bytes = Lowering.output_bytes g;
-    batch = None;
-    }
-  in
+  let plan = Lowering.assemble arch g mem_kernels in
   Kernel_plan.check plan;
   plan
 

@@ -222,9 +222,10 @@ let kernel_work t (k : kernel) : Cost_model.work =
 (* --- Structural invariants --------------------------------------------- *)
 
 (* Violations of one kernel, independent of the rest of the plan:
-   intra-kernel topological order (1), register co-location (5),
-   shared-memory legality and footprint (6), barrier and launch
-   legality (7).  Cross-kernel invariants live in [plan_violations].
+   intra-kernel topological order (1), consistent thread mappings (1b),
+   register co-location (5), shared-memory legality and footprint (6),
+   barrier and launch legality (7).  Cross-kernel invariants live in
+   [plan_violations].
    Runs once per kernel where the compile driver makes it, so its cost
    stays in the kernel's own size: no node-indexed state. *)
 let kernel_violations ~emit arch g (k : kernel) =
@@ -251,6 +252,18 @@ let kernel_violations ~emit arch g (k : kernel) =
                   is computed" k.name o.id operand))
         (Graph.operands g o.id);
       Hashtbl.replace seen o.id ())
+    k.ops;
+  (* 1b. every op's thread mapping is a consistent geometry *)
+  List.iter
+    (fun (o : compiled_op) ->
+      try
+        Thread_mapping.validate ~max_block:arch.Arch.max_threads_per_block
+          o.mapping
+      with Thread_mapping.Invalid m ->
+        emit
+          (Compile_error.violation ~where:k.name ~ops:[ o.id ] structure
+             "kernel %s: op %%%d mapping %s: %s" k.name o.id
+             (Thread_mapping.to_string o.mapping) m))
     k.ops;
   (* 5. register placement: consumers must be co-located, and one-to-many
         consumers must pay their recompute *)

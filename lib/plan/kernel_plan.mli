@@ -82,7 +82,8 @@ val kernel_work : t -> kernel -> Cost_model.work
     notes for the L2 model that reproduces Table 5's counter structure. *)
 
 val check_kernel : Arch.t -> Graph.t -> kernel -> Compile_error.violation list
-(** Intra-kernel invariants only (order, placement legality, shared-memory
+(** Intra-kernel invariants only (order, consistent thread mappings
+    under the arch's block limit, placement legality, shared-memory
     footprint, barrier and launch legality); empty when the kernel is
     valid in isolation. *)
 

@@ -72,3 +72,18 @@ let atomic_memsets kernels =
 
 let output_bytes g =
   List.fold_left (fun acc id -> acc + Graph.bytes g id) 0 (Graph.outputs g)
+
+(* A backend's plan: its kernels [ks] plus one library kernel per live
+   compute-intensive op, in dependency order, with the memcpy/memset
+   accounting above and no batch classification. *)
+let assemble (arch : Arch.t) g ks =
+  let kernels = Kernel_plan.toposort_kernels g (ks @ library_kernels arch g) in
+  {
+    Kernel_plan.arch;
+    graph = g;
+    kernels;
+    memcpys = output_memcpys g;
+    memsets = atomic_memsets kernels;
+    memcpy_bytes = output_bytes g;
+    batch = None;
+  }

@@ -44,10 +44,19 @@
    of what its first reading loop reads, after that loop's barrier, and
    a value with no multi-block slab refills no block out of order.
    Recompute stays for light values, for plan [recompute > 1] and
-   within one loop.  Kernels that use an unsupported
-   pattern lower to [Fallback] with a reason; the executor runs those
-   through the reference per-node path, so a bad plan still fails exactly
-   where the reference executor would fail. *)
+   within one loop.
+
+   Unstitched kernels.  A kernel that uses a pattern the stitched
+   lowering rejects - and every kernel under [~fused:false] - lowers
+   with each op in its own full buffer instead: [Materialize], [Alias]
+   for a reshape, no role for a leaf (parameters bind per run,
+   constants and iotas are evaluated once).  Its tape carries the
+   reason in [fallback].  Availability still follows the plan's
+   placements, and a node an earlier kernel already materialized is
+   written again into its own slot, whose interval is extended to the
+   later kernel.  The availability check is the same for both
+   lowerings, so a plan that reads a value it never made available
+   raises [Unavailable] whichever way its kernels lower. *)
 
 open Astitch_ir
 open Astitch_simt
@@ -66,18 +75,14 @@ type kernel_tape = {
   kernel : Kernel_plan.kernel;
   pos : int; (* kernel position in plan order *)
   roles : (Op.node_id * role) list; (* op order, first occurrence only *)
-  materialized : Op.node_id list; (* ids set computed when the kernel ran *)
-  purged : Op.node_id list; (* on-chip ids unavailable after the kernel *)
+  materialized : Op.node_id list; (* ids written to full storage or bound *)
   barriers : int; (* global barrier points executed per run *)
   barrier_before : Op.node_id list; (* producers preceded by a barrier *)
   gslots : (Op.node_id * int * int * int) list;
       (* staged-global slots: id, elems, def / last-read action index *)
   demotions : (Op.node_id * string) list; (* regional -> global demotions *)
+  fallback : string option; (* why every op is materialized, if it is *)
 }
-
-type lowered =
-  | Fused of kernel_tape
-  | Fallback of { kernel : Kernel_plan.kernel; pos : int; reason : string }
 
 type interval = {
   node : Op.node_id;
@@ -88,25 +93,47 @@ type interval = {
 
 type t = {
   plan : Kernel_plan.t;
-  kernels : lowered list; (* plan order *)
-  intervals : interval list; (* fused-materialized buffers only *)
+  kernels : kernel_tape list; (* plan order *)
+  intervals : interval list; (* one per materialized node *)
   num_positions : int; (* kernel count; the output-read position *)
 }
 
 exception Reject of string
+exception Unavailable of string
+
+(* the ids a kernel writes to full storage or binds as views *)
+let materialized roles =
+  List.filter_map
+    (fun (id, r) -> match r with Materialize | Alias _ -> Some id | _ -> None)
+    roles
 
 let reject fmt = Printf.ksprintf (fun s -> raise (Reject s)) fmt
 
-let lower (plan : Kernel_plan.t) : t =
+let lower ?(fused = true) (plan : Kernel_plan.t) : t =
   let g = plan.graph in
   let n = Graph.num_nodes g in
   let num_positions = List.length plan.kernels in
-  (* full-storage availability across kernels, mirroring the reference
-     executor's computed flags: leaves up front, Device_mem results after
-     their kernel, on-chip results never (purged at the kernel boundary) *)
+  (* full-storage availability across kernels: leaves up front,
+     Device_mem results after their kernel, on-chip results never
+     (purged at the kernel boundary) *)
   let avail = Array.init n (fun id -> Kernel_plan.is_leaf g id) in
-  (* def table for fused-materialized buffers *)
+  (* materialized buffers: the first kernel that writes each (with its
+     element count), and the last kernel that writes it again *)
   let def = Array.make n None in
+  let redef = Array.make n (-1) in
+  (* every operand of [o] is defined earlier in this kernel ([here]) or
+     available from before it *)
+  let require (k : Kernel_plan.kernel) here (o : Kernel_plan.compiled_op) =
+    List.iter
+      (fun p ->
+        if not (here p || avail.(p)) then
+          raise
+            (Unavailable
+               (Printf.sprintf "kernel %s: op %%%d reads %%%d which is not \
+                                available"
+                  k.name o.id p)))
+      (Graph.operands g o.id)
+  in
   let lower_kernel pos (k : Kernel_plan.kernel) =
     let seen : (Op.node_id, role) Hashtbl.t = Hashtbl.create 16 in
     (* a read is direct when it can see full storage: a leaf, an earlier
@@ -125,11 +152,7 @@ let lower (plan : Kernel_plan.t) : t =
       (fun (o : Kernel_plan.compiled_op) ->
         if not (Hashtbl.mem seen o.id) then begin
           let nd = Graph.node g o.id in
-          List.iter
-            (fun p ->
-              if not (Hashtbl.mem seen p || avail.(p)) then
-                reject "op %d reads %d which is not available" o.id p)
-            (Graph.operands g o.id);
+          require k (Hashtbl.mem seen) o;
           let role =
             match o.placement with
             | Kernel_plan.Register ->
@@ -195,10 +218,7 @@ let lower (plan : Kernel_plan.t) : t =
                     reject "op %d: parameter inside a kernel" o.id
                 | Op.Reshape { input } when direct input ->
                     Alias { root = input }
-                | _ ->
-                    if def.(o.id) <> None then
-                      reject "op %d rematerialized by a later kernel" o.id;
-                    Materialize)
+                | _ -> Materialize)
           in
           Hashtbl.replace seen o.id role;
           roles := (o.id, role) :: !roles
@@ -396,65 +416,80 @@ let lower (plan : Kernel_plan.t) : t =
             | None -> r)
           roles
     in
-    let materialized =
-      List.filter_map
-        (fun (id, r) ->
-          match r with Materialize | Alias _ -> Some id | _ -> None)
-        roles
-    in
-    let purged =
+    {
+      kernel = k;
+      pos;
+      roles;
+      materialized = materialized roles;
+      barriers = !barriers;
+      barrier_before = List.rev !barrier_before;
+      gslots;
+      demotions = List.rev !demotions;
+      fallback = None;
+    }
+  in
+  (* every op in its own full buffer: a reshape views its operand, a
+     leaf needs no role *)
+  let lower_unstitched pos (k : Kernel_plan.kernel) reason =
+    let seen = Hashtbl.create 16 in
+    let roles =
       List.filter_map
         (fun (o : Kernel_plan.compiled_op) ->
-          match o.placement with
-          | Kernel_plan.Device_mem -> None
-          | Kernel_plan.Register | Kernel_plan.Shared_mem
-          | Kernel_plan.Global_scratch ->
-              Some o.id)
+          if Hashtbl.mem seen o.id then None
+          else begin
+            require k (Hashtbl.mem seen) o;
+            Hashtbl.replace seen o.id ();
+            match (Graph.node g o.id).op with
+            | Op.Parameter _ | Op.Constant _ | Op.Iota _ -> None
+            | Op.Reshape { input } -> Some (o.id, Alias { root = input })
+            | _ -> Some (o.id, Materialize)
+          end)
         k.ops
     in
     {
       kernel = k;
       pos;
       roles;
-      materialized;
-      purged;
-      barriers = !barriers;
-      barrier_before = List.rev !barrier_before;
-      gslots;
-      demotions = List.rev !demotions;
+      materialized = materialized roles;
+      barriers = 0;
+      barrier_before = [];
+      gslots = [];
+      demotions = [];
+      fallback = Some reason;
     }
   in
   let kernels =
     List.mapi
       (fun pos (k : Kernel_plan.kernel) ->
-        let lowered =
-          match lower_kernel pos k with
-          | tape -> Fused tape
-          | exception Reject reason -> Fallback { kernel = k; pos; reason }
+        let tape =
+          if not fused then lower_unstitched pos k "fused execution disabled"
+          else
+            match lower_kernel pos k with
+            | tape -> tape
+            | exception Reject reason -> lower_unstitched pos k reason
         in
-        (* availability and def-table updates are identical either way:
-           the reference path enforces the same visibility dynamically *)
         List.iter
           (fun (o : Kernel_plan.compiled_op) ->
-            match o.placement with
-            | Kernel_plan.Device_mem -> avail.(o.id) <- true
-            | Kernel_plan.Register | Kernel_plan.Shared_mem
-            | Kernel_plan.Global_scratch ->
-                avail.(o.id) <- false)
+            avail.(o.id) <- o.placement = Kernel_plan.Device_mem)
           k.ops;
-        (match lowered with
-        | Fused tape ->
-            List.iter
-              (fun (id, r) ->
-                match r with
-                | Materialize ->
-                    def.(id) <- Some (pos, Graph.num_elements g id)
-                | _ -> ())
-              tape.roles
-        | Fallback _ -> ());
-        lowered)
+        List.iter
+          (fun (id, r) ->
+            match (r, def.(id)) with
+            | Materialize, None ->
+                def.(id) <- Some (pos, Graph.num_elements g id)
+            | Materialize, Some _ -> redef.(id) <- pos
+            | _ -> ())
+          tape.roles;
+        tape)
       plan.kernels
   in
+  List.iter
+    (fun id ->
+      if not avail.(id) then
+        raise
+          (Unavailable
+             (Printf.sprintf "graph output %%%d is never materialized" id)))
+    (Graph.outputs g);
   (* plan-wide storage roots: follow reshape edges down to the first node
      that owns its own buffer (has a def entry) or is not a reshape;
      reads and outputs then pin the owning buffer, so a view can never
@@ -483,22 +518,21 @@ let lower (plan : Kernel_plan.t) : t =
     (Graph.outputs g);
   let intervals =
     List.concat_map
-      (function
-        | Fallback _ -> []
-        | Fused tape ->
-            List.filter_map
-              (fun (id, r) ->
-                match (r, def.(id)) with
-                | Materialize, Some (def_pos, elems) ->
-                    Some
-                      {
-                        node = id;
-                        elems;
-                        def_pos;
-                        last_pos = Stdlib.max def_pos last.(id);
-                      }
-                | _ -> None)
-              tape.roles)
+      (fun tape ->
+        List.filter_map
+          (fun (id, r) ->
+            match (r, def.(id)) with
+            | Materialize, Some (def_pos, elems) when def_pos = tape.pos ->
+                Some
+                  {
+                    node = id;
+                    elems;
+                    def_pos;
+                    last_pos =
+                      Stdlib.max def_pos (Stdlib.max last.(id) redef.(id));
+                  }
+            | _ -> None)
+          tape.roles)
       kernels
   in
   { plan; kernels; intervals; num_positions }

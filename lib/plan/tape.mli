@@ -4,9 +4,10 @@
     arena buffer, or reshape view), validate availability structurally,
     sequence each kernel's global-scratch traffic into barrier-separated
     segments, and compute plan-wide liveness intervals for the buffers
-    the engine must allocate.  Kernels using an unsupported pattern lower
-    to [Fallback] with a reason and run through the reference per-node
-    path instead. *)
+    the engine must allocate.  A kernel using a pattern the stitched
+    lowering rejects, and every kernel under [~fused:false], lowers
+    unstitched: every op materialized in its own buffer, the reason in
+    [fallback]. *)
 
 open Astitch_ir
 
@@ -35,8 +36,8 @@ type kernel_tape = {
   kernel : Kernel_plan.kernel;
   pos : int;  (** kernel position in plan order *)
   roles : (Op.node_id * role) list;  (** op order, first occurrence only *)
-  materialized : Op.node_id list;  (** ids set computed when the kernel ran *)
-  purged : Op.node_id list;  (** on-chip ids unavailable after the kernel *)
+  materialized : Op.node_id list;
+      (** ids the kernel writes to full storage or binds as views *)
   barriers : int;  (** global barrier points executed per run *)
   barrier_before : Op.node_id list;
       (** producers whose action a barrier precedes: they read a scratch
@@ -47,11 +48,13 @@ type kernel_tape = {
   demotions : (Op.node_id * string) list;
       (** Shared_mem ops demoted to global staging, with the regional
           reject reason that forced each demotion *)
+  fallback : string option;
+      (** [Some reason] when the kernel lowered unstitched: each op
+          [Materialize]d ([Alias] for a reshape, no role for a leaf),
+          no barrier, no scratch slot.  The reason is why the stitched
+          lowering rejected the kernel, or ["fused execution
+          disabled"]. *)
 }
-
-type lowered =
-  | Fused of kernel_tape
-  | Fallback of { kernel : Kernel_plan.kernel; pos : int; reason : string }
 
 type interval = {
   node : Op.node_id;
@@ -62,14 +65,26 @@ type interval = {
 
 type t = {
   plan : Kernel_plan.t;
-  kernels : lowered list;  (** plan order *)
-  intervals : interval list;  (** fused-materialized buffers only *)
+  kernels : kernel_tape list;  (** plan order *)
+  intervals : interval list;
+      (** one per [Materialize]d node, from the first kernel that writes
+          it *)
   num_positions : int;  (** kernel count; the output-read position *)
 }
 
-val lower : Kernel_plan.t -> t
-(** Structural lowering; never raises.  Interval last positions account
-    for reads through reshape views (a view can never outlive the storage
-    it aliases) and pin output buffers to [num_positions].  A kernel
+exception Unavailable of string
+(** A kernel reads, or the graph outputs, a value the plan never made
+    available under its own ordering: no lowering can run it. *)
+
+val lower : ?fused:bool -> Kernel_plan.t -> t
+(** Structural lowering.  [fused] (default [true]) stitches every kernel
+    it can; [~fused:false] lowers every kernel unstitched.  Interval
+    last positions account for reads through reshape views (a view can
+    never outlive the storage it aliases), for later kernels writing
+    the node again, and pin output buffers to [num_positions].  A kernel
     whose barrier sequencing requires an illegal launch (grid wider than
-    the co-resident wave, [Barrier.is_legal]) lowers to [Fallback]. *)
+    the co-resident wave, [Barrier.is_legal]) lowers unstitched.
+    @raise Unavailable when an op reads a value not available at its
+    kernel (leaves up front, Device_mem results after their kernel,
+    on-chip values only inside theirs), or a graph output is not
+    available after the last kernel. *)

@@ -106,39 +106,6 @@ let block_aligned a b =
   | Some (ra, pa), Some (rb, pb) -> ra = rb && pa = pb
   | _ -> false
 
-(* Re-pack a mapping compiled at one extent for a smaller one: the
-   symbolic-batch rebind.  [num]/[den] is the batch ratio (b / max), and
-   every extent that scales with the batch is multiplied by it exactly
-   (scaled element and row counts are multiples of [den] by
-   construction, so the ceiling division is exact).  Block geometry —
-   threads per row, packing factors, split — is kept: the compiled
-   kernel body depends on it, only the amount of work per launch
-   shrinks.  Grids that were derived from the extent shrink with it
-   (never grow: [num <= den]). *)
-let rebind t ~num ~den =
-  let sc x = Stdlib.max 1 (((x * num) + den - 1) / den) in
-  let t' =
-    match t with
-    | Elementwise { elements; block; grid; rows } ->
-        let elements = sc elements in
-        let grid = Stdlib.min grid ((elements + block - 1) / block) in
-        Elementwise { elements; block; grid; rows = Option.map sc rows }
-    | Row_reduce r -> Row_reduce { r with rows = sc r.rows }
-    | Column_reduce { rows; row_length; block; grid } ->
-        (* [rows] is the number of independent reductions (= output
-           elements), which is what scales with the batch; the reduced
-           extent [row_length] is batch-invariant for any node the
-           batch analysis accepts. *)
-        let rows = sc rows in
-        let grid =
-          Stdlib.max 1
-            (Stdlib.min grid (((rows * row_length) + block - 1) / block))
-        in
-        Column_reduce { rows; row_length; block; grid }
-  in
-  validate t';
-  t'
-
 let to_string = function
   | Elementwise { elements; block; grid; rows } ->
       Printf.sprintf "elementwise{n=%d, <<<%d,%d>>>%s}" elements grid block

@@ -41,13 +41,5 @@ val block_aligned : t -> t -> bool
 (** Same grid and identical row partition: block [i] of the consumer reads
     exactly what block [i] of the producer wrote. *)
 
-val rebind : t -> num:int -> den:int -> t
-(** Re-pack a mapping compiled at one batch extent for a smaller one
-    ([num]/[den] = b/max <= 1): batch-scaled element and row counts
-    shrink by the exact ratio, block geometry (threads per row, packing
-    factors, split) is preserved, and extent-derived grids shrink with
-    the work.  The result is validated.
-    @raise Invalid if the rebound geometry is inconsistent. *)
-
 val to_string : t -> string
 val pp : Format.formatter -> t -> unit

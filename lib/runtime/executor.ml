@@ -6,8 +6,8 @@
    plan must reproduce Interp.run bit-for-bit.  What execution adds over
    the interpreter is plan discipline: ops are only evaluated when their
    kernel runs, and operands must already be available under the plan's
-   own ordering (the structural side is validated by Kernel_plan.check;
-   violations surface here as reads of never-computed nodes). *)
+   own ordering ([Tape.lower] checks it when the context is created; a
+   read of a value the plan never computed is an [Execution_error]). *)
 
 open Astitch_ir
 open Astitch_tensor
@@ -28,12 +28,11 @@ exception Execution_error of string
 (* --- Reusable execution contexts --------------------------------------
 
    A plan is compiled once and executed many times, so [create_context]
-   compiles the plan once into per-kernel execution recipes and
-   [run_context] replays them; [run] is a one-shot reference context.
+   compiles the plan once into per-kernel action arrays and
+   [run_context] replays them; [run] is a one-shot unstitched context.
 
-   Two recipes exist per kernel.  The *fused* recipe (default) finally
-   makes the runtime honor the plan's stitching schemes instead of
-   re-deriving every value with [Interp.eval_node]:
+   Every kernel runs on one tiled engine, which honors the plan's
+   stitching schemes ([Tape] assigns each op its role):
 
    - Register ops are scalarized: [Scalar_eval] compiles them into
      tile writers evaluated inside their consumers' loops, one tile of
@@ -51,11 +50,10 @@ exception Execution_error of string
      context allocates strictly fewer full buffers than it executes ops;
    - reshapes of full storage are bound as views (O(1) per run).
 
-   Kernels whose tape lowering hits an unsupported pattern (see [Tape])
-   fall back to the *reference* recipe - the PR 2 instruction array over
-   [Interp.eval_node_into] with one preallocated buffer per node - and
-   the two recipes compose within one context: fused kernels maintain the
-   same computed/purged availability flags the reference steps check.
+   A kernel whose stitched lowering hits an unsupported pattern, and
+   every kernel under [~fused:false], lowers unstitched: each op
+   materialized into its own arena buffer by the same tile writers, so
+   its loops bound at a batch prefix like any other.
 
    Bit-identity: every fused loop writes output elements in ascending
    linear order, one tile after another, and each element is produced by
@@ -72,10 +70,6 @@ exception Execution_error of string
    [Scalar_eval.fill_range], which cuts tiles at the value's window
    period: inside one window every slab read falls in one block, so
    ops whose operands share a slab run their tile writers too. *)
-
-type instr =
-  | Eval of { nd : Graph.node; operands : int array }
-  | Purge of int array (* on-chip values dying at a kernel boundary *)
 
 (* One staged (Shared_mem) value: a slab holding one block of elements.
    [fill] is tied after the tile writer exists (it captures it). *)
@@ -119,44 +113,33 @@ type action =
       (* in-kernel global barrier: the scratch values staged since the
          previous barrier point become visible to every block *)
 
-type fused_kernel = {
+type kernel = {
   actions : action array;
   slabs : slab array;
-  set_computed : int array; (* materialized ids, flagged after the kernel *)
-  fpurged : int array; (* on-chip ids, unflagged after the kernel *)
-  fprof : Profile.exec_kernel;
+  written : int array; (* materialized ids: where a corrupt fault lands *)
+  prof : Profile.exec_kernel;
 }
-
-type kernel_exec =
-  | Fused_k of fused_kernel
-  | Ref_k of { steps : instr array; rprof : Profile.exec_kernel }
 
 (* Symbolic-batch support: when the plan carries a batch classification
    (compiled at [smax], every node Invariant or Scaled), the context can
    execute any batch b in [1, smax] over the same max-sized buffers by
-   bounding every scaled loop at its prefix.  [checked] memoizes the
-   batch sizes whose rebound thread mappings were validated (contexts
-   are single-owner, so no locking). *)
+   bounding every scaled loop at its prefix. *)
 type sym_info = {
   smax : int;
   cls : Batch_axis.cls array;
   units : int array; (* node id -> per-batch elems; 0 for invariant *)
-  checked : (int, unit) Hashtbl.t;
 }
 
 type context = {
   plan : Kernel_plan.t;
   values : Tensor.t array; (* node id -> current value *)
-  computed : bool array; (* node id -> available this run *)
-  base_computed : bool array; (* run-start template: constants/iotas *)
-  bufs : Tensor.t option array; (* reference-path destinations *)
   param_slots : (int * string * Shape.t) array; (* id, name, declared *)
-  kernels : kernel_exec array; (* plan order *)
+  kernels : kernel array; (* plan order *)
   output_ids : int array;
   report : Profile.exec_report;
   timed : bool;
-  sym : sym_info option; (* Some iff every kernel is fused and the plan
-                            carries a batch classification *)
+  sym : sym_info option; (* Some iff the plan carries a batch
+                            classification *)
 }
 
 let bytes_of elems = 8 * elems (* host tensors are unboxed float64 *)
@@ -164,58 +147,36 @@ let bytes_of elems = 8 * elems (* host tensors are unboxed float64 *)
 let create_context_body ~fused ~timed (plan : Kernel_plan.t) : context =
   let g = plan.graph in
   let n = Graph.num_nodes g in
-  (* symbolic-batch candidate: per-node prefix units (elements per batch
-     step), used while lowering to tag scaled loops and slabs.  Only
-     meaningful if every kernel below lowers fused; decided at the end. *)
-  let sym_cls =
+  (* symbolic batch: per-node prefix units (elements per batch step),
+     used while lowering to tag scaled loops and slabs *)
+  let sym =
     match plan.batch with
     | Some pb
-      when fused
-           && pb.Batch_axis.max_batch >= 1
-           && Array.length pb.Batch_axis.cls = n ->
-        Some pb
+      when pb.Batch_axis.max_batch >= 1 && Array.length pb.Batch_axis.cls = n
+      ->
+        Some
+          {
+            smax = pb.Batch_axis.max_batch;
+            cls = pb.Batch_axis.cls;
+            units =
+              Array.init n (fun id ->
+                  match pb.Batch_axis.cls.(id) with
+                  | Batch_axis.Invariant -> 0
+                  | Batch_axis.Scaled _ ->
+                      Graph.num_elements g id / pb.Batch_axis.max_batch);
+          }
     | _ -> None
   in
-  let units =
-    match sym_cls with
-    | None -> [||]
-    | Some pb ->
-        Array.init n (fun id ->
-            match pb.Batch_axis.cls.(id) with
-            | Batch_axis.Invariant -> 0
-            | Batch_axis.Scaled _ ->
-                Graph.num_elements g id / pb.Batch_axis.max_batch)
-  in
-  let unit_of id = if Array.length units = 0 then 0 else units.(id) in
+  let unit_of id = match sym with None -> 0 | Some si -> si.units.(id) in
   let values = Array.make n (Tensor.scalar 0.) in
-  let base_computed = Array.make n false in
-  let bufs = Array.make n None in
-  (* a node gets a preallocated destination unless evaluating it aliases
-     existing storage (parameters bind the caller's tensor; reshapes view
-     their operand's data) *)
-  let wants_buffer (nd : Graph.node) =
-    match nd.op with Op.Parameter _ | Op.Reshape _ -> false | _ -> true
+  (* constants and iotas are run-invariant: evaluate them once *)
+  let run_invariant (nd : Graph.node) =
+    match nd.op with Op.Constant _ | Op.Iota _ -> true | _ -> false
   in
-  let buffer_for (nd : Graph.node) =
-    match bufs.(nd.id) with
-    | Some _ as b -> b
-    | None ->
-        if wants_buffer nd then begin
-          bufs.(nd.id) <- Some (Tensor.zeros nd.shape);
-          bufs.(nd.id)
-        end
-        else None
-  in
-  (* constants and iotas are run-invariant: evaluate them once, into
-     their own buffers, and mark them pre-computed in the template *)
   Graph.iter_nodes
     (fun nd ->
-      match nd.op with
-      | Op.Constant _ | Op.Iota _ ->
-          values.(nd.id) <-
-            Interp.eval_node_into g values ~params:[] ~dst:(buffer_for nd) nd;
-          base_computed.(nd.id) <- true
-      | _ -> ())
+      if run_invariant nd then
+        values.(nd.id) <- Interp.eval_node g values ~params:[] nd)
     g;
   let param_slots =
     Graph.fold_nodes
@@ -226,25 +187,17 @@ let create_context_body ~fused ~timed (plan : Kernel_plan.t) : context =
       [] g
     |> List.rev |> Array.of_list
   in
-  (* ---- tape lowering + arena planning (fused mode) ---- *)
-  let lowered, intervals =
-    if fused then
-      let t = Tape.lower plan in
-      (t.Tape.kernels, t.Tape.intervals)
-    else
-      ( List.mapi
-          (fun pos k ->
-            Tape.Fallback
-              { kernel = k; pos; reason = "fused execution disabled" })
-          plan.kernels,
-        [] )
+  (* ---- tape lowering + arena planning ---- *)
+  let tape =
+    try Tape.lower ~fused plan
+    with Tape.Unavailable m -> raise (Execution_error m)
   in
   let assignments, slot_table =
     Astitch_core.Mem_planner.plan_slots
       (List.map
          (fun (iv : Tape.interval) ->
            (iv.node, iv.elems, iv.def_pos, iv.last_pos))
-         intervals)
+         tape.Tape.intervals)
   in
   Astitch_core.Mem_planner.check_slot_exclusive assignments;
   let slot_arrays =
@@ -262,64 +215,12 @@ let create_context_body ~fused ~timed (plan : Kernel_plan.t) : context =
       values.(a.node) <- t)
     assignments;
   (* ---- per-kernel compilation ---- *)
-  let lower_reference (k : Kernel_plan.kernel) reason =
-    let steps = ref [] in
-    List.iter
-      (fun (o : Kernel_plan.compiled_op) ->
-        let nd = Graph.node g o.id in
-        ignore (buffer_for nd);
-        steps :=
-          Eval { nd; operands = Array.of_list (Graph.operands g o.id) }
-          :: !steps)
-      k.ops;
-    let purged =
-      List.filter_map
-        (fun (o : Kernel_plan.compiled_op) ->
-          match o.placement with
-          | Kernel_plan.Device_mem -> None
-          | Kernel_plan.Register | Kernel_plan.Shared_mem
-          | Kernel_plan.Global_scratch ->
-              Some o.id)
-        k.ops
-    in
-    if purged <> [] then steps := Purge (Array.of_list purged) :: !steps;
-    let rprof : Profile.exec_kernel =
-      {
-        kname = k.name;
-        fused = false;
-        fallback = reason;
-        ops = List.length k.ops;
-        loops = List.length k.ops;
-        bytes_materialized =
-          List.fold_left
-            (fun acc (o : Kernel_plan.compiled_op) ->
-              let nd = Graph.node g o.id in
-              if wants_buffer nd then acc + bytes_of (Graph.num_elements g o.id)
-              else acc)
-            0 k.ops;
-        bytes_scalarized = 0;
-        bytes_held = 0;
-        slab_bytes = 0;
-        bytes_staged = 0;
-        restages = 0;
-        demotions = 0;
-        gscratch_bytes = 0;
-        bytes_staged_global = 0;
-        barriers_run = 0;
-        wall_ns = 0.;
-        minor_words = 0;
-        runs = 0;
-      }
-    in
-    Ref_k { steps = Array.of_list (List.rev !steps); rprof }
-  in
-  let lower_fused (kt : Tape.kernel_tape) =
+  let lower_kernel (kt : Tape.kernel_tape) =
     let k = kt.kernel in
-    let fprof : Profile.exec_kernel =
+    let prof : Profile.exec_kernel =
       {
         kname = k.name;
-        fused = true;
-        fallback = None;
+        fallback = kt.fallback;
         ops = List.length k.ops;
         loops = 0;
         bytes_materialized = 0;
@@ -352,7 +253,7 @@ let create_context_body ~fused ~timed (plan : Kernel_plan.t) : context =
       List.iter (fun (s, elems) -> a.(s) <- Array.make elems 0.) gslot_table;
       a
     in
-    fprof.gscratch_bytes <-
+    prof.gscratch_bytes <-
       Array.fold_left (fun acc a -> acc + bytes_of (Array.length a)) 0
         gslot_arrays;
     let gscratch : (int, float array) Hashtbl.t = Hashtbl.create 8 in
@@ -368,7 +269,7 @@ let create_context_body ~fused ~timed (plan : Kernel_plan.t) : context =
           match role with
           | Tape.Held { before } ->
               let buf = Array.make (Graph.num_elements g id) 0. in
-              fprof.bytes_held <- fprof.bytes_held + bytes_of (Array.length buf);
+              prof.bytes_held <- prof.bytes_held + bytes_of (Array.length buf);
               Some (id, before, buf)
           | _ -> None)
         kt.roles
@@ -380,13 +281,13 @@ let create_context_body ~fused ~timed (plan : Kernel_plan.t) : context =
     in
     (* full-storage reads: capture the backing array when the binding is
        static (arena slots, pre-evaluated constants), read through
-       [values] when it is rebound per run (parameters, views,
-       reference-kernel results) *)
+       [values] when it is rebound per run (parameters, views) *)
     let storage_read id =
       match arena.(id) with
       | Some t -> static (Tensor.data t)
       | None ->
-          if base_computed.(id) then static (Tensor.data values.(id))
+          if run_invariant (Graph.node g id) then
+            static (Tensor.data values.(id))
           else
             Scalar_eval.storage
               ~get:(fun j -> Tensor.get_linear values.(id) j)
@@ -412,8 +313,8 @@ let create_context_body ~fused ~timed (plan : Kernel_plan.t) : context =
                 let _, _, buf = List.find (fun (h, _, _) -> h = id) holds in
                 static buf
             | Some Tape.Inline ->
-                fprof.bytes_scalarized <-
-                  fprof.bytes_scalarized + bytes_of (Graph.num_elements g id);
+                prof.bytes_scalarized <-
+                  prof.bytes_scalarized + bytes_of (Graph.num_elements g id);
                 Scalar_eval.compile g (Graph.node g id) ~operand:accessor
             | Some (Tape.Staged { block_elems }) ->
                 let total = Graph.num_elements g id in
@@ -429,7 +330,7 @@ let create_context_body ~fused ~timed (plan : Kernel_plan.t) : context =
                   }
                 in
                 slabs := sl :: !slabs;
-                fprof.slab_bytes <- fprof.slab_bytes + bytes_of block_elems;
+                prof.slab_bytes <- prof.slab_bytes + bytes_of block_elems;
                 let node =
                   Scalar_eval.compile g (Graph.node g id) ~operand:accessor
                 in
@@ -438,11 +339,11 @@ let create_context_body ~fused ~timed (plan : Kernel_plan.t) : context =
                     let lo = b * block_elems in
                     let hi = Int.min sl.cur_total (lo + block_elems) in
                     Scalar_eval.fill_range node sl.sdata 0 lo hi;
-                    fprof.bytes_staged <-
-                      fprof.bytes_staged + bytes_of (hi - lo);
+                    prof.bytes_staged <-
+                      prof.bytes_staged + bytes_of (hi - lo);
                     (* a backwards move means a consumer re-visits blocks
                        it already staged: irregular access, re-staged *)
-                    if b < sl.cur_block then fprof.restages <- fprof.restages + 1;
+                    if b < sl.cur_block then prof.restages <- prof.restages + 1;
                     match
                       Fault_site.check_runtime Fault_site.Staged_restage
                         ~pass:"staged-fill"
@@ -524,7 +425,7 @@ let create_context_body ~fused ~timed (plan : Kernel_plan.t) : context =
                 (fun (h, before, buf) ->
                   if before <> id then None
                   else begin
-                    fprof.loops <- fprof.loops + 1;
+                    prof.loops <- prof.loops + 1;
                     Some (tiled ~staged:false buf (Graph.node g h))
                   end)
                 holds
@@ -536,7 +437,7 @@ let create_context_body ~fused ~timed (plan : Kernel_plan.t) : context =
               pre @ [ Bind_view { id; root; shape = nd.shape } ]
           | Tape.Staged_global _ -> (
               let dst = Hashtbl.find gscratch id in
-              fprof.loops <- fprof.loops + 1;
+              prof.loops <- prof.loops + 1;
               match nd.op with
               | Op.Scatter_add { indices; updates; rows } ->
                   pre @ [ scatter ~staged:true dst indices updates rows ]
@@ -547,11 +448,11 @@ let create_context_body ~fused ~timed (plan : Kernel_plan.t) : context =
                 | Some t -> t
                 | None -> assert false (* every Materialize role has a slot *)
               in
-              fprof.loops <- fprof.loops + 1;
-              fprof.bytes_materialized <-
-                fprof.bytes_materialized + bytes_of (Tensor.num_elements dst);
+              prof.loops <- prof.loops + 1;
+              prof.bytes_materialized <-
+                prof.bytes_materialized + bytes_of (Tensor.num_elements dst);
               (* materialization always runs through precompiled tile
-                 writers: bit-identical to [Interp.eval_node_into] (see
+                 writers: bit-identical to [Interp.eval_node] (see
                  [Scalar_eval]) but with the per-run setup - stride
                  tables, shape checks, per-element index allocation -
                  paid once at context creation *)
@@ -562,58 +463,36 @@ let create_context_body ~fused ~timed (plan : Kernel_plan.t) : context =
               | _ -> pre @ [ tiled ~staged:false (Tensor.data dst) nd ]))
         kt.roles
     in
-    Fused_k
-      {
-        actions = Array.of_list actions;
-        slabs = Array.of_list !slabs;
-        set_computed = Array.of_list kt.materialized;
-        fpurged = Array.of_list kt.purged;
-        fprof;
-      }
+    {
+      actions = Array.of_list actions;
+      slabs = Array.of_list !slabs;
+      written = Array.of_list kt.materialized;
+      prof;
+    }
   in
-  let kernels =
-    List.map
-      (function
-        | Tape.Fused kt -> lower_fused kt
-        | Tape.Fallback { kernel; reason; _ } ->
-            lower_reference kernel (Some reason))
-      lowered
-    |> Array.of_list
-  in
+  let kernels = Array.of_list (List.map lower_kernel tape.Tape.kernels) in
   (* ---- profile report ---- *)
+  (* the values an every-op-materialized run writes: every kernel op but
+     parameters and reshapes *)
   let requested = Hashtbl.create 64 in
   List.iter
     (fun (k : Kernel_plan.kernel) ->
       List.iter
         (fun (o : Kernel_plan.compiled_op) ->
-          if wants_buffer (Graph.node g o.id) then
-            Hashtbl.replace requested o.id (Graph.num_elements g o.id))
+          match Graph.op g o.id with
+          | Op.Parameter _ | Op.Reshape _ -> ()
+          | _ -> Hashtbl.replace requested o.id (Graph.num_elements g o.id))
         k.ops)
     plan.kernels;
-  let fallback_bufs =
-    let seen = Hashtbl.create 16 in
-    List.iter
-      (fun (k : Kernel_plan.kernel) ->
-        List.iter
-          (fun (o : Kernel_plan.compiled_op) ->
-            if bufs.(o.id) <> None then Hashtbl.replace seen o.id ())
-          k.ops)
-      plan.kernels;
-    Hashtbl.length seen
-  in
   let report : Profile.exec_report =
     {
-      exec_kernels =
-        Array.to_list kernels
-        |> List.map (function
-             | Fused_k f -> f.fprof
-             | Ref_k r -> r.rprof);
+      exec_kernels = Array.to_list (Array.map (fun k -> k.prof) kernels);
       nodes_executed =
         List.fold_left
           (fun acc (k : Kernel_plan.kernel) -> acc + List.length k.ops)
           0 plan.kernels;
       buffers_requested = Hashtbl.length requested;
-      buffers_allocated = Array.length slot_arrays + fallback_bufs;
+      buffers_allocated = Array.length slot_arrays;
       arena_bytes =
         Array.fold_left (fun acc a -> acc + bytes_of (Array.length a)) 0
           slot_arrays;
@@ -621,30 +500,9 @@ let create_context_body ~fused ~timed (plan : Kernel_plan.t) : context =
         Hashtbl.fold (fun _ elems acc -> acc + bytes_of elems) requested 0;
     }
   in
-  (* symbolic-batch execution requires every kernel on the fused recipe:
-     reference kernels re-derive values through [Interp] against the
-     full max-batch shapes and cannot be prefix-bounded *)
-  let sym =
-    match sym_cls with
-    | Some pb
-      when Array.for_all
-             (function Fused_k _ -> true | Ref_k _ -> false)
-             kernels ->
-        Some
-          {
-            smax = pb.Batch_axis.max_batch;
-            cls = pb.Batch_axis.cls;
-            units;
-            checked = Hashtbl.create 4;
-          }
-    | _ -> None
-  in
   {
     plan;
     values;
-    computed = Array.make n false;
-    base_computed;
-    bufs;
     param_slots;
     kernels;
     output_ids = Array.of_list (Graph.outputs g);
@@ -702,38 +560,7 @@ let run_context ?batch (ctx : context) ~params : Tensor.t list =
             else Some (b, si))
   in
   let bscale = match scaled with Some (b, _) -> b | None -> 0 in
-  (* first time this batch size runs on this context, re-pack every
-     scaled op's thread mapping at the new extent (the paper's adaptive
-     packing/splitting applied at bind time) and validate the geometry *)
-  (match scaled with
-  | Some (b, si) when not (Hashtbl.mem si.checked b) ->
-      let bsid =
-        if traced then
-          Trace.span_begin ~phase:"exec" "rebind"
-            ~attrs:[ ("batch", Trace.Int b); ("smax", Trace.Int si.smax) ]
-        else 0
-      in
-      List.iter
-        (fun (k : Kernel_plan.kernel) ->
-          List.iter
-            (fun (o : Kernel_plan.compiled_op) ->
-              match si.cls.(o.id) with
-              | Batch_axis.Scaled _ ->
-                  ignore (Thread_mapping.rebind o.mapping ~num:b ~den:si.smax)
-              | Batch_axis.Invariant -> ())
-            k.ops)
-        ctx.plan.Kernel_plan.kernels;
-      Hashtbl.replace si.checked b ();
-      if bsid <> 0 then Trace.span_end bsid
-  | _ -> ());
-  let values = ctx.values and computed = ctx.computed in
-  Array.blit ctx.base_computed 0 computed 0 (Array.length computed);
-  let require id =
-    if not computed.(id) then
-      raise
-        (Execution_error
-           (Printf.sprintf "node %%%d read before it was computed" id))
-  in
+  let values = ctx.values in
   (* bind parameters through the pre-resolved slots (id order); under a
      symbolic batch, scaled parameters bind at their prefix shape *)
   Array.iter
@@ -756,142 +583,92 @@ let run_context ?batch (ctx : context) ~params : Tensor.t list =
             Tensor.mismatch "parameter %s: bound shape %s, declared %s" name
               (Shape.to_string (Tensor.shape t))
               (Shape.to_string shape);
-          values.(id) <- t;
-          computed.(id) <- true)
+          values.(id) <- t)
     ctx.param_slots;
   Array.iter
     (fun ke ->
+      let prof = ke.prof in
       let ksid =
-        if traced then
-          Trace.span_begin ~phase:"exec"
-            (match ke with
-            | Fused_k f -> f.fprof.Profile.kname
-            | Ref_k r -> r.rprof.Profile.kname)
+        if traced then Trace.span_begin ~phase:"exec" prof.Profile.kname
         else 0
       in
       let t0 = if ctx.timed then Astitch_obs.Clock.monotonic_ns () else 0 in
       (* an unboxed external: reading it allocates nothing *)
       let w0 = if ctx.timed then Gc.minor_words () else 0. in
-      (match ke with
-      | Fused_k fk ->
-          (* slab contents are stale across runs (parameters changed);
-             under a symbolic batch the slab bound shrinks to the prefix.
-             Loops, not [Array.iter]: a closure per kernel would be the
-             run's only allocation on small kernels *)
-          for i = 0 to Array.length fk.slabs - 1 do
-            let sl = fk.slabs.(i) in
-            sl.cur_block <- -1;
-            sl.cur_total <-
-              (if bscale > 0 && sl.s_unit > 0 then sl.s_unit * bscale
-               else sl.total)
-          done;
-          for i = 0 to Array.length fk.actions - 1 do
-            match fk.actions.(i) with
-            | Tiled { dst; n; unit; node; staged } ->
-                let n =
-                  if bscale > 0 && unit > 0 then unit * bscale else n
-                in
-                Scalar_eval.fill_range node dst 0 0 n;
-                if staged then
-                  fk.fprof.bytes_staged_global <-
-                    fk.fprof.bytes_staged_global + bytes_of n
-            | Scatter { dst; idx; upd; one; buf; k; row; rows; staged } ->
-                Array.fill dst 0 (Array.length dst) 0.;
-                (* row r: its index, then its updates a tile at a time,
-                   added in element order - the reads per-element
-                   accessors would make, in the same order *)
-                for r = 0 to k - 1 do
-                  idx.fill one 0 r 1;
-                  let d =
-                    Int.max 0 (Int.min (rows - 1) (int_of_float one.(0)))
-                    * row
-                  in
-                  let c = ref 0 in
-                  while !c < row do
-                    let len = Int.min (Array.length buf) (row - !c) in
-                    let src = (r * row) + !c and base = d + !c in
-                    Scalar_eval.fill_range upd buf 0 src (src + len);
-                    for t = 0 to len - 1 do
-                      dst.(base + t) <- dst.(base + t) +. buf.(t)
-                    done;
-                    c := !c + len
-                  done
+      (* slab contents are stale across runs (parameters changed); under
+         a symbolic batch the slab bound shrinks to the prefix.  Loops,
+         not [Array.iter]: a closure per kernel would be the run's only
+         allocation on small kernels *)
+      for i = 0 to Array.length ke.slabs - 1 do
+        let sl = ke.slabs.(i) in
+        sl.cur_block <- -1;
+        sl.cur_total <-
+          (if bscale > 0 && sl.s_unit > 0 then sl.s_unit * bscale
+           else sl.total)
+      done;
+      for i = 0 to Array.length ke.actions - 1 do
+        match ke.actions.(i) with
+        | Tiled { dst; n; unit; node; staged } ->
+            let n = if bscale > 0 && unit > 0 then unit * bscale else n in
+            Scalar_eval.fill_range node dst 0 0 n;
+            if staged then
+              prof.bytes_staged_global <- prof.bytes_staged_global + bytes_of n
+        | Scatter { dst; idx; upd; one; buf; k; row; rows; staged } ->
+            Array.fill dst 0 (Array.length dst) 0.;
+            (* row r: its index, then its updates a tile at a time, added
+               in element order - the reads per-element accessors would
+               make, in the same order *)
+            for r = 0 to k - 1 do
+              idx.fill one 0 r 1;
+              let d =
+                Int.max 0 (Int.min (rows - 1) (int_of_float one.(0))) * row
+              in
+              let c = ref 0 in
+              while !c < row do
+                let len = Int.min (Array.length buf) (row - !c) in
+                let src = (r * row) + !c and base = d + !c in
+                Scalar_eval.fill_range upd buf 0 src (src + len);
+                for t = 0 to len - 1 do
+                  dst.(base + t) <- dst.(base + t) +. buf.(t)
                 done;
-                if staged then
-                  fk.fprof.bytes_staged_global <-
-                    fk.fprof.bytes_staged_global
-                    + bytes_of (Array.length dst)
-            | Barrier_sync ->
-                (* on device: grid-wide sync making the scratch writes
-                   of the previous segment visible; on the host model
-                   the sequential action order already provides the
-                   ordering, so the barrier only counts *)
-                fk.fprof.barriers_run <- fk.fprof.barriers_run + 1
-            | Bind_view { id; root; shape } ->
-                (* under a symbolic batch the root holds either a
-                   max-sized buffer or a prefix-shaped parameter, so
-                   the compiled view shape no longer matches; bind the
-                   root raw instead - every read of the view is linear
-                   (reshape preserves linear order) and outputs are
-                   re-shaped explicitly below *)
-                values.(id) <-
-                  (if bscale > 0 then values.(root)
-                   else Tensor.reshape values.(root) shape)
-          done;
-          for i = 0 to Array.length fk.set_computed - 1 do
-            computed.(fk.set_computed.(i)) <- true
-          done;
-          for i = 0 to Array.length fk.fpurged - 1 do
-            computed.(fk.fpurged.(i)) <- false
-          done
-      | Ref_k { steps; _ } ->
-          Array.iter
-            (function
-              | Eval { nd; operands } ->
-                  Array.iter require operands;
-                  values.(nd.id) <-
-                    Interp.eval_node_into g values ~params ~dst:ctx.bufs.(nd.id)
-                      nd;
-                  computed.(nd.id) <- true
-              | Purge ids -> Array.iter (fun id -> computed.(id) <- false) ids)
-            steps);
+                c := !c + len
+              done
+            done;
+            if staged then
+              prof.bytes_staged_global <-
+                prof.bytes_staged_global + bytes_of (Array.length dst)
+        | Barrier_sync ->
+            (* on device: grid-wide sync making the scratch writes of the
+               previous segment visible; on the host model the sequential
+               action order already provides the ordering, so the barrier
+               only counts *)
+            prof.barriers_run <- prof.barriers_run + 1
+        | Bind_view { id; root; shape } ->
+            (* under a symbolic batch the root holds either a max-sized
+               buffer or a prefix-shaped parameter, so the compiled view
+               shape no longer matches; bind the root raw instead - every
+               read of the view is linear (reshape preserves linear
+               order) and outputs are re-shaped explicitly below *)
+            values.(id) <-
+              (if bscale > 0 then values.(root)
+               else Tensor.reshape values.(root) shape)
+      done;
       (* serving-runtime fault site: the kernel just "launched" - raise
          models a failed launch, corrupt silently damages one cell of a
          value this kernel materialized.  Unarmed cost is one empty-list
          walk, preserving the zero-allocation contract. *)
       (match
-         Fault_site.check_runtime Fault_site.Kernel_exec
-           ~pass:
-             (match ke with
-             | Fused_k f -> f.fprof.Profile.kname
-             | Ref_k r -> r.rprof.Profile.kname)
+         Fault_site.check_runtime Fault_site.Kernel_exec ~pass:prof.kname
        with
       | None -> ()
-      | Some fseed -> (
-          match ke with
-          | Fused_k fk ->
-              let ids = fk.set_computed in
-              if Array.length ids > 0 then
-                Fault_site.corrupt
-                  (Tensor.data values.(ids.(abs fseed mod Array.length ids)))
-                  fseed
-          | Ref_k { steps; _ } ->
-              let last =
-                Array.fold_left
-                  (fun acc i ->
-                    match i with
-                    | Eval { nd; _ } -> Some nd.id
-                    | Purge _ -> acc)
-                  None steps
-              in
-              (match last with
-              | Some id -> Fault_site.corrupt (Tensor.data values.(id)) fseed
-              | None -> ())));
+      | Some fseed ->
+          let ids = ke.written in
+          if Array.length ids > 0 then
+            Fault_site.corrupt
+              (Tensor.data values.(ids.(abs fseed mod Array.length ids)))
+              fseed);
       if ctx.timed then begin
         let words = Gc.minor_words () -. w0 in
-        let prof =
-          match ke with Fused_k f -> f.fprof | Ref_k r -> r.rprof
-        in
         prof.minor_words <- prof.minor_words + int_of_float words;
         prof.wall_ns <-
           prof.wall_ns +. float_of_int (Astitch_obs.Clock.monotonic_ns () - t0);
@@ -899,28 +676,20 @@ let run_context ?batch (ctx : context) ~params : Tensor.t list =
       end;
       if ksid <> 0 then
         Trace.span_end ksid
-          ~attrs:
-            [
-              ( "fused",
-                Trace.Bool
-                  (match ke with Fused_k _ -> true | Ref_k _ -> false) );
-            ])
+          ~attrs:[ ("fused", Trace.Bool (Option.is_none prof.fallback)) ])
     ctx.kernels;
   if rsid <> 0 then
     Trace.span_end rsid ~attrs:[ ("batch", Trace.Int bscale) ];
   match scaled with
   | None ->
       Array.fold_right
-        (fun id acc ->
-          require id;
-          Tensor.copy values.(id) :: acc)
+        (fun id acc -> Tensor.copy values.(id) :: acc)
         ctx.output_ids []
   | Some (b, si) ->
       (* outputs are the leading prefix of each max-sized buffer, fresh
          copies under the batch-b shape (invariant outputs copy whole) *)
       Array.fold_right
         (fun id acc ->
-          require id;
           let full = Graph.shape g id in
           let s, nb =
             match si.cls.(id) with
@@ -933,9 +702,9 @@ let run_context ?batch (ctx : context) ~params : Tensor.t list =
           Tensor.create s (Array.sub (Tensor.data values.(id)) 0 nb) :: acc)
         ctx.output_ids []
 
-(* The reference context, built for one run and dropped: every kernel
-   on the per-node instruction path, no create-context span, so traced
-   set-up counts only contexts meant to be reused. *)
+(* The one-shot context, built for one run and dropped: every kernel
+   unstitched, no create-context span, so traced set-up counts only
+   contexts meant to be reused. *)
 let run plan ~params =
   run_context (create_context_body ~fused:false ~timed:false plan) ~params
 

@@ -177,8 +177,7 @@ let pp_breakdown fmt t =
 
 type exec_kernel = {
   kname : string;
-  fused : bool;
-  fallback : string option; (* why the kernel runs on the reference path *)
+  fallback : string option; (* why every op is materialized; None: stitched *)
   ops : int;
   demotions : int; (* regional ops demoted to global staging *)
   mutable loops : int; (* materialization loops the fused tape runs *)
@@ -199,7 +198,7 @@ type exec_kernel = {
 type exec_report = {
   exec_kernels : exec_kernel list; (* plan order *)
   nodes_executed : int; (* ops across all kernels *)
-  buffers_requested : int; (* values the reference path would materialize *)
+  buffers_requested : int; (* values an unstitched run would materialize *)
   buffers_allocated : int; (* arena slots actually backing them *)
   arena_bytes : int; (* arena high-water mark *)
   naive_bytes : int; (* full-buffer bytes without scalarization/arena *)
@@ -240,10 +239,10 @@ let fallback_breakdown r =
 
 let pp_exec fmt r =
   let fused, fell =
-    List.partition (fun k -> k.fused) r.exec_kernels
+    List.partition (fun k -> k.fallback = None) r.exec_kernels
   in
   Format.fprintf fmt
-    "@[<v>exec: %d kernels (%d fused, %d reference), %d ops@,\
+    "@[<v>exec: %d kernels (%d fused, %d unstitched), %d ops@,\
      buffers: %d requested -> %d arena slots (%d bytes high water, naive %d)@,\
      traffic/run: %d bytes materialized, %d scalarized away, %d held, \
      %d slab bytes@,\
@@ -271,10 +270,10 @@ let pp_exec fmt r =
   List.iter
     (fun k ->
       Format.fprintf fmt
-        "@,%-24s %s %2d ops %2d loops  mat %8dB  reg %8dB  held %7dB  \
+        "@,%-24s %-10s %2d ops %2d loops  mat %8dB  reg %8dB  held %7dB  \
          slab %6dB  staged %8dB (%d restages)%s%s%s"
         k.kname
-        (if k.fused then "fused" else "ref  ")
+        (if k.fallback = None then "fused" else "unstitched")
         k.ops k.loops k.bytes_materialized k.bytes_scalarized k.bytes_held
         k.slab_bytes k.bytes_staged k.restages
         (if k.gscratch_bytes > 0 || k.barriers_run > 0 then
@@ -303,9 +302,8 @@ let publish_exec ?(metrics = Astitch_obs.Metrics.default) (r : exec_report) =
   c "exec.reports" 1;
   c "exec.kernels" (List.length r.exec_kernels);
   c "exec.kernels_fused"
-    (List.length (List.filter (fun k -> k.fused) r.exec_kernels));
-  c "exec.kernels_reference"
-    (List.length (List.filter (fun k -> not k.fused) r.exec_kernels));
+    (List.length (List.filter (fun k -> k.fallback = None) r.exec_kernels));
+  c "exec.kernels_reference" (exec_fallback_kernels r);
   c "exec.nodes_executed" r.nodes_executed;
   c "exec.bytes_materialized"
     (List.fold_left (fun a k -> a + k.bytes_materialized) 0 r.exec_kernels);

@@ -52,9 +52,10 @@ val pp_breakdown : Format.formatter -> t -> unit
 
 type exec_kernel = {
   kname : string;
-  fused : bool;
   fallback : string option;
-      (** why the kernel runs on the reference path *)
+      (** [None] for a stitched kernel; why the kernel runs with every op
+          materialized otherwise: the stitched lowering's reject reason,
+          or ["fused execution disabled"] *)
   ops : int;
   demotions : int;  (** regional ops demoted to global staging *)
   mutable loops : int;  (** materialization loops the fused tape runs *)
@@ -82,7 +83,8 @@ type exec_report = {
   exec_kernels : exec_kernel list;  (** plan order *)
   nodes_executed : int;  (** ops across all kernels *)
   buffers_requested : int;
-      (** values the reference path would materialize *)
+      (** values an unstitched run would materialize: every kernel op
+          but parameters and reshapes *)
   buffers_allocated : int;  (** arena slots actually backing them *)
   arena_bytes : int;  (** arena high-water mark *)
   naive_bytes : int;  (** full-buffer bytes without scalarization/arena *)
@@ -91,7 +93,8 @@ type exec_report = {
 val exec_total_staged : exec_report -> int
 
 val exec_fallback_kernels : exec_report -> int
-(** Kernels running on the reference path (those with a fallback reason). *)
+(** Kernels running with every op materialized (those with a fallback
+    reason). *)
 
 val fallback_breakdown : exec_report -> (string * int) list
 (** Fallback reasons grouped with op/kernel ids squashed to ["N"], with

@@ -157,7 +157,8 @@ let model_state t name =
 
 let spec t ~model = (model_state t model).Worker_pool.spec
 
-(* False while a pooled context of [model] cannot rebind. *)
+(* True while every pooled context of [model] rebinds: always, since
+   every plan the pool runs carries its model's batch axis. *)
 let symbolic t ~model =
   let m = model_state t model in
   Mutex.protect m.Worker_pool.mu (fun () ->
@@ -284,9 +285,7 @@ type stats = {
   failed : int;
   degraded : int;
   batches : int;
-  padded_rows : int;
-      (** rows executed beyond real requests, by contexts that cannot
-          rebind *)
+  padded_rows : int;  (** always 0: every context rebinds *)
   plan_compiles : int;  (** plans compiled at context checkout *)
   outstanding : int;
   queue_depth : int;
@@ -310,7 +309,7 @@ let stats t =
     failed = s.Scheduler.failed;
     degraded = s.Scheduler.degraded;
     batches = s.Scheduler.batches;
-    padded_rows = Worker_pool.padded_rows t.pool;
+    padded_rows = 0;
     plan_compiles = Worker_pool.plan_compiles t.pool;
     outstanding = s.Scheduler.outstanding;
     queue_depth = s.Scheduler.queue_depth;

@@ -150,10 +150,11 @@ val random_request : t -> model:string -> seed:int -> (string * Tensor.t) list
 val spec : t -> model:string -> Batching.spec
 
 val symbolic : t -> model:string -> bool
-(** True unless a pooled context of [model] could not rebind (one of
-    its kernels runs on the reference path).  Such a context still
-    serves, running every batch at [max_batch] rows with the padding
-    counted in [padded_rows]. *)
+(** True when every pooled context of [model] rebinds
+    ({!Astitch_runtime.Executor.rebindable}): always, since every plan
+    the pool runs carries the model's batch axis and every kernel,
+    stitched or not, bounds its loops at the batch prefix.  Kept as a
+    check for callers that assert it. *)
 
 val context_pool_sizes : t -> (string * int) list
 (** Free pooled executor contexts per model, sorted by name.  After a
@@ -187,8 +188,8 @@ type stats = {
   degraded : int;
   batches : int;
   padded_rows : int;
-      (** rows executed beyond real requests: 0 unless a context could
-          not rebind (see {!symbolic}) *)
+      (** always 0: every batch runs at its request count (see
+          {!symbolic}); kept for callers that report it *)
   plan_compiles : int;
       (** plans compiled at context checkout, for models that had none
           (one per model, two if two workers race on a cold one); a

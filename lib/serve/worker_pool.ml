@@ -5,11 +5,8 @@
    model's [Batch_axis.plan]), and a free list of contexts built from
    it: every batch - whatever its size, 3 or 7 or 8 - executes on such
    a context via [Executor.run_context ~batch:n] with zero padded rows
-   and zero recompilation.  A context that cannot rebind (one of its
-   kernels runs on the reference path) still serves: it runs every
-   batch at [max_batch] rows, the last request copied into the padding
-   rows, which [padded_rows] counts.  Contexts are NOT concurrent-safe
-   (they reuse buffers across runs), hence the free lists: two workers
+   and zero recompilation.  Contexts are NOT concurrent-safe (they
+   reuse buffers across runs), hence the free lists: two workers
    serving the same model simultaneously each get their own context,
    and the pool grows to the observed concurrency - steady state for a
    single-worker server is exactly one context per model.
@@ -93,7 +90,6 @@ type t = {
   n_restarts : int Atomic.t;
   n_quarantined : int Atomic.t;
   n_wedged : int Atomic.t;
-  n_padded : int Atomic.t;  (** rows run beyond the requests *)
   n_compiles : int Atomic.t;  (** plans compiled at checkout *)
   m_batch_size : Metrics.histogram;
   m_request_us : Metrics.histogram;
@@ -186,22 +182,6 @@ let quarantine pool m ~model ~reason =
     Trace.instant ~attrs ~phase:"serve" "quarantine";
     ignore (Flight.incident ~attrs ~reason:"quarantine" ())
   end
-
-(* The rows a batch of [n] requests runs at on [ctx]: exactly [n] when
-   the context rebinds, its full [max_batch] extent when it cannot. *)
-let rows_for m ctx n = if Executor.rebindable ctx then n else max_batch m
-
-(* Pack one binding list per request at [rows] rows, the last request
-   copied into the padding rows (which [unpack] never reads back). *)
-let pack_rows m ~rows bindings =
-  let n = List.length bindings in
-  let last = List.nth bindings (n - 1) in
-  Batching.pack m.spec (bindings @ List.init (rows - n) (fun _ -> last))
-
-let run_rows ctx ~rows params =
-  Executor.run_context
-    ?batch:(if Executor.rebindable ctx then Some rows else None)
-    ctx ~params
 
 (* --- Serving one batch --------------------------------------------------- *)
 
@@ -336,26 +316,25 @@ let serve_batch pool (batch : Scheduler.batch) =
         let ctx = checkout pool m in
         Trace.span_end cid;
         held := true;
-        (* Continuous batching packs exactly [n] rows; only a context
-           that cannot rebind pads, and the padding is counted. *)
-        let rows = rows_for m ctx n in
-        ignore (Atomic.fetch_and_add pool.n_padded (rows - n));
         (* Snapshot AFTER checkout: a compile-site fault firing during
            a cold-model compile surfaces as a compile error, not as
            corrupt execution, and must not poison this batch. *)
         let fired0 = Fault_site.fired () in
         let t_pack = Clock.now_us () in
         let pid = Trace.span_begin ~phase:"serve" "pack" in
+        (* continuous batching packs exactly [n] rows *)
         let packed =
-          pack_rows m ~rows
+          Batching.pack m.spec
             (List.map (fun (r : Request.t) -> r.params) batch.requests)
         in
         Trace.span_end pid;
         let t_exec = Clock.now_us () in
-        (* [run_rows] opens the executor's own "run-context" span; it
+        (* [run_context] opens the executor's own "run-context" span; it
            nests under this batch span via the domain stack, so the
            per-kernel exec spans are already parented correctly. *)
-        let outputs = run_rows ctx ~rows (m.shared @ packed) in
+        let outputs =
+          Executor.run_context ~batch:n ctx ~params:(m.shared @ packed)
+        in
         let t_unpack = Clock.now_us () in
         let uid = Trace.span_begin ~phase:"serve" "unpack" in
         let per_request = Batching.unpack m.spec ~count:n outputs in
@@ -592,7 +571,6 @@ let create ~scheduler ~models ~arch ~verify_every ~retry_budget
       n_restarts = Atomic.make 0;
       n_quarantined = Atomic.make 0;
       n_wedged = Atomic.make 0;
-      n_padded = Atomic.make 0;
       n_compiles = Atomic.make 0;
       m_batch_size = Metrics.histogram r "serve.batch_size";
       m_request_us = Metrics.histogram r "serve.request_us";
@@ -636,7 +614,6 @@ let supervision pool =
     workers_alive = sup_locked pool (fun () -> workers_alive_locked pool);
   }
 
-let padded_rows pool = Atomic.get pool.n_padded
 let plan_compiles pool = Atomic.get pool.n_compiles
 
 let context_counts pool =

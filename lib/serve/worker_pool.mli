@@ -5,11 +5,9 @@
     Each model owns one plan, compiled at [max_batch], and a free list
     of executor contexts built from it; each context executes any batch
     size by prefix rebinding ([Executor.run_context ~batch]) - zero
-    padded rows, zero recompilation.  A context that cannot rebind (a
-    kernel on the reference path) runs every batch at [max_batch] rows,
-    the last request copied into the padding rows.  Contexts are not
-    concurrent-safe, so each is owned by one worker for the duration of
-    one batch.  Heartbeats, restart gates and latency phases read
+    padded rows, zero recompilation.  Contexts are not concurrent-safe,
+    so each is owned by one worker for the duration of one batch.
+    Heartbeats, restart gates and latency phases read
     [Astitch_obs.Clock.now_us].
 
     A monitor domain restarts dead workers (exponential backoff) and
@@ -70,11 +68,6 @@ val warm : t -> unit
 (** Hide compile and context latency from the first requests: build
     one max-batch context per model, compiling the plans not yet
     set. *)
-
-val padded_rows : t -> int
-(** Padded rows executed so far.  Continuous batching packs every batch
-    at its exact size; only a context that cannot rebind pads, to
-    [max_batch] rows. *)
 
 val plan_compiles : t -> int
 (** Plans compiled at context checkout, for models that had none: at

@@ -66,28 +66,14 @@ let reduce_step = function
   | Op.Max_r -> Float.max
   | Op.Min_r -> Float.min
 
-(* Evaluate one node, writing dense results into [dst] when one is given
-   (the executor's reusable contexts preallocate one buffer per node) and
-   into a fresh tensor otherwise.  Every element is written in the same
-   order with the same float operations either way, so the two modes are
-   bit-identical.  [Parameter] returns the bound tensor and [Reshape]
-   returns a view of its operand's data in both modes - neither consumes
-   the destination. *)
-let eval_node_into _g (values : Tensor.t array) ~params ~dst
-    (nd : Graph.node) : Tensor.t =
+(* Evaluate one node into a fresh tensor, every element in ascending
+   linear order.  [Parameter] returns the bound tensor and [Reshape] a
+   view of its operand's data. *)
+let eval_node _g (values : Tensor.t array) ~params (nd : Graph.node) :
+    Tensor.t =
   let v id = values.(id) in
   let out_shape = nd.shape in
-  let target () =
-    match dst with
-    | Some t ->
-        if not (Shape.equal (Tensor.shape t) out_shape) then
-          Tensor.mismatch "eval destination has shape %s, node %d wants %s"
-            (Shape.to_string (Tensor.shape t))
-            nd.id
-            (Shape.to_string out_shape);
-        t
-    | None -> Tensor.zeros out_shape
-  in
+  let target () = Tensor.zeros out_shape in
   (* fill [target] element by element in ascending linear order *)
   let tabulate f =
     let out = target () in
@@ -298,8 +284,6 @@ let eval_node_into _g (values : Tensor.t array) ~params ~dst
           done;
           ignore (h, oh, ow);
           !acc)
-
-let eval_node g values ~params nd = eval_node_into g values ~params ~dst:None nd
 
 let eval_all g ~params =
   let values = Array.make (Graph.num_nodes g) (Tensor.scalar 0.) in

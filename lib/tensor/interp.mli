@@ -25,19 +25,6 @@ val eval_node :
   Tensor.t
 (** Evaluate one node given the values of all earlier nodes. *)
 
-val eval_node_into :
-  Graph.t ->
-  Tensor.t array ->
-  params:(string * Tensor.t) list ->
-  dst:Tensor.t option ->
-  Graph.node ->
-  Tensor.t
-(** [eval_node] writing into a preallocated destination when [dst] is
-    [Some t]: elements are produced in the same order with the same float
-    operations, so results are bit-identical to the allocating mode.
-    [Parameter] and [Reshape] alias existing storage and never touch the
-    destination; callers reusing buffers must not rely on it for them. *)
-
 val eval_all : Graph.t -> params:(string * Tensor.t) list -> Tensor.t array
 (** Values of every node, indexed by node id.
     @raise Missing_parameter if a graph parameter is unbound. *)

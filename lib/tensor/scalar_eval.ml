@@ -11,7 +11,7 @@
 
    Every case, accessor and tile writer alike, performs for each output
    element the same float operations in the same order as the matching
-   case of [Interp.eval_node_into], so writing the elements of a buffer
+   case of [Interp.eval_node], so writing the elements of a buffer
    tile by tile is bit-identical to the interpreter's materializing
    evaluation.  The tile writers change only loop structure and index
    arithmetic: per-kind matches are hoisted out of the loops, index

@@ -3,7 +3,7 @@
     accessor over its output linear index plus a tile writer, both
     computed from operands of the same form with exactly the float
     operations - in exactly the order - of the matching
-    {!Interp.eval_node_into} case, so filling a buffer tile by tile is
+    {!Interp.eval_node} case, so filling a buffer tile by tile is
     bit-identical to materializing evaluation. *)
 
 open Astitch_ir

@@ -26,9 +26,11 @@
      on the tiny training graphs every slab block is staged once per
      run, so tiling the fused loops leaves the staging counts as they
      were;
-   - kernels the tape cannot lower fall back to the reference path with
-     a reason, and the mixed context is still bit-identical;
-   - fused contexts write fewer full-buffer bytes than reference
+   - kernels the tape cannot stitch run unstitched (every op
+     materialized) with a reason, and the mixed context is still
+     bit-identical, on hand-made plans and on the real plans whose
+     kernels the stitched lowering rejects;
+   - stitched contexts write fewer full-buffer bytes than unstitched
      contexts on every zoo model at batch 8, and global stitching fewer
      than kernel-per-op on the shared-memory-overflow shapes;
    - fit_shared demotes largest-first and keeps everything under budget;
@@ -88,7 +90,7 @@ let check_outputs msg expected got =
 
 (* --- Bit-identity --------------------------------------------------------- *)
 
-(* fused == reference context == fresh run == interpreter, on two
+(* fused == unstitched context == fresh run == interpreter, on two
    different parameter sets through the same context (exercises buffer
    and slab reuse across calls); the training graphs' backward
    reduce->broadcast and scatter-add chains fuse without fallbacks *)
@@ -817,13 +819,11 @@ let test_irregular_staging () =
    [elems] elements once. *)
 let one_pass_bytes plan ~elems =
   List.fold_left
-    (fun acc -> function
-      | Tape.Fused kt ->
-          List.fold_left
-            (fun acc (id, role) ->
-              match role with Tape.Staged _ -> acc + (8 * elems id) | _ -> acc)
-            acc kt.roles
-      | Tape.Fallback _ -> acc)
+    (fun acc (kt : Tape.kernel_tape) ->
+      List.fold_left
+        (fun acc (id, role) ->
+          match role with Tape.Staged _ -> acc + (8 * elems id) | _ -> acc)
+        acc kt.roles)
     0 (Tape.lower plan).kernels
 
 let check_staged_once label plan ~elems run =
@@ -931,9 +931,9 @@ let test_demotes_instead_of_falling_back () =
 
 (* The same surgery with the kernel grid widened past one co-resident
    wave: the demotion's barrier would deadlock, so the kernel genuinely
-   falls back with the legality reason, and the mixed fused/reference
-   context must still be bit-identical (the mapping is irrelevant to the
-   reference path). *)
+   falls back with the legality reason, and the mixed stitched/unstitched
+   context must still be bit-identical (the mapping is irrelevant to an
+   unstitched kernel). *)
 let test_illegal_demotion_falls_back () =
   let exercised = ref 0 in
   List.iter
@@ -986,6 +986,45 @@ let test_illegal_demotion_falls_back () =
     Astitch_workloads.Zoo.all;
   check_bool "at least one workload fell back" true (!exercised > 0)
 
+(* The random graphs of the plan-digest golden ([~nodes:(10 + seed * 7
+   mod 60)]) whose XLA-family and ATM plans hold a kernel the stitched
+   lowering rejects, each a Register scatter-add no consumer loop can
+   scalarize.  Under each of those five backends the plan reports the
+   kernel, and its stitched context, its unstitched context and
+   [Executor.run] all reproduce the interpreter bit for bit. *)
+let test_rejected_kernels_of_real_plans () =
+  List.iter
+    (fun seed ->
+      let g =
+        Astitch_workloads.Synthetic.random_graph ~seed
+          ~nodes:(10 + (seed * 7 mod 60))
+          ()
+      in
+      let params = Session.random_params ~seed g in
+      let expect = Interp.run g ~params in
+      List.iter
+        (fun (name, backend) ->
+          let plan = (Session.compile backend Arch.v100 g).Session.plan in
+          let label = Printf.sprintf "synthetic-%d/%s" seed name in
+          let ctx = Executor.create_context plan in
+          check_bool (label ^ ": a rejected kernel") true
+            (Executor.context_fallbacks ctx <> []);
+          check_outputs (label ^ ": stitched") expect
+            (Executor.run_context ctx ~params);
+          check_outputs (label ^ ": unstitched") expect
+            (Executor.run_context
+               (Executor.create_context ~fused:false plan)
+               ~params);
+          check_outputs (label ^ ": run") expect (Executor.run plan ~params))
+        [
+          ("xla", Astitch_backends.Xla_backend.backend);
+          ("tvm", Astitch_backends.Tvm_backend.backend);
+          ("ansor", Astitch_backends.Tvm_backend.ansor);
+          ("trt", Astitch_backends.Trt_backend.backend);
+          ("atm", Astitch_core.Astitch.atm_backend);
+        ])
+    [ 3; 8; 30; 54; 56; 85; 91; 95 ]
+
 (* Full-buffer bytes one run of [plan]'s context writes: a deterministic
    count fixed when the context is created, where wall time is not. *)
 let bytes_written ?fused plan =
@@ -996,7 +1035,7 @@ let bytes_written ?fused plan =
       .Profile.exec_kernels
 
 (* At the served batch size every zoo model's fused context writes
-   fewer bytes than its reference context: scalarization and staging
+   fewer bytes than its unstitched context: scalarization and staging
    keep intermediates out of full buffers. *)
 let test_zoo_fewer_bytes_than_reference () =
   List.iter
@@ -1159,15 +1198,13 @@ let exec_graphs () =
 
 let held_values plan =
   List.concat_map
-    (function
-      | Tape.Fallback _ -> []
-      | Tape.Fused kt ->
-          List.filter_map
-            (fun (id, role) ->
-              match role with
-              | Tape.Held { before } -> Some (kt.kernel.name, id, before)
-              | _ -> None)
-            kt.roles)
+    (fun (kt : Tape.kernel_tape) ->
+      List.filter_map
+        (fun (id, role) ->
+          match role with
+          | Tape.Held { before } -> Some (kt.kernel.name, id, before)
+          | _ -> None)
+        kt.roles)
     (Tape.lower plan).kernels
 
 (* The values the hold rule names on the exec graphs: DIEN-overflow's
@@ -1223,29 +1260,28 @@ let test_holds_move_nothing_else () =
       check_outputs (name ^ " vs interp") (Interp.run g ~params)
         (Executor.run_context ctx ~params);
       List.iter2
-        (fun lowered (k : Profile.exec_kernel) ->
-          match lowered with
-          | Tape.Fallback _ -> Alcotest.failf "%s: %s fell back" name k.kname
-          | Tape.Fused kt ->
-              let bytes pick =
-                List.fold_left
-                  (fun acc (id, role) ->
-                    if pick role then acc + (8 * Graph.num_elements g id)
-                    else acc)
-                  0 kt.roles
-              in
-              let reg =
-                bytes (function Tape.Inline | Tape.Held _ -> true | _ -> false)
-              in
-              register := !register + reg;
-              let label = name ^ " " ^ k.kname in
-              check_int (label ^ ": scalarized + held") reg
-                (k.bytes_scalarized + k.bytes_held);
-              check_int (label ^ ": staged once")
-                (bytes (function Tape.Staged _ -> true | _ -> false))
-                k.bytes_staged;
-              check_int (label ^ ": no restages") 0 k.restages;
-              check_int (label ^ ": barriers") kt.barriers k.barriers_run)
+        (fun (kt : Tape.kernel_tape) (k : Profile.exec_kernel) ->
+          if kt.fallback <> None then
+            Alcotest.failf "%s: %s fell back" name k.kname;
+          let bytes pick =
+            List.fold_left
+              (fun acc (id, role) ->
+                if pick role then acc + (8 * Graph.num_elements g id)
+                else acc)
+              0 kt.roles
+          in
+          let reg =
+            bytes (function Tape.Inline | Tape.Held _ -> true | _ -> false)
+          in
+          register := !register + reg;
+          let label = name ^ " " ^ k.kname in
+          check_int (label ^ ": scalarized + held") reg
+            (k.bytes_scalarized + k.bytes_held);
+          check_int (label ^ ": staged once")
+            (bytes (function Tape.Staged _ -> true | _ -> false))
+            k.bytes_staged;
+          check_int (label ^ ": no restages") 0 k.restages;
+          check_int (label ^ ": barriers") kt.barriers k.barriers_run)
         (Tape.lower plan).kernels
         (Executor.exec_report ctx).Profile.exec_kernels)
     (exec_graphs ());
@@ -1314,9 +1350,8 @@ let test_scatter_tiles () =
   let plan = compile_with "astitch" g in
   check_bool "the updates are a Register value" true
     (List.exists
-       (function
-         | Tape.Fused kt -> List.assoc_opt 3 kt.roles = Some Tape.Inline
-         | Tape.Fallback _ -> false)
+       (fun (kt : Tape.kernel_tape) ->
+         kt.fallback = None && List.assoc_opt 3 kt.roles = Some Tape.Inline)
        (Tape.lower plan).kernels
     && Op.mnemonic (Graph.node g 3).op = "broadcast");
   let ctx = Executor.create_context plan in
@@ -1401,6 +1436,8 @@ let () =
             test_random_graphs_fuse_every_kernel;
           Alcotest.test_case "disabled engine" `Quick
             test_disabled_engine_is_all_reference;
+          Alcotest.test_case "real plans' rejected kernels" `Quick
+            test_rejected_kernels_of_real_plans;
         ] );
       ( "global",
         [

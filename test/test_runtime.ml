@@ -55,6 +55,25 @@ let test_softmax_equivalence () = check_all_backends "softmax" (softmax_graph ()
 let test_layernorm_equivalence () = check_all_backends "layernorm" (layernorm_graph ())
 let test_attention_equivalence () = check_all_backends "attention" (attention_graph ())
 
+(* [plan] reads a value it never computed: a one-shot run and a stitched
+   context both raise [Execution_error], whichever of creating and
+   running the context finds it. *)
+let expect_execution_error plan =
+  let params = [ ("x", Astitch_tensor.Tensor.ones (Shape.of_list [ 4 ])) ] in
+  List.iter
+    (fun (what, f) ->
+      match f () with
+      | _ -> Alcotest.failf "%s: expected Execution_error" what
+      | exception Executor.Execution_error _ -> ())
+    [
+      ("Executor.run", fun () -> Executor.run plan ~params);
+      ( "fused context",
+        fun () ->
+          Executor.run_context
+            (Executor.create_context ~fused:true plan)
+            ~params );
+    ]
+
 let test_executor_rejects_bad_plan () =
   let b = Builder.create () in
   let x = Builder.parameter b "x" [ 4 ] in
@@ -86,9 +105,7 @@ let test_executor_rejects_bad_plan () =
     { Kernel_plan.arch = Arch.v100; graph = g; kernels = [ k ];
       memcpys = 0; memsets = 0; memcpy_bytes = 0; batch = None }
   in
-  match Executor.run plan ~params:[ ("x", Astitch_tensor.Tensor.ones (Shape.of_list [ 4 ])) ] with
-  | _ -> Alcotest.fail "expected Execution_error"
-  | exception Executor.Execution_error _ -> ()
+  expect_execution_error plan
 
 (* --- Profile shape ---------------------------------------------------------- *)
 
@@ -223,7 +240,7 @@ let test_copy_kernels_costed_as_memcpy () =
   check "latency-floor cost" true (copy.estimate.Cost_model.time_us >= 6.0)
 
 let test_executor_kernel_order_enforced () =
-  (* kernels out of dependency order must be rejected at execution *)
+  (* kernels out of dependency order must be rejected by the executor *)
   let b = Builder.create () in
   let x = Builder.parameter b "x" [ 4 ] in
   let t = Builder.tanh b x in
@@ -255,12 +272,7 @@ let test_executor_kernel_order_enforced () =
       kernels = [ mk "second" r; mk "first" t ];
       memcpys = 0; memsets = 0; memcpy_bytes = 0; batch = None }
   in
-  match
-    Executor.run plan
-      ~params:[ ("x", Astitch_tensor.Tensor.ones (Shape.of_list [ 4 ])) ]
-  with
-  | _ -> Alcotest.fail "expected Execution_error"
-  | exception Executor.Execution_error _ -> ()
+  expect_execution_error plan
 
 let () =
   Alcotest.run "runtime"
@@ -289,7 +301,7 @@ let () =
           Alcotest.test_case "on-chip values die with kernel" `Quick
             (fun () ->
               (* a register value read by a LATER kernel must be rejected
-                 at execution time, not just by the static checker *)
+                 by the executor, not just by the static checker *)
               let b = Builder.create () in
               let x = Builder.parameter b "x" [ 4 ] in
               let t = Builder.tanh b x in
@@ -334,13 +346,7 @@ let () =
                   batch = None;
                 }
               in
-              match
-                Executor.run plan
-                  ~params:
-                    [ ("x", Astitch_tensor.Tensor.ones (Shape.of_list [ 4 ])) ]
-              with
-              | _ -> Alcotest.fail "expected Execution_error"
-              | exception Executor.Execution_error _ -> ());
+              expect_execution_error plan);
           Alcotest.test_case "counters scope" `Quick test_mem_counters_exclude_library;
           Alcotest.test_case "a100 tensor cores" `Quick test_library_kernels_faster_on_a100;
           Alcotest.test_case "copy cost" `Quick test_copy_kernels_costed_as_memcpy;

@@ -364,44 +364,6 @@ let prop_symbolic_rebind_random =
         build ~max_batch;
       true)
 
-let test_thread_mapping_rebind () =
-  let open Thread_mapping in
-  (* elementwise: elements shrink exactly, grid follows *)
-  (match
-     rebind (Elementwise { elements = 800; block = 100; grid = 8; rows = None })
-       ~num:3 ~den:8
-   with
-  | Elementwise { elements = 300; block = 100; grid = 3; rows = None } -> ()
-  | m -> Alcotest.failf "elementwise rebind wrong: %s" (to_string m));
-  (* row reduce: rows shrink, block geometry (packing, split) is kept *)
-  (match
-     rebind
-       (Row_reduce
-          { rows = 64; row_length = 128; threads_per_row = 32;
-            rows_per_block = 4; row_groups_per_block = 2; split = 1 })
-       ~num:5 ~den:8
-   with
-  | Row_reduce
-      { rows = 40; row_length = 128; threads_per_row = 32; rows_per_block = 4;
-        row_groups_per_block = 2; split = 1 } ->
-      ()
-  | m -> Alcotest.failf "row-reduce rebind wrong: %s" (to_string m));
-  (* column reduce: independent-reduction count shrinks *)
-  (match
-     rebind
-       (Column_reduce { rows = 16; row_length = 32; block = 128; grid = 4 })
-       ~num:1 ~den:8
-   with
-  | Column_reduce { rows = 2; row_length = 32; block = 128; grid = 1 } -> ()
-  | m -> Alcotest.failf "column-reduce rebind wrong: %s" (to_string m));
-  (* never collapses to zero work *)
-  match
-    rebind (Elementwise { elements = 4; block = 256; grid = 1; rows = None })
-      ~num:1 ~den:8
-  with
-  | Elementwise { elements = 1; _ } -> ()
-  | m -> Alcotest.failf "tiny rebind wrong: %s" (to_string m)
-
 (* --- Batcher policy ------------------------------------------------------ *)
 
 let test_batcher_decisions () =
@@ -750,13 +712,14 @@ let test_unknown_model_rejected () =
    resolves ([Done]/[Failed]/[Overloaded], never lost), survivors are
    bit-identical to solo interpretation (degraded or not - degradation
    never changes numerics), and the server keeps serving afterwards. *)
-let await_all_accounted server ~what tickets_with_reqs =
+let await_all_accounted ?batch server ~what tickets_with_reqs =
   let spec = Serve.spec server ~model:"mlp" in
   let shared = Serve.shared_weights server ~model:"mlp" in
   List.iter
     (fun (ticket, params) ->
       match Serve.await server ticket with
-      | Request.Done { outputs; _ } ->
+      | Request.Done { outputs; batch = ran; _ } ->
+          Option.iter (fun b -> check_int (what ^ ": batch size") b ran) batch;
           check_outputs_identical what
             (Interp.run spec.base ~params:(shared @ params))
             outputs
@@ -781,16 +744,17 @@ let submit_burst server ~what ~seed n =
     (Serve.submit_all server ~model:"mlp" burst)
     burst
 
-(* A max-batch plan whose first kernel holds a parameter op: the tape
-   refuses to fuse that kernel, so the context runs it on the reference
-   path and cannot rebind.  Handed to the model ([Serve.set_plan]), it
-   is the model's context from its first checkout - during [warm], or
+(* A max-batch plan whose first kernel holds a parameter op: the
+   stitched lowering rejects that kernel, so it runs unstitched - every
+   op materialized, its loops bounded at the batch prefix like any
+   stitched kernel's.  Handed to the model ([Serve.set_plan]), it is
+   the model's context from its first checkout - during [warm], or
    under a batch of one when the server was not warmed.  Either way
-   that one pooled context serves every size, padded to max_batch rows
-   (1+2+3 padding rows for bursts of 1..4), nothing is retried, and
-   every size is bit-identical to the interpreter - the full batch's
-   spot check compares against it too. *)
-let test_demoted_model_keeps_serving () =
+   that one pooled context rebinds: every burst of 1..4 runs as one
+   batch at its own request count, nothing is retried, and every size
+   is bit-identical to the interpreter - the full batch's spot check
+   compares against it too. *)
+let test_rejected_kernel_still_rebinds () =
   let max_batch = 4 in
   let config =
     {
@@ -803,7 +767,7 @@ let test_demoted_model_keeps_serving () =
     (Session.compile Astitch_core.Astitch.full_backend config.arch g)
       .Session.plan
   in
-  let unrebindable =
+  let with_param_op =
     match plan.Kernel_plan.kernels with
     | k :: rest ->
         let param =
@@ -816,6 +780,9 @@ let test_demoted_model_keeps_serving () =
         { plan with kernels = { k with ops = k.ops @ [ param ] } :: rest }
     | [] -> Alcotest.fail "empty plan"
   in
+  check_int "one rejected kernel" 1
+    (List.length
+       (Executor.context_fallbacks (Executor.create_context with_param_op)));
   let scenario ~warm =
     let what = if warm then "warmed" else "cold" in
     let server = Serve.create ~config [ mlp_model ] in
@@ -827,31 +794,26 @@ let test_demoted_model_keeps_serving () =
     Fun.protect
       ~finally:(fun () -> Serve.shutdown server)
       (fun () ->
-        check_bool (what ^ ": classified at load") true
-          (Serve.symbolic server ~model:"mlp");
-        Serve.set_plan server ~model:"mlp" unrebindable;
+        Serve.set_plan server ~model:"mlp" with_param_op;
         if warm then begin
           Serve.warm server;
-          check_bool "demoted at warm" false
+          check_bool "rebindable at warm" true
             (Serve.symbolic server ~model:"mlp");
           check_int "the max-batch context stays pooled" 1 (pools ())
         end;
         for n = 1 to max_batch do
           let tickets = submit_burst server ~what ~seed:n n in
           Serve.drain server;
-          await_all_accounted server
+          await_all_accounted ~batch:n server
             ~what:(Printf.sprintf "%s: batch of %d" what n)
             tickets
         done;
-        check_bool (what ^ ": demoted") false
+        check_bool (what ^ ": rebindable") true
           (Serve.symbolic server ~model:"mlp");
         let s = Serve.stats server in
         check_int (what ^ ": one batch per size") max_batch s.batches;
         check_int (what ^ ": nothing retried") 0 s.retried;
-        check_int (what ^ ": one pooled context") 1 (pools ());
-        check_int (what ^ ": padded to max_batch")
-          (max_batch * (max_batch - 1) / 2)
-          s.padded_rows)
+        check_int (what ^ ": one pooled context") 1 (pools ()))
   in
   scenario ~warm:true;
   scenario ~warm:false
@@ -1447,8 +1409,6 @@ let () =
           Alcotest.test_case "zoo symbolic workloads rebind identically" `Quick
             test_symbolic_rebind_zoo;
           QCheck_alcotest.to_alcotest prop_symbolic_rebind_random;
-          Alcotest.test_case "thread-mapping rebind geometry" `Quick
-            test_thread_mapping_rebind;
         ] );
       ( "batcher",
         [
@@ -1462,8 +1422,8 @@ let () =
             test_serve_weights_match_spec;
           Alcotest.test_case "continuous batching: exact odd-size batches"
             `Quick test_continuous_exact_batches;
-          Alcotest.test_case "demoted model keeps serving" `Quick
-            test_demoted_model_keeps_serving;
+          Alcotest.test_case "rejected kernel still rebinds" `Quick
+            test_rejected_kernel_still_rebinds;
           Alcotest.test_case "inward batch axis refused at create" `Quick
             test_inward_batch_axis_refused;
           Alcotest.test_case "CRNN verifies on its one context" `Quick
